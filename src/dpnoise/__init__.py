@@ -22,7 +22,6 @@ from .baselines import (
     RangeWarning,
     analytic_gaussian_sigma,
     classic_gaussian_sigma,
-    gaussian_moments,
     gaussian_privacy_profile,
     laplace_mechanism,
     uniform_limit_mechanism,
@@ -31,11 +30,9 @@ from .bounds import (
     BoundPair,
     LowerBoundParams,
     amplitude_lower_bound,
-    amplitude_upper_bound,
     bound_pair,
     lower_bound_params,
     power_lower_bound,
-    power_upper_bound,
 )
 from .core import (
     ConvergenceError,
@@ -57,7 +54,13 @@ from .query import (
     make_rng,
     run_query,
 )
-from .trunclap import TruncatedLaplace, TruncLapParams, calibrate
+from .trunclap import (
+    TruncatedLaplace,
+    TruncLapParams,
+    amplitude_upper_bound,
+    calibrate,
+    power_upper_bound,
+)
 from .verifier import (
     DiscretizedDist,
     ViolationReport,
@@ -105,7 +108,6 @@ __all__ = [
     "discretize",
     "dp_check",
     "emit",
-    "gaussian_moments",
     "gaussian_privacy_profile",
     "laplace_mechanism",
     "lower_bound_params",

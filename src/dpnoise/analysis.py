@@ -22,18 +22,12 @@ from enum import Enum
 import numpy as np
 
 from .baselines import (
+    Gaussian,
     RangeWarning,
     analytic_gaussian_sigma,
     classic_gaussian_sigma,
-    gaussian_moments,
 )
-from .bounds import (
-    amplitude_lower_bound,
-    amplitude_upper_bound,
-    lower_bound_params,
-    power_lower_bound,
-    power_upper_bound,
-)
+from .bounds import bound_pair
 from .core import (
     CostKind,
     DomainError,
@@ -110,45 +104,25 @@ class SweepRow:
     ratio_tl_gauss: float
 
 
-def _gaussian_cost(sigma: float, kind: CostKind) -> float:
-    amplitude, power = gaussian_moments(sigma)
-    return amplitude if kind is CostKind.AMPLITUDE else power
-
-
 def run_sweep(config: SweepConfig = SweepConfig()) -> list[SweepRow]:
     """Tabulate bounds and Gaussian baselines over the configured grid.
 
-    Internal cross-checks at every point: the truncated-Laplace mechanism's
+    Internal cross-check at every point: the truncated-Laplace mechanism's
     expected cost must agree with the closed-form upper bound to 1e-12
-    relative, and the rigorous (whole-step) lower bound must not exceed the
-    upper bound.  Either failure raises InvariantError.
+    relative, else InvariantError.  :func:`bound_pair` checks the order of
+    the bounds themselves.
     """
     sens = as_sensitivity(config.sensitivity)
     kind = config.cost
-    if kind is CostKind.AMPLITUDE:
-        upper_fn, lower_fn = amplitude_upper_bound, amplitude_lower_bound
-    else:
-        upper_fn, lower_fn = power_upper_bound, power_lower_bound
-
     eps_values, delta_values = config.axes()
     rows: list[SweepRow] = []
     out_of_range = 0
     for eps in eps_values:
         for delta in delta_values:
             params = PrivacyParams(float(eps), float(delta))
-            lb = lower_bound_params(params, sens)
-            q_upper = upper_fn(params, sens)
-            q_lower_floor = lower_fn(lb, steps=lb.steps_floor)
-            if q_lower_floor > q_upper * (1.0 + 1e-12):
-                raise InvariantError(
-                    f"lower bound {q_lower_floor!r} exceeds upper bound "
-                    f"{q_upper!r} at epsilon={eps!r}, delta={delta!r}"
-                )
-            q_lower = (
-                lower_fn(lb, steps=lb.steps_fractional)
-                if config.fractional_steps
-                else q_lower_floor
-            )
+            pair = bound_pair(params, sens, kind)
+            q_upper = pair.upper
+            q_lower = pair.lower if config.fractional_steps else pair.lower_floor
             mech = TruncatedLaplace.from_privacy(params, sens)
             tl_cost = mech.cost(kind)
             if abs(tl_cost - q_upper) > 1e-12 * q_upper:
@@ -163,8 +137,8 @@ def run_sweep(config: SweepConfig = SweepConfig()) -> list[SweepRow]:
                 issubclass(w.category, RangeWarning) for w in caught
             )
             sigma_analytic = analytic_gaussian_sigma(params, sens)
-            gauss_classic = _gaussian_cost(sigma_classic, kind)
-            gauss_analytic = _gaussian_cost(sigma_analytic, kind)
+            gauss_classic = Gaussian(sigma_classic).cost(kind)
+            gauss_analytic = Gaussian(sigma_analytic).cost(kind)
             rows.append(
                 SweepRow(
                     epsilon=float(eps),
@@ -224,7 +198,7 @@ def _ratio_limit(regime: LimitRegime, kind: CostKind, anchor: float) -> float:
 
 def tightness_curve(
     regime: LimitRegime,
-    cost: CostKind = CostKind.AMPLITUDE,
+    cost: "CostKind | str" = CostKind.AMPLITUDE,
     anchor: "float | None" = None,
     points: int = 12,
     sensitivity: "Sensitivity | float" = 1.0,
@@ -244,6 +218,7 @@ def tightness_curve(
     signals accumulated roundoff rather than a wrong bound.
     """
     sens = as_sensitivity(sensitivity)
+    cost = CostKind.parse(cost)
     if points < 2:
         raise DomainError("a tightness curve needs at least 2 points")
     if regime is LimitRegime.EPS_TO_ZERO:
@@ -261,25 +236,17 @@ def tightness_curve(
     else:  # pragma: no cover - exhaustive over the enum
         raise DomainError(f"unknown regime {regime!r}")
 
-    if cost is CostKind.AMPLITUDE:
-        upper_fn, lower_fn = amplitude_upper_bound, amplitude_lower_bound
-    else:
-        upper_fn, lower_fn = power_upper_bound, power_lower_bound
-
     prediction = _ratio_limit(regime, cost, anchor)
     rows: list[TightnessRow] = []
     for eps, delta in pairs:
-        params = PrivacyParams(eps, delta)
-        lb = lower_bound_params(params, sens)
-        q_upper = upper_fn(params, sens)
-        q_lower = lower_fn(lb, steps=lb.steps_fractional)
+        pair = bound_pair(PrivacyParams(eps, delta), sens, cost)
         rows.append(
             TightnessRow(
                 epsilon=eps,
                 delta=delta,
-                q_lower=q_lower,
-                q_upper=q_upper,
-                ratio=q_lower / q_upper,
+                q_lower=pair.lower,
+                q_upper=pair.upper,
+                ratio=pair.ratio,
                 limit_prediction=prediction,
             )
         )

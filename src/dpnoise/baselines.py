@@ -24,6 +24,7 @@ from .core import (
     PrivacyParams,
     Sensitivity,
     _as_checked_array,
+    _interval_args,
     _scalar_or_array,
     as_sensitivity,
 )
@@ -37,7 +38,6 @@ __all__ = [
     "classic_gaussian_sigma",
     "analytic_gaussian_sigma",
     "gaussian_privacy_profile",
-    "gaussian_moments",
     "uniform_limit_mechanism",
 ]
 
@@ -57,6 +57,10 @@ class Laplace(NoiseMechanism):
         if not math.isfinite(scale) or scale <= 0.0:
             raise DomainError(f"scale must be finite and > 0, got {scale!r}")
         self.scale = float(scale)
+
+    @property
+    def parameters(self) -> dict[str, float]:
+        return {"scale": self.scale}
 
     @property
     def support(self) -> tuple[float, float]:
@@ -84,11 +88,7 @@ class Laplace(NoiseMechanism):
     def interval_mass(self, lo, hi):
         # Assembled from one-sided tail pieces so deep-tail cells keep full
         # relative precision (a cdf difference would cancel against the 1).
-        lo_arr, lo_scalar = _as_checked_array(lo, "lo")
-        hi_arr, hi_scalar = _as_checked_array(hi, "hi")
-        lo_b, hi_b = np.broadcast_arrays(lo_arr, hi_arr)
-        if np.any(hi_b < lo_b):
-            raise DomainError("interval_mass requires lo <= hi")
+        lo_b, hi_b, scalar = _interval_args(lo, hi)
         right_lo = np.maximum(lo_b, 0.0) / self.scale
         right_span = np.minimum(right_lo - hi_b / self.scale, 0.0)
         right = np.where(
@@ -103,7 +103,7 @@ class Laplace(NoiseMechanism):
             -0.5 * np.exp(left_hi) * np.expm1(left_span),
             0.0,
         )
-        return _scalar_or_array(right + left, lo_scalar and hi_scalar)
+        return _scalar_or_array(right + left, scalar)
 
     @property
     def expected_amplitude(self) -> float:
@@ -136,6 +136,10 @@ class Gaussian(NoiseMechanism):
         self.sigma = float(sigma)
 
     @property
+    def parameters(self) -> dict[str, float]:
+        return {"sigma": self.sigma}
+
+    @property
     def support(self) -> tuple[float, float]:
         return (-math.inf, math.inf)
 
@@ -161,11 +165,7 @@ class Gaussian(NoiseMechanism):
         # Complementary-tail form: ndtr is only ever evaluated at arguments
         # <= 0, where it is small and fully accurate, so deep-tail cells do
         # not cancel against 1 the way a plain cdf difference would.
-        lo_arr, lo_scalar = _as_checked_array(lo, "lo")
-        hi_arr, hi_scalar = _as_checked_array(hi, "hi")
-        lo_b, hi_b = np.broadcast_arrays(lo_arr, hi_arr)
-        if np.any(hi_b < lo_b):
-            raise DomainError("interval_mass requires lo <= hi")
+        lo_b, hi_b, scalar = _interval_args(lo, hi)
         lo_z = lo_b / self.sigma
         hi_z = hi_b / self.sigma
         right = np.where(
@@ -178,7 +178,7 @@ class Gaussian(NoiseMechanism):
             ndtr(np.minimum(hi_z, 0.0)) - ndtr(lo_z),
             0.0,
         )
-        return _scalar_or_array(right + left, lo_scalar and hi_scalar)
+        return _scalar_or_array(right + left, scalar)
 
     @property
     def expected_amplitude(self) -> float:
@@ -186,14 +186,7 @@ class Gaussian(NoiseMechanism):
 
     @property
     def expected_power(self) -> float:
-        return self.sigma**2
-
-
-def gaussian_moments(sigma: float) -> tuple[float, float]:
-    """(E|X|, E[X^2]) = (sigma * sqrt(2/pi), sigma^2)."""
-    if not math.isfinite(sigma) or sigma <= 0.0:
-        raise DomainError(f"sigma must be finite and > 0, got {sigma!r}")
-    return sigma * _SQRT_2_OVER_PI, sigma * sigma
+        return self.sigma * self.sigma
 
 
 def classic_gaussian_sigma(params: PrivacyParams, sens: "Sensitivity | float") -> float:
@@ -303,6 +296,10 @@ class BoundedUniform(NoiseMechanism):
                 f"half_width must be finite and > 0, got {half_width!r}"
             )
         self.half_width = float(half_width)
+
+    @property
+    def parameters(self) -> dict[str, float]:
+        return {"half_width": self.half_width}
 
     @property
     def support(self) -> tuple[float, float]:

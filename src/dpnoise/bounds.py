@@ -1,7 +1,8 @@
 """Lower and upper bounds on the minimum achievable noise cost.
 
 The upper bounds are simply the calibrated truncated Laplacian's own costs
-(re-exported from :mod:`dpnoise.trunclap`): an explicit mechanism is a
+(:func:`dpnoise.trunclap.amplitude_upper_bound` and
+:func:`~dpnoise.trunclap.power_upper_bound`): an explicit mechanism is a
 witness that the minimum is no larger.
 
 The lower bounds come from a slicing argument: any valid noise density,
@@ -22,8 +23,8 @@ E|X| and E[X^2]:
 The slicing argument is rigorous at integer step counts; evaluating the
 closed forms at the fractional root ``n`` above gives the tighter curve
 reported by default, with the rounded-down variant available as the fully
-conservative choice.  Both are exposed and both are checked against the
-upper bound.
+conservative choice.  :func:`bound_pair` returns both next to the upper
+bound and is the one place that checks their order.
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ __all__ = [
     "power_lower_bound",
     "BoundPair",
     "bound_pair",
-    "amplitude_upper_bound",
-    "power_upper_bound",
 ]
 
 
@@ -108,8 +107,10 @@ def amplitude_lower_bound(lb: LowerBoundParams, steps: "float | None" = None) ->
     if bn == 0.0:
         bracket = b / (w * w)
     else:
-        qn = -math.expm1(-en)  # 1 - b^n
-        bracket = (qn - w) / (w * w) - (steps - 1.0) * bn / w
+        # b - b^n, factored so it keeps its relative accuracy once b is
+        # below the rounding error of 1 (1-b^n and 1-b would then cancel)
+        head = b * -math.expm1(-eps * (steps - 1.0))
+        bracket = head / (w * w) - (steps - 1.0) * bn / w
     return 2.0 * lb.mass_coeff * bracket * lb.sensitivity
 
 
@@ -143,11 +144,17 @@ def power_lower_bound(lb: LowerBoundParams, steps: "float | None" = None) -> flo
 
 @dataclass(frozen=True)
 class BoundPair:
-    """A matched (lower, upper) pair for one cost kind."""
+    """A matched (lower, upper) pair for one cost kind.
+
+    ``lower`` is the fractional-step lower bound and ``lower_floor`` the
+    whole-step one; ``lower_params`` holds the slicing pieces both used.
+    """
 
     lower: float
+    lower_floor: float
     upper: float
     cost: CostKind
+    lower_params: LowerBoundParams
 
     @property
     def ratio(self) -> float:
@@ -158,34 +165,30 @@ def bound_pair(
     params: PrivacyParams,
     sens: "Sensitivity | float",
     cost: "CostKind | str" = CostKind.AMPLITUDE,
-    fractional_steps: bool = True,
 ) -> BoundPair:
     """Compute both sides for one cost kind and sanity-check their order.
 
-    ``fractional_steps`` selects which lower-bound variant lands in the
-    result.  If *both* variants exceed the upper bound the closed forms are
-    inconsistent, which can only be an implementation bug, so that raises
-    :class:`InvariantError` rather than returning silently wrong numbers.
+    The rigorous (whole-step) lower bound exceeding the upper bound can only
+    be an implementation bug, so that raises :class:`InvariantError` rather
+    than returning silently wrong numbers.
     """
     cost = CostKind.parse(cost)
     lb = lower_bound_params(params, sens)
-    kernel = (
-        amplitude_lower_bound if cost is CostKind.AMPLITUDE else power_lower_bound
-    )
-    upper_fn = (
-        amplitude_upper_bound if cost is CostKind.AMPLITUDE else power_upper_bound
-    )
-    lower_frac = kernel(lb)
-    lower_floor = kernel(lb, lb.steps_floor)
+    if cost is CostKind.AMPLITUDE:
+        lower_fn, upper_fn = amplitude_lower_bound, amplitude_upper_bound
+    else:
+        lower_fn, upper_fn = power_lower_bound, power_upper_bound
+    lower_floor = lower_fn(lb, lb.steps_floor)
     upper = upper_fn(params, sens)
-    slack = 1.0 + 1e-12
-    if lower_frac > upper * slack and lower_floor > upper * slack:
+    if lower_floor > upper * (1.0 + 1e-12):
         raise InvariantError(
-            f"lower bounds exceed the upper bound at eps={params.epsilon}, "
-            f"delta={params.delta}: {lower_frac!r}/{lower_floor!r} > {upper!r}"
+            f"lower bound {lower_floor!r} exceeds upper bound {upper!r} at "
+            f"epsilon={params.epsilon!r}, delta={params.delta!r}"
         )
     return BoundPair(
-        lower=lower_frac if fractional_steps else lower_floor,
+        lower=lower_fn(lb),
+        lower_floor=lower_floor,
         upper=upper,
         cost=cost,
+        lower_params=lb,
     )

@@ -19,14 +19,7 @@ import sys
 import numpy as np
 
 from .analysis import SweepConfig, emit, run_sweep
-from .baselines import BoundedUniform, Gaussian, Laplace
-from .bounds import (
-    amplitude_lower_bound,
-    amplitude_upper_bound,
-    lower_bound_params,
-    power_lower_bound,
-    power_upper_bound,
-)
+from .bounds import bound_pair
 from .core import (
     ConvergenceError,
     CostKind,
@@ -43,7 +36,6 @@ from .query import (
     make_rng,
     run_query,
 )
-from .trunclap import TruncatedLaplace
 from .verifier import discretize, dp_check
 
 __all__ = ["main"]
@@ -129,19 +121,6 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _mech_parameters(mech) -> dict:
-    if isinstance(mech, TruncatedLaplace):
-        p = mech.params
-        return {"scale": p.scale, "radius": p.radius, "height": p.height}
-    if isinstance(mech, Gaussian):
-        return {"sigma": mech.sigma}
-    if isinstance(mech, Laplace):
-        return {"scale": mech.scale}
-    if isinstance(mech, BoundedUniform):
-        return {"half_width": mech.half_width}
-    return {}
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -158,7 +137,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             "epsilon": params.epsilon,
             "delta": params.delta,
             "sensitivity": sens.value,
-            "parameters": _mech_parameters(mech),
+            "parameters": mech.parameters,
             "expected_amplitude": mech.expected_amplitude,
             "expected_power": mech.expected_power,
         }
@@ -188,31 +167,23 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     opt = _Options(args)
     params = _params(opt)
     sens = as_sensitivity(opt.number("sens", default=1.0))
-    kind = CostKind.parse(opt.choice("cost", ("amplitude", "power"), default="amplitude"))
+    cost = opt.choice("cost", ("amplitude", "power"), default="amplitude")
     n_mode = opt.choice("n-mode", ("frac", "floor"), default="frac")
-    lb = lower_bound_params(params, sens)
-    if kind is CostKind.AMPLITUDE:
-        upper = amplitude_upper_bound(params, sens)
-        lower_frac = amplitude_lower_bound(lb, steps=lb.steps_fractional)
-        lower_floor = amplitude_lower_bound(lb, steps=lb.steps_floor)
-    else:
-        upper = power_upper_bound(params, sens)
-        lower_frac = power_lower_bound(lb, steps=lb.steps_fractional)
-        lower_floor = power_lower_bound(lb, steps=lb.steps_floor)
-    lower = lower_frac if n_mode == "frac" else lower_floor
+    pair = bound_pair(params, sens, cost)
+    lower = pair.lower if n_mode == "frac" else pair.lower_floor
     _print_json(
         {
             "epsilon": params.epsilon,
             "delta": params.delta,
             "sensitivity": sens.value,
-            "cost": kind.value,
+            "cost": pair.cost.value,
             "lower": lower,
-            "upper": upper,
-            "ratio": lower / upper,
-            "steps_fractional": lb.steps_fractional,
-            "steps_floor": lb.steps_floor,
-            "lower_fractional": lower_frac,
-            "lower_floor": lower_floor,
+            "upper": pair.upper,
+            "ratio": lower / pair.upper,
+            "steps_fractional": pair.lower_params.steps_fractional,
+            "steps_floor": pair.lower_params.steps_floor,
+            "lower_fractional": pair.lower,
+            "lower_floor": pair.lower_floor,
         }
     )
     return 0

@@ -23,7 +23,6 @@ __all__ = [
     "Sensitivity",
     "CostKind",
     "NoiseMechanism",
-    "validate",
     "as_sensitivity",
 ]
 
@@ -94,19 +93,6 @@ def as_sensitivity(sens: "Sensitivity | float") -> Sensitivity:
     return Sensitivity(float(sens))
 
 
-def validate(
-    params: PrivacyParams, sens: "Sensitivity | float"
-) -> tuple[PrivacyParams, Sensitivity]:
-    """Return the validated pair, raising :class:`DomainError` otherwise.
-
-    Construction already enforces the invariants; this is the explicit
-    checkpoint for call sites that assemble parameters from raw floats.
-    """
-    if not isinstance(params, PrivacyParams):
-        params = PrivacyParams(*params)
-    return params, as_sensitivity(sens)
-
-
 class CostKind(Enum):
     """Which noise cost is being measured or bounded."""
 
@@ -136,6 +122,20 @@ def _as_checked_array(x, name: str = "x") -> tuple[np.ndarray, bool]:
 
 def _scalar_or_array(values: np.ndarray, scalar: bool):
     return float(values[()]) if scalar else values
+
+
+def _interval_args(lo, hi) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Checked, broadcast ``(lo, hi)`` for ``interval_mass``.
+
+    The flag says whether both inputs were scalars, i.e. whether the mass
+    goes back through :func:`_scalar_or_array` as a float.
+    """
+    lo_arr, lo_scalar = _as_checked_array(lo, "lo")
+    hi_arr, hi_scalar = _as_checked_array(hi, "hi")
+    lo_b, hi_b = np.broadcast_arrays(lo_arr, hi_arr)
+    if np.any(lo_b > hi_b):
+        raise DomainError("interval_mass requires lo <= hi")
+    return lo_b, hi_b, lo_scalar and hi_scalar
 
 
 class NoiseMechanism(ABC):
@@ -175,6 +175,11 @@ class NoiseMechanism(ABC):
     def expected_power(self) -> float:
         """E[X^2]."""
 
+    @property
+    def parameters(self) -> dict[str, float]:
+        """The numbers that pin this distribution down, by name."""
+        return {}
+
     def cost(self, kind: CostKind) -> float:
         kind = CostKind.parse(kind)
         if kind is CostKind.AMPLITUDE:
@@ -188,10 +193,9 @@ class NoiseMechanism(ABC):
         direct evaluation avoids the cancellation that difference suffers in
         the far tail.
         """
-        lo_arr, lo_scalar = _as_checked_array(lo, "lo")
-        hi_arr, hi_scalar = _as_checked_array(hi, "hi")
-        out = np.asarray(self.cdf(hi_arr)) - np.asarray(self.cdf(lo_arr))
-        return _scalar_or_array(np.asarray(out), lo_scalar and hi_scalar)
+        lo_b, hi_b, scalar = _interval_args(lo, hi)
+        out = np.asarray(self.cdf(hi_b)) - np.asarray(self.cdf(lo_b))
+        return _scalar_or_array(out, scalar)
 
     def sample(self, rng, n: "int | None" = None):
         """Draw ``n`` samples (or a single scalar when ``n`` is None).

@@ -33,6 +33,7 @@ from .core import (
     PrivacyParams,
     Sensitivity,
     _as_checked_array,
+    _interval_args,
     _scalar_or_array,
     as_sensitivity,
 )
@@ -96,6 +97,11 @@ class TruncatedLaplace(NoiseMechanism):
     ) -> "TruncatedLaplace":
         return cls(calibrate(params, sens))
 
+    @property
+    def parameters(self) -> dict[str, float]:
+        p = self.params
+        return {"scale": p.scale, "radius": p.radius, "height": p.height}
+
     # -- distribution surface -------------------------------------------------
 
     @property
@@ -151,11 +157,7 @@ class TruncatedLaplace(NoiseMechanism):
         near the truncation edge), so the mass is assembled from one-sided
         pieces anchored at the nearer endpoint instead.
         """
-        lo_arr, lo_scalar = _as_checked_array(lo, "lo")
-        hi_arr, hi_scalar = _as_checked_array(hi, "hi")
-        lo_b, hi_b = np.broadcast_arrays(lo_arr, hi_arr)
-        if np.any(lo_b > hi_b):
-            raise DomainError("interval_mass requires lo <= hi")
+        lo_b, hi_b, scalar = _interval_args(lo, hi)
         p = self.params
         lo_c = np.clip(lo_b, -p.radius, p.radius)
         hi_c = np.clip(hi_b, -p.radius, p.radius)
@@ -174,7 +176,7 @@ class TruncatedLaplace(NoiseMechanism):
         mass = positive_side(lo_pos, hi_pos) + positive_side(lo_neg, hi_neg)
         mass = np.where(hi_c <= 0.0, positive_side(lo_neg, hi_neg), mass)
         mass = np.where(lo_c >= 0.0, positive_side(lo_pos, hi_pos), mass)
-        return _scalar_or_array(mass, lo_scalar and hi_scalar)
+        return _scalar_or_array(mass, scalar)
 
     # -- closed-form costs ----------------------------------------------------
 

@@ -10,7 +10,8 @@ from dpnoise.bounds import (
     lower_bound_params,
     power_lower_bound,
 )
-from dpnoise.core import CostKind, DomainError, PrivacyParams
+from dpnoise import bounds
+from dpnoise.core import CostKind, DomainError, InvariantError, PrivacyParams
 from dpnoise.trunclap import amplitude_upper_bound, power_upper_bound
 
 P_REF = PrivacyParams(1.0, 1e-5)
@@ -118,6 +119,13 @@ class TestExtremeRegimes:
         pwr = power_lower_bound(lb)
         assert math.isfinite(amp) and amp > 0.0
         assert math.isfinite(pwr) and pwr > 0.0
+        # large eps: b = e^-eps is below the rounding error of 1, where
+        # b - b^n must not come out as the cancelled (1-b^n) - (1-b).
+        # steps_floor is 1 at these points, so the whole-step bound is 0.
+        for eps, delta in [(40.0, 1e-12), (100.0, 1e-5), (500.0, 0.2), (60.0, 0.3)]:
+            pair = bound_pair(PrivacyParams(eps, delta), 1.0, cost="amplitude")
+            assert 0.0 < pair.lower <= pair.upper
+            assert 0.0 <= pair.lower_floor <= pair.upper
 
     def test_huge_step_counts_stay_finite(self):
         lb = lower_bound_params(P_REF, 1.0)
@@ -132,19 +140,22 @@ class TestExtremeRegimes:
 
 class TestBoundPair:
     def test_ratio(self):
-        pair = BoundPair(lower=1.0, upper=2.0, cost="amplitude")
+        lb = lower_bound_params(P_REF, 1.0)
+        pair = BoundPair(
+            lower=1.0, lower_floor=0.5, upper=2.0, cost="amplitude", lower_params=lb
+        )
         assert pair.ratio == 0.5
+        assert pair.lower_floor == 0.5
+        assert pair.lower_params is lb
 
     def test_frozen_cli_point(self):
         pair = bound_pair(PrivacyParams(0.1, 0.05), 1.0, cost="amplitude")
         assert pair.lower == pytest.approx(2.674948670796755, rel=1e-14)
         assert pair.upper == pytest.approx(3.166616726021703, rel=1e-14)
         assert pair.ratio == pytest.approx(0.8447339549543016, rel=1e-13)
-        floor = bound_pair(
-            PrivacyParams(0.1, 0.05), 1.0, cost="amplitude", fractional_steps=False
-        )
-        assert floor.lower == pytest.approx(2.556638908351247, rel=1e-14)
-        assert floor.upper == pair.upper
+        assert pair.lower_floor == pytest.approx(2.556638908351247, rel=1e-14)
+        assert pair.lower_params == lower_bound_params(PrivacyParams(0.1, 0.05), 1.0)
+        assert pair.lower_params.steps_floor == 7
 
     def test_lower_never_exceeds_upper(self):
         for eps in (1e-4, 0.01, 0.3, 1.0, 5.0, 30.0):
@@ -153,6 +164,14 @@ class TestBoundPair:
                 for cost in ("amplitude", "power"):
                     pair = bound_pair(p, 1.0, cost=cost)
                     assert pair.lower <= pair.upper * (1.0 + 1e-12)
+                    assert pair.lower_floor <= pair.lower
+
+    def test_whole_step_lower_above_upper_raises(self, monkeypatch):
+        p = PrivacyParams(0.7, 1e-6)
+        upper = bound_pair(p, 1.0, cost="amplitude").upper
+        monkeypatch.setattr(bounds, "amplitude_upper_bound", lambda *a: 1e-3 * upper)
+        with pytest.raises(InvariantError, match="exceeds upper bound"):
+            bound_pair(p, 1.0, cost="amplitude")
 
     def test_matches_mechanism_upper(self):
         p = PrivacyParams(0.7, 1e-6)

@@ -12,7 +12,6 @@ from dpnoise.core import (
     PrivacyParams,
     Sensitivity,
     as_sensitivity,
-    validate,
 )
 
 
@@ -63,12 +62,6 @@ class TestSensitivity:
         s = Sensitivity(1.0)
         assert as_sensitivity(s) is s
         assert as_sensitivity(3).value == 3.0
-
-    def test_validate_returns_pair(self):
-        p, s = validate(PrivacyParams(1.0, 1e-5), 2.0)
-        assert isinstance(p, PrivacyParams)
-        assert isinstance(s, Sensitivity)
-        assert s.value == 2.0
 
 
 class TestCostKind:
@@ -132,6 +125,9 @@ class TestNoiseMechanismContract:
         mech = _Triangle()
         assert mech.cost(CostKind.AMPLITUDE) == mech.expected_amplitude
         assert mech.cost("power") == mech.expected_power
+
+    def test_parameters_default_to_empty(self):
+        assert _Triangle().parameters == {}
 
     def test_default_interval_mass_is_cdf_difference(self):
         mech = _Triangle()

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from test_core import _Triangle
 
+from dpnoise.baselines import BoundedUniform, Gaussian, Laplace
 from dpnoise.core import DomainError, PrivacyParams, Sensitivity
 from dpnoise.trunclap import (
     TruncatedLaplace,
@@ -118,8 +120,13 @@ class TestDistributionSurface:
         assert mech.interval_mass(-A, -A + 1.0) == pytest.approx(1e-5, rel=1e-13)
 
     def test_interval_mass_rejects_reversed(self, mech):
-        with pytest.raises(DomainError):
-            mech.interval_mass(1.0, 0.5)
+        # the shared input check covers the overrides and the cdf-difference
+        # default alike, for scalars and for any reversed element of an array
+        for m in (mech, Laplace(1.0), Gaussian(1.0), BoundedUniform(1.0), _Triangle()):
+            with pytest.raises(DomainError):
+                m.interval_mass(0.5, -0.5)
+            with pytest.raises(DomainError):
+                m.interval_mass(np.array([-1.0, 0.5]), np.array([0.0, -0.5]))
 
     def test_moments_against_quadrature(self, mech):
         A = mech.params.radius
