@@ -24,6 +24,7 @@ from .core import (
     PrivacyParams,
     Sensitivity,
     _as_checked_array,
+    _exponential_grid_masses,
     _interval_args,
     _scalar_or_array,
     as_sensitivity,
@@ -104,6 +105,10 @@ class Laplace(NoiseMechanism):
             0.0,
         )
         return _scalar_or_array(right + left, scalar)
+
+    def grid_masses(self, step: float, half_cells: int) -> np.ndarray:
+        # Closed form; each outermost cell takes its whole unbounded tail.
+        return _exponential_grid_masses(0.5, self.scale, math.inf, step, half_cells)
 
     @property
     def expected_amplitude(self) -> float:

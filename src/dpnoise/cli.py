@@ -1,7 +1,8 @@
 """Command-line surface: calibrate, sample, bounds, verify, sweep, query.
 
 Exit codes: 0 success (and privacy check passed), 1 privacy-check failure,
-2 invalid flags/config/input, 3 budget cap would be exceeded.  Stdout
+2 invalid flags/config/input, 3 budget cap would be exceeded, 4 an internal
+consistency check failed (a bug, not a privacy verdict).  Stdout
 carries data only (JSON, CSV, SVG, or samples); diagnostics go to stderr.
 
 Every flag can also come from a flat ``key = value`` config file passed as
@@ -24,6 +25,7 @@ from .core import (
     ConvergenceError,
     CostKind,
     DomainError,
+    InvariantError,
     PrivacyParams,
     as_sensitivity,
 )
@@ -364,6 +366,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -138,6 +138,46 @@ def _interval_args(lo, hi) -> tuple[np.ndarray, np.ndarray, bool]:
     return lo_b, hi_b, lo_scalar and hi_scalar
 
 
+_EXP_BLOCK = 4096  # cells per row of the e^(-k t) outer product
+
+
+def _exponential_grid_masses(
+    area: float, scale: float, radius: float, step: float, half_cells: int
+) -> np.ndarray:
+    """Closed-form cell masses of ``area/scale * exp(-|x|/scale)`` on
+    ``|x| <= radius`` (``radius`` may be infinite), laid out as
+    :meth:`NoiseMechanism.grid_masses` lays them out.
+
+    Positive-side cell k covers ``[k*step, (k+1)*step)`` and holds
+    ``area * e^(-k t) * (1 - e^(-t))`` with ``t = step/scale`` while it lies
+    inside the support; the outermost cell takes everything beyond its left
+    edge, cells entirely past ``radius`` hold 0, and the negative side is the
+    mirror image.  ``e^(-k t)`` is the outer product of two short ``exp``
+    vectors, so every mass is within a few roundings of exact and costs one
+    multiply.
+    """
+    H = int(half_cells)
+    t = step / scale
+    x = radius / scale  # the support edge in units of the scale
+    masses = np.empty(2 * H)
+    pos = masses[H:]
+    # Cells 0..full-1 are whole cells inside the support; the rest (the
+    # outermost cell, plus any cells at or past the edge) take the general
+    # formula, clipped to the support.
+    full = max(0, H - 1 if math.isinf(x) else min(H - 1, math.floor(x / t)))
+    inner = np.exp(-t * np.arange(_EXP_BLOCK))
+    head = area * -math.expm1(-t)
+    for lo in range(0, full, _EXP_BLOCK):
+        hi = min(lo + _EXP_BLOCK, full)
+        np.multiply(head * math.exp(-t * lo), inner[: hi - lo], out=pos[lo:hi])
+    k = np.arange(full, H)
+    width = np.where(k < H - 1, t, math.inf)
+    span = np.clip(np.minimum(width, x - k * t), 0.0, None)
+    pos[full:] = area * np.exp(-k * t) * -np.expm1(-span)
+    masses[:H] = pos[::-1]
+    return masses
+
+
 class NoiseMechanism(ABC):
     """Symmetric additive noise distribution centred at zero.
 
@@ -196,6 +236,26 @@ class NoiseMechanism(ABC):
         lo_b, hi_b, scalar = _interval_args(lo, hi)
         out = np.asarray(self.cdf(hi_b)) - np.asarray(self.cdf(lo_b))
         return _scalar_or_array(out, scalar)
+
+    def grid_masses(self, step: float, half_cells: int) -> np.ndarray:
+        """Masses of the ``2*half_cells`` cells of width ``step`` on
+        ``[-half_cells*step, half_cells*step)``.
+
+        Any mass beyond the outermost cells is folded into them, so the
+        masses account for the full distribution.  The default evaluates
+        ``interval_mass`` on the cell edges; subclasses override it where
+        the density's structure gives the masses in closed form.
+        """
+        origin = -half_cells * step
+        edges = origin + step * np.arange(2 * half_cells + 1)
+        masses = np.asarray(self.interval_mass(edges[:-1], edges[1:]), dtype=float)
+        # Fold the truncated tails into the outermost cells.
+        below = float(self.cdf(edges[0]))
+        above = 1.0 - float(self.cdf(edges[-1]))
+        masses[0] += max(below, 0.0)
+        masses[-1] += max(above, 0.0)
+        np.maximum(masses, 0.0, out=masses)
+        return masses
 
     def sample(self, rng, n: "int | None" = None):
         """Draw ``n`` samples (or a single scalar when ``n`` is None).

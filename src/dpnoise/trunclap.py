@@ -33,6 +33,7 @@ from .core import (
     PrivacyParams,
     Sensitivity,
     _as_checked_array,
+    _exponential_grid_masses,
     _interval_args,
     _scalar_or_array,
     as_sensitivity,
@@ -177,6 +178,15 @@ class TruncatedLaplace(NoiseMechanism):
         mass = np.where(hi_c <= 0.0, positive_side(lo_neg, hi_neg), mass)
         mass = np.where(lo_c >= 0.0, positive_side(lo_pos, hi_pos), mass)
         return _scalar_or_array(mass, scalar)
+
+    def grid_masses(self, step: float, half_cells: int) -> np.ndarray:
+        """Closed-form cell masses: equal-width cells hold masses in the
+        fixed ratio e^(-step/scale), and the outermost cell takes the rest of
+        the support."""
+        p = self.params
+        return _exponential_grid_masses(
+            p.height * p.scale, p.scale, p.radius, step, half_cells
+        )
 
     # -- closed-form costs ----------------------------------------------------
 

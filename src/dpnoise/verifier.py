@@ -17,6 +17,12 @@ binary search on the monotone mass-ratio sequence and summed via prefix
 sums.  Edge cells — which carry folded-in tail mass and may break
 log-concavity — are accounted for separately and exactly.  Everything else
 falls back to the direct scan.  Both paths return the same sums.
+
+Cell masses come from the mechanism (``NoiseMechanism.grid_masses``): the
+exponential mechanisms give them in closed form, the others integrate their
+density over each cell.  The grid-wide kernels (the log-concavity gate and
+the tolerance) walk the grid in fixed-size blocks, so apart from the masses
+and their two partial sums no temporary grows with the grid.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ __all__ = [
 ]
 
 _MAX_CELLS = 400_000_000  # refuse grids that cannot fit in memory
+_BLOCK = 1 << 15  # cells per block of the grid-wide kernels (L2-sized temporaries)
 
 
 def _width_jitter(n_cells: int) -> float:
@@ -87,14 +94,17 @@ class DiscretizedDist:
         self.masses = np.asarray(self.masses, dtype=float)
         if self.masses.ndim != 1 or self.masses.size == 0:
             raise DomainError("masses must be a non-empty 1-d array")
-        if np.any(self.masses < 0.0) or not np.all(np.isfinite(self.masses)):
+        # min/max reject negatives, NaN (min is NaN) and infinities without
+        # a grid-sized temporary.
+        if not (self.masses.min() >= 0.0 and self.masses.max() < math.inf):
             raise DomainError("masses must be finite and non-negative")
-        positive = np.flatnonzero(self.masses > 0.0)
-        if positive.size == 0:
+        positive = self.masses > 0.0
+        s = int(np.argmax(positive))
+        if not positive[s]:
             raise DomainError("masses must carry some probability")
-        s, e = int(positive[0]), int(positive[-1])
+        e = self.masses.size - 1 - int(np.argmax(positive[::-1]))
         self._run = (s, e)
-        contiguous = bool(np.all(self.masses[s : e + 1] > 0.0))
+        contiguous = bool(positive[s : e + 1].all())
         self._fast_ok = contiguous and self._interior_log_concave(s, e)
 
     def _interior_log_concave(self, s: int, e: int) -> bool:
@@ -107,17 +117,19 @@ class DiscretizedDist:
         if inner.size < 3:
             return True
         slack = max(1e-10, 8.0 * _width_jitter(self.masses.size))
-        if np.any(inner < 1e-150):  # products could underflow; stay honest
-            logs = np.log(inner)
-            return bool(
-                np.all(2.0 * logs[1:-1] >= logs[:-2] + logs[2:] - slack)
-            )
-        return bool(
-            np.all(
-                inner[1:-1] * inner[1:-1]
-                >= inner[:-2] * inner[2:] * (1.0 - slack)
-            )
-        )
+        use_logs = inner.min() < 1e-150  # products could underflow; stay honest
+        # Cells i-1, i, i+1 for the middle cells i of each block; adjacent
+        # blocks overlap by two cells.
+        for lo in range(0, inner.size - 2, _BLOCK):
+            m = inner[lo : lo + _BLOCK + 2]
+            if use_logs:
+                logs = np.log(m)
+                ok = np.all(2.0 * logs[1:-1] >= logs[:-2] + logs[2:] - slack)
+            else:
+                ok = np.all(m[1:-1] * m[1:-1] >= m[:-2] * m[2:] * (1.0 - slack))
+            if not ok:
+                return False
+        return True
 
     @property
     def total_mass(self) -> float:
@@ -185,14 +197,7 @@ def discretize(
             "or decrease radius"
         )
     origin = -half_cells * step
-    edges = origin + step * np.arange(2 * half_cells + 1)
-    masses = np.asarray(mech.interval_mass(edges[:-1], edges[1:]), dtype=float)
-    # Fold the truncated tails into the outermost cells.
-    below = float(mech.cdf(edges[0]))
-    above = 1.0 - float(mech.cdf(edges[-1]))
-    masses[0] += max(below, 0.0)
-    masses[-1] += max(above, 0.0)
-    np.maximum(masses, 0.0, out=masses)
+    masses = mech.grid_masses(step, half_cells)
     return DiscretizedDist(
         origin=origin, step=step, masses=masses, shift_cells=shift_cells
     )
@@ -313,6 +318,8 @@ class ViolationReport:
     tolerance: float
     epsilon: float
     delta: float
+    cells: int  # grid size K
+    path: str  # "fast" (log-concave run) or "direct" (full scan)
 
     def to_dict(self) -> dict:
         return {
@@ -323,6 +330,8 @@ class ViolationReport:
             "tolerance": self.tolerance,
             "epsilon": self.epsilon,
             "delta": self.delta,
+            "cells": self.cells,
+            "path": self.path,
         }
 
 
@@ -344,26 +353,37 @@ def _straddle_tolerance(masses: np.ndarray, c: float, j: int) -> float:
     jj = abs(j)
     if jj == 0 or jj >= K:
         return 1e-12
-    shifted = np.zeros(K)
-    if j > 0:
-        shifted[: K - jj] = masses[jj:]
-    else:
-        shifted[jj:] = masses[: K - jj]
-    scaled = c * shifted
-    d = masses - scaled
     eta_rel = max(1e-12, 2.0 * _width_jitter(K))
-    eta = eta_rel * np.maximum(masses, scaled)
-    sign = np.zeros(K, dtype=np.int8)
-    sign[d > eta] = 1
-    sign[d < -eta] = -1
-    tol = float(eta[sign == 0].sum())
-    nonzero = np.flatnonzero(sign)
-    if nonzero.size:
-        signs = sign[nonzero]
-        flips = np.flatnonzero(signs[:-1] != signs[1:])
-        a = nonzero[flips]
-        b = nonzero[flips + 1]
-        tol += float(np.minimum(np.abs(d[a]), np.abs(d[b])).sum())
+    tol = 0.0
+    # (d > 0, |d|) of the last non-flat cell so far, so that flips across a
+    # block boundary are counted too.
+    last = None
+    for lo in range(0, K, _BLOCK):
+        hi = min(lo + _BLOCK, K)
+        # scaled[i] = c * masses[i + j], 0 where i + j falls off the grid
+        src_lo, src_hi = max(lo + j, 0), min(hi + j, K)
+        scaled = np.zeros(hi - lo)
+        if src_lo < src_hi:
+            dst = src_lo - lo - j
+            np.multiply(
+                masses[src_lo:src_hi], c, out=scaled[dst : dst + src_hi - src_lo]
+            )
+        m = masses[lo:hi]
+        d = m - scaled
+        eta = np.maximum(m, scaled, out=scaled)
+        eta *= eta_rel
+        flat = np.abs(d) <= eta
+        tol += float(eta[flat].sum())
+        dn = d[~flat]
+        if dn.size == 0:
+            continue
+        up = dn > 0.0
+        mag = np.abs(dn)
+        flips = np.flatnonzero(up[:-1] != up[1:])
+        tol += float(np.minimum(mag[flips], mag[flips + 1]).sum())
+        if last is not None and last[0] != up[0]:
+            tol += min(last[1], float(mag[0]))
+        last = (bool(up[-1]), float(mag[-1]))
     tol += 4.0 * (1.0 + c) * 2.0**-53 * K  # evaluation + summation rounding
     return tol + 1e-12
 
@@ -460,4 +480,6 @@ def dp_check(dist: DiscretizedDist, params: PrivacyParams) -> ViolationReport:
         tolerance=tolerance,
         epsilon=params.epsilon,
         delta=params.delta,
+        cells=K,
+        path="fast" if dist._fast_ok else "direct",
     )

@@ -16,7 +16,7 @@ from dpnoise.baselines import (
     laplace_mechanism,
     uniform_limit_mechanism,
 )
-from dpnoise.core import DomainError, PrivacyParams
+from dpnoise.core import DomainError, NoiseMechanism, PrivacyParams
 
 
 class TestLaplace:
@@ -69,6 +69,31 @@ class TestLaplace:
             lap.cdf(5.0) - lap.cdf(-3.0), rel=1e-14
         )
         assert lap.interval_mass(-200.0, 200.0) == pytest.approx(1.0, rel=1e-15)
+
+    def test_grid_masses_closed_form(self):
+        lap, step = Laplace(1.3), 1e-3
+        radius = float(lap.quantile(1.0 - 5e-13))  # discretize's default
+        half = math.ceil(radius / step - 1e-12)
+        fast = lap.grid_masses(step, half)
+        ref = NoiseMechanism.grid_masses(lap, step, half)
+        assert fast.shape == ref.shape == (2 * half,)
+        np.testing.assert_allclose(fast[1:-1], ref[1:-1], rtol=1e-10, atol=0.0)
+        # Each outermost cell holds its whole unbounded tail.  The default
+        # path folds the right tail in as 1 - cdf, which rounds at ulp(1).
+        tail = 0.5 * math.exp(-(half - 1) * step / 1.3)
+        assert fast[-1] == pytest.approx(tail, rel=1e-14)
+        assert abs(fast[-1] - ref[-1]) <= 2.0**-52
+        assert fast[0] == pytest.approx(ref[0], rel=1e-10)
+        assert np.array_equal(fast, fast[::-1])
+        assert abs(float(fast.sum()) - 1.0) <= 1e-14
+        pos = fast[half:]
+        np.testing.assert_allclose(
+            pos[1:-1] / pos[:-2], math.exp(-step / 1.3), rtol=1e-14, atol=0.0
+        )
+
+    def test_gaussian_and_uniform_keep_the_default_grid_masses(self):
+        for cls in (Gaussian, BoundedUniform):
+            assert cls.grid_masses is NoiseMechanism.grid_masses
 
     def test_factory(self):
         mech = laplace_mechanism(0.5, 2.0)

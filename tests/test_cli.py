@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from dpnoise import cli
 from dpnoise.cli import main
+from dpnoise.core import InvariantError
 
 
 def run(capsys, *argv):
@@ -152,6 +154,20 @@ class TestBounds:
         assert code == 2
         assert "--cost" in err
 
+    def test_internal_check_failure_is_exit_4(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise InvariantError("lower bound above upper bound")
+
+        monkeypatch.setattr(cli, "bound_pair", broken)
+        code, out, err = run(
+            capsys, "bounds", "--eps", "0.1", "--delta", "0.05"
+        )
+        assert code == 4
+        assert out == ""
+        assert err == (
+            "error: internal check failed: lower bound above upper bound\n"
+        )
+
 
 class TestVerify:
     ARGS = ["--eps", "1.0", "--delta", "1e-4", "--grid-step", "0.01"]
@@ -163,6 +179,8 @@ class TestVerify:
         assert payload["pass"] is True
         assert payload["h"] == 0.01
         assert payload["max_violation"] == pytest.approx(1e-4, rel=1e-6)
+        assert payload["path"] == "fast"
+        assert payload["cells"] > 0
 
     def test_tighter_target_fails_with_report(self, capsys):
         code, out, _ = run(

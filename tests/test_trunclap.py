@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from test_core import _Triangle
 
 from dpnoise.baselines import BoundedUniform, Gaussian, Laplace
-from dpnoise.core import DomainError, PrivacyParams, Sensitivity
+from dpnoise.core import DomainError, NoiseMechanism, PrivacyParams, Sensitivity
 from dpnoise.trunclap import (
     TruncatedLaplace,
     TruncLapParams,
@@ -146,6 +146,65 @@ class TestDistributionSurface:
         assert mech.expected_power == pytest.approx(
             1.9982331517909016, rel=1e-14
         )
+
+
+class TestGridMasses:
+    """The closed-form cell masses against the default interval_mass path."""
+
+    STEP = 1e-3
+
+    @staticmethod
+    def _half_cells(radius, step):
+        return math.ceil(radius / step - 1e-12)
+
+    @pytest.mark.parametrize(
+        "eps, delta", [(1.0, 1e-5), (0.1, 0.1), (10.0, 1e-6)]
+    )
+    def test_matches_default_path(self, eps, delta):
+        mech = TruncatedLaplace.from_privacy(PrivacyParams(eps, delta), 1.0)
+        half = self._half_cells(mech.params.radius, self.STEP)
+        fast = mech.grid_masses(self.STEP, half)
+        ref = NoiseMechanism.grid_masses(mech, self.STEP, half)
+        assert fast.shape == ref.shape == (2 * half,)
+        np.testing.assert_allclose(fast, ref, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "eps, delta", [(1.0, 1e-5), (0.1, 0.1), (10.0, 1e-6)]
+    )
+    def test_symmetry_total_and_geometric_ratio(self, eps, delta):
+        mech = TruncatedLaplace.from_privacy(PrivacyParams(eps, delta), 1.0)
+        half = self._half_cells(mech.params.radius, self.STEP)
+        m = mech.grid_masses(self.STEP, half)
+        assert np.array_equal(m, m[::-1])
+        assert abs(float(m.sum()) - 1.0) <= 1e-14
+        # equal-width interior cells: each holds e^(-h/scale) of the previous
+        pos = m[half:]
+        np.testing.assert_allclose(
+            pos[1:-1] / pos[:-2],
+            math.exp(-self.STEP / mech.params.scale),
+            rtol=1e-14,
+            atol=0.0,
+        )
+
+    def test_radius_below_support_folds_the_rest(self):
+        mech = TruncatedLaplace.from_privacy(P_REF, 1.0)
+        half = self._half_cells(0.5 * mech.params.radius, self.STEP)
+        fast = mech.grid_masses(self.STEP, half)
+        ref = NoiseMechanism.grid_masses(mech, self.STEP, half)
+        np.testing.assert_allclose(fast, ref, rtol=1e-10, atol=0.0)
+        assert abs(float(fast.sum()) - 1.0) <= 1e-14
+
+    def test_radius_above_support_leaves_zero_cells(self):
+        mech = TruncatedLaplace.from_privacy(P_REF, 1.0)
+        half = self._half_cells(1.5 * mech.params.radius, self.STEP)
+        fast = mech.grid_masses(self.STEP, half)
+        ref = NoiseMechanism.grid_masses(mech, self.STEP, half)
+        np.testing.assert_allclose(fast, ref, rtol=1e-10, atol=0.0)
+        outside = half - math.ceil(mech.params.radius / self.STEP)
+        assert outside > 1000
+        assert np.all(fast[:outside] == 0.0)
+        assert np.all(fast[-outside:] == 0.0)
+        assert fast[outside] > 0.0
 
 
 class TestPrivacyStructure:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,16 @@ import pytest
 from dpnoise.baselines import Gaussian, Laplace, analytic_gaussian_sigma, uniform_limit_mechanism
 from dpnoise.core import DomainError, PrivacyParams
 from dpnoise.trunclap import TruncatedLaplace
-from dpnoise.verifier import DiscretizedDist, ViolationReport, discretize, dp_check, max_violation
+from dpnoise.verifier import (
+    _BLOCK,
+    DiscretizedDist,
+    ViolationReport,
+    _straddle_tolerance,
+    _width_jitter,
+    discretize,
+    dp_check,
+    max_violation,
+)
 
 
 def brute_violation(p, c, j):
@@ -21,6 +31,55 @@ def brute_violation(p, c, j):
     else:
         shifted = p
     return float(np.maximum(p - c * shifted, 0.0).sum())
+
+
+def brute_tolerance(masses, c, j):
+    """Reference implementation of the straddle tolerance over full arrays."""
+    K = masses.size
+    jj = abs(j)
+    if jj == 0 or jj >= K:
+        return 1e-12
+    shifted = np.zeros(K)
+    if j > 0:
+        shifted[: K - jj] = masses[jj:]
+    else:
+        shifted[jj:] = masses[: K - jj]
+    scaled = c * shifted
+    d = masses - scaled
+    eta_rel = max(1e-12, 2.0 * _width_jitter(K))
+    eta = eta_rel * np.maximum(masses, scaled)
+    sign = np.zeros(K, dtype=np.int8)
+    sign[d > eta] = 1
+    sign[d < -eta] = -1
+    tol = float(eta[sign == 0].sum())
+    nonzero = np.flatnonzero(sign)
+    if nonzero.size:
+        signs = sign[nonzero]
+        flips = np.flatnonzero(signs[:-1] != signs[1:])
+        a = nonzero[flips]
+        b = nonzero[flips + 1]
+        tol += float(np.minimum(np.abs(d[a]), np.abs(d[b])).sum())
+    tol += 4.0 * (1.0 + c) * 2.0**-53 * K
+    return tol + 1e-12
+
+
+def brute_fast_ok(masses):
+    """Reference fast-path gate: a contiguous support run whose interior is
+    log-concave up to the grid slack, checked over full arrays."""
+    positive = np.flatnonzero(masses > 0.0)
+    s, e = int(positive[0]), int(positive[-1])
+    if not np.all(masses[s : e + 1] > 0.0):
+        return False
+    inner = masses[s + 1 : e]
+    if inner.size < 3:
+        return True
+    slack = max(1e-10, 8.0 * _width_jitter(masses.size))
+    if np.any(inner < 1e-150):
+        logs = np.log(inner)
+        return bool(np.all(2.0 * logs[1:-1] >= logs[:-2] + logs[2:] - slack))
+    return bool(
+        np.all(inner[1:-1] * inner[1:-1] >= inner[:-2] * inner[2:] * (1.0 - slack))
+    )
 
 
 def make_dist(masses, step=0.1, shift_cells=2):
@@ -165,8 +224,14 @@ class TestDpCheck:
             "tolerance",
             "epsilon",
             "delta",
+            "cells",
+            "path",
         }
         assert d["h"] == 0.05
+        assert d["cells"] == report.cells == 2 * math.ceil(
+            mech.params.radius / 0.05 - 1e-12
+        )
+        assert d["path"] == "fast"
         assert report.passed == (
             report.max_violation <= report.delta + report.tolerance
         )
@@ -292,3 +357,110 @@ class TestDpCheck:
         assert coarse.tolerance > 0.0
         assert fine.tolerance > 0.0
         assert fine.passed and coarse.passed
+
+
+class TestBlockedKernels:
+    """The block-wise kernels against their full-array references, on grids
+    longer than three blocks."""
+
+    @staticmethod
+    def _peaked_at_boundary(rng):
+        # Rising up to cell _BLOCK, falling after: for shift +1 and c = 1 the
+        # sign of p_i - p_(i+1) flips exactly between the first two blocks.
+        K = 3 * _BLOCK + 517
+        up = np.cumsum(rng.uniform(1.0, 2.0, _BLOCK + 1))
+        down = up[-1] - np.cumsum(rng.uniform(0.1, 0.3, K - _BLOCK - 1))
+        return np.concatenate([up, down]) / 1e6
+
+    def test_tolerance_matches_reference(self):
+        rng = np.random.default_rng(5)
+        trunclap = discretize(
+            TruncatedLaplace.from_privacy(PrivacyParams(0.01, 1e-4), 1.0), 1.0, step=1e-3
+        ).masses
+        assert trunclap.size > 3 * _BLOCK
+        noisy = rng.random(3 * _BLOCK + 1001)
+        holes = rng.random(4 * _BLOCK + 3)
+        holes[_BLOCK - 40 : _BLOCK + 40] = 0.0  # interior zeros across a boundary
+        holes[2 * _BLOCK + 7 : 2 * _BLOCK + 9000] = 0.0
+        peaked = self._peaked_at_boundary(rng)
+        plateau = peaked.copy()
+        plateau[_BLOCK - 6 : _BLOCK + 6] = plateau[_BLOCK]  # flat cells at the flip
+        cases = [
+            (trunclap, math.exp(0.01), [1000, -1000, 1, -1, 999]),
+            (noisy, math.exp(0.3), [1, -1, 3, -7, _BLOCK, -_BLOCK - 1]),
+            (holes, math.exp(0.5), [7, -7, 1, -1, 40, -80]),
+            (peaked, 1.0, [1, -1, 2, -3]),
+            (plateau, 1.0, [1, -1]),
+        ]
+        for masses, c, shifts in cases:
+            K = masses.size
+            for j in shifts + [0, K, -K, K + 5]:
+                assert _straddle_tolerance(masses, c, j) == pytest.approx(
+                    brute_tolerance(masses, c, j), rel=1e-14, abs=0.0
+                ), (K, c, j)
+
+    def test_flip_at_block_boundary_is_counted(self):
+        masses = self._peaked_at_boundary(np.random.default_rng(6))
+        d = masses[:-1] - masses[1:]
+        assert np.all(d[:_BLOCK] < 0.0) and np.all(d[_BLOCK:] > 0.0)
+        # the one flip is far above the rounding term (about 9e-11 here)
+        flip = min(-d[_BLOCK - 1], d[_BLOCK])
+        assert flip > 1e-7
+        assert _straddle_tolerance(masses, 1.0, 1) >= flip + 1e-12
+
+    def test_fast_flag_matches_reference(self):
+        x = np.linspace(-4.0, 4.0, 3 * _BLOCK + 333)
+        bell = np.exp(-x * x)
+        deep = np.exp(-((5.5 * x) ** 2))  # tails far below 1e-150: log test
+        assert deep.min() < 1e-150
+        cases = [bell, deep]
+        for base in (bell, deep):
+            # a dip breaks log-concavity at the last middle cell of the first
+            # block, at the first middle cell of the second, or mid-block
+            for cell in (_BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK - 5):
+                dipped = base.copy()
+                dipped[cell] *= 0.99
+                cases.append(dipped)
+        holed = bell.copy()
+        holed[2 * _BLOCK] = 0.0
+        cases.append(holed)
+        flags = []
+        for masses in cases:
+            flag = make_dist(masses, shift_cells=10)._fast_ok
+            assert flag == brute_fast_ok(masses)
+            flags.append(flag)
+        assert flags[:2] == [True, True] and not any(flags[2:])
+
+
+class TestFastPathCost:
+    @pytest.mark.parametrize(
+        "mech",
+        [TruncatedLaplace.from_privacy(PrivacyParams(1.0, 1e-5), 1.0), Laplace(1.3)],
+        ids=["trunclap", "laplace"],
+    )
+    def test_discretize_never_calls_interval_mass(self, mech, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("interval_mass called")
+
+        monkeypatch.setattr(type(mech), "interval_mass", refuse)
+        d = discretize(mech, 1.0, step=1e-3)
+        assert d.total_mass == pytest.approx(1.0, abs=1e-14)
+        assert d._fast_ok
+
+    def test_traced_peak_per_cell(self):
+        p = PrivacyParams(0.01, 1e-4)
+        mech = TruncatedLaplace.from_privacy(p, 1.0)
+        tracemalloc.start()
+        try:
+            d = discretize(mech, 1.0, step=1e-3)
+            accept = dp_check(d, p)
+            reject = dp_check(d, PrivacyParams(0.01, 5e-5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cells = d.masses.size
+        assert cells > 780_000
+        assert accept.passed and not reject.passed
+        assert accept.path == "fast" and accept.cells == cells
+        # masses and their two partial sums are 24 B/cell
+        assert peak / cells < 40.0
