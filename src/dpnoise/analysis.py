@@ -64,7 +64,6 @@ class SweepConfig:
     sensitivity: float = 1.0
     cost: CostKind = CostKind.AMPLITUDE
     fractional_steps: bool = True
-    log_spacing: bool = True
 
     def __post_init__(self) -> None:
         for name in ("eps_min", "eps_max", "delta_min", "delta_max"):
@@ -77,15 +76,8 @@ class SweepConfig:
             raise DomainError("grid must have at least one point per axis")
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
-        space = np.geomspace if self.log_spacing else np.linspace
-        if self.eps_points == 1:
-            eps = np.array([self.eps_min])
-        else:
-            eps = space(self.eps_min, self.eps_max, self.eps_points)
-        if self.delta_points == 1:
-            deltas = np.array([self.delta_min])
-        else:
-            deltas = space(self.delta_min, self.delta_max, self.delta_points)
+        eps = np.geomspace(self.eps_min, self.eps_max, self.eps_points)
+        deltas = np.geomspace(self.delta_min, self.delta_max, self.delta_points)
         return eps, deltas
 
 

@@ -25,7 +25,6 @@ from .core import (
     Sensitivity,
     _as_checked_array,
     _exponential_grid_masses,
-    _interval_args,
     _scalar_or_array,
     as_sensitivity,
 )
@@ -72,13 +71,6 @@ class Laplace(NoiseMechanism):
         values = np.exp(-np.abs(arr) / self.scale) / (2.0 * self.scale)
         return _scalar_or_array(values, scalar)
 
-    def cdf(self, x):
-        arr, scalar = _as_checked_array(x)
-        pos = 1.0 - 0.5 * np.exp(-np.clip(arr, 0.0, None) / self.scale)
-        neg = 0.5 * np.exp(np.clip(arr, None, 0.0) / self.scale)
-        values = np.where(arr >= 0.0, pos, neg)
-        return _scalar_or_array(values, scalar)
-
     def quantile(self, u):
         arr, scalar = _as_checked_array(u, "u")
         if np.any(arr <= 0.0) or np.any(arr >= 1.0):
@@ -86,25 +78,9 @@ class Laplace(NoiseMechanism):
         values = -self.scale * np.sign(arr - 0.5) * np.log1p(-2.0 * np.abs(arr - 0.5))
         return _scalar_or_array(values, scalar)
 
-    def interval_mass(self, lo, hi):
-        # Assembled from one-sided tail pieces so deep-tail cells keep full
-        # relative precision (a cdf difference would cancel against the 1).
-        lo_b, hi_b, scalar = _interval_args(lo, hi)
-        right_lo = np.maximum(lo_b, 0.0) / self.scale
-        right_span = np.minimum(right_lo - hi_b / self.scale, 0.0)
-        right = np.where(
-            hi_b > 0.0,
-            -0.5 * np.exp(-right_lo) * np.expm1(right_span),
-            0.0,
-        )
-        left_hi = np.minimum(hi_b, 0.0) / self.scale
-        left_span = np.minimum(lo_b / self.scale - left_hi, 0.0)
-        left = np.where(
-            lo_b < 0.0,
-            -0.5 * np.exp(left_hi) * np.expm1(left_span),
-            0.0,
-        )
-        return _scalar_or_array(right + left, scalar)
+    def _upper_mass(self, a, b):
+        # Anchored at a, so deep-tail slices keep full relative accuracy.
+        return 0.5 * np.exp(-a / self.scale) * -np.expm1(-(b - a) / self.scale)
 
     def grid_masses(self, step: float, half_cells: int) -> np.ndarray:
         # Closed form; each outermost cell takes its whole unbounded tail.
@@ -154,11 +130,6 @@ class Gaussian(NoiseMechanism):
         values = np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
         return _scalar_or_array(values, scalar)
 
-    def cdf(self, x):
-        arr, scalar = _as_checked_array(x)
-        values = ndtr(arr / self.sigma)
-        return _scalar_or_array(np.asarray(values), scalar)
-
     def quantile(self, u):
         arr, scalar = _as_checked_array(u, "u")
         if np.any(arr <= 0.0) or np.any(arr >= 1.0):
@@ -166,24 +137,10 @@ class Gaussian(NoiseMechanism):
         values = self.sigma * ndtri(arr)
         return _scalar_or_array(np.asarray(values), scalar)
 
-    def interval_mass(self, lo, hi):
-        # Complementary-tail form: ndtr is only ever evaluated at arguments
-        # <= 0, where it is small and fully accurate, so deep-tail cells do
-        # not cancel against 1 the way a plain cdf difference would.
-        lo_b, hi_b, scalar = _interval_args(lo, hi)
-        lo_z = lo_b / self.sigma
-        hi_z = hi_b / self.sigma
-        right = np.where(
-            hi_z > 0.0,
-            ndtr(-np.maximum(lo_z, 0.0)) - ndtr(-hi_z),
-            0.0,
-        )
-        left = np.where(
-            lo_z < 0.0,
-            ndtr(np.minimum(hi_z, 0.0)) - ndtr(lo_z),
-            0.0,
-        )
-        return _scalar_or_array(right + left, scalar)
+    def _upper_mass(self, a, b):
+        # ndtr only ever sees arguments <= 0, where it is small and fully
+        # accurate, so deep-tail slices do not cancel against 1.
+        return ndtr(-a / self.sigma) - ndtr(-b / self.sigma)
 
     @property
     def expected_amplitude(self) -> float:
@@ -316,17 +273,16 @@ class BoundedUniform(NoiseMechanism):
         values = np.where(inside, 0.5 / self.half_width, 0.0)
         return _scalar_or_array(values, scalar)
 
-    def cdf(self, x):
-        arr, scalar = _as_checked_array(x)
-        values = np.clip((arr + self.half_width) / (2.0 * self.half_width), 0.0, 1.0)
-        return _scalar_or_array(values, scalar)
-
     def quantile(self, u):
         arr, scalar = _as_checked_array(u, "u")
         if np.any(arr < 0.0) or np.any(arr > 1.0):
             raise DomainError("quantile argument must lie in [0, 1]")
         values = (2.0 * arr - 1.0) * self.half_width
         return _scalar_or_array(values, scalar)
+
+    def _upper_mass(self, a, b):
+        w = self.half_width
+        return (np.minimum(b, w) - np.minimum(a, w)) / (2.0 * w)
 
     @property
     def expected_amplitude(self) -> float:

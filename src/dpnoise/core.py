@@ -124,20 +124,6 @@ def _scalar_or_array(values: np.ndarray, scalar: bool):
     return float(values[()]) if scalar else values
 
 
-def _interval_args(lo, hi) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Checked, broadcast ``(lo, hi)`` for ``interval_mass``.
-
-    The flag says whether both inputs were scalars, i.e. whether the mass
-    goes back through :func:`_scalar_or_array` as a float.
-    """
-    lo_arr, lo_scalar = _as_checked_array(lo, "lo")
-    hi_arr, hi_scalar = _as_checked_array(hi, "hi")
-    lo_b, hi_b = np.broadcast_arrays(lo_arr, hi_arr)
-    if np.any(lo_b > hi_b):
-        raise DomainError("interval_mass requires lo <= hi")
-    return lo_b, hi_b, lo_scalar and hi_scalar
-
-
 _EXP_BLOCK = 4096  # cells per row of the e^(-k t) outer product
 
 
@@ -181,9 +167,11 @@ def _exponential_grid_masses(
 class NoiseMechanism(ABC):
     """Symmetric additive noise distribution centred at zero.
 
-    Implementations provide vectorised ``pdf``/``cdf``/``quantile`` plus the
-    two closed-form noise costs.  ``sample`` is inverse-transform sampling on
-    a caller-supplied uniform generator, so a fixed seed fixes the output and
+    Implementations state a vectorised ``pdf`` and ``quantile``, the two
+    closed-form noise costs, and the half-line mass ``_upper_mass``;
+    ``cdf``, ``interval_mass`` and the default ``grid_masses`` follow from
+    that mass by symmetry.  ``sample`` is inverse-transform sampling on a
+    caller-supplied uniform generator, so a fixed seed fixes the output and
     the generator can be replaced by a stub (e.g. one that always yields the
     median) in tests.
     """
@@ -193,8 +181,10 @@ class NoiseMechanism(ABC):
         """Density at ``x`` (scalar or array)."""
 
     @abstractmethod
-    def cdf(self, x):
-        """P(X <= x) (scalar or array)."""
+    def _upper_mass(self, a, b):
+        """P(a < X <= b) for ``0 <= a <= b <= +inf`` (arrays or scalars that
+        broadcast), evaluated from the endpoints themselves so that slices
+        far out in the tail keep full relative accuracy."""
 
     @abstractmethod
     def quantile(self, u):
@@ -226,35 +216,45 @@ class NoiseMechanism(ABC):
             return self.expected_amplitude
         return self.expected_power
 
-    def interval_mass(self, lo, hi):
-        """P(lo < X <= hi).
+    def cdf(self, x):
+        """P(X <= x) (scalar or array), from the mass beyond ``|x|``: that
+        mass itself for x < 0, one minus it otherwise."""
+        arr, scalar = _as_checked_array(x)
+        tail = self._upper_mass(np.abs(arr), math.inf)
+        values = np.where(arr < 0.0, tail, 1.0 - tail)
+        return _scalar_or_array(values, scalar)
 
-        The default is the cdf difference; subclasses override it where a
-        direct evaluation avoids the cancellation that difference suffers in
-        the far tail.
-        """
-        lo_b, hi_b, scalar = _interval_args(lo, hi)
-        out = np.asarray(self.cdf(hi_b)) - np.asarray(self.cdf(lo_b))
-        return _scalar_or_array(out, scalar)
+    def interval_mass(self, lo, hi):
+        """P(lo < X <= hi), as the sum of its parts on either half line, so
+        no slice cancels against the cdf's 1."""
+        lo_arr, lo_scalar = _as_checked_array(lo, "lo")
+        hi_arr, hi_scalar = _as_checked_array(hi, "hi")
+        lo_b, hi_b = np.broadcast_arrays(lo_arr, hi_arr)
+        if np.any(lo_b > hi_b):
+            raise DomainError("interval_mass requires lo <= hi")
+        mass = self._upper_mass(
+            np.maximum(lo_b, 0.0), np.maximum(hi_b, 0.0)
+        ) + self._upper_mass(np.maximum(-hi_b, 0.0), np.maximum(-lo_b, 0.0))
+        return _scalar_or_array(mass, lo_scalar and hi_scalar)
 
     def grid_masses(self, step: float, half_cells: int) -> np.ndarray:
         """Masses of the ``2*half_cells`` cells of width ``step`` on
         ``[-half_cells*step, half_cells*step)``.
 
         Any mass beyond the outermost cells is folded into them, so the
-        masses account for the full distribution.  The default evaluates
-        ``interval_mass`` on the cell edges; subclasses override it where
-        the density's structure gives the masses in closed form.
+        masses account for the full distribution.  The default takes the
+        positive half from ``_upper_mass`` on the edges ``step*k``, with the
+        outer edge at +inf so the outermost cell holds its whole tail, and
+        mirrors it; subclasses override it where the density's structure
+        gives the masses in closed form.
         """
-        origin = -half_cells * step
-        edges = origin + step * np.arange(2 * half_cells + 1)
-        masses = np.asarray(self.interval_mass(edges[:-1], edges[1:]), dtype=float)
-        # Fold the truncated tails into the outermost cells.
-        below = float(self.cdf(edges[0]))
-        above = 1.0 - float(self.cdf(edges[-1]))
-        masses[0] += max(below, 0.0)
-        masses[-1] += max(above, 0.0)
-        np.maximum(masses, 0.0, out=masses)
+        H = int(half_cells)
+        edges = step * np.arange(H + 1, dtype=float)
+        edges[-1] = math.inf
+        pos = np.maximum(self._upper_mass(edges[:-1], edges[1:]), 0.0)
+        masses = np.empty(2 * H)
+        masses[H:] = pos
+        masses[:H] = pos[::-1]
         return masses
 
     def sample(self, rng, n: "int | None" = None):

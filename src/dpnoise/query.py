@@ -73,22 +73,22 @@ class AggregateKind(Enum):
             ) from None
 
 
-MECHANISM_NAMES = (
-    "trunclap",
-    "laplace",
-    "gaussian-classic",
-    "gaussian-analytic",
-    "uniform",
-)
+_FACTORIES = {
+    "trunclap": TruncatedLaplace.from_privacy,
+    "laplace": lambda params, sens: laplace_mechanism(params.epsilon, sens),
+    "gaussian-classic": lambda params, sens: Gaussian(
+        classic_gaussian_sigma(params, sens)
+    ),
+    "gaussian-analytic": lambda params, sens: Gaussian(
+        analytic_gaussian_sigma(params, sens)
+    ),
+    "uniform": lambda params, sens: uniform_limit_mechanism(params.delta, sens),
+}
+MECHANISM_NAMES = tuple(_FACTORIES)
 # The query pipeline sticks to mechanisms whose privacy guarantee is the
 # requested (epsilon, delta); the uniform distribution is a limit object for
 # analysis, not a practical mechanism.
-QUERY_MECHANISMS = (
-    "trunclap",
-    "laplace",
-    "gaussian-classic",
-    "gaussian-analytic",
-)
+QUERY_MECHANISMS = tuple(name for name in MECHANISM_NAMES if name != "uniform")
 
 
 def make_mechanism(
@@ -96,19 +96,11 @@ def make_mechanism(
 ) -> NoiseMechanism:
     """Build a calibrated noise mechanism by CLI name."""
     sens = as_sensitivity(sens)
-    if name == "trunclap":
-        return TruncatedLaplace.from_privacy(params, sens)
-    if name == "laplace":
-        return laplace_mechanism(params.epsilon, sens)
-    if name == "gaussian-classic":
-        return Gaussian(classic_gaussian_sigma(params, sens))
-    if name == "gaussian-analytic":
-        return Gaussian(analytic_gaussian_sigma(params, sens))
-    if name == "uniform":
-        return uniform_limit_mechanism(params.delta, sens)
-    raise DomainError(
-        f"unknown mechanism {name!r}; expected one of {list(MECHANISM_NAMES)}"
-    )
+    if name not in _FACTORIES:
+        raise DomainError(
+            f"unknown mechanism {name!r}; expected one of {list(MECHANISM_NAMES)}"
+        )
+    return _FACTORIES[name](params, sens)
 
 
 class _MedianDraws:

@@ -34,7 +34,6 @@ from .core import (
     Sensitivity,
     _as_checked_array,
     _exponential_grid_masses,
-    _interval_args,
     _scalar_or_array,
     as_sensitivity,
 )
@@ -118,25 +117,6 @@ class TruncatedLaplace(NoiseMechanism):
         )
         return _scalar_or_array(values, scalar)
 
-    def cdf(self, x):
-        arr, scalar = _as_checked_array(x)
-        p = self.params
-        area = p.height * p.scale
-        # Right half: 1/2 + height*scale*(1 - e^(-x/scale)).
-        upper = 0.5 - area * np.expm1(-np.clip(arr, 0.0, None) / p.scale)
-        # Left half, written so the value decays to 0 at -radius without
-        # cancellation: height*scale * e^(x/scale) * (1 - e^(-(radius+x)/scale)).
-        xl = np.clip(arr, None, 0.0)
-        lower = (
-            -area
-            * np.exp(xl / p.scale)
-            * np.expm1(-(p.radius + xl) / p.scale)
-        )
-        values = np.where(arr >= 0.0, upper, lower)
-        values = np.where(arr >= p.radius, 1.0, values)
-        values = np.where(arr <= -p.radius, 0.0, values)
-        return _scalar_or_array(values, scalar)
-
     def quantile(self, u):
         arr, scalar = _as_checked_array(u, "u")
         if np.any(arr < 0.0) or np.any(arr > 1.0):
@@ -150,34 +130,17 @@ class TruncatedLaplace(NoiseMechanism):
         values = np.sign(arr - 0.5) * np.minimum(magnitude, p.radius)
         return _scalar_or_array(values, scalar)
 
-    def interval_mass(self, lo, hi):
-        """P(lo < X <= hi) evaluated without far-tail cancellation.
-
-        The cdf difference loses relative accuracy exactly where this
-        mechanism's privacy accounting needs it most (slices of mass ~delta
-        near the truncation edge), so the mass is assembled from one-sided
-        pieces anchored at the nearer endpoint instead.
-        """
-        lo_b, hi_b, scalar = _interval_args(lo, hi)
+    def _upper_mass(self, a, b):
+        # Anchored at the nearer endpoint a, so slices of mass ~delta near
+        # the truncation edge, which the privacy accounting consumes, keep
+        # full relative accuracy:
+        #   height*scale * e^(-a/scale) * (1 - e^(-(b-a)/scale)),
+        # with both ends clipped to the support.
         p = self.params
-        lo_c = np.clip(lo_b, -p.radius, p.radius)
-        hi_c = np.clip(hi_b, -p.radius, p.radius)
+        a = np.minimum(a, p.radius)
+        b = np.minimum(b, p.radius)
         area = p.height * p.scale
-
-        def positive_side(a, b):
-            # mass of (a, b] for 0 <= a <= b, anchored at a:
-            #   height*scale * e^(-a/scale) * (1 - e^(-(b-a)/scale))
-            return -area * np.exp(-a / p.scale) * np.expm1(-(b - a) / p.scale)
-
-        straddles = (lo_c < 0.0) & (hi_c > 0.0)
-        lo_pos = np.where(straddles, 0.0, np.maximum(lo_c, 0.0))
-        hi_pos = np.maximum(hi_c, 0.0)
-        lo_neg = np.where(straddles, 0.0, np.maximum(-hi_c, 0.0))
-        hi_neg = np.maximum(-lo_c, 0.0)
-        mass = positive_side(lo_pos, hi_pos) + positive_side(lo_neg, hi_neg)
-        mass = np.where(hi_c <= 0.0, positive_side(lo_neg, hi_neg), mass)
-        mass = np.where(lo_c >= 0.0, positive_side(lo_pos, hi_pos), mass)
-        return _scalar_or_array(mass, scalar)
+        return area * np.exp(-a / p.scale) * -np.expm1(-(b - a) / p.scale)
 
     def grid_masses(self, step: float, half_cells: int) -> np.ndarray:
         """Closed-form cell masses: equal-width cells hold masses in the

@@ -19,10 +19,11 @@ log-concavity — are accounted for separately and exactly.  Everything else
 falls back to the direct scan.  Both paths return the same sums.
 
 Cell masses come from the mechanism (``NoiseMechanism.grid_masses``): the
-exponential mechanisms give them in closed form, the others integrate their
-density over each cell.  The grid-wide kernels (the log-concavity gate and
-the tolerance) walk the grid in fixed-size blocks, so apart from the masses
-and their two partial sums no temporary grows with the grid.
+exponential mechanisms give them in closed form, the others take the
+positive half from their half-line mass and mirror it.  The grid-wide
+kernels (the log-concavity gate and the tolerance) walk the grid in
+fixed-size blocks, so apart from the masses and their two partial sums no
+temporary grows with the grid.
 """
 
 from __future__ import annotations

@@ -53,13 +53,6 @@ class TestSweepConfig:
         eps, _ = cfg.axes()
         np.testing.assert_array_equal(eps, [0.5])
 
-    def test_linear_spacing(self):
-        cfg = SweepConfig(
-            eps_min=1.0, eps_max=3.0, eps_points=3, log_spacing=False
-        )
-        eps, _ = cfg.axes()
-        np.testing.assert_allclose(eps, [1.0, 2.0, 3.0])
-
 
 class TestRunSweep:
     def test_grid_shape_and_order(self):

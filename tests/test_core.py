@@ -97,12 +97,10 @@ class _Triangle(NoiseMechanism):
         arr = np.asarray(x, dtype=float)
         return np.where(np.abs(arr) <= 1.0, 1.0 - np.abs(arr), 0.0)
 
-    def cdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        arr = np.clip(arr, -1.0, 1.0)
-        left = 0.5 * (1.0 + arr) ** 2
-        right = 1.0 - 0.5 * (1.0 - arr) ** 2
-        return np.where(arr < 0.0, left, right)
+    def _upper_mass(self, a, b):
+        a = np.minimum(a, 1.0)
+        b = np.minimum(b, 1.0)
+        return 0.5 * ((1.0 - a) ** 2 - (1.0 - b) ** 2)
 
     def quantile(self, u):
         arr = np.asarray(u, dtype=float)
@@ -130,13 +128,19 @@ class TestNoiseMechanismContract:
         assert _Triangle().parameters == {}
 
     def test_default_interval_mass_is_cdf_difference(self):
+        # cdf and interval_mass both come from the half-line mass alone
         mech = _Triangle()
-        lo = np.array([-0.5, 0.0, 0.25])
-        hi = np.array([0.0, 0.5, 0.75])
+        x = np.array([-1.5, -1.0, -0.5, 0.0, 0.25, 1.0, 2.0])
+        xc = np.clip(x, -1.0, 1.0)
+        exact = np.where(xc < 0.0, 0.5 * (1.0 + xc) ** 2, 1.0 - 0.5 * (1.0 - xc) ** 2)
+        np.testing.assert_allclose(mech.cdf(x), exact, rtol=1e-15, atol=0.0)
+        lo = np.array([-0.5, 0.0, 0.25, -2.0])
+        hi = np.array([0.0, 0.5, 0.75, 2.0])
         expected = mech.cdf(hi) - mech.cdf(lo)
         np.testing.assert_allclose(mech.interval_mass(lo, hi), expected, rtol=1e-15)
         # scalar in, scalar out
         assert isinstance(mech.interval_mass(-0.25, 0.25), float)
+        assert isinstance(mech.cdf(0.25), float)
 
     def test_interval_mass_rejects_nonfinite(self):
         with pytest.raises(DomainError):

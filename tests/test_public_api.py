@@ -2,6 +2,7 @@ import importlib
 import pkgutil
 
 import dpnoise
+from dpnoise.core import NoiseMechanism
 
 
 def _submodules():
@@ -23,3 +24,18 @@ def test_package_exports_resolve():
     for name in dpnoise.__all__:
         assert hasattr(dpnoise, name), name
     assert len(set(dpnoise.__all__)) == len(dpnoise.__all__)
+
+
+def test_interval_mass_and_cdf_are_defined_once():
+    # every shipped mechanism states its half-line mass; cdf and interval
+    # masses follow from it in NoiseMechanism
+    shipped = {
+        obj
+        for module in _submodules()
+        for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, NoiseMechanism)
+    }
+    assert len(shipped) > 1
+    for cls in shipped:
+        assert cls.interval_mass is NoiseMechanism.interval_mass, cls.__name__
+        assert cls.cdf is NoiseMechanism.cdf, cls.__name__

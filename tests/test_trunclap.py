@@ -120,8 +120,8 @@ class TestDistributionSurface:
         assert mech.interval_mass(-A, -A + 1.0) == pytest.approx(1e-5, rel=1e-13)
 
     def test_interval_mass_rejects_reversed(self, mech):
-        # the shared input check covers the overrides and the cdf-difference
-        # default alike, for scalars and for any reversed element of an array
+        # the one shared interval_mass rejects it for every mechanism, for
+        # scalars and for any reversed element of an array
         for m in (mech, Laplace(1.0), Gaussian(1.0), BoundedUniform(1.0), _Triangle()):
             with pytest.raises(DomainError):
                 m.interval_mass(0.5, -0.5)

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from dpnoise.baselines import Gaussian, Laplace, analytic_gaussian_sigma, uniform_limit_mechanism
 from dpnoise.core import DomainError, PrivacyParams
@@ -191,6 +192,22 @@ class TestDiscretize:
         d = discretize(Gaussian(1.0), 1.0, step=0.01)
         # two-sided 1e-12 tail of a unit Gaussian sits near 7.03
         assert 6.5 < -d.origin < 7.6
+
+    def test_default_outer_cell_holds_its_exact_tail(self):
+        # The default masses come from the upper half line, so the right
+        # outermost cell is one small ndtr, not a 1 - cdf that cancels.
+        sigma = analytic_gaussian_sigma(PrivacyParams(1.0, 1e-4), 1.0)
+        d = discretize(Gaussian(sigma), 1.0, step=1e-3)
+        half = d.masses.size // 2
+        tail = float(ndtr(-(half - 1) * 1e-3 / sigma))
+        assert d.masses[-1] == pytest.approx(tail, rel=1e-13)
+        assert np.array_equal(d.masses, d.masses[::-1])
+        u = discretize(uniform_limit_mechanism(1e-3, 1.0), 1.0, step=1e-2)
+        assert np.array_equal(u.masses, u.masses[::-1])
+
+    def test_radius_below_one_cell_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            discretize(Gaussian(1.0), 1.0, step=0.1, radius=1e-14)
 
     def test_mass_is_conserved(self):
         for mech in (
