@@ -5,6 +5,11 @@ calibrated to the aggregate's sensitivity, and appends what was spent to an
 append-only JSON-lines budget ledger (plain sequential composition: budgets
 add up).  The un-noised aggregate is never returned, printed, or logged.
 
+The column is streamed once through `csv.reader` into a flat float64
+buffer (8 bytes a row) and clipped in place.  A cell that does not parse,
+or parses to NaN, is an error naming its line, raised before the ledger is
+touched; infinite cells are clipped to the bounds like any other.
+
 Mean is released as noisy sum divided by noisy count with the budget split
 evenly between the two draws, so the dataset size itself stays protected;
 a non-positive noisy count yields NaN rather than a data-dependent fallback.
@@ -16,6 +21,7 @@ import csv
 import json
 import math
 import uuid
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -235,39 +241,50 @@ class BudgetLedger:
 
 
 def _read_column(spec: QuerySpec) -> tuple[int, np.ndarray]:
-    """(row count, clipped numeric values); values empty for Count."""
+    """(row count, clipped numeric values); values empty for Count.
+
+    Rows are read the way `csv.DictReader` reads them: blank rows are
+    skipped, the last of duplicate header names wins, and a row too short
+    to reach the column has the cell None.
+    """
     path = Path(spec.input_path)
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from None
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DomainError(f"{path} has no header row")
-        if spec.column not in reader.fieldnames:
+        if spec.column not in header:
             raise DomainError(
-                f"column {spec.column!r} not in {path} header "
-                f"{reader.fieldnames}"
+                f"column {spec.column!r} not in {path} header {header}"
             )
-        numeric = spec.aggregate is not AggregateKind.COUNT
-        count = 0
-        values = []
-        for row_number, row in enumerate(reader, start=2):
-            count += 1
-            if not numeric:
+        if spec.aggregate is AggregateKind.COUNT:
+            return sum(map(bool, reader)), np.empty(0)
+        index = len(header) - 1 - header[::-1].index(spec.column)
+        values = array("d")
+        append = values.append
+        for row in reader:
+            if not row:
                 continue
-            cell = row.get(spec.column)
             try:
-                values.append(float(cell))
-            except (TypeError, ValueError):
+                value = float(row[index])
+            except (IndexError, ValueError):
+                value = math.nan
+            # Junk and missing cells read as NaN here.  A NaN cell is
+            # rejected with them: it would make the release NaN, an output
+            # that depends on that one row.
+            if value != value:
+                cell = row[index] if index < len(row) else None
                 raise DomainError(
                     f"non-numeric value {cell!r} for column "
-                    f"{spec.column!r} at {path}:{row_number}"
-                ) from None
-    lo, hi = spec.clip if spec.clip is not None else (0.0, 0.0)
-    clipped = np.clip(np.asarray(values, dtype=float), lo, hi)
-    return count, clipped
+                    f"{spec.column!r} at {path}:{reader.line_num}"
+                )
+            append(value)
+    clipped = np.frombuffer(values)
+    return len(values), np.clip(clipped, *spec.clip, out=clipped)
 
 
 def _spent(spec: QuerySpec) -> tuple[float, float]:

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 from datetime import datetime
 
 import numpy as np
@@ -16,6 +17,7 @@ from dpnoise.query import (
     MECHANISM_NAMES,
     QUERY_MECHANISMS,
     QuerySpec,
+    _read_column,
     make_mechanism,
     make_rng,
     run_query,
@@ -298,6 +300,62 @@ class TestRunQuery:
         )
         assert run_query(spec, ledger_path)["noisy_value"] == 2.0
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("id,spend\n\n1,3.5\n\n2,oops\n", 5),  # blank lines count
+            ('id,spend\n"a\nb",1\n2,oops\n', 4),  # so do quoted newlines
+        ],
+        ids=["blank-lines", "quoted-newline"],
+    )
+    def test_non_numeric_cell_names_file_line(
+        self, tmp_path, ledger_path, text, line
+    ):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        spec = QuerySpec(
+            str(path),
+            "spend",
+            AggregateKind.SUM,
+            "trunclap",
+            P,
+            0,
+            clip=(0.0, 1.0),
+        )
+        with pytest.raises(DomainError, match=rf"'oops'.*bad\.csv:{line}$"):
+            run_query(spec, ledger_path)
+
+    @pytest.mark.parametrize("agg", [AggregateKind.SUM, AggregateKind.MEAN])
+    def test_nan_cell_is_rejected_before_spending(
+        self, tmp_path, ledger_path, agg
+    ):
+        # a NaN release would reveal that one row holds NaN
+        ledger = BudgetLedger(ledger_path)
+        ledger.append(LedgerEntry("q0", 0.5, 0.0, "2026-01-01T00:00:00+00:00"))
+        before = ledger_path.read_bytes()
+        path = tmp_path / "nan.csv"
+        path.write_text("id,spend\n1,3.5\n2,nan\n3,inf\n")
+        spec = QuerySpec(
+            str(path), "spend", agg, "trunclap", P, 0, clip=(0.0, 1.0)
+        )
+        with pytest.raises(DomainError, match=r"'nan'.*nan\.csv:3$"):
+            run_query(spec, ledger_path)
+        assert ledger_path.read_bytes() == before
+
+    def test_infinite_cells_are_clipped(self, tmp_path, ledger_path):
+        path = tmp_path / "inf.csv"
+        path.write_text("id,spend\n1,inf\n2,-inf\n3,0.25\n")
+        spec = QuerySpec(
+            str(path),
+            "spend",
+            AggregateKind.SUM,
+            "trunclap",
+            P,
+            "median",
+            clip=(0.0, 1.0),
+        )
+        assert run_query(spec, ledger_path)["noisy_value"] == 1.25
+
 
 class TestBudgets:
     def _count_spec(self, spend_csv, eps=0.5):
@@ -340,3 +398,73 @@ class TestBudgets:
         tl = self._count_spec(spend_csv)
         with pytest.raises(BudgetError, match="delta budget"):
             run_query(tl, ledger_path, budget_delta=0.0)
+
+
+def _spec(path, aggregate=AggregateKind.SUM, column="spend"):
+    clip = None if aggregate is AggregateKind.COUNT else (0.0, 10.0)
+    return QuerySpec(str(path), column, aggregate, "trunclap", P, 0, clip=clip)
+
+
+class TestReadColumn:
+    """The reader matches csv.DictReader on the corner cases of CSV."""
+
+    def test_short_row_has_no_cell(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("id,spend\n1,3.5\n2\n")
+        with pytest.raises(DomainError, match=r"non-numeric value None .*:3$"):
+            _read_column(_spec(path))
+
+    def test_duplicate_header_name_selects_last_column(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("spend,id,spend\n1,2,3\n4,5,6\n")
+        count, values = _read_column(_spec(path))
+        assert count == 2
+        np.testing.assert_array_equal(values, [3.0, 6.0])
+
+    def test_quoted_cell_with_comma(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('name,spend\n"Doe, Jane",2.5\n"x",1\n')
+        count, values = _read_column(_spec(path))
+        assert count == 2
+        np.testing.assert_array_equal(values, [2.5, 1.0])
+
+    def test_whitespace_around_number(self, tmp_path):
+        path = tmp_path / "space.csv"
+        path.write_text("id,spend\n1, 3.5 \n")
+        np.testing.assert_array_equal(_read_column(_spec(path))[1], [3.5])
+
+    def test_empty_file_has_no_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(DomainError, match="has no header row"):
+            _read_column(_spec(path))
+
+    def test_blank_first_line_is_an_empty_header(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("\nid,spend\n1,3.5\n")
+        with pytest.raises(DomainError, match=r"not in .* header \[\]$"):
+            _read_column(_spec(path))
+
+    def test_count_ignores_short_and_junk_rows(self, tmp_path):
+        path = tmp_path / "junk.csv"
+        path.write_text("id,spend\n1,3.5\n2\n\n3,oops\n4,nan\n")
+        count, values = _read_column(_spec(path, AggregateKind.COUNT))
+        assert count == 4
+        assert values.size == 0
+
+    def test_traced_peak_per_row(self, tmp_path):
+        rows = 100_000
+        path = tmp_path / "big.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write("id,spend\n")
+            fh.writelines(f"{i},{i % 2500 / 100}\n" for i in range(rows))
+        tracemalloc.start()
+        try:
+            count, values = _read_column(_spec(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == values.size == rows
+        assert values.max() == 10.0
+        # one float64 a row; a list of float objects would be about 32 B/row
+        assert peak / rows < 16.0
