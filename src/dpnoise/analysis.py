@@ -24,7 +24,7 @@ import numpy as np
 from .baselines import (
     Gaussian,
     RangeWarning,
-    analytic_gaussian_sigma,
+    _analytic_sigmas,
     classic_gaussian_sigma,
 )
 from .bounds import bound_pair
@@ -107,43 +107,53 @@ def run_sweep(config: SweepConfig = SweepConfig()) -> list[SweepRow]:
     sens = as_sensitivity(config.sensitivity)
     kind = config.cost
     eps_values, delta_values = config.axes()
+    grid: list[PrivacyParams] = []
+    closed_forms: list[tuple[float, float, float]] = []
+    try:
+        for eps in eps_values:
+            for delta in delta_values:
+                params = PrivacyParams(float(eps), float(delta))
+                pair = bound_pair(params, sens, kind)
+                q_upper = pair.upper
+                q_lower = pair.lower if config.fractional_steps else pair.lower_floor
+                mech = TruncatedLaplace.from_privacy(params, sens)
+                tl_cost = mech.cost(kind)
+                if abs(tl_cost - q_upper) > 1e-12 * q_upper:
+                    raise InvariantError(
+                        f"mechanism cost {tl_cost!r} deviates from its closed "
+                        f"form {q_upper!r} at epsilon={eps!r}, delta={delta!r}"
+                    )
+                grid.append(params)
+                closed_forms.append((q_lower, q_upper, tl_cost))
+    finally:
+        # Calibrate every point the loop got through, even when it stopped on
+        # an error: point by point, a failed calibration at an earlier point
+        # would have been raised first.
+        sigmas_analytic = _analytic_sigmas(
+            [p.epsilon for p in grid], [p.delta for p in grid], sens
+        ).tolist()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RangeWarning)
+        sigmas_classic = [classic_gaussian_sigma(p, sens) for p in grid]
+    out_of_range = sum(issubclass(w.category, RangeWarning) for w in caught)
     rows: list[SweepRow] = []
-    out_of_range = 0
-    for eps in eps_values:
-        for delta in delta_values:
-            params = PrivacyParams(float(eps), float(delta))
-            pair = bound_pair(params, sens, kind)
-            q_upper = pair.upper
-            q_lower = pair.lower if config.fractional_steps else pair.lower_floor
-            mech = TruncatedLaplace.from_privacy(params, sens)
-            tl_cost = mech.cost(kind)
-            if abs(tl_cost - q_upper) > 1e-12 * q_upper:
-                raise InvariantError(
-                    f"mechanism cost {tl_cost!r} deviates from its closed "
-                    f"form {q_upper!r} at epsilon={eps!r}, delta={delta!r}"
-                )
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", RangeWarning)
-                sigma_classic = classic_gaussian_sigma(params, sens)
-            out_of_range += sum(
-                issubclass(w.category, RangeWarning) for w in caught
+    for params, (q_lower, q_upper, tl_cost), sigma_classic, sigma_analytic in zip(
+        grid, closed_forms, sigmas_classic, sigmas_analytic
+    ):
+        gauss_analytic = Gaussian(sigma_analytic).cost(kind)
+        rows.append(
+            SweepRow(
+                epsilon=params.epsilon,
+                delta=params.delta,
+                q_lower=q_lower,
+                q_upper=q_upper,
+                tl_cost=tl_cost,
+                gauss_classic=Gaussian(sigma_classic).cost(kind),
+                gauss_analytic=gauss_analytic,
+                ratio_bounds=q_lower / q_upper,
+                ratio_tl_gauss=tl_cost / gauss_analytic,
             )
-            sigma_analytic = analytic_gaussian_sigma(params, sens)
-            gauss_classic = Gaussian(sigma_classic).cost(kind)
-            gauss_analytic = Gaussian(sigma_analytic).cost(kind)
-            rows.append(
-                SweepRow(
-                    epsilon=float(eps),
-                    delta=float(delta),
-                    q_lower=q_lower,
-                    q_upper=q_upper,
-                    tl_cost=tl_cost,
-                    gauss_classic=gauss_classic,
-                    gauss_analytic=gauss_analytic,
-                    ratio_bounds=q_lower / q_upper,
-                    ratio_tl_gauss=tl_cost / gauss_analytic,
-                )
-            )
+        )
     if out_of_range:
         log.warning(
             "classic Gaussian calibration used outside epsilon in (0, 1) "
@@ -277,7 +287,10 @@ def _rows_to_csv(rows: list) -> bytes:
 
 
 def _rows_to_json(rows: list) -> bytes:
-    payload = [dataclasses.asdict(row) for row in rows]
+    # A shallow dict per row: the fields are plain values, and asdict's deep
+    # copy is most of the emitter's time on a large sweep.
+    names = [f.name for f in dataclasses.fields(rows[0])]
+    payload = [{n: getattr(row, n) for n in names} for row in rows]
     return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 

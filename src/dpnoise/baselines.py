@@ -6,16 +6,17 @@
   that inverts the true Gaussian privacy profile by bisection.
 * :class:`BoundedUniform` — the epsilon -> 0 limiting shape (a flat density
   of height delta/sensitivity), useful as an analytic cross-check.
+
+Only the Gaussian code needs ``scipy.special``, and it imports it where it is
+used, so importing this module (and the package) does not load scipy.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
 
 from .core import (
     ConvergenceError,
@@ -134,10 +135,14 @@ class Gaussian(NoiseMechanism):
         arr, scalar = _as_checked_array(u, "u")
         if np.any(arr <= 0.0) or np.any(arr >= 1.0):
             raise DomainError("quantile argument must lie in (0, 1)")
+        from scipy.special import ndtri
+
         values = self.sigma * ndtri(arr)
         return _scalar_or_array(np.asarray(values), scalar)
 
     def _upper_mass(self, a, b):
+        from scipy.special import ndtr
+
         # ndtr only ever sees arguments <= 0, where it is small and fully
         # accurate, so deep-tail slices do not cancel against 1.
         return ndtr(-a / self.sigma) - ndtr(-b / self.sigma)
@@ -184,13 +189,27 @@ def gaussian_privacy_profile(
     if not math.isfinite(sigma) or sigma <= 0.0:
         raise DomainError(f"sigma must be finite and > 0, got {sigma!r}")
     sens_value = as_sensitivity(sens).value
-    a = sens_value / (2.0 * sigma) - params.epsilon * sigma / sens_value
-    b = -sens_value / (2.0 * sigma) - params.epsilon * sigma / sens_value
-    log_hi = float(log_ndtr(a))
-    log_lo = params.epsilon + float(log_ndtr(b))
-    if log_lo >= log_hi:
-        return 0.0
-    return -math.exp(log_hi) * math.expm1(log_lo - log_hi)
+    with np.errstate(all="ignore"):
+        return float(_profile(np.float64(sigma), params.epsilon, sens_value)[0])
+
+
+def _profile(sigma, epsilon, sens_value: float) -> np.ndarray:
+    """:func:`gaussian_privacy_profile` elementwise over arrays of checked
+    sigma and epsilon; the caller sets the floating-point error state."""
+    from scipy.special import log_ndtr
+
+    a = sens_value / (2.0 * sigma) - epsilon * sigma / sens_value
+    b = -sens_value / (2.0 * sigma) - epsilon * sigma / sens_value
+    log_hi = log_ndtr(a)
+    log_lo = epsilon + log_ndtr(b)
+    # math's exp and expm1, not numpy's: numpy's SIMD versions can round
+    # differently, and the bisection compares this value against delta.
+    return np.array(
+        [
+            0.0 if lo >= hi else -math.exp(hi) * math.expm1(lo - hi)
+            for lo, hi in zip(np.ravel(log_lo).tolist(), np.ravel(log_hi).tolist())
+        ]
+    )
 
 
 def analytic_gaussian_sigma(
@@ -203,40 +222,89 @@ def analytic_gaussian_sigma(
     :class:`ConvergenceError`).  Bisection runs to 1e-12 relative width and
     returns the feasible endpoint, so the result always satisfies the target.
     """
+    return float(_analytic_sigmas([params.epsilon], [params.delta], sens)[0])
+
+
+def _analytic_sigmas(epsilon, delta, sens: "Sensitivity | float") -> np.ndarray:
+    """:func:`analytic_gaussian_sigma` at every (epsilon[i], delta[i]).
+
+    The bracketing and the bisection run in lockstep over the points still
+    active.  Each point keeps its own bracket and leaves a loop exactly where
+    a one-point run would, so it sees the same midpoints and ends on the same
+    float.  A failing point is set aside, and once all points are done the
+    error of the first failing one is raised, as point-by-point order would.
+    """
     sens_value = as_sensitivity(sens).value
+    epsilon = np.asarray(epsilon, dtype=float)
+    delta = np.asarray(delta, dtype=float)
+    failed = np.zeros(epsilon.shape, dtype=bool)
+    errors: dict[int, Exception] = {}
 
-    def excess(sigma: float) -> float:
-        return gaussian_privacy_profile(sigma, params, sens_value) - params.delta
+    def fail(idx: np.ndarray, error: Exception) -> None:
+        failed[idx] = True
+        errors[int(idx[0])] = error
 
-    lo = sens_value * 1e-6 / params.epsilon
-    hi = sens_value / params.epsilon
-    doublings = 0
-    while excess(hi) > 0.0:
-        hi *= 2.0
-        doublings += 1
-        if doublings > 200:
-            raise ConvergenceError(
-                "could not bracket the Gaussian calibration from above"
-            )
-    # The profile tends to 1 as sigma -> 0, so a violating lower end always
-    # exists; shrink towards it in the (unusual) case the default is feasible.
-    shrinks = 0
-    while excess(lo) <= 0.0:
-        hi = lo
-        lo *= 0.5
-        shrinks += 1
-        if shrinks > 200:
-            raise ConvergenceError(
-                "could not bracket the Gaussian calibration from below"
-            )
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # interval narrower than float spacing
-            break
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    def excess(sigma: np.ndarray, idx: np.ndarray):
+        # A sigma that over- or underflowed fails as the profile rejects it.
+        bad = ~(np.isfinite(sigma[idx]) & (sigma[idx] > 0.0))
+        if bad.any():
+            first = float(sigma[idx[bad][0]])
+            fail(idx[bad], DomainError(
+                f"sigma must be finite and > 0, got {first!r}"
+            ))
+            idx = idx[~bad]
+        return idx, _profile(sigma[idx], epsilon[idx], sens_value) - delta[idx]
+
+    with np.errstate(all="ignore"):
+        lo = sens_value * 1e-6 / epsilon
+        hi = sens_value / epsilon
+        idx = np.arange(epsilon.size)
+        doublings = 0
+        while True:
+            idx, over = excess(hi, idx)
+            idx = idx[over > 0.0]
+            if not idx.size:
+                break
+            hi[idx] *= 2.0
+            doublings += 1
+            if doublings > 200:
+                fail(idx, ConvergenceError(
+                    "could not bracket the Gaussian calibration from above"
+                ))
+                break
+        # The profile tends to 1 as sigma -> 0, so a violating lower end
+        # always exists; shrink towards it where the default is feasible.
+        idx = np.flatnonzero(~failed)
+        shrinks = 0
+        while True:
+            idx, over = excess(lo, idx)
+            idx = idx[over <= 0.0]
+            if not idx.size:
+                break
+            hi[idx] = lo[idx]
+            lo[idx] *= 0.5
+            shrinks += 1
+            if shrinks > 200:
+                fail(idx, ConvergenceError(
+                    "could not bracket the Gaussian calibration from below"
+                ))
+                break
+        idx = np.flatnonzero(~failed)
+        eps, dlt, low, high = epsilon[idx], delta[idx], lo[idx], hi[idx]
+        while idx.size:
+            mid = 0.5 * (low + high)
+            # Stop at 1e-12 relative width, or once no float lies strictly
+            # inside the interval; a stopped point keeps its feasible end.
+            go = (high - low > 1e-12 * high) & (mid > low) & (mid < high)
+            if not go.all():
+                hi[idx[~go]] = high[~go]
+                idx, eps, dlt = idx[go], eps[go], dlt[go]
+                low, high, mid = low[go], high[go], mid[go]
+            up = _profile(mid, eps, sens_value) - dlt > 0.0
+            low = np.where(up, mid, low)
+            high = np.where(up, high, mid)
+    if errors:
+        raise errors[min(errors)]
     return hi
 
 

@@ -17,7 +17,8 @@ from dpnoise.analysis import (
     run_sweep,
     tightness_curve,
 )
-from dpnoise.core import CostKind, DomainError
+from dpnoise.baselines import Gaussian, analytic_gaussian_sigma
+from dpnoise.core import ConvergenceError, CostKind, DomainError, PrivacyParams
 
 SMALL = SweepConfig(
     eps_min=0.1,
@@ -107,6 +108,34 @@ class TestRunSweep:
             with caplog.at_level(logging.WARNING, logger="dpnoise.analysis"):
                 run_sweep(SMALL)  # grid reaches eps=2 > 1
         assert any("classic Gaussian" in r.message for r in caplog.records)
+
+    def test_failed_calibration_outranks_a_later_closed_form_error(self):
+        # At eps = 1e-140 every Gaussian calibration fails and the closed
+        # forms fail from the 7th delta on; point by point, the first
+        # point's calibration error comes first.
+        config = SweepConfig(
+            eps_min=1e-140, eps_max=1e-140, eps_points=1,
+            delta_min=1e-300, delta_max=0.49, delta_points=12,
+        )
+        with pytest.raises(ConvergenceError, match="from below"):
+            run_sweep(config)
+
+    @pytest.mark.parametrize("sens", [1.0, 3.0])
+    @pytest.mark.parametrize("cost", [CostKind.AMPLITUDE, CostKind.POWER])
+    def test_gauss_analytic_is_the_one_point_calibration(self, cost, sens, caplog):
+        config = SweepConfig(
+            eps_points=15, delta_points=15, sensitivity=sens, cost=cost
+        )
+        with caplog.at_level(logging.WARNING, logger="dpnoise.analysis"):
+            rows = run_sweep(config)
+        for row in rows:
+            sigma = analytic_gaussian_sigma(PrivacyParams(row.epsilon, row.delta), sens)
+            assert row.gauss_analytic == Gaussian(sigma).cost(cost)
+        # 3 of the 15 epsilons are >= 1, so 45 classic calibrations warn
+        assert [r.getMessage() for r in caplog.records] == [
+            "classic Gaussian calibration used outside epsilon in (0, 1) at "
+            "45 of 225 grid points; its sigma is not a privacy guarantee there"
+        ]
 
 
 class TestTightnessCurve:

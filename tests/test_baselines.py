@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
+from dpnoise import baselines
 from dpnoise.baselines import (
     BoundedUniform,
     Gaussian,
@@ -16,7 +17,65 @@ from dpnoise.baselines import (
     laplace_mechanism,
     uniform_limit_mechanism,
 )
-from dpnoise.core import DomainError, NoiseMechanism, PrivacyParams
+from dpnoise.core import ConvergenceError, DomainError, NoiseMechanism, PrivacyParams
+
+
+def brute_profile(sigma, params, sens):
+    """The scalar privacy profile, in math's exp and expm1."""
+    if not math.isfinite(sigma) or sigma <= 0.0:
+        raise DomainError(f"sigma must be finite and > 0, got {sigma!r}")
+    a = sens / (2.0 * sigma) - params.epsilon * sigma / sens
+    b = -sens / (2.0 * sigma) - params.epsilon * sigma / sens
+    log_hi = float(log_ndtr(a))
+    log_lo = params.epsilon + float(log_ndtr(b))
+    if log_lo >= log_hi:
+        return 0.0
+    return -math.exp(log_hi) * math.expm1(log_lo - log_hi)
+
+
+def brute_analytic_sigma(params, sens):
+    """The one-point bisection that analytic_gaussian_sigma ran before it
+    became a lockstep kernel over arrays, kept verbatim as the reference."""
+
+    def excess(sigma):
+        return brute_profile(sigma, params, sens) - params.delta
+
+    lo = sens * 1e-6 / params.epsilon
+    hi = sens / params.epsilon
+    doublings = 0
+    while excess(hi) > 0.0:
+        hi *= 2.0
+        doublings += 1
+        if doublings > 200:
+            raise ConvergenceError(
+                "could not bracket the Gaussian calibration from above"
+            )
+    shrinks = 0
+    while excess(lo) <= 0.0:
+        hi = lo
+        lo *= 0.5
+        shrinks += 1
+        if shrinks > 200:
+            raise ConvergenceError(
+                "could not bracket the Gaussian calibration from below"
+            )
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if excess(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def brute_outcome(params, sens):
+    """The reference sigma, or the type and message of what it raised."""
+    try:
+        return brute_analytic_sigma(params, sens)
+    except (ConvergenceError, DomainError) as exc:
+        return type(exc), str(exc)
 
 
 class TestLaplace:
@@ -267,3 +326,79 @@ class TestBoundedUniform:
         assert np.std(x) == pytest.approx(
             math.sqrt(mech.expected_power), rel=0.05
         )
+
+
+# The sweep's default 100 x 100 grid, and a wide one from the float extremes
+# of delta to eps = 50.
+GRIDS = {
+    "default": (np.geomspace(1e-4, 10.0, 100), np.geomspace(1e-6, 0.1, 100)),
+    "wide": (np.geomspace(1e-9, 50.0, 150), np.geomspace(1e-300, 0.49, 150)),
+}
+
+
+class TestAnalyticSigmaKernel:
+    """The lockstep kernel against the one-point bisection, bit for bit."""
+
+    @pytest.mark.parametrize("sens", [1.0, 3.0])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_grid_matches_reference_bit_for_bit(self, grid, sens):
+        eps_axis, delta_axis = GRIDS[grid]
+        eps = np.repeat(eps_axis, delta_axis.size)
+        delta = np.tile(delta_axis, eps_axis.size)
+        kernel = baselines._analytic_sigmas(eps, delta, sens).tolist()
+        brute = [
+            brute_analytic_sigma(PrivacyParams(e, d), sens)
+            for e, d in zip(eps.tolist(), delta.tolist())
+        ]
+        assert kernel == brute
+        # the one-point call is the same kernel; a stride keeps it quick
+        for i in range(0, eps.size, 97):
+            p = PrivacyParams(eps[i], delta[i])
+            assert analytic_gaussian_sigma(p, sens) == brute[i]
+
+    def test_lo_shrink_point(self):
+        # sens * 1e-6 / eps is already feasible, so the lower end shrinks
+        # about 165 times before the bisection starts
+        p = PrivacyParams(1e-60, 1e-5)
+        sigma = analytic_gaussian_sigma(p, 1.0)
+        assert sigma < 1e-6 / p.epsilon / 2.0**160
+        assert sigma == brute_analytic_sigma(p, 1.0)
+
+    @pytest.mark.parametrize(
+        "eps, message",
+        [
+            (1e-100, "could not bracket the Gaussian calibration from below"),
+            (1e200, "could not bracket the Gaussian calibration from above"),
+        ],
+    )
+    def test_bracketing_failure_raises(self, eps, message):
+        p = PrivacyParams(eps, 1e-5)
+        assert brute_outcome(p, 1.0) == (ConvergenceError, message)
+        with pytest.raises(ConvergenceError, match=message):
+            analytic_gaussian_sigma(p, 1.0)
+
+    def test_overflowing_sigma_is_a_domain_error(self):
+        p = PrivacyParams(1e-310, 1e-5)  # sens / eps is already inf
+        assert brute_outcome(p, 1.0) == (
+            DomainError, "sigma must be finite and > 0, got inf"
+        )
+        with pytest.raises(DomainError, match="got inf"):
+            analytic_gaussian_sigma(p, 1.0)
+
+    def test_first_failing_point_in_order_is_raised(self):
+        # point 1 fails while shrinking, point 2 earlier in time while
+        # doubling; point-by-point order raises point 1's error
+        eps = [1.0, 1e-100, 1e200, 1e-310]
+        with pytest.raises(ConvergenceError, match="from below"):
+            baselines._analytic_sigmas(eps, [1e-5] * 4, 1.0)
+        with pytest.raises(DomainError, match="got inf"):
+            baselines._analytic_sigmas(eps[::-1], [1e-5] * 4, 1.0)
+
+    def test_profile_wrapper_matches_reference_bit_for_bit(self):
+        for sigma, eps, delta, sens in [
+            (3.7, 1.0, 1e-5, 1.0), (0.1, 500.0, 1e-5, 1.0), (1e6, 5.0, 1e-5, 1.0),
+            (1e-320, 1.0, 1e-5, 1.0), (2.0, 1e-9, 0.1, 3.0),
+        ]:
+            p = PrivacyParams(eps, delta)
+            expected = brute_profile(sigma, p, sens)
+            assert gaussian_privacy_profile(sigma, p, sens) == expected

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dpnoise
 from dpnoise import cli
 from dpnoise.cli import main
 from dpnoise.core import InvariantError
@@ -390,3 +395,39 @@ class TestConfigFile:
         )
         assert code == 2
         assert "config" in err
+
+
+class TestImports:
+    def test_trunclap_calls_leave_scipy_unloaded(self, spend_csv, ledger_path):
+        # A fresh interpreter: the trunclap calls must not load scipy, and a
+        # Gaussian calibration then does, so the probe can see a load.
+        script = f"""
+import sys
+import dpnoise, dpnoise.cli
+from dpnoise.cli import main
+
+loaded = []
+def probe():
+    loaded.append(any(name.split(".")[0] == "scipy" for name in sys.modules))
+
+assert main(["calibrate", "--eps", "1", "--delta", "1e-5"]) == 0
+assert main(["verify", "--eps", "1", "--delta", "1e-4"]) == 0
+assert main(["query", "--input", {str(spend_csv)!r}, "--column", "spend",
+             "--aggregate", "sum", "--clip-lo", "0", "--clip-hi", "25",
+             "--eps", "0.5", "--delta", "1e-5", "--seed", "median",
+             "--ledger", {str(ledger_path)!r}]) == 0
+probe()
+assert main(["calibrate", "--eps", "1", "--delta", "1e-5",
+             "--mech", "gaussian-analytic"]) == 0
+probe()
+print("scipy loaded:", loaded, file=sys.stderr)
+"""
+        src = str(Path(dpnoise.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=env, timeout=120, check=True,
+        )
+        assert "scipy loaded: [False, True]" in proc.stderr
