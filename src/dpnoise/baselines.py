@@ -26,6 +26,7 @@ from .core import (
     Sensitivity,
     _as_checked_array,
     _exponential_grid_masses,
+    _exponential_moment,
     _scalar_or_array,
     as_sensitivity,
 )
@@ -93,7 +94,7 @@ class Laplace(NoiseMechanism):
 
     @property
     def expected_power(self) -> float:
-        return 2.0 * self.scale**2
+        return _exponential_moment(self.scale, 2)
 
 
 def laplace_mechanism(epsilon: float, sens: "Sensitivity | float") -> Laplace:

@@ -30,6 +30,7 @@ bound and is the one place that checks their order.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from ._stable import radius_scale_ratio
@@ -52,6 +53,10 @@ __all__ = [
     "bound_pair",
 ]
 
+# Both closed forms divide by (1 - e^-eps)^2, which is eps^2 to the last bit
+# down here and leaves the normal double range below this eps.
+_EPS_MIN = math.sqrt(sys.float_info.min)
+
 
 @dataclass(frozen=True)
 class LowerBoundParams:
@@ -70,6 +75,11 @@ def lower_bound_params(
 ) -> LowerBoundParams:
     sens = as_sensitivity(sens)
     eps = params.epsilon
+    if eps < _EPS_MIN:
+        raise DomainError(
+            f"epsilon={eps!r} is too small for the closed-form lower "
+            f"bounds: (1 - e^-epsilon)^2 leaves double range"
+        )
     # a = (delta + (e^eps - 1)/2)/e^eps, grouped to stay accurate for tiny eps
     mass_coeff = params.delta * math.exp(-eps) - 0.5 * math.expm1(-eps)
     steps = radius_scale_ratio(eps, params.delta) / eps

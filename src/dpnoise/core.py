@@ -9,6 +9,7 @@ time, so downstream code never has to re-check ranges: if you hold a
 from __future__ import annotations
 
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
@@ -125,6 +126,7 @@ def _scalar_or_array(values: np.ndarray, scalar: bool):
 
 
 _EXP_BLOCK = 4096  # cells per row of the e^(-k t) outer product
+_NORMAL_MIN = sys.float_info.min  # the smallest double with full precision
 
 
 def _exponential_grid_masses(
@@ -162,6 +164,29 @@ def _exponential_grid_masses(
     pos[full:] = area * np.exp(-k * t) * -np.expm1(-span)
     masses[:H] = pos[::-1]
     return masses
+
+
+def _exponential_moment(scale: float, k: int, factor: float = 1.0) -> float:
+    """``k * scale**k * factor``: E|X| (k = 1) or E[X^2] (k = 2) of a
+    two-sided exponential of this scale, times the shrink ``factor`` that
+    truncating its support applies.
+
+    Raises DomainError where an intermediate leaves the normal double range
+    (``scale**k`` overflows or ``factor`` underflows), which a scale of
+    sensitivity/epsilon reaches at a tiny epsilon; the result would
+    otherwise be an arithmetic error, infinite, 0 or inaccurate.
+    """
+    try:
+        value = k * scale**k * factor
+    except OverflowError:  # scale**k
+        value = math.inf
+    if factor >= _NORMAL_MIN and value < math.inf:
+        return value
+    cost = "amplitude" if k == 1 else "power"
+    raise DomainError(
+        f"expected {cost} leaves double range at noise scale {scale!r} "
+        f"(sensitivity / epsilon): epsilon is too small"
+    )
 
 
 class NoiseMechanism(ABC):

@@ -5,10 +5,17 @@ calibrated to the aggregate's sensitivity, and appends what was spent to an
 append-only JSON-lines budget ledger (plain sequential composition: budgets
 add up).  The un-noised aggregate is never returned, printed, or logged.
 
-The column is streamed once through `csv.reader` into a flat float64
-buffer (8 bytes a row) and clipped in place.  A cell that does not parse,
-or parses to NaN, is an error naming its line, raised before the ledger is
-touched; infinite cells are clipped to the bounds like any other.
+The header is read with `csv.reader`; the rest of the file goes to numpy's
+C reader (`np.loadtxt`, which follows the same quoting rules and rounds
+floats as `float()` does) into one float64 array, clipped in place.  Count
+reads one character of each row's first cell, so it parses no number.
+Only a file the C reader rejects, or one with a NaN cell, is read a second
+time by the streaming `csv.reader` loop, which names the bad line and
+accepts the rest of `float()`'s grammar (underscores, non-ASCII digits).
+Such input mostly ends in an error; otherwise it gives the same release,
+a little more slowly.  A cell that does not parse, or parses to NaN, is an
+error naming its line, raised before the ledger is touched; infinite cells
+are clipped to the bounds like any other.
 
 Mean is released as noisy sum divided by noisy count with the budget split
 evenly between the two draws, so the dataset size itself stays protected;
@@ -21,6 +28,7 @@ import csv
 import json
 import math
 import uuid
+import warnings
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -253,36 +261,73 @@ def _read_column(spec: QuerySpec) -> tuple[int, np.ndarray]:
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from None
     with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise DomainError(f"{path} has no header row")
         if spec.column not in header:
             raise DomainError(
                 f"column {spec.column!r} not in {path} header {header}"
             )
-        if spec.aggregate is AggregateKind.COUNT:
-            return sum(map(bool, reader)), np.empty(0)
         index = len(header) - 1 - header[::-1].index(spec.column)
-        values = array("d")
-        append = values.append
-        for row in reader:
-            if not row:
-                continue
-            try:
-                value = float(row[index])
-            except (IndexError, ValueError):
-                value = math.nan
-            # Junk and missing cells read as NaN here.  A NaN cell is
-            # rejected with them: it would make the release NaN, an output
-            # that depends on that one row.
-            if value != value:
-                cell = row[index] if index < len(row) else None
-                raise DomainError(
-                    f"non-numeric value {cell!r} for column "
-                    f"{spec.column!r} at {path}:{reader.line_num}"
+        counting = spec.aggregate is AggregateKind.COUNT
+        try:
+            with warnings.catch_warnings():
+                # A header-only file is an empty column, not a warning.
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data", UserWarning
                 )
-            append(value)
+                # Count reads one character of the first cell, so it
+                # parses no number and its cost does not depend on cells.
+                column = np.loadtxt(
+                    fh,
+                    dtype="U1" if counting else float,
+                    delimiter=",",
+                    quotechar='"',
+                    comments=None,
+                    usecols=0 if counting else index,
+                    ndmin=1,
+                )
+        except ValueError:
+            pass
+        else:
+            if counting:
+                return column.size, np.empty(0)
+            if not np.isnan(column).any():
+                return column.size, np.clip(column, *spec.clip, out=column)
+        # The C reader rejected a row, or found a NaN cell.  Read again
+        # with the streaming reader: it names the bad line, and it accepts
+        # the rest of float()'s grammar (underscores, non-ASCII digits).
+        fh.seek(0)
+        return _stream_column(fh, spec, path, index)
+
+
+def _stream_column(
+    fh, spec: QuerySpec, path: Path, index: int
+) -> tuple[int, np.ndarray]:
+    """`_read_column` one row at a time, from the header of an open file."""
+    reader = csv.reader(fh)
+    next(reader)  # the header, checked by the caller
+    if spec.aggregate is AggregateKind.COUNT:
+        return sum(map(bool, reader)), np.empty(0)
+    values = array("d")
+    append = values.append
+    for row in reader:
+        if not row:
+            continue
+        try:
+            value = float(row[index])
+        except (IndexError, ValueError):
+            value = math.nan
+        # Junk and missing cells read as NaN here.  A NaN cell is rejected
+        # with them: it would make the release NaN, an output that depends
+        # on that one row.
+        if value != value:
+            cell = row[index] if index < len(row) else None
+            raise DomainError(
+                f"non-numeric value {cell!r} for column "
+                f"{spec.column!r} at {path}:{reader.line_num}"
+            )
+        append(value)
     clipped = np.frombuffer(values)
     return len(values), np.clip(clipped, *spec.clip, out=clipped)
 

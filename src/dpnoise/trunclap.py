@@ -34,6 +34,7 @@ from .core import (
     Sensitivity,
     _as_checked_array,
     _exponential_grid_masses,
+    _exponential_moment,
     _scalar_or_array,
     as_sensitivity,
 )
@@ -156,12 +157,16 @@ class TruncatedLaplace(NoiseMechanism):
     @property
     def expected_amplitude(self) -> float:
         p = self.params
-        return p.scale * truncation_amplitude_factor(p.radius / p.scale)
+        return _exponential_moment(
+            p.scale, 1, truncation_amplitude_factor(p.radius / p.scale)
+        )
 
     @property
     def expected_power(self) -> float:
         p = self.params
-        return 2.0 * p.scale**2 * truncation_power_factor(p.radius / p.scale)
+        return _exponential_moment(
+            p.scale, 2, truncation_power_factor(p.radius / p.scale)
+        )
 
 
 def amplitude_upper_bound(
@@ -175,8 +180,12 @@ def amplitude_upper_bound(
     """
     sens = as_sensitivity(sens)
     scale = sens.value / params.epsilon
-    return scale * truncation_amplitude_factor(
-        radius_scale_ratio(params.epsilon, params.delta)
+    return _exponential_moment(
+        scale,
+        1,
+        truncation_amplitude_factor(
+            radius_scale_ratio(params.epsilon, params.delta)
+        ),
     )
 
 
@@ -184,8 +193,8 @@ def power_upper_bound(params: PrivacyParams, sens: "Sensitivity | float") -> flo
     """Expected noise^2 of the calibrated mechanism, directly from (eps, delta)."""
     sens = as_sensitivity(sens)
     scale = sens.value / params.epsilon
-    return (
-        2.0
-        * scale**2
-        * truncation_power_factor(radius_scale_ratio(params.epsilon, params.delta))
+    return _exponential_moment(
+        scale,
+        2,
+        truncation_power_factor(radius_scale_ratio(params.epsilon, params.delta)),
     )

@@ -105,6 +105,9 @@ class TestLaplace:
         lap = Laplace(3.0)
         assert lap.expected_amplitude == 3.0
         assert lap.expected_power == 18.0
+        assert Laplace(1e150).expected_power == pytest.approx(2e300, rel=1e-15)
+        with pytest.raises(DomainError, match="expected power .*too small$"):
+            Laplace(1e200).expected_power  # scale**2 overflowed
 
     def test_interval_mass_bulk_matches_cdf_difference(self):
         lap = Laplace(1.5)

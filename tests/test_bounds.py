@@ -137,6 +137,14 @@ class TestExtremeRegimes:
         amp = amplitude_lower_bound(lb)
         assert math.isfinite(amp) and amp > 0.0
 
+    @pytest.mark.parametrize("eps", [5e-324, 1e-200, 1e-155])
+    def test_epsilon_whose_square_leaves_double_range(self, eps):
+        # both closed forms divide by (1 - e^-eps)^2, which is subnormal or
+        # 0 here: a ZeroDivisionError or a bound with few correct digits
+        with pytest.raises(DomainError, match=rf"^epsilon={eps!r} is too"):
+            lower_bound_params(PrivacyParams(eps, 1e-5), 1.0)
+        lower_bound_params(PrivacyParams(1e-153, 1e-5), 1.0)
+
 
 class TestBoundPair:
     def test_ratio(self):

@@ -61,6 +61,19 @@ class TestCalibrate:
         assert out == ""  # stdout stays clean on errors
         assert "delta" in err
 
+    @pytest.mark.parametrize("mech", ["trunclap", "laplace"])
+    def test_tiny_epsilon_is_exit_2(self, capsys, mech):
+        # was an OverflowError traceback, exit 1
+        code, out, err = run(
+            capsys,
+            "calibrate", "--eps", "1e-200", "--delta", "1e-5", "--mech", mech,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: expected ")
+        assert err.endswith("epsilon is too small\n")
+        assert err.count("\n") == 1
+
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "calibrate", "--eps", "1.0")
         assert code == 2
@@ -150,6 +163,20 @@ class TestBounds:
         payload = json.loads(out)
         assert payload["cost"] == "power"
         assert 0.0 < payload["lower"] <= payload["upper"]
+
+    @pytest.mark.parametrize("cost", ["amplitude", "power"])
+    def test_tiny_epsilon_is_exit_2(self, capsys, cost):
+        # was a ZeroDivisionError traceback, exit 1
+        code, out, err = run(
+            capsys,
+            "bounds", "--eps", "1e-200", "--delta", "1e-5", "--cost", cost,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: epsilon=1e-200 is too small for the closed-form lower "
+            "bounds: (1 - e^-epsilon)^2 leaves double range\n"
+        )
 
     def test_unknown_cost(self, capsys):
         code, _, err = run(
@@ -263,6 +290,18 @@ class TestSweep:
         code, out, _ = run(capsys, *SWEEP_ARGS, "--format", "json")
         assert code == 0
         assert len(json.loads(out)) == 4
+
+    def test_tiny_eps_min_is_exit_2(self, capsys):
+        # was a ZeroDivisionError traceback, exit 1
+        code, out, err = run(
+            capsys,
+            "sweep", "--eps-min", "1e-320", "--eps-max", "1e200",
+            "--eps-points", "7", "--delta-points", "3",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: epsilon=1e-320 is too small")
+        assert err.count("\n") == 1
 
     def test_bad_grid(self, capsys):
         code, _, err = run(

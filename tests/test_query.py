@@ -2,13 +2,18 @@ import csv
 import json
 import math
 import tracemalloc
+import warnings
+from array import array
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpnoise.baselines import Gaussian, Laplace
 from dpnoise.core import DomainError, PrivacyParams
+from dpnoise import query
 from dpnoise.query import (
     AggregateKind,
     BudgetError,
@@ -400,9 +405,73 @@ class TestBudgets:
             run_query(tl, ledger_path, budget_delta=0.0)
 
 
-def _spec(path, aggregate=AggregateKind.SUM, column="spend"):
-    clip = None if aggregate is AggregateKind.COUNT else (0.0, 10.0)
+def _spec(path, aggregate=AggregateKind.SUM, column="spend", clip=(0.0, 10.0)):
+    clip = None if aggregate is AggregateKind.COUNT else clip
     return QuerySpec(str(path), column, aggregate, "trunclap", P, 0, clip=clip)
+
+
+def brute_read_column(spec):
+    """The one-pass `csv.reader` loop that `_read_column` ran before it
+    tried numpy's C reader first, kept verbatim as the reference."""
+    path = Path(spec.input_path)
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc}") from None
+    with fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DomainError(f"{path} has no header row")
+        if spec.column not in header:
+            raise DomainError(
+                f"column {spec.column!r} not in {path} header {header}"
+            )
+        if spec.aggregate is AggregateKind.COUNT:
+            return sum(map(bool, reader)), np.empty(0)
+        index = len(header) - 1 - header[::-1].index(spec.column)
+        values = array("d")
+        append = values.append
+        for row in reader:
+            if not row:
+                continue
+            try:
+                value = float(row[index])
+            except (IndexError, ValueError):
+                value = math.nan
+            if value != value:
+                cell = row[index] if index < len(row) else None
+                raise DomainError(
+                    f"non-numeric value {cell!r} for column "
+                    f"{spec.column!r} at {path}:{reader.line_num}"
+                )
+            append(value)
+    clipped = np.frombuffer(values)
+    return len(values), np.clip(clipped, *spec.clip, out=clipped)
+
+
+def _outcome(read, spec):
+    """(count, dtype, value bits), or (exception type, message)."""
+    try:
+        count, values = read(spec)
+    except Exception as exc:  # both readers must fail alike, however
+        return type(exc), str(exc)
+    return count, values.dtype, values.tobytes()
+
+
+@pytest.fixture
+def csv_reader_rows(monkeypatch):
+    """The rows every `csv.reader` yields from here on, in order."""
+    rows = []
+    real = csv.reader
+
+    def counting_reader(*args, **kwargs):
+        for row in real(*args, **kwargs):
+            rows.append(row)
+            yield row
+
+    monkeypatch.setattr(csv, "reader", counting_reader)
+    return rows
 
 
 class TestReadColumn:
@@ -468,3 +537,131 @@ class TestReadColumn:
         assert values.max() == 10.0
         # one float64 a row; a list of float objects would be about 32 B/row
         assert peak / rows < 16.0
+
+    def test_count_traced_peak_per_row(self, tmp_path):
+        rows = 100_000
+        path = tmp_path / "big.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write("id,spend\n")
+            fh.writelines(f"{i},{i % 2500 / 100}\n" for i in range(rows))
+        tracemalloc.start()
+        try:
+            count, values = _read_column(_spec(path, AggregateKind.COUNT))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == rows
+        assert values.size == 0
+        assert peak / rows < 16.0
+
+
+class TestReadPaths:
+    """Well-formed files take numpy's C reader; the streaming reader takes
+    over only for rows it rejects, with the streaming reader's result."""
+
+    @pytest.mark.parametrize("agg", list(AggregateKind))
+    def test_well_formed_file_reads_only_the_header_with_csv(
+        self, tmp_path, csv_reader_rows, agg
+    ):
+        path = tmp_path / "ok.csv"
+        path.write_text('id,spend\n1,3.5\n\n2," 4 "\r\n3,-1e1\n4,inf\n')
+        count, values = _read_column(_spec(path, agg))
+        assert csv_reader_rows == [["id", "spend"]]
+        assert count == 4
+        if agg is not AggregateKind.COUNT:
+            np.testing.assert_array_equal(values, [3.5, 4.0, 0.0, 10.0])
+
+    def test_count_over_a_text_column_reads_only_the_header_with_csv(
+        self, tmp_path, csv_reader_rows
+    ):
+        path = tmp_path / "text.csv"
+        path.write_text('id,region\n1,eu\n2,"us, east"\n3,\n')
+        spec = _spec(path, AggregateKind.COUNT, column="region")
+        assert _read_column(spec)[0] == 3
+        assert csv_reader_rows == [["id", "region"]]
+
+    @pytest.mark.parametrize(
+        "cell, value",
+        [("1_000", 1000.0), ("\uff15", 5.0), ("\u0663.5", 3.5)],
+        ids=["underscore", "full-width", "arabic-indic"],
+    )
+    def test_float_grammar_beyond_the_c_reader(
+        self, tmp_path, csv_reader_rows, cell, value
+    ):
+        path = tmp_path / "grammar.csv"
+        path.write_text(f"id,spend\n1,2\n2,{cell}\n", encoding="utf-8")
+        count, values = _read_column(_spec(path, clip=(0.0, 1e6)))
+        assert count == 2
+        np.testing.assert_array_equal(values, [2.0, value])
+        assert len(csv_reader_rows) > 1  # the streaming reader took over
+
+    @pytest.mark.parametrize("agg", list(AggregateKind))
+    def test_lone_cr_line_ends_read_like_lf(self, tmp_path, agg):
+        text = "id,spend\n1,3.5\n\n2,4\n"
+        lf, cr = tmp_path / "lf.csv", tmp_path / "cr.csv"
+        lf.write_bytes(text.encode())
+        cr.write_bytes(text.replace("\n", "\r").encode())
+        assert _outcome(_read_column, _spec(cr, agg)) == _outcome(
+            _read_column, _spec(lf, agg)
+        )
+        assert _read_column(_spec(cr, agg))[0] == 2
+
+    def test_quoted_newline_in_header(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text('id,"a\nb",spend\n1,2,3\n4,5,6\n')
+        count, values = _read_column(_spec(path))
+        assert count == 2
+        np.testing.assert_array_equal(values, [3.0, 6.0])
+        path.write_text('id,"a\nb",spend\n1,2,3\n4,5,oops\n')
+        with pytest.raises(DomainError, match=r"'oops'.*header\.csv:4$"):
+            _read_column(_spec(path))
+
+    @pytest.mark.parametrize("agg", list(AggregateKind))
+    @pytest.mark.parametrize("body", ["", "\n", "\r\n\n"])
+    def test_header_only_file_is_empty_without_warnings(
+        self, tmp_path, agg, body
+    ):
+        path = tmp_path / "head.csv"
+        path.write_bytes(b"id,spend\n" + body.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            count, values = _read_column(_spec(path, agg))
+        assert count == values.size == 0
+
+
+_CELLS = st.sampled_from(
+    ["1", "2.5", " 3 ", "-4e1", '"5"', '"6,5"', "inf", "-inf", "nan", "NaN",
+     "1e400", "1_000", "\uff11\uff12", "", "x", "#1", '1"2', "\t7"]
+)
+_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+_JUNK = st.text(
+    alphabet=list('015.e-+,"\r\n \tnaif_x#') + ["\uff11", "\x0c", "\x00"],
+    max_size=6,
+)
+
+
+@st.composite
+def _hostile_csv(draw, position):
+    """A header with 'spend' at ``position`` among three columns, then rows
+    of one to four cells, blank and whitespace-only lines and junk, with
+    mixed line ends and perhaps an unclosed quote at the end."""
+    header = ["a", "b"]
+    header.insert(position, "spend")
+    row = st.lists(_CELLS, min_size=1, max_size=4).map(",".join)
+    line = st.one_of(row, row, st.sampled_from(["", " ", "\t"]), _JUNK)
+    lines = draw(st.lists(st.tuples(line, _ENDS), max_size=6))
+    tail = draw(st.sampled_from(["", "\n", '"']))
+    return ",".join(header) + "\n" + "".join(a + b for a, b in lines) + tail
+
+
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("agg", list(AggregateKind))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_read_column_matches_streaming_reference(
+    tmp_path_factory, agg, position, data
+):
+    path = tmp_path_factory.getbasetemp() / f"hostile-{agg.value}-{position}.csv"
+    path.write_bytes(data.draw(_hostile_csv(position)).encode("utf-8"))
+    spec = _spec(path, agg)
+    assert _outcome(_read_column, spec) == _outcome(brute_read_column, spec)

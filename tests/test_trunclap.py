@@ -139,6 +139,24 @@ class TestDistributionSurface:
         assert mech.expected_amplitude == pytest.approx(2.0 * amp, rel=1e-11)
         assert mech.expected_power == pytest.approx(2.0 * pwr, rel=1e-11)
 
+    @pytest.mark.parametrize(
+        "eps, delta, cost",
+        [(1e-200, 1e-5, "amplitude"), (1e-200, 1e-5, "power"),
+         (1e-120, 0.4, "power")],
+    )
+    def test_costs_out_of_double_range_are_domain_errors(
+        self, eps, delta, cost
+    ):
+        # scale**2 overflowed (an OverflowError), or a shrink factor
+        # underflowed and the cost came out as 0.0
+        params = PrivacyParams(eps, delta)
+        tiny = TruncatedLaplace.from_privacy(params, SENS)
+        upper = {"amplitude": amplitude_upper_bound, "power": power_upper_bound}
+        with pytest.raises(DomainError, match=f"expected {cost} .*too small$"):
+            tiny.cost(cost)
+        with pytest.raises(DomainError, match=f"expected {cost} .*too small$"):
+            upper[cost](params, SENS)
+
     def test_frozen_moments(self, mech):
         assert mech.expected_amplitude == pytest.approx(
             0.9998677619166971, rel=1e-14
