@@ -54,13 +54,7 @@ from .query import (
     make_rng,
     run_query,
 )
-from .trunclap import (
-    TruncatedLaplace,
-    TruncLapParams,
-    amplitude_upper_bound,
-    calibrate,
-    power_upper_bound,
-)
+from .trunclap import TruncatedLaplace, TruncLapParams, calibrate
 from .verifier import (
     DiscretizedDist,
     ViolationReport,
@@ -99,7 +93,6 @@ __all__ = [
     "TruncatedLaplace",
     "ViolationReport",
     "amplitude_lower_bound",
-    "amplitude_upper_bound",
     "analytic_gaussian_sigma",
     "as_sensitivity",
     "bound_pair",
@@ -115,7 +108,6 @@ __all__ = [
     "make_rng",
     "max_violation",
     "power_lower_bound",
-    "power_upper_bound",
     "run_query",
     "run_sweep",
     "tightness_curve",

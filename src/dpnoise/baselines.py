@@ -25,6 +25,7 @@ from .core import (
     PrivacyParams,
     Sensitivity,
     _as_checked_array,
+    _cost_in_range,
     _exponential_grid_masses,
     _exponential_moment,
     _scalar_or_array,
@@ -154,7 +155,12 @@ class Gaussian(NoiseMechanism):
 
     @property
     def expected_power(self) -> float:
-        return self.sigma * self.sigma
+        return _cost_in_range(
+            lambda: self.sigma * self.sigma,
+            2,
+            self.sigma,
+            "(sigma): epsilon is too small",
+        )
 
 
 def classic_gaussian_sigma(params: PrivacyParams, sens: "Sensitivity | float") -> float:
@@ -359,7 +365,12 @@ class BoundedUniform(NoiseMechanism):
 
     @property
     def expected_power(self) -> float:
-        return self.half_width**2 / 3.0
+        return _cost_in_range(
+            lambda: self.half_width**2 / 3.0,
+            2,
+            self.half_width,
+            "(sensitivity / (2 delta)): delta is too small",
+        )
 
 
 def uniform_limit_mechanism(delta: float, sens: "Sensitivity | float") -> BoundedUniform:

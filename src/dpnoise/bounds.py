@@ -1,9 +1,8 @@
 """Lower and upper bounds on the minimum achievable noise cost.
 
-The upper bounds are simply the calibrated truncated Laplacian's own costs
-(:func:`dpnoise.trunclap.amplitude_upper_bound` and
-:func:`~dpnoise.trunclap.power_upper_bound`): an explicit mechanism is a
-witness that the minimum is no larger.
+The upper bound is the calibrated truncated Laplacian's own cost
+(``TruncatedLaplace.from_privacy(params, sens).cost(cost)``): an explicit
+mechanism is a witness that the minimum is no larger.
 
 The lower bounds come from a slicing argument: any valid noise density,
 cut into sensitivity-wide slices away from the origin, must give slice k a
@@ -42,7 +41,7 @@ from .core import (
     Sensitivity,
     as_sensitivity,
 )
-from .trunclap import amplitude_upper_bound, power_upper_bound
+from .trunclap import TruncatedLaplace
 
 __all__ = [
     "LowerBoundParams",
@@ -178,18 +177,19 @@ def bound_pair(
 ) -> BoundPair:
     """Compute both sides for one cost kind and sanity-check their order.
 
+    The upper bound is the calibrated truncated Laplacian's cost.
+
     The rigorous (whole-step) lower bound exceeding the upper bound can only
     be an implementation bug, so that raises :class:`InvariantError` rather
     than returning silently wrong numbers.
     """
     cost = CostKind.parse(cost)
     lb = lower_bound_params(params, sens)
-    if cost is CostKind.AMPLITUDE:
-        lower_fn, upper_fn = amplitude_lower_bound, amplitude_upper_bound
-    else:
-        lower_fn, upper_fn = power_lower_bound, power_upper_bound
+    lower_fn = (
+        amplitude_lower_bound if cost is CostKind.AMPLITUDE else power_lower_bound
+    )
     lower_floor = lower_fn(lb, lb.steps_floor)
-    upper = upper_fn(params, sens)
+    upper = TruncatedLaplace.from_privacy(params, sens).cost(cost)
     if lower_floor > upper * (1.0 + 1e-12):
         raise InvariantError(
             f"lower bound {lower_floor!r} exceeds upper bound {upper!r} at "

@@ -210,14 +210,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     opt = _Options(args)
+    grid = {
+        "eps_min": opt.number("eps-min"),
+        "eps_max": opt.number("eps-max"),
+        "eps_points": opt.integer("eps-points"),
+        "delta_min": opt.number("delta-min"),
+        "delta_max": opt.number("delta-max"),
+        "delta_points": opt.integer("delta-points"),
+        "sensitivity": opt.number("sens"),
+    }
     config = SweepConfig(
-        eps_min=opt.number("eps-min", default=1e-4),
-        eps_max=opt.number("eps-max", default=10.0),
-        eps_points=opt.integer("eps-points", default=20),
-        delta_min=opt.number("delta-min", default=1e-6),
-        delta_max=opt.number("delta-max", default=0.1),
-        delta_points=opt.integer("delta-points", default=20),
-        sensitivity=opt.number("sens", default=1.0),
+        # only the flags given: SweepConfig holds the defaults
+        **{name: value for name, value in grid.items() if value is not None},
         cost=CostKind.parse(
             opt.choice("cost", ("amplitude", "power"), default="amplitude")
         ),

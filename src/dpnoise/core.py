@@ -166,26 +166,42 @@ def _exponential_grid_masses(
     return masses
 
 
-def _exponential_moment(scale: float, k: int, factor: float = 1.0) -> float:
-    """``k * scale**k * factor``: E|X| (k = 1) or E[X^2] (k = 2) of a
-    two-sided exponential of this scale, times the shrink ``factor`` that
-    truncating its support applies.
+def _cost_in_range(
+    compute, k: int, scale: float, cause: str, factor: float = 1.0
+) -> float:
+    """``compute()``, the E|X| (k = 1) or E[X^2] (k = 2) of a mechanism
+    whose noise scale is ``scale``, with ``factor`` the shrink factor it
+    multiplies by (1 for none).
 
-    Raises DomainError where an intermediate leaves the normal double range
-    (``scale**k`` overflows or ``factor`` underflows), which a scale of
-    sensitivity/epsilon reaches at a tiny epsilon; the result would
-    otherwise be an arithmetic error, infinite, 0 or inaccurate.
+    Raises DomainError, naming ``scale`` and ``cause``, where an
+    intermediate leaves the normal double range (a power of ``scale``
+    overflows or ``factor`` underflows), which a scale of sensitivity over
+    a tiny epsilon or delta reaches; the result would otherwise be an
+    arithmetic error, infinite, 0 or inaccurate.
     """
     try:
-        value = k * scale**k * factor
+        value = compute()
     except OverflowError:  # scale**k
         value = math.inf
     if factor >= _NORMAL_MIN and value < math.inf:
         return value
     cost = "amplitude" if k == 1 else "power"
     raise DomainError(
-        f"expected {cost} leaves double range at noise scale {scale!r} "
-        f"(sensitivity / epsilon): epsilon is too small"
+        f"expected {cost} leaves double range at noise scale {scale!r} {cause}"
+    )
+
+
+def _exponential_moment(scale: float, k: int, factor: float = 1.0) -> float:
+    """``k * scale**k * factor``: E|X| (k = 1) or E[X^2] (k = 2) of a
+    two-sided exponential of this scale, times the shrink ``factor`` that
+    truncating its support applies; range-checked by :func:`_cost_in_range`.
+    """
+    return _cost_in_range(
+        lambda: k * scale**k * factor,
+        k,
+        scale,
+        "(sensitivity / epsilon): epsilon is too small",
+        factor,
     )
 
 

@@ -13,9 +13,9 @@ Only a file the C reader rejects, or one with a NaN cell, is read a second
 time by the streaming `csv.reader` loop, which names the bad line and
 accepts the rest of `float()`'s grammar (underscores, non-ASCII digits).
 Such input mostly ends in an error; otherwise it gives the same release,
-a little more slowly.  A cell that does not parse, or parses to NaN, is an
-error naming its line, raised before the ledger is touched; infinite cells
-are clipped to the bounds like any other.
+a little more slowly.  A cell that does not parse or parses to NaN, or a
+field `csv.reader` refuses as too long, is an error naming its line, raised
+before the ledger is touched; infinite cells are clipped to the bounds.
 
 Mean is released as noisy sum divided by noisy count with the budget split
 evenly between the two draws, so the dataset size itself stays protected;
@@ -261,7 +261,11 @@ def _read_column(spec: QuerySpec) -> tuple[int, np.ndarray]:
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from None
     with fh:
-        header = next(csv.reader(fh), None)
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise _csv_error(path, reader, exc) from None
         if header is None:
             raise DomainError(f"{path} has no header row")
         if spec.column not in header:
@@ -298,14 +302,23 @@ def _read_column(spec: QuerySpec) -> tuple[int, np.ndarray]:
         # with the streaming reader: it names the bad line, and it accepts
         # the rest of float()'s grammar (underscores, non-ASCII digits).
         fh.seek(0)
-        return _stream_column(fh, spec, path, index)
+        reader = csv.reader(fh)
+        try:
+            return _stream_column(reader, spec, path, index)
+        except csv.Error as exc:
+            raise _csv_error(path, reader, exc) from None
+
+
+def _csv_error(path: Path, reader, exc: csv.Error) -> DomainError:
+    # e.g. a field longer than csv.field_size_limit()
+    return DomainError(f"cannot read {path}:{reader.line_num}: {exc}")
 
 
 def _stream_column(
-    fh, spec: QuerySpec, path: Path, index: int
+    reader, spec: QuerySpec, path: Path, index: int
 ) -> tuple[int, np.ndarray]:
-    """`_read_column` one row at a time, from the header of an open file."""
-    reader = csv.reader(fh)
+    """`_read_column` one row at a time, from a `csv.reader` at the start
+    of the file."""
     next(reader)  # the header, checked by the caller
     if spec.aggregate is AggregateKind.COUNT:
         return sum(map(bool, reader)), np.empty(0)

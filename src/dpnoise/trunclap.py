@@ -43,8 +43,6 @@ __all__ = [
     "TruncLapParams",
     "calibrate",
     "TruncatedLaplace",
-    "amplitude_upper_bound",
-    "power_upper_bound",
 ]
 
 
@@ -153,6 +151,8 @@ class TruncatedLaplace(NoiseMechanism):
         )
 
     # -- closed-form costs ----------------------------------------------------
+    # The mechanism witnesses that the optimum is no larger, so these are
+    # also the upper bounds that :func:`dpnoise.bounds.bound_pair` reports.
 
     @property
     def expected_amplitude(self) -> float:
@@ -168,33 +168,3 @@ class TruncatedLaplace(NoiseMechanism):
             p.scale, 2, truncation_power_factor(p.radius / p.scale)
         )
 
-
-def amplitude_upper_bound(
-    params: PrivacyParams, sens: "Sensitivity | float"
-) -> float:
-    """Expected |noise| of the calibrated mechanism, directly from (eps, delta).
-
-    This is simultaneously an upper bound on the minimum achievable noise
-    amplitude under the privacy constraint, since the mechanism itself is a
-    witness.
-    """
-    sens = as_sensitivity(sens)
-    scale = sens.value / params.epsilon
-    return _exponential_moment(
-        scale,
-        1,
-        truncation_amplitude_factor(
-            radius_scale_ratio(params.epsilon, params.delta)
-        ),
-    )
-
-
-def power_upper_bound(params: PrivacyParams, sens: "Sensitivity | float") -> float:
-    """Expected noise^2 of the calibrated mechanism, directly from (eps, delta)."""
-    sens = as_sensitivity(sens)
-    scale = sens.value / params.epsilon
-    return _exponential_moment(
-        scale,
-        2,
-        truncation_power_factor(radius_scale_ratio(params.epsilon, params.delta)),
-    )

@@ -28,11 +28,7 @@ from dpnoise.bounds import (
 )
 from dpnoise.cli import main
 from dpnoise.core import CostKind, PrivacyParams
-from dpnoise.trunclap import (
-    TruncatedLaplace,
-    amplitude_upper_bound,
-    power_upper_bound,
-)
+from dpnoise.trunclap import TruncatedLaplace
 from dpnoise.verifier import discretize, dp_check
 
 GRID_EPS = np.geomspace(1e-4, 10.0, 20)
@@ -193,9 +189,9 @@ def test_05_power_bound_gap_limits():
 def test_06_matched_regime_constants():
     # with delta = epsilon -> 0 the scaled costs approach constants built
     # from log(3/2)
-    p = PrivacyParams(1e-6, 1e-6)
-    amp_scaled = amplitude_upper_bound(p, 1.0) * 1e-6
-    pow_scaled = power_upper_bound(p, 1.0) * 1e-12 / 2.0
+    mech = TruncatedLaplace.from_privacy(PrivacyParams(1e-6, 1e-6), 1.0)
+    amp_scaled = mech.expected_amplitude * 1e-6
+    pow_scaled = mech.expected_power * 1e-12 / 2.0
     log15 = math.log(1.5)
     amp_target = 1.0 - 2.0 * log15
     pow_target = 1.0 - log15 * log15 - 2.0 * log15

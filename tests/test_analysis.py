@@ -71,7 +71,7 @@ class TestRunSweep:
                 row.q_lower / row.q_upper, rel=1e-15
             )
             assert row.ratio_bounds < 1.0
-            assert row.tl_cost == pytest.approx(row.q_upper, rel=1e-12)
+            assert row.tl_cost == row.q_upper
             assert row.ratio_tl_gauss == pytest.approx(
                 row.tl_cost / row.gauss_analytic, rel=1e-15
             )

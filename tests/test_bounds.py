@@ -10,9 +10,8 @@ from dpnoise.bounds import (
     lower_bound_params,
     power_lower_bound,
 )
-from dpnoise import bounds
 from dpnoise.core import CostKind, DomainError, InvariantError, PrivacyParams
-from dpnoise.trunclap import amplitude_upper_bound, power_upper_bound
+from dpnoise.trunclap import TruncatedLaplace
 
 P_REF = PrivacyParams(1.0, 1e-5)
 
@@ -177,7 +176,9 @@ class TestBoundPair:
     def test_whole_step_lower_above_upper_raises(self, monkeypatch):
         p = PrivacyParams(0.7, 1e-6)
         upper = bound_pair(p, 1.0, cost="amplitude").upper
-        monkeypatch.setattr(bounds, "amplitude_upper_bound", lambda *a: 1e-3 * upper)
+        monkeypatch.setattr(
+            TruncatedLaplace, "cost", lambda self, kind: 1e-3 * upper
+        )
         with pytest.raises(InvariantError, match="exceeds upper bound"):
             bound_pair(p, 1.0, cost="amplitude")
 
@@ -185,8 +186,9 @@ class TestBoundPair:
         p = PrivacyParams(0.7, 1e-6)
         amp = bound_pair(p, 1.0, cost="amplitude")
         pwr = bound_pair(p, 1.0, cost="power")
-        assert amp.upper == pytest.approx(amplitude_upper_bound(p, 1.0), rel=1e-14)
-        assert pwr.upper == pytest.approx(power_upper_bound(p, 1.0), rel=1e-14)
+        mech = TruncatedLaplace.from_privacy(p, 1.0)
+        assert amp.upper == mech.cost("amplitude")
+        assert pwr.upper == mech.cost("power")
 
     def test_cost_kind_parsing(self):
         p = PrivacyParams(0.7, 1e-6)

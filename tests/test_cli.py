@@ -10,6 +10,7 @@ import dpnoise
 from dpnoise import cli
 from dpnoise.cli import main
 from dpnoise.core import InvariantError
+from dpnoise.query import MECHANISM_NAMES
 
 
 def run(capsys, *argv):
@@ -73,6 +74,31 @@ class TestCalibrate:
         assert err.startswith("error: expected ")
         assert err.endswith("epsilon is too small\n")
         assert err.count("\n") == 1
+
+    # gaussian-classic at eps = 1 is outside its proven range, and says so
+    @pytest.mark.filterwarnings("ignore::dpnoise.RangeWarning")
+    @pytest.mark.parametrize("mech", MECHANISM_NAMES)
+    @pytest.mark.parametrize(
+        "eps, delta", [("1", "1e-300"), ("1e-200", "1e-5")]
+    )
+    def test_costs_out_of_range_are_exit_2_or_valid_json(
+        self, capsys, mech, eps, delta
+    ):
+        # uniform at (1, 1e-300) was an OverflowError traceback, and
+        # gaussian-classic at (1e-200, 1e-5) printed Infinity, not JSON
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        code, out, err = run(
+            capsys,
+            "calibrate", "--eps", eps, "--delta", delta, "--mech", mech,
+        )
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert code == 0
+            json.loads(out, parse_constant=reject)
 
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "calibrate", "--eps", "1.0")

@@ -347,6 +347,29 @@ class TestRunQuery:
             run_query(spec, ledger_path)
         assert ledger_path.read_bytes() == before
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            # the NaN cell sends the file to the streaming reader
+            ("id,spend\n1,{big}\n2,nan\n", 2),
+            ("id,spend,{big}\n1,2,3\n", 1),
+        ],
+        ids=["cell-on-streaming-path", "header"],
+    )
+    def test_field_over_csv_limit_names_file_line(
+        self, tmp_path, ledger_path, text, line
+    ):
+        ledger = BudgetLedger(ledger_path)
+        ledger.append(LedgerEntry("q0", 0.5, 0.0, "2026-01-01T00:00:00+00:00"))
+        before = ledger_path.read_bytes()
+        path = tmp_path / "wide.csv"
+        path.write_text(text.format(big="0" * 200_000 + "1"))
+        with pytest.raises(
+            DomainError, match=rf"wide\.csv:{line}: field larger than field limit"
+        ):
+            run_query(_spec(path), ledger_path)
+        assert ledger_path.read_bytes() == before
+
     def test_infinite_cells_are_clipped(self, tmp_path, ledger_path):
         path = tmp_path / "inf.csv"
         path.write_text("id,spend\n1,inf\n2,-inf\n3,0.25\n")

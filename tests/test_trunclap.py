@@ -8,13 +8,7 @@ from test_core import _Triangle
 
 from dpnoise.baselines import BoundedUniform, Gaussian, Laplace
 from dpnoise.core import DomainError, NoiseMechanism, PrivacyParams, Sensitivity
-from dpnoise.trunclap import (
-    TruncatedLaplace,
-    TruncLapParams,
-    amplitude_upper_bound,
-    calibrate,
-    power_upper_bound,
-)
+from dpnoise.trunclap import TruncatedLaplace, TruncLapParams, calibrate
 
 P_REF = PrivacyParams(1.0, 1e-5)
 SENS = Sensitivity(1.0)
@@ -149,13 +143,9 @@ class TestDistributionSurface:
     ):
         # scale**2 overflowed (an OverflowError), or a shrink factor
         # underflowed and the cost came out as 0.0
-        params = PrivacyParams(eps, delta)
-        tiny = TruncatedLaplace.from_privacy(params, SENS)
-        upper = {"amplitude": amplitude_upper_bound, "power": power_upper_bound}
+        tiny = TruncatedLaplace.from_privacy(PrivacyParams(eps, delta), SENS)
         with pytest.raises(DomainError, match=f"expected {cost} .*too small$"):
             tiny.cost(cost)
-        with pytest.raises(DomainError, match=f"expected {cost} .*too small$"):
-            upper[cost](params, SENS)
 
     def test_frozen_moments(self, mech):
         assert mech.expected_amplitude == pytest.approx(
@@ -277,24 +267,17 @@ class TestSampling:
 
 
 class TestUpperBoundHelpers:
-    def test_match_mechanism_moments(self):
-        for eps, delta in [(1e-3, 1e-6), (0.5, 1e-9), (4.0, 0.01)]:
-            p = PrivacyParams(eps, delta)
-            mech = TruncatedLaplace.from_privacy(p, SENS)
-            assert amplitude_upper_bound(p, SENS) == pytest.approx(
-                mech.expected_amplitude, rel=1e-12
-            )
-            assert power_upper_bound(p, SENS) == pytest.approx(
-                mech.expected_power, rel=1e-12
-            )
+    """The mechanism's costs, which bound_pair reports as the upper bound."""
 
     def test_sensitivity_scaling(self):
         p = PrivacyParams(0.2, 1e-4)
-        assert amplitude_upper_bound(p, 2.0) == pytest.approx(
-            2.0 * amplitude_upper_bound(p, 1.0), rel=1e-14
+        one = TruncatedLaplace.from_privacy(p, 1.0)
+        two = TruncatedLaplace.from_privacy(p, 2.0)
+        assert two.expected_amplitude == pytest.approx(
+            2.0 * one.expected_amplitude, rel=1e-14
         )
-        assert power_upper_bound(p, 2.0) == pytest.approx(
-            4.0 * power_upper_bound(p, 1.0), rel=1e-14
+        assert two.expected_power == pytest.approx(
+            4.0 * one.expected_power, rel=1e-14
         )
 
     def test_extreme_parameters_stay_finite(self):
@@ -304,8 +287,9 @@ class TestUpperBoundHelpers:
             PrivacyParams(1e-9, 1e-6),
             PrivacyParams(50.0, 1e-12),
         ):
-            assert math.isfinite(amplitude_upper_bound(p, SENS))
-            assert math.isfinite(power_upper_bound(p, SENS))
+            mech = TruncatedLaplace.from_privacy(p, SENS)
+            assert math.isfinite(mech.expected_amplitude)
+            assert math.isfinite(mech.expected_power)
 
 
 @settings(max_examples=60, deadline=None)
