@@ -222,14 +222,20 @@ class BudgetLedger:
                     continue
                 try:
                     raw = json.loads(line)
-                    out.append(
-                        LedgerEntry(
-                            query_id=str(raw["query_id"]),
-                            epsilon=float(raw["epsilon"]),
-                            delta=float(raw["delta"]),
-                            timestamp=str(raw["timestamp"]),
-                        )
+                    entry = LedgerEntry(
+                        query_id=str(raw["query_id"]),
+                        epsilon=float(raw["epsilon"]),
+                        delta=float(raw["delta"]),
+                        timestamp=str(raw["timestamp"]),
                     )
+                    # json.loads accepts NaN and Infinity; a NaN spend
+                    # would make every later cap comparison False.
+                    if not (
+                        0.0 <= entry.epsilon < math.inf
+                        and 0.0 <= entry.delta < math.inf
+                    ):
+                        raise ValueError  # reported as malformed below
+                    out.append(entry)
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                     raise DomainError(
                         f"malformed ledger line {lineno} in {self.path}"
@@ -361,8 +367,13 @@ def run_query(
     """Execute one private query and append its cost to the ledger.
 
     Raises BudgetError (before touching the data) if either configured cap
-    would be exceeded by this query's spend added to the ledger totals.
+    would be exceeded by this query's spend added to the ledger totals, and
+    DomainError (before reading the ledger) for a NaN cap.
     """
+    for name, cap in (("budget_eps", budget_eps), ("budget_delta", budget_delta)):
+        # a NaN cap would compare False against every spend
+        if cap is not None and math.isnan(cap):
+            raise DomainError(f"{name} must be a number, got {cap!r}")
     ledger = BudgetLedger(ledger_path)
     eps_spent, delta_spent = _spent(spec)
     total_eps, total_delta = ledger.totals()

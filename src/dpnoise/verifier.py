@@ -10,19 +10,21 @@ This is the exact supremum of ``P(S) - e^eps P(S + j*step)`` over sets built
 from whole cells, hence a lower bound on the continuous supremum; the
 reported tolerance bounds what the cell granularity can hide.
 
-For efficiency, distributions whose cell masses are log-concave (every
-mechanism this package ships) use an exact fast path: the optimal cell set
-for a given shift is a run of cells ending at the support edge, found by
-binary search on the monotone mass-ratio sequence and summed via prefix
-sums.  Edge cells — which carry folded-in tail mass and may break
-log-concavity — are accounted for separately and exactly.  Everything else
-falls back to the direct scan.  Both paths return the same sums.
+For efficiency, grids whose cell masses are log-concave and exactly
+mirrored (those of every mechanism this package ships) use an exact fast
+path.  There shift -j mirrors +j, so only positive shifts are checked; the
+optimal cell set for each is a run of cells ending at the support edge,
+found by binary search on the monotone mass-ratio sequence and summed via
+suffix sums.  Edge cells — which carry folded-in tail mass and may break
+log-concavity — are accounted for separately and exactly.  Every other grid
+falls back to the direct scan of both directions.  Both paths return the
+same sums.
 
 Cell masses come from the mechanism (``NoiseMechanism.grid_masses``): the
 exponential mechanisms give them in closed form, the others take the
 positive half from their half-line mass and mirror it.  The grid-wide
 kernels (the log-concavity gate and the tolerance) walk the grid in
-fixed-size blocks, so apart from the masses and their two partial sums no
+fixed-size blocks, so apart from the masses and their suffix sums no
 temporary grows with the grid.
 """
 
@@ -83,8 +85,8 @@ class DiscretizedDist:
     # derived, filled in __post_init__
     _run: tuple[int, int] = field(init=False, repr=False)
     _fast_ok: bool = field(init=False, repr=False)
+    _mirrored: bool = field(init=False, repr=False)
     _suffix: "np.ndarray | None" = field(default=None, init=False, repr=False)
-    _prefix: "np.ndarray | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.step) and self.step > 0.0):
@@ -107,6 +109,7 @@ class DiscretizedDist:
         self._run = (s, e)
         contiguous = bool(positive[s : e + 1].all())
         self._fast_ok = contiguous and self._interior_log_concave(s, e)
+        self._mirrored = bool(np.array_equal(self.masses, self.masses[::-1]))
 
     def _interior_log_concave(self, s: int, e: int) -> bool:
         # Edge cells may hold folded tail mass, so only the interior run is
@@ -136,24 +139,17 @@ class DiscretizedDist:
     def total_mass(self) -> float:
         return float(self.masses.sum())
 
-    def _sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """(suffix, prefix) partial-sum arrays, cached.
-
-        ``suffix[t]`` accumulates from the right edge and ``prefix[t]`` from
-        the left, so each is relatively accurate exactly where the small
-        violation sums near its own edge are read off.
-        """
+    def _sums(self) -> np.ndarray:
+        """Suffix partial sums, cached: ``suffix[t]`` is the mass of cells
+        ``t..K-1``, accumulated from the right edge so that it is
+        relatively accurate where the small violation sums are read off."""
         if self._suffix is None:
             K = self.masses.size
             suffix = np.empty(K + 1)
             suffix[K] = 0.0
             np.cumsum(self.masses[::-1], out=suffix[:K][::-1])
-            prefix = np.empty(K + 1)
-            prefix[0] = 0.0
-            np.cumsum(self.masses, out=prefix[1:])
             self._suffix = suffix
-            self._prefix = prefix
-        return self._suffix, self._prefix
+        return self._suffix
 
 
 def discretize(
@@ -294,6 +290,15 @@ def _fast_forward_violations(
     }
 
 
+def _exp_epsilon(epsilon: float) -> float:
+    """e^epsilon; DomainError where it overflows a double."""
+    try:
+        return math.exp(epsilon)
+    except OverflowError:
+        msg = f"epsilon = {epsilon!r} is too large to verify: e^epsilon overflows"
+        raise DomainError(msg) from None
+
+
 def max_violation(dist: DiscretizedDist, epsilon: float, shift_cells: int) -> float:
     """sum_i max(0, p_i - e^epsilon * p_{i + shift_cells}), the exact worst
     cell-set violation for one shift."""
@@ -304,7 +309,7 @@ def max_violation(dist: DiscretizedDist, epsilon: float, shift_cells: int) -> fl
         raise DomainError(
             f"|shift_cells| must be <= {dist.shift_cells}, got {shift_cells!r}"
         )
-    return _direct_violation(dist.masses, math.exp(epsilon), j)
+    return _direct_violation(dist.masses, _exp_epsilon(epsilon), j)
 
 
 @dataclass
@@ -415,40 +420,29 @@ def _fast_worst_cells(
 def dp_check(dist: DiscretizedDist, params: PrivacyParams) -> ViolationReport:
     """Check a discretized mechanism against a privacy target.
 
-    Scans every cell-multiple shift ``j`` in [-shift_cells, shift_cells],
-    reports the worst violation, and passes iff it is at most
-    ``delta + tolerance`` where the tolerance covers what the grid cannot
-    resolve.  Worst shifts of the mechanisms in scope occur at the full
-    sensitivity, which is exactly representable on the grid.
+    Scans every cell-multiple shift ``j`` in [-shift_cells, shift_cells]
+    (on the fast path only ``j > 0``, which mirror ``j < 0``), reports the
+    worst violation, and passes iff it is at most ``delta + tolerance``
+    where the tolerance covers what the grid cannot resolve.  Worst shifts
+    of the mechanisms in scope occur at the full sensitivity, which is
+    exactly representable on the grid.
     """
-    c = math.exp(params.epsilon)
+    c = _exp_epsilon(params.epsilon)
     m = dist.shift_cells
     masses = dist.masses
     K = masses.size
     s, e = dist._run
+    fast = dist._fast_ok and dist._mirrored
 
-    if dist._fast_ok:
-        suffix, prefix = dist._sums()
-        fwd = _fast_forward_violations(masses, suffix, s, e, c, m)
-        # Negative shifts: run the same routine on the reversed sequence.
-        # The reversed suffix sums are the forward prefix sums read backwards.
-        rev = _fast_forward_violations(
-            masses[::-1], prefix[::-1], K - 1 - e, K - 1 - s, c, m
-        )
-        best_dir, info = max(
-            (1, fwd), (-1, rev), key=lambda t: float(t[1]["violation"].max())
-        )
-        j_abs = int(np.argmax(info["violation"])) + 1
-        worst = float(info["violation"][j_abs - 1])
-        worst_j = best_dir * j_abs
+    if fast:
+        info = _fast_forward_violations(masses, dist._sums(), s, e, c, m)
+        worst_j = int(np.argmax(info["violation"])) + 1
+        worst = float(info["violation"][worst_j - 1])
         if worst <= 0.0:
             worst, worst_j = 0.0, 0
             cells = np.zeros(0, dtype=np.int64)
-        elif best_dir > 0:
-            cells = _fast_worst_cells(s, e, j_abs, info)
         else:
-            rdist_cells = _fast_worst_cells(K - 1 - e, K - 1 - s, j_abs, rev)
-            cells = np.sort(K - 1 - rdist_cells)
+            cells = _fast_worst_cells(s, e, worst_j, info)
     else:
         worst, worst_j = 0.0, 0
         for j in range(-m, m + 1):
@@ -482,5 +476,5 @@ def dp_check(dist: DiscretizedDist, params: PrivacyParams) -> ViolationReport:
         epsilon=params.epsilon,
         delta=params.delta,
         cells=K,
-        path="fast" if dist._fast_ok else "direct",
+        path="fast" if fast else "direct",
     )

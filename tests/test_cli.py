@@ -2,14 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import dpnoise
 from dpnoise import cli
+from dpnoise.baselines import RangeWarning, classic_gaussian_sigma
 from dpnoise.cli import main
-from dpnoise.core import InvariantError
+from dpnoise.core import InvariantError, PrivacyParams
 from dpnoise.query import MECHANISM_NAMES
 
 
@@ -265,6 +267,22 @@ class TestVerify:
         assert code == 2
         assert "--mech" in err
 
+    @pytest.mark.parametrize(
+        "args, eps",
+        [
+            (["--eps", "800", "--delta", "1e-5"], "800.0"),
+            (["--eps", "1", "--delta", "1e-5", "--target-eps", "750"], "750.0"),
+        ],
+    )
+    def test_epsilon_beyond_double_range_is_exit_2(self, capsys, args, eps):
+        # e^eps overflows a double above eps ~ 709.78; this was an
+        # OverflowError traceback with exit 1, the "check failed" code
+        code, out, err = run(capsys, "verify", *args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: epsilon = " + eps)
+        assert err.count("\n") == 1
+
     def test_misaligned_grid_step(self, capsys):
         code, _, err = run(
             capsys,
@@ -460,6 +478,44 @@ class TestConfigFile:
         )
         assert code == 2
         assert "config" in err
+
+
+class TestWarnings:
+    # gaussian-classic at eps = 1 is outside its proven range
+    ARGS = ["--mech", "gaussian-classic", "--eps", "1", "--delta", "1e-5"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["calibrate", *ARGS],
+            ["sample", *ARGS, "--n", "3", "--seed", "median"],
+            ["verify", *ARGS, "--grid-step", "0.01"],
+        ],
+        ids=["calibrate", "sample", "verify"],
+    )
+    def test_range_warning_is_one_line(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            classic_gaussian_sigma(PrivacyParams(1.0, 1e-5), 1.0)
+        (expected,) = caught
+        # In process: the output, and the caller's warning state after main.
+        showwarning = warnings.showwarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RangeWarning)
+            code, out, _ = run(capsys, *argv)
+        assert warnings.showwarning is showwarning
+        # A fresh interpreter shows the warning once, as one stderr line.
+        src = str(Path(dpnoise.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dpnoise.cli", *argv], capture_output=True,
+            text=True, env=env, timeout=120,
+        )
+        assert proc.stderr == f"warning: {expected.message}\n"
+        assert proc.stdout == out
+        assert proc.returncode == code == 0
 
 
 class TestImports:

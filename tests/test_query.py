@@ -170,6 +170,26 @@ class TestBudgetLedger:
         with pytest.raises(DomainError, match="line 1"):
             BudgetLedger(ledger_path).entries()
 
+    @pytest.mark.parametrize(
+        "spend",
+        [
+            '"epsilon": NaN, "delta": 0.0',
+            '"epsilon": 1.0, "delta": NaN',
+            '"epsilon": Infinity, "delta": 0.0',
+            '"epsilon": -1.0, "delta": 0.0',
+            '"epsilon": 1.0, "delta": -1e-5',
+        ],
+    )
+    def test_non_finite_or_negative_spend_is_malformed(self, ledger_path, spend):
+        # json.loads parses NaN and Infinity; such a spend would make the
+        # totals, and every cap comparison against them, meaningless.
+        ledger_path.write_text(
+            '{"query_id": "a", "epsilon": 1.0, "delta": 0.0, "timestamp": "t"}\n'
+            f'{{"query_id": "b", {spend}, "timestamp": "t"}}\n'
+        )
+        with pytest.raises(DomainError, match="malformed ledger line 2"):
+            BudgetLedger(ledger_path).entries()
+
 
 class TestRunQuery:
     def test_count_with_median_seed_is_exact(self, spend_csv, ledger_path):
@@ -417,6 +437,34 @@ class TestBudgets:
         )
         with pytest.raises(BudgetError):
             run_query(spec, ledger_path, budget_eps=1.0)
+
+    @pytest.mark.parametrize("cap", ["budget_eps", "budget_delta"])
+    def test_nan_cap_is_refused_before_reading_anything(
+        self, tmp_path, ledger_path, cap
+    ):
+        # x > nan is False, so a NaN cap would admit every query.  Neither
+        # the (malformed) ledger nor the (missing) CSV may be read first.
+        ledger_path.write_text("not json\n")
+        spec = QuerySpec(
+            str(tmp_path / "does-not-exist.csv"),
+            "spend",
+            AggregateKind.COUNT,
+            "trunclap",
+            P,
+            "median",
+        )
+        with pytest.raises(DomainError, match=f"{cap} must be a number"):
+            run_query(spec, ledger_path, **{cap: math.nan})
+        assert ledger_path.read_text() == "not json\n"
+
+    def test_nan_ledger_line_cannot_lift_the_cap(self, spend_csv, ledger_path):
+        ledger_path.write_text(
+            '{"query_id": "q0", "epsilon": NaN, "delta": 0.0, "timestamp": "t"}\n'
+        )
+        spec = self._count_spec(spend_csv, eps=1.0)
+        with pytest.raises(DomainError, match="malformed ledger line 1"):
+            run_query(spec, ledger_path, budget_eps=1.5)
+        assert len(ledger_path.read_text().splitlines()) == 1
 
     def test_delta_budget(self, spend_csv, ledger_path):
         lap = QuerySpec(

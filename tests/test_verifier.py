@@ -7,6 +7,7 @@ from scipy.special import ndtr
 
 from dpnoise.baselines import Gaussian, Laplace, analytic_gaussian_sigma, uniform_limit_mechanism
 from dpnoise.core import DomainError, PrivacyParams
+from dpnoise.query import MECHANISM_NAMES, make_mechanism
 from dpnoise.trunclap import TruncatedLaplace
 from dpnoise.verifier import (
     _BLOCK,
@@ -366,6 +367,45 @@ class TestDpCheck:
                 1e-12, 1e-9 * report.max_violation
             )
 
+    @pytest.mark.filterwarnings("ignore::dpnoise.RangeWarning")
+    @pytest.mark.parametrize("name", MECHANISM_NAMES)
+    @pytest.mark.parametrize(
+        # the uniform grid has 1/(delta*step) cells
+        "eps, delta, step", [(1.0, 1e-3, 1e-2), (0.5, 1e-2, 1e-3), (2.0, 0.05, 0.05)]
+    )
+    def test_every_mechanism_grid_is_mirrored_and_fast(
+        self, name, eps, delta, step
+    ):
+        p = PrivacyParams(eps, delta)
+        d = discretize(make_mechanism(name, p, 1.0), 1.0, step=step)
+        assert np.array_equal(d.masses, d.masses[::-1])
+        assert dp_check(d, p).path == "fast"
+
+    def test_asymmetric_log_concave_grid_scans_both_directions(self):
+        # Half-Gaussians of different widths meet at their common mode, so
+        # the masses are log-concave but not mirrored; the reversed grid
+        # moves the worst shift to the other side.
+        x = np.linspace(-4.0, 4.0, 400)
+        p = np.exp(-0.5 * np.where(x < 0.0, x, 2.0 * x) ** 2)
+        p /= p.sum()
+        signs = set()
+        for masses in (p, p[::-1].copy()):
+            d = make_dist(masses, step=0.02, shift_cells=50)
+            assert d._fast_ok
+            for eps, delta in [(0.5, 1e-3), (1.0, 1e-4)]:
+                report = dp_check(d, PrivacyParams(eps, delta))
+                assert report.path == "direct"
+                c = math.exp(eps)
+                shifts = range(-d.shift_cells, d.shift_cells + 1)
+                brute = [brute_violation(masses, c, j) for j in shifts]
+                assert report.max_violation == pytest.approx(max(brute), rel=1e-12)
+                worst_j = round(report.worst_shift / d.step)
+                assert brute[worst_j + d.shift_cells] == pytest.approx(
+                    max(brute), rel=1e-12
+                )
+                signs.add(np.sign(worst_j))
+        assert signs == {-1, 1}
+
     def test_tolerance_scales_with_grid(self):
         p = PrivacyParams(1.0, 1e-5)
         mech = TruncatedLaplace.from_privacy(p, 1.0)
@@ -479,5 +519,5 @@ class TestFastPathCost:
         assert cells > 780_000
         assert accept.passed and not reject.passed
         assert accept.path == "fast" and accept.cells == cells
-        # masses and their two partial sums are 24 B/cell
-        assert peak / cells < 40.0
+        # masses and their suffix sums are 16 B/cell
+        assert peak / cells < 24.0
