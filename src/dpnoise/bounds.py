@@ -179,9 +179,10 @@ def bound_pair(
 
     The upper bound is the calibrated truncated Laplacian's cost.
 
-    The rigorous (whole-step) lower bound exceeding the upper bound can only
-    be an implementation bug, so that raises :class:`InvariantError` rather
-    than returning silently wrong numbers.
+    The rigorous (whole-step) lower bound falling outside ``[0, upper]``
+    (beyond float slack), or being NaN, can only be an implementation bug,
+    so that raises :class:`InvariantError` rather than returning silently
+    wrong numbers.
     """
     cost = CostKind.parse(cost)
     lb = lower_bound_params(params, sens)
@@ -190,10 +191,12 @@ def bound_pair(
     )
     lower_floor = lower_fn(lb, lb.steps_floor)
     upper = TruncatedLaplace.from_privacy(params, sens).cost(cost)
-    if lower_floor > upper * (1.0 + 1e-12):
+    # The slack below 0 admits the rounding of powers that are exactly 0.
+    if not (-1e-12 * upper <= lower_floor <= upper * (1.0 + 1e-12)):
         raise InvariantError(
-            f"lower bound {lower_floor!r} exceeds upper bound {upper!r} at "
-            f"epsilon={params.epsilon!r}, delta={params.delta!r}"
+            f"lower bound {lower_floor!r} is negative, NaN or exceeds upper "
+            f"bound {upper!r} at epsilon={params.epsilon!r}, "
+            f"delta={params.delta!r}"
         )
     return BoundPair(
         lower=lower_fn(lb),

@@ -209,7 +209,7 @@ def _direct_violation(masses: np.ndarray, c: float, j: int) -> float:
     K = masses.size
     jj = abs(j)
     if jj == 0:
-        return float(np.maximum(masses - c * masses, 0.0).sum()) if c < 1.0 else 0.0
+        return 0.0  # c = e^eps >= 1
     if jj >= K:
         return float(masses.sum())
     if j > 0:
@@ -228,7 +228,7 @@ def _fast_forward_violations(
     e: int,
     c: float,
     max_shift: int,
-) -> dict[str, np.ndarray]:
+) -> np.ndarray:
     """Exact violations for shifts +1..max_shift on a log-concave run.
 
     The optimal positive cell set decomposes as:
@@ -282,12 +282,7 @@ def _fast_forward_violations(
     d_left = masses[s] - c * left_target
     left_term = np.maximum(d_left, 0.0)
 
-    return {
-        "violation": viol_interior + dip_term + past + left_term,
-        "boundary": boundary,
-        "d_dip": np.where(dip_valid, d_dip, np.nan),
-        "d_left": d_left,
-    }
+    return viol_interior + dip_term + past + left_term
 
 
 def _exp_epsilon(epsilon: float) -> float:
@@ -317,8 +312,7 @@ class ViolationReport:
     """Outcome of a full privacy check of a discretized mechanism."""
 
     max_violation: float
-    worst_shift: float  # in noise units (worst_cells * step)
-    worst_set_cells: np.ndarray  # cell indices realising max_violation
+    worst_shift: float  # in noise units (the worst cell shift times step)
     passed: bool
     step: float
     tolerance: float
@@ -394,29 +388,6 @@ def _straddle_tolerance(masses: np.ndarray, c: float, j: int) -> float:
     return tol + 1e-12
 
 
-def _fast_worst_cells(
-    s: int, e: int, j: int, info: dict[str, np.ndarray]
-) -> np.ndarray:
-    """Reconstruct the positive cell set for the winning shift (fast path)."""
-    idx = j - 1
-    pieces = []
-    if info["d_left"][idx] > 0.0:
-        pieces.append(np.array([s], dtype=np.int64))
-    start = int(info["boundary"][idx])
-    dom_hi = max(e - j, s + 1)
-    if start < dom_hi:
-        pieces.append(np.arange(start, dom_hi, dtype=np.int64))
-    d_dip = info["d_dip"][idx]
-    if np.isfinite(d_dip) and d_dip > 0.0:
-        pieces.append(np.array([e - j], dtype=np.int64))
-    past_lo = min(max(e - j + 1, s + 1), e + 1)
-    if past_lo <= e:
-        pieces.append(np.arange(past_lo, e + 1, dtype=np.int64))
-    if not pieces:
-        return np.zeros(0, dtype=np.int64)
-    return np.unique(np.concatenate(pieces))
-
-
 def dp_check(dist: DiscretizedDist, params: PrivacyParams) -> ViolationReport:
     """Check a discretized mechanism against a privacy target.
 
@@ -435,41 +406,27 @@ def dp_check(dist: DiscretizedDist, params: PrivacyParams) -> ViolationReport:
     fast = dist._fast_ok and dist._mirrored
 
     if fast:
-        info = _fast_forward_violations(masses, dist._sums(), s, e, c, m)
-        worst_j = int(np.argmax(info["violation"])) + 1
-        worst = float(info["violation"][worst_j - 1])
+        violations = _fast_forward_violations(masses, dist._sums(), s, e, c, m)
+        worst_j = int(np.argmax(violations)) + 1
+        worst = float(violations[worst_j - 1])
         if worst <= 0.0:
             worst, worst_j = 0.0, 0
-            cells = np.zeros(0, dtype=np.int64)
-        else:
-            cells = _fast_worst_cells(s, e, worst_j, info)
     else:
         worst, worst_j = 0.0, 0
         for j in range(-m, m + 1):
             v = _direct_violation(masses, c, j)
             if v > worst:
                 worst, worst_j = v, j
-        if worst_j == 0:
-            cells = np.zeros(0, dtype=np.int64)
-        else:
-            jj = abs(worst_j)
-            if worst_j > 0:
-                diff = np.concatenate(
-                    [masses[: K - jj] - c * masses[jj:], masses[K - jj :]]
-                )
-            else:
-                diff = np.concatenate(
-                    [masses[:jj], masses[jj:] - c * masses[: K - jj]]
-                )
-            cells = np.flatnonzero(diff > 0.0)
 
-    tolerance = (
-        _straddle_tolerance(masses, c, worst_j) if worst_j != 0 else 1e-12
-    )
+    tolerance = _straddle_tolerance(masses, c, worst_j)
+    if not math.isfinite(tolerance):
+        raise DomainError(
+            f"epsilon = {params.epsilon!r} is too large to verify: the "
+            "tolerance overflows"
+        )
     return ViolationReport(
         max_violation=worst,
         worst_shift=worst_j * dist.step,
-        worst_set_cells=cells,
         passed=worst <= params.delta + tolerance,
         step=dist.step,
         tolerance=tolerance,

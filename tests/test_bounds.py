@@ -182,6 +182,12 @@ class TestBoundPair:
         with pytest.raises(InvariantError, match="exceeds upper bound"):
             bound_pair(p, 1.0, cost="amplitude")
 
+    def test_negative_whole_step_lower_raises(self):
+        # amplitude_lower_bound cancels here: lower_floor came out as -12.8
+        # against upper = 2.5
+        with pytest.raises(InvariantError, match="lower bound -"):
+            bound_pair(PrivacyParams(1e-17, 0.1), 1.0, cost="amplitude")
+
     def test_matches_mechanism_upper(self):
         p = PrivacyParams(0.7, 1e-6)
         amp = bound_pair(p, 1.0, cost="amplitude")

@@ -206,6 +206,18 @@ class TestBounds:
             "bounds: (1 - e^-epsilon)^2 leaves double range\n"
         )
 
+    def test_negative_whole_step_lower_bound_is_exit_4(self, capsys):
+        # amplitude_lower_bound cancels at this eps; this printed
+        # "lower": -1.19e+134 with exit 0
+        code, out, err = run(
+            capsys,
+            "bounds", "--eps", "1e-150", "--delta", "1e-5", "--n-mode", "floor",
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: internal check failed: lower bound -")
+        assert err.count("\n") == 1
+
     def test_unknown_cost(self, capsys):
         code, _, err = run(
             capsys,
@@ -272,11 +284,21 @@ class TestVerify:
         [
             (["--eps", "800", "--delta", "1e-5"], "800.0"),
             (["--eps", "1", "--delta", "1e-5", "--target-eps", "750"], "750.0"),
+            (
+                [
+                    "--mech", "gaussian-analytic", "--eps", "1",
+                    "--delta", "1e-5", "--target-delta", "1e-300",
+                    "--target-eps", "709",
+                ],
+                "709.0",
+            ),
         ],
     )
     def test_epsilon_beyond_double_range_is_exit_2(self, capsys, args, eps):
         # e^eps overflows a double above eps ~ 709.78; this was an
-        # OverflowError traceback with exit 1, the "check failed" code
+        # OverflowError traceback with exit 1, the "check failed" code.
+        # Just below that, 4(1 + e^eps) in the tolerance overflows, which
+        # printed "tolerance": Infinity (not JSON) with exit 0.
         code, out, err = run(capsys, "verify", *args)
         assert code == 2
         assert out == ""
@@ -290,6 +312,50 @@ class TestVerify:
         )
         assert code == 2
         assert "step" in err
+
+
+def strict_json(text):
+    """json.loads that refuses Infinity, -Infinity and NaN, which are not JSON."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("ignore::dpnoise.RangeWarning")
+@pytest.mark.parametrize("eps, delta", [("1", "1e-4"), ("0.5", "1e-5")])
+class TestStrictJson:
+    # query is left out: a mean whose noisy count is not positive is
+    # released as NaN by design
+
+    @pytest.mark.parametrize("mech", MECHANISM_NAMES)
+    def test_calibrate(self, capsys, eps, delta, mech):
+        code, out, _ = run(
+            capsys, "calibrate", "--mech", mech, "--eps", eps, "--delta", delta
+        )
+        assert code == 0
+        strict_json(out)
+
+    @pytest.mark.parametrize("cost", ["amplitude", "power"])
+    @pytest.mark.parametrize("n_mode", ["frac", "floor"])
+    def test_bounds(self, capsys, eps, delta, cost, n_mode):
+        code, out, _ = run(
+            capsys, "bounds", "--eps", eps, "--delta", delta,
+            "--cost", cost, "--n-mode", n_mode,
+        )
+        assert code == 0
+        strict_json(out)
+
+    @pytest.mark.parametrize("mech", MECHANISM_NAMES)
+    def test_verify(self, capsys, eps, delta, mech):
+        # the uniform grid has 1/(delta*step) cells
+        code, out, _ = run(
+            capsys, "verify", "--mech", mech, "--eps", eps, "--delta", delta,
+            "--grid-step", "0.1",
+        )
+        assert code in (0, 1)
+        strict_json(out)
 
 
 SWEEP_ARGS = [

@@ -94,6 +94,14 @@ def make_dist(masses, step=0.1, shift_cells=2):
     )
 
 
+def bimodal_dist():
+    """Two far-apart humps: not log-concave, so dp_check scans directly."""
+    x = np.linspace(-6, 6, 241)[:-1]
+    p = np.exp(-((x - 3.0) ** 2) / 0.5) + np.exp(-((x + 3.0) ** 2) / 0.5)
+    p /= p.sum()
+    return DiscretizedDist(origin=-6.0, step=0.05, masses=p, shift_cells=20)
+
+
 class TestDiscretizedDist:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -327,44 +335,46 @@ class TestDpCheck:
         )
 
     def test_slow_path_on_bimodal_masses(self):
-        x = np.linspace(-6, 6, 241)[:-1]
-        p = np.exp(-((x - 3.0) ** 2) / 0.5) + np.exp(-((x + 3.0) ** 2) / 0.5)
-        p /= p.sum()
-        d = DiscretizedDist(origin=-6.0, step=0.05, masses=p, shift_cells=20)
+        d = bimodal_dist()
         assert not d._fast_ok
         target = PrivacyParams(0.5, 1e-3)
         report = dp_check(d, target)
         c = math.exp(0.5)
-        direct = max(brute_violation(p, c, j) for j in range(-20, 21))
+        direct = max(brute_violation(d.masses, c, j) for j in range(-20, 21))
         assert report.max_violation == pytest.approx(direct, rel=1e-12)
         assert not report.passed  # two far-apart humps leak badly
 
-    def test_worst_cells_reproduce_the_violation(self):
-        for mech in (
-            TruncatedLaplace.from_privacy(PrivacyParams(1.0, 1e-4), 1.0),
-            Gaussian(2.0),
-        ):
-            d = discretize(mech, 1.0, step=0.05)
-            report = dp_check(d, PrivacyParams(1.0, 1e-4))
-            j = round(report.worst_shift / d.step)
-            assert j != 0
-            K = d.masses.size
-            shifted = np.zeros(K)
-            if j > 0:
-                shifted[: K - j] = d.masses[j:]
-            else:
-                shifted[-j:] = d.masses[: K + j]
-            diff = d.masses - math.exp(1.0) * shifted
-            cells = report.worst_set_cells
-            assert cells.size > 0
-            assert float(diff[cells].sum()) == pytest.approx(
-                report.max_violation, rel=1e-9
-            )
-            # no cell outside the set would add positive mass
-            mask = np.ones(K, dtype=bool)
-            mask[cells] = False
-            assert float(np.maximum(diff[mask], 0.0).sum()) <= max(
-                1e-12, 1e-9 * report.max_violation
+    @pytest.mark.parametrize(
+        "make, path",
+        [
+            (
+                lambda: discretize(
+                    TruncatedLaplace.from_privacy(PrivacyParams(1.0, 1e-4), 1.0),
+                    1.0,
+                    step=0.05,
+                ),
+                "fast",
+            ),
+            (lambda: discretize(Gaussian(2.0), 1.0, step=0.05), "fast"),
+            (bimodal_dist, "direct"),
+        ],
+        ids=["trunclap", "gaussian", "bimodal"],
+    )
+    def test_worst_shift_realises_the_violation(self, make, path):
+        d = make()
+        eps = 1.0
+        report = dp_check(d, PrivacyParams(eps, 1e-4))
+        assert report.path == path
+        c = math.exp(eps)
+        j = round(report.worst_shift / d.step)
+        assert j != 0
+        assert brute_violation(d.masses, c, j) == pytest.approx(
+            report.max_violation, rel=1e-9
+        )
+        for k in range(-d.shift_cells, d.shift_cells + 1):
+            assert (
+                brute_violation(d.masses, c, k)
+                <= report.max_violation + report.tolerance
             )
 
     @pytest.mark.filterwarnings("ignore::dpnoise.RangeWarning")
