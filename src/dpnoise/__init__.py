@@ -19,9 +19,7 @@ from .baselines import (
     BoundedUniform,
     Gaussian,
     Laplace,
-    RangeWarning,
     analytic_gaussian_sigma,
-    classic_gaussian_sigma,
     gaussian_privacy_profile,
     laplace_mechanism,
     uniform_limit_mechanism,
@@ -84,7 +82,6 @@ __all__ = [
     "NoiseMechanism",
     "PrivacyParams",
     "QuerySpec",
-    "RangeWarning",
     "Sensitivity",
     "SweepConfig",
     "SweepRow",
@@ -97,7 +94,6 @@ __all__ = [
     "as_sensitivity",
     "bound_pair",
     "calibrate",
-    "classic_gaussian_sigma",
     "discretize",
     "dp_check",
     "emit",

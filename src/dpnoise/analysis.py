@@ -1,12 +1,12 @@
 """Parameter sweeps and asymptotic-tightness curves.
 
 `run_sweep` tabulates, over an (epsilon, delta) grid, the universal lower
-bound on noise cost, the truncated-Laplace upper bound, and Gaussian
-baselines, so the gap between what is achievable and what is achieved can
-be plotted directly.  `tightness_curve` follows the three regimes in which
-the bound gap has a known limit and tabulates the ratio against its
-predicted limit.  `emit` renders row lists as CSV, JSON, or a standalone
-SVG heatmap.
+bound on noise cost, the truncated-Laplace upper bound, and the analytic
+Gaussian baseline, so the gap between what is achievable and what is
+achieved can be plotted directly.  `tightness_curve` follows the three
+regimes in which the bound gap has a known limit and tabulates the ratio
+against its predicted limit.  `emit` renders row lists as CSV, JSON, or a
+standalone SVG heatmap.
 """
 
 from __future__ import annotations
@@ -15,18 +15,12 @@ import dataclasses
 import json
 import logging
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .baselines import (
-    Gaussian,
-    RangeWarning,
-    _analytic_sigmas,
-    classic_gaussian_sigma,
-)
+from .baselines import Gaussian, _analytic_sigmas
 from .bounds import bound_pair
 from .core import (
     CostKind,
@@ -88,14 +82,13 @@ class SweepRow:
     q_lower: float
     q_upper: float
     tl_cost: float
-    gauss_classic: float
     gauss_analytic: float
     ratio_bounds: float
     ratio_tl_gauss: float
 
 
 def run_sweep(config: SweepConfig = SweepConfig()) -> list[SweepRow]:
-    """Tabulate bounds and Gaussian baselines over the configured grid.
+    """Tabulate bounds and the analytic Gaussian baseline over the grid.
 
     The upper bound is the calibrated truncated Laplacian's cost, so each
     row's ``q_upper`` and ``tl_cost`` are the same number, kept as two
@@ -122,13 +115,9 @@ def run_sweep(config: SweepConfig = SweepConfig()) -> list[SweepRow]:
         sigmas_analytic = _analytic_sigmas(
             [p.epsilon for p in grid], [p.delta for p in grid], sens
         ).tolist()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", RangeWarning)
-        sigmas_classic = [classic_gaussian_sigma(p, sens) for p in grid]
-    out_of_range = sum(issubclass(w.category, RangeWarning) for w in caught)
     rows: list[SweepRow] = []
-    for params, (q_lower, tl_cost), sigma_classic, sigma_analytic in zip(
-        grid, closed_forms, sigmas_classic, sigmas_analytic
+    for params, (q_lower, tl_cost), sigma_analytic in zip(
+        grid, closed_forms, sigmas_analytic
     ):
         gauss_analytic = Gaussian(sigma_analytic).cost(kind)
         rows.append(
@@ -138,19 +127,10 @@ def run_sweep(config: SweepConfig = SweepConfig()) -> list[SweepRow]:
                 q_lower=q_lower,
                 q_upper=tl_cost,
                 tl_cost=tl_cost,
-                gauss_classic=Gaussian(sigma_classic).cost(kind),
                 gauss_analytic=gauss_analytic,
                 ratio_bounds=q_lower / tl_cost,
                 ratio_tl_gauss=tl_cost / gauss_analytic,
             )
-        )
-    if out_of_range:
-        log.warning(
-            "classic Gaussian calibration used outside epsilon in (0, 1) "
-            "at %d of %d grid points; its sigma is not a privacy guarantee "
-            "there",
-            out_of_range,
-            len(rows),
         )
     return rows
 

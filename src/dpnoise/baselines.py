@@ -1,9 +1,8 @@
 """Reference mechanisms the truncated Laplacian is measured against.
 
 * :class:`Laplace` — the classical unbounded mechanism (pure epsilon privacy).
-* :class:`Gaussian` with two calibrations: the textbook
-  ``sigma = sens * sqrt(2 ln(1.25/delta)) / eps`` and the exact calibration
-  that inverts the true Gaussian privacy profile by bisection.
+* :class:`Gaussian` with the exact calibration of Balle and Wang (ICML
+  2018), which inverts the true Gaussian privacy profile by bisection.
 * :class:`BoundedUniform` — the epsilon -> 0 limiting shape (a flat density
   of height delta/sensitivity), useful as an analytic cross-check.
 
@@ -14,7 +13,6 @@ used, so importing this module (and the package) does not load scipy.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -33,20 +31,14 @@ from .core import (
 )
 
 __all__ = [
-    "RangeWarning",
     "Laplace",
     "Gaussian",
     "BoundedUniform",
     "laplace_mechanism",
-    "classic_gaussian_sigma",
     "analytic_gaussian_sigma",
     "gaussian_privacy_profile",
     "uniform_limit_mechanism",
 ]
-
-
-class RangeWarning(UserWarning):
-    """A formula was evaluated outside the range where its guarantee is proven."""
 
 
 # ---------------------------------------------------------------------------
@@ -161,24 +153,6 @@ class Gaussian(NoiseMechanism):
             self.sigma,
             "(sigma): epsilon is too small",
         )
-
-
-def classic_gaussian_sigma(params: PrivacyParams, sens: "Sensitivity | float") -> float:
-    """The textbook calibration sigma = sens * sqrt(2 ln(1.25/delta)) / eps.
-
-    Its privacy proof covers epsilon in (0, 1); outside that range the value
-    is still returned but a :class:`RangeWarning` is emitted, because the
-    closed form no longer carries a guarantee there.
-    """
-    sens = as_sensitivity(sens)
-    if not 0.0 < params.epsilon < 1.0:
-        warnings.warn(
-            "the closed-form Gaussian calibration is only proven for "
-            f"epsilon in (0, 1); got epsilon={params.epsilon}",
-            RangeWarning,
-            stacklevel=2,
-        )
-    return sens.value * math.sqrt(2.0 * math.log(1.25 / params.delta)) / params.epsilon
 
 
 def gaussian_privacy_profile(

@@ -179,10 +179,10 @@ def bound_pair(
 
     The upper bound is the calibrated truncated Laplacian's cost.
 
-    The rigorous (whole-step) lower bound falling outside ``[0, upper]``
-    (beyond float slack), or being NaN, can only be an implementation bug,
-    so that raises :class:`InvariantError` rather than returning silently
-    wrong numbers.
+    Either lower bound (whole-step or fractional-step) falling outside
+    ``[0, upper]`` (beyond float slack), or being NaN, can only be an
+    implementation bug, so that raises :class:`InvariantError` rather than
+    returning silently wrong numbers.
     """
     cost = CostKind.parse(cost)
     lb = lower_bound_params(params, sens)
@@ -190,16 +190,18 @@ def bound_pair(
         amplitude_lower_bound if cost is CostKind.AMPLITUDE else power_lower_bound
     )
     lower_floor = lower_fn(lb, lb.steps_floor)
+    lower = lower_fn(lb)
     upper = TruncatedLaplace.from_privacy(params, sens).cost(cost)
-    # The slack below 0 admits the rounding of powers that are exactly 0.
-    if not (-1e-12 * upper <= lower_floor <= upper * (1.0 + 1e-12)):
-        raise InvariantError(
-            f"lower bound {lower_floor!r} is negative, NaN or exceeds upper "
-            f"bound {upper!r} at epsilon={params.epsilon!r}, "
-            f"delta={params.delta!r}"
-        )
+    for value in (lower_floor, lower):
+        # The slack below 0 admits the rounding of powers that are exactly 0.
+        if not (-1e-12 * upper <= value <= upper * (1.0 + 1e-12)):
+            raise InvariantError(
+                f"lower bound {value!r} is negative, NaN or exceeds upper "
+                f"bound {upper!r} at epsilon={params.epsilon!r}, "
+                f"delta={params.delta!r}"
+            )
     return BoundPair(
-        lower=lower_fn(lb),
+        lower=lower,
         lower_floor=lower_floor,
         upper=upper,
         cost=cost,

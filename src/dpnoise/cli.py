@@ -4,7 +4,7 @@ Exit codes: 0 success (and privacy check passed), 1 privacy-check failure,
 2 invalid flags/config/input, 3 budget cap would be exceeded, 4 an internal
 consistency check failed (a bug, not a privacy verdict).  Stdout
 carries data only (JSON, CSV, SVG, or samples); diagnostics go to stderr as
-one ``error: ...`` or ``warning: ...`` line each.
+one ``error: ...`` line each.
 
 Every flag can also come from a flat ``key = value`` config file passed as
 ``--config`` (keys mirror the flag names without the leading dashes);
@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -359,17 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _show_warning(message, category, filename, lineno, file=None, line=None):
-    # One diagnostic line, like the error: lines, not Python's file:line form.
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with warnings.catch_warnings():  # restores the caller's state
-            warnings.showwarning = _show_warning
-            return args.func(args)
+        return args.func(args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -40,7 +40,6 @@ import numpy as np
 from .baselines import (
     Gaussian,
     analytic_gaussian_sigma,
-    classic_gaussian_sigma,
     laplace_mechanism,
     uniform_limit_mechanism,
 )
@@ -90,9 +89,6 @@ class AggregateKind(Enum):
 _FACTORIES = {
     "trunclap": TruncatedLaplace.from_privacy,
     "laplace": lambda params, sens: laplace_mechanism(params.epsilon, sens),
-    "gaussian-classic": lambda params, sens: Gaussian(
-        classic_gaussian_sigma(params, sens)
-    ),
     "gaussian-analytic": lambda params, sens: Gaussian(
         analytic_gaussian_sigma(params, sens)
     ),

@@ -80,9 +80,12 @@ class TestRunSweep:
         assert all(r.ratio_tl_gauss < 1.0 for r in run_sweep(SMALL))
 
     def test_analytic_gaussian_beats_classic_in_proof_range(self):
+        # The textbook sigma = sens * sqrt(2 ln(1.25/delta)) / eps is proven
+        # for eps in (0, 1) only.
         for row in run_sweep(SMALL):
             if row.epsilon < 1.0:
-                assert row.gauss_analytic <= row.gauss_classic
+                textbook = math.sqrt(2.0 * math.log(1.25 / row.delta)) / row.epsilon
+                assert row.gauss_analytic <= Gaussian(textbook).cost(SMALL.cost)
 
     def test_floor_steps_variant_is_weaker(self):
         frac = run_sweep(SMALL)
@@ -97,17 +100,17 @@ class TestRunSweep:
         rows = run_sweep(SweepConfig(**{**SMALL.__dict__, "cost": CostKind.POWER}))
         for row in rows:
             # power costs are sigma^2 for the Gaussian entries
-            assert row.gauss_classic > 0.0
+            assert row.gauss_analytic > 0.0
             assert row.q_lower <= row.q_upper
 
-    def test_out_of_range_epsilon_logged_not_warned(self, caplog):
+    def test_logs_nothing_and_warns_nothing(self, caplog):
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with caplog.at_level(logging.WARNING, logger="dpnoise.analysis"):
+            with caplog.at_level(logging.DEBUG, logger="dpnoise"):
                 run_sweep(SMALL)  # grid reaches eps=2 > 1
-        assert any("classic Gaussian" in r.message for r in caplog.records)
+        assert caplog.records == []
 
     def test_failed_calibration_outranks_a_later_closed_form_error(self):
         # At eps = 1e-140 every Gaussian calibration fails and the closed
@@ -126,16 +129,13 @@ class TestRunSweep:
         config = SweepConfig(
             eps_points=15, delta_points=15, sensitivity=sens, cost=cost
         )
-        with caplog.at_level(logging.WARNING, logger="dpnoise.analysis"):
+        with caplog.at_level(logging.DEBUG, logger="dpnoise"):
             rows = run_sweep(config)
         for row in rows:
             sigma = analytic_gaussian_sigma(PrivacyParams(row.epsilon, row.delta), sens)
             assert row.gauss_analytic == Gaussian(sigma).cost(cost)
-        # 3 of the 15 epsilons are >= 1, so 45 classic calibrations warn
-        assert [r.getMessage() for r in caplog.records] == [
-            "classic Gaussian calibration used outside epsilon in (0, 1) at "
-            "45 of 225 grid points; its sigma is not a privacy guarantee there"
-        ]
+        # 3 of the 15 epsilons are >= 1, where nothing is logged either
+        assert caplog.records == []
 
 
 class TestTightnessCurve:
@@ -203,7 +203,6 @@ class TestEmit:
             "q_lower",
             "q_upper",
             "tl_cost",
-            "gauss_classic",
             "gauss_analytic",
             "ratio_bounds",
             "ratio_tl_gauss",
@@ -226,7 +225,6 @@ class TestEmit:
             "q_lower",
             "q_upper",
             "tl_cost",
-            "gauss_classic",
             "gauss_analytic",
             "ratio_bounds",
             "ratio_tl_gauss",

@@ -10,9 +10,7 @@ from dpnoise.baselines import (
     BoundedUniform,
     Gaussian,
     Laplace,
-    RangeWarning,
     analytic_gaussian_sigma,
-    classic_gaussian_sigma,
     gaussian_privacy_profile,
     laplace_mechanism,
     uniform_limit_mechanism,
@@ -175,6 +173,8 @@ class TestGaussian:
             2.0 * math.sqrt(2.0 / math.pi), rel=1e-15
         )
         assert g.expected_power == 4.0
+        with pytest.raises(DomainError, match="expected power .*too small$"):
+            Gaussian(1e200).expected_power  # sigma * sigma overflowed
 
     def test_quantile_round_trip(self):
         g = Gaussian(1.3)
@@ -205,29 +205,6 @@ class TestGaussian:
     def test_interval_mass_total(self):
         g = Gaussian(2.5)
         assert g.interval_mass(-1e3, 1e3) == pytest.approx(1.0, rel=1e-15)
-
-
-class TestClassicGaussianSigma:
-    def test_frozen_reference(self):
-        with pytest.warns(RangeWarning):
-            sigma = classic_gaussian_sigma(PrivacyParams(1.0, 1e-5), 1.0)
-        assert sigma == pytest.approx(4.844805262605389, rel=1e-14)
-
-    def test_formula(self):
-        p = PrivacyParams(0.5, 1e-4)
-        expected = math.sqrt(2.0 * math.log(1.25 / 1e-4)) / 0.5
-        assert classic_gaussian_sigma(p, 1.0) == pytest.approx(expected, rel=1e-15)
-
-    def test_warns_only_outside_unit_interval(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # any warning -> failure
-            classic_gaussian_sigma(PrivacyParams(0.5, 1e-5), 1.0)
-        with pytest.warns(RangeWarning):
-            classic_gaussian_sigma(PrivacyParams(1.0, 1e-5), 1.0)
-        with pytest.warns(RangeWarning):
-            classic_gaussian_sigma(PrivacyParams(3.0, 1e-5), 1.0)
 
 
 class TestGaussianPrivacyProfile:
@@ -273,9 +250,12 @@ class TestAnalyticGaussianSigma:
             assert gaussian_privacy_profile(0.999 * sigma, p, 1.0) > delta
 
     def test_never_worse_than_classic_in_proof_range(self):
+        # The textbook sigma = sens * sqrt(2 ln(1.25/delta)) / eps is proven
+        # for eps in (0, 1) only; the exact calibration never exceeds it there.
         for eps in (0.1, 0.3, 0.7, 0.95):
             p = PrivacyParams(eps, 1e-6)
-            assert analytic_gaussian_sigma(p, 1.0) <= classic_gaussian_sigma(p, 1.0)
+            textbook = math.sqrt(2.0 * math.log(1.25 / p.delta)) / eps
+            assert analytic_gaussian_sigma(p, 1.0) <= textbook
 
     def test_sensitivity_scaling(self):
         p = PrivacyParams(0.8, 1e-5)

@@ -2,16 +2,14 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
 
 import dpnoise
 from dpnoise import cli
-from dpnoise.baselines import RangeWarning, classic_gaussian_sigma
 from dpnoise.cli import main
-from dpnoise.core import InvariantError, PrivacyParams
+from dpnoise.core import InvariantError
 from dpnoise.query import MECHANISM_NAMES
 
 
@@ -45,7 +43,6 @@ class TestCalibrate:
     def test_each_mechanism_has_parameters(self, capsys):
         for mech, key in [
             ("laplace", "scale"),
-            ("gaussian-classic", "sigma"),
             ("gaussian-analytic", "sigma"),
             ("uniform", "half_width"),
         ]:
@@ -77,8 +74,6 @@ class TestCalibrate:
         assert err.endswith("epsilon is too small\n")
         assert err.count("\n") == 1
 
-    # gaussian-classic at eps = 1 is outside its proven range, and says so
-    @pytest.mark.filterwarnings("ignore::dpnoise.RangeWarning")
     @pytest.mark.parametrize("mech", MECHANISM_NAMES)
     @pytest.mark.parametrize(
         "eps, delta", [("1", "1e-300"), ("1e-200", "1e-5")]
@@ -86,8 +81,7 @@ class TestCalibrate:
     def test_costs_out_of_range_are_exit_2_or_valid_json(
         self, capsys, mech, eps, delta
     ):
-        # uniform at (1, 1e-300) was an OverflowError traceback, and
-        # gaussian-classic at (1e-200, 1e-5) printed Infinity, not JSON
+        # uniform at (1, 1e-300) was an OverflowError traceback
         def reject(name):
             raise ValueError(f"{name} is not JSON")
 
@@ -218,6 +212,18 @@ class TestBounds:
         assert err.startswith("error: internal check failed: lower bound -")
         assert err.count("\n") == 1
 
+    def test_negative_fractional_lower_bound_is_exit_4(self, capsys):
+        # power_lower_bound cancels at this eps; this printed
+        # "lower": -4.5e+23 against "upper": 0.347 with exit 0
+        code, out, err = run(
+            capsys,
+            "bounds", "--eps", "1e-20", "--delta", "0.49", "--cost", "power",
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: internal check failed: lower bound -4.5")
+        assert err.count("\n") == 1
+
     def test_unknown_cost(self, capsys):
         code, _, err = run(
             capsys,
@@ -323,7 +329,6 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-@pytest.mark.filterwarnings("ignore::dpnoise.RangeWarning")
 @pytest.mark.parametrize("eps, delta", [("1", "1e-4"), ("0.5", "1e-5")])
 class TestStrictJson:
     # query is left out: a mean whose noisy count is not positive is
@@ -371,8 +376,8 @@ class TestSweep:
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == (
-            "epsilon,delta,q_lower,q_upper,tl_cost,gauss_classic,"
-            "gauss_analytic,ratio_bounds,ratio_tl_gauss"
+            "epsilon,delta,q_lower,q_upper,tl_cost,gauss_analytic,"
+            "ratio_bounds,ratio_tl_gauss"
         )
         assert len(lines) == 5  # header + 2x2 grid
 
@@ -546,42 +551,27 @@ class TestConfigFile:
         assert "config" in err
 
 
-class TestWarnings:
-    # gaussian-classic at eps = 1 is outside its proven range
-    ARGS = ["--mech", "gaussian-classic", "--eps", "1", "--delta", "1e-5"]
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["calibrate", *ARGS],
-            ["sample", *ARGS, "--n", "3", "--seed", "median"],
-            ["verify", *ARGS, "--grid-step", "0.01"],
-        ],
-        ids=["calibrate", "sample", "verify"],
-    )
-    def test_range_warning_is_one_line(self, capsys, argv):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            classic_gaussian_sigma(PrivacyParams(1.0, 1e-5), 1.0)
-        (expected,) = caught
-        # In process: the output, and the caller's warning state after main.
-        showwarning = warnings.showwarning
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RangeWarning)
-            code, out, _ = run(capsys, *argv)
-        assert warnings.showwarning is showwarning
-        # A fresh interpreter shows the warning once, as one stderr line.
-        src = str(Path(dpnoise.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])
-        )}
-        proc = subprocess.run(
-            [sys.executable, "-m", "dpnoise.cli", *argv], capture_output=True,
-            text=True, env=env, timeout=120,
-        )
-        assert proc.stderr == f"warning: {expected.message}\n"
-        assert proc.stdout == out
-        assert proc.returncode == code == 0
+class TestTextbookGaussianIsGone:
+    # The textbook sigma = sqrt(2 ln(1.25/delta))/eps is a guarantee only for
+    # eps < 1; at eps = 20 it released a value whose real delta was 153
+    # times the delta the ledger charged.
+    @pytest.mark.parametrize("command", ["calibrate", "sample", "verify", "query"])
+    def test_mechanism_name_is_refused(
+        self, capsys, spend_csv, ledger_path, command
+    ):
+        argv = [command, "--mech", "gaussian-classic", "--eps", "20",
+                "--delta", "1e-5"]
+        if command in ("sample", "query"):
+            argv += ["--seed", "median"]
+        if command == "query":
+            argv += ["--input", str(spend_csv), "--column", "spend",
+                     "--ledger", str(ledger_path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --mech must be one of ")
+        assert err.count("\n") == 1
+        assert not ledger_path.exists()
 
 
 class TestImports:

@@ -377,7 +377,6 @@ class TestDpCheck:
                 <= report.max_violation + report.tolerance
             )
 
-    @pytest.mark.filterwarnings("ignore::dpnoise.RangeWarning")
     @pytest.mark.parametrize("name", MECHANISM_NAMES)
     @pytest.mark.parametrize(
         # the uniform grid has 1/(delta*step) cells
