@@ -257,6 +257,29 @@ class TestAnalyticGaussianSigma:
             textbook = math.sqrt(2.0 * math.log(1.25 / p.delta)) / eps
             assert analytic_gaussian_sigma(p, 1.0) <= textbook
 
+    @pytest.mark.parametrize(
+        "eps, textbook_excess", [(10.0, 2.265374), (20.0, 152.6695), (50.0, 58618.4)]
+    )
+    def test_textbook_under_noises_above_proof_range(self, eps, textbook_excess):
+        # Above eps = 1 the textbook sigma = sens * sqrt(2 ln(1.25/delta)) / eps
+        # falls below the exact one, and its real delta exceeds the target.
+        p = PrivacyParams(eps, 1e-5)
+        textbook = math.sqrt(2.0 * math.log(1.25 / p.delta)) / eps
+        sigma = analytic_gaussian_sigma(p, 1.0)
+        assert textbook < sigma
+        assert gaussian_privacy_profile(sigma, p, 1.0) <= p.delta
+        assert gaussian_privacy_profile(textbook, p, 1.0) / p.delta == (
+            pytest.approx(textbook_excess, rel=1e-5)
+        )
+
+    @pytest.mark.parametrize("name", ["classic_gaussian_sigma", "RangeWarning"])
+    def test_textbook_names_are_gone(self, name):
+        import dpnoise
+
+        assert not hasattr(baselines, name)
+        assert not hasattr(dpnoise, name)
+        assert name not in dpnoise.__all__
+
     def test_sensitivity_scaling(self):
         p = PrivacyParams(0.8, 1e-5)
         one = analytic_gaussian_sigma(p, 1.0)

@@ -188,6 +188,12 @@ class TestBoundPair:
         with pytest.raises(InvariantError, match="lower bound -"):
             bound_pair(PrivacyParams(1e-17, 0.1), 1.0, cost="amplitude")
 
+    def test_negative_fractional_lower_raises(self):
+        # power_lower_bound cancels here: lower came out as -4.5e+23 against
+        # upper = 0.347, while lower_floor stayed in range
+        with pytest.raises(InvariantError, match=r"lower bound -4\.5\d*e\+23 "):
+            bound_pair(PrivacyParams(1e-20, 0.49), 1.0, cost="power")
+
     def test_matches_mechanism_upper(self):
         p = PrivacyParams(0.7, 1e-6)
         amp = bound_pair(p, 1.0, cost="amplitude")

@@ -224,6 +224,21 @@ class TestBounds:
         assert err.startswith("error: internal check failed: lower bound -4.5")
         assert err.count("\n") == 1
 
+    def test_negative_fractional_lower_bound_is_refused_in_floor_mode(
+        self, capsys
+    ):
+        # floor mode reports the whole-step bound, which is sound here; the
+        # fractional one beside it is still checked
+        code, out, err = run(
+            capsys,
+            "bounds", "--eps", "1e-20", "--delta", "0.49", "--cost", "power",
+            "--n-mode", "floor",
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: internal check failed: lower bound -4.5")
+        assert err.count("\n") == 1
+
     def test_unknown_cost(self, capsys):
         code, _, err = run(
             capsys,
@@ -572,6 +587,26 @@ class TestTextbookGaussianIsGone:
         assert err.startswith("error: --mech must be one of ")
         assert err.count("\n") == 1
         assert not ledger_path.exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "sample", "verify", "query"])
+    def test_exact_gaussian_at_large_eps_is_silent(
+        self, capsys, spend_csv, ledger_path, command
+    ):
+        # where the textbook sigma printed a range warning, the exact
+        # calibration holds and has nothing to say
+        argv = [command, "--mech", "gaussian-analytic", "--eps", "20",
+                "--delta", "1e-5"]
+        if command in ("sample", "query"):
+            argv += ["--seed", "median"]
+        if command == "query":
+            argv += ["--input", str(spend_csv), "--column", "spend",
+                     "--ledger", str(ledger_path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert err == ""
+        json.loads(out)
+        if command == "query":
+            assert len(ledger_path.read_text().splitlines()) == 1
 
 
 class TestImports:
