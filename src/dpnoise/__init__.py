@@ -21,8 +21,6 @@ from .baselines import (
     Laplace,
     analytic_gaussian_sigma,
     gaussian_privacy_profile,
-    laplace_mechanism,
-    uniform_limit_mechanism,
 )
 from .bounds import (
     BoundPair,
@@ -52,7 +50,7 @@ from .query import (
     make_rng,
     run_query,
 )
-from .trunclap import TruncatedLaplace, TruncLapParams, calibrate
+from .trunclap import TruncatedLaplace
 from .verifier import (
     DiscretizedDist,
     ViolationReport,
@@ -86,19 +84,16 @@ __all__ = [
     "SweepConfig",
     "SweepRow",
     "TightnessRow",
-    "TruncLapParams",
     "TruncatedLaplace",
     "ViolationReport",
     "amplitude_lower_bound",
     "analytic_gaussian_sigma",
     "as_sensitivity",
     "bound_pair",
-    "calibrate",
     "discretize",
     "dp_check",
     "emit",
     "gaussian_privacy_profile",
-    "laplace_mechanism",
     "lower_bound_params",
     "make_mechanism",
     "make_rng",
@@ -107,6 +102,5 @@ __all__ = [
     "run_query",
     "run_sweep",
     "tightness_curve",
-    "uniform_limit_mechanism",
     "__version__",
 ]

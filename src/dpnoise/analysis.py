@@ -27,6 +27,7 @@ from .core import (
     DomainError,
     PrivacyParams,
     Sensitivity,
+    _require_finite_positive,
     as_sensitivity,
 )
 
@@ -59,9 +60,8 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         for name in ("eps_min", "eps_max", "delta_min", "delta_max"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise DomainError(f"{name} must be finite and > 0, got {v!r}")
+            value = _require_finite_positive(getattr(self, name), name)
+            object.__setattr__(self, name, value)
         if self.eps_min > self.eps_max or self.delta_min > self.delta_max:
             raise DomainError("grid bounds must satisfy min <= max")
         if self.eps_points < 1 or self.delta_points < 1:

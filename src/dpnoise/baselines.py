@@ -26,6 +26,7 @@ from .core import (
     _cost_in_range,
     _exponential_grid_masses,
     _exponential_moment,
+    _require_finite_positive,
     _scalar_or_array,
     as_sensitivity,
 )
@@ -34,10 +35,8 @@ __all__ = [
     "Laplace",
     "Gaussian",
     "BoundedUniform",
-    "laplace_mechanism",
     "analytic_gaussian_sigma",
     "gaussian_privacy_profile",
-    "uniform_limit_mechanism",
 ]
 
 
@@ -49,9 +48,14 @@ class Laplace(NoiseMechanism):
     """Two-sided exponential noise with unbounded support."""
 
     def __init__(self, scale: float):
-        if not math.isfinite(scale) or scale <= 0.0:
-            raise DomainError(f"scale must be finite and > 0, got {scale!r}")
-        self.scale = float(scale)
+        self.scale = _require_finite_positive(scale, "scale")
+
+    @classmethod
+    def from_privacy(
+        cls, params: PrivacyParams, sens: "Sensitivity | float"
+    ) -> "Laplace":
+        """Scale sensitivity / epsilon: pure epsilon-privacy, delta unused."""
+        return cls(as_sensitivity(sens).value / params.epsilon)
 
     @property
     def parameters(self) -> dict[str, float]:
@@ -90,13 +94,6 @@ class Laplace(NoiseMechanism):
         return _exponential_moment(self.scale, 2)
 
 
-def laplace_mechanism(epsilon: float, sens: "Sensitivity | float") -> Laplace:
-    """Laplace noise scaled for pure epsilon-privacy (no delta needed)."""
-    if not math.isfinite(epsilon) or epsilon <= 0.0:
-        raise DomainError(f"epsilon must be finite and > 0, got {epsilon!r}")
-    return Laplace(as_sensitivity(sens).value / epsilon)
-
-
 # ---------------------------------------------------------------------------
 # Gaussian
 
@@ -107,9 +104,14 @@ class Gaussian(NoiseMechanism):
     """Zero-mean Gaussian noise."""
 
     def __init__(self, sigma: float):
-        if not math.isfinite(sigma) or sigma <= 0.0:
-            raise DomainError(f"sigma must be finite and > 0, got {sigma!r}")
-        self.sigma = float(sigma)
+        self.sigma = _require_finite_positive(sigma, "sigma")
+
+    @classmethod
+    def from_privacy(
+        cls, params: PrivacyParams, sens: "Sensitivity | float"
+    ) -> "Gaussian":
+        """The exact sigma, :func:`analytic_gaussian_sigma`."""
+        return cls(analytic_gaussian_sigma(params, sens))
 
     @property
     def parameters(self) -> dict[str, float]:
@@ -147,12 +149,7 @@ class Gaussian(NoiseMechanism):
 
     @property
     def expected_power(self) -> float:
-        return _cost_in_range(
-            lambda: self.sigma * self.sigma,
-            2,
-            self.sigma,
-            "(sigma): epsilon is too small",
-        )
+        return _cost_in_range(self.sigma * self.sigma, 2, self.sigma)
 
 
 def gaussian_privacy_profile(
@@ -167,8 +164,7 @@ def gaussian_privacy_profile(
     Evaluated in log space so the e^eps factor cannot overflow and the
     difference keeps relative accuracy deep into the tails.
     """
-    if not math.isfinite(sigma) or sigma <= 0.0:
-        raise DomainError(f"sigma must be finite and > 0, got {sigma!r}")
+    sigma = _require_finite_positive(sigma, "sigma")
     sens_value = as_sensitivity(sens).value
     with np.errstate(all="ignore"):
         return float(_profile(np.float64(sigma), params.epsilon, sens_value)[0])
@@ -302,11 +298,15 @@ class BoundedUniform(NoiseMechanism):
     """
 
     def __init__(self, half_width: float):
-        if not math.isfinite(half_width) or half_width <= 0.0:
-            raise DomainError(
-                f"half_width must be finite and > 0, got {half_width!r}"
-            )
-        self.half_width = float(half_width)
+        self.half_width = _require_finite_positive(half_width, "half_width")
+
+    @classmethod
+    def from_privacy(
+        cls, params: PrivacyParams, sens: "Sensitivity | float"
+    ) -> "BoundedUniform":
+        """Half-width sensitivity / (2 delta), the epsilon -> 0 limit;
+        epsilon unused."""
+        return cls(as_sensitivity(sens).value / (2.0 * params.delta))
 
     @property
     def parameters(self) -> dict[str, float]:
@@ -339,16 +339,5 @@ class BoundedUniform(NoiseMechanism):
 
     @property
     def expected_power(self) -> float:
-        return _cost_in_range(
-            lambda: self.half_width**2 / 3.0,
-            2,
-            self.half_width,
-            "(sensitivity / (2 delta)): delta is too small",
-        )
-
-
-def uniform_limit_mechanism(delta: float, sens: "Sensitivity | float") -> BoundedUniform:
-    """The epsilon -> 0 limit mechanism: uniform with half-width sens/(2 delta)."""
-    if not math.isfinite(delta) or not 0.0 < delta < 0.5:
-        raise DomainError(f"delta must lie strictly inside (0, 0.5), got {delta!r}")
-    return BoundedUniform(as_sensitivity(sens).value / (2.0 * delta))
+        w = self.half_width
+        return _cost_in_range(w * w / 3.0, 2, w)

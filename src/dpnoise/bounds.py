@@ -39,6 +39,7 @@ from .core import (
     InvariantError,
     PrivacyParams,
     Sensitivity,
+    _cost_in_range,
     as_sensitivity,
 )
 from .trunclap import TruncatedLaplace
@@ -148,7 +149,10 @@ def power_lower_bound(lb: LowerBoundParams, steps: "float | None" = None) -> flo
             - (qn - w2) / w
             - last
         )
-    return 2.0 * lb.mass_coeff * lb.sensitivity**2 * bracket / w
+    # sensitivity^2 leaving the normal range is a DomainError, as the upper
+    # bound's scale^2 is, not an OverflowError or a bound without digits
+    sens_sq = _cost_in_range(lb.sensitivity * lb.sensitivity, 2, lb.sensitivity)
+    return 2.0 * lb.mass_coeff * sens_sq * bracket / w
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from enum import Enum
 
 import numpy as np
 
@@ -107,6 +108,10 @@ class _Options:
             )
         return value
 
+    def member(self, name: str, kind: "type[Enum]", default: Enum):
+        """The member of ``kind`` whose value the option names."""
+        return kind(self.choice(name, [k.value for k in kind], default.value))
+
     def seed(self):
         value = self.raw("seed")
         if value is None:
@@ -170,7 +175,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     opt = _Options(args)
     params = _params(opt)
     sens = as_sensitivity(opt.number("sens", default=1.0))
-    cost = opt.choice("cost", ("amplitude", "power"), default="amplitude")
+    cost = opt.member("cost", CostKind, CostKind.AMPLITUDE)
     n_mode = opt.choice("n-mode", ("frac", "floor"), default="frac")
     pair = bound_pair(params, sens, cost)
     lower = pair.lower if n_mode == "frac" else pair.lower_floor
@@ -197,7 +202,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     name = opt.choice("mech", MECHANISM_NAMES, default="trunclap")
     params = _params(opt)
     sens = as_sensitivity(opt.number("sens", default=1.0))
-    step = opt.number("grid-step", default=sens.value / 1000.0)
+    step = opt.number("grid-step")  # None: discretize's default
     target = PrivacyParams(
         opt.number("target-eps", default=params.epsilon),
         opt.number("target-delta", default=params.delta),
@@ -223,9 +228,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = SweepConfig(
         # only the flags given: SweepConfig holds the defaults
         **{name: value for name, value in grid.items() if value is not None},
-        cost=CostKind.parse(
-            opt.choice("cost", ("amplitude", "power"), default="amplitude")
-        ),
+        cost=opt.member("cost", CostKind, CostKind.AMPLITUDE),
         fractional_steps=opt.choice("n-mode", ("frac", "floor"), default="frac")
         == "frac",
     )
@@ -260,9 +263,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     spec = QuerySpec(
         input_path=input_path,
         column=column,
-        aggregate=AggregateKind.parse(
-            opt.choice("aggregate", ("count", "sum", "mean"), default="count")
-        ),
+        aggregate=opt.member("aggregate", AggregateKind, AggregateKind.COUNT),
         mechanism=opt.choice("mech", MECHANISM_NAMES, default="trunclap"),
         params=_params(opt),
         seed=seed,
@@ -303,7 +304,10 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
         "input": dict(help="input CSV path (header row required)"),
         "column": dict(help="target column name"),
         "aggregate": dict(help="count, sum, or mean"),
-        "clip-lo": dict(help="lower clip bound"),
+        "clip-lo": dict(
+            help="lower clip bound; write a negative one in exponent form "
+            "as --clip-lo=-1e3"
+        ),
         "clip-hi": dict(help="upper clip bound"),
         "ledger": dict(help="budget ledger path (JSON lines)"),
         "budget-eps": dict(help="cap on total epsilon spend"),

@@ -1,9 +1,9 @@
 """Shared domain types and the abstract additive-noise-mechanism contract.
 
-Every calibration routine in this package works from a validated
-``(PrivacyParams, Sensitivity)`` pair.  Validation happens at construction
-time, so downstream code never has to re-check ranges: if you hold a
-``PrivacyParams`` it is a usable one.
+Every mechanism class calibrates itself, ``cls.from_privacy(params, sens)``,
+from a validated ``(PrivacyParams, Sensitivity)`` pair.  Validation happens
+at construction time, so downstream code never has to re-check ranges: if
+you hold a ``PrivacyParams`` it is a usable one.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class ConvergenceError(RuntimeError):
 def _require_finite_positive(value: float, name: str) -> float:
     value = float(value)
     if not math.isfinite(value) or value <= 0.0:
-        raise DomainError(f"{name} must be a finite positive number, got {value!r}")
+        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
     return value
 
 
@@ -60,12 +60,10 @@ class PrivacyParams:
     delta: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "epsilon", float(self.epsilon))
+        object.__setattr__(
+            self, "epsilon", _require_finite_positive(self.epsilon, "epsilon")
+        )
         object.__setattr__(self, "delta", float(self.delta))
-        if not math.isfinite(self.epsilon) or self.epsilon <= 0.0:
-            raise DomainError(
-                f"epsilon must be finite and > 0, got {self.epsilon!r}"
-            )
         if not math.isfinite(self.delta) or not 0.0 < self.delta < 0.5:
             raise DomainError(
                 f"delta must lie strictly inside (0, 0.5), got {self.delta!r}"
@@ -166,28 +164,22 @@ def _exponential_grid_masses(
     return masses
 
 
-def _cost_in_range(
-    compute, k: int, scale: float, cause: str, factor: float = 1.0
-) -> float:
-    """``compute()``, the E|X| (k = 1) or E[X^2] (k = 2) of a mechanism
-    whose noise scale is ``scale``, with ``factor`` the shrink factor it
+def _cost_in_range(value: float, k: int, scale: float, factor: float = 1.0) -> float:
+    """``value``, the E|X| (k = 1) or E[X^2] (k = 2) of a mechanism whose
+    noise scale is ``scale``, with ``factor`` the shrink factor it
     multiplies by (1 for none).
 
-    Raises DomainError, naming ``scale`` and ``cause``, where an
-    intermediate leaves the normal double range (a power of ``scale``
-    overflows or ``factor`` underflows), which a scale of sensitivity over
-    a tiny epsilon or delta reaches; the result would otherwise be an
-    arithmetic error, infinite, 0 or inaccurate.
+    Raises DomainError, naming ``scale``, where the value or ``factor``
+    leaves the normal double range (a power of ``scale`` overflows, or the
+    value or ``factor`` underflows), which a scale of sensitivity over a
+    tiny epsilon or delta, or an extreme sensitivity, reaches; the result
+    would otherwise be infinite, 0 or inaccurate.
     """
-    try:
-        value = compute()
-    except OverflowError:  # scale**k
-        value = math.inf
-    if factor >= _NORMAL_MIN and value < math.inf:
+    if factor >= _NORMAL_MIN and _NORMAL_MIN <= value < math.inf:
         return value
     cost = "amplitude" if k == 1 else "power"
     raise DomainError(
-        f"expected {cost} leaves double range at noise scale {scale!r} {cause}"
+        f"expected {cost} leaves double range at noise scale {scale!r}"
     )
 
 
@@ -196,13 +188,8 @@ def _exponential_moment(scale: float, k: int, factor: float = 1.0) -> float:
     two-sided exponential of this scale, times the shrink ``factor`` that
     truncating its support applies; range-checked by :func:`_cost_in_range`.
     """
-    return _cost_in_range(
-        lambda: k * scale**k * factor,
-        k,
-        scale,
-        "(sensitivity / epsilon): epsilon is too small",
-        factor,
-    )
+    power = scale if k == 1 else scale * scale
+    return _cost_in_range(k * power * factor, k, scale, factor)
 
 
 class NoiseMechanism(ABC):

@@ -37,12 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import (
-    Gaussian,
-    analytic_gaussian_sigma,
-    laplace_mechanism,
-    uniform_limit_mechanism,
-)
+from .baselines import BoundedUniform, Gaussian, Laplace
 from .core import (
     DomainError,
     NoiseMechanism,
@@ -87,12 +82,10 @@ class AggregateKind(Enum):
 
 
 _FACTORIES = {
-    "trunclap": TruncatedLaplace.from_privacy,
-    "laplace": lambda params, sens: laplace_mechanism(params.epsilon, sens),
-    "gaussian-analytic": lambda params, sens: Gaussian(
-        analytic_gaussian_sigma(params, sens)
-    ),
-    "uniform": lambda params, sens: uniform_limit_mechanism(params.delta, sens),
+    "trunclap": TruncatedLaplace,
+    "laplace": Laplace,
+    "gaussian-analytic": Gaussian,
+    "uniform": BoundedUniform,
 }
 MECHANISM_NAMES = tuple(_FACTORIES)
 # The query pipeline sticks to mechanisms whose privacy guarantee is the
@@ -110,7 +103,7 @@ def make_mechanism(
         raise DomainError(
             f"unknown mechanism {name!r}; expected one of {list(MECHANISM_NAMES)}"
         )
-    return _FACTORIES[name](params, sens)
+    return _FACTORIES[name].from_privacy(params, sens)
 
 
 class _MedianDraws:

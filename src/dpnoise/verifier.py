@@ -40,6 +40,7 @@ from .core import (
     NoiseMechanism,
     PrivacyParams,
     Sensitivity,
+    _require_finite_positive,
     as_sensitivity,
 )
 
@@ -89,8 +90,7 @@ class DiscretizedDist:
     _suffix: "np.ndarray | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.step) and self.step > 0.0):
-            raise DomainError(f"step must be finite and > 0, got {self.step!r}")
+        self.step = _require_finite_positive(self.step, "step")
         if int(self.shift_cells) < 1:
             raise DomainError("shift_cells must be a positive integer")
         self.shift_cells = int(self.shift_cells)
@@ -169,8 +169,7 @@ def discretize(
     sens_value = as_sensitivity(sens).value
     if step is None:
         step = sens_value / 1000.0
-    if not (math.isfinite(step) and step > 0.0):
-        raise DomainError(f"step must be finite and > 0, got {step!r}")
+    step = _require_finite_positive(step, "step")
     shift_cells = round(sens_value / step)
     if shift_cells < 10 or abs(shift_cells * step - sens_value) > 1e-9 * sens_value:
         raise DomainError(
@@ -185,8 +184,7 @@ def discretize(
             radius = float(
                 max(mech.quantile(1.0 - 5e-13), -mech.quantile(5e-13))
             )
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise DomainError(f"radius must be finite and > 0, got {radius!r}")
+    radius = _require_finite_positive(radius, "radius")
     half_cells = int(math.ceil(radius / step - 1e-12))
     if 2 * half_cells > _MAX_CELLS:
         raise DomainError(

@@ -50,7 +50,7 @@ def test_01_closed_forms_match_quadrature():
             mech = TruncatedLaplace.from_privacy(
                 PrivacyParams(float(eps), float(delta)), 1.0
             )
-            radius = mech.params.radius
+            radius = mech.radius
             amp, _ = quad(
                 lambda x: x * mech.pdf(x), 0.0, radius, epsabs=0.0, epsrel=1e-11
             )
@@ -110,7 +110,7 @@ def test_03_structural_identities():
             mech = TruncatedLaplace.from_privacy(
                 PrivacyParams(float(eps), float(delta)), 1.0
             )
-            radius = mech.params.radius
+            radius = mech.radius
             tail = float(mech.interval_mass(radius - 1.0, radius))
             worst_tail = max(worst_tail, abs(tail - delta) / delta)
             xs = np.linspace(0.0, radius - 1.0, 7)
@@ -257,7 +257,7 @@ def test_09_sampler_distribution():
     mech = TruncatedLaplace.from_privacy(PrivacyParams(1.0, 1e-5), 1.0)
     n = 100_000
     x = mech.sample(np.random.default_rng(20260819), n)
-    radius = mech.params.radius
+    radius = mech.radius
     in_support = bool(np.all(np.abs(x) <= radius))
     xs = np.sort(x)
     u = np.asarray(mech.cdf(xs))

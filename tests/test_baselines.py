@@ -12,8 +12,6 @@ from dpnoise.baselines import (
     Laplace,
     analytic_gaussian_sigma,
     gaussian_privacy_profile,
-    laplace_mechanism,
-    uniform_limit_mechanism,
 )
 from dpnoise.core import ConvergenceError, DomainError, NoiseMechanism, PrivacyParams
 
@@ -104,7 +102,10 @@ class TestLaplace:
         assert lap.expected_amplitude == 3.0
         assert lap.expected_power == 18.0
         assert Laplace(1e150).expected_power == pytest.approx(2e300, rel=1e-15)
-        with pytest.raises(DomainError, match="expected power .*too small$"):
+        with pytest.raises(
+            DomainError,
+            match=r"^expected power leaves double range at noise scale 1e\+200$",
+        ):
             Laplace(1e200).expected_power  # scale**2 overflowed
 
     def test_interval_mass_bulk_matches_cdf_difference(self):
@@ -156,9 +157,11 @@ class TestLaplace:
             assert cls.grid_masses is NoiseMechanism.grid_masses
 
     def test_factory(self):
-        mech = laplace_mechanism(0.5, 2.0)
+        mech = Laplace.from_privacy(PrivacyParams(0.5, 1e-5), 2.0)
         assert isinstance(mech, Laplace)
         assert mech.scale == 4.0
+        # pure epsilon-privacy: delta plays no part
+        assert Laplace.from_privacy(PrivacyParams(0.5, 0.1), 2.0).scale == 4.0
 
 
 class TestGaussian:
@@ -173,7 +176,10 @@ class TestGaussian:
             2.0 * math.sqrt(2.0 / math.pi), rel=1e-15
         )
         assert g.expected_power == 4.0
-        with pytest.raises(DomainError, match="expected power .*too small$"):
+        with pytest.raises(
+            DomainError,
+            match=r"^expected power leaves double range at noise scale 1e\+200$",
+        ):
             Gaussian(1e200).expected_power  # sigma * sigma overflowed
 
     def test_quantile_round_trip(self):
@@ -313,20 +319,20 @@ class TestBoundedUniform:
         assert u.expected_power == 12.0
 
     def test_limit_factory(self):
-        mech = uniform_limit_mechanism(0.05, 1.0)
+        mech = BoundedUniform.from_privacy(PrivacyParams(1.0, 0.05), 1.0)
         assert isinstance(mech, BoundedUniform)
         assert mech.half_width == 10.0
         # density over the support is delta / sens
         assert mech.pdf(0.0) == pytest.approx(0.05, rel=1e-15)
 
     def test_limit_factory_rejects_out_of_range_delta(self):
-        with pytest.raises(DomainError):
-            uniform_limit_mechanism(0.0, 1.0)
-        with pytest.raises(DomainError):
-            uniform_limit_mechanism(0.5, 1.0)
+        # PrivacyParams refuses the delta before from_privacy sees it
+        for delta in (0.0, 0.5):
+            with pytest.raises(DomainError, match="delta must lie"):
+                BoundedUniform.from_privacy(PrivacyParams(1.0, delta), 1.0)
 
     def test_limit_sampling_support(self):
-        mech = uniform_limit_mechanism(0.1, 1.0)
+        mech = BoundedUniform.from_privacy(PrivacyParams(1.0, 0.1), 1.0)
         x = mech.sample(np.random.default_rng(0), 5000)
         assert np.all(np.abs(x) <= mech.half_width)
         assert np.std(x) == pytest.approx(

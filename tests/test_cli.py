@@ -71,7 +71,7 @@ class TestCalibrate:
         assert code == 2
         assert out == ""
         assert err.startswith("error: expected ")
-        assert err.endswith("epsilon is too small\n")
+        assert err.endswith(" leaves double range at noise scale 1e+200\n")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("mech", MECHANISM_NAMES)
@@ -95,6 +95,23 @@ class TestCalibrate:
         else:
             assert code == 0
             json.loads(out, parse_constant=reject)
+
+    @pytest.mark.parametrize(
+        "mech, sens",
+        [("trunclap", "1e-170"), ("laplace", "1e-200"),
+         ("gaussian-analytic", "1e-200")],
+    )
+    def test_underflowing_power_is_exit_2(self, capsys, mech, sens):
+        # printed "expected_power": 0.0 with exit 0
+        code, out, err = run(
+            capsys,
+            "calibrate", "--eps", "1", "--delta", "1e-5", "--sens", sens,
+            "--mech", mech,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: expected power leaves double range")
+        assert err.count("\n") == 1
 
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "calibrate", "--eps", "1.0")
@@ -199,6 +216,29 @@ class TestBounds:
             "error: epsilon=1e-200 is too small for the closed-form lower "
             "bounds: (1 - e^-epsilon)^2 leaves double range\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # sensitivity^2 overflowed: an OverflowError traceback, exit 1
+            ["bounds", "--sens", "1.4e154"],
+            ["sweep", "--sens", "1e200"],
+            # the costs underflowed to 0 and lower/upper divided 0 by 0
+            ["bounds", "--sens", "1e-170"],
+            ["sweep", "--sens", "1e-300", "--eps-points", "1",
+             "--delta-points", "1"],
+            # bound_pair returned subnormals with their digits lost
+            ["bounds", "--sens", "1e-155"],
+        ],
+    )
+    def test_power_out_of_double_range_is_exit_2(self, capsys, argv):
+        if argv[0] == "bounds":
+            argv += ["--eps", "1", "--delta", "1e-5"]
+        code, out, err = run(capsys, *argv, "--cost", "power")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: expected power leaves double range")
+        assert err.count("\n") == 1
 
     def test_negative_whole_step_lower_bound_is_exit_4(self, capsys):
         # amplitude_lower_bound cancels at this eps; this printed

@@ -1,6 +1,8 @@
 import importlib
 import pkgutil
 
+import pytest
+
 import dpnoise
 from dpnoise.core import NoiseMechanism
 
@@ -39,3 +41,15 @@ def test_interval_mass_and_cdf_are_defined_once():
     for cls in shipped:
         assert cls.interval_mass is NoiseMechanism.interval_mass, cls.__name__
         assert cls.cdf is NoiseMechanism.cdf, cls.__name__
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["TruncLapParams", "calibrate", "laplace_mechanism", "uniform_limit_mechanism"],
+)
+def test_removed_names_are_gone(name):
+    # a mechanism is built by its class's from_privacy, and holds its numbers
+    assert name not in dpnoise.__all__
+    assert not hasattr(dpnoise, name)
+    for module in _submodules():
+        assert not hasattr(module, name), module.__name__

@@ -59,6 +59,13 @@ class TestMakeMechanism:
             with pytest.raises(DomainError):
                 make_mechanism(gone, P, 1.0)
 
+    @pytest.mark.parametrize("name", MECHANISM_NAMES)
+    def test_builds_the_registered_class(self, name):
+        cls = query._FACTORIES[name]
+        mech = make_mechanism(name, P, 2.0)
+        assert type(mech) is cls
+        assert mech.parameters == cls.from_privacy(P, 2.0).parameters
+
     def test_name_lists(self):
         assert set(QUERY_MECHANISMS) <= set(MECHANISM_NAMES)
         assert "uniform" not in QUERY_MECHANISMS

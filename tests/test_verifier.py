@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from dpnoise.baselines import Gaussian, Laplace, analytic_gaussian_sigma, uniform_limit_mechanism
+from dpnoise.baselines import BoundedUniform, Gaussian, Laplace, analytic_gaussian_sigma
 from dpnoise.core import DomainError, PrivacyParams
 from dpnoise.query import MECHANISM_NAMES, make_mechanism
 from dpnoise.trunclap import TruncatedLaplace
@@ -193,7 +193,7 @@ class TestDiscretize:
     def test_bounded_support_sets_radius(self):
         mech = TruncatedLaplace.from_privacy(PrivacyParams(1.0, 1e-5), 1.0)
         d = discretize(mech, 1.0, step=0.01)
-        half = math.ceil(mech.params.radius / 0.01 - 1e-12)
+        half = math.ceil(mech.radius / 0.01 - 1e-12)
         assert d.masses.size == 2 * half
         assert d.origin == pytest.approx(-half * 0.01, rel=1e-15)
 
@@ -211,7 +211,7 @@ class TestDiscretize:
         tail = float(ndtr(-(half - 1) * 1e-3 / sigma))
         assert d.masses[-1] == pytest.approx(tail, rel=1e-13)
         assert np.array_equal(d.masses, d.masses[::-1])
-        u = discretize(uniform_limit_mechanism(1e-3, 1.0), 1.0, step=1e-2)
+        u = discretize(BoundedUniform.from_privacy(PrivacyParams(1.0, 1e-3), 1.0), 1.0, step=1e-2)
         assert np.array_equal(u.masses, u.masses[::-1])
 
     def test_radius_below_one_cell_is_a_domain_error(self):
@@ -255,7 +255,7 @@ class TestDpCheck:
         }
         assert d["h"] == 0.05
         assert d["cells"] == report.cells == 2 * math.ceil(
-            mech.params.radius / 0.05 - 1e-12
+            mech.radius / 0.05 - 1e-12
         )
         assert d["path"] == "fast"
         assert report.passed == (
@@ -301,7 +301,7 @@ class TestDpCheck:
         assert not report.passed
 
     def test_uniform_limit_violation_is_delta(self):
-        mech = uniform_limit_mechanism(0.01, 1.0)
+        mech = BoundedUniform.from_privacy(PrivacyParams(1.0, 0.01), 1.0)
         d = discretize(mech, 1.0, step=0.01)
         report = dp_check(d, PrivacyParams(0.4, 0.01))
         assert report.passed
