@@ -90,8 +90,9 @@ def truncation_amplitude_factor(x: float) -> float:
     if x <= 0.0:
         raise ValueError("truncation radius must be positive")
     if x > 700.0:
-        # e^x can overflow; x * e^-x is already below ~1e-301 here.
-        return 1.0 - x * math.exp(-x)
+        # e^x can overflow, and 1 - x e^-x rounds to 1 here (x e^-x is below
+        # ~1e-301); x = inf is no truncation at all.
+        return 1.0
     return exp_minus_one_minus_x(x) / math.expm1(x)
 
 
@@ -104,5 +105,5 @@ def truncation_power_factor(x: float) -> float:
     if x <= 0.0:
         raise ValueError("truncation radius must be positive")
     if x > 700.0:
-        return 1.0 - (x + 0.5 * x * x) * math.exp(-x)
+        return 1.0  # 1 - (x + x^2/2) e^-x, which rounds to 1 here
     return exp_remainder_order3(x) / math.expm1(x)

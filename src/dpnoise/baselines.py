@@ -22,14 +22,11 @@ from .core import (
     NoiseMechanism,
     PrivacyParams,
     Sensitivity,
-    _as_checked_array,
     _cost_in_range,
-    _exponential_grid_masses,
-    _exponential_moment,
     _require_finite_positive,
-    _scalar_or_array,
     as_sensitivity,
 )
+from .trunclap import TruncatedLaplace
 
 __all__ = [
     "Laplace",
@@ -44,11 +41,20 @@ __all__ = [
 # Laplace
 
 
-class Laplace(NoiseMechanism):
-    """Two-sided exponential noise with unbounded support."""
+class Laplace(TruncatedLaplace):
+    """Two-sided exponential noise with unbounded support: the truncated
+    Laplacian with an infinite radius and height ``1/(2 scale)``."""
 
     def __init__(self, scale: float):
-        self.scale = _require_finite_positive(scale, "scale")
+        scale = _require_finite_positive(scale, "scale")
+        height = 0.5 / scale
+        if height == math.inf:
+            raise DomainError(
+                f"density height 1/(2 scale) overflows at noise scale {scale!r}"
+            )
+        super().__init__(scale, math.inf, height)
+        # Each half line holds exactly 1/2; height * scale can be an ulp off.
+        self._area = 0.5
 
     @classmethod
     def from_privacy(
@@ -60,38 +66,6 @@ class Laplace(NoiseMechanism):
     @property
     def parameters(self) -> dict[str, float]:
         return {"scale": self.scale}
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (-math.inf, math.inf)
-
-    def pdf(self, x):
-        arr, scalar = _as_checked_array(x)
-        values = np.exp(-np.abs(arr) / self.scale) / (2.0 * self.scale)
-        return _scalar_or_array(values, scalar)
-
-    def quantile(self, u):
-        arr, scalar = _as_checked_array(u, "u")
-        if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-            raise DomainError("quantile argument must lie in (0, 1)")
-        values = -self.scale * np.sign(arr - 0.5) * np.log1p(-2.0 * np.abs(arr - 0.5))
-        return _scalar_or_array(values, scalar)
-
-    def _upper_mass(self, a, b):
-        # Anchored at a, so deep-tail slices keep full relative accuracy.
-        return 0.5 * np.exp(-a / self.scale) * -np.expm1(-(b - a) / self.scale)
-
-    def grid_masses(self, step: float, half_cells: int) -> np.ndarray:
-        # Closed form; each outermost cell takes its whole unbounded tail.
-        return _exponential_grid_masses(0.5, self.scale, math.inf, step, half_cells)
-
-    @property
-    def expected_amplitude(self) -> float:
-        return self.scale
-
-    @property
-    def expected_power(self) -> float:
-        return _exponential_moment(self.scale, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -121,20 +95,14 @@ class Gaussian(NoiseMechanism):
     def support(self) -> tuple[float, float]:
         return (-math.inf, math.inf)
 
-    def pdf(self, x):
-        arr, scalar = _as_checked_array(x)
-        z = arr / self.sigma
-        values = np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
-        return _scalar_or_array(values, scalar)
+    def _pdf(self, x):
+        z = x / self.sigma
+        return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
 
-    def quantile(self, u):
-        arr, scalar = _as_checked_array(u, "u")
-        if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-            raise DomainError("quantile argument must lie in (0, 1)")
+    def _quantile(self, u):
         from scipy.special import ndtri
 
-        values = self.sigma * ndtri(arr)
-        return _scalar_or_array(np.asarray(values), scalar)
+        return self.sigma * ndtri(u)
 
     def _upper_mass(self, a, b):
         from scipy.special import ndtr
@@ -316,18 +284,11 @@ class BoundedUniform(NoiseMechanism):
     def support(self) -> tuple[float, float]:
         return (-self.half_width, self.half_width)
 
-    def pdf(self, x):
-        arr, scalar = _as_checked_array(x)
-        inside = np.abs(arr) <= self.half_width
-        values = np.where(inside, 0.5 / self.half_width, 0.0)
-        return _scalar_or_array(values, scalar)
+    def _pdf(self, x):
+        return np.where(np.abs(x) <= self.half_width, 0.5 / self.half_width, 0.0)
 
-    def quantile(self, u):
-        arr, scalar = _as_checked_array(u, "u")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise DomainError("quantile argument must lie in [0, 1]")
-        values = (2.0 * arr - 1.0) * self.half_width
-        return _scalar_or_array(values, scalar)
+    def _quantile(self, u):
+        return (2.0 * u - 1.0) * self.half_width
 
     def _upper_mass(self, a, b):
         w = self.half_width

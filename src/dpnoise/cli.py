@@ -1,20 +1,22 @@
 """Command-line surface: calibrate, sample, bounds, verify, sweep, query.
 
 Exit codes: 0 success (and privacy check passed), 1 privacy-check failure,
-2 invalid flags/config/input, 3 budget cap would be exceeded, 4 an internal
-consistency check failed (a bug, not a privacy verdict).  Stdout
-carries data only (JSON, CSV, SVG, or samples); diagnostics go to stderr as
-one ``error: ...`` line each.
+2 invalid flags/config/input (or not enough memory for the request),
+3 budget cap would be exceeded, 4 an internal consistency check failed (a
+bug, not a privacy verdict).  Stdout carries data only (JSON, CSV, SVG, or
+samples); diagnostics go to stderr as one ``error: ...`` line each.
 
 Every flag can also come from a flat ``key = value`` config file passed as
-``--config`` (keys mirror the flag names without the leading dashes);
-explicit flags win over the file.  ``DPNL_SEED`` supplies a default seed.
+``--config`` (keys mirror the flag names without the leading dashes, and a
+key that names no flag is an error); explicit flags win over the file.
+``DPNL_SEED`` supplies a default seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from enum import Enum
@@ -45,6 +47,40 @@ from .verifier import discretize, dp_check
 __all__ = ["main"]
 
 
+# Every flag of every subcommand, with its help text.  A config file key
+# must name one of them; it may belong to another subcommand, so one file
+# can serve several.
+_FLAGS = {
+    "eps": dict(help="privacy parameter epsilon"),
+    "delta": dict(help="privacy parameter delta, in (0, 1/2)"),
+    "sens": dict(help="query sensitivity (default 1)"),
+    "mech": dict(help=f"mechanism: one of {', '.join(MECHANISM_NAMES)}"),
+    "cost": dict(help="cost kind: amplitude or power"),
+    "n": dict(help="number of samples"),
+    "seed": dict(help="64-bit unsigned seed, or 'median' for zero noise"),
+    "grid-step": dict(help="verifier cell width h; must divide sens"),
+    "out": dict(help="output file (default stdout)"),
+    "format": dict(help="output format: csv, json, or svg"),
+    "config": dict(help="flat key = value config file; flags override"),
+    "n-mode": dict(help="lower-bound step count: frac or floor"),
+    "target-eps": dict(help="epsilon target to verify against"),
+    "target-delta": dict(help="delta target to verify against"),
+    "eps-min": {}, "eps-max": {}, "eps-points": {},
+    "delta-min": {}, "delta-max": {}, "delta-points": {},
+    "input": dict(help="input CSV path (header row required)"),
+    "column": dict(help="target column name"),
+    "aggregate": dict(help="count, sum, or mean"),
+    "clip-lo": dict(
+        help="lower clip bound; write a negative one in exponent form "
+        "as --clip-lo=-1e3"
+    ),
+    "clip-hi": dict(help="upper clip bound"),
+    "ledger": dict(help="budget ledger path (JSON lines)"),
+    "budget-eps": dict(help="cap on total epsilon spend"),
+    "budget-delta": dict(help="cap on total delta spend"),
+}
+
+
 def _load_config(path: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
     try:
@@ -58,7 +94,11 @@ def _load_config(path: str) -> dict[str, str]:
                         f"{path}:{lineno}: expected 'key = value', got {line!r}"
                     )
                 key, value = line.split("=", 1)
-                cfg[key.strip()] = value.strip()
+                key = key.strip()
+                if key not in _FLAGS:
+                    # a mistyped key would drop its flag, a budget cap say
+                    raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
+                cfg[key] = value.strip()
     except OSError as exc:
         raise DomainError(f"cannot read config {path}: {exc}") from None
     return cfg
@@ -275,6 +315,8 @@ def cmd_query(args: argparse.Namespace) -> int:
         budget_eps=opt.number("budget-eps"),
         budget_delta=opt.number("budget-delta"),
     )
+    if math.isnan(result["noisy_value"]):
+        result["noisy_value"] = None  # NaN is not JSON
     _print_json(result)
     return 0
 
@@ -284,37 +326,8 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
-    table = {
-        "eps": dict(help="privacy parameter epsilon"),
-        "delta": dict(help="privacy parameter delta, in (0, 1/2)"),
-        "sens": dict(help="query sensitivity (default 1)"),
-        "mech": dict(help=f"mechanism: one of {', '.join(MECHANISM_NAMES)}"),
-        "cost": dict(help="cost kind: amplitude or power"),
-        "n": dict(help="number of samples"),
-        "seed": dict(help="64-bit unsigned seed, or 'median' for zero noise"),
-        "grid-step": dict(help="verifier cell width h; must divide sens"),
-        "out": dict(help="output file (default stdout)"),
-        "format": dict(help="output format: csv, json, or svg"),
-        "config": dict(help="flat key = value config file; flags override"),
-        "n-mode": dict(help="lower-bound step count: frac or floor"),
-        "target-eps": dict(help="epsilon target to verify against"),
-        "target-delta": dict(help="delta target to verify against"),
-        "eps-min": {}, "eps-max": {}, "eps-points": {},
-        "delta-min": {}, "delta-max": {}, "delta-points": {},
-        "input": dict(help="input CSV path (header row required)"),
-        "column": dict(help="target column name"),
-        "aggregate": dict(help="count, sum, or mean"),
-        "clip-lo": dict(
-            help="lower clip bound; write a negative one in exponent form "
-            "as --clip-lo=-1e3"
-        ),
-        "clip-hi": dict(help="upper clip bound"),
-        "ledger": dict(help="budget ledger path (JSON lines)"),
-        "budget-eps": dict(help="cap on total epsilon spend"),
-        "budget-delta": dict(help="cap on total delta spend"),
-    }
     for name in names:
-        p.add_argument(f"--{name}", default=None, **table[name])
+        p.add_argument(f"--{name}", default=None, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,6 +387,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except InvariantError as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)

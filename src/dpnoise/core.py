@@ -120,48 +120,10 @@ def _as_checked_array(x, name: str = "x") -> tuple[np.ndarray, bool]:
 
 
 def _scalar_or_array(values: np.ndarray, scalar: bool):
-    return float(values[()]) if scalar else values
+    return float(values) if scalar else values
 
 
-_EXP_BLOCK = 4096  # cells per row of the e^(-k t) outer product
 _NORMAL_MIN = sys.float_info.min  # the smallest double with full precision
-
-
-def _exponential_grid_masses(
-    area: float, scale: float, radius: float, step: float, half_cells: int
-) -> np.ndarray:
-    """Closed-form cell masses of ``area/scale * exp(-|x|/scale)`` on
-    ``|x| <= radius`` (``radius`` may be infinite), laid out as
-    :meth:`NoiseMechanism.grid_masses` lays them out.
-
-    Positive-side cell k covers ``[k*step, (k+1)*step)`` and holds
-    ``area * e^(-k t) * (1 - e^(-t))`` with ``t = step/scale`` while it lies
-    inside the support; the outermost cell takes everything beyond its left
-    edge, cells entirely past ``radius`` hold 0, and the negative side is the
-    mirror image.  ``e^(-k t)`` is the outer product of two short ``exp``
-    vectors, so every mass is within a few roundings of exact and costs one
-    multiply.
-    """
-    H = int(half_cells)
-    t = step / scale
-    x = radius / scale  # the support edge in units of the scale
-    masses = np.empty(2 * H)
-    pos = masses[H:]
-    # Cells 0..full-1 are whole cells inside the support; the rest (the
-    # outermost cell, plus any cells at or past the edge) take the general
-    # formula, clipped to the support.
-    full = max(0, H - 1 if math.isinf(x) else min(H - 1, math.floor(x / t)))
-    inner = np.exp(-t * np.arange(_EXP_BLOCK))
-    head = area * -math.expm1(-t)
-    for lo in range(0, full, _EXP_BLOCK):
-        hi = min(lo + _EXP_BLOCK, full)
-        np.multiply(head * math.exp(-t * lo), inner[: hi - lo], out=pos[lo:hi])
-    k = np.arange(full, H)
-    width = np.where(k < H - 1, t, math.inf)
-    span = np.clip(np.minimum(width, x - k * t), 0.0, None)
-    pos[full:] = area * np.exp(-k * t) * -np.expm1(-span)
-    masses[:H] = pos[::-1]
-    return masses
 
 
 def _cost_in_range(value: float, k: int, scale: float, factor: float = 1.0) -> float:
@@ -183,30 +145,22 @@ def _cost_in_range(value: float, k: int, scale: float, factor: float = 1.0) -> f
     )
 
 
-def _exponential_moment(scale: float, k: int, factor: float = 1.0) -> float:
-    """``k * scale**k * factor``: E|X| (k = 1) or E[X^2] (k = 2) of a
-    two-sided exponential of this scale, times the shrink ``factor`` that
-    truncating its support applies; range-checked by :func:`_cost_in_range`.
-    """
-    power = scale if k == 1 else scale * scale
-    return _cost_in_range(k * power * factor, k, scale, factor)
-
-
 class NoiseMechanism(ABC):
     """Symmetric additive noise distribution centred at zero.
 
-    Implementations state a vectorised ``pdf`` and ``quantile``, the two
-    closed-form noise costs, and the half-line mass ``_upper_mass``;
+    Implementations state the array formulas ``_pdf`` and ``_quantile``,
+    the two closed-form noise costs, and the half-line mass ``_upper_mass``;
+    ``pdf`` and ``quantile`` check their input and call the formulas, and
     ``cdf``, ``interval_mass`` and the default ``grid_masses`` follow from
-    that mass by symmetry.  ``sample`` is inverse-transform sampling on a
-    caller-supplied uniform generator, so a fixed seed fixes the output and
-    the generator can be replaced by a stub (e.g. one that always yields the
-    median) in tests.
+    the half-line mass by symmetry.  ``sample`` is inverse-transform
+    sampling on a caller-supplied uniform generator, so a fixed seed fixes
+    the output and the generator can be replaced by a stub (e.g. one that
+    always yields the median) in tests.
     """
 
     @abstractmethod
-    def pdf(self, x):
-        """Density at ``x`` (scalar or array)."""
+    def _pdf(self, x: np.ndarray):
+        """Density at every element of the finite array ``x``."""
 
     @abstractmethod
     def _upper_mass(self, a, b):
@@ -215,8 +169,9 @@ class NoiseMechanism(ABC):
         far out in the tail keep full relative accuracy."""
 
     @abstractmethod
-    def quantile(self, u):
-        """Inverse cdf on the mechanism's support."""
+    def _quantile(self, u: np.ndarray):
+        """Inverse cdf at every element of ``u``, which :meth:`quantile`
+        has checked to lie in its domain."""
 
     @property
     @abstractmethod
@@ -243,6 +198,25 @@ class NoiseMechanism(ABC):
         if kind is CostKind.AMPLITUDE:
             return self.expected_amplitude
         return self.expected_power
+
+    def pdf(self, x):
+        """Density at ``x`` (scalar or array)."""
+        arr, scalar = _as_checked_array(x)
+        return _scalar_or_array(self._pdf(arr), scalar)
+
+    def quantile(self, u):
+        """Inverse cdf on the mechanism's support (scalar or array).
+
+        ``u`` must lie in [0, 1] where the support is bounded, so 0 and 1
+        map to its edges, and in (0, 1) where it is not.
+        """
+        arr, scalar = _as_checked_array(u, "u")
+        if all(map(math.isfinite, self.support)):
+            if np.any(arr < 0.0) or np.any(arr > 1.0):
+                raise DomainError("quantile argument must lie in [0, 1]")
+        elif np.any(arr <= 0.0) or np.any(arr >= 1.0):
+            raise DomainError("quantile argument must lie in (0, 1)")
+        return _scalar_or_array(self._quantile(arr), scalar)
 
     def cdf(self, x):
         """P(X <= x) (scalar or array), from the mass beyond ``|x|``: that

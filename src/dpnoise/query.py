@@ -19,7 +19,8 @@ before the ledger is touched; infinite cells are clipped to the bounds.
 
 Mean is released as noisy sum divided by noisy count with the budget split
 evenly between the two draws, so the dataset size itself stays protected;
-a non-positive noisy count yields NaN rather than a data-dependent fallback.
+a non-positive noisy count yields NaN rather than a data-dependent fallback
+(`run_query` returns NaN, and `dpnoise query` prints it as JSON `null`).
 """
 
 from __future__ import annotations

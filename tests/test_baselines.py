@@ -74,7 +74,52 @@ def brute_outcome(params, sens):
         return type(exc), str(exc)
 
 
+def _frozen_laplace_grid_masses(scale, step, half_cells):
+    """Laplace's closed-form grid masses as its own formula gave them,
+    before Laplace became the truncated Laplacian with an infinite radius."""
+    H = half_cells
+    t = step / scale
+    masses = np.empty(2 * H)
+    pos = masses[H:]
+    full = H - 1
+    inner = np.exp(-t * np.arange(4096))
+    head = 0.5 * -math.expm1(-t)
+    for lo in range(0, full, 4096):
+        hi = min(lo + 4096, full)
+        np.multiply(head * math.exp(-t * lo), inner[: hi - lo], out=pos[lo:hi])
+    k = np.arange(full, H)
+    width = np.where(k < H - 1, t, math.inf)
+    span = np.clip(np.minimum(width, math.inf - k * t), 0.0, None)
+    pos[full:] = 0.5 * np.exp(-k * t) * -np.expm1(-span)
+    masses[:H] = pos[::-1]
+    return masses
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
 class TestLaplace:
+    @pytest.mark.parametrize("scale", [1.3, 49.0, 1e150])
+    def test_matches_its_own_former_formulas(self, scale):
+        # bit for bit, with the half-line mass exactly 1/2 rather than
+        # height * scale, which is an ulp off at scale 49
+        lap = Laplace(scale)
+        step, half = scale / 700.0, 5000  # crosses a 4096-cell block edge
+        assert _bits(lap.grid_masses(step, half)) == _bits(
+            _frozen_laplace_grid_masses(scale, step, half)
+        )
+        u = np.array([2.0**-53, 1e-9, 0.25, 0.5 - 1e-12, 0.5,
+                      0.5 + 1e-12, 0.75, 1.0 - 1e-9, 1.0 - 2.0**-53])
+        former = -scale * np.sign(u - 0.5) * np.log1p(-2.0 * np.abs(u - 0.5))
+        assert _bits(lap.quantile(u)) == _bits(former)
+        a = scale * np.array([0.0, 0.0, 1e-9, 0.5, 3.0, 700.0, 30.0])
+        b = scale * np.array([0.0, 1.0, 2e-9, 0.75, 3.5, 701.0, math.inf])
+        former = 0.5 * np.exp(-a / scale) * -np.expm1(-(b - a) / scale)
+        assert _bits(lap._upper_mass(a, b)) == _bits(former)
+        assert _bits(lap.expected_amplitude) == _bits(scale)
+        assert _bits(lap.expected_power) == _bits(2 * (scale * scale) * 1.0)
+
     def test_rejects_bad_scale(self):
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(DomainError):

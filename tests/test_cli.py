@@ -9,8 +9,8 @@ import pytest
 import dpnoise
 from dpnoise import cli
 from dpnoise.cli import main
-from dpnoise.core import InvariantError
-from dpnoise.query import MECHANISM_NAMES
+from dpnoise.core import InvariantError, NoiseMechanism
+from dpnoise.query import MECHANISM_NAMES, QUERY_MECHANISMS
 
 
 def run(capsys, *argv):
@@ -113,6 +113,19 @@ class TestCalibrate:
         assert err.startswith("error: expected power leaves double range")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [["calibrate"], ["sample", "--seed", "3"]])
+    def test_laplace_height_overflow_names_the_scale(self, capsys, command):
+        # below ~2.8e-309 the Laplace density height 1/(2 scale) overflows
+        code, out, err = run(
+            capsys, *command, "--eps", "1", "--delta", "1e-5",
+            "--sens", "1e-310", "--mech", "laplace",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: density height 1/(2 scale) overflows at noise scale 1e-310\n"
+        )
+
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "calibrate", "--eps", "1.0")
         assert code == 2
@@ -156,6 +169,30 @@ class TestSample:
         )
         assert code == 2
         assert "--n" in err
+
+    @pytest.mark.parametrize(
+        "message, line",
+        [
+            ("Unable to allocate 7.28 TiB for an array",
+             "error: Unable to allocate 7.28 TiB for an array\n"),
+            ("", "error: out of memory\n"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_memory_error_is_exit_2(self, capsys, monkeypatch, message, line):
+        # was a traceback and exit 1, the privacy-check-failed code
+        def refuse(self, rng, n=None):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(NoiseMechanism, "sample", refuse)
+        code, out, err = run(
+            capsys,
+            "sample", "--eps", "1", "--delta", "1e-5", "--n", "1000000000000",
+            "--seed", "3",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == line
 
 
 class TestBounds:
@@ -386,9 +423,6 @@ def strict_json(text):
 
 @pytest.mark.parametrize("eps, delta", [("1", "1e-4"), ("0.5", "1e-5")])
 class TestStrictJson:
-    # query is left out: a mean whose noisy count is not positive is
-    # released as NaN by design
-
     @pytest.mark.parametrize("mech", MECHANISM_NAMES)
     def test_calibrate(self, capsys, eps, delta, mech):
         code, out, _ = run(
@@ -416,6 +450,22 @@ class TestStrictJson:
         )
         assert code in (0, 1)
         strict_json(out)
+
+
+    @pytest.mark.parametrize("mech", QUERY_MECHANISMS)
+    def test_query_mean_of_no_rows(self, capsys, tmp_path, eps, delta, mech):
+        # a mean whose noisy count is not positive is NaN, printed as null;
+        # it printed NaN, which is not JSON
+        empty = tmp_path / "empty.csv"
+        empty.write_text("id,spend\n")
+        code, out, _ = run(
+            capsys, "query", "--input", str(empty), "--column", "spend",
+            "--aggregate", "mean", "--clip-lo", "0", "--clip-hi", "25",
+            "--mech", mech, "--eps", eps, "--delta", delta, "--seed", "median",
+            "--ledger", str(tmp_path / "ledger.jsonl"),
+        )
+        assert code == 0
+        assert strict_json(out)["noisy_value"] is None
 
 
 SWEEP_ARGS = [
@@ -598,6 +648,28 @@ class TestConfigFile:
         assert code == 2
         assert "key = value" in err
 
+    def test_unknown_key_is_refused(self, capsys, tmp_path, spend_csv, ledger_path):
+        # a mistyped budget cap was dropped, and every query ran uncapped
+        conf = tmp_path / "dp.conf"
+        conf.write_text("eps = 1\ndelta = 1e-5\nbudget_eps = 0.5\n")
+        code, out, err = run(
+            capsys, "query", "--input", str(spend_csv), "--column", "spend",
+            "--seed", "median", "--ledger", str(ledger_path),
+            "--config", str(conf),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {conf}:3: unknown key 'budget_eps'\n"
+        assert not ledger_path.exists()
+
+    def test_keys_of_other_subcommands_are_accepted(self, capsys, tmp_path):
+        # one file can serve several subcommands
+        conf = tmp_path / "dp.conf"
+        conf.write_text("eps = 0.1\ndelta = 0.05\ncost = power\nn = 3\n")
+        code, out, _ = run(capsys, "calibrate", "--config", str(conf))
+        assert code == 0
+        assert json.loads(out)["epsilon"] == 0.1
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "bounds", "--config", str(tmp_path / "nope.conf")
@@ -651,8 +723,9 @@ class TestTextbookGaussianIsGone:
 
 class TestImports:
     def test_trunclap_calls_leave_scipy_unloaded(self, spend_csv, ledger_path):
-        # A fresh interpreter: the trunclap calls must not load scipy, and a
-        # Gaussian calibration then does, so the probe can see a load.
+        # A fresh interpreter: the trunclap and laplace calls must not load
+        # scipy, and a Gaussian calibration then does, so the probe can see a
+        # load.
         script = f"""
 import sys
 import dpnoise, dpnoise.cli
@@ -662,12 +735,13 @@ loaded = []
 def probe():
     loaded.append(any(name.split(".")[0] == "scipy" for name in sys.modules))
 
-assert main(["calibrate", "--eps", "1", "--delta", "1e-5"]) == 0
-assert main(["verify", "--eps", "1", "--delta", "1e-4"]) == 0
-assert main(["query", "--input", {str(spend_csv)!r}, "--column", "spend",
-             "--aggregate", "sum", "--clip-lo", "0", "--clip-hi", "25",
-             "--eps", "0.5", "--delta", "1e-5", "--seed", "median",
-             "--ledger", {str(ledger_path)!r}]) == 0
+for mech in ("trunclap", "laplace"):
+    assert main(["calibrate", "--eps", "1", "--delta", "1e-5", "--mech", mech]) == 0
+    assert main(["verify", "--eps", "1", "--delta", "1e-4", "--mech", mech]) == 0
+    assert main(["query", "--input", {str(spend_csv)!r}, "--column", "spend",
+                 "--aggregate", "sum", "--clip-lo", "0", "--clip-hi", "25",
+                 "--eps", "0.5", "--delta", "1e-5", "--seed", "median",
+                 "--mech", mech, "--ledger", {str(ledger_path)!r}]) == 0
 probe()
 assert main(["calibrate", "--eps", "1", "--delta", "1e-5",
              "--mech", "gaussian-analytic"]) == 0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dpnoise.baselines import BoundedUniform, Gaussian, Laplace
 from dpnoise.core import (
     ConvergenceError,
     CostKind,
@@ -13,6 +14,7 @@ from dpnoise.core import (
     Sensitivity,
     as_sensitivity,
 )
+from dpnoise.trunclap import TruncatedLaplace
 
 
 class TestPrivacyParams:
@@ -93,7 +95,7 @@ class _Triangle(NoiseMechanism):
     def support(self):
         return (-1.0, 1.0)
 
-    def pdf(self, x):
+    def _pdf(self, x):
         arr = np.asarray(x, dtype=float)
         return np.where(np.abs(arr) <= 1.0, 1.0 - np.abs(arr), 0.0)
 
@@ -102,7 +104,7 @@ class _Triangle(NoiseMechanism):
         b = np.minimum(b, 1.0)
         return 0.5 * ((1.0 - a) ** 2 - (1.0 - b) ** 2)
 
-    def quantile(self, u):
+    def _quantile(self, u):
         arr = np.asarray(u, dtype=float)
         left = np.sqrt(2.0 * arr) - 1.0
         right = 1.0 - np.sqrt(2.0 * (1.0 - arr))
@@ -172,3 +174,36 @@ class TestNoiseMechanismContract:
 
         value = _Triangle().sample(Zero())
         assert math.isfinite(value)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _Triangle,
+        lambda: TruncatedLaplace.from_privacy(PrivacyParams(1.0, 1e-5), 1.0),
+        lambda: BoundedUniform(2.0),
+        lambda: Laplace(1.0),
+        lambda: Gaussian(1.0),
+    ],
+    ids=["Triangle", "TruncatedLaplace", "BoundedUniform", "Laplace", "Gaussian"],
+)
+def test_quantile_domain_follows_the_support(make):
+    mech = make()
+    # a bounded support maps u = 0 and u = 1 to its edges, up to rounding;
+    # an unbounded one has no finite quantile there
+    lo, hi = mech.support
+    if math.isfinite(hi):
+        edges = mech.quantile(np.array([0.0, 1.0]))
+        np.testing.assert_allclose(edges, [lo, hi], rtol=1e-12)
+        assert lo <= edges[0] and edges[1] <= hi
+        assert mech.quantile(1.0) == edges[1]
+        bad, message = [-1e-300, 1.0 + 2.0**-52], r"\[0, 1\]"
+    else:
+        bad, message = [0.0, 1.0, -0.5, 1.5], r"\(0, 1\)"
+    for u in bad:
+        with pytest.raises(DomainError, match=f"^quantile argument must lie in {message}$"):
+            mech.quantile(u)
+        with pytest.raises(DomainError, match=message):
+            mech.quantile(np.array([0.5, u]))
+    with pytest.raises(DomainError, match="u must be finite"):
+        mech.quantile(math.nan)

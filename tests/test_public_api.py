@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +32,8 @@ def test_package_exports_resolve():
 
 def test_interval_mass_and_cdf_are_defined_once():
     # every shipped mechanism states its half-line mass; cdf and interval
-    # masses follow from it in NoiseMechanism
+    # masses follow from it in NoiseMechanism, which also checks the input
+    # of pdf and quantile and samples by the quantile
     shipped = {
         obj
         for module in _submodules()
@@ -39,8 +42,10 @@ def test_interval_mass_and_cdf_are_defined_once():
     }
     assert len(shipped) > 1
     for cls in shipped:
-        assert cls.interval_mass is NoiseMechanism.interval_mass, cls.__name__
-        assert cls.cdf is NoiseMechanism.cdf, cls.__name__
+        for name in ("interval_mass", "cdf", "pdf", "quantile", "sample"):
+            assert getattr(cls, name) is getattr(NoiseMechanism, name), (
+                cls.__name__, name
+            )
 
 
 @pytest.mark.parametrize(
@@ -53,3 +58,49 @@ def test_removed_names_are_gone(name):
     assert not hasattr(dpnoise, name)
     for module in _submodules():
         assert not hasattr(module, name), module.__name__
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+
+
+def _names_used(tree: ast.Module) -> set[str]:
+    """Names a module reads, in code, in string annotations and in
+    ``__all__`` (a re-export is a use)."""
+    trees = [tree] + [
+        ast.parse(node.value, mode="eval")
+        for annotation in _annotations(tree)
+        if annotation is not None
+        for node in ast.walk(annotation)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    used = {
+        node.id for t in trees for node in ast.walk(t) if isinstance(node, ast.Name)
+    }
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(Path(dpnoise.__file__).parent.glob("*.py")),
+    ids=lambda path: path.name,
+)
+def test_no_module_imports_a_name_it_never_uses(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    assert sorted(imported - _names_used(tree)) == []

@@ -109,6 +109,13 @@ class TestTruncationFactors:
         assert truncation_amplitude_factor(750.0) == pytest.approx(1.0, abs=1e-15)
         assert truncation_power_factor(750.0) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("x", [700.1, 1e200, math.inf])
+    def test_no_truncation_is_exactly_one(self, x):
+        # an infinite radius is the Laplace mechanism; past x ~ 1.9e154 the
+        # power factor's (x + x^2/2) e^-x was inf * 0 = NaN
+        assert truncation_amplitude_factor(x) == 1.0
+        assert truncation_power_factor(x) == 1.0
+
     def test_overflow_guard_branch_is_continuous(self):
         for fn in (truncation_amplitude_factor, truncation_power_factor):
             assert fn(699.9) == pytest.approx(fn(700.1), rel=1e-12)

@@ -35,11 +35,18 @@ class TestCalibrate:
 
     def test_params_validate(self):
         # each of scale, radius and height in turn
-        for field in range(3):
+        messages = (
+            "scale must be finite and > 0",
+            "radius must be > 0",
+            "height must be finite and > 0",
+        )
+        for field, message in enumerate(messages):
             for bad in (0.0, -1.0, math.nan, math.inf):
+                if field == 1 and bad == math.inf:
+                    continue  # an infinite radius is the Laplace mechanism
                 shape = [1.0, 1.0, 1.0]
                 shape[field] = bad
-                with pytest.raises(DomainError, match="must be finite and > 0"):
+                with pytest.raises(DomainError, match=message):
                     TruncatedLaplace(*shape)
         assert TruncatedLaplace(1.0, 2.0, 3.0).parameters == {
             "scale": 1.0, "radius": 2.0, "height": 3.0
@@ -154,6 +161,13 @@ class TestDistributionSurface:
         message = f"expected {cost} leaves double range at noise scale {1 / eps!r}"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             tiny.cost(cost)
+
+    def test_huge_radius_costs_are_untruncated(self):
+        # radius/scale = 1e200 made the power factor NaN, reported as a
+        # range error at noise scale 1.0
+        mech = TruncatedLaplace.from_privacy(PrivacyParams(1e200, 1e-5), 1e200)
+        assert (mech.scale, mech.radius) == (1.0, 1e200)
+        assert (mech.expected_amplitude, mech.expected_power) == (1.0, 2.0)
 
     def test_frozen_moments(self, mech):
         assert mech.expected_amplitude == pytest.approx(
