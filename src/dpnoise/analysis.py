@@ -17,16 +17,19 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
 from .baselines import Gaussian, _analytic_sigmas
-from .bounds import bound_pair
+from .bounds import _bound_table, bound_pair
 from .core import (
     CostKind,
     DomainError,
     PrivacyParams,
     Sensitivity,
+    _check_delta,
     _require_finite_positive,
     as_sensitivity,
 )
@@ -92,44 +95,53 @@ def run_sweep(config: SweepConfig = SweepConfig()) -> list[SweepRow]:
 
     The upper bound is the calibrated truncated Laplacian's cost, so each
     row's ``q_upper`` and ``tl_cost`` are the same number, kept as two
-    columns for readers of either.  :func:`bound_pair` checks the order of
-    the bounds.
+    columns for readers of either.  The grid runs through one bounds pass
+    (:func:`dpnoise.bounds._bound_table`, which checks the order of the
+    bounds) and one Gaussian calibration pass; a refused point raises what
+    a point-by-point sweep would raise first.
     """
     sens = as_sensitivity(config.sensitivity)
     kind = config.cost
-    eps_values, delta_values = config.axes()
-    grid: list[PrivacyParams] = []
-    closed_forms: list[tuple[float, float]] = []
-    try:
-        for eps in eps_values:
-            for delta in delta_values:
-                params = PrivacyParams(float(eps), float(delta))
-                pair = bound_pair(params, sens, kind)
-                q_lower = pair.lower if config.fractional_steps else pair.lower_floor
-                grid.append(params)
-                closed_forms.append((q_lower, pair.upper))
-    finally:
-        # Calibrate every point the loop got through, even when it stopped on
-        # an error: point by point, a failed calibration at an earlier point
-        # would have been raised first.
-        sigmas_analytic = _analytic_sigmas(
-            [p.epsilon for p in grid], [p.delta for p in grid], sens
-        ).tolist()
+    eps_axis, delta_axis = (axis.tolist() for axis in config.axes())
+    # The epsilons lie between SweepConfig's finite, positive bounds, but a
+    # delta of 1/2 or more is out of range; point by point, it is refused
+    # first in the first row.
+    stop, refusal = len(eps_axis) * len(delta_axis), None
+    for j, dlt in enumerate(delta_axis):
+        try:
+            _check_delta(dlt)
+        except DomainError as exc:
+            stop, refusal = j, exc
+            break
+    epsilon = [eps for eps in eps_axis for _ in delta_axis][:stop]
+    delta = (delta_axis * len(eps_axis))[:stop]
+    lower, lower_floor, upper, error = _bound_table(epsilon, delta, sens.value, kind)
+    if error is None:
+        error = refusal
+    # Calibrate every point the bounds got through, even when they stopped
+    # on an error: point by point, a failed calibration at an earlier point
+    # would have been raised first.
+    done = len(upper)
+    sigmas_analytic = _analytic_sigmas(epsilon[:done], delta[:done], sens).tolist()
+    if error is not None:
+        raise error
     rows: list[SweepRow] = []
-    for params, (q_lower, tl_cost), sigma_analytic in zip(
-        grid, closed_forms, sigmas_analytic
+    q_lowers = lower if config.fractional_steps else lower_floor
+    for eps, dlt, q_lower, tl_cost, sigma_analytic in zip(
+        epsilon, delta, q_lowers, upper, sigmas_analytic
     ):
         gauss_analytic = Gaussian(sigma_analytic).cost(kind)
+        # positional, in field order: keywords double the cost of a row
         rows.append(
             SweepRow(
-                epsilon=params.epsilon,
-                delta=params.delta,
-                q_lower=q_lower,
-                q_upper=tl_cost,
-                tl_cost=tl_cost,
-                gauss_analytic=gauss_analytic,
-                ratio_bounds=q_lower / tl_cost,
-                ratio_tl_gauss=tl_cost / gauss_analytic,
+                eps,
+                dlt,
+                q_lower,
+                tl_cost,  # q_upper
+                tl_cost,
+                gauss_analytic,
+                q_lower / tl_cost,
+                tl_cost / gauss_analytic,
             )
         )
     return rows
@@ -246,22 +258,60 @@ def _format_value(value: object) -> str:
     return str(value)
 
 
+def _field_values(rows: list, names: "list[str]") -> list:
+    """Every row's values of ``names``, row after row, in one flat list."""
+    if len(names) < 2:
+        return [getattr(row, n) for row in rows for n in names]
+    return list(chain.from_iterable(map(attrgetter(*names), rows)))
+
+
+def _all_floats(values: list) -> bool:
+    """Whether there are values and every one is a plain float, as every
+    field of a sweep or tightness row is."""
+    return set(map(type, values)) == {float}
+
+
+# Each emitter below fills one %-template for the whole table; rows holding
+# anything but plain floats take the per-value route, which gives the same
+# bytes.
+
+
 def _rows_to_csv(rows: list) -> bytes:
     names = [f.name for f in dataclasses.fields(rows[0])]
-    lines = [",".join(names)]
-    for row in rows:
-        lines.append(
-            ",".join(_format_value(getattr(row, n)) for n in names)
-        )
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    values = _field_values(rows, names)
+    if _all_floats(values):
+        cell = "%.17g"  # what format(value, ".17g") gives
+    else:
+        cell, values = "%s", list(map(_format_value, values))
+    line = ",".join([cell] * len(names)) + "\n"
+    body = (line * len(rows)) % tuple(values)
+    return (",".join(names) + "\n" + body).encode("utf-8")
+
+
+# json's text for the floats that float.__repr__ writes otherwise
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _rows_to_json(rows: list) -> bytes:
-    # A shallow dict per row: the fields are plain values, and asdict's deep
-    # copy is most of the emitter's time on a large sweep.
     names = [f.name for f in dataclasses.fields(rows[0])]
-    payload = [{n: getattr(row, n) for n in names} for row in rows]
-    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+    values = _field_values(rows, names)
+    if not _all_floats(values):
+        payload = [{n: getattr(row, n) for n in names} for row in rows]
+        return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+    # json.dumps(indent=2) runs json's pure-Python encoder; this is its
+    # layout, with its key escaping and its float text, float.__repr__
+    # (which %r gives) for finite values
+    cell = "%r"
+    if not all(map(math.isfinite, values)):
+        cell = "%s"
+        values = [_JSON_NON_FINITE.get(c, c) for c in map(float.__repr__, values)]
+    row = (
+        "  {\n"
+        + ",\n".join(f"    {json.dumps(n)}: {cell}" for n in names)
+        + "\n  }"
+    )
+    body = ",\n".join([row] * len(rows)) % tuple(values)
+    return ("[\n" + body + "\n]\n").encode("utf-8")
 
 
 _VIRIDIS = [
@@ -284,11 +334,13 @@ def _color(v: float) -> str:
     pos = v * (len(_VIRIDIS) - 1)
     i = min(int(pos), len(_VIRIDIS) - 2)
     t = pos - i
-    rgb = [
-        round(255 * ((1 - t) * _VIRIDIS[i][k] + t * _VIRIDIS[i + 1][k]))
-        for k in range(3)
-    ]
-    return "#{:02x}{:02x}{:02x}".format(*rgb)
+    s = 1 - t
+    (r0, g0, b0), (r1, g1, b1) = _VIRIDIS[i], _VIRIDIS[i + 1]
+    return "#%02x%02x%02x" % (
+        round(255 * (s * r0 + t * r1)),
+        round(255 * (s * g0 + t * g1)),
+        round(255 * (s * b0 + t * b1)),
+    )
 
 
 def _rows_to_svg(rows: list[SweepRow]) -> bytes:
@@ -310,18 +362,27 @@ def _rows_to_svg(rows: list[SweepRow]) -> bytes:
         '<text x="370" y="24" text-anchor="middle" font-size="15">'
         "Achievable-vs-optimal noise cost ratio (lower/upper bound)</text>",
     ]
-    for ix, eps in enumerate(eps_values):
-        for iy, delta in enumerate(delta_values):
+    # each column's x and epsilon and each row's y and delta are formatted
+    # once, not once per cell
+    columns = [
+        (eps, f"{left + ix * cw:.2f}", f"{eps:.6g}")
+        for ix, eps in enumerate(eps_values)
+    ]
+    # delta grows upward
+    rows_y = [
+        (delta, f"{top + height - (iy + 1) * ch:.2f}", f"{delta:.6g}")
+        for iy, delta in enumerate(delta_values)
+    ]
+    cell_w, cell_h = f"{cw + 0.3:.2f}", f"{ch + 0.3:.2f}"
+    for eps, x, eps_text in columns:
+        for delta, y, delta_text in rows_y:
             ratio = cell.get((eps, delta))
             if ratio is None:
                 continue
-            x = left + ix * cw
-            # delta grows upward
-            y = top + height - (iy + 1) * ch
             parts.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw + 0.3:.2f}" '
-                f'height="{ch + 0.3:.2f}" fill="{_color((ratio - vmin) / span)}">'
-                f"<title>eps={eps:.6g}, delta={delta:.6g}, "
+                f'<rect x="{x}" y="{y}" width="{cell_w}" '
+                f'height="{cell_h}" fill="{_color((ratio - vmin) / span)}">'
+                f"<title>eps={eps_text}, delta={delta_text}, "
                 f"ratio={ratio:.6g}</title></rect>"
             )
     # axes

@@ -22,6 +22,7 @@ from .core import (
     NoiseMechanism,
     PrivacyParams,
     Sensitivity,
+    _NORMAL_MIN,
     _cost_in_range,
     _require_finite_positive,
     as_sensitivity,
@@ -138,23 +139,56 @@ def gaussian_privacy_profile(
         return float(_profile(np.float64(sigma), params.epsilon, sens_value)[0])
 
 
-def _profile(sigma, epsilon, sens_value: float) -> np.ndarray:
-    """:func:`gaussian_privacy_profile` elementwise over arrays of checked
-    sigma and epsilon; the caller sets the floating-point error state."""
+def _log_terms(sigma, epsilon, sens_value: float):
+    """log Phi(sens/(2 sigma) - eps sigma/sens) and
+    eps + log Phi(-sens/(2 sigma) - eps sigma/sens), elementwise."""
     from scipy.special import log_ndtr
 
     a = sens_value / (2.0 * sigma) - epsilon * sigma / sens_value
     b = -sens_value / (2.0 * sigma) - epsilon * sigma / sens_value
-    log_hi = log_ndtr(a)
-    log_lo = epsilon + log_ndtr(b)
+    return log_ndtr(a), epsilon + log_ndtr(b)
+
+
+def _exact_profile(log_hi, log_lo) -> list:
     # math's exp and expm1, not numpy's: numpy's SIMD versions can round
     # differently, and the bisection compares this value against delta.
-    return np.array(
-        [
-            0.0 if lo >= hi else -math.exp(hi) * math.expm1(lo - hi)
-            for lo, hi in zip(np.ravel(log_lo).tolist(), np.ravel(log_hi).tolist())
-        ]
+    return [
+        0.0 if lo >= hi else -math.exp(hi) * math.expm1(lo - hi)
+        for lo, hi in zip(np.ravel(log_lo).tolist(), np.ravel(log_hi).tolist())
+    ]
+
+
+def _profile(sigma, epsilon, sens_value: float) -> np.ndarray:
+    """:func:`gaussian_privacy_profile` elementwise over arrays of checked
+    sigma and epsilon; the caller sets the floating-point error state."""
+    return np.array(_exact_profile(*_log_terms(sigma, epsilon, sens_value)))
+
+
+# numpy's exp and expm1 stay within a few ulp of math's, far inside this
+# relative band around delta.
+_GUARD = 1e-12
+
+
+def _excess(sigma, epsilon, delta, sens_value: float) -> np.ndarray:
+    """``_profile(sigma, epsilon, sens_value) - delta`` up to rounding, with
+    the sign of every element exactly as ``_profile``'s; the sign is all
+    the bisection reads.
+
+    The profile is taken in numpy and taken again with math's functions
+    only where numpy's rounding could move the sign: within ``_GUARD``
+    relative of delta, and below the smallest normal double, where
+    relative error bounds fail.  The caller sets the error state.
+    """
+    log_hi, log_lo = _log_terms(sigma, epsilon, sens_value)
+    profile = np.where(
+        log_lo >= log_hi, 0.0, -np.exp(log_hi) * np.expm1(log_lo - log_hi)
     )
+    near = ~(
+        (np.abs(profile - delta) > _GUARD * delta) & (profile >= _NORMAL_MIN)
+    )
+    if near.any():
+        profile[near] = _exact_profile(log_hi[near], log_lo[near])
+    return profile - delta
 
 
 def analytic_gaussian_sigma(
@@ -198,7 +232,7 @@ def _analytic_sigmas(epsilon, delta, sens: "Sensitivity | float") -> np.ndarray:
                 f"sigma must be finite and > 0, got {first!r}"
             ))
             idx = idx[~bad]
-        return idx, _profile(sigma[idx], epsilon[idx], sens_value) - delta[idx]
+        return idx, _excess(sigma[idx], epsilon[idx], delta[idx], sens_value)
 
     with np.errstate(all="ignore"):
         lo = sens_value * 1e-6 / epsilon
@@ -245,7 +279,7 @@ def _analytic_sigmas(epsilon, delta, sens: "Sensitivity | float") -> np.ndarray:
                 hi[idx[~go]] = high[~go]
                 idx, eps, dlt = idx[go], eps[go], dlt[go]
                 low, high, mid = low[go], high[go], mid[go]
-            up = _profile(mid, eps, sens_value) - dlt > 0.0
+            up = _excess(mid, eps, dlt, sens_value) > 0.0
             low = np.where(up, mid, low)
             high = np.where(up, high, mid)
     if errors:

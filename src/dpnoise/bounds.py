@@ -42,7 +42,7 @@ from .core import (
     _cost_in_range,
     as_sensitivity,
 )
-from .trunclap import TruncatedLaplace
+from .trunclap import _amplitude, _calibrated_shape, _checked_shape, _power
 
 __all__ = [
     "LowerBoundParams",
@@ -75,27 +75,32 @@ def lower_bound_params(
 ) -> LowerBoundParams:
     sens = as_sensitivity(sens)
     eps = params.epsilon
-    if eps < _EPS_MIN:
-        raise DomainError(
-            f"epsilon={eps!r} is too small for the closed-form lower "
-            f"bounds: (1 - e^-epsilon)^2 leaves double range"
-        )
-    # a = (delta + (e^eps - 1)/2)/e^eps, grouped to stay accurate for tiny eps
-    mass_coeff = params.delta * math.exp(-eps) - 0.5 * math.expm1(-eps)
-    steps = radius_scale_ratio(eps, params.delta) / eps
+    _, mass_coeff, decay_ratio, steps = _slicing(eps, params.delta)
     return LowerBoundParams(
         epsilon=eps,
         mass_coeff=mass_coeff,
-        decay_ratio=math.exp(-eps),
+        decay_ratio=decay_ratio,
         steps_fractional=steps,
         steps_floor=math.floor(steps),
         sensitivity=sens.value,
     )
 
 
-def _check_steps(lb: LowerBoundParams, steps: "float | None") -> float:
-    if steps is None:
-        return lb.steps_fractional
+def _slicing(eps: float, delta: float) -> tuple[float, float, float, float]:
+    """``radius_scale_ratio(eps, delta)`` and the slicing pieces built on
+    it: (x_ratio, mass_coeff, decay_ratio, steps_fractional)."""
+    if eps < _EPS_MIN:
+        raise DomainError(
+            f"epsilon={eps!r} is too small for the closed-form lower "
+            f"bounds: (1 - e^-epsilon)^2 leaves double range"
+        )
+    # a = (delta + (e^eps - 1)/2)/e^eps, grouped to stay accurate for tiny eps
+    mass_coeff = delta * math.exp(-eps) - 0.5 * math.expm1(-eps)
+    x_ratio = radius_scale_ratio(eps, delta)
+    return x_ratio, mass_coeff, math.exp(-eps), x_ratio / eps
+
+
+def _check_steps(steps: float) -> float:
     steps = float(steps)
     if not steps >= 1.0:
         raise DomainError(f"steps must be >= 1, got {steps!r}")
@@ -108,9 +113,28 @@ def amplitude_lower_bound(lb: LowerBoundParams, steps: "float | None" = None) ->
     Evaluated at ``lb.steps_fractional`` by default; pass
     ``lb.steps_floor`` for the fully conservative variant.
     """
-    steps = _check_steps(lb, steps)
-    eps = lb.epsilon
-    b = lb.decay_ratio
+    steps = lb.steps_fractional if steps is None else _check_steps(steps)
+    return _amplitude_lower(
+        lb.epsilon, lb.decay_ratio, lb.mass_coeff, lb.sensitivity, steps
+    )
+
+
+def power_lower_bound(lb: LowerBoundParams, steps: "float | None" = None) -> float:
+    """Closed-form minimum of E[X^2] over all valid mechanisms."""
+    steps = lb.steps_fractional if steps is None else _check_steps(steps)
+    return _power_lower(
+        lb.epsilon, lb.decay_ratio, lb.mass_coeff, lb.sensitivity, steps
+    )
+
+
+# The two closed forms on plain floats, shared by the public wrappers above
+# and the grid kernel :func:`_bound_table`: eps, b = e^-eps, the mass
+# coefficient a, the sensitivity and a checked step count.
+
+
+def _amplitude_lower(
+    eps: float, b: float, a: float, sens: float, steps: float
+) -> float:
     w = -math.expm1(-eps)  # 1 - b
     en = eps * steps
     bn = math.exp(-en)
@@ -121,14 +145,12 @@ def amplitude_lower_bound(lb: LowerBoundParams, steps: "float | None" = None) ->
         # below the rounding error of 1 (1-b^n and 1-b would then cancel)
         head = b * -math.expm1(-eps * (steps - 1.0))
         bracket = head / (w * w) - (steps - 1.0) * bn / w
-    return 2.0 * lb.mass_coeff * bracket * lb.sensitivity
+    return 2.0 * a * bracket * sens
 
 
-def power_lower_bound(lb: LowerBoundParams, steps: "float | None" = None) -> float:
-    """Closed-form minimum of E[X^2] over all valid mechanisms."""
-    steps = _check_steps(lb, steps)
-    eps = lb.epsilon
-    b = lb.decay_ratio
+def _power_lower(
+    eps: float, b: float, a: float, sens: float, steps: float
+) -> float:
     w = -math.expm1(-eps)
     w2 = -math.expm1(-2.0 * eps)  # 1 - b^2
     en = eps * steps
@@ -151,8 +173,8 @@ def power_lower_bound(lb: LowerBoundParams, steps: "float | None" = None) -> flo
         )
     # sensitivity^2 leaving the normal range is a DomainError, as the upper
     # bound's scale^2 is, not an OverflowError or a bound without digits
-    sens_sq = _cost_in_range(lb.sensitivity * lb.sensitivity, 2, lb.sensitivity)
-    return 2.0 * lb.mass_coeff * sens_sq * bracket / w
+    sens_sq = _cost_in_range(sens * sens, 2, sens)
+    return 2.0 * a * sens_sq * bracket / w
 
 
 @dataclass(frozen=True)
@@ -179,7 +201,8 @@ def bound_pair(
     sens: "Sensitivity | float",
     cost: "CostKind | str" = CostKind.AMPLITUDE,
 ) -> BoundPair:
-    """Compute both sides for one cost kind and sanity-check their order.
+    """Compute both sides for one cost kind and sanity-check their order:
+    :func:`_bound_table` at one point.
 
     The upper bound is the calibrated truncated Laplacian's cost.
 
@@ -189,25 +212,62 @@ def bound_pair(
     returning silently wrong numbers.
     """
     cost = CostKind.parse(cost)
-    lb = lower_bound_params(params, sens)
-    lower_fn = (
-        amplitude_lower_bound if cost is CostKind.AMPLITUDE else power_lower_bound
+    sens = as_sensitivity(sens)
+    lower, lower_floor, upper, refusal = _bound_table(
+        [params.epsilon], [params.delta], sens.value, cost
     )
-    lower_floor = lower_fn(lb, lb.steps_floor)
-    lower = lower_fn(lb)
-    upper = TruncatedLaplace.from_privacy(params, sens).cost(cost)
-    for value in (lower_floor, lower):
-        # The slack below 0 admits the rounding of powers that are exactly 0.
-        if not (-1e-12 * upper <= value <= upper * (1.0 + 1e-12)):
-            raise InvariantError(
-                f"lower bound {value!r} is negative, NaN or exceeds upper "
-                f"bound {upper!r} at epsilon={params.epsilon!r}, "
-                f"delta={params.delta!r}"
-            )
+    if refusal is not None:
+        raise refusal
     return BoundPair(
-        lower=lower,
-        lower_floor=lower_floor,
-        upper=upper,
+        lower=lower[0],
+        lower_floor=lower_floor[0],
+        upper=upper[0],
         cost=cost,
-        lower_params=lb,
+        lower_params=lower_bound_params(params, sens),
     )
+
+
+def _bound_table(
+    epsilon: "list[float]", delta: "list[float]", sens: float, cost: CostKind
+) -> "tuple[list[float], list[float], list[float], Exception | None]":
+    """:func:`bound_pair` at every (epsilon[i], delta[i]), on plain floats.
+
+    ``sens`` is a checked sensitivity.  Returns the lists ``lower``,
+    ``lower_floor`` and ``upper`` up to the first point that is refused,
+    and that point's error (None if no point is), so a caller can finish
+    the work of the points before it before raising.  No mechanism or
+    parameter object is built per point; the arithmetic is
+    :func:`bound_pair`'s, in its order.
+    """
+    if cost is CostKind.AMPLITUDE:
+        lower_fn, upper_fn = _amplitude_lower, _amplitude
+    else:
+        lower_fn, upper_fn = _power_lower, _power
+    lower: list[float] = []
+    lower_floor: list[float] = []
+    upper: list[float] = []
+    try:
+        for eps, dlt in zip(epsilon, delta):
+            x_ratio, a, b, steps = _slicing(eps, dlt)
+            low_floor = lower_fn(eps, b, a, sens, _check_steps(math.floor(steps)))
+            low = lower_fn(eps, b, a, sens, steps)
+            # the upper bound is the calibrated mechanism's own cost, from
+            # its checked scale and radius
+            scale, radius, _ = _checked_shape(*_calibrated_shape(sens, eps, x_ratio))
+            up = upper_fn(scale, radius)
+            for value in (low_floor, low):
+                # The slack below 0 admits the rounding of powers that are
+                # exactly 0.
+                if not (-1e-12 * up <= value <= up * (1.0 + 1e-12)):
+                    raise InvariantError(
+                        f"lower bound {value!r} is negative, NaN or exceeds "
+                        f"upper bound {up!r} at epsilon={eps!r}, "
+                        f"delta={dlt!r}"
+                    )
+            lower.append(low)
+            lower_floor.append(low_floor)
+            upper.append(up)
+    except (ArithmeticError, ValueError, InvariantError) as exc:
+        # DomainError is a ValueError; the arithmetic can also divide by 0
+        return lower, lower_floor, upper, exc
+    return lower, lower_floor, upper, None

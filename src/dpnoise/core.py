@@ -63,11 +63,14 @@ class PrivacyParams:
         object.__setattr__(
             self, "epsilon", _require_finite_positive(self.epsilon, "epsilon")
         )
-        object.__setattr__(self, "delta", float(self.delta))
-        if not math.isfinite(self.delta) or not 0.0 < self.delta < 0.5:
-            raise DomainError(
-                f"delta must lie strictly inside (0, 0.5), got {self.delta!r}"
-            )
+        object.__setattr__(self, "delta", _check_delta(self.delta))
+
+
+def _check_delta(delta: float) -> float:
+    delta = float(delta)
+    if not math.isfinite(delta) or not 0.0 < delta < 0.5:
+        raise DomainError(f"delta must lie strictly inside (0, 0.5), got {delta!r}")
+    return delta
 
 
 @dataclass(frozen=True)
@@ -267,8 +270,10 @@ class NoiseMechanism(ABC):
         """
         size = () if n is None else int(n)
         u = np.asarray(rng.random(size), dtype=float)
-        # random() may return exactly 0.0; nudge onto the open interval so
-        # mechanisms with unbounded support keep finite quantiles.
-        u = np.maximum(u, 5e-324)
+        # random() may return exactly 0.0; nudge it onto the open interval
+        # so mechanisms with unbounded support keep finite quantiles.  2^-53
+        # is the smallest positive draw of numpy's Generator.random, so no
+        # other draw moves, and unlike 5e-324 it leaves |u - 1/2| below 1/2.
+        u = np.maximum(u, 2.0**-53)
         values = self.quantile(u)
         return values

@@ -49,12 +49,7 @@ class TruncatedLaplace(NoiseMechanism):
     may be infinite."""
 
     def __init__(self, scale: float, radius: float, height: float):
-        self.scale = _require_finite_positive(scale, "scale")
-        radius = float(radius)
-        if not radius > 0.0:  # NaN too
-            raise DomainError(f"radius must be > 0, got {radius!r}")
-        self.radius = radius
-        self.height = _require_finite_positive(height, "height")
+        self.scale, self.radius, self.height = _checked_shape(scale, radius, height)
         # The mass of each half line, height * scale (1/2 up to rounding).
         self._area = self.height * self.scale
 
@@ -72,11 +67,11 @@ class TruncatedLaplace(NoiseMechanism):
         outermost sensitivity-wide slice of the support equals delta, which
         is what the privacy argument consumes.
         """
-        scale = as_sensitivity(sens).value / params.epsilon
-        x_ratio = radius_scale_ratio(params.epsilon, params.delta)
-        return cls(
-            scale, scale * x_ratio, 1.0 / (2.0 * scale * (-math.expm1(-x_ratio)))
-        )
+        return cls(*_calibrated_shape(
+            as_sensitivity(sens).value,
+            params.epsilon,
+            radius_scale_ratio(params.epsilon, params.delta),
+        ))
 
     @property
     def parameters(self) -> dict[str, float]:
@@ -152,12 +147,43 @@ class TruncatedLaplace(NoiseMechanism):
 
     @property
     def expected_amplitude(self) -> float:
-        factor = truncation_amplitude_factor(self.radius / self.scale)
-        return _cost_in_range(self.scale * factor, 1, self.scale, factor)
+        return _amplitude(self.scale, self.radius)
 
     @property
     def expected_power(self) -> float:
-        factor = truncation_power_factor(self.radius / self.scale)
-        return _cost_in_range(
-            2 * (self.scale * self.scale) * factor, 2, self.scale, factor
-        )
+        return _power(self.scale, self.radius)
+
+
+# The calibration, the shape checks and the two costs as functions of plain
+# floats, shared by the class above and by the grid kernel
+# :func:`dpnoise.bounds._bound_table`, which builds no mechanism per point.
+
+
+def _calibrated_shape(
+    sens_value: float, epsilon: float, x_ratio: float
+) -> tuple[float, float, float]:
+    """(scale, radius, height) for :meth:`TruncatedLaplace.from_privacy`,
+    with ``x_ratio = radius_scale_ratio(epsilon, delta)``; unchecked."""
+    scale = sens_value / epsilon
+    return scale, scale * x_ratio, 1.0 / (2.0 * scale * (-math.expm1(-x_ratio)))
+
+
+def _checked_shape(
+    scale: float, radius: float, height: float
+) -> tuple[float, float, float]:
+    """The shape as floats, or the DomainError that refuses it."""
+    scale = _require_finite_positive(scale, "scale")
+    radius = float(radius)
+    if not radius > 0.0:  # NaN too
+        raise DomainError(f"radius must be > 0, got {radius!r}")
+    return scale, radius, _require_finite_positive(height, "height")
+
+
+def _amplitude(scale: float, radius: float) -> float:
+    factor = truncation_amplitude_factor(radius / scale)
+    return _cost_in_range(scale * factor, 1, scale, factor)
+
+
+def _power(scale: float, radius: float) -> float:
+    factor = truncation_power_factor(radius / scale)
+    return _cost_in_range(2 * (scale * scale) * factor, 2, scale, factor)

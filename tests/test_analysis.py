@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import io
 import json
 import logging
 import math
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,8 +19,11 @@ from dpnoise.analysis import (
     run_sweep,
     tightness_curve,
 )
+from dpnoise import analysis, bounds
 from dpnoise.baselines import Gaussian, analytic_gaussian_sigma
+from dpnoise.bounds import BoundPair, LowerBoundParams
 from dpnoise.core import ConvergenceError, CostKind, DomainError, PrivacyParams
+from dpnoise.trunclap import TruncatedLaplace
 
 SMALL = SweepConfig(
     eps_min=0.1,
@@ -121,6 +126,23 @@ class TestRunSweep:
             delta_min=1e-300, delta_max=0.49, delta_points=12,
         )
         with pytest.raises(ConvergenceError, match="from below"):
+            run_sweep(config)
+
+    @pytest.mark.parametrize(
+        "eps_min, message",
+        [
+            (0.1, r"^delta must lie strictly inside \(0, 0\.5\), got 0\.7$"),
+            (1e-170, r"^epsilon=1e-170 is too small"),
+        ],
+    )
+    def test_first_refused_point_is_the_point_by_point_one(self, eps_min, message):
+        # the last delta is out of range; with eps_min = 1e-170 the closed
+        # forms refuse point 0 before that delta is reached
+        config = SweepConfig(
+            eps_min=eps_min, eps_max=2.0, eps_points=3,
+            delta_min=0.1, delta_max=0.7, delta_points=4,
+        )
+        with pytest.raises(DomainError, match=message):
             run_sweep(config)
 
     @pytest.mark.parametrize("sens", [1.0, 3.0])
@@ -258,3 +280,256 @@ class TestEmit:
             emit([], "csv")
         with pytest.raises(DomainError):
             emit(rows, "pdf")
+
+
+class TestSweepBuildsNoPerPointObjects:
+    """A timer-free performance guard: the number of parameter, mechanism
+    and bound objects a sweep builds does not grow with its grid."""
+
+    COUNTED = [
+        (PrivacyParams, "__init__"),
+        (LowerBoundParams, "__init__"),
+        (TruncatedLaplace, "__init__"),
+        (BoundPair, "__init__"),
+        (bounds, "bound_pair"),
+        (analysis, "bound_pair"),
+    ]
+
+    def test_counts_do_not_grow_with_the_grid(self, monkeypatch):
+        counts = Counter()
+        for owner, name in self.COUNTED:
+            original = getattr(owner, name)
+            key = getattr(owner, "__name__", "") + "." + name
+
+            def counted(*args, _original=original, _key=key, **kwargs):
+                counts[_key] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        by_size = {}
+        for points in (10, 30):
+            counts.clear()
+            run_sweep(SweepConfig(eps_points=points, delta_points=points))
+            by_size[points] = dict(counts)
+        assert by_size[10] == by_size[30]
+        # the counters see these objects where they are built
+        counts.clear()
+        analysis.bound_pair(PrivacyParams(1.0, 1e-5), 1.0)
+        TruncatedLaplace.from_privacy(PrivacyParams(1.0, 1e-5), 1.0)
+        assert set(counts) == {
+            "PrivacyParams.__init__", "LowerBoundParams.__init__",
+            "TruncatedLaplace.__init__", "BoundPair.__init__",
+            "dpnoise.analysis.bound_pair",
+        }
+
+
+# ---------------------------------------------------------------------------
+# The emitters as they were before they filled one template per table, kept
+# verbatim as the byte-for-byte reference.
+
+
+def brute_format_value(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def brute_rows_to_csv(rows):
+    names = [f.name for f in dataclasses.fields(rows[0])]
+    lines = [",".join(names)]
+    for row in rows:
+        lines.append(
+            ",".join(brute_format_value(getattr(row, n)) for n in names)
+        )
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def brute_rows_to_json(rows):
+    names = [f.name for f in dataclasses.fields(rows[0])]
+    payload = [{n: getattr(row, n) for n in names} for row in rows]
+    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+
+
+BRUTE_VIRIDIS = [
+    (0.267, 0.005, 0.329),
+    (0.283, 0.141, 0.458),
+    (0.254, 0.265, 0.530),
+    (0.207, 0.372, 0.553),
+    (0.164, 0.471, 0.558),
+    (0.128, 0.567, 0.551),
+    (0.135, 0.659, 0.518),
+    (0.267, 0.749, 0.441),
+    (0.478, 0.821, 0.318),
+    (0.741, 0.873, 0.150),
+    (0.993, 0.906, 0.144),
+]
+
+
+def brute_color(v):
+    v = min(max(v, 0.0), 1.0)
+    pos = v * (len(BRUTE_VIRIDIS) - 1)
+    i = min(int(pos), len(BRUTE_VIRIDIS) - 2)
+    t = pos - i
+    rgb = [
+        round(255 * ((1 - t) * BRUTE_VIRIDIS[i][k] + t * BRUTE_VIRIDIS[i + 1][k]))
+        for k in range(3)
+    ]
+    return "#{:02x}{:02x}{:02x}".format(*rgb)
+
+
+def brute_rows_to_svg(rows):
+    eps_values = sorted({r.epsilon for r in rows})
+    delta_values = sorted({r.delta for r in rows})
+    cell = {(r.epsilon, r.delta): r.ratio_bounds for r in rows}
+    vmin = min(cell.values())
+    vmax = max(cell.values())
+    span = (vmax - vmin) or 1.0
+
+    left, top, width, height = 90, 50, 560, 400
+    cw = width / len(eps_values)
+    ch = height / len(delta_values)
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="540" '
+        'viewBox="0 0 800 540" font-family="sans-serif" font-size="12">',
+        '<rect width="800" height="540" fill="white"/>',
+        '<text x="370" y="24" text-anchor="middle" font-size="15">'
+        "Achievable-vs-optimal noise cost ratio (lower/upper bound)</text>",
+    ]
+    for ix, eps in enumerate(eps_values):
+        for iy, delta in enumerate(delta_values):
+            ratio = cell.get((eps, delta))
+            if ratio is None:
+                continue
+            x = left + ix * cw
+            # delta grows upward
+            y = top + height - (iy + 1) * ch
+            parts.append(
+                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw + 0.3:.2f}" '
+                f'height="{ch + 0.3:.2f}" fill="{brute_color((ratio - vmin) / span)}">'
+                f"<title>eps={eps:.6g}, delta={delta:.6g}, "
+                f"ratio={ratio:.6g}</title></rect>"
+            )
+    # axes
+    every_x = max(1, len(eps_values) // 8)
+    for ix, eps in enumerate(eps_values):
+        if ix % every_x:
+            continue
+        x = left + (ix + 0.5) * cw
+        parts.append(
+            f'<text x="{x:.2f}" y="{top + height + 18}" text-anchor="middle">'
+            f"{eps:.1e}</text>"
+        )
+    every_y = max(1, len(delta_values) // 8)
+    for iy, delta in enumerate(delta_values):
+        if iy % every_y:
+            continue
+        y = top + height - (iy + 0.5) * ch
+        parts.append(
+            f'<text x="{left - 8}" y="{y + 4:.2f}" text-anchor="end">'
+            f"{delta:.1e}</text>"
+        )
+    parts.append(
+        f'<text x="{left + width / 2}" y="{top + height + 44}" '
+        'text-anchor="middle">epsilon</text>'
+    )
+    parts.append(
+        f'<text x="20" y="{top + height / 2}" text-anchor="middle" '
+        f'transform="rotate(-90 20 {top + height / 2})">delta</text>'
+    )
+    # colorbar
+    bar_x, bar_w, steps = left + width + 30, 18, 32
+    for k in range(steps):
+        frac = k / (steps - 1)
+        y = top + height * (1 - (k + 1) / steps)
+        parts.append(
+            f'<rect x="{bar_x}" y="{y:.2f}" width="{bar_w}" '
+            f'height="{height / steps + 0.3:.2f}" fill="{brute_color(frac)}"/>'
+        )
+    for frac, value in ((0.0, vmin), (0.5, vmin + span / 2), (1.0, vmax)):
+        y = top + height * (1 - frac)
+        parts.append(
+            f'<text x="{bar_x + bar_w + 6}" y="{y + 4:.2f}">{value:.3g}</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts).encode("utf-8")
+
+
+BRUTE_EMITTERS = {
+    "csv": brute_rows_to_csv,
+    "json": brute_rows_to_json,
+    "svg": brute_rows_to_svg,
+}
+
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, -1e308,
+           0.1, 1.0 / 3.0, 2.5e-7, 123456789.0]
+
+
+def special_sweep_rows(ratios_finite):
+    """A 4 x 3 grid of sweep rows holding every special value in every
+    column; with ``ratios_finite`` the heatmap's ratios stay finite."""
+    rows = []
+    for k in range(12):
+        values = [SPECIAL[(k + j) % len(SPECIAL)] for j in range(8)]
+        if ratios_finite:
+            values[6] = [0.25, -0.0, 5e-324, 0.75, 1e308, 0.5][k % 6]
+        rows.append(SweepRow(0.5 * (k // 3 + 1), 1e-3 * (k % 3 + 1), *values[2:]))
+    return rows
+
+
+@dataclasses.dataclass(frozen=True)
+class MixedRow:
+    count: int
+    flag: bool
+    label: str
+    missing: object
+    value: float
+
+
+def outcome(emitter, rows):
+    try:
+        return emitter(rows)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestEmittersMatchTheReference:
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+    @pytest.mark.parametrize("cost", [CostKind.AMPLITUDE, CostKind.POWER])
+    @pytest.mark.parametrize("points", [3, 20, 100])
+    def test_sweep_rows(self, points, cost, fmt):
+        rows = run_sweep(
+            SweepConfig(eps_points=points, delta_points=points, cost=cost)
+        )
+        assert emit(rows, fmt) == BRUTE_EMITTERS[fmt](rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("regime", list(LimitRegime))
+    def test_tightness_rows(self, regime, fmt):
+        rows = tightness_curve(regime, cost=CostKind.POWER)
+        assert emit(rows, fmt) == BRUTE_EMITTERS[fmt](rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+    @pytest.mark.parametrize("ratios_finite", [True, False])
+    def test_special_values(self, ratios_finite, fmt):
+        rows = special_sweep_rows(ratios_finite)
+        assert outcome(lambda r: emit(r, fmt), rows) == outcome(
+            BRUTE_EMITTERS[fmt], rows
+        )
+        for row in rows:  # one row at a time, too
+            assert outcome(lambda r: emit(r, fmt), [row]) == outcome(
+                BRUTE_EMITTERS[fmt], [row]
+            )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_holding_more_than_floats(self, fmt):
+        rows = [
+            MixedRow(3, True, "a,b", None, 0.5),
+            MixedRow(-7, False, 'say "hi"', [1, 2], math.nan),
+            MixedRow(10**20, True, "", {"k": 1.0}, -0.0),
+        ]
+        assert emit(rows, fmt) == BRUTE_EMITTERS[fmt](rows)
+        # a float subclass takes the per-value route as well
+        rows = [TightnessRow(np.float64(0.1), 1e-5, 1.0, 2.0, 0.5, 0.5)]
+        assert emit(rows, fmt) == BRUTE_EMITTERS[fmt](rows)

@@ -459,3 +459,60 @@ class TestAnalyticSigmaKernel:
             p = PrivacyParams(eps, delta)
             expected = brute_profile(sigma, p, sens)
             assert gaussian_privacy_profile(sigma, p, sens) == expected
+
+
+def numpy_profile(sigma, eps, sens):
+    """The privacy profile in numpy's exp and expm1, which can round
+    differently from math's."""
+    a = sens / (2.0 * sigma) - eps * sigma / sens
+    b = -sens / (2.0 * sigma) - eps * sigma / sens
+    log_hi = log_ndtr(a)
+    log_lo = eps + log_ndtr(b)
+    with np.errstate(all="ignore"):
+        return np.where(
+            log_lo >= log_hi, 0.0, -np.exp(log_hi) * np.expm1(log_lo - log_hi)
+        )
+
+
+class TestGuardBand:
+    """The bisection reads only the sign of profile - delta.  The kernel takes
+    the profile in numpy, and must still decide every sign as math's
+    profile does, also where delta is math's profile to the last bit."""
+
+    @staticmethod
+    def assert_same_signs(sigma, eps, delta, sens):
+        with np.errstate(all="ignore"):
+            kernel = baselines._excess(sigma, np.full(sigma.shape, eps), delta, sens)
+        exact = [
+            brute_profile(s, PrivacyParams(eps, 0.25), sens) - d
+            for s, d in zip(sigma.tolist(), delta.tolist())
+        ]
+        assert (kernel > 0.0).tolist() == [e > 0.0 for e in exact]
+        assert (kernel <= 0.0).tolist() == [e <= 0.0 for e in exact]
+
+    @pytest.mark.parametrize("sens", [1.0, 3.0])
+    @pytest.mark.parametrize("eps", [0.01, 0.5, 5.0])
+    def test_delta_at_the_math_profile(self, eps, sens):
+        sigma = sens * np.geomspace(0.05, 500.0, 3000) / math.sqrt(eps)
+        exact = np.array([
+            brute_profile(s, PrivacyParams(eps, 0.25), sens) for s in sigma.tolist()
+        ])
+        # where numpy's profile differs from math's (a few percent of these
+        # sigmas here), delta = math's value is on the edge of the decision
+        pick = (numpy_profile(sigma, eps, sens) != exact) & (exact > 0.0)
+        sigma, delta = sigma[pick], exact[pick]
+        for d in (delta, np.nextafter(delta, 0.0), np.nextafter(delta, 1.0)):
+            self.assert_same_signs(sigma, eps, d, sens)
+
+    def test_subnormal_delta(self):
+        # profiles and deltas below the smallest normal double, where
+        # relative rounding bounds no longer hold
+        sigma = np.geomspace(30.0, 60.0, 2000)
+        exact = np.array([
+            brute_profile(s, PrivacyParams(1.0, 0.25), 1.0) for s in sigma.tolist()
+        ])
+        tiny = (exact > 0.0) & (exact < 2.2250738585072014e-308)
+        assert tiny.any()
+        self.assert_same_signs(sigma[tiny], 1.0, exact[tiny], 1.0)
+        for d in (1e-300, 1e-308, 1e-310, 1e-320, 5e-324):
+            self.assert_same_signs(sigma, 1.0, np.full(sigma.shape, d), 1.0)

@@ -1,7 +1,10 @@
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from dpnoise import bounds
 from dpnoise.bounds import (
     BoundPair,
     LowerBoundParams,
@@ -14,6 +17,76 @@ from dpnoise.core import CostKind, DomainError, InvariantError, PrivacyParams
 from dpnoise.trunclap import TruncatedLaplace
 
 P_REF = PrivacyParams(1.0, 1e-5)
+
+
+def brute_bound_pair(params, sens, cost):
+    """bound_pair's per-point body from before the grid kernel, kept
+    verbatim (but for returning a tuple) as the reference."""
+    cost = CostKind.parse(cost)
+    lb = lower_bound_params(params, sens)
+    lower_fn = (
+        amplitude_lower_bound if cost is CostKind.AMPLITUDE else power_lower_bound
+    )
+    lower_floor = lower_fn(lb, lb.steps_floor)
+    lower = lower_fn(lb)
+    upper = TruncatedLaplace.from_privacy(params, sens).cost(cost)
+    for value in (lower_floor, lower):
+        # The slack below 0 admits the rounding of powers that are exactly 0.
+        if not (-1e-12 * upper <= value <= upper * (1.0 + 1e-12)):
+            raise InvariantError(
+                f"lower bound {value!r} is negative, NaN or exceeds upper "
+                f"bound {upper!r} at epsilon={params.epsilon!r}, "
+                f"delta={params.delta!r}"
+            )
+    return lower, lower_floor, upper
+
+
+def _hex(values):
+    return tuple(float.hex(v) for v in values)
+
+
+def brute_outcome(eps, delta, sens, cost):
+    """The reference bounds as exact hex, or the type and message of what
+    the reference raised."""
+    try:
+        return _hex(brute_bound_pair(PrivacyParams(eps, delta), sens, cost))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+TABLE_GRIDS = {
+    "default": (np.geomspace(1e-4, 10.0, 20), np.geomspace(1e-6, 0.1, 20)),
+    "100x100": (np.geomspace(1e-4, 10.0, 100), np.geomspace(1e-6, 0.1, 100)),
+    "wide": (np.geomspace(1e-9, 30.0, 60), np.geomspace(1e-300, 0.49, 60)),
+    # epsilon below the closed forms' floor, cancelling lower bounds and
+    # steps that round to the edges
+    "refusals": (np.geomspace(1e-170, 1e3, 30), np.geomspace(1e-300, 0.4999999, 30)),
+}
+
+
+def check_table_against_reference(eps_axis, delta_axis, sens, cost):
+    """_bound_table over the grid equals the reference at every point; after
+    a refusal, which must match the reference's, the table restarts at the
+    next point, so every point is checked."""
+    eps = np.repeat(eps_axis, delta_axis.size).tolist()
+    delta = np.tile(delta_axis, eps_axis.size).tolist()
+    start = refused = 0
+    while start < len(eps):
+        lower, lower_floor, upper, refusal = bounds._bound_table(
+            eps[start:], delta[start:], sens, cost
+        )
+        for i, point in enumerate(zip(lower, lower_floor, upper), start):
+            assert _hex(point) == brute_outcome(eps[i], delta[i], sens, cost)
+        stop = start + len(upper)
+        if refusal is None:
+            assert stop == len(eps)
+            break
+        refused += 1
+        assert (type(refusal), str(refusal)) == brute_outcome(
+            eps[stop], delta[stop], sens, cost
+        )
+        start = stop + 1
+    return refused
 
 
 class TestLowerBoundParams:
@@ -176,9 +249,8 @@ class TestBoundPair:
     def test_whole_step_lower_above_upper_raises(self, monkeypatch):
         p = PrivacyParams(0.7, 1e-6)
         upper = bound_pair(p, 1.0, cost="amplitude").upper
-        monkeypatch.setattr(
-            TruncatedLaplace, "cost", lambda self, kind: 1e-3 * upper
-        )
+        # the upper bound is the mechanism's amplitude on plain floats
+        monkeypatch.setattr(bounds, "_amplitude", lambda scale, radius: 1e-3 * upper)
         with pytest.raises(InvariantError, match="exceeds upper bound"):
             bound_pair(p, 1.0, cost="amplitude")
 
@@ -223,3 +295,38 @@ class TestBoundPair:
         pair = bound_pair(PrivacyParams(1e-4, 1e-4), 1.0, cost="amplitude")
         assert pair.ratio == pytest.approx(0.99973556187464, rel=1e-10)
         assert pair.ratio < 1.0
+
+
+class TestBoundTable:
+    """The grid kernel against the per-point reference, bit for bit."""
+
+    @pytest.mark.parametrize("sens", [1.0, 3.0])
+    @pytest.mark.parametrize("cost", list(CostKind))
+    @pytest.mark.parametrize("grid", sorted(TABLE_GRIDS))
+    def test_matches_the_per_point_reference(self, grid, cost, sens):
+        check_table_against_reference(*TABLE_GRIDS[grid], sens, cost)
+
+    @pytest.mark.parametrize("sens", [1e-300, 1e300, 5e-324])
+    @pytest.mark.parametrize("cost", list(CostKind))
+    def test_refusals_at_extreme_sensitivities(self, cost, sens):
+        # scale, radius, height and range refusals of the upper bound
+        assert check_table_against_reference(*TABLE_GRIDS["refusals"], sens, cost)
+
+    def test_bound_pair_is_the_one_point_table(self):
+        p = PrivacyParams(0.3, 1e-7)
+        for cost in CostKind:
+            pair = bound_pair(p, 3.0, cost)
+            lower, lower_floor, upper, refusal = bounds._bound_table(
+                [0.3], [1e-7], 3.0, cost
+            )
+            assert refusal is None
+            assert (pair.lower, pair.lower_floor, pair.upper) == (
+                lower[0], lower_floor[0], upper[0]
+            )
+            assert pair.lower_params == lower_bound_params(p, 3.0)
+
+    def test_one_formula_body(self):
+        # each closed form is written once, in the function the kernel and
+        # the public wrappers share
+        source = Path(bounds.__file__).read_text(encoding="utf-8")
+        assert source.count("expm1(-eps * (steps - 1.0))") == 1

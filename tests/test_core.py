@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from dpnoise.core import (
     Sensitivity,
     as_sensitivity,
 )
+from dpnoise.query import MECHANISM_NAMES, make_mechanism
 from dpnoise.trunclap import TruncatedLaplace
 
 
@@ -167,13 +169,23 @@ class TestNoiseMechanismContract:
         assert _Triangle().sample(Median()) == pytest.approx(0.0)
 
     def test_sample_handles_zero_uniform(self):
-        # a generator returning exactly 0.0 must not blow up the quantile
+        # a generator returning exactly 0.0 must not blow up the quantile,
+        # for any mechanism (Laplace's released -inf from a draw of 5e-324)
         class Zero:
             def random(self, size=()):
                 return np.zeros(size) if size != () else 0.0
 
         value = _Triangle().sample(Zero())
         assert math.isfinite(value)
+        params = PrivacyParams(1.0, 1e-5)
+        for name in MECHANISM_NAMES:
+            mech = make_mechanism(name, params, 1.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                scalar = mech.sample(Zero())
+                vector = mech.sample(Zero(), 3)
+            assert math.isfinite(scalar), name
+            assert np.all(np.isfinite(vector)) and vector.shape == (3,), name
 
 
 @pytest.mark.parametrize(
