@@ -163,8 +163,9 @@ def _calibrated_shape(
     sens_value: float, epsilon: float, x_ratio: float
 ) -> tuple[float, float, float]:
     """(scale, radius, height) for :meth:`TruncatedLaplace.from_privacy`,
-    with ``x_ratio = radius_scale_ratio(epsilon, delta)``; unchecked."""
-    scale = sens_value / epsilon
+    with ``x_ratio = radius_scale_ratio(epsilon, delta)``; only the scale,
+    which the height divides by, is checked."""
+    scale = _require_finite_positive(sens_value / epsilon, "scale")
     return scale, scale * x_ratio, 1.0 / (2.0 * scale * (-math.expm1(-x_ratio)))
 
 

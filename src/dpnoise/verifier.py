@@ -24,8 +24,13 @@ Cell masses come from the mechanism (``NoiseMechanism.grid_masses``): the
 exponential mechanisms give them in closed form, the others take the
 positive half from their half-line mass and mirror it.  The grid-wide
 kernels (the log-concavity gate and the tolerance) walk the grid in
-fixed-size blocks, so apart from the masses and their suffix sums no
-temporary grows with the grid.
+fixed-size blocks; on a mirrored grid the mirror and log-concavity gates
+read one half.  Suffix sums cover only the tail the fast path reads (for
+a truncated Laplacian, about one sensitivity at the support edge), and
+each grid caches its worst violation, worst shift and tolerance per e^eps,
+so a second check at the same epsilon only compares them with its delta.
+Apart from the masses and that tail, no temporary of the checks outgrows a
+byte per cell.
 """
 
 from __future__ import annotations
@@ -76,6 +81,10 @@ class DiscretizedDist:
     Cell ``i`` covers ``[origin + i*step, origin + (i+1)*step)``; a shift of
     the underlying variable by one sensitivity moves mass by exactly
     ``shift_cells`` cells.
+
+    A grid is frozen: the facts the checks derive from the masses are
+    cached on it, so ``masses`` is a read-only view.  The array passed in
+    stays writable and must not be changed while the grid is in use.
     """
 
     origin: float
@@ -83,18 +92,20 @@ class DiscretizedDist:
     masses: np.ndarray
     shift_cells: int
 
-    # derived, filled in __post_init__
+    # derived, filled in __post_init__ and by the checks
     _run: tuple[int, int] = field(init=False, repr=False)
     _fast_ok: bool = field(init=False, repr=False)
     _mirrored: bool = field(init=False, repr=False)
-    _suffix: "np.ndarray | None" = field(default=None, init=False, repr=False)
+    _tail: "tuple[int, np.ndarray] | None" = field(default=None, init=False, repr=False)
+    _by_c: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.step = _require_finite_positive(self.step, "step")
         if int(self.shift_cells) < 1:
             raise DomainError("shift_cells must be a positive integer")
         self.shift_cells = int(self.shift_cells)
-        self.masses = np.asarray(self.masses, dtype=float)
+        self.masses = np.asarray(self.masses, dtype=float).view()
+        self.masses.flags.writeable = False
         if self.masses.ndim != 1 or self.masses.size == 0:
             raise DomainError("masses must be a non-empty 1-d array")
         # min/max reject negatives, NaN (min is NaN) and infinities without
@@ -107,9 +118,10 @@ class DiscretizedDist:
             raise DomainError("masses must carry some probability")
         e = self.masses.size - 1 - int(np.argmax(positive[::-1]))
         self._run = (s, e)
+        half = self.masses.size // 2
+        self._mirrored = np.array_equal(self.masses[:half], self.masses[::-1][:half])
         contiguous = bool(positive[s : e + 1].all())
         self._fast_ok = contiguous and self._interior_log_concave(s, e)
-        self._mirrored = bool(np.array_equal(self.masses, self.masses[::-1]))
 
     def _interior_log_concave(self, s: int, e: int) -> bool:
         # Edge cells may hold folded tail mass, so only the interior run is
@@ -120,6 +132,11 @@ class DiscretizedDist:
         inner = self.masses[s + 1 : e]
         if inner.size < 3:
             return True
+        if self._mirrored:
+            # The interior is a palindrome: the triple around cell i has the
+            # factors of the one around its mirror cell, multiplied or added
+            # in the other order, so one half and the centre decide.
+            inner = inner[: (inner.size - 1) // 2 + 2]
         slack = max(1e-10, 8.0 * _width_jitter(self.masses.size))
         use_logs = inner.min() < 1e-150  # products could underflow; stay honest
         # Cells i-1, i, i+1 for the middle cells i of each block; adjacent
@@ -139,17 +156,17 @@ class DiscretizedDist:
     def total_mass(self) -> float:
         return float(self.masses.sum())
 
-    def _sums(self) -> np.ndarray:
-        """Suffix partial sums, cached: ``suffix[t]`` is the mass of cells
-        ``t..K-1``, accumulated from the right edge so that it is
-        relatively accurate where the small violation sums are read off."""
-        if self._suffix is None:
-            K = self.masses.size
-            suffix = np.empty(K + 1)
-            suffix[K] = 0.0
-            np.cumsum(self.masses[::-1], out=suffix[:K][::-1])
-            self._suffix = suffix
-        return self._suffix
+    def _sums(self, first: int) -> np.ndarray:
+        """Suffix partial sums from cell ``first`` on: ``sums[t - first]``
+        is the mass of cells ``t..K-1``, accumulated from the right edge so
+        that it is relatively accurate where the small violation sums are
+        read off.  Cached down to the earliest ``first`` asked for; in the
+        same order of additions, each value is the whole-grid sum's."""
+        if self._tail is None or first < self._tail[0]:
+            tail = np.zeros(self.masses.size + 1 - first)
+            np.cumsum(self.masses[first:][::-1], out=tail[:-1][::-1])
+            self._tail = (first, tail)
+        return self._tail[1][first - self._tail[0] :]
 
 
 def discretize(
@@ -219,15 +236,8 @@ def _direct_violation(masses: np.ndarray, c: float, j: int) -> float:
     return float(overlap + spill)
 
 
-def _fast_forward_violations(
-    masses: np.ndarray,
-    suffix: np.ndarray,
-    s: int,
-    e: int,
-    c: float,
-    max_shift: int,
-) -> np.ndarray:
-    """Exact violations for shifts +1..max_shift on a log-concave run.
+def _fast_forward_violations(dist: DiscretizedDist, c: float) -> np.ndarray:
+    """Exact violations for shifts +1..shift_cells on a log-concave run.
 
     The optimal positive cell set decomposes as:
       * a suffix of the interior found by binary search on the monotone
@@ -238,12 +248,14 @@ def _fast_forward_violations(
       * all cells shifted past the support (they contribute their own mass),
       * the (possibly fold-inflated) left edge cell, taken explicitly.
     """
+    masses = dist.masses
     K = masses.size
+    s, e = dist._run
     # Strictness keeps float-level ties (ratio exactly e^eps up to grid
     # jitter) out of the suffix: they contribute nothing to the true sum,
     # and excluding them keeps the searched predicate monotone.
     strict = 1.0 + max(1e-9, 4.0 * _width_jitter(K))
-    j = np.arange(1, max_shift + 1, dtype=np.int64)
+    j = np.arange(1, dist.shift_cells + 1, dtype=np.int64)
     dip = e - j  # the index whose target is the right edge cell
     dom_hi = np.maximum(dip, s + 1)  # past-the-end sentinel of the search
 
@@ -261,12 +273,21 @@ def _fast_forward_violations(
         lo[skip] = mid[skip] + 1
     boundary = lo
 
+    # Every suffix sum read below lies at or right of the window's left end
+    # (the cells shifted past the support start further right); on the
+    # mechanisms' grids that is about the outer sensitivity of the support.
+    first = int(np.clip(boundary - 2, s + 1, dom_hi).min())
+    tail = dist._sums(first)
+
+    def suffix(t):
+        return tail[t - first]
+
     # Window around the boundary absorbs float-level jitter in the predicate.
     viol_interior = np.zeros(j.shape)
     for w in (-2, -1, 0, 1, 2):
         start = np.clip(boundary + w, s + 1, dom_hi)
-        src = suffix[start] - suffix[dom_hi]
-        tgt = suffix[np.minimum(start + j, K)] - suffix[np.minimum(dom_hi + j, K)]
+        src = suffix(start) - suffix(dom_hi)
+        tgt = suffix(np.minimum(start + j, K)) - suffix(np.minimum(dom_hi + j, K))
         viol_interior = np.maximum(viol_interior, src - c * tgt)
     viol_interior = np.maximum(viol_interior, 0.0)
 
@@ -274,7 +295,7 @@ def _fast_forward_violations(
     d_dip = masses[np.clip(dip, 0, K - 1)] - c * masses[e]
     dip_term = np.where(dip_valid, np.maximum(d_dip, 0.0), 0.0)
 
-    past = suffix[np.clip(dip + 1, s + 1, e + 1)] - suffix[e + 1]
+    past = suffix(np.clip(dip + 1, s + 1, e + 1)) - suffix(e + 1)
 
     left_target = np.where(s + j <= e, masses[np.minimum(s + j, K - 1)], 0.0)
     d_left = masses[s] - c * left_target
@@ -397,26 +418,25 @@ def dp_check(dist: DiscretizedDist, params: PrivacyParams) -> ViolationReport:
     exactly representable on the grid.
     """
     c = _exp_epsilon(params.epsilon)
-    m = dist.shift_cells
-    masses = dist.masses
-    K = masses.size
-    s, e = dist._run
     fast = dist._fast_ok and dist._mirrored
-
-    if fast:
-        violations = _fast_forward_violations(masses, dist._sums(), s, e, c, m)
-        worst_j = int(np.argmax(violations)) + 1
-        worst = float(violations[worst_j - 1])
-        if worst <= 0.0:
+    # The worst violation, its shift and the tolerance depend on the grid
+    # and c alone, so a check at another delta only compares.
+    if c not in dist._by_c:
+        if fast:
+            violations = _fast_forward_violations(dist, c)
+            worst_j = int(np.argmax(violations)) + 1
+            worst = float(violations[worst_j - 1])
+            if worst <= 0.0:
+                worst, worst_j = 0.0, 0
+        else:
+            m = dist.shift_cells
             worst, worst_j = 0.0, 0
-    else:
-        worst, worst_j = 0.0, 0
-        for j in range(-m, m + 1):
-            v = _direct_violation(masses, c, j)
-            if v > worst:
-                worst, worst_j = v, j
-
-    tolerance = _straddle_tolerance(masses, c, worst_j)
+            for j in range(-m, m + 1):
+                v = _direct_violation(dist.masses, c, j)
+                if v > worst:
+                    worst, worst_j = v, j
+        dist._by_c[c] = (worst, worst_j, _straddle_tolerance(dist.masses, c, worst_j))
+    worst, worst_j, tolerance = dist._by_c[c]
     if not math.isfinite(tolerance):
         raise DomainError(
             f"epsilon = {params.epsilon!r} is too large to verify: the "
@@ -430,6 +450,6 @@ def dp_check(dist: DiscretizedDist, params: PrivacyParams) -> ViolationReport:
         tolerance=tolerance,
         epsilon=params.epsilon,
         delta=params.delta,
-        cells=K,
+        cells=dist.masses.size,
         path="fast" if fast else "direct",
     )

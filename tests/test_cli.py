@@ -126,6 +126,19 @@ class TestCalibrate:
             "error: density height 1/(2 scale) overflows at noise scale 1e-310\n"
         )
 
+    @pytest.mark.parametrize(
+        "command", [["calibrate", "--mech", "trunclap"], ["bounds"]]
+    )
+    def test_underflowing_scale_is_exit_2(self, capsys, command):
+        # sensitivity/epsilon rounds to 0: was a ZeroDivisionError
+        # traceback, exit 1
+        code, out, err = run(
+            capsys, *command, "--sens", "5e-324", "--eps", "2", "--delta", "1e-5"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: scale must be finite and > 0, got 0.0\n"
+
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "calibrate", "--eps", "1.0")
         assert code == 2

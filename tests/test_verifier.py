@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import ndtr
 
 from dpnoise.baselines import BoundedUniform, Gaussian, Laplace, analytic_gaussian_sigma
@@ -13,6 +14,8 @@ from dpnoise.verifier import (
     _BLOCK,
     DiscretizedDist,
     ViolationReport,
+    _direct_violation,
+    _exp_epsilon,
     _straddle_tolerance,
     _width_jitter,
     discretize,
@@ -84,6 +87,109 @@ def brute_fast_ok(masses):
     )
 
 
+def brute_suffix(masses):
+    """Whole-grid suffix sums, accumulated from the right edge."""
+    K = masses.size
+    suffix = np.empty(K + 1)
+    suffix[K] = 0.0
+    np.cumsum(masses[::-1], out=suffix[:K][::-1])
+    return suffix
+
+
+def brute_fast_forward_violations(masses, suffix, s, e, c, max_shift):
+    """The fast path over whole-grid suffix sums, kept verbatim from before
+    it read only the tail, as the reference."""
+    K = masses.size
+    # Strictness keeps float-level ties (ratio exactly e^eps up to grid
+    # jitter) out of the suffix: they contribute nothing to the true sum,
+    # and excluding them keeps the searched predicate monotone.
+    strict = 1.0 + max(1e-9, 4.0 * _width_jitter(K))
+    j = np.arange(1, max_shift + 1, dtype=np.int64)
+    dip = e - j  # the index whose target is the right edge cell
+    dom_hi = np.maximum(dip, s + 1)  # past-the-end sentinel of the search
+
+    lo = np.full(j.shape, s + 1, dtype=np.int64)
+    hi = dom_hi.copy()
+    while True:
+        active = lo < hi
+        if not active.any():
+            break
+        mid = (lo + hi) // 2
+        pred = masses[mid] > c * masses[np.minimum(mid + j, K - 1)] * strict
+        take = active & pred
+        skip = active & ~pred
+        hi[take] = mid[take]
+        lo[skip] = mid[skip] + 1
+    boundary = lo
+
+    # Window around the boundary absorbs float-level jitter in the predicate.
+    viol_interior = np.zeros(j.shape)
+    for w in (-2, -1, 0, 1, 2):
+        start = np.clip(boundary + w, s + 1, dom_hi)
+        src = suffix[start] - suffix[dom_hi]
+        tgt = suffix[np.minimum(start + j, K)] - suffix[np.minimum(dom_hi + j, K)]
+        viol_interior = np.maximum(viol_interior, src - c * tgt)
+    viol_interior = np.maximum(viol_interior, 0.0)
+
+    dip_valid = dip >= s + 1
+    d_dip = masses[np.clip(dip, 0, K - 1)] - c * masses[e]
+    dip_term = np.where(dip_valid, np.maximum(d_dip, 0.0), 0.0)
+
+    past = suffix[np.clip(dip + 1, s + 1, e + 1)] - suffix[e + 1]
+
+    left_target = np.where(s + j <= e, masses[np.minimum(s + j, K - 1)], 0.0)
+    d_left = masses[s] - c * left_target
+    left_term = np.maximum(d_left, 0.0)
+
+    return viol_interior + dip_term + past + left_term
+
+
+def brute_dp_check(masses, step, shift_cells, params):
+    """dp_check with whole-grid gates and suffix sums and nothing cached,
+    kept verbatim from before the tail-only sums (but for taking the grid's
+    fields) as the reference."""
+    masses = np.asarray(masses, dtype=float)
+    c = _exp_epsilon(params.epsilon)
+    m = shift_cells
+    K = masses.size
+    positive = np.flatnonzero(masses > 0.0)
+    s, e = int(positive[0]), int(positive[-1])
+    fast = brute_fast_ok(masses) and np.array_equal(masses, masses[::-1])
+
+    if fast:
+        violations = brute_fast_forward_violations(
+            masses, brute_suffix(masses), s, e, c, m
+        )
+        worst_j = int(np.argmax(violations)) + 1
+        worst = float(violations[worst_j - 1])
+        if worst <= 0.0:
+            worst, worst_j = 0.0, 0
+    else:
+        worst, worst_j = 0.0, 0
+        for j in range(-m, m + 1):
+            v = _direct_violation(masses, c, j)
+            if v > worst:
+                worst, worst_j = v, j
+
+    tolerance = _straddle_tolerance(masses, c, worst_j)
+    if not math.isfinite(tolerance):
+        raise DomainError(
+            f"epsilon = {params.epsilon!r} is too large to verify: the "
+            "tolerance overflows"
+        )
+    return ViolationReport(
+        max_violation=worst,
+        worst_shift=worst_j * step,
+        passed=worst <= params.delta + tolerance,
+        step=step,
+        tolerance=tolerance,
+        epsilon=params.epsilon,
+        delta=params.delta,
+        cells=K,
+        path="fast" if fast else "direct",
+    )
+
+
 def make_dist(masses, step=0.1, shift_cells=2):
     masses = np.asarray(masses, dtype=float)
     return DiscretizedDist(
@@ -135,6 +241,16 @@ class TestDiscretizedDist:
 
     def test_fast_flag_interior_zero(self):
         assert make_dist([0.3, 0.0, 0.3, 0.4])._fast_ok is False
+
+    def test_masses_are_frozen(self):
+        # the gates, the suffix sums and the per-epsilon results are cached
+        # from the masses, so a grid's masses cannot be written
+        p = np.array([0.25, 0.5, 0.25])
+        d = make_dist(p)
+        with pytest.raises(ValueError):
+            d.masses[0] = 1.0
+        p[0] = 0.3  # the caller's own array stays writable
+        assert p.flags.writeable
 
 
 class TestMaxViolation:
@@ -486,7 +602,15 @@ class TestBlockedKernels:
             for cell in (_BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK - 5):
                 dipped = base.copy()
                 dipped[cell] *= 0.99
-                cases.append(dipped)
+                # times its mirror image, the grid is exactly mirrored, so
+                # only its left half and centre are checked
+                cases += [dipped, dipped * dipped[::-1]]
+        for base in (bell, deep, bell[1:]):
+            # mirrored, with a dip only at the centre cell (odd sizes) or
+            # the centre pair (even sizes)
+            centre = base * base[::-1]
+            centre[(base.size - 1) // 2 : base.size // 2 + 1] *= 0.99
+            cases.append(centre)
         holed = bell.copy()
         holed[2 * _BLOCK] = 0.0
         cases.append(holed)
@@ -496,6 +620,133 @@ class TestBlockedKernels:
             assert flag == brute_fast_ok(masses)
             flags.append(flag)
         assert flags[:2] == [True, True] and not any(flags[2:])
+
+
+@st.composite
+def log_concave(draw, mirrored):
+    """Masses rising log-concavely to a peak and, mirrored, falling back, or
+    falling with another slope profile; edge cells may carry folded tail
+    mass, and the support may sit inside zero cells."""
+    n = draw(st.integers(1, 40))
+    rises = sorted(draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n)))
+    left = np.exp(np.cumsum(rises[::-1]))
+    if mirrored:
+        right = left[::-1] if draw(st.booleans()) else left[-2::-1]
+    else:
+        k = draw(st.integers(1, 40))
+        falls = sorted(draw(st.lists(st.floats(0.0, 3.0), min_size=k, max_size=k)))
+        right = left[-1] * np.exp(-np.cumsum(falls))
+    masses = np.concatenate([left, right])
+    fold = draw(st.floats(1.0, 5.0))
+    masses[0] *= fold
+    if mirrored:
+        masses[-1] *= fold
+    pad = np.zeros(draw(st.integers(0, 3)))
+    masses = np.concatenate([pad, masses, pad])
+    return masses / masses.sum()
+
+
+ANY_MASSES = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=80).filter(
+    lambda p: max(p) > 0.0
+).map(np.array)
+# mirrored about a cell boundary or about a centre cell
+MIRRORED_MASSES = ANY_MASSES.flatmap(
+    lambda p: st.sampled_from(
+        [np.concatenate([p, p[::-1]]), np.concatenate([p, p[-2::-1]])]
+    )
+)
+
+
+class TestFastPathReference:
+    """dp_check against the whole-grid, uncached reference, report for report
+    and bit for bit, over a sequence of checks that hits the cache."""
+
+    @staticmethod
+    def _check_against_reference(masses, step, shift_cells, eps, delta):
+        d = DiscretizedDist(
+            origin=0.0, step=step, masses=masses, shift_cells=shift_cells
+        )
+        assert d._fast_ok == brute_fast_ok(masses)
+        assert d._mirrored == np.array_equal(masses, masses[::-1])
+        paths = set()
+        for params in (
+            PrivacyParams(eps, delta),
+            PrivacyParams(eps, delta / 2.0),
+            PrivacyParams(eps / 3.0, delta),
+            PrivacyParams(eps, delta / 7.0),
+        ):
+            report = dp_check(d, params)
+            assert report.to_dict() == brute_dp_check(
+                masses, step, shift_cells, params
+            ).to_dict()
+            paths.add(report.path)
+        return paths
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        masses=log_concave(mirrored=True),
+        shift=st.integers(1, 50),
+        eps=st.floats(0.01, 3.0),
+        delta=st.floats(1e-9, 0.49),
+    )
+    @example(masses=np.array([0.3, 0.4, 0.3]), shift=1, eps=0.5, delta=0.1)
+    @example(masses=np.array([0.0, 0.2, 0.6, 0.2, 0.0]), shift=4, eps=1.0, delta=0.01)
+    @example(masses=np.array([1.0]), shift=2, eps=1.0, delta=0.01)
+    def test_mirrored_log_concave_grids(self, masses, shift, eps, delta):
+        paths = self._check_against_reference(masses, 0.1, shift, eps, delta)
+        assert paths == {"fast"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        masses=st.one_of(log_concave(mirrored=False), ANY_MASSES, MIRRORED_MASSES),
+        shift=st.integers(1, 50),
+        eps=st.floats(0.01, 3.0),
+        delta=st.floats(1e-9, 0.49),
+    )
+    # mirrored grids whose only log-concavity breach is at the centre
+    @example(masses=np.array([0.1, 0.3, 0.1, 0.3, 0.1]), shift=2, eps=0.5, delta=0.1)
+    @example(
+        masses=np.array([0.1, 0.2, 0.3, 0.25, 0.25, 0.3, 0.2, 0.1]),
+        shift=2, eps=0.5, delta=0.1,
+    )
+    def test_other_grids(self, masses, shift, eps, delta):
+        paths = self._check_against_reference(masses, 0.1, shift, eps, delta)
+        mirrored = np.array_equal(masses, masses[::-1])
+        fast = mirrored and brute_fast_ok(masses)
+        assert paths == {"fast" if fast else "direct"}
+
+    @pytest.mark.parametrize("name", MECHANISM_NAMES)
+    @settings(max_examples=12, deadline=None)
+    @given(
+        eps=st.floats(0.2, 3.0),
+        delta=st.floats(1e-3, 0.2),
+        step=st.sampled_from([0.05, 0.02, 0.01]),
+    )
+    def test_every_mechanism(self, name, eps, delta, step):
+        p = PrivacyParams(eps, delta)
+        d = discretize(make_mechanism(name, p, 1.0), 1.0, step=step)
+        paths = self._check_against_reference(
+            d.masses, d.step, d.shift_cells, eps, delta
+        )
+        assert paths == {"fast"}
+
+    def test_same_epsilon_other_delta(self):
+        eps, delta = 0.5, 1e-4
+        d = discretize(
+            TruncatedLaplace.from_privacy(PrivacyParams(eps, delta), 1.0),
+            1.0,
+            step=1e-2,
+        )
+        accept = dp_check(d, PrivacyParams(eps, delta))
+        reject = dp_check(d, PrivacyParams(eps, delta / 2.0))
+        for field in ("max_violation", "worst_shift", "tolerance"):
+            assert getattr(accept, field) == getattr(reject, field)
+        assert (accept.delta, reject.delta) == (delta, delta / 2.0)
+        assert accept.passed and not reject.passed
+        for report in (accept, reject):
+            assert report.passed == (
+                report.max_violation <= report.delta + report.tolerance
+            )
 
 
 class TestFastPathCost:
@@ -514,19 +765,21 @@ class TestFastPathCost:
         assert d._fast_ok
 
     def test_traced_peak_per_cell(self):
-        p = PrivacyParams(0.01, 1e-4)
+        # Suffix sums cover only the tail the fast path reads and every
+        # other kernel works in blocks or on half the grid, so an
+        # accept/reject pair adds little to the masses themselves.
+        p = PrivacyParams(0.01, 1e-5)
         mech = TruncatedLaplace.from_privacy(p, 1.0)
         tracemalloc.start()
         try:
             d = discretize(mech, 1.0, step=1e-3)
             accept = dp_check(d, p)
-            reject = dp_check(d, PrivacyParams(0.01, 5e-5))
+            reject = dp_check(d, PrivacyParams(0.01, 5e-6))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         cells = d.masses.size
-        assert cells > 780_000
+        assert cells > 1_000_000
         assert accept.passed and not reject.passed
         assert accept.path == "fast" and accept.cells == cells
-        # masses and their suffix sums are 16 B/cell
-        assert peak / cells < 24.0
+        assert peak <= 1.5 * d.masses.nbytes
