@@ -163,10 +163,11 @@ def _calibrated_shape(
     sens_value: float, epsilon: float, x_ratio: float
 ) -> tuple[float, float, float]:
     """(scale, radius, height) for :meth:`TruncatedLaplace.from_privacy`,
-    with ``x_ratio = radius_scale_ratio(epsilon, delta)``; only the scale,
-    which the height divides by, is checked."""
-    scale = _require_finite_positive(sens_value / epsilon, "scale")
-    return scale, scale * x_ratio, 1.0 / (2.0 * scale * (-math.expm1(-x_ratio)))
+    with ``x_ratio = radius_scale_ratio(epsilon, delta)``; unchecked (a
+    scale that underflows to 0 gives an infinite height)."""
+    scale = sens_value / epsilon
+    denom = 2.0 * scale * (-math.expm1(-x_ratio))
+    return scale, scale * x_ratio, 1.0 / denom if denom else math.inf
 
 
 def _checked_shape(

@@ -24,13 +24,12 @@ Cell masses come from the mechanism (``NoiseMechanism.grid_masses``): the
 exponential mechanisms give them in closed form, the others take the
 positive half from their half-line mass and mirror it.  The grid-wide
 kernels (the log-concavity gate and the tolerance) walk the grid in
-fixed-size blocks; on a mirrored grid the mirror and log-concavity gates
-read one half.  Suffix sums cover only the tail the fast path reads (for
-a truncated Laplacian, about one sensitivity at the support edge), and
-each grid caches its worst violation, worst shift and tolerance per e^eps,
-so a second check at the same epsilon only compares them with its delta.
-Apart from the masses and that tail, no temporary of the checks outgrows a
-byte per cell.
+fixed-size blocks, and on a mirrored grid the mirror and log-concavity
+gates read one half.  The fast path sums only the tail it reads (for a
+truncated Laplacian, about one sensitivity at the support edge), and a grid
+caches its result per e^eps, so a second check at the same epsilon only
+compares it with its delta.  Apart from the masses and that tail, no
+temporary outgrows a byte per cell.
 """
 
 from __future__ import annotations
@@ -96,7 +95,6 @@ class DiscretizedDist:
     _run: tuple[int, int] = field(init=False, repr=False)
     _fast_ok: bool = field(init=False, repr=False)
     _mirrored: bool = field(init=False, repr=False)
-    _tail: "tuple[int, np.ndarray] | None" = field(default=None, init=False, repr=False)
     _by_c: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -133,8 +131,7 @@ class DiscretizedDist:
         if inner.size < 3:
             return True
         if self._mirrored:
-            # The interior is a palindrome: the triple around cell i has the
-            # factors of the one around its mirror cell, multiplied or added
+            # A palindrome: the triple around cell i has its mirror's factors
             # in the other order, so one half and the centre decide.
             inner = inner[: (inner.size - 1) // 2 + 2]
         slack = max(1e-10, 8.0 * _width_jitter(self.masses.size))
@@ -155,18 +152,6 @@ class DiscretizedDist:
     @property
     def total_mass(self) -> float:
         return float(self.masses.sum())
-
-    def _sums(self, first: int) -> np.ndarray:
-        """Suffix partial sums from cell ``first`` on: ``sums[t - first]``
-        is the mass of cells ``t..K-1``, accumulated from the right edge so
-        that it is relatively accurate where the small violation sums are
-        read off.  Cached down to the earliest ``first`` asked for; in the
-        same order of additions, each value is the whole-grid sum's."""
-        if self._tail is None or first < self._tail[0]:
-            tail = np.zeros(self.masses.size + 1 - first)
-            np.cumsum(self.masses[first:][::-1], out=tail[:-1][::-1])
-            self._tail = (first, tail)
-        return self._tail[1][first - self._tail[0] :]
 
 
 def discretize(
@@ -273,11 +258,13 @@ def _fast_forward_violations(dist: DiscretizedDist, c: float) -> np.ndarray:
         lo[skip] = mid[skip] + 1
     boundary = lo
 
-    # Every suffix sum read below lies at or right of the window's left end
-    # (the cells shifted past the support start further right); on the
-    # mechanisms' grids that is about the outer sensitivity of the support.
+    # tail[t - first] is the mass of cells t..K-1 from the window's left end
+    # on (the cells shifted past the support start further right), summed
+    # from the right edge, so it is relatively accurate where the small
+    # violation sums are read off and equals the whole-grid suffix sum.
     first = int(np.clip(boundary - 2, s + 1, dom_hi).min())
-    tail = dist._sums(first)
+    tail = np.zeros(K + 1 - first)
+    np.cumsum(masses[first:][::-1], out=tail[:-1][::-1])
 
     def suffix(t):
         return tail[t - first]
@@ -429,9 +416,8 @@ def dp_check(dist: DiscretizedDist, params: PrivacyParams) -> ViolationReport:
             if worst <= 0.0:
                 worst, worst_j = 0.0, 0
         else:
-            m = dist.shift_cells
             worst, worst_j = 0.0, 0
-            for j in range(-m, m + 1):
+            for j in range(-dist.shift_cells, dist.shift_cells + 1):
                 v = _direct_violation(dist.masses, c, j)
                 if v > worst:
                     worst, worst_j = v, j
