@@ -127,6 +127,19 @@ def _scalar_or_array(values: np.ndarray, scalar: bool):
 
 
 _NORMAL_MIN = sys.float_info.min  # the smallest double with full precision
+_ULP = 2.0**-53  # unit roundoff of a double
+
+
+def _width_jitter(n_cells: int) -> float:
+    """Relative wobble of cell widths caused by float grid geometry.
+
+    Cell edges are ``step*arange``, so the outermost edges of an n-cell grid
+    centered near zero round at ``ulp((n/2)*step)``.  Individual cell widths
+    — and with them the cell masses of a smooth density — then wobble by up
+    to about ``2**-52 * 2n`` relative, even when the density itself is
+    evaluated exactly.
+    """
+    return 2.0**-52 * 2.0 * float(n_cells)
 
 
 def _cost_in_range(value: float, k: int, scale: float, factor: float = 1.0) -> float:
@@ -261,6 +274,14 @@ class NoiseMechanism(ABC):
         masses[H:] = pos
         masses[:H] = pos[::-1]
         return masses
+
+    def grid_mass_error(self, step: float, half_cells: int) -> float:
+        """Relative error bound of each of :meth:`grid_masses`' masses.
+
+        The default masses are differences of the half-line mass at the
+        rounded edges ``step*k``, so they carry the grid's width jitter.
+        """
+        return 2.0 * _width_jitter(2 * int(half_cells))
 
     def sample(self, rng, n: "int | None" = None):
         """Draw ``n`` samples (or a single scalar when ``n`` is None).

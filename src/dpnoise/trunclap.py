@@ -34,6 +34,7 @@ from .core import (
     NoiseMechanism,
     PrivacyParams,
     Sensitivity,
+    _ULP,
     _cost_in_range,
     _require_finite_positive,
     as_sensitivity,
@@ -137,6 +138,13 @@ class TruncatedLaplace(NoiseMechanism):
         pos[full:] = self._area * np.exp(-k * t) * -np.expm1(-span)
         masses[:H] = pos[::-1]
         return masses
+
+    def grid_mass_error(self, step: float, half_cells: int) -> float:
+        """A few ulp times ``1 + half_cells*step/scale``: every factor of a
+        closed-form mass is within a few roundings, but ``e^(-k t)`` inherits
+        the rounding of ``t`` times ``k t``, which grows to the grid's edge
+        over the scale."""
+        return 4.0 * _ULP * (1.0 + int(half_cells) * step / self.scale)
 
     # -- closed-form costs ----------------------------------------------------
     # scale * factor and 2 scale^2 * factor, the two-sided exponential's

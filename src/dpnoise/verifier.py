@@ -4,11 +4,27 @@ The check is mechanism-agnostic ground truth: cut the noise density into
 cells of width ``step``, and for every shift of up to one sensitivity in
 either direction measure the worst cell-set privacy violation
 
-    violation(j) = sum_i max(0, p_i - e^eps * p_{i+j}).
+    violation(j) = sum_i max(0, d_i),   d_i = p_i - e^eps * p_{i+j}.
 
 This is the exact supremum of ``P(S) - e^eps P(S + j*step)`` over sets built
 from whole cells, hence a lower bound on the continuous supremum; the
-reported tolerance bounds what the cell granularity can hide.
+reported tolerance bounds what the cell granularity and the arithmetic can
+hide.  It has four parts, reported separately and summed:
+
+* flat: a cell whose d_i sits within eta times the larger of its two terms
+  (eta twice the relative error the mechanism states for its masses, plus a
+  few roundings) may hide up to that much; together at most
+  ``eta * M / (1 - eta)`` for total mass M, whatever the cell count;
+* straddle: at a sign flip of d between non-flat cells the crossing lies in
+  one of the two cells, which may hide the smaller of their |d|;
+* rounding: ``gamma_n * sum|terms|`` over the sums actually read (Higham,
+  *Accuracy and Stability of Numerical Algorithms*, ch. 4), plus the masses'
+  own error on those terms;
+* fold: the tail mass ``discretize`` folded into the edge cells, weighted
+  by ``(1 + e^eps) / 2``; 0 for a bounded support.
+
+A check that would pass with a tolerance above half its delta cannot tell
+delta from delta/2, and ``dp_check`` refuses it with a DomainError.
 
 For efficiency, grids whose cell masses are log-concave and exactly
 mirrored (those of every mechanism this package ships) use an exact fast
@@ -16,19 +32,22 @@ path.  There shift -j mirrors +j, so only positive shifts are checked; the
 optimal cell set for each is a run of cells ending at the support edge,
 found by binary search on the monotone mass-ratio sequence and summed via
 suffix sums.  Edge cells — which carry folded-in tail mass and may break
-log-concavity — are accounted for separately and exactly.  Every other grid
-falls back to the direct scan of both directions.  Both paths return the
-same sums.
+log-concavity — are accounted for separately and exactly.  On such a grid
+d changes sign once outside the flat band, at the crossing the search
+finds, so the fast path takes its tolerance from O(shift_cells + log K)
+cells and M.  Every other grid falls back to the direct scan of both
+directions and a full scan of the same tolerance formula.
 
 Cell masses come from the mechanism (``NoiseMechanism.grid_masses``): the
 exponential mechanisms give them in closed form, the others take the
-positive half from their half-line mass and mirror it.  The grid-wide
-kernels (the log-concavity gate and the tolerance) walk the grid in
-fixed-size blocks, and on a mirrored grid the mirror and log-concavity
-gates read one half.  The fast path sums only the tail it reads (for a
-truncated Laplacian, about one sensitivity at the support edge), and a grid
-caches its result per e^eps, so a second check at the same epsilon only
-compares it with its delta.  Apart from the masses and that tail, no
+positive half from their half-line mass and mirror it.  The grid's gates
+(finite and non-negative, the support run, the mirror and log-concavity)
+and M are one blocked pass, which on a mirrored grid checks log-concavity
+over one half.  The fast path then sums only the tail it reads (for a
+truncated Laplacian, about one sensitivity at the support edge), so after
+``grid_masses`` a fast-path grid is read once end to end plus that tail.  A
+grid caches its result per e^eps, so a second check at the same epsilon
+only compares it with its delta.  Apart from the masses and that tail, no
 temporary outgrows a byte per cell.
 """
 
@@ -44,7 +63,9 @@ from .core import (
     NoiseMechanism,
     PrivacyParams,
     Sensitivity,
+    _ULP,
     _require_finite_positive,
+    _width_jitter,
     as_sensitivity,
 )
 
@@ -58,19 +79,14 @@ __all__ = [
 
 _MAX_CELLS = 400_000_000  # refuse grids that cannot fit in memory
 _BLOCK = 1 << 15  # cells per block of the grid-wide kernels (L2-sized temporaries)
+_PROBE = 3  # cells read on either side of each searched sign change
+_PARTS = ("flat", "straddle", "rounding", "fold")
 
 
-def _width_jitter(n_cells: int) -> float:
-    """Relative wobble of cell widths caused by float grid geometry.
-
-    Cell edges are ``origin + step*arange``, so the outermost edges of an
-    n-cell grid centered near zero round at ``ulp((n/2)*step)``.  Individual
-    cell widths — and with them the cell masses of a smooth density — then
-    wobble by up to about ``2**-52 * 2n`` relative, even when the density
-    itself is evaluated exactly.  Every float-slack constant in this module
-    scales with this quantity.
-    """
-    return 2.0**-52 * 2.0 * float(n_cells)
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u), the relative error bound of a recursive
+    sum of n non-negative terms."""
+    return n * _ULP / (1.0 - n * _ULP)
 
 
 @dataclass
@@ -79,7 +95,10 @@ class DiscretizedDist:
 
     Cell ``i`` covers ``[origin + i*step, origin + (i+1)*step)``; a shift of
     the underlying variable by one sensitivity moves mass by exactly
-    ``shift_cells`` cells.
+    ``shift_cells`` cells.  ``mass_error`` bounds the relative error of each
+    mass (0: the masses are exact as given) and ``fold`` is the tail mass
+    folded into the two edge cells; ``discretize`` takes both from the
+    mechanism.
 
     A grid is frozen: the facts the checks derive from the masses are
     cached on it, so ``masses`` is a read-only view.  The array passed in
@@ -90,11 +109,14 @@ class DiscretizedDist:
     step: float
     masses: np.ndarray
     shift_cells: int
+    mass_error: float = 0.0
+    fold: float = 0.0
 
     # derived, filled in __post_init__ and by the checks
     _run: tuple[int, int] = field(init=False, repr=False)
     _fast_ok: bool = field(init=False, repr=False)
     _mirrored: bool = field(init=False, repr=False)
+    _mass: float = field(init=False, repr=False)  # M, summed by the gate pass
     _by_c: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -102,56 +124,128 @@ class DiscretizedDist:
         if int(self.shift_cells) < 1:
             raise DomainError("shift_cells must be a positive integer")
         self.shift_cells = int(self.shift_cells)
+        self.mass_error = float(self.mass_error)
+        if not 0.0 <= self.mass_error < 0.25:
+            raise DomainError(f"mass_error must lie in [0, 0.25), got {self.mass_error!r}")
+        self.fold = float(self.fold)
+        if not 0.0 <= self.fold < math.inf:
+            raise DomainError(f"fold must be finite and >= 0, got {self.fold!r}")
         self.masses = np.asarray(self.masses, dtype=float).view()
         self.masses.flags.writeable = False
         if self.masses.ndim != 1 or self.masses.size == 0:
             raise DomainError("masses must be a non-empty 1-d array")
-        # min/max reject negatives, NaN (min is NaN) and infinities without
-        # a grid-sized temporary.
-        if not (self.masses.min() >= 0.0 and self.masses.max() < math.inf):
-            raise DomainError("masses must be finite and non-negative")
-        positive = self.masses > 0.0
-        s = int(np.argmax(positive))
-        if not positive[s]:
+        s = _first_positive(self.masses)
+        if s < 0:
+            # min/max reject negatives, NaN (min is NaN) and infinities
+            # without a grid-sized temporary.
+            if not (self.masses.min() >= 0.0 and self.masses.max() < math.inf):
+                raise DomainError("masses must be finite and non-negative")
             raise DomainError("masses must carry some probability")
-        e = self.masses.size - 1 - int(np.argmax(positive[::-1]))
+        e = self.masses.size - 1 - _first_positive(self.masses[::-1])
         self._run = (s, e)
-        half = self.masses.size // 2
-        self._mirrored = np.array_equal(self.masses[:half], self.masses[::-1][:half])
-        contiguous = bool(positive[s : e + 1].all())
-        self._fast_ok = contiguous and self._interior_log_concave(s, e)
+        self._gate_pass(s, e)
 
-    def _interior_log_concave(self, s: int, e: int) -> bool:
-        # Edge cells may hold folded tail mass, so only the interior run is
-        # required to be log-concave; the fast path treats edges explicitly.
-        # The slack absorbs grid geometry (see _width_jitter); a density
-        # whose log-concavity defect sits below that scale is numerically
-        # indistinguishable from a log-concave one on this grid.
-        inner = self.masses[s + 1 : e]
-        if inner.size < 3:
-            return True
-        if self._mirrored:
-            # A palindrome: the triple around cell i has its mirror's factors
-            # in the other order, so one half and the centre decide.
-            inner = inner[: (inner.size - 1) // 2 + 2]
-        slack = max(1e-10, 8.0 * _width_jitter(self.masses.size))
-        use_logs = inner.min() < 1e-150  # products could underflow; stay honest
-        # Cells i-1, i, i+1 for the middle cells i of each block; adjacent
-        # blocks overlap by two cells.
-        for lo in range(0, inner.size - 2, _BLOCK):
-            m = inner[lo : lo + _BLOCK + 2]
-            if use_logs:
-                logs = np.log(m)
-                ok = np.all(2.0 * logs[1:-1] >= logs[:-2] + logs[2:] - slack)
-            else:
-                ok = np.all(m[1:-1] * m[1:-1] >= m[:-2] * m[2:] * (1.0 - slack))
-            if not ok:
-                return False
-        return True
+    def _gate_pass(self, s: int, e: int) -> None:
+        """The gates and M in one blocked pass over the grid.
+
+        Edge cells may hold folded tail mass, so only the interior run is
+        required to be log-concave; the fast path treats edges explicitly.
+        The slack absorbs grid geometry (see _width_jitter); a density
+        whose log-concavity defect sits below that scale is numerically
+        indistinguishable from a log-concave one on this grid.  On a
+        mirrored grid the right half is read only by the mirror comparison:
+        its masses are the left half's, and the log-concavity triple around
+        cell i has its mirror's factors in the other order, so one half and
+        the centre decide.
+        """
+        m = self.masses
+        K = m.size
+        half = K // 2
+        # centres of the interior triples; a mirrored grid needs those up to
+        # the middle only
+        lo_c, hi_c = s + 2, e - 1
+        mid_c = min(hi_c, (K - 1) // 2 + 1)
+        state = _GateState(max(1e-10, 8.0 * _width_jitter(K)))
+        mirrored = True
+        for lo in range(0, half, _BLOCK):
+            hi = min(lo + _BLOCK, half)
+            if mirrored:
+                mirrored = np.array_equal(m[lo:hi], m[K - hi : K - lo][::-1])
+            state.block(m, lo, hi, s, e, lo_c, hi_c)
+        if mirrored:
+            # twice the left half, and the middle cell of an odd grid with
+            # the triple around it
+            left, state.total = state.total, 0.0
+            state.block(m, half, K - half, s, e, lo_c, mid_c)
+            state.total += 2.0 * left
+            last_c = mid_c
+        else:
+            for lo in range(half, K, _BLOCK):
+                state.block(m, lo, min(lo + _BLOCK, K), s, e, lo_c, hi_c)
+            last_c = hi_c
+        self._mirrored = mirrored
+        self._mass = state.total
+        self._fast_ok = state.contiguous and state.log_concave(m, lo_c, last_c)
 
     @property
     def total_mass(self) -> float:
         return float(self.masses.sum())
+
+
+def _first_positive(masses: np.ndarray) -> int:
+    """Index of the first positive cell, read block by block; -1 if none."""
+    for lo in range(0, masses.size, _BLOCK):
+        positive = masses[lo : lo + _BLOCK] > 0.0
+        if positive.any():
+            return lo + int(np.argmax(positive))
+    return -1
+
+
+class _GateState:
+    """What the gate pass has found so far, block by block."""
+
+    def __init__(self, slack: float):
+        self.slack = slack
+        self.total = 0.0
+        self.contiguous = True
+        self.products_ok = True  # the log-concavity test on products
+        self.smallest = math.inf  # smallest cell any triple read
+
+    def block(self, m, lo, hi, s, e, lo_c, hi_c) -> None:
+        """Cells [lo, hi): finite and non-negative, positive inside the
+        support run, their mass, and the triples centred among them."""
+        if lo >= hi:
+            return
+        b = m[lo:hi]
+        low, mass = b.min(), b.sum()
+        # a NaN fails the min; an infinity makes the sum non-finite (as may
+        # an overflowing sum of finite masses, which the max then clears)
+        if not (low >= 0.0 and (math.isfinite(mass) or b.max() < math.inf)):
+            raise DomainError("masses must be finite and non-negative")
+        self.total += float(mass)
+        a, z = max(lo, s), min(hi, e + 1)
+        if a < z:
+            inside = low if (a, z) == (lo, hi) else m[a:z].min()
+            self.contiguous = self.contiguous and bool(inside > 0.0)
+        a, z = max(lo, lo_c), min(hi, hi_c)
+        if a < z:
+            x = m[a - 1 : z + 1]
+            self.smallest = min(self.smallest, float(x.min()))
+            if self.products_ok:
+                mid = x[1:-1]
+                self.products_ok = bool(
+                    np.all(mid * mid >= x[:-2] * x[2:] * (1.0 - self.slack))
+                )
+
+    def log_concave(self, m, lo_c, hi_c) -> bool:
+        if self.smallest >= 1e-150:
+            return self.products_ok
+        # products could underflow; stay honest and compare logs instead
+        for lo in range(lo_c, hi_c, _BLOCK):
+            logs = np.log(m[lo - 1 : min(lo + _BLOCK, hi_c) + 1])
+            if not np.all(2.0 * logs[1:-1] >= logs[:-2] + logs[2:] - self.slack):
+                return False
+        return True
 
 
 def discretize(
@@ -164,9 +258,17 @@ def discretize(
 
     ``step`` must divide the sensitivity into at least 10 cells (default:
     1/1000th of it).  ``radius`` defaults to the support edge for bounded
-    mechanisms and to the two-sided 1 - 1e-12 quantile range otherwise; any
-    mass beyond the outermost cells is folded into them, so the cell masses
-    always account for the full distribution.
+    mechanisms and otherwise to a third of a sensitivity beyond the
+    two-sided 1 - 1e-12 quantile range.  Any mass beyond the outermost cells is folded
+    into them, so the cell masses always account for the full distribution,
+    and the grid records that mass as its ``fold``.
+
+    The margin is for noise narrower than the sensitivity, which is checked
+    at a large epsilon: cells that a shift moves past the grid's edge are
+    counted with no target mass, which overstates their violation by up to
+    e^eps times the tail they would land on.  For a Gaussian calibrated at
+    epsilon 20 (sigma about 0.29 sensitivities) the margin is 1.15 sigma,
+    and the tail falls from 5e-13 to below 1e-16 a side.
     """
     sens_value = as_sensitivity(sens).value
     if step is None:
@@ -183,7 +285,7 @@ def discretize(
         if math.isfinite(lo) and math.isfinite(hi):
             radius = max(abs(lo), abs(hi))
         else:
-            radius = float(
+            radius = sens_value / 3.0 + float(
                 max(mech.quantile(1.0 - 5e-13), -mech.quantile(5e-13))
             )
     radius = _require_finite_positive(radius, "radius")
@@ -196,7 +298,12 @@ def discretize(
     origin = -half_cells * step
     masses = mech.grid_masses(step, half_cells)
     return DiscretizedDist(
-        origin=origin, step=step, masses=masses, shift_cells=shift_cells
+        origin=origin,
+        step=step,
+        masses=masses,
+        shift_cells=shift_cells,
+        mass_error=mech.grid_mass_error(step, half_cells),
+        fold=2.0 * float(mech.cdf(-half_cells * step)),
     )
 
 
@@ -221,7 +328,9 @@ def _direct_violation(masses: np.ndarray, c: float, j: int) -> float:
     return float(overlap + spill)
 
 
-def _fast_forward_violations(dist: DiscretizedDist, c: float) -> np.ndarray:
+def _fast_forward_violations(
+    dist: DiscretizedDist, c: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Exact violations for shifts +1..shift_cells on a log-concave run.
 
     The optimal positive cell set decomposes as:
@@ -232,6 +341,10 @@ def _fast_forward_violations(dist: DiscretizedDist, c: float) -> np.ndarray:
         fold-inflated) right edge cell, taken explicitly,
       * all cells shifted past the support (they contribute their own mass),
       * the (possibly fold-inflated) left edge cell, taken explicitly.
+
+    Returns the violations, and for each shift the leftmost suffix start
+    read and the sum of the magnitudes its sums read, with the number of
+    cells summed into the suffix tail.
     """
     masses = dist.masses
     K = masses.size
@@ -262,7 +375,8 @@ def _fast_forward_violations(dist: DiscretizedDist, c: float) -> np.ndarray:
     # on (the cells shifted past the support start further right), summed
     # from the right edge, so it is relatively accurate where the small
     # violation sums are read off and equals the whole-grid suffix sum.
-    first = int(np.clip(boundary - 2, s + 1, dom_hi).min())
+    lead = np.clip(boundary - 2, s + 1, dom_hi)
+    first = int(lead.min())
     tail = np.zeros(K + 1 - first)
     np.cumsum(masses[first:][::-1], out=tail[:-1][::-1])
 
@@ -279,7 +393,8 @@ def _fast_forward_violations(dist: DiscretizedDist, c: float) -> np.ndarray:
     viol_interior = np.maximum(viol_interior, 0.0)
 
     dip_valid = dip >= s + 1
-    d_dip = masses[np.clip(dip, 0, K - 1)] - c * masses[e]
+    p_dip = masses[np.clip(dip, 0, K - 1)]
+    d_dip = p_dip - c * masses[e]
     dip_term = np.where(dip_valid, np.maximum(d_dip, 0.0), 0.0)
 
     past = suffix(np.clip(dip + 1, s + 1, e + 1)) - suffix(e + 1)
@@ -288,7 +403,17 @@ def _fast_forward_violations(dist: DiscretizedDist, c: float) -> np.ndarray:
     d_left = masses[s] - c * left_target
     left_term = np.maximum(d_left, 0.0)
 
-    return viol_interior + dip_term + past + left_term
+    # Every suffix read is at most suffix(lead), and every target suffix at
+    # most suffix(lead + j): two of each per window difference, and the past
+    # cells read two more source suffixes.
+    reads = (
+        4.0 * suffix(lead)
+        + 2.0 * c * suffix(np.minimum(lead + j, K))
+        + np.where(dip_valid, p_dip + c * masses[e], 0.0)
+        + masses[s]
+        + c * left_target
+    )
+    return viol_interior + dip_term + past + left_term, reads, lead, K - first
 
 
 def _exp_epsilon(epsilon: float) -> float:
@@ -322,6 +447,7 @@ class ViolationReport:
     passed: bool
     step: float
     tolerance: float
+    tolerance_parts: dict  # flat, straddle, rounding and fold; they sum to tolerance
     epsilon: float
     delta: float
     cells: int  # grid size K
@@ -334,6 +460,7 @@ class ViolationReport:
             "pass": self.passed,
             "h": self.step,
             "tolerance": self.tolerance,
+            "tolerance_parts": dict(self.tolerance_parts),
             "epsilon": self.epsilon,
             "delta": self.delta,
             "cells": self.cells,
@@ -341,26 +468,28 @@ class ViolationReport:
         }
 
 
-def _straddle_tolerance(masses: np.ndarray, c: float, j: int) -> float:
-    """Bound on the violation mass that cell granularity can hide.
+# ---------------------------------------------------------------------------
+# Tolerance
 
-    The continuous-worst set can beat the cell-granular one only inside
-    cells where the density difference g = f - e^eps*shift(f) changes sign.
-    Cells whose summed difference sits below float noise (|d| <= eta) are a
-    flat stretch of g; partially including them gains at most their |d|
-    bound eta.  At a genuine sign flip the crossing lies in one of the two
-    adjacent cells, and for the single-crossing, cell-scale-smooth densities
-    this verifier targets the hidden lobe there is bounded by the smaller of
-    the two cells' |d|.  On top of that comes the verifier's own arithmetic:
-    cell masses are evaluated and then accumulated in floats, so each of the
-    two mass sums carries absolute rounding of order 2^-53 per cell.
+
+def _flat_band(dist: DiscretizedDist) -> float:
+    """eta: two masses' relative error, plus the roundings of e^eps, the
+    product and the difference in d."""
+    return 2.0 * dist.mass_error + 8.0 * _ULP
+
+
+def _scan_tolerance(
+    masses: np.ndarray, c: float, j: int, eta: float
+) -> tuple[float, float, float]:
+    """(flat, straddle, read) for shift j by a full scan, block by block.
+
+    flat sums eta * max(p_i, c p_{i+j}) over the flat cells, |d_i| below it;
+    straddle sums the smaller |d| of the two non-flat cells at each sign
+    flip, flat cells skipped; read sums p_i + c p_{i+j} over the cells with
+    d_i > 0, the terms of the violation sum.
     """
     K = masses.size
-    jj = abs(j)
-    if jj == 0 or jj >= K:
-        return 1e-12
-    eta_rel = max(1e-12, 2.0 * _width_jitter(K))
-    tol = 0.0
+    flat = straddle = read = 0.0
     # (d > 0, |d|) of the last non-flat cell so far, so that flips across a
     # block boundary are counted too.
     last = None
@@ -376,22 +505,114 @@ def _straddle_tolerance(masses: np.ndarray, c: float, j: int) -> float:
             )
         m = masses[lo:hi]
         d = m - scaled
-        eta = np.maximum(m, scaled, out=scaled)
-        eta *= eta_rel
-        flat = np.abs(d) <= eta
-        tol += float(eta[flat].sum())
-        dn = d[~flat]
+        up = d > 0.0
+        read += float(m[up].sum() + scaled[up].sum())
+        band = np.maximum(m, scaled, out=scaled)
+        band *= eta
+        is_flat = np.abs(d) <= band
+        flat += float(band[is_flat].sum())
+        dn = d[~is_flat]
         if dn.size == 0:
             continue
         up = dn > 0.0
         mag = np.abs(dn)
         flips = np.flatnonzero(up[:-1] != up[1:])
-        tol += float(np.minimum(mag[flips], mag[flips + 1]).sum())
+        straddle += float(np.minimum(mag[flips], mag[flips + 1]).sum())
         if last is not None and last[0] != up[0]:
-            tol += min(last[1], float(mag[0]))
+            straddle += min(last[1], float(mag[0]))
         last = (bool(up[-1]), float(mag[-1]))
-    tol += 4.0 * (1.0 + c) * 2.0**-53 * K  # evaluation + summation rounding
-    return tol + 1e-12
+    return flat, straddle, read
+
+
+def _fast_straddle(
+    dist: DiscretizedDist, c: float, j: int, eta: float, lead: int
+) -> float:
+    """The straddle of ``_scan_tolerance`` at shift j > 0 on a fast-path
+    grid, from the cells where a sign can change.
+
+    In index order the non-flat cells are: the cells left of the support
+    (negative), the left edge cell, the interior — where the ratio
+    p_i / p_{i+j} rises, so its non-flat cells are negative, then positive —
+    the dip cell and the cells shifted past the support (positive).  Binary
+    search finds where the interior stops being negative and starts being
+    positive; the cells around those two points, the ends of the interior
+    and the neighbours of the runs decide every flip.  Also counted: the
+    positive interior cells left of ``lead`` that the violation's suffix
+    search leaves out as ties.
+    """
+    m = dist.masses
+    K = m.size
+    s, e = dist._run
+
+    def cell(i: int) -> float:  # d_i, or 0.0 where cell i is flat
+        p = float(m[i])
+        scaled = c * float(m[i + j]) if i + j < K else 0.0
+        d = p - scaled
+        return 0.0 if abs(d) <= eta * max(p, scaled) else d
+
+    def search(lo: int, hi: int, pred) -> int:  # first i in [lo, hi) with pred
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if pred(cell(mid)):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    probes = set()
+    left = min(s - 1, e - j)  # the last cell left of the support with a target in it
+    if left >= max(0, s - j):
+        probes.add(left)
+    gap = 0.0
+    g_hi = e - j  # cells s..g_hi have their target inside the support
+    if g_hi >= s:
+        neg_end = search(s + 1, g_hi, lambda d: d >= 0.0)
+        pos_start = search(neg_end, g_hi, lambda d: d > 0.0)
+        for i in (s + _PROBE, neg_end, pos_start, g_hi - _PROBE):
+            probes.update(range(max(s, i - _PROBE), min(g_hi, i + _PROBE) + 1))
+        if pos_start < lead:
+            d = m[pos_start:lead] - c * m[pos_start + j : lead + j]
+            gap = float(np.maximum(d, 0.0).sum())
+    if max(s, g_hi + 1) <= e:
+        probes.add(max(s, g_hi + 1))  # the first cell shifted past the support
+    straddle, prev = 0.0, 0.0
+    for i in sorted(probes):
+        d = cell(i)
+        if d == 0.0:
+            continue
+        if (d > 0.0) != (prev > 0.0) and prev != 0.0:
+            straddle += min(abs(prev), abs(d))
+        prev = d
+    return straddle + gap
+
+
+def _fast_result(dist: DiscretizedDist, c: float):
+    violations, reads, lead, n = _fast_forward_violations(dist, c)
+    worst_j = int(np.argmax(violations)) + 1
+    worst = float(violations[worst_j - 1])
+    eta = _flat_band(dist)
+    flat = eta * dist._mass / (1.0 - eta)
+    if worst <= 0.0:
+        return 0.0, 0, (flat, 0.0, 0.0, _fold_part(dist, c))
+    straddle = _fast_straddle(dist, c, worst_j, eta, int(lead[worst_j - 1]))
+    rounding = (_gamma(n + 4) + dist.mass_error) * float(reads[worst_j - 1])
+    return worst, worst_j, (flat, straddle, rounding, _fold_part(dist, c))
+
+
+def _direct_result(dist: DiscretizedDist, c: float):
+    worst, worst_j = 0.0, 0
+    for j in range(-dist.shift_cells, dist.shift_cells + 1):
+        v = _direct_violation(dist.masses, c, j)
+        if v > worst:
+            worst, worst_j = v, j
+    flat, straddle, read = _scan_tolerance(dist.masses, c, worst_j, _flat_band(dist))
+    rounding = (_gamma(dist.masses.size + 2) + dist.mass_error) * read
+    return worst, worst_j, (flat, straddle, rounding, _fold_part(dist, c))
+
+
+def _fold_part(dist: DiscretizedDist, c: float) -> float:
+    # folded mass can sit on either side of the compared sets
+    return 0.5 * (1.0 + c) * dist.fold
 
 
 def dp_check(dist: DiscretizedDist, params: PrivacyParams) -> ViolationReport:
@@ -402,38 +623,37 @@ def dp_check(dist: DiscretizedDist, params: PrivacyParams) -> ViolationReport:
     worst violation, and passes iff it is at most ``delta + tolerance``
     where the tolerance covers what the grid cannot resolve.  Worst shifts
     of the mechanisms in scope occur at the full sensitivity, which is
-    exactly representable on the grid.
+    exactly representable on the grid.  Raises DomainError where the check
+    would pass with a tolerance above delta/2: such a grid cannot tell delta
+    from delta/2.  A violation beyond delta + tolerance fails whatever the
+    tolerance.
     """
     c = _exp_epsilon(params.epsilon)
     fast = dist._fast_ok and dist._mirrored
     # The worst violation, its shift and the tolerance depend on the grid
     # and c alone, so a check at another delta only compares.
     if c not in dist._by_c:
-        if fast:
-            violations = _fast_forward_violations(dist, c)
-            worst_j = int(np.argmax(violations)) + 1
-            worst = float(violations[worst_j - 1])
-            if worst <= 0.0:
-                worst, worst_j = 0.0, 0
-        else:
-            worst, worst_j = 0.0, 0
-            for j in range(-dist.shift_cells, dist.shift_cells + 1):
-                v = _direct_violation(dist.masses, c, j)
-                if v > worst:
-                    worst, worst_j = v, j
-        dist._by_c[c] = (worst, worst_j, _straddle_tolerance(dist.masses, c, worst_j))
-    worst, worst_j, tolerance = dist._by_c[c]
+        dist._by_c[c] = (_fast_result if fast else _direct_result)(dist, c)
+    worst, worst_j, parts = dist._by_c[c]
+    tolerance = sum(parts)
     if not math.isfinite(tolerance):
         raise DomainError(
             f"epsilon = {params.epsilon!r} is too large to verify: the "
             "tolerance overflows"
         )
+    passed = worst <= params.delta + tolerance
+    if passed and tolerance > 0.5 * params.delta:
+        raise DomainError(
+            f"epsilon = {params.epsilon!r}, delta = {params.delta!r}: this grid "
+            f"cannot tell delta from delta/2 (tolerance {tolerance:.3g})"
+        )
     return ViolationReport(
         max_violation=worst,
         worst_shift=worst_j * dist.step,
-        passed=worst <= params.delta + tolerance,
+        passed=passed,
         step=dist.step,
         tolerance=tolerance,
+        tolerance_parts=dict(zip(_PARTS, parts)),
         epsilon=params.epsilon,
         delta=params.delta,
         cells=dist.masses.size,

@@ -416,6 +416,39 @@ class TestVerify:
         assert err.startswith("error: epsilon = " + eps)
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # passed with tolerance 0.0115 when the tolerance grew with the
+            # cell count and with e^eps
+            [
+                "--mech", "gaussian-analytic", "--eps", "1", "--delta", "1e-5",
+                "--target-eps", "20", "--target-delta", "1e-300",
+            ],
+            ["--eps", "10", "--delta", "1e-15"],
+        ],
+        ids=["gaussian-target-eps-20", "trunclap-1e-15"],
+    )
+    def test_unresolvable_target_is_exit_2(self, capsys, args):
+        code, out, err = run(capsys, "verify", *args)
+        assert code == 2
+        assert out == ""
+        assert "cannot tell delta from delta/2" in err
+        assert err.count("\n") == 1
+
+    def test_halved_tiny_delta_fails_with_tolerance_parts(self, capsys):
+        # passed with tolerance 116 delta when the tolerance grew with the
+        # cell count
+        code, out, _ = run(
+            capsys, "verify", "--eps", "1", "--delta", "1e-12",
+            "--target-delta", "5e-13",
+        )
+        assert code == 1
+        payload = json.loads(out)
+        parts = payload["tolerance_parts"]
+        assert set(parts) == {"flat", "straddle", "rounding", "fold"}
+        assert sum(parts.values()) == payload["tolerance"] < 2.5e-13
+
     def test_misaligned_grid_step(self, capsys):
         code, _, err = run(
             capsys,

@@ -10,13 +10,16 @@ from dpnoise.baselines import BoundedUniform, Gaussian, Laplace, analytic_gaussi
 from dpnoise.core import DomainError, PrivacyParams
 from dpnoise.query import MECHANISM_NAMES, make_mechanism
 from dpnoise.trunclap import TruncatedLaplace
+from dpnoise import verifier
 from dpnoise.verifier import (
     _BLOCK,
     DiscretizedDist,
     ViolationReport,
     _direct_violation,
     _exp_epsilon,
-    _straddle_tolerance,
+    _flat_band,
+    _gamma,
+    _scan_tolerance,
     _width_jitter,
     discretize,
     dp_check,
@@ -38,34 +41,35 @@ def brute_violation(p, c, j):
     return float(np.maximum(p - c * shifted, 0.0).sum())
 
 
-def brute_tolerance(masses, c, j):
-    """Reference implementation of the straddle tolerance over full arrays."""
+def brute_tolerance(masses, c, j, eta):
+    """Reference full scan of the tolerance formula over whole arrays:
+    (flat, straddle, read) for shift j with flat band eta."""
     K = masses.size
     jj = abs(j)
-    if jj == 0 or jj >= K:
-        return 1e-12
     shifted = np.zeros(K)
-    if j > 0:
-        shifted[: K - jj] = masses[jj:]
-    else:
-        shifted[jj:] = masses[: K - jj]
+    if jj < K:
+        if j >= 0:
+            shifted[: K - jj] = masses[jj:]
+        else:
+            shifted[jj:] = masses[: K - jj]
     scaled = c * shifted
     d = masses - scaled
-    eta_rel = max(1e-12, 2.0 * _width_jitter(K))
-    eta = eta_rel * np.maximum(masses, scaled)
+    up = d > 0.0
+    read = float(masses[up].sum() + scaled[up].sum())
+    band = eta * np.maximum(masses, scaled)
     sign = np.zeros(K, dtype=np.int8)
-    sign[d > eta] = 1
-    sign[d < -eta] = -1
-    tol = float(eta[sign == 0].sum())
+    sign[d > band] = 1
+    sign[d < -band] = -1
+    flat = float(band[sign == 0].sum())
+    straddle = 0.0
     nonzero = np.flatnonzero(sign)
     if nonzero.size:
         signs = sign[nonzero]
         flips = np.flatnonzero(signs[:-1] != signs[1:])
         a = nonzero[flips]
         b = nonzero[flips + 1]
-        tol += float(np.minimum(np.abs(d[a]), np.abs(d[b])).sum())
-    tol += 4.0 * (1.0 + c) * 2.0**-53 * K
-    return tol + 1e-12
+        straddle = float(np.minimum(np.abs(d[a]), np.abs(d[b])).sum())
+    return flat, straddle, read
 
 
 def brute_fast_ok(masses):
@@ -144,14 +148,13 @@ def brute_fast_forward_violations(masses, suffix, s, e, c, max_shift):
     return viol_interior + dip_term + past + left_term
 
 
-def brute_dp_check(masses, step, shift_cells, params):
-    """dp_check with whole-grid gates and suffix sums and nothing cached,
-    kept verbatim from before the tail-only sums (but for taking the grid's
-    fields) as the reference."""
+def brute_dp_check(masses, shift_cells, params):
+    """The search of dp_check with whole-grid gates and suffix sums and
+    nothing cached, kept verbatim from before the tail-only sums, as the
+    reference: (worst violation, worst shift in cells, fast path?)."""
     masses = np.asarray(masses, dtype=float)
     c = _exp_epsilon(params.epsilon)
     m = shift_cells
-    K = masses.size
     positive = np.flatnonzero(masses > 0.0)
     s, e = int(positive[0]), int(positive[-1])
     fast = brute_fast_ok(masses) and np.array_equal(masses, masses[::-1])
@@ -170,33 +173,30 @@ def brute_dp_check(masses, step, shift_cells, params):
             v = _direct_violation(masses, c, j)
             if v > worst:
                 worst, worst_j = v, j
-
-    tolerance = _straddle_tolerance(masses, c, worst_j)
-    if not math.isfinite(tolerance):
-        raise DomainError(
-            f"epsilon = {params.epsilon!r} is too large to verify: the "
-            "tolerance overflows"
-        )
-    return ViolationReport(
-        max_violation=worst,
-        worst_shift=worst_j * step,
-        passed=worst <= params.delta + tolerance,
-        step=step,
-        tolerance=tolerance,
-        epsilon=params.epsilon,
-        delta=params.delta,
-        cells=K,
-        path="fast" if fast else "direct",
-    )
+    return worst, worst_j, fast
 
 
-def make_dist(masses, step=0.1, shift_cells=2):
+def check_tolerance_parts(dist, c, worst_j, parts, fast):
+    """A check's tolerance parts against the full-scan reference: at least
+    it on the fast path, equal to it (summed in another order) otherwise."""
+    flat, straddle, read = brute_tolerance(dist.masses, c, worst_j, _flat_band(dist))
+    assert parts[3] == 0.5 * (1.0 + c) * dist.fold
+    if fast:
+        assert parts[0] >= flat and parts[1] >= straddle
+    else:
+        rounding = (_gamma(dist.masses.size + 2) + dist.mass_error) * read
+        expected = (flat, straddle, rounding)
+        assert parts[:3] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def make_dist(masses, step=0.1, shift_cells=2, **grid):
     masses = np.asarray(masses, dtype=float)
     return DiscretizedDist(
         origin=-0.5 * step * masses.size,
         step=step,
         masses=masses,
         shift_cells=shift_cells,
+        **grid,
     )
 
 
@@ -350,6 +350,36 @@ class TestDiscretize:
         expected = float(g.cdf(-1.9))
         assert d.masses[0] == pytest.approx(expected, rel=1e-12)
         assert d.masses[-1] == pytest.approx(expected, rel=1e-12)
+        # and the grid records the folded tails
+        assert d.fold == pytest.approx(2.0 * float(g.cdf(-2.0)), rel=1e-12)
+
+    def test_bounded_support_folds_nothing(self):
+        p = PrivacyParams(1.0, 1e-5)
+        trunclap = discretize(TruncatedLaplace.from_privacy(p, 1.0), 1.0, step=0.01)
+        uniform = discretize(BoundedUniform.from_privacy(p, 1.0), 1.0, step=0.1)
+        assert trunclap.fold == uniform.fold == 0.0
+        # cut inside the support, the tail beyond the grid is folded
+        cut = discretize(TruncatedLaplace.from_privacy(p, 1.0), 1.0, step=0.01, radius=5.0)
+        assert cut.fold > 0.0
+
+    def test_stated_mass_error(self):
+        # the closed form states a few ulp per unit of the grid's reach over
+        # the scale; generic edges state the grid's width jitter
+        p = PrivacyParams(1.0, 1e-5)
+        mech = TruncatedLaplace.from_privacy(p, 1.0)
+        d = discretize(mech, 1.0, step=0.01)
+        reach = d.masses.size // 2 * 0.01 / mech.scale
+        assert d.mass_error == 4.0 * 2.0**-53 * (1.0 + reach)
+        g = discretize(Gaussian(1.0), 1.0, step=0.01)
+        assert g.mass_error == 2.0 * _width_jitter(g.masses.size)
+
+    def test_rejects_bad_mass_error_and_fold(self):
+        for bad in (-1e-16, 0.25, math.nan):
+            with pytest.raises(DomainError):
+                make_dist([0.5, 0.5], mass_error=bad)
+        for bad in (-1e-16, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                make_dist([0.5, 0.5], fold=bad)
 
 
 class TestDpCheck:
@@ -364,6 +394,7 @@ class TestDpCheck:
             "pass",
             "h",
             "tolerance",
+            "tolerance_parts",
             "epsilon",
             "delta",
             "cells",
@@ -377,6 +408,10 @@ class TestDpCheck:
         assert report.passed == (
             report.max_violation <= report.delta + report.tolerance
         )
+        parts = d["tolerance_parts"]
+        assert list(parts) == ["flat", "straddle", "rounding", "fold"]
+        assert sum(parts.values()) == d["tolerance"]
+        assert parts["fold"] == 0.0  # a bounded support folds nothing
 
     def test_trunclap_passes_its_own_target(self):
         p = PrivacyParams(1.0, 1e-4)
@@ -576,19 +611,19 @@ class TestBlockedKernels:
         ]
         for masses, c, shifts in cases:
             K = masses.size
-            for j in shifts + [0, K, -K, K + 5]:
-                assert _straddle_tolerance(masses, c, j) == pytest.approx(
-                    brute_tolerance(masses, c, j), rel=1e-14, abs=0.0
-                ), (K, c, j)
+            for eta in (8.0 * 2.0**-53, 1e-9):
+                for j in shifts + [0, K, -K, K + 5]:
+                    assert _scan_tolerance(masses, c, j, eta) == pytest.approx(
+                        brute_tolerance(masses, c, j, eta), rel=1e-14, abs=0.0
+                    ), (K, c, j)
 
     def test_flip_at_block_boundary_is_counted(self):
         masses = self._peaked_at_boundary(np.random.default_rng(6))
         d = masses[:-1] - masses[1:]
         assert np.all(d[:_BLOCK] < 0.0) and np.all(d[_BLOCK:] > 0.0)
-        # the one flip is far above the rounding term (about 9e-11 here)
         flip = min(-d[_BLOCK - 1], d[_BLOCK])
         assert flip > 1e-7
-        assert _straddle_tolerance(masses, 1.0, 1) >= flip + 1e-12
+        assert _scan_tolerance(masses, 1.0, 1, 8.0 * 2.0**-53)[1] >= flip
 
     def test_fast_flag_matches_reference(self):
         x = np.linspace(-4.0, 4.0, 3 * _BLOCK + 333)
@@ -616,9 +651,11 @@ class TestBlockedKernels:
         cases.append(holed)
         flags = []
         for masses in cases:
-            flag = make_dist(masses, shift_cells=10)._fast_ok
-            assert flag == brute_fast_ok(masses)
-            flags.append(flag)
+            d = make_dist(masses, shift_cells=10)
+            assert d._fast_ok == brute_fast_ok(masses)
+            assert d._mirrored == np.array_equal(masses, masses[::-1])
+            assert d._mass == pytest.approx(masses.sum(), rel=1e-14)
+            flags.append(d._fast_ok)
         assert flags[:2] == [True, True] and not any(flags[2:])
 
 
@@ -662,12 +699,13 @@ class TestFastPathReference:
     and bit for bit, over a sequence of checks that hits the cache."""
 
     @staticmethod
-    def _check_against_reference(masses, step, shift_cells, eps, delta):
+    def _check_against_reference(masses, step, shift_cells, eps, delta, **grid):
         d = DiscretizedDist(
-            origin=0.0, step=step, masses=masses, shift_cells=shift_cells
+            origin=0.0, step=step, masses=masses, shift_cells=shift_cells, **grid
         )
         assert d._fast_ok == brute_fast_ok(masses)
         assert d._mirrored == np.array_equal(masses, masses[::-1])
+        assert d._mass == pytest.approx(masses.sum(), rel=1e-13)
         paths = set()
         for params in (
             PrivacyParams(eps, delta),
@@ -675,10 +713,28 @@ class TestFastPathReference:
             PrivacyParams(eps / 3.0, delta),
             PrivacyParams(eps, delta / 7.0),
         ):
-            report = dp_check(d, params)
-            assert report.to_dict() == brute_dp_check(
-                masses, step, shift_cells, params
-            ).to_dict()
+            worst, worst_j, fast = brute_dp_check(masses, shift_cells, params)
+            c = _exp_epsilon(params.epsilon)
+            try:
+                report = dp_check(d, params)
+            except DomainError as exc:
+                assert "cannot tell delta from delta/2" in str(exc)
+                report = None
+            assert d._by_c[c][:2] == (worst, worst_j)
+            parts = d._by_c[c][2]
+            check_tolerance_parts(d, c, worst_j, parts, fast)
+            tolerance = sum(parts)
+            passed = worst <= params.delta + tolerance
+            if report is None:
+                assert passed and tolerance > params.delta / 2.0
+                paths.add("fast" if d._fast_ok and d._mirrored else "direct")
+                continue
+            assert report.max_violation == worst
+            assert report.worst_shift == worst_j * step
+            assert report.path == ("fast" if fast else "direct")
+            assert report.tolerance == tolerance
+            assert report.passed == passed
+            assert not passed or tolerance <= params.delta / 2.0
             paths.add(report.path)
         return paths
 
@@ -726,7 +782,8 @@ class TestFastPathReference:
         p = PrivacyParams(eps, delta)
         d = discretize(make_mechanism(name, p, 1.0), 1.0, step=step)
         paths = self._check_against_reference(
-            d.masses, d.step, d.shift_cells, eps, delta
+            d.masses, d.step, d.shift_cells, eps, delta,
+            mass_error=d.mass_error, fold=d.fold,
         )
         assert paths == {"fast"}
 
@@ -749,7 +806,65 @@ class TestFastPathReference:
             )
 
 
+class TestDiscrimination:
+    """The tolerance tells delta from delta/2 at tiny delta, or the check
+    refuses; the calibration identity (the truncated Laplacian's exact
+    profile at its own epsilon is delta) is the reference."""
+
+    @pytest.mark.parametrize(
+        # tolerance / delta was 116, 5973, 35 and 5.5 with a cell-count slack
+        "eps, delta", [(1.0, 1e-12), (0.01, 1e-12), (1e-3, 1e-9), (0.1, 1e-10)]
+    )
+    def test_accepts_delta_and_rejects_half(self, eps, delta):
+        p = PrivacyParams(eps, delta)
+        mech = TruncatedLaplace.from_privacy(p, 1.0)
+        d = discretize(mech, 1.0, step=1e-3)
+        accept = dp_check(d, p)
+        reject = dp_check(d, PrivacyParams(eps, delta / 2.0))
+        assert accept.path == "fast"
+        assert accept.tolerance < 0.5 * delta
+        assert accept.passed and not reject.passed
+        exact = float(mech.interval_mass(mech.radius - 1.0, mech.radius))
+        assert exact == pytest.approx(delta, rel=1e-12)
+        assert abs(accept.max_violation - exact) <= accept.tolerance
+
+    def test_unresolvable_pass_is_refused(self):
+        p = PrivacyParams(10.0, 1e-15)
+        d = discretize(TruncatedLaplace.from_privacy(p, 1.0), 1.0, step=1e-3)
+        with pytest.raises(DomainError, match="cannot tell delta from delta/2"):
+            dp_check(d, p)
+        # a violation beyond delta + tolerance fails whatever the tolerance
+        report = dp_check(d, PrivacyParams(5.0, 1e-15))
+        assert report.tolerance > 0.5e-15
+        assert report.max_violation > 1e-15 + report.tolerance
+        assert not report.passed
+
+    def test_folded_tail_counts(self):
+        # a Gaussian grid folds about 1e-12 into its edge cells, so it
+        # cannot resolve a delta near that
+        p = PrivacyParams(1.0, 1e-5)
+        d = discretize(Gaussian(analytic_gaussian_sigma(p, 1.0)), 1.0, step=0.02)
+        assert dp_check(d, p).tolerance_parts["fold"] == pytest.approx(
+            0.5 * (1.0 + math.e) * d.fold, rel=1e-15
+        )
+        with pytest.raises(DomainError, match="cannot tell delta from delta/2"):
+            dp_check(d, PrivacyParams(20.0, 1e-300))
+
+
 class TestFastPathCost:
+    @pytest.mark.parametrize("name", MECHANISM_NAMES)
+    def test_fast_path_never_scans_the_tolerance(self, name, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("full-scan tolerance called")
+
+        monkeypatch.setattr(verifier, "_scan_tolerance", refuse)
+        p = PrivacyParams(0.5, 1e-4)
+        d = discretize(make_mechanism(name, p, 1.0), 1.0, step=0.01)
+        for eps in (0.5, 0.1, 2.0):
+            assert dp_check(d, PrivacyParams(eps, 1e-4)).path == "fast"
+        with pytest.raises(AssertionError, match="full-scan"):
+            dp_check(bimodal_dist(), p)
+
     @pytest.mark.parametrize(
         "mech",
         [TruncatedLaplace.from_privacy(PrivacyParams(1.0, 1e-5), 1.0), Laplace(1.3)],
