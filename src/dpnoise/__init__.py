@@ -22,14 +22,7 @@ from .baselines import (
     analytic_gaussian_sigma,
     gaussian_privacy_profile,
 )
-from .bounds import (
-    BoundPair,
-    LowerBoundParams,
-    amplitude_lower_bound,
-    bound_pair,
-    lower_bound_params,
-    power_lower_bound,
-)
+from .bounds import BoundPair, bound_pair
 from .core import (
     ConvergenceError,
     CostKind,
@@ -56,7 +49,6 @@ from .verifier import (
     ViolationReport,
     discretize,
     dp_check,
-    max_violation,
 )
 
 __version__ = "0.1.0"
@@ -76,7 +68,6 @@ __all__ = [
     "Laplace",
     "LedgerEntry",
     "LimitRegime",
-    "LowerBoundParams",
     "NoiseMechanism",
     "PrivacyParams",
     "QuerySpec",
@@ -86,7 +77,6 @@ __all__ = [
     "TightnessRow",
     "TruncatedLaplace",
     "ViolationReport",
-    "amplitude_lower_bound",
     "analytic_gaussian_sigma",
     "as_sensitivity",
     "bound_pair",
@@ -94,11 +84,8 @@ __all__ = [
     "dp_check",
     "emit",
     "gaussian_privacy_profile",
-    "lower_bound_params",
     "make_mechanism",
     "make_rng",
-    "max_violation",
-    "power_lower_bound",
     "run_query",
     "run_sweep",
     "tightness_curve",

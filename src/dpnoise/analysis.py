@@ -69,6 +69,7 @@ class SweepConfig:
             raise DomainError("grid bounds must satisfy min <= max")
         if self.eps_points < 1 or self.delta_points < 1:
             raise DomainError("grid must have at least one point per axis")
+        object.__setattr__(self, "cost", CostKind.parse(self.cost))
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         eps = np.geomspace(self.eps_min, self.eps_max, self.eps_points)

@@ -22,8 +22,10 @@ E|X| and E[X^2]:
 The slicing argument is rigorous at integer step counts; evaluating the
 closed forms at the fractional root ``n`` above gives the tighter curve
 reported by default, with the rounded-down variant available as the fully
-conservative choice.  :func:`bound_pair` returns both next to the upper
-bound and is the one place that checks their order.
+conservative choice.  :func:`bound_pair` is the one public entry point: it
+returns both, with their step counts, next to the upper bound.  It is the
+grid kernel :func:`_bound_table` at one point, which is the one place that
+checks their order.
 """
 
 from __future__ import annotations
@@ -44,46 +46,11 @@ from .core import (
 )
 from .trunclap import _amplitude, _calibrated_shape, _checked_shape, _power
 
-__all__ = [
-    "LowerBoundParams",
-    "lower_bound_params",
-    "amplitude_lower_bound",
-    "power_lower_bound",
-    "BoundPair",
-    "bound_pair",
-]
+__all__ = ["BoundPair", "bound_pair"]
 
 # Both closed forms divide by (1 - e^-eps)^2, which is eps^2 to the last bit
 # down here and leaves the normal double range below this eps.
 _EPS_MIN = math.sqrt(sys.float_info.min)
-
-
-@dataclass(frozen=True)
-class LowerBoundParams:
-    """Pieces of the slicing argument, precomputed once per (eps, delta)."""
-
-    epsilon: float
-    mass_coeff: float  # least admissible mass of the slice nearest the origin
-    decay_ratio: float  # e^-eps, the ratio between adjacent slice masses
-    steps_fractional: float  # slice count solving the half-mass equation
-    steps_floor: float  # rounded-down, fully conservative slice count
-    sensitivity: float
-
-
-def lower_bound_params(
-    params: PrivacyParams, sens: "Sensitivity | float"
-) -> LowerBoundParams:
-    sens = as_sensitivity(sens)
-    eps = params.epsilon
-    _, mass_coeff, decay_ratio, steps = _slicing(eps, params.delta)
-    return LowerBoundParams(
-        epsilon=eps,
-        mass_coeff=mass_coeff,
-        decay_ratio=decay_ratio,
-        steps_fractional=steps,
-        steps_floor=math.floor(steps),
-        sensitivity=sens.value,
-    )
 
 
 def _slicing(eps: float, delta: float) -> tuple[float, float, float, float]:
@@ -107,29 +74,9 @@ def _check_steps(steps: float) -> float:
     return steps
 
 
-def amplitude_lower_bound(lb: LowerBoundParams, steps: "float | None" = None) -> float:
-    """Closed-form minimum of E|X| over all valid mechanisms.
-
-    Evaluated at ``lb.steps_fractional`` by default; pass
-    ``lb.steps_floor`` for the fully conservative variant.
-    """
-    steps = lb.steps_fractional if steps is None else _check_steps(steps)
-    return _amplitude_lower(
-        lb.epsilon, lb.decay_ratio, lb.mass_coeff, lb.sensitivity, steps
-    )
-
-
-def power_lower_bound(lb: LowerBoundParams, steps: "float | None" = None) -> float:
-    """Closed-form minimum of E[X^2] over all valid mechanisms."""
-    steps = lb.steps_fractional if steps is None else _check_steps(steps)
-    return _power_lower(
-        lb.epsilon, lb.decay_ratio, lb.mass_coeff, lb.sensitivity, steps
-    )
-
-
-# The two closed forms on plain floats, shared by the public wrappers above
-# and the grid kernel :func:`_bound_table`: eps, b = e^-eps, the mass
-# coefficient a, the sensitivity and a checked step count.
+# The two closed forms on plain floats, evaluated by the grid kernel
+# :func:`_bound_table`: eps, b = e^-eps, the mass coefficient a, the
+# sensitivity and a checked step count.
 
 
 def _amplitude_lower(
@@ -182,14 +129,16 @@ class BoundPair:
     """A matched (lower, upper) pair for one cost kind.
 
     ``lower`` is the fractional-step lower bound and ``lower_floor`` the
-    whole-step one; ``lower_params`` holds the slicing pieces both used.
+    whole-step one, evaluated at ``steps_fractional`` and ``steps_floor``
+    slices.
     """
 
     lower: float
     lower_floor: float
     upper: float
     cost: CostKind
-    lower_params: LowerBoundParams
+    steps_fractional: float  # slice count solving the half-mass equation
+    steps_floor: int  # rounded down, the fully conservative slice count
 
     @property
     def ratio(self) -> float:
@@ -218,12 +167,15 @@ def bound_pair(
     )
     if refusal is not None:
         raise refusal
+    # the table's slice count, ``_slicing(...)[3]``, without a second pass
+    steps = radius_scale_ratio(params.epsilon, params.delta) / params.epsilon
     return BoundPair(
         lower=lower[0],
         lower_floor=lower_floor[0],
         upper=upper[0],
         cost=cost,
-        lower_params=lower_bound_params(params, sens),
+        steps_fractional=steps,
+        steps_floor=math.floor(steps),
     )
 
 

@@ -228,8 +228,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             "lower": lower,
             "upper": pair.upper,
             "ratio": lower / pair.upper,
-            "steps_fractional": pair.lower_params.steps_fractional,
-            "steps_floor": pair.lower_params.steps_floor,
+            "steps_fractional": pair.steps_fractional,
+            "steps_floor": pair.steps_floor,
             "lower_fractional": pair.lower,
             "lower_floor": pair.lower_floor,
         }

@@ -105,13 +105,15 @@ class CostKind(Enum):
     def parse(cls, text: "str | CostKind") -> "CostKind":
         if isinstance(text, CostKind):
             return text
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise DomainError(
-                f"unknown cost kind {text!r}; expected one of "
-                f"{[k.value for k in cls]}"
-            ) from None
+        if isinstance(text, str):
+            try:
+                return cls(text.strip().lower())
+            except ValueError:
+                pass
+        raise DomainError(
+            f"unknown cost kind {text!r}; expected one of "
+            f"{[k.value for k in cls]}"
+        )
 
 
 def _as_checked_array(x, name: str = "x") -> tuple[np.ndarray, bool]:

@@ -71,16 +71,6 @@ class AggregateKind(Enum):
     SUM = "sum"
     MEAN = "mean"
 
-    @classmethod
-    def parse(cls, text: str) -> "AggregateKind":
-        try:
-            return cls(str(text).lower())
-        except ValueError:
-            raise DomainError(
-                f"unknown aggregate {text!r}; expected one of "
-                f"{[k.value for k in cls]}"
-            ) from None
-
 
 _FACTORIES = {
     "trunclap": TruncatedLaplace,

@@ -72,7 +72,6 @@ from .core import (
 __all__ = [
     "DiscretizedDist",
     "discretize",
-    "max_violation",
     "dp_check",
     "ViolationReport",
 ]
@@ -186,10 +185,6 @@ class DiscretizedDist:
         self._mirrored = mirrored
         self._mass = state.total
         self._fast_ok = state.contiguous and state.log_concave(m, lo_c, last_c)
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
 
 
 def _first_positive(masses: np.ndarray) -> int:
@@ -423,19 +418,6 @@ def _exp_epsilon(epsilon: float) -> float:
     except OverflowError:
         msg = f"epsilon = {epsilon!r} is too large to verify: e^epsilon overflows"
         raise DomainError(msg) from None
-
-
-def max_violation(dist: DiscretizedDist, epsilon: float, shift_cells: int) -> float:
-    """sum_i max(0, p_i - e^epsilon * p_{i + shift_cells}), the exact worst
-    cell-set violation for one shift."""
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise DomainError(f"epsilon must be finite and >= 0, got {epsilon!r}")
-    j = int(shift_cells)
-    if abs(j) > dist.shift_cells:
-        raise DomainError(
-            f"|shift_cells| must be <= {dist.shift_cells}, got {shift_cells!r}"
-        )
-    return _direct_violation(dist.masses, _exp_epsilon(epsilon), j)
 
 
 @dataclass

@@ -17,10 +17,11 @@ from scipy.integrate import quad
 from dpnoise.analysis import SweepConfig, emit, run_sweep
 from dpnoise.baselines import Gaussian, analytic_gaussian_sigma
 from dpnoise.bounds import (
-    amplitude_lower_bound,
+    _amplitude_lower,
+    _check_steps,
+    _power_lower,
+    _slicing,
     bound_pair,
-    lower_bound_params,
-    power_lower_bound,
 )
 from dpnoise.cli import main
 from dpnoise.core import CostKind, PrivacyParams
@@ -300,15 +301,14 @@ def test_10_series_oracle():
         n_lo = max(2, math.ceil(1.0 / eps))
         n = int(rng.integers(n_lo, int(20.0 / eps)))
         delta = math.expm1(eps) / (2.0 * math.expm1(eps * n))
-        lb = lower_bound_params(PrivacyParams(eps, delta), 1.0)
-        assert abs(lb.steps_fractional - n) < 1e-6 * n
-        a, b = lb.mass_coeff, lb.decay_ratio
+        _, a, b, steps = _slicing(eps, delta)
+        assert abs(steps - n) < 1e-6 * n
         amp_terms = sorted((k * b**k for k in range(n)), key=abs)
         pow_terms = sorted((k * k * b**k for k in range(n)), key=abs)
         amp_series = 2.0 * a * kahan_sum(amp_terms)
         pow_series = 2.0 * a * kahan_sum(pow_terms)
-        amp_closed = amplitude_lower_bound(lb, steps=n)
-        pow_closed = power_lower_bound(lb, steps=n)
+        amp_closed = _amplitude_lower(eps, b, a, 1.0, _check_steps(n))
+        pow_closed = _power_lower(eps, b, a, 1.0, _check_steps(n))
         worst = max(
             worst,
             abs(amp_closed - amp_series) / amp_series,

@@ -7,28 +7,43 @@ import pytest
 from dpnoise import bounds
 from dpnoise.bounds import (
     BoundPair,
-    LowerBoundParams,
-    amplitude_lower_bound,
+    _amplitude_lower,
+    _check_steps,
+    _power_lower,
+    _slicing,
     bound_pair,
-    lower_bound_params,
-    power_lower_bound,
 )
-from dpnoise.core import CostKind, DomainError, InvariantError, PrivacyParams
+from dpnoise.core import (
+    CostKind,
+    DomainError,
+    InvariantError,
+    PrivacyParams,
+    as_sensitivity,
+)
 from dpnoise.trunclap import TruncatedLaplace
 
 P_REF = PrivacyParams(1.0, 1e-5)
 
 
+def lower_bound(kernel, params, sens=1.0, steps=None):
+    """A lower-bound kernel at ``steps`` slices (default: the fractional
+    root), with the slicing pieces it takes."""
+    eps = params.epsilon
+    _, a, b, root = _slicing(eps, params.delta)
+    steps = root if steps is None else _check_steps(steps)
+    return kernel(eps, b, a, sens, steps)
+
+
 def brute_bound_pair(params, sens, cost):
-    """bound_pair's per-point body from before the grid kernel, kept
-    verbatim (but for returning a tuple) as the reference."""
+    """bound_pair's per-point body from before the grid kernel, on the
+    closed-form kernels it called (but for returning a tuple), as the
+    reference."""
     cost = CostKind.parse(cost)
-    lb = lower_bound_params(params, sens)
-    lower_fn = (
-        amplitude_lower_bound if cost is CostKind.AMPLITUDE else power_lower_bound
-    )
-    lower_floor = lower_fn(lb, lb.steps_floor)
-    lower = lower_fn(lb)
+    sens = as_sensitivity(sens).value
+    kernel = _amplitude_lower if cost is CostKind.AMPLITUDE else _power_lower
+    steps = _slicing(params.epsilon, params.delta)[3]
+    lower_floor = lower_bound(kernel, params, sens, math.floor(steps))
+    lower = lower_bound(kernel, params, sens)
     upper = TruncatedLaplace.from_privacy(params, sens).cost(cost)
     for value in (lower_floor, lower):
         # The slack below 0 admits the rounding of powers that are exactly 0.
@@ -90,26 +105,29 @@ def check_table_against_reference(eps_axis, delta_axis, sens, cost):
 
 
 class TestLowerBoundParams:
+    """The slicing pieces both lower bounds are built from."""
+
     def test_reference_values(self):
-        lb = lower_bound_params(P_REF, 1.0)
-        assert lb.epsilon == 1.0
-        assert lb.sensitivity == 1.0
-        assert lb.mass_coeff == pytest.approx(0.31606395820869054, rel=1e-15)
-        assert lb.decay_ratio == pytest.approx(math.exp(-1.0), rel=1e-15)
-        assert lb.steps_fractional == pytest.approx(11.361114778489599, rel=1e-15)
-        assert lb.steps_floor == 11
+        _, mass_coeff, decay_ratio, steps = _slicing(1.0, 1e-5)
+        assert mass_coeff == pytest.approx(0.31606395820869054, rel=1e-15)
+        assert decay_ratio == pytest.approx(math.exp(-1.0), rel=1e-15)
+        assert steps == pytest.approx(11.361114778489599, rel=1e-15)
+        pair = bound_pair(P_REF, 1.0)
+        assert pair.steps_fractional == steps
+        assert pair.steps_floor == 11
 
     def test_mass_coeff_closed_form(self):
         for eps, delta in [(0.1, 1e-3), (2.0, 1e-8), (1e-3, 1e-4)]:
-            lb = lower_bound_params(PrivacyParams(eps, delta), 1.0)
+            mass_coeff = _slicing(eps, delta)[1]
             direct = delta * math.exp(-eps) - 0.5 * math.expm1(-eps)
-            assert lb.mass_coeff == pytest.approx(direct, rel=1e-14)
+            assert mass_coeff == pytest.approx(direct, rel=1e-14)
 
     def test_steps_floor_consistent(self):
         for eps, delta in [(0.37, 2e-4), (5.0, 1e-9), (0.01, 1e-2)]:
-            lb = lower_bound_params(PrivacyParams(eps, delta), 1.0)
-            assert lb.steps_floor == math.floor(lb.steps_fractional)
-            assert lb.steps_floor >= 1
+            pair = bound_pair(PrivacyParams(eps, delta), 1.0)
+            assert pair.steps_fractional == _slicing(eps, delta)[3]
+            assert pair.steps_floor == math.floor(pair.steps_fractional)
+            assert pair.steps_floor >= 1
 
 
 class TestClosedFormsAgainstSeries:
@@ -121,28 +139,25 @@ class TestClosedFormsAgainstSeries:
         "eps,n", [(0.3, 7), (1.0, 11), (0.05, 40), (2.0, 4), (0.01, 300)]
     )
     def test_amplitude(self, eps, n):
-        lb = lower_bound_params(PrivacyParams(eps, 1e-6), 1.0)
-        a, b = lb.mass_coeff, lb.decay_ratio
+        _, a, b, _ = _slicing(eps, 1e-6)
         ref = 2.0 * a * math.fsum(k * b**k for k in range(n))
-        assert amplitude_lower_bound(lb, steps=n) == pytest.approx(ref, rel=5e-14)
+        assert _amplitude_lower(eps, b, a, 1.0, n) == pytest.approx(ref, rel=5e-14)
 
     @pytest.mark.parametrize(
         "eps,n", [(0.3, 7), (1.0, 11), (0.05, 40), (2.0, 4), (0.01, 300)]
     )
     def test_power(self, eps, n):
-        lb = lower_bound_params(PrivacyParams(eps, 1e-6), 1.0)
-        a, b = lb.mass_coeff, lb.decay_ratio
+        _, a, b, _ = _slicing(eps, 1e-6)
         ref = 2.0 * a * math.fsum(k * k * b**k for k in range(n))
-        assert power_lower_bound(lb, steps=n) == pytest.approx(ref, rel=5e-14)
+        assert _power_lower(eps, b, a, 1.0, n) == pytest.approx(ref, rel=5e-14)
 
     def test_one_sided_mass_is_half_at_integer_steps(self):
         # a * sum_{k<n} b^k = 1/2 exactly when delta makes n an integer:
         # that is what pins the staircase as a worst-case density
         eps, n = 0.25, 12
         delta = math.expm1(eps) / (2.0 * math.expm1(eps * n))
-        lb = lower_bound_params(PrivacyParams(eps, delta), 1.0)
-        a, b = lb.mass_coeff, lb.decay_ratio
-        assert lb.steps_fractional == pytest.approx(n, abs=1e-9)
+        _, a, b, steps = _slicing(eps, delta)
+        assert steps == pytest.approx(n, abs=1e-9)
         assert a * math.fsum(b**k for k in range(n)) == pytest.approx(
             0.5, rel=1e-13
         )
@@ -150,45 +165,35 @@ class TestClosedFormsAgainstSeries:
 
 class TestFrozenBounds:
     def test_amplitude_reference(self):
-        lb = lower_bound_params(P_REF, 1.0)
-        assert amplitude_lower_bound(lb) == pytest.approx(
+        assert lower_bound(_amplitude_lower, P_REF) == pytest.approx(
             0.5818444687860235, rel=1e-14
         )
-        assert amplitude_lower_bound(lb, steps=11) == pytest.approx(
+        assert lower_bound(_amplitude_lower, P_REF, steps=11) == pytest.approx(
             0.5817900398460191, rel=1e-14
         )
 
     def test_power_reference(self):
-        lb = lower_bound_params(P_REF, 1.0)
-        assert power_lower_bound(lb) == pytest.approx(
+        assert lower_bound(_power_lower, P_REF) == pytest.approx(
             1.2577141905352787, rel=1e-14
         )
-        assert power_lower_bound(lb, steps=11) == pytest.approx(
+        assert lower_bound(_power_lower, P_REF, steps=11) == pytest.approx(
             1.257129334333011, rel=1e-14
         )
 
-    def test_steps_override_validation(self):
-        lb = lower_bound_params(P_REF, 1.0)
-        with pytest.raises(DomainError):
-            amplitude_lower_bound(lb, steps=0.5)
-        with pytest.raises(DomainError):
-            power_lower_bound(lb, steps=0.0)
-
     def test_more_steps_never_decreases(self):
-        lb = lower_bound_params(P_REF, 1.0)
-        assert amplitude_lower_bound(lb, steps=12) > amplitude_lower_bound(
-            lb, steps=11
-        )
-        assert power_lower_bound(lb, steps=1e120) > power_lower_bound(lb)
+        amp_11 = lower_bound(_amplitude_lower, P_REF, steps=11)
+        assert lower_bound(_amplitude_lower, P_REF, steps=12) > amp_11
+        pwr = lower_bound(_power_lower, P_REF)
+        assert lower_bound(_power_lower, P_REF, steps=1e120) > pwr
 
 
 class TestExtremeRegimes:
     def test_vanishing_tail_weight(self):
         # eps*steps so large that b**steps underflows to zero: the closed
         # form must switch to its tail-free branch instead of dividing 0/0
-        lb = lower_bound_params(PrivacyParams(500.0, 1e-300), 1.0)
-        amp = amplitude_lower_bound(lb)
-        pwr = power_lower_bound(lb)
+        p = PrivacyParams(500.0, 1e-300)
+        amp = lower_bound(_amplitude_lower, p)
+        pwr = lower_bound(_power_lower, p)
         assert math.isfinite(amp) and amp > 0.0
         assert math.isfinite(pwr) and pwr > 0.0
         # large eps: b = e^-eps is below the rounding error of 1, where
@@ -200,13 +205,11 @@ class TestExtremeRegimes:
             assert 0.0 <= pair.lower_floor <= pair.upper
 
     def test_huge_step_counts_stay_finite(self):
-        lb = lower_bound_params(P_REF, 1.0)
-        assert math.isfinite(power_lower_bound(lb, steps=1e120))
-        assert math.isfinite(amplitude_lower_bound(lb, steps=1e120))
+        assert math.isfinite(lower_bound(_power_lower, P_REF, steps=1e120))
+        assert math.isfinite(lower_bound(_amplitude_lower, P_REF, steps=1e120))
 
     def test_tiny_epsilon(self):
-        lb = lower_bound_params(PrivacyParams(1e-6, 1e-3), 1.0)
-        amp = amplitude_lower_bound(lb)
+        amp = lower_bound(_amplitude_lower, PrivacyParams(1e-6, 1e-3))
         assert math.isfinite(amp) and amp > 0.0
 
     @pytest.mark.parametrize("eps", [5e-324, 1e-200, 1e-155])
@@ -214,19 +217,25 @@ class TestExtremeRegimes:
         # both closed forms divide by (1 - e^-eps)^2, which is subnormal or
         # 0 here: a ZeroDivisionError or a bound with few correct digits
         with pytest.raises(DomainError, match=rf"^epsilon={eps!r} is too"):
-            lower_bound_params(PrivacyParams(eps, 1e-5), 1.0)
-        lower_bound_params(PrivacyParams(1e-153, 1e-5), 1.0)
+            _slicing(eps, 1e-5)
+        with pytest.raises(DomainError, match=rf"^epsilon={eps!r} is too"):
+            bound_pair(PrivacyParams(eps, 1e-5), 1.0)
+        _slicing(1e-153, 1e-5)
 
 
 class TestBoundPair:
     def test_ratio(self):
-        lb = lower_bound_params(P_REF, 1.0)
         pair = BoundPair(
-            lower=1.0, lower_floor=0.5, upper=2.0, cost="amplitude", lower_params=lb
+            lower=1.0,
+            lower_floor=0.5,
+            upper=2.0,
+            cost="amplitude",
+            steps_fractional=11.5,
+            steps_floor=11,
         )
         assert pair.ratio == 0.5
         assert pair.lower_floor == 0.5
-        assert pair.lower_params is lb
+        assert (pair.steps_fractional, pair.steps_floor) == (11.5, 11)
 
     def test_frozen_cli_point(self):
         pair = bound_pair(PrivacyParams(0.1, 0.05), 1.0, cost="amplitude")
@@ -234,8 +243,8 @@ class TestBoundPair:
         assert pair.upper == pytest.approx(3.166616726021703, rel=1e-14)
         assert pair.ratio == pytest.approx(0.8447339549543016, rel=1e-13)
         assert pair.lower_floor == pytest.approx(2.556638908351247, rel=1e-14)
-        assert pair.lower_params == lower_bound_params(PrivacyParams(0.1, 0.05), 1.0)
-        assert pair.lower_params.steps_floor == 7
+        assert pair.steps_fractional == _slicing(0.1, 0.05)[3]
+        assert pair.steps_floor == 7
 
     def test_lower_never_exceeds_upper(self):
         for eps in (1e-4, 0.01, 0.3, 1.0, 5.0, 30.0):
@@ -255,16 +264,31 @@ class TestBoundPair:
             bound_pair(p, 1.0, cost="amplitude")
 
     def test_negative_whole_step_lower_raises(self):
-        # amplitude_lower_bound cancels here: lower_floor came out as -12.8
+        # the amplitude lower bound cancels here: lower_floor came out as -12.8
         # against upper = 2.5
         with pytest.raises(InvariantError, match="lower bound -"):
             bound_pair(PrivacyParams(1e-17, 0.1), 1.0, cost="amplitude")
 
     def test_negative_fractional_lower_raises(self):
-        # power_lower_bound cancels here: lower came out as -4.5e+23 against
+        # the power lower bound cancels here: lower came out as -4.5e+23 against
         # upper = 0.347, while lower_floor stayed in range
         with pytest.raises(InvariantError, match=r"lower bound -4\.5\d*e\+23 "):
             bound_pair(PrivacyParams(1e-20, 0.49), 1.0, cost="power")
+
+    def test_slices_once(self, monkeypatch):
+        # the step counts come with the bounds, not from a second slicing
+        calls = []
+
+        def counted(eps, delta):
+            calls.append((eps, delta))
+            return _slicing(eps, delta)
+
+        monkeypatch.setattr(bounds, "_slicing", counted)
+        for cost in CostKind:
+            calls.clear()
+            pair = bound_pair(P_REF, 1.0, cost)
+            assert calls == [(1.0, 1e-5)]
+            assert pair.steps_fractional == _slicing(1.0, 1e-5)[3]
 
     def test_matches_mechanism_upper(self):
         p = PrivacyParams(0.7, 1e-6)
@@ -323,10 +347,11 @@ class TestBoundTable:
             assert (pair.lower, pair.lower_floor, pair.upper) == (
                 lower[0], lower_floor[0], upper[0]
             )
-            assert pair.lower_params == lower_bound_params(p, 3.0)
+            assert pair.steps_fractional == _slicing(0.3, 1e-7)[3]
+            assert pair.steps_floor == math.floor(pair.steps_fractional)
 
     def test_one_formula_body(self):
-        # each closed form is written once, in the function the kernel and
-        # the public wrappers share
+        # each closed form is written once, in the function the kernel
+        # evaluates
         source = Path(bounds.__file__).read_text(encoding="utf-8")
         assert source.count("expm1(-eps * (steps - 1.0))") == 1

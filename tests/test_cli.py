@@ -233,6 +233,20 @@ class TestBounds:
         payload = json.loads(out)
         assert payload["lower"] == payload["lower_floor"]
 
+    @pytest.mark.parametrize("n_mode", ["frac", "floor"])
+    @pytest.mark.parametrize("cost", ["amplitude", "power"])
+    def test_step_counts_keep_their_json_types(self, capsys, cost, n_mode):
+        code, out, _ = run(
+            capsys,
+            "bounds", "--eps", "0.1", "--delta", "0.05",
+            "--cost", cost, "--n-mode", n_mode,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert type(payload["steps_floor"]) is int
+        assert payload["steps_floor"] == 7
+        assert type(payload["steps_fractional"]) is float
+
     def test_sensitivity_doubles_amplitude_bounds(self, capsys):
         _, out1, _ = run(capsys, "bounds", "--eps", "0.1", "--delta", "0.05")
         _, out2, _ = run(
@@ -291,7 +305,7 @@ class TestBounds:
         assert err.count("\n") == 1
 
     def test_negative_whole_step_lower_bound_is_exit_4(self, capsys):
-        # amplitude_lower_bound cancels at this eps; this printed
+        # the amplitude lower bound cancels at this eps; this printed
         # "lower": -1.19e+134 with exit 0
         code, out, err = run(
             capsys,
@@ -303,7 +317,7 @@ class TestBounds:
         assert err.count("\n") == 1
 
     def test_negative_fractional_lower_bound_is_exit_4(self, capsys):
-        # power_lower_bound cancels at this eps; this printed
+        # the power lower bound cancels at this eps; this printed
         # "lower": -4.5e+23 against "upper": 0.347 with exit 0
         code, out, err = run(
             capsys,

@@ -75,8 +75,10 @@ class TestCostKind:
         assert CostKind.parse(CostKind.POWER) is CostKind.POWER
 
     def test_parse_rejects_unknown(self):
-        with pytest.raises(DomainError, match="cost kind"):
-            CostKind.parse("variance")
+        # not AttributeError for inputs that are not strings
+        for text in ("variance", 3, None, b"power", ["power"]):
+            with pytest.raises(DomainError, match="unknown cost kind"):
+                CostKind.parse(text)
 
 
 def test_exception_hierarchy():

@@ -7,6 +7,8 @@ import pytest
 
 import dpnoise
 from dpnoise.core import NoiseMechanism
+from dpnoise.query import AggregateKind
+from dpnoise.verifier import DiscretizedDist
 
 
 def _submodules():
@@ -50,7 +52,19 @@ def test_interval_mass_and_cdf_are_defined_once():
 
 @pytest.mark.parametrize(
     "name",
-    ["TruncLapParams", "calibrate", "laplace_mechanism", "uniform_limit_mechanism"],
+    [
+        "TruncLapParams",
+        "calibrate",
+        "laplace_mechanism",
+        "uniform_limit_mechanism",
+        # bound_pair is the one lower-bound path, dp_check the one violation
+        # check
+        "LowerBoundParams",
+        "lower_bound_params",
+        "amplitude_lower_bound",
+        "power_lower_bound",
+        "max_violation",
+    ],
 )
 def test_removed_names_are_gone(name):
     # a mechanism is built by its class's from_privacy, and holds its numbers
@@ -58,6 +72,20 @@ def test_removed_names_are_gone(name):
     assert not hasattr(dpnoise, name)
     for module in _submodules():
         assert not hasattr(module, name), module.__name__
+
+
+@pytest.mark.parametrize(
+    "owner,name",
+    [
+        (DiscretizedDist, "total_mass"),
+        (AggregateKind, "parse"),
+    ],
+    ids=lambda value: getattr(value, "__name__", value),
+)
+def test_removed_attributes_are_gone(owner, name):
+    # a grid's total mass is its masses' sum; the CLI parses aggregates
+    # with its own option reader
+    assert not hasattr(owner, name)
 
 
 def _annotations(tree: ast.Module):

@@ -38,15 +38,6 @@ def clipped_spend_sum(path, lo, hi):
     return float(np.clip(np.asarray(vals), lo, hi).sum())
 
 
-class TestAggregateKind:
-    def test_parse(self):
-        assert AggregateKind.parse("count") is AggregateKind.COUNT
-        assert AggregateKind.parse("SUM") is AggregateKind.SUM
-        assert AggregateKind.parse("Mean") is AggregateKind.MEAN
-        with pytest.raises(DomainError):
-            AggregateKind.parse("median")
-
-
 class TestMakeMechanism:
     def test_dispatch(self):
         assert isinstance(make_mechanism("trunclap", P, 1.0), TruncatedLaplace)

@@ -23,7 +23,6 @@ from dpnoise.verifier import (
     _width_jitter,
     discretize,
     dp_check,
-    max_violation,
 )
 
 
@@ -226,8 +225,10 @@ class TestDiscretizedDist:
             make_dist([0.0, 0.0])
 
     def test_total_mass(self):
+        # M, the total the gate pass sums, and the masses' own sum
         d = make_dist([0.25, 0.5, 0.25])
-        assert d.total_mass == 1.0
+        assert d._mass == 1.0
+        assert d.masses.sum() == 1.0
 
     def test_fast_flag_log_concave(self):
         x = np.linspace(-3, 3, 101)
@@ -254,6 +255,8 @@ class TestDiscretizedDist:
 
 
 class TestMaxViolation:
+    """The full scan of one shift, which dp_check's direct path runs."""
+
     def test_matches_reference_scan(self):
         rng = np.random.default_rng(11)
         p = rng.random(37)
@@ -262,28 +265,22 @@ class TestMaxViolation:
         for eps in (0.0, 0.2, 1.0):
             c = math.exp(eps)
             for j in range(-5, 6):
-                assert max_violation(d, eps, j) == pytest.approx(
+                assert _direct_violation(d.masses, c, j) == pytest.approx(
                     brute_violation(p, c, j), rel=1e-13, abs=1e-300
                 )
 
     def test_zero_shift_is_zero(self):
         d = make_dist([0.2, 0.3, 0.5], shift_cells=1)
-        assert max_violation(d, 0.7, 0) == 0.0
+        assert _direct_violation(d.masses, math.exp(0.7), 0) == 0.0
 
     def test_symmetric_masses_symmetric_shifts(self):
         p = np.array([0.05, 0.2, 0.5, 0.2, 0.05])
         d = make_dist(p, shift_cells=2)
+        c = math.exp(0.4)
         for j in (1, 2):
-            assert max_violation(d, 0.4, j) == max_violation(d, 0.4, -j)
-
-    def test_rejects_bad_arguments(self):
-        d = make_dist([0.5, 0.5], shift_cells=1)
-        with pytest.raises(DomainError):
-            max_violation(d, -0.1, 1)
-        with pytest.raises(DomainError):
-            max_violation(d, math.inf, 1)
-        with pytest.raises(DomainError):
-            max_violation(d, 0.5, 2)
+            assert _direct_violation(d.masses, c, j) == _direct_violation(
+                d.masses, c, -j
+            )
 
 
 class TestDiscretize:
@@ -341,7 +338,7 @@ class TestDiscretize:
             TruncatedLaplace.from_privacy(PrivacyParams(0.5, 1e-4), 1.0),
         ):
             d = discretize(mech, 1.0, step=0.05)
-            assert d.total_mass == pytest.approx(1.0, abs=1e-12)
+            assert d.masses.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_tail_folding_lands_in_edge_cells(self):
         d = discretize(Gaussian(1.0), 1.0, step=0.1, radius=2.0)
@@ -876,7 +873,7 @@ class TestFastPathCost:
 
         monkeypatch.setattr(type(mech), "interval_mass", refuse)
         d = discretize(mech, 1.0, step=1e-3)
-        assert d.total_mass == pytest.approx(1.0, abs=1e-14)
+        assert d.masses.sum() == pytest.approx(1.0, abs=1e-14)
         assert d._fast_ok
 
     def test_traced_peak_per_cell(self):
