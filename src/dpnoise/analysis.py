@@ -251,66 +251,35 @@ def tightness_curve(
 # Output formats
 
 
-def _format_value(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-def _field_values(rows: list, names: "list[str]") -> list:
-    """Every row's values of ``names``, row after row, in one flat list."""
+def _float_table(rows: list) -> tuple[list[str], list]:
+    """The field names of ``rows`` and every row's values of them, row
+    after row, in one flat list.  Every value must be a finite float, as
+    every field of a sweep or tightness row is."""
+    names = [f.name for f in dataclasses.fields(rows[0])]
     if len(names) < 2:
-        return [getattr(row, n) for row in rows for n in names]
-    return list(chain.from_iterable(map(attrgetter(*names), rows)))
+        values = [getattr(row, n) for row in rows for n in names]
+    else:
+        values = list(chain.from_iterable(map(attrgetter(*names), rows)))
+    if set(map(type, values)) - {float} or not all(map(math.isfinite, values)):
+        raise DomainError("csv and json rows must hold finite floats only")
+    return names, values
 
 
-def _all_floats(values: list) -> bool:
-    """Whether there are values and every one is a plain float, as every
-    field of a sweep or tightness row is."""
-    return set(map(type, values)) == {float}
-
-
-# Each emitter below fills one %-template for the whole table; rows holding
-# anything but plain floats take the per-value route, which gives the same
-# bytes.
+# Each emitter below fills one %-template for the whole table.
 
 
 def _rows_to_csv(rows: list) -> bytes:
-    names = [f.name for f in dataclasses.fields(rows[0])]
-    values = _field_values(rows, names)
-    if _all_floats(values):
-        cell = "%.17g"  # what format(value, ".17g") gives
-    else:
-        cell, values = "%s", list(map(_format_value, values))
-    line = ",".join([cell] * len(names)) + "\n"
+    names, values = _float_table(rows)
+    line = ",".join(["%.17g"] * len(names)) + "\n"  # format(value, ".17g")
     body = (line * len(rows)) % tuple(values)
     return (",".join(names) + "\n" + body).encode("utf-8")
 
 
-# json's text for the floats that float.__repr__ writes otherwise
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _rows_to_json(rows: list) -> bytes:
-    names = [f.name for f in dataclasses.fields(rows[0])]
-    values = _field_values(rows, names)
-    if not _all_floats(values):
-        payload = [{n: getattr(row, n) for n in names} for row in rows]
-        return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
-    # json.dumps(indent=2) runs json's pure-Python encoder; this is its
-    # layout, with its key escaping and its float text, float.__repr__
-    # (which %r gives) for finite values
-    cell = "%r"
-    if not all(map(math.isfinite, values)):
-        cell = "%s"
-        values = [_JSON_NON_FINITE.get(c, c) for c in map(float.__repr__, values)]
-    row = (
-        "  {\n"
-        + ",\n".join(f"    {json.dumps(n)}: {cell}" for n in names)
-        + "\n  }"
-    )
+    names, values = _float_table(rows)
+    # json.dumps(payload, indent=2)'s layout, with its key escaping and its
+    # text for a finite float, float.__repr__ (which %r gives)
+    row = "  {\n" + ",\n".join(f"    {json.dumps(n)}: %r" for n in names) + "\n  }"
     body = ",\n".join([row] * len(rows)) % tuple(values)
     return ("[\n" + body + "\n]\n").encode("utf-8")
 
@@ -432,7 +401,8 @@ def _rows_to_svg(rows: list[SweepRow]) -> bytes:
 
 
 def emit(rows: list, fmt: str = "csv") -> bytes:
-    """Render sweep or tightness rows as csv, json, or svg bytes."""
+    """Render sweep or tightness rows as csv, json, or svg bytes; csv and
+    json refuse a value that is not a finite float with DomainError."""
     if not rows:
         raise DomainError("no rows to emit")
     fmt = fmt.lower()

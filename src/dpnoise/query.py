@@ -111,11 +111,11 @@ class _MedianDraws:
         return np.full(size, 0.5)
 
 
-def make_rng(seed: "int | str"):
-    """A generator for `NoiseMechanism.sample`: u64 seed or "median"."""
+def _parse_seed(seed: "int | str") -> "int | None":
+    """A u64 seed as an int, or None for "median"."""
     if isinstance(seed, str):
         if seed.lower() == "median":
-            return _MedianDraws()
+            return None
         try:
             seed = int(seed, 0)
         except ValueError:
@@ -125,7 +125,13 @@ def make_rng(seed: "int | str"):
             ) from None
     if not (0 <= int(seed) < 2**64):
         raise DomainError(f"seed must fit in 64 unsigned bits, got {seed!r}")
-    return np.random.default_rng(int(seed))
+    return int(seed)
+
+
+def make_rng(seed: "int | str"):
+    """A generator for `NoiseMechanism.sample`: u64 seed or "median"."""
+    seed = _parse_seed(seed)
+    return _MedianDraws() if seed is None else np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -348,12 +354,13 @@ def run_query(
 
     Raises BudgetError (before touching the data) if either configured cap
     would be exceeded by this query's spend added to the ledger totals, and
-    DomainError (before reading the ledger) for a NaN cap.
+    DomainError (before reading the ledger) for a NaN or negative cap.
     """
     for name, cap in (("budget_eps", budget_eps), ("budget_delta", budget_delta)):
-        # a NaN cap would compare False against every spend
-        if cap is not None and math.isnan(cap):
-            raise DomainError(f"{name} must be a number, got {cap!r}")
+        # a NaN cap would compare False against every spend, and a negative
+        # one is no budget but a mistyped input
+        if cap is not None and not cap >= 0.0:
+            raise DomainError(f"{name} must be a number >= 0, got {cap!r}")
     ledger = BudgetLedger(ledger_path)
     eps_spent, delta_spent = _spent(spec)
     total_eps, total_delta = ledger.totals()
@@ -371,7 +378,15 @@ def run_query(
         )
 
     count, values = _read_column(spec)
-    rng = make_rng(spec.seed)
+    # Each release draws from its own stream, keyed by (seed, query_id):
+    # one seed reused across releases would give neighbouring datasets the
+    # same noise, so their difference would reveal the row.  The ledger's
+    # query_id and the seed still reproduce the release.
+    query_id = uuid.uuid4().hex[:12]
+    seed = _parse_seed(spec.seed)
+    rng = _MedianDraws() if seed is None else np.random.default_rng(
+        np.random.SeedSequence([seed, int(query_id, 16)])
+    )
     if spec.aggregate is AggregateKind.COUNT:
         mech = make_mechanism(spec.mechanism, spec.params, Sensitivity(1.0))
         noisy = count + float(mech.sample(rng))
@@ -389,7 +404,7 @@ def run_query(
         noisy = noisy_sum / noisy_count if noisy_count > 0.0 else float("nan")
 
     entry = LedgerEntry(
-        query_id=uuid.uuid4().hex[:12],
+        query_id=query_id,
         epsilon=eps_spent,
         delta=delta_spent,
         timestamp=datetime.now(timezone.utc).isoformat(),

@@ -120,22 +120,29 @@ class TruncatedLaplace(NoiseMechanism):
         """
         H = int(half_cells)
         t = step / self.scale
-        x = self.radius / self.scale  # the support edge in units of the scale
         masses = np.empty(2 * H)
         pos = masses[H:]
-        # Cells 0..full-1 are whole cells inside the support; the rest (the
-        # outermost cell, plus any cells at or past the edge) take the general
-        # formula, clipped to the support.
-        full = max(0, H - 1 if math.isinf(x) else min(H - 1, math.floor(x / t)))
+        # Cells 0..full-1 are whole cells inside the support.  Cell full is
+        # the outermost one with mass: it takes everything from its left
+        # edge to the support's, and any cells past it hold 0.
+        if math.isinf(self.radius):
+            full, span = H - 1, math.inf
+        else:
+            from fractions import Fraction  # ~2 ms to import; only needed here
+
+            radius, h = Fraction(self.radius), Fraction(step)
+            full = min(H - 1, math.floor(radius / h))
+            # radius/scale - full*t would cancel; radius - full*step is exact
+            span = float(radius - full * h) / self.scale
+        full = max(0, full)
         inner = np.exp(-t * np.arange(_EXP_BLOCK))
         head = self._area * -math.expm1(-t)
         for lo in range(0, full, _EXP_BLOCK):
             hi = min(lo + _EXP_BLOCK, full)
             np.multiply(head * math.exp(-t * lo), inner[: hi - lo], out=pos[lo:hi])
         k = np.arange(full, H)
-        width = np.where(k < H - 1, t, math.inf)
-        span = np.clip(np.minimum(width, x - k * t), 0.0, None)
-        pos[full:] = self._area * np.exp(-k * t) * -np.expm1(-span)
+        spans = np.where(k == full, span, 0.0)
+        pos[full:] = self._area * np.exp(-k * t) * -np.expm1(-spans)
         masses[:H] = pos[::-1]
         return masses
 

@@ -474,27 +474,21 @@ BRUTE_EMITTERS = {
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, -1e308,
            0.1, 1.0 / 3.0, 2.5e-7, 123456789.0]
+FINITE_SPECIAL = [v for v in SPECIAL if math.isfinite(v)]
 
 
-def special_sweep_rows(ratios_finite):
-    """A 4 x 3 grid of sweep rows holding every special value in every
-    column; with ``ratios_finite`` the heatmap's ratios stay finite."""
+def special_sweep_rows(ratios_finite, finite=False):
+    """A 4 x 3 grid of sweep rows holding every special value (with
+    ``finite``, every finite one) in every column; with ``ratios_finite``
+    the heatmap's ratios stay finite."""
+    special = FINITE_SPECIAL if finite else SPECIAL
     rows = []
     for k in range(12):
-        values = [SPECIAL[(k + j) % len(SPECIAL)] for j in range(8)]
+        values = [special[(k + j) % len(special)] for j in range(8)]
         if ratios_finite:
             values[6] = [0.25, -0.0, 5e-324, 0.75, 1e308, 0.5][k % 6]
         rows.append(SweepRow(0.5 * (k // 3 + 1), 1e-3 * (k % 3 + 1), *values[2:]))
     return rows
-
-
-@dataclasses.dataclass(frozen=True)
-class MixedRow:
-    count: int
-    flag: bool
-    label: str
-    missing: object
-    value: float
 
 
 def outcome(emitter, rows):
@@ -523,7 +517,8 @@ class TestEmittersMatchTheReference:
     @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
     @pytest.mark.parametrize("ratios_finite", [True, False])
     def test_special_values(self, ratios_finite, fmt):
-        rows = special_sweep_rows(ratios_finite)
+        # csv and json refuse non-finite values (see the test below)
+        rows = special_sweep_rows(ratios_finite, finite=fmt != "svg")
         assert outcome(lambda r: emit(r, fmt), rows) == outcome(
             BRUTE_EMITTERS[fmt], rows
         )
@@ -534,12 +529,56 @@ class TestEmittersMatchTheReference:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_rows_holding_more_than_floats(self, fmt):
-        rows = [
-            MixedRow(3, True, "a,b", None, 0.5),
-            MixedRow(-7, False, 'say "hi"', [1, 2], math.nan),
-            MixedRow(10**20, True, "", {"k": 1.0}, -0.0),
+        # csv and json write finite floats and refuse anything else: the
+        # reference writes the str "a,b" as two csv fields and NaN as json
+        # that strict parsers reject
+        bad = [3, True, "a,b", None, np.float64(0.1), math.nan, math.inf, -math.inf]
+        for value in bad:
+            for field in range(6):
+                values = [0.5] * 6
+                values[field] = value
+                rows = [
+                    TightnessRow(0.1, 1e-5, 1.0, 2.0, 0.5, 0.5),
+                    TightnessRow(*values),
+                ]
+                with pytest.raises(DomainError, match="finite floats"):
+                    emit(rows, fmt)
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+ROW_SOURCES = {
+    "sweep-amplitude": lambda: run_sweep(SweepConfig()),
+    "sweep-power": lambda: run_sweep(SweepConfig(cost=CostKind.POWER)),
+    **{
+        f"tightness-{regime.value}-{cost.value}": (
+            lambda regime=regime, cost=cost: tightness_curve(regime, cost=cost)
+        )
+        for regime in LimitRegime
+        for cost in CostKind
+    },
+}
+
+
+class TestEmittedTextParses:
+    """What emit writes for the package's own rows is strict csv and json."""
+
+    @pytest.mark.parametrize("source", ROW_SOURCES)
+    def test_csv(self, source):
+        rows = ROW_SOURCES[source]()
+        text = emit(rows, "csv").decode("utf-8")
+        header, *records = csv.reader(io.StringIO(text))
+        assert header == [f.name for f in dataclasses.fields(rows[0])]
+        assert len(records) == len(rows)
+        assert all(len(record) == len(header) for record in records)
+        assert [list(map(float, record)) for record in records] == [
+            list(dataclasses.astuple(row)) for row in rows
         ]
-        assert emit(rows, fmt) == BRUTE_EMITTERS[fmt](rows)
-        # a float subclass takes the per-value route as well
-        rows = [TightnessRow(np.float64(0.1), 1e-5, 1.0, 2.0, 0.5, 0.5)]
-        assert emit(rows, fmt) == BRUTE_EMITTERS[fmt](rows)
+
+    @pytest.mark.parametrize("source", ROW_SOURCES)
+    def test_json(self, source):
+        rows = ROW_SOURCES[source]()
+        payload = json.loads(emit(rows, "json"), parse_constant=refuse_constant)
+        assert payload == [dataclasses.asdict(row) for row in rows]

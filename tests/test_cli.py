@@ -652,6 +652,14 @@ class TestQuery:
         # the failed attempt must not be charged
         assert len(ledger_path.read_text().splitlines()) == 1
 
+    @pytest.mark.parametrize("flag", ["--budget-eps", "--budget-delta"])
+    def test_negative_cap_is_exit_2(self, capsys, spend_csv, ledger_path, flag):
+        code, out, err = run(capsys, *self.base(spend_csv, ledger_path, flag, "-1"))
+        assert code == 2
+        assert out == ""
+        assert "must be a number" in err
+        assert not ledger_path.exists()
+
     def test_seed_required(self, capsys, spend_csv, ledger_path, monkeypatch):
         monkeypatch.delenv("DPNL_SEED", raising=False)
         argv = [

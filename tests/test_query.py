@@ -271,14 +271,41 @@ class TestRunQuery:
         )
         assert math.isnan(run_query(spec, ledger_path)["noisy_value"])
 
-    def test_deterministic_under_integer_seed(self, spend_csv, ledger_path):
+    def test_neighbouring_releases_draw_independent_noise(
+        self, spend_csv, tmp_path, ledger_path
+    ):
+        # With one seed, two releases that drew the same noise would differ
+        # by exactly the dropped row.
+        lines = spend_csv.read_text().splitlines(keepends=True)
+        neighbour = tmp_path / "neighbour.csv"
+        neighbour.write_text("".join(lines[:-1]))
+        released = [
+            run_query(
+                QuerySpec(str(path), "spend", AggregateKind.COUNT, "trunclap", P, 7),
+                ledger_path,
+            )["noisy_value"]
+            for path in (spend_csv, neighbour)
+        ]
+        assert released[0] - released[1] != 1.0
+        assert 100.0 not in released and 99.0 not in released  # real noise
+
+    def test_release_rebuilds_from_seed_and_query_id(self, spend_csv, ledger_path):
         spec = QuerySpec(
-            str(spend_csv), "spend", AggregateKind.COUNT, "trunclap", P, 42
+            str(spend_csv), "spend", AggregateKind.MEAN, "trunclap", P, "0x2a",
+            clip=(0.0, 10.0),
         )
-        a = run_query(spec, ledger_path)["noisy_value"]
-        b = run_query(spec, ledger_path)["noisy_value"]
-        assert a == b
-        assert a != 100.0  # real noise this time
+        result = run_query(spec, ledger_path)
+        (entry,) = BudgetLedger(ledger_path).entries()
+        assert entry.query_id == result["query_id"]
+        rng = np.random.default_rng(
+            np.random.SeedSequence([42, int(entry.query_id, 16)])
+        )
+        half = PrivacyParams(P.epsilon / 2.0, P.delta / 2.0)
+        noisy_sum = clipped_spend_sum(spend_csv, 0.0, 10.0) + float(
+            make_mechanism("trunclap", half, 10.0).sample(rng)
+        )
+        noisy_count = 100 + float(make_mechanism("trunclap", half, 1.0).sample(rng))
+        assert result["noisy_value"] == noisy_sum / noisy_count
 
     def test_missing_file(self, tmp_path, ledger_path):
         spec = QuerySpec(
@@ -453,6 +480,24 @@ class TestBudgets:
         )
         with pytest.raises(DomainError, match=f"{cap} must be a number"):
             run_query(spec, ledger_path, **{cap: math.nan})
+        assert ledger_path.read_text() == "not json\n"
+
+    @pytest.mark.parametrize("cap", ["budget_eps", "budget_delta"])
+    def test_negative_cap_is_refused_before_reading_anything(
+        self, tmp_path, ledger_path, cap
+    ):
+        # A negative cap is invalid input, not an exhausted budget.
+        ledger_path.write_text("not json\n")
+        spec = QuerySpec(
+            str(tmp_path / "does-not-exist.csv"),
+            "spend",
+            AggregateKind.COUNT,
+            "trunclap",
+            P,
+            "median",
+        )
+        with pytest.raises(DomainError, match=f"{cap} must be a number >= 0"):
+            run_query(spec, ledger_path, **{cap: -1.0})
         assert ledger_path.read_text() == "not json\n"
 
     def test_nan_ledger_line_cannot_lift_the_cap(self, spend_csv, ledger_path):

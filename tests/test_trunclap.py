@@ -216,6 +216,27 @@ class TestGridMasses:
             atol=0.0,
         )
 
+    @pytest.mark.parametrize("delta", [1e-3, 1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("eps", [0.01, 0.1, 1.0, 10.0])
+    def test_edge_cell_within_stated_error(self, eps, delta):
+        # The width of the cell that holds the support edge, taken as
+        # radius/scale - k*step/scale, cancels: up to 2.5M ulp off.
+        mpmath = pytest.importorskip("mpmath")
+        mech = TruncatedLaplace.from_privacy(PrivacyParams(eps, delta), 1.0)
+        half = self._half_cells(mech.radius, self.STEP)
+        masses = mech.grid_masses(self.STEP, half)
+        assert masses[0] == masses[-1]
+        with mpmath.workdps(40):
+            scale, radius = mpmath.mpf(mech.scale), mpmath.mpf(mech.radius)
+            left = (half - 1) * mpmath.mpf(self.STEP)
+            exact = (
+                mpmath.mpf(mech.height)
+                * scale
+                * (mpmath.exp(-left / scale) - mpmath.exp(-radius / scale))
+            )
+            error = float(abs(masses[-1] - exact) / exact)
+        assert error <= mech.grid_mass_error(self.STEP, half)
+
     def test_radius_below_support_folds_the_rest(self):
         mech = TruncatedLaplace.from_privacy(P_REF, 1.0)
         half = self._half_cells(0.5 * mech.radius, self.STEP)
