@@ -9,6 +9,13 @@ The header is read with `csv.reader`; the rest of the file goes to numpy's
 C reader (`np.loadtxt`, which follows the same quoting rules and rounds
 floats as `float()` does) into one float64 array, clipped in place.  Count
 reads one character of each row's first cell, so it parses no number.
+`np.loadtxt` reads a path in large chunks, but iterates a handle one Python
+string per line, which is about 1.7x slower.  So it is given the path, and
+skips the header's physical lines (`csv.reader.line_num`), whenever the
+path names the file already open: a regular file (not a FIFO, which a
+second open would split), with no suffix numpy decompresses, and still the
+same file (device, inode, size, mtime) after the read.  Anything else goes
+to the C reader through the open handle, from just past the header.
 Only a file the C reader rejects, or one with a NaN cell, is read a second
 time by the streaming `csv.reader` loop, which names the bad line and
 accepts the rest of `float()`'s grammar (underscores, non-ASCII digits).
@@ -16,6 +23,11 @@ Such input mostly ends in an error; otherwise it gives the same release,
 a little more slowly.  A cell that does not parse or parses to NaN, or a
 field `csv.reader` refuses as too long, is an error naming its line, raised
 before the ledger is touched; infinite cells are clipped to the bounds.
+
+A query holds an exclusive `flock` on the ledger from reading its totals to
+appending its line, which is fsynced, so two queries cannot both pass a cap
+that has room for one.  A final ledger line without a newline, left by a
+crash mid-append, is ended under the lock if it parses and cut off if not.
 
 Mean is released as noisy sum divided by noisy count with the budget split
 evenly between the two draws, so the dataset size itself stays protected;
@@ -26,11 +38,15 @@ a non-positive noisy count yields NaN rather than a data-dependent fallback
 from __future__ import annotations
 
 import csv
+import fcntl
 import json
 import math
+import os
+import stat
 import uuid
 import warnings
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -191,53 +207,101 @@ class LedgerEntry:
         )
 
 
+_MALFORMED = (json.JSONDecodeError, KeyError, TypeError, ValueError)
+
+
+def _parse_ledger_line(line: str) -> tuple[str, float, float, str]:
+    """(query_id, epsilon, delta, timestamp) of one stripped ledger line;
+    one of `_MALFORMED` if it is not one."""
+    raw = json.loads(line)
+    query_id, timestamp = str(raw["query_id"]), str(raw["timestamp"])
+    epsilon, delta = float(raw["epsilon"]), float(raw["delta"])
+    # json.loads accepts NaN and Infinity; a NaN spend would make every
+    # later cap comparison False.
+    if not (0.0 <= epsilon < math.inf and 0.0 <= delta < math.inf):
+        raise ValueError
+    return query_id, epsilon, delta, timestamp
+
+
+def _repair_torn_tail(fh) -> None:
+    """End a final line that has no newline, or cut it off if it is no
+    entry.  A crash mid-append leaves such a line; `run_query` appends
+    before it returns, so a line cut short was never released."""
+    size = fh.seek(0, os.SEEK_END)
+    if size == 0:
+        return
+    fh.seek(size - 1)
+    if fh.read(1) == b"\n":
+        return
+    fh.seek(0)
+    data = fh.read()
+    start = data.rfind(b"\n") + 1
+    try:
+        _parse_ledger_line(data[start:].decode("utf-8").strip())
+    except _MALFORMED:  # UnicodeDecodeError is a ValueError
+        fh.truncate(start)
+    else:
+        fh.write(b"\n")
+    fh.flush()
+    os.fsync(fh.fileno())
+
+
 class BudgetLedger:
     """Append-only JSON-lines record of (query id, epsilon, delta, time)."""
 
     def __init__(self, path: "str | Path") -> None:
         self.path = Path(path)
+        self._locked = None  # the locked handle, inside `locked()`
 
-    def entries(self) -> list[LedgerEntry]:
+    @contextmanager
+    def locked(self):
+        """Hold an exclusive `flock` on the ledger, created if missing,
+        for the block; a torn final line is repaired first."""
+        with open(self.path, "a+b") as fh:
+            fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+            _repair_torn_tail(fh)
+            self._locked = fh
+            try:
+                yield
+            finally:
+                self._locked = None
+
+    def _records(self):
         if not self.path.exists():
-            return []
-        out = []
+            return
         with open(self.path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    raw = json.loads(line)
-                    entry = LedgerEntry(
-                        query_id=str(raw["query_id"]),
-                        epsilon=float(raw["epsilon"]),
-                        delta=float(raw["delta"]),
-                        timestamp=str(raw["timestamp"]),
-                    )
-                    # json.loads accepts NaN and Infinity; a NaN spend
-                    # would make every later cap comparison False.
-                    if not (
-                        0.0 <= entry.epsilon < math.inf
-                        and 0.0 <= entry.delta < math.inf
-                    ):
-                        raise ValueError  # reported as malformed below
-                    out.append(entry)
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                    record = _parse_ledger_line(line)
+                except _MALFORMED:
                     raise DomainError(
                         f"malformed ledger line {lineno} in {self.path}"
                     ) from None
-        return out
+                yield record
+
+    def entries(self) -> list[LedgerEntry]:
+        return [LedgerEntry(*record) for record in self._records()]
 
     def totals(self) -> tuple[float, float]:
-        entries = self.entries()
-        return (
-            float(sum(e.epsilon for e in entries)),
-            float(sum(e.delta for e in entries)),
-        )
+        epsilons, deltas = [], []
+        for _, epsilon, delta, _ in self._records():
+            epsilons.append(epsilon)
+            deltas.append(delta)
+        return float(sum(epsilons)), float(sum(deltas))
 
     def append(self, entry: LedgerEntry) -> None:
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(entry.to_json() + "\n")
+        """Append and fsync one line, under the lock (taken here if the
+        caller does not hold it)."""
+        if self._locked is None:
+            with self.locked():
+                self.append(entry)
+            return
+        self._locked.write(entry.to_json().encode("utf-8") + b"\n")
+        self._locked.flush()
+        os.fsync(self._locked.fileno())
 
 
 def _read_column(spec: QuerySpec) -> tuple[int, np.ndarray]:
@@ -267,22 +331,7 @@ def _read_column(spec: QuerySpec) -> tuple[int, np.ndarray]:
         index = len(header) - 1 - header[::-1].index(spec.column)
         counting = spec.aggregate is AggregateKind.COUNT
         try:
-            with warnings.catch_warnings():
-                # A header-only file is an empty column, not a warning.
-                warnings.filterwarnings(
-                    "ignore", "loadtxt: input contained no data", UserWarning
-                )
-                # Count reads one character of the first cell, so it
-                # parses no number and its cost does not depend on cells.
-                column = np.loadtxt(
-                    fh,
-                    dtype="U1" if counting else float,
-                    delimiter=",",
-                    quotechar='"',
-                    comments=None,
-                    usecols=0 if counting else index,
-                    ndmin=1,
-                )
+            column = _c_read(fh, path, reader.line_num, counting, index)
         except ValueError:
             pass
         else:
@@ -299,6 +348,52 @@ def _read_column(spec: QuerySpec) -> tuple[int, np.ndarray]:
             return _stream_column(reader, spec, path, index)
         except csv.Error as exc:
             raise _csv_error(path, reader, exc) from None
+
+
+def _c_read(fh, path: Path, header_lines: int, counting: bool, index: int):
+    """The rows after the header through `np.loadtxt`, from the path when
+    it names the open file ``fh`` (see the module docstring), else from
+    ``fh``, which is left just past the header."""
+    def load(source, skiprows=0):
+        with warnings.catch_warnings():
+            # A header-only file is an empty column, not a warning.
+            warnings.filterwarnings(
+                "ignore", "loadtxt: input contained no data", UserWarning
+            )
+            # Count reads one character of the first cell, so it parses no
+            # number and its cost does not depend on cells.
+            return np.loadtxt(
+                source,
+                dtype="U1" if counting else float,
+                delimiter=",",
+                quotechar='"',
+                comments=None,
+                usecols=0 if counting else index,
+                ndmin=1,
+                skiprows=skiprows,
+                encoding="utf-8",
+            )
+
+    opened = os.fstat(fh.fileno())
+    # `Path` folds "scheme://" to "scheme:/", so numpy never takes the name
+    # for a URL; it would decompress these suffixes, though.
+    name = os.fspath(path)
+    if stat.S_ISREG(opened.st_mode) and os.path.splitext(name)[1] not in (
+        ".gz", ".bz2", ".xz", ".lzma"
+    ):
+        try:
+            column = load(name, header_lines)
+            now = os.stat(name)
+        except OSError:  # gone or replaced: read the open file
+            pass
+        else:
+            if _identity(now) == _identity(opened):
+                return column
+    return load(fh)
+
+
+def _identity(st: os.stat_result) -> tuple:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
 def _csv_error(path: Path, reader, exc: csv.Error) -> DomainError:
@@ -344,40 +439,8 @@ def _spent(spec: QuerySpec) -> tuple[float, float]:
     return spec.params.epsilon, delta
 
 
-def run_query(
-    spec: QuerySpec,
-    ledger_path: "str | Path",
-    budget_eps: "float | None" = None,
-    budget_delta: "float | None" = None,
-) -> dict:
-    """Execute one private query and append its cost to the ledger.
-
-    Raises BudgetError (before touching the data) if either configured cap
-    would be exceeded by this query's spend added to the ledger totals, and
-    DomainError (before reading the ledger) for a NaN or negative cap.
-    """
-    for name, cap in (("budget_eps", budget_eps), ("budget_delta", budget_delta)):
-        # a NaN cap would compare False against every spend, and a negative
-        # one is no budget but a mistyped input
-        if cap is not None and not cap >= 0.0:
-            raise DomainError(f"{name} must be a number >= 0, got {cap!r}")
-    ledger = BudgetLedger(ledger_path)
-    eps_spent, delta_spent = _spent(spec)
-    total_eps, total_delta = ledger.totals()
-    if budget_eps is not None and total_eps + eps_spent > budget_eps * (1 + 1e-12):
-        raise BudgetError(
-            f"epsilon budget {budget_eps} would be exceeded: "
-            f"{total_eps} spent + {eps_spent} requested"
-        )
-    if budget_delta is not None and total_delta + delta_spent > budget_delta * (
-        1 + 1e-12
-    ):
-        raise BudgetError(
-            f"delta budget {budget_delta} would be exceeded: "
-            f"{total_delta} spent + {delta_spent} requested"
-        )
-
-    count, values = _read_column(spec)
+def _release(spec: QuerySpec, count: int, values: np.ndarray) -> tuple[str, float]:
+    """(query_id, noisy aggregate) of one release."""
     # Each release draws from its own stream, keyed by (seed, query_id):
     # one seed reused across releases would give neighbouring datasets the
     # same noise, so their difference would reveal the row.  The ledger's
@@ -389,30 +452,64 @@ def run_query(
     )
     if spec.aggregate is AggregateKind.COUNT:
         mech = make_mechanism(spec.mechanism, spec.params, Sensitivity(1.0))
-        noisy = count + float(mech.sample(rng))
-    elif spec.aggregate is AggregateKind.SUM:
+        return query_id, count + float(mech.sample(rng))
+    if spec.aggregate is AggregateKind.SUM:
         mech = make_mechanism(spec.mechanism, spec.params, spec.sensitivity())
-        noisy = float(values.sum()) + float(mech.sample(rng))
-    else:  # MEAN: noisy sum over noisy count, half the budget each
-        half = PrivacyParams(
-            spec.params.epsilon / 2.0, spec.params.delta / 2.0
-        )
-        sum_mech = make_mechanism(spec.mechanism, half, spec.sensitivity())
-        count_mech = make_mechanism(spec.mechanism, half, Sensitivity(1.0))
-        noisy_sum = float(values.sum()) + float(sum_mech.sample(rng))
-        noisy_count = count + float(count_mech.sample(rng))
-        noisy = noisy_sum / noisy_count if noisy_count > 0.0 else float("nan")
+        return query_id, float(values.sum()) + float(mech.sample(rng))
+    # MEAN: noisy sum over noisy count, half the budget each
+    half = PrivacyParams(spec.params.epsilon / 2.0, spec.params.delta / 2.0)
+    sum_mech = make_mechanism(spec.mechanism, half, spec.sensitivity())
+    count_mech = make_mechanism(spec.mechanism, half, Sensitivity(1.0))
+    noisy_sum = float(values.sum()) + float(sum_mech.sample(rng))
+    noisy_count = count + float(count_mech.sample(rng))
+    noisy = noisy_sum / noisy_count if noisy_count > 0.0 else float("nan")
+    return query_id, noisy
 
-    entry = LedgerEntry(
-        query_id=query_id,
-        epsilon=eps_spent,
-        delta=delta_spent,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
-    ledger.append(entry)
+
+def run_query(
+    spec: QuerySpec,
+    ledger_path: "str | Path",
+    budget_eps: "float | None" = None,
+    budget_delta: "float | None" = None,
+) -> dict:
+    """Execute one private query and append its cost to the ledger.
+
+    Raises BudgetError (before touching the data) if either configured cap
+    would be exceeded by this query's spend added to the ledger totals, and
+    DomainError (before reading the ledger) for a NaN or negative cap.  The
+    ledger stays locked from its totals to the append.
+    """
+    for name, cap in (("budget_eps", budget_eps), ("budget_delta", budget_delta)):
+        # a NaN cap would compare False against every spend, and a negative
+        # one is no budget but a mistyped input
+        if cap is not None and not cap >= 0.0:
+            raise DomainError(f"{name} must be a number >= 0, got {cap!r}")
+    ledger = BudgetLedger(ledger_path)
+    eps_spent, delta_spent = _spent(spec)
+    with ledger.locked():
+        total_eps, total_delta = ledger.totals()
+        for name, cap, total, spent in (
+            ("epsilon", budget_eps, total_eps, eps_spent),
+            ("delta", budget_delta, total_delta, delta_spent),
+        ):
+            if cap is not None and total + spent > cap * (1 + 1e-12):
+                raise BudgetError(
+                    f"{name} budget {cap} would be exceeded: "
+                    f"{total} spent + {spent} requested"
+                )
+        count, values = _read_column(spec)
+        query_id, noisy = _release(spec, count, values)
+        ledger.append(
+            LedgerEntry(
+                query_id=query_id,
+                epsilon=eps_spent,
+                delta=delta_spent,
+                timestamp=datetime.now(timezone.utc).isoformat(),
+            )
+        )
     return {
         "noisy_value": noisy,
         "epsilon_spent": eps_spent,
         "delta_spent": delta_spent,
-        "query_id": entry.query_id,
+        "query_id": query_id,
     }

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
 from array import array
@@ -187,6 +191,74 @@ class TestBudgetLedger:
         )
         with pytest.raises(DomainError, match="malformed ledger line 2"):
             BudgetLedger(ledger_path).entries()
+
+    def test_totals_add_the_entries_in_line_order(self, ledger_path):
+        ledger = BudgetLedger(ledger_path)
+        for i, eps in enumerate([1e16, 1.0, 1.0, 0.1, 1e-17, 0.3]):
+            ledger.append(LedgerEntry(f"q{i}", eps, eps / 7, "t"))
+        entries = ledger.entries()
+        assert ledger.totals() == (
+            float(sum(e.epsilon for e in entries)),
+            float(sum(e.delta for e in entries)),
+        )
+
+    def test_append_is_fsynced(self, ledger_path, monkeypatch):
+        synced = []
+        monkeypatch.setattr(query.os, "fsync", synced.append)
+        BudgetLedger(ledger_path).append(LedgerEntry("q1", 0.5, 0.0, "t"))
+        assert len(synced) == 1
+        assert len(ledger_path.read_text().splitlines()) == 1
+
+
+_LINE = '{"query_id": "a", "epsilon": 1.0, "delta": 0.0, "timestamp": "t"}'
+
+
+class TestTornFinalLine:
+    """Under the lock, a final line without a newline is ended if it
+    parses and cut off if it does not; any other bad line is an error."""
+
+    def test_parsing_line_is_ended_and_counted(self, ledger_path):
+        ledger_path.write_text(_LINE + "\n" + _LINE.replace('"a"', '"b"'))
+        ledger = BudgetLedger(ledger_path)
+        with ledger.locked():
+            assert ledger.totals() == (2.0, 0.0)
+            ledger.append(LedgerEntry("c", 0.5, 0.0, "t"))
+        assert [e.query_id for e in ledger.entries()] == ["a", "b", "c"]
+        assert ledger_path.read_text().endswith("}\n")
+
+    @pytest.mark.parametrize(
+        "torn",
+        [_LINE[:30], _LINE[:-1], " ", '{"query_id": "b"}'],
+        ids=["mid-value", "no-brace", "blank", "missing-keys"],
+    )
+    def test_unparsed_line_is_cut(self, ledger_path, spend_csv, torn):
+        ledger_path.write_text(_LINE + "\n" + torn)
+        spec = QuerySpec(
+            str(spend_csv), "spend", AggregateKind.COUNT, "trunclap", P, "median"
+        )
+        result = run_query(spec, ledger_path, budget_eps=1.5)
+        lines = ledger_path.read_text().splitlines()
+        assert lines[0] == _LINE and len(lines) == 2
+        assert json.loads(lines[1])["query_id"] == result["query_id"]
+
+    def test_torn_line_is_left_alone_without_the_lock(self, ledger_path):
+        ledger_path.write_text(_LINE + "\n" + _LINE[:30])
+        with pytest.raises(DomainError, match="malformed ledger line 2"):
+            BudgetLedger(ledger_path).totals()
+        assert ledger_path.read_text() == _LINE + "\n" + _LINE[:30]
+
+    @pytest.mark.parametrize(
+        "text",
+        [f"not json\n{_LINE}", f"{_LINE}\nnot json\n{_LINE}\n"],
+        ids=["first-line", "middle-line"],
+    )
+    def test_other_malformed_lines_still_raise(self, ledger_path, text):
+        ledger_path.write_text(text)
+        ledger = BudgetLedger(ledger_path)
+        with pytest.raises(DomainError, match=r"malformed ledger line \d"):
+            with ledger.locked():
+                ledger.totals()
+        assert ledger_path.read_text() == text + ("" if text.endswith("\n") else "\n")
 
 
 class TestRunQuery:
@@ -519,6 +591,66 @@ class TestBudgets:
             run_query(tl, ledger_path, budget_delta=0.0)
 
 
+_RACER = """
+import sys, time
+from dpnoise import query
+from dpnoise.core import PrivacyParams
+
+read_column = query._read_column
+
+def slow_read_column(spec):
+    time.sleep(0.5)  # inside the locked window, after the totals read
+    return read_column(spec)
+
+query._read_column = slow_read_column
+csv_path, ledger_path = sys.argv[1:]
+spec = query.QuerySpec(
+    csv_path, "spend", query.AggregateKind.COUNT, "trunclap",
+    PrivacyParams(0.5, 1e-5), "median",
+)
+print("ready", flush=True)
+sys.stdin.readline()
+try:
+    query.run_query(spec, ledger_path, budget_eps=0.75)
+except query.BudgetError:
+    print("budget")
+else:
+    print("released")
+"""
+
+
+class TestLedgerLock:
+    def test_two_processes_cannot_both_spend_the_last_room(
+        self, spend_csv, ledger_path
+    ):
+        # The cap leaves room for one query.  Both processes start their
+        # query together; the one that waits for the lock must see the
+        # other's spend.
+        env = dict(os.environ, PYTHONPATH=str(Path(query.__file__).parents[1]))
+        racers = [
+            subprocess.Popen(
+                [sys.executable, "-c", _RACER, str(spend_csv), str(ledger_path)],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env,
+                text=True,
+            )
+            for _ in range(2)
+        ]
+        try:
+            for racer in racers:
+                assert racer.stdout.readline() == "ready\n"
+            for racer in racers:
+                racer.stdin.write("go\n")
+                racer.stdin.flush()
+            outcomes = sorted(racer.communicate(timeout=60)[0] for racer in racers)
+        finally:
+            for racer in racers:
+                racer.kill()
+                racer.wait()
+        assert outcomes == ["budget\n", "released\n"]
+        assert [r.returncode for r in racers] == [0, 0]
+        assert len(BudgetLedger(ledger_path).entries()) == 1
+
+
 def _spec(path, aggregate=AggregateKind.SUM, column="spend", clip=(0.0, 10.0)):
     clip = None if aggregate is AggregateKind.COUNT else clip
     return QuerySpec(str(path), column, aggregate, "trunclap", P, 0, clip=clip)
@@ -579,12 +711,23 @@ def csv_reader_rows(monkeypatch):
     rows = []
     real = csv.reader
 
-    def counting_reader(*args, **kwargs):
-        for row in real(*args, **kwargs):
-            rows.append(row)
-            yield row
+    class CountingReader:
+        def __init__(self, *args, **kwargs):
+            self._reader = real(*args, **kwargs)
 
-    monkeypatch.setattr(csv, "reader", counting_reader)
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            row = next(self._reader)
+            rows.append(row)
+            return row
+
+        @property
+        def line_num(self):
+            return self._reader.line_num
+
+    monkeypatch.setattr(csv, "reader", CountingReader)
     return rows
 
 
@@ -741,6 +884,117 @@ class TestReadPaths:
             warnings.simplefilter("error")
             count, values = _read_column(_spec(path, agg))
         assert count == values.size == 0
+
+
+def _rows_csv(rows):
+    """A header, then ``rows`` rows of 'id,spend' with spend in [0, 25)."""
+    return "id,spend\n" + "".join(f"{i},{i % 2500 / 100}\n" for i in range(rows))
+
+
+@pytest.fixture
+def loadtxt_sources(monkeypatch):
+    """What each `np.loadtxt` call reads: a path (str) or a handle."""
+    sources = []
+    real = np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        sources.append(source if isinstance(source, str) else "handle")
+        return real(source, *args, **kwargs)
+
+    monkeypatch.setattr(query.np, "loadtxt", spy)
+    return sources
+
+
+class TestCReaderSource:
+    """numpy's C reader gets the path only when the path still names the
+    file that is open; otherwise it reads the handle, as before."""
+
+    @pytest.mark.parametrize("agg", list(AggregateKind))
+    def test_regular_file_is_read_by_path(self, tmp_path, loadtxt_sources, agg):
+        path = tmp_path / "rows.csv"
+        path.write_text(_rows_csv(1000))
+        read = _outcome(_read_column, _spec(path, agg))
+        assert loadtxt_sources == [str(path)]
+        assert read == _outcome(brute_read_column, _spec(path, agg))
+
+    @pytest.mark.parametrize("agg", [AggregateKind.COUNT, AggregateKind.SUM])
+    def test_fifo_reads_like_the_regular_file(
+        self, tmp_path, loadtxt_sources, agg
+    ):
+        # Far more than a pipe buffer: a second open of the FIFO would see
+        # only what the first reader had not taken.
+        text = _rows_csv(20_000)
+        regular = tmp_path / "rows.csv"
+        regular.write_text(text)
+        fifo = tmp_path / "rows.fifo"
+        os.mkfifo(fifo)
+
+        def write():
+            with open(fifo, "w") as fh:
+                fh.write(text)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            from_fifo = _outcome(_read_column, _spec(fifo, agg))
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert loadtxt_sources == ["handle"]
+        assert from_fifo == _outcome(_read_column, _spec(regular, agg))
+        assert from_fifo[0] == 20_000
+
+    @pytest.mark.parametrize("agg", list(AggregateKind))
+    def test_file_renamed_over_reads_the_opened_file(
+        self, tmp_path, monkeypatch, agg
+    ):
+        path = tmp_path / "rows.csv"
+        path.write_text(_rows_csv(1000))
+        expected = _outcome(_read_column, _spec(path, agg))
+        other = tmp_path / "other.csv"
+        other.write_text(_rows_csv(10))
+        sources = []
+        real = np.loadtxt
+
+        def rename_first(source, *args, **kwargs):
+            # between the header read and the C read
+            if not sources:
+                os.replace(other, path)
+            sources.append(source if isinstance(source, str) else "handle")
+            return real(source, *args, **kwargs)
+
+        monkeypatch.setattr(query.np, "loadtxt", rename_first)
+        assert _outcome(_read_column, _spec(path, agg)) == expected
+        assert sources == [str(path), "handle"]
+        assert path.read_text() == _rows_csv(10)
+
+    @pytest.mark.parametrize("agg", list(AggregateKind))
+    @pytest.mark.parametrize("suffix", [".csv.gz", ".bz2", ".xz", ".lzma"])
+    def test_name_numpy_would_decompress_reads_the_handle(
+        self, tmp_path, loadtxt_sources, agg, suffix
+    ):
+        # given the path, numpy opens these with a decompressor
+        plain = tmp_path / "rows.csv"
+        plain.write_text(_rows_csv(100))
+        named = tmp_path / f"rows{suffix}"
+        named.write_text(_rows_csv(100))
+        assert _outcome(_read_column, _spec(named, agg)) == _outcome(
+            brute_read_column, _spec(plain, agg)
+        )
+        assert loadtxt_sources == ["handle"]
+
+    def test_url_shaped_name_reads_the_local_file(
+        self, tmp_path, monkeypatch, loadtxt_sources
+    ):
+        # numpy fetches a name with a scheme and a netloc; `Path` folds
+        # "http://host" to "http:/host", which numpy opens as a local file
+        local = tmp_path / "http:" / "host"
+        local.mkdir(parents=True)
+        (local / "rows.csv").write_text(_rows_csv(100))
+        monkeypatch.chdir(tmp_path)
+        spec = _spec("http://host/rows.csv", AggregateKind.SUM)
+        assert _read_column(spec)[0] == 100
+        assert loadtxt_sources == ["http:/host/rows.csv"]
 
 
 _CELLS = st.sampled_from(
