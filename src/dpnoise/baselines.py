@@ -136,7 +136,9 @@ def gaussian_privacy_profile(
     sigma = _require_finite_positive(sigma, "sigma")
     sens_value = as_sensitivity(sens).value
     with np.errstate(all="ignore"):
-        return float(_profile(np.float64(sigma), params.epsilon, sens_value)[0])
+        return _exact_profile(
+            *_log_terms(np.float64(sigma), params.epsilon, sens_value)
+        )[0]
 
 
 def _log_terms(sigma, epsilon, sens_value: float):
@@ -158,21 +160,15 @@ def _exact_profile(log_hi, log_lo) -> list:
     ]
 
 
-def _profile(sigma, epsilon, sens_value: float) -> np.ndarray:
-    """:func:`gaussian_privacy_profile` elementwise over arrays of checked
-    sigma and epsilon; the caller sets the floating-point error state."""
-    return np.array(_exact_profile(*_log_terms(sigma, epsilon, sens_value)))
-
-
 # numpy's exp and expm1 stay within a few ulp of math's, far inside this
 # relative band around delta.
 _GUARD = 1e-12
 
 
 def _excess(sigma, epsilon, delta, sens_value: float) -> np.ndarray:
-    """``_profile(sigma, epsilon, sens_value) - delta`` up to rounding, with
-    the sign of every element exactly as ``_profile``'s; the sign is all
-    the bisection reads.
+    """:func:`gaussian_privacy_profile` minus delta, elementwise and up to
+    rounding, with the sign of every element exactly as that function's;
+    the sign is all the bisection reads.
 
     The profile is taken in numpy and taken again with math's functions
     only where numpy's rounding could move the sign: within ``_GUARD``

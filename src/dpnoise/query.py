@@ -9,19 +9,18 @@ The header is read with `csv.reader`; the rest of the file goes to numpy's
 C reader (`np.loadtxt`, which follows the same quoting rules and rounds
 floats as `float()` does) into one float64 array, clipped in place.  Count
 reads one character of each row's first cell, so it parses no number.
-`np.loadtxt` reads a path in large chunks, but iterates a handle one Python
-string per line, which is about 1.7x slower.  So it is given the path, and
-skips the header's physical lines (`csv.reader.line_num`), whenever the
-path names the file already open: a regular file (not a FIFO, which a
-second open would split), with no suffix numpy decompresses, and still the
-same file (device, inode, size, mtime) after the read.  Anything else goes
-to the C reader through the open handle, from just past the header.
-Only a file the C reader rejects, or one with a NaN cell, is read a second
-time by the streaming `csv.reader` loop, which names the bad line and
-accepts the rest of `float()`'s grammar (underscores, non-ASCII digits).
-Such input mostly ends in an error; otherwise it gives the same release,
-a little more slowly.  A cell that does not parse or parses to NaN, or a
-field `csv.reader` refuses as too long, is an error naming its line, raised
+The C reader is given the path, which it reads in large chunks, and skips
+the header's physical lines (`csv.reader.line_num`); it never touches the
+open handle.  It takes the path only when that names the file already
+open: a regular file (not a FIFO, which a second open would split), with
+no suffix numpy decompresses, and still the same file (device, inode,
+size, mtime) after the read.  Anything else, and a file the C reader
+rejects or with a NaN cell, is read on from just past the header, once,
+by the streaming `csv.reader` loop, so a pipe works too.  That loop names
+the bad line and accepts the rest of `float()`'s grammar (underscores,
+non-ASCII digits); on input both accept it gives the same release, more
+slowly.  A cell that does not parse or parses to NaN, or a field
+`csv.reader` refuses as too long, is an error naming its line, raised
 before the ledger is touched; infinite cells are clipped to the bounds.
 
 A query holds an exclusive `flock` on the ledger from reading its totals to
@@ -144,10 +143,11 @@ def _parse_seed(seed: "int | str") -> "int | None":
     return int(seed)
 
 
-def make_rng(seed: "int | str"):
-    """A generator for `NoiseMechanism.sample`: u64 seed or "median"."""
+def make_rng(seed: "int | str", *key: int):
+    """A generator for `NoiseMechanism.sample` from a u64 seed, or the
+    median stub for "median"; the stream is keyed by ``(seed, *key)``."""
     seed = _parse_seed(seed)
-    return _MedianDraws() if seed is None else np.random.default_rng(seed)
+    return _MedianDraws() if seed is None else np.random.default_rng([seed, *key])
 
 
 @dataclass(frozen=True)
@@ -170,6 +170,7 @@ class QuerySpec:
             )
         if not isinstance(self.aggregate, AggregateKind):
             raise DomainError("aggregate must be an AggregateKind")
+        _parse_seed(self.seed)  # refused before the ledger is opened
         if self.clip is not None:
             lo, hi = self.clip
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -330,31 +331,37 @@ def _read_column(spec: QuerySpec) -> tuple[int, np.ndarray]:
             )
         index = len(header) - 1 - header[::-1].index(spec.column)
         counting = spec.aggregate is AggregateKind.COUNT
-        try:
-            column = _c_read(fh, path, reader.line_num, counting, index)
-        except ValueError:
-            pass
-        else:
+        column = _c_read(
+            path, os.fstat(fh.fileno()), reader.line_num, counting, index
+        )
+        if column is not None and (counting or not np.isnan(column).any()):
             if counting:
                 return column.size, np.empty(0)
-            if not np.isnan(column).any():
-                return column.size, np.clip(column, *spec.clip, out=column)
-        # The C reader rejected a row, or found a NaN cell.  Read again
-        # with the streaming reader: it names the bad line, and it accepts
-        # the rest of float()'s grammar (underscores, non-ASCII digits).
-        fh.seek(0)
-        reader = csv.reader(fh)
+            return column.size, np.clip(column, *spec.clip, out=column)
+        # Not read by path, a row the C reader rejects, or a NaN cell: read
+        # on from just past the header with the streaming reader, which
+        # names the bad line and accepts the rest of float()'s grammar
+        # (underscores, non-ASCII digits).
         try:
             return _stream_column(reader, spec, path, index)
         except csv.Error as exc:
             raise _csv_error(path, reader, exc) from None
 
 
-def _c_read(fh, path: Path, header_lines: int, counting: bool, index: int):
-    """The rows after the header through `np.loadtxt`, from the path when
-    it names the open file ``fh`` (see the module docstring), else from
-    ``fh``, which is left just past the header."""
-    def load(source, skiprows=0):
+def _c_read(
+    path: Path, opened: os.stat_result, header_lines: int, counting: bool, index: int
+):
+    """The rows after the header through `np.loadtxt` on the path, or None
+    when the path may not name the open file with stat ``opened`` (see the
+    module docstring), or the C reader rejects a row."""
+    # `Path` folds "scheme://" to "scheme:/", so numpy never takes the name
+    # for a URL; it would decompress these suffixes, though.
+    name = os.fspath(path)
+    if not stat.S_ISREG(opened.st_mode) or os.path.splitext(name)[1] in (
+        ".gz", ".bz2", ".xz", ".lzma"
+    ):
+        return None
+    try:
         with warnings.catch_warnings():
             # A header-only file is an empty column, not a warning.
             warnings.filterwarnings(
@@ -362,34 +369,21 @@ def _c_read(fh, path: Path, header_lines: int, counting: bool, index: int):
             )
             # Count reads one character of the first cell, so it parses no
             # number and its cost does not depend on cells.
-            return np.loadtxt(
-                source,
+            column = np.loadtxt(
+                name,
                 dtype="U1" if counting else float,
                 delimiter=",",
                 quotechar='"',
                 comments=None,
                 usecols=0 if counting else index,
                 ndmin=1,
-                skiprows=skiprows,
+                skiprows=header_lines,
                 encoding="utf-8",
             )
-
-    opened = os.fstat(fh.fileno())
-    # `Path` folds "scheme://" to "scheme:/", so numpy never takes the name
-    # for a URL; it would decompress these suffixes, though.
-    name = os.fspath(path)
-    if stat.S_ISREG(opened.st_mode) and os.path.splitext(name)[1] not in (
-        ".gz", ".bz2", ".xz", ".lzma"
-    ):
-        try:
-            column = load(name, header_lines)
-            now = os.stat(name)
-        except OSError:  # gone or replaced: read the open file
-            pass
-        else:
-            if _identity(now) == _identity(opened):
-                return column
-    return load(fh)
+        now = os.stat(name)
+    except (OSError, ValueError):  # gone, unreadable, or a row it rejects
+        return None
+    return column if _identity(now) == _identity(opened) else None
 
 
 def _identity(st: os.stat_result) -> tuple:
@@ -404,9 +398,8 @@ def _csv_error(path: Path, reader, exc: csv.Error) -> DomainError:
 def _stream_column(
     reader, spec: QuerySpec, path: Path, index: int
 ) -> tuple[int, np.ndarray]:
-    """`_read_column` one row at a time, from a `csv.reader` at the start
-    of the file."""
-    next(reader)  # the header, checked by the caller
+    """`_read_column` one row at a time, from a `csv.reader` just past the
+    header."""
     if spec.aggregate is AggregateKind.COUNT:
         return sum(map(bool, reader)), np.empty(0)
     values = array("d")
@@ -446,10 +439,7 @@ def _release(spec: QuerySpec, count: int, values: np.ndarray) -> tuple[str, floa
     # same noise, so their difference would reveal the row.  The ledger's
     # query_id and the seed still reproduce the release.
     query_id = uuid.uuid4().hex[:12]
-    seed = _parse_seed(spec.seed)
-    rng = _MedianDraws() if seed is None else np.random.default_rng(
-        np.random.SeedSequence([seed, int(query_id, 16)])
-    )
+    rng = make_rng(spec.seed, int(query_id, 16))
     if spec.aggregate is AggregateKind.COUNT:
         mech = make_mechanism(spec.mechanism, spec.params, Sensitivity(1.0))
         return query_id, count + float(mech.sample(rng))

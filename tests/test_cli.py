@@ -672,6 +672,19 @@ class TestQuery:
         assert code == 2
         assert "seed" in err
 
+    def test_bad_seed_is_refused_before_the_ledger_and_the_data(
+        self, capsys, spend_csv, ledger_path, monkeypatch
+    ):
+        reads = []
+        monkeypatch.setattr(dpnoise.query, "_read_column", reads.append)
+        argv = self.base(spend_csv, ledger_path, "--seed", "not-a-seed")
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "seed must be" in err
+        assert not ledger_path.exists()
+        assert reads == []
+
     def test_env_seed_accepted(self, capsys, spend_csv, ledger_path, monkeypatch):
         monkeypatch.setenv("DPNL_SEED", "median")
         argv = [

@@ -905,9 +905,27 @@ def loadtxt_sources(monkeypatch):
     return sources
 
 
+def _through_fifo(fifo, text, read):
+    """``read()`` while a thread writes ``text`` into the new FIFO ``fifo``."""
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "w") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        return read()
+    finally:
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+
+
 class TestCReaderSource:
     """numpy's C reader gets the path only when the path still names the
-    file that is open; otherwise it reads the handle, as before."""
+    file that is open; otherwise the streaming reader reads on from the
+    open handle, once."""
 
     @pytest.mark.parametrize("agg", list(AggregateKind))
     def test_regular_file_is_read_by_path(self, tmp_path, loadtxt_sources, agg):
@@ -917,7 +935,7 @@ class TestCReaderSource:
         assert loadtxt_sources == [str(path)]
         assert read == _outcome(brute_read_column, _spec(path, agg))
 
-    @pytest.mark.parametrize("agg", [AggregateKind.COUNT, AggregateKind.SUM])
+    @pytest.mark.parametrize("agg", list(AggregateKind))
     def test_fifo_reads_like_the_regular_file(
         self, tmp_path, loadtxt_sources, agg
     ):
@@ -927,22 +945,25 @@ class TestCReaderSource:
         regular = tmp_path / "rows.csv"
         regular.write_text(text)
         fifo = tmp_path / "rows.fifo"
-        os.mkfifo(fifo)
-
-        def write():
-            with open(fifo, "w") as fh:
-                fh.write(text)
-
-        writer = threading.Thread(target=write, daemon=True)
-        writer.start()
-        try:
-            from_fifo = _outcome(_read_column, _spec(fifo, agg))
-        finally:
-            writer.join(timeout=30)
-        assert not writer.is_alive()
-        assert loadtxt_sources == ["handle"]
+        from_fifo = _through_fifo(
+            fifo, text, lambda: _outcome(_read_column, _spec(fifo, agg))
+        )
+        assert loadtxt_sources == []
         assert from_fifo == _outcome(_read_column, _spec(regular, agg))
         assert from_fifo[0] == 20_000
+
+    @pytest.mark.parametrize("cell", ["nan", "x"])
+    def test_fifo_bad_cell_names_its_line(self, tmp_path, loadtxt_sources, cell):
+        # A pipe cannot be rewound, so the bad cell is found in one pass.
+        fifo = tmp_path / "rows.fifo"
+        with pytest.raises(
+            DomainError,
+            match=rf"^non-numeric value '{cell}' for column 'spend' at .*rows\.fifo:3$",
+        ):
+            _through_fifo(
+                fifo, f"id,spend\n1,2\n2,{cell}\n", lambda: _read_column(_spec(fifo))
+            )
+        assert loadtxt_sources == []
 
     @pytest.mark.parametrize("agg", list(AggregateKind))
     def test_file_renamed_over_reads_the_opened_file(
@@ -965,7 +986,7 @@ class TestCReaderSource:
 
         monkeypatch.setattr(query.np, "loadtxt", rename_first)
         assert _outcome(_read_column, _spec(path, agg)) == expected
-        assert sources == [str(path), "handle"]
+        assert sources == [str(path)]
         assert path.read_text() == _rows_csv(10)
 
     @pytest.mark.parametrize("agg", list(AggregateKind))
@@ -981,7 +1002,7 @@ class TestCReaderSource:
         assert _outcome(_read_column, _spec(named, agg)) == _outcome(
             brute_read_column, _spec(plain, agg)
         )
-        assert loadtxt_sources == ["handle"]
+        assert loadtxt_sources == []
 
     def test_url_shaped_name_reads_the_local_file(
         self, tmp_path, monkeypatch, loadtxt_sources
