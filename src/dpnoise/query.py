@@ -19,9 +19,11 @@ rejects or with a NaN cell, is read on from just past the header, once,
 by the streaming `csv.reader` loop, so a pipe works too.  That loop names
 the bad line and accepts the rest of `float()`'s grammar (underscores,
 non-ASCII digits); on input both accept it gives the same release, more
-slowly.  A cell that does not parse or parses to NaN, or a field
-`csv.reader` refuses as too long, is an error naming its line, raised
-before the ledger is touched; infinite cells are clipped to the bounds.
+slowly.  A line that is not UTF-8, a cell that does not parse or parses
+to NaN, or a field `csv.reader` refuses as too long, is an error naming its
+line (a line that is not UTF-8 is found by reading the file again, so a
+pipe's is not named), raised before the ledger is touched; infinite cells
+are clipped to the bounds.
 
 A query holds an exclusive `flock` on the ledger from reading its totals to
 appending its line, which is fsynced, so two queries cannot both pass a cap
@@ -323,6 +325,8 @@ def _read_column(spec: QuerySpec) -> tuple[int, np.ndarray]:
             header = next(reader, None)
         except csv.Error as exc:
             raise _csv_error(path, reader, exc) from None
+        except UnicodeDecodeError:
+            raise _not_utf8(path, fh) from None
         if header is None:
             raise DomainError(f"{path} has no header row")
         if spec.column not in header:
@@ -346,6 +350,8 @@ def _read_column(spec: QuerySpec) -> tuple[int, np.ndarray]:
             return _stream_column(reader, spec, path, index)
         except csv.Error as exc:
             raise _csv_error(path, reader, exc) from None
+        except UnicodeDecodeError:
+            raise _not_utf8(path, fh) from None
 
 
 def _c_read(
@@ -388,6 +394,27 @@ def _c_read(
 
 def _identity(st: os.stat_result) -> tuple:
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _not_utf8(path: Path, fh) -> DomainError:
+    """The error for input that is not UTF-8.  The decoder fails a whole
+    chunk at a time, so the open file is read again from its start, where
+    it can be, for the number of the first line that is not UTF-8, as
+    `csv.reader.line_num` counts lines: with errors="surrogateescape" the
+    bytes that do not decode come in as lone surrogates, which do not
+    encode back."""
+    try:
+        os.lseek(fh.fileno(), 0, os.SEEK_SET)
+        with open(fh.fileno(), newline="", encoding="utf-8",
+                  errors="surrogateescape", closefd=False) as again:
+            for number, line in enumerate(again, 1):
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    return DomainError(f"cannot read {path}:{number}: not UTF-8")
+    except OSError:  # a pipe, which cannot be read again
+        pass
+    return DomainError(f"cannot read {path}: not UTF-8")
 
 
 def _csv_error(path: Path, reader, exc: csv.Error) -> DomainError:

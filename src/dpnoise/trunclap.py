@@ -6,9 +6,13 @@ A two-sided exponential density cut off at a finite radius and renormalised:
 
 With ``scale = sensitivity / epsilon`` and the radius chosen below, adding
 this noise to a query of the given sensitivity satisfies the
-(epsilon, delta) privacy constraint, and its expected amplitude and power
-are, among all valid mechanisms, within a provably small factor of optimal
-(see :mod:`dpnoise.bounds` for the matching lower bounds).
+(epsilon, delta) privacy constraint.  In the high-privacy regime, where
+``bounds.bound_pair``'s upper-to-lower ratio is near 1, its expected
+amplitude and power are within a provably small factor of the optimum over
+all valid mechanisms (see :mod:`dpnoise.bounds` for the matching lower
+bounds).  At larger epsilon it is not optimal: at sensitivity 1 its
+amplitude is 1.81 times the pure-DP staircase mechanism's at epsilon = 4,
+and 14.8 times at epsilon = 10.
 
 Support endpoints: the density is defined as positive on the closed interval
 [-radius, radius]; the endpoint values are a measure-zero choice with no

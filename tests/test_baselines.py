@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import log_ndtr, ndtr
+from scipy.special import ndtr
 
 from dpnoise import baselines
 from dpnoise.baselines import (
@@ -16,30 +16,52 @@ from dpnoise.baselines import (
 from dpnoise.core import ConvergenceError, DomainError, NoiseMechanism, PrivacyParams
 
 
+def brute_profiles(sigmas, epsilons, sens):
+    """The scalar privacy profile at each (sigma, epsilon), in math's exp and
+    expm1.  The log terms come from the kernel's own primitive,
+    ``baselines._log_ndtr``, in one array call; it works element by element
+    (``TestNormalKernels`` checks that bit for bit).  A sigma the profile
+    refuses gives its DomainError in place of a value."""
+    sigmas = [float(s) for s in sigmas]
+    ok = [math.isfinite(s) and s > 0.0 for s in sigmas]
+    a, b = [], []
+    for sigma, eps, good in zip(sigmas, epsilons, ok):
+        sigma = sigma if good else 1.0  # refused below
+        a.append(sens / (2.0 * sigma) - eps * sigma / sens)
+        b.append(-sens / (2.0 * sigma) - eps * sigma / sens)
+    values = []
+    for sigma, eps, good, log_hi, log_b in zip(
+        sigmas, epsilons, ok,
+        baselines._log_ndtr(a).tolist(), baselines._log_ndtr(b).tolist(),
+    ):
+        if not good:
+            values.append(DomainError(f"sigma must be finite and > 0, got {sigma!r}"))
+            continue
+        log_lo = eps + log_b
+        if log_lo >= log_hi:
+            values.append(0.0)
+        else:
+            values.append(-math.exp(log_hi) * math.expm1(log_lo - log_hi))
+    return values
+
+
 def brute_profile(sigma, params, sens):
-    """The scalar privacy profile, in math's exp and expm1."""
-    if not math.isfinite(sigma) or sigma <= 0.0:
-        raise DomainError(f"sigma must be finite and > 0, got {sigma!r}")
-    a = sens / (2.0 * sigma) - params.epsilon * sigma / sens
-    b = -sens / (2.0 * sigma) - params.epsilon * sigma / sens
-    log_hi = float(log_ndtr(a))
-    log_lo = params.epsilon + float(log_ndtr(b))
-    if log_lo >= log_hi:
-        return 0.0
-    return -math.exp(log_hi) * math.expm1(log_lo - log_hi)
+    """:func:`brute_profiles` at one point; raises what it refuses."""
+    [value] = brute_profiles([sigma], [params.epsilon], sens)
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
-def brute_analytic_sigma(params, sens):
+def brute_bisection(params, sens):
     """The one-point bisection that analytic_gaussian_sigma ran before it
-    became a lockstep kernel over arrays, kept verbatim as the reference."""
-
-    def excess(sigma):
-        return brute_profile(sigma, params, sens) - params.delta
-
+    became a lockstep kernel over arrays, kept verbatim as the reference,
+    except that it yields each sigma whose excess over delta it needs and is
+    sent that excess back (by :func:`brute_outcomes`)."""
     lo = sens * 1e-6 / params.epsilon
     hi = sens / params.epsilon
     doublings = 0
-    while excess(hi) > 0.0:
+    while (yield hi) > 0.0:
         hi *= 2.0
         doublings += 1
         if doublings > 200:
@@ -47,7 +69,7 @@ def brute_analytic_sigma(params, sens):
                 "could not bracket the Gaussian calibration from above"
             )
     shrinks = 0
-    while excess(lo) <= 0.0:
+    while (yield lo) <= 0.0:
         hi = lo
         lo *= 0.5
         shrinks += 1
@@ -59,19 +81,43 @@ def brute_analytic_sigma(params, sens):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if excess(mid) > 0.0:
+        if (yield mid) > 0.0:
             lo = mid
         else:
             hi = mid
     return hi
 
 
+def brute_outcomes(points, sens):
+    """Each point's reference sigma, or the type and message of what it
+    raised.  The points' bisections run side by side, and each round takes
+    the profiles they ask for from one call of :func:`brute_profiles`."""
+    runs = [brute_bisection(p, sens) for p in points]
+    asks = {i: next(run) for i, run in enumerate(runs)}
+    outcomes = [None] * len(points)
+    while asks:
+        idx = list(asks)
+        profiles = brute_profiles(
+            [asks[i] for i in idx], [points[i].epsilon for i in idx], sens
+        )
+        for i, profile in zip(idx, profiles):
+            try:
+                if isinstance(profile, Exception):
+                    raise profile
+                asks[i] = runs[i].send(profile - points[i].delta)
+                continue
+            except StopIteration as done:
+                outcomes[i] = done.value
+            except (ConvergenceError, DomainError) as exc:
+                outcomes[i] = (type(exc), str(exc))
+            del asks[i]
+    return outcomes
+
+
 def brute_outcome(params, sens):
-    """The reference sigma, or the type and message of what it raised."""
-    try:
-        return brute_analytic_sigma(params, sens)
-    except (ConvergenceError, DomainError) as exc:
-        return type(exc), str(exc)
+    """:func:`brute_outcomes` at one point."""
+    [outcome] = brute_outcomes([params], sens)
+    return outcome
 
 
 def _frozen_laplace_grid_masses(scale, step, half_cells):
@@ -207,6 +253,100 @@ class TestLaplace:
         assert mech.scale == 4.0
         # pure epsilon-privacy: delta plays no part
         assert Laplace.from_privacy(PrivacyParams(0.5, 0.1), 2.0).scale == 4.0
+
+
+_TINY = 2.0**-1074  # the spacing of doubles below the smallest normal one
+
+
+class TestNormalKernels:
+    """The Gaussian's numpy kernels for Phi, log Phi and the inverse of Phi,
+    against 50-digit mpmath."""
+
+    @pytest.fixture(autouse=True)
+    def mp(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            yield mpmath
+
+    @staticmethod
+    def assert_within(got, ref, rel):
+        # relative, and one spacing of the subnormals where ref is below
+        # the smallest normal double and no relative bound can hold
+        err = np.abs(got - ref)
+        assert np.all(err <= rel * np.abs(ref) + _TINY), np.max(err / np.abs(ref))
+
+    def test_log_ndtr_to_the_far_left(self, mp):
+        a = -np.concatenate([np.linspace(0.0, 40.0, 801), np.geomspace(1e-300, 1e8, 800)])
+        ref = np.array([float(mp.log(mp.ncdf(x))) for x in a.tolist()])
+        self.assert_within(baselines._log_ndtr(a), ref, 2e-15)
+
+    def test_log_ndtr_right_of_zero(self, mp):
+        # scipy's own log_ndtr is 1.4e-14 off near a = 8.6
+        a = np.concatenate([np.linspace(0.0, 38.0, 801)[1:], np.geomspace(1e-300, 38.0, 800)])
+        ref = np.array([float(mp.log1p(-mp.ncdf(-x))) for x in a.tolist()])
+        self.assert_within(baselines._log_ndtr(a), ref, 2e-14)
+
+    def test_ndtr(self, mp):
+        x = -np.concatenate([np.linspace(0.0, 38.0, 801), np.geomspace(1e-300, 38.0, 800)])
+        ref = np.array([float(mp.ncdf(v)) for v in x.tolist()])
+        self.assert_within(baselines._ndtr(x), ref, 2e-15)
+
+    def test_ndtri(self, mp):
+        p = np.concatenate([
+            np.geomspace(1e-300, 0.5, 500), 1.0 - np.geomspace(2.0**-53, 0.5, 500),
+            np.linspace(0.0, 1.0, 201)[1:-1],
+        ])
+        got = baselines._ndtri(p)
+
+        def root(u, x):  # Newton on Phi(x) = u from the kernel's value
+            x = mp.mpf(x)
+            for _ in range(3):
+                x -= (mp.ncdf(x) - u) / mp.npdf(x)
+            return float(x)
+
+        ref = np.array([root(u, x) for u, x in zip(p.tolist(), got.tolist())])
+        self.assert_within(got, ref, 2e-15)
+
+    def test_agrees_with_scipy_where_scipy_is_accurate(self):
+        special = pytest.importorskip("scipy.special")
+        a = np.linspace(-30.0, 5.0, 3501)
+        np.testing.assert_allclose(baselines._log_ndtr(a), special.log_ndtr(a), rtol=1e-14)
+        p = np.linspace(0.0, 1.0, 1001)[1:-1]
+        np.testing.assert_allclose(baselines._ndtri(p), special.ndtri(p), rtol=1e-14)
+
+    def test_exact_values(self):
+        assert baselines._log_ndtr(0.0) == math.log(0.5)
+        assert baselines._log_ndtr(-math.inf) == -math.inf
+        assert baselines._log_ndtr(math.inf) == 0.0
+        assert baselines._ndtr(0.0) == 0.5
+        assert baselines._ndtr(-math.inf) == 0.0
+        assert baselines._ndtri(0.5) == 0.0
+        assert baselines._ndtri(0.0) == -math.inf
+        assert baselines._ndtri(1.0) == math.inf
+
+    def test_extremes_are_silent(self):
+        # warnings are errors under pytest, and Gaussian._upper_mass calls
+        # _ndtr outside any errstate
+        big = np.array([math.inf, 1e308, 1e155, 40.0, 5e-324, 0.0])
+        for values in (
+            baselines._log_ndtr(big), baselines._log_ndtr(-big), baselines._ndtr(-big),
+            baselines._ndtri([0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0]),
+        ):
+            assert not np.isnan(values).any()
+
+    def test_elementwise_bit_for_bit(self):
+        # an array call gives each element exactly what a scalar call, or a
+        # call on a few elements, does
+        rng = np.random.default_rng(21)
+        a = np.concatenate([rng.uniform(-40.0, 40.0, 600), -np.geomspace(1e-300, 1e8, 200)])
+        for kernel, x in [
+            (baselines._log_ndtr, a), (baselines._ndtr, -np.abs(a)),
+            (baselines._ndtri, rng.random(800)),
+        ]:
+            whole = kernel(x)
+            single = [float(kernel(v)) for v in x.tolist()]
+            assert _bits(whole) == _bits(single)
+            assert _bits(whole[:5]) == _bits(kernel(x[:5]))
 
 
 class TestGaussian:
@@ -403,10 +543,10 @@ class TestAnalyticSigmaKernel:
         eps = np.repeat(eps_axis, delta_axis.size)
         delta = np.tile(delta_axis, eps_axis.size)
         kernel = baselines._analytic_sigmas(eps, delta, sens).tolist()
-        brute = [
-            brute_analytic_sigma(PrivacyParams(e, d), sens)
-            for e, d in zip(eps.tolist(), delta.tolist())
-        ]
+        brute = brute_outcomes(
+            [PrivacyParams(e, d) for e, d in zip(eps.tolist(), delta.tolist())],
+            sens,
+        )
         assert kernel == brute
         # the one-point call is the same kernel; a stride keeps it quick
         for i in range(0, eps.size, 97):
@@ -419,7 +559,7 @@ class TestAnalyticSigmaKernel:
         p = PrivacyParams(1e-60, 1e-5)
         sigma = analytic_gaussian_sigma(p, 1.0)
         assert sigma < 1e-6 / p.epsilon / 2.0**160
-        assert sigma == brute_analytic_sigma(p, 1.0)
+        assert sigma == brute_outcome(p, 1.0)
 
     @pytest.mark.parametrize(
         "eps, message",
@@ -466,8 +606,8 @@ def numpy_profile(sigma, eps, sens):
     differently from math's."""
     a = sens / (2.0 * sigma) - eps * sigma / sens
     b = -sens / (2.0 * sigma) - eps * sigma / sens
-    log_hi = log_ndtr(a)
-    log_lo = eps + log_ndtr(b)
+    log_hi = baselines._log_ndtr(a)
+    log_lo = eps + baselines._log_ndtr(b)
     with np.errstate(all="ignore"):
         return np.where(
             log_lo >= log_hi, 0.0, -np.exp(log_hi) * np.expm1(log_lo - log_hi)
@@ -484,8 +624,11 @@ class TestGuardBand:
         with np.errstate(all="ignore"):
             kernel = baselines._excess(sigma, np.full(sigma.shape, eps), delta, sens)
         exact = [
-            brute_profile(s, PrivacyParams(eps, 0.25), sens) - d
-            for s, d in zip(sigma.tolist(), delta.tolist())
+            p - d
+            for p, d in zip(
+                brute_profiles(sigma.tolist(), [eps] * sigma.size, sens),
+                delta.tolist(),
+            )
         ]
         assert (kernel > 0.0).tolist() == [e > 0.0 for e in exact]
         assert (kernel <= 0.0).tolist() == [e <= 0.0 for e in exact]
@@ -494,9 +637,7 @@ class TestGuardBand:
     @pytest.mark.parametrize("eps", [0.01, 0.5, 5.0])
     def test_delta_at_the_math_profile(self, eps, sens):
         sigma = sens * np.geomspace(0.05, 500.0, 3000) / math.sqrt(eps)
-        exact = np.array([
-            brute_profile(s, PrivacyParams(eps, 0.25), sens) for s in sigma.tolist()
-        ])
+        exact = np.array(brute_profiles(sigma.tolist(), [eps] * sigma.size, sens))
         # where numpy's profile differs from math's (a few percent of these
         # sigmas here), delta = math's value is on the edge of the decision
         pick = (numpy_profile(sigma, eps, sens) != exact) & (exact > 0.0)
@@ -508,9 +649,7 @@ class TestGuardBand:
         # profiles and deltas below the smallest normal double, where
         # relative rounding bounds no longer hold
         sigma = np.geomspace(30.0, 60.0, 2000)
-        exact = np.array([
-            brute_profile(s, PrivacyParams(1.0, 0.25), 1.0) for s in sigma.tolist()
-        ])
+        exact = np.array(brute_profiles(sigma.tolist(), [1.0] * sigma.size, 1.0))
         tiny = (exact > 0.0) & (exact < 2.2250738585072014e-308)
         assert tiny.any()
         self.assert_same_signs(sigma[tiny], 1.0, exact[tiny], 1.0)

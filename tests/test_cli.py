@@ -652,6 +652,20 @@ class TestQuery:
         # the failed attempt must not be charged
         assert len(ledger_path.read_text().splitlines()) == 1
 
+    @pytest.mark.parametrize("aggregate", ["count", "sum"])
+    def test_csv_that_is_not_utf8_is_exit_2(
+        self, capsys, tmp_path, ledger_path, aggregate
+    ):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"id,spend\n1,2\n2,\xff3\n")
+        argv = self.base(path, ledger_path, "--aggregate", aggregate,
+                         "--clip-lo", "0", "--clip-hi", "5")
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot read {path}:3: not UTF-8\n"
+        assert not ledger_path.exists() or ledger_path.read_text() == ""
+
     @pytest.mark.parametrize("flag", ["--budget-eps", "--budget-delta"])
     def test_negative_cap_is_exit_2(self, capsys, spend_csv, ledger_path, flag):
         code, out, err = run(capsys, *self.base(spend_csv, ledger_path, flag, "-1"))
@@ -803,10 +817,10 @@ class TestTextbookGaussianIsGone:
 
 
 class TestImports:
-    def test_trunclap_calls_leave_scipy_unloaded(self, spend_csv, ledger_path):
-        # A fresh interpreter: the trunclap and laplace calls must not load
-        # scipy, and a Gaussian calibration then does, so the probe can see a
-        # load.
+    def test_no_call_loads_scipy(self, spend_csv, ledger_path):
+        # A fresh interpreter: no command, for any mechanism, loads scipy.
+        # The probe looks after each mechanism's calls and after a sweep,
+        # and last after importing scipy itself, to show it can see a load.
         script = f"""
 import sys
 import dpnoise, dpnoise.cli
@@ -816,16 +830,19 @@ loaded = []
 def probe():
     loaded.append(any(name.split(".")[0] == "scipy" for name in sys.modules))
 
-for mech in ("trunclap", "laplace"):
+for mech in ("trunclap", "laplace", "gaussian-analytic"):
     assert main(["calibrate", "--eps", "1", "--delta", "1e-5", "--mech", mech]) == 0
     assert main(["verify", "--eps", "1", "--delta", "1e-4", "--mech", mech]) == 0
+    assert main(["sample", "--eps", "1", "--delta", "1e-5", "--n", "1000",
+                 "--seed", "7", "--mech", mech]) == 0
     assert main(["query", "--input", {str(spend_csv)!r}, "--column", "spend",
                  "--aggregate", "sum", "--clip-lo", "0", "--clip-hi", "25",
                  "--eps", "0.5", "--delta", "1e-5", "--seed", "median",
                  "--mech", mech, "--ledger", {str(ledger_path)!r}]) == 0
+    probe()
+assert main(["sweep", "--eps-points", "5", "--delta-points", "5"]) == 0
 probe()
-assert main(["calibrate", "--eps", "1", "--delta", "1e-5",
-             "--mech", "gaussian-analytic"]) == 0
+import scipy.special
 probe()
 print("scipy loaded:", loaded, file=sys.stderr)
 """
@@ -837,4 +854,4 @@ print("scipy loaded:", loaded, file=sys.stderr)
             [sys.executable, "-c", script], capture_output=True, text=True,
             env=env, timeout=120, check=True,
         )
-        assert "scipy loaded: [False, True]" in proc.stderr
+        assert "scipy loaded: [False, False, False, False, True]" in proc.stderr

@@ -853,6 +853,19 @@ class TestReadPaths:
         assert len(csv_reader_rows) > 1  # the streaming reader took over
 
     @pytest.mark.parametrize("agg", list(AggregateKind))
+    @pytest.mark.parametrize(
+        "data, line",
+        [(b"id,spend\n1,2\n2,\xff3\n", 3), (b"id,sp\xe9nd\n1,2\n", 1),
+         (b"id,spend\r1,2\r2,3\r4,\xc3(\r", 4)],
+        ids=["cell", "header", "lone-cr"],
+    )
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, agg, data, line):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(data)
+        with pytest.raises(DomainError, match=rf"latin1\.csv:{line}: not UTF-8$"):
+            _read_column(_spec(path, agg))
+
+    @pytest.mark.parametrize("agg", list(AggregateKind))
     def test_lone_cr_line_ends_read_like_lf(self, tmp_path, agg):
         text = "id,spend\n1,3.5\n\n2,4\n"
         lf, cr = tmp_path / "lf.csv", tmp_path / "cr.csv"
@@ -906,11 +919,12 @@ def loadtxt_sources(monkeypatch):
 
 
 def _through_fifo(fifo, text, read):
-    """``read()`` while a thread writes ``text`` into the new FIFO ``fifo``."""
+    """``read()`` while a thread writes ``text``, str or bytes, into the new
+    FIFO ``fifo``."""
     os.mkfifo(fifo)
 
     def write():
-        with open(fifo, "w") as fh:
+        with open(fifo, "wb" if isinstance(text, bytes) else "w") as fh:
             fh.write(text)
 
     writer = threading.Thread(target=write, daemon=True)
@@ -964,6 +978,16 @@ class TestCReaderSource:
                 fifo, f"id,spend\n1,2\n2,{cell}\n", lambda: _read_column(_spec(fifo))
             )
         assert loadtxt_sources == []
+
+    @pytest.mark.parametrize("agg", list(AggregateKind))
+    def test_fifo_that_is_not_utf8_is_refused(self, tmp_path, agg):
+        # A pipe cannot be read again to find the line.
+        fifo = tmp_path / "rows.fifo"
+        with pytest.raises(DomainError, match=r"rows\.fifo: not UTF-8$"):
+            _through_fifo(
+                fifo, b"id,spend\n1,2\n2,\xff3\n",
+                lambda: _read_column(_spec(fifo, agg)),
+            )
 
     @pytest.mark.parametrize("agg", list(AggregateKind))
     def test_file_renamed_over_reads_the_opened_file(
