@@ -9,7 +9,9 @@ samples); diagnostics go to stderr as one ``error: ...`` line each.
 Every flag can also come from a flat ``key = value`` config file passed as
 ``--config`` (keys mirror the flag names without the leading dashes, and a
 key that names no flag is an error); explicit flags win over the file.
-``DPNL_SEED`` supplies a default seed.
+``DPNL_SEED`` supplies a default seed: a 64-bit unsigned secret that, with
+the ledger's query ids, reproduces every release.  Without a seed, `query`
+and `sample` draw fresh OS entropy, which nothing recorded can reproduce.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ import math
 import os
 import sys
 from enum import Enum
-
-import numpy as np
 
 from .analysis import SweepConfig, emit, run_sweep
 from .bounds import bound_pair
@@ -57,7 +57,7 @@ _FLAGS = {
     "mech": dict(help=f"mechanism: one of {', '.join(MECHANISM_NAMES)}"),
     "cost": dict(help="cost kind: amplitude or power"),
     "n": dict(help="number of samples"),
-    "seed": dict(help="64-bit unsigned seed, or 'median' for zero noise"),
+    "seed": dict(help="64-bit unsigned secret seed (default: fresh OS entropy)"),
     "grid-step": dict(help="verifier cell width h; must divide sens"),
     "out": dict(help="output file (default stdout)"),
     "format": dict(help="output format: csv, json, or svg"),
@@ -202,9 +202,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if n < 1:
         raise DomainError(f"--n must be at least 1, got {n}")
     mech = make_mechanism(name, params, sens)
-    seed = opt.seed()
-    rng = make_rng(seed) if seed is not None else np.random.default_rng()
-    values = mech.sample(rng, n)
+    values = mech.sample(make_rng(opt.seed()), n)
     out = sys.stdout
     for v in values:
         out.write(format(float(v), ".17g") + "\n")
@@ -291,9 +289,6 @@ def cmd_query(args: argparse.Namespace) -> int:
     if (clip_lo is None) != (clip_hi is None):
         raise DomainError("--clip-lo and --clip-hi must be given together")
     clip = None if clip_lo is None else (clip_lo, clip_hi)
-    seed = opt.seed()
-    if seed is None:
-        raise DomainError("query needs --seed (or DPNL_SEED) for auditability")
     input_path = opt.raw("input")
     column = opt.raw("column")
     if input_path is None:
@@ -306,7 +301,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         aggregate=opt.member("aggregate", AggregateKind, AggregateKind.COUNT),
         mechanism=opt.choice("mech", MECHANISM_NAMES, default="trunclap"),
         params=_params(opt),
-        seed=seed,
+        seed=opt.seed(),
         clip=clip,
     )
     result = run_query(

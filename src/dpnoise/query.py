@@ -114,42 +114,32 @@ def make_mechanism(
     return _FACTORIES[name].from_privacy(params, sens)
 
 
-class _MedianDraws:
-    """Degenerate generator whose every uniform draw is exactly 1/2.
-
-    Feeding the inverse-cdf sampler the median produces zero noise for all
-    the symmetric mechanisms here, which pins down the deterministic
-    plumbing around the noise in tests and demos.
-    """
-
-    def random(self, size=()):
-        if size == ():
-            return 0.5
-        return np.full(size, 0.5)
-
-
-def _parse_seed(seed: "int | str") -> "int | None":
-    """A u64 seed as an int, or None for "median"."""
+def _parse_seed(seed: "int | str | None") -> "int | None":
+    """A u64 seed, given as an int or a string in any base prefix, as an
+    int; None stays None."""
+    if seed is None:
+        return None
     if isinstance(seed, str):
-        if seed.lower() == "median":
-            return None
         try:
             seed = int(seed, 0)
         except ValueError:
-            raise DomainError(
-                f"seed must be a 64-bit unsigned integer or 'median', "
-                f"got {seed!r}"
-            ) from None
-    if not (0 <= int(seed) < 2**64):
-        raise DomainError(f"seed must fit in 64 unsigned bits, got {seed!r}")
+            pass  # refused below
+    # int() would truncate a float or a bool to another seed's stream
+    is_int = isinstance(seed, int) and not isinstance(seed, bool)
+    if not (is_int and 0 <= seed < 2**64):
+        raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     return int(seed)
 
 
-def make_rng(seed: "int | str", *key: int):
-    """A generator for `NoiseMechanism.sample` from a u64 seed, or the
-    median stub for "median"; the stream is keyed by ``(seed, *key)``."""
+def make_rng(seed: "int | str | None", *key: int) -> np.random.Generator:
+    """A generator for `NoiseMechanism.sample`, keyed by ``(seed, *key)``.
+
+    The seed is a 64-bit unsigned secret: with it, a release can be drawn
+    again.  None draws fresh OS entropy, which nothing recorded can
+    reproduce.
+    """
     seed = _parse_seed(seed)
-    return _MedianDraws() if seed is None else np.random.default_rng([seed, *key])
+    return np.random.default_rng(None if seed is None else [seed, *key])
 
 
 @dataclass(frozen=True)
@@ -161,7 +151,7 @@ class QuerySpec:
     aggregate: AggregateKind
     mechanism: str
     params: PrivacyParams
-    seed: "int | str"
+    seed: "int | str | None" = None
     clip: "tuple[float, float] | None" = None
 
     def __post_init__(self) -> None:
@@ -464,7 +454,7 @@ def _release(spec: QuerySpec, count: int, values: np.ndarray) -> tuple[str, floa
     # Each release draws from its own stream, keyed by (seed, query_id):
     # one seed reused across releases would give neighbouring datasets the
     # same noise, so their difference would reveal the row.  The ledger's
-    # query_id and the seed still reproduce the release.
+    # query_id and the seed, if one was given, reproduce the release.
     query_id = uuid.uuid4().hex[:12]
     rng = make_rng(spec.seed, int(query_id, 16))
     if spec.aggregate is AggregateKind.COUNT:

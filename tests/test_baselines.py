@@ -212,8 +212,9 @@ class TestLaplace:
         lap = Laplace(1.0)
         lo, hi = 700.0, 701.0
         exact = 0.5 * math.exp(-lo) * -math.expm1(-(hi - lo))
-        assert lap.interval_mass(lo, hi) == pytest.approx(exact, rel=1e-14)
-        assert lap.interval_mass(-hi, -lo) == pytest.approx(exact, rel=1e-14)
+        # abs=0: approx's default abs=1e-12 would pass any value near 5e-305
+        assert lap.interval_mass(lo, hi) == pytest.approx(exact, rel=1e-14, abs=0)
+        assert lap.interval_mass(-hi, -lo) == pytest.approx(exact, rel=1e-14, abs=0)
 
     def test_interval_mass_straddling_zero(self):
         lap = Laplace(2.0)
@@ -233,7 +234,7 @@ class TestLaplace:
         # Each outermost cell holds its whole unbounded tail.  The default
         # path folds the right tail in as 1 - cdf, which rounds at ulp(1).
         tail = 0.5 * math.exp(-(half - 1) * step / 1.3)
-        assert fast[-1] == pytest.approx(tail, rel=1e-14)
+        assert fast[-1] == pytest.approx(tail, rel=1e-14, abs=0)
         assert abs(fast[-1] - ref[-1]) <= 2.0**-52
         assert fast[0] == pytest.approx(ref[0], rel=1e-10)
         assert np.array_equal(fast, fast[::-1])
@@ -387,10 +388,14 @@ class TestGaussian:
         np.testing.assert_allclose(g.interval_mass(lo, hi), ref, rtol=1e-11)
 
     def test_interval_mass_deep_tail(self):
+        # scipy's ndtr(-36) - ndtr(-37) is itself 1.1e-13 off out here
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            exact = float(mpmath.ncdf(-36) - mpmath.ncdf(-37))
         g = Gaussian(1.0)
-        exact = ndtr(-36.0) - ndtr(-37.0)  # both args negative: full accuracy
-        assert g.interval_mass(36.0, 37.0) == pytest.approx(exact, rel=1e-13)
-        assert g.interval_mass(-37.0, -36.0) == pytest.approx(exact, rel=1e-13)
+        # abs=0: approx's default abs=1e-12 would pass any value near 1e-283
+        assert g.interval_mass(36.0, 37.0) == pytest.approx(exact, rel=1e-14, abs=0)
+        assert g.interval_mass(-37.0, -36.0) == pytest.approx(exact, rel=1e-14, abs=0)
         assert g.interval_mass(36.0, 37.0) > 0.0
 
     def test_interval_mass_total(self):

@@ -1,16 +1,21 @@
+import csv
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dpnoise
 from dpnoise import cli
 from dpnoise.cli import main
-from dpnoise.core import InvariantError, NoiseMechanism
-from dpnoise.query import MECHANISM_NAMES, QUERY_MECHANISMS
+from dpnoise.core import InvariantError, NoiseMechanism, PrivacyParams
+from dpnoise.query import MECHANISM_NAMES, QUERY_MECHANISMS, make_mechanism
+
+# what a ledger line holds: never the aggregate, the noise or the seed
+LEDGER_KEYS = {"query_id", "epsilon", "delta", "timestamp"}
 
 
 def run(capsys, *argv):
@@ -146,14 +151,34 @@ class TestCalibrate:
 
 
 class TestSample:
-    def test_median_seed_gives_zero_noise(self, capsys):
+    @pytest.mark.usefixtures("zero_noise")
+    def test_zero_noise_prints_zeros(self, capsys):
         code, out, err = run(
             capsys,
             "sample", "--eps", "1.0", "--delta", "1e-5",
-            "--n", "3", "--seed", "median",
+            "--n", "3", "--seed", "42",
         )
         assert code == 0
         assert out.splitlines() == ["0", "0", "0"]
+
+    def test_median_seed_is_exit_2(self, capsys, monkeypatch):
+        # 'median' drew zero noise; it is no seed
+        argv = ["sample", "--eps", "1.0", "--delta", "1e-5", "--n", "3"]
+        for extra, env in ((["--seed", "median"], None), ([], "median")):
+            if env is not None:
+                monkeypatch.setenv("DPNL_SEED", env)
+            code, out, err = run(capsys, *argv, *extra)
+            assert code == 2
+            assert out == ""
+            assert err == "error: seed must be a 64-bit unsigned integer, got 'median'\n"
+
+    def test_unseeded_draws_differ(self, capsys, monkeypatch):
+        monkeypatch.delenv("DPNL_SEED", raising=False)
+        argv = ["sample", "--eps", "1.0", "--delta", "1e-5", "--n", "4"]
+        first, second = run(capsys, *argv), run(capsys, *argv)
+        assert first[0] == second[0] == 0
+        assert len(first[1].splitlines()) == 4
+        assert first[1] != second[1]
 
     def test_deterministic_under_seed(self, capsys):
         argv = [
@@ -168,12 +193,13 @@ class TestSample:
         assert any(v != 0.0 for v in values)
 
     def test_env_seed_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("DPNL_SEED", "median")
-        code, out, _ = run(
-            capsys, "sample", "--eps", "1.0", "--delta", "1e-5", "--n", "2"
-        )
+        argv = ["sample", "--eps", "1.0", "--delta", "1e-5", "--n", "2"]
+        _, flagged, _ = run(capsys, *argv, "--seed", "42")
+        monkeypatch.setenv("DPNL_SEED", "42")
+        code, out, _ = run(capsys, *argv)
         assert code == 0
-        assert out.splitlines() == ["0", "0"]
+        assert out == flagged
+        assert len(out.splitlines()) == 2
 
     def test_nonpositive_n_rejected(self, capsys):
         code, _, err = run(
@@ -513,6 +539,7 @@ class TestStrictJson:
 
 
     @pytest.mark.parametrize("mech", QUERY_MECHANISMS)
+    @pytest.mark.usefixtures("zero_noise")
     def test_query_mean_of_no_rows(self, capsys, tmp_path, eps, delta, mech):
         # a mean whose noisy count is not positive is NaN, printed as null;
         # it printed NaN, which is not JSON
@@ -521,7 +548,7 @@ class TestStrictJson:
         code, out, _ = run(
             capsys, "query", "--input", str(empty), "--column", "spend",
             "--aggregate", "mean", "--clip-lo", "0", "--clip-hi", "25",
-            "--mech", mech, "--eps", eps, "--delta", delta, "--seed", "median",
+            "--mech", mech, "--eps", eps, "--delta", delta, "--seed", "0",
             "--ledger", str(tmp_path / "ledger.jsonl"),
         )
         assert code == 0
@@ -600,11 +627,12 @@ class TestQuery:
             "--input", str(spend_csv),
             "--column", "spend",
             "--eps", "0.5", "--delta", "1e-5",
-            "--seed", "median",
+            "--seed", "7",
             "--ledger", str(ledger_path),
             *extra,
         ]
 
+    @pytest.mark.usefixtures("zero_noise")
     def test_count_flow(self, capsys, spend_csv, ledger_path):
         code, out, _ = run(capsys, *self.base(spend_csv, ledger_path))
         assert code == 0
@@ -630,6 +658,7 @@ class TestQuery:
         assert code == 2
         assert "together" in err
 
+    @pytest.mark.usefixtures("zero_noise")
     def test_mean_flow(self, capsys, spend_csv, ledger_path):
         code, out, _ = run(
             capsys,
@@ -674,7 +703,11 @@ class TestQuery:
         assert "must be a number" in err
         assert not ledger_path.exists()
 
-    def test_seed_required(self, capsys, spend_csv, ledger_path, monkeypatch):
+    def test_unseeded_query_draws_os_entropy(
+        self, capsys, spend_csv, ledger_path, monkeypatch
+    ):
+        # no seed is needed: each release then draws fresh OS entropy, and
+        # the ledger holds nothing that could draw it again
         monkeypatch.delenv("DPNL_SEED", raising=False)
         argv = [
             "query",
@@ -682,9 +715,37 @@ class TestQuery:
             "--eps", "0.5", "--delta", "1e-5",
             "--ledger", str(ledger_path),
         ]
-        code, _, err = run(capsys, *argv)
+        released = []
+        for _ in range(2):
+            code, out, err = run(capsys, *argv)
+            assert code == 0
+            assert err == ""
+            released.append(json.loads(out)["noisy_value"])
+        assert released[0] != released[1]
+        lines = ledger_path.read_text().splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            assert set(json.loads(line)) == LEDGER_KEYS
+
+    @pytest.mark.parametrize("where", ["flag", "env"])
+    def test_median_seed_is_refused_before_the_ledger_and_the_data(
+        self, capsys, spend_csv, ledger_path, monkeypatch, where
+    ):
+        # 'median' released the exact aggregate and charged epsilon for it
+        reads = []
+        monkeypatch.setattr(dpnoise.query, "_read_column", reads.append)
+        argv = self.base(spend_csv, ledger_path)
+        if where == "flag":
+            argv[argv.index("--seed") + 1] = "median"
+        else:
+            del argv[argv.index("--seed"):argv.index("--seed") + 2]
+            monkeypatch.setenv("DPNL_SEED", "median")
+        code, out, err = run(capsys, *argv)
         assert code == 2
-        assert "seed" in err
+        assert out == ""
+        assert err == "error: seed must be a 64-bit unsigned integer, got 'median'\n"
+        assert not ledger_path.exists()
+        assert reads == []
 
     def test_bad_seed_is_refused_before_the_ledger_and_the_data(
         self, capsys, spend_csv, ledger_path, monkeypatch
@@ -700,7 +761,7 @@ class TestQuery:
         assert reads == []
 
     def test_env_seed_accepted(self, capsys, spend_csv, ledger_path, monkeypatch):
-        monkeypatch.setenv("DPNL_SEED", "median")
+        monkeypatch.setenv("DPNL_SEED", "7")
         argv = [
             "query",
             "--input", str(spend_csv), "--column", "spend",
@@ -709,7 +770,40 @@ class TestQuery:
         ]
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        assert json.loads(out)["noisy_value"] == 100.0
+        payload = json.loads(out)
+        # the release draws again from (DPNL_SEED, query_id)
+        rng = np.random.default_rng([7, int(payload["query_id"], 16)])
+        noise = make_mechanism("trunclap", PrivacyParams(0.5, 1e-5), 1.0).sample(rng)
+        assert payload["noisy_value"] == 100.0 + float(noise)
+
+
+class TestNoLeak:
+    # The un-noised aggregate appears in no output: not as the release, and
+    # not in the ledger, whose lines hold only what was spent and when.
+    @pytest.mark.parametrize("aggregate", ["count", "sum", "mean"])
+    @pytest.mark.parametrize("mech", QUERY_MECHANISMS)
+    def test_release_is_not_the_aggregate(
+        self, capsys, spend_csv, ledger_path, mech, aggregate
+    ):
+        with open(spend_csv, newline="") as fh:
+            spend = [float(row["spend"]) for row in csv.DictReader(fh)]
+        exact = {"count": float(len(spend)), "sum": sum(spend),
+                 "mean": sum(spend) / len(spend)}[aggregate]
+        code, out, err = run(
+            capsys, "query", "--input", str(spend_csv), "--column", "spend",
+            "--aggregate", aggregate, "--clip-lo", "0", "--clip-hi", "25",
+            "--mech", mech, "--eps", "0.5", "--delta", "1e-5",
+            "--seed", "2024", "--ledger", str(ledger_path),
+        )
+        assert code == 0
+        assert err == ""
+        payload = json.loads(out)
+        assert set(payload) == {
+            "noisy_value", "epsilon_spent", "delta_spent", "query_id"
+        }
+        assert payload["noisy_value"] != pytest.approx(exact, rel=1e-9, abs=0)
+        (line,) = ledger_path.read_text().splitlines()
+        assert set(json.loads(line)) == LEDGER_KEYS
 
 
 class TestConfigFile:
@@ -749,7 +843,7 @@ class TestConfigFile:
         conf.write_text("eps = 1\ndelta = 1e-5\nbudget_eps = 0.5\n")
         code, out, err = run(
             capsys, "query", "--input", str(spend_csv), "--column", "spend",
-            "--seed", "median", "--ledger", str(ledger_path),
+            "--seed", "7", "--ledger", str(ledger_path),
             "--config", str(conf),
         )
         assert code == 2
@@ -784,7 +878,7 @@ class TestTextbookGaussianIsGone:
         argv = [command, "--mech", "gaussian-classic", "--eps", "20",
                 "--delta", "1e-5"]
         if command in ("sample", "query"):
-            argv += ["--seed", "median"]
+            argv += ["--seed", "7"]
         if command == "query":
             argv += ["--input", str(spend_csv), "--column", "spend",
                      "--ledger", str(ledger_path)]
@@ -804,7 +898,7 @@ class TestTextbookGaussianIsGone:
         argv = [command, "--mech", "gaussian-analytic", "--eps", "20",
                 "--delta", "1e-5"]
         if command in ("sample", "query"):
-            argv += ["--seed", "median"]
+            argv += ["--seed", "7"]
         if command == "query":
             argv += ["--input", str(spend_csv), "--column", "spend",
                      "--ledger", str(ledger_path)]
@@ -837,7 +931,7 @@ for mech in ("trunclap", "laplace", "gaussian-analytic"):
                  "--seed", "7", "--mech", mech]) == 0
     assert main(["query", "--input", {str(spend_csv)!r}, "--column", "spend",
                  "--aggregate", "sum", "--clip-lo", "0", "--clip-hi", "25",
-                 "--eps", "0.5", "--delta", "1e-5", "--seed", "median",
+                 "--eps", "0.5", "--delta", "1e-5", "--seed", "7",
                  "--mech", mech, "--ledger", {str(ledger_path)!r}]) == 0
     probe()
 assert main(["sweep", "--eps-points", "5", "--delta-points", "5"]) == 0

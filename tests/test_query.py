@@ -72,10 +72,26 @@ class TestMakeMechanism:
 
 
 class TestMakeRng:
-    def test_median_stub(self):
-        rng = make_rng("median")
-        assert rng.random() == 0.5
-        np.testing.assert_array_equal(rng.random(size=3), [0.5, 0.5, 0.5])
+    @pytest.mark.parametrize("seed", ["median", "MEDIAN"])
+    def test_median_is_refused(self, seed):
+        # it drew zero noise: the exact aggregate, released with no guarantee
+        with pytest.raises(DomainError, match="seed must be"):
+            make_rng(seed)
+        with pytest.raises(DomainError, match="seed must be"):
+            QuerySpec("x.csv", "c", AggregateKind.COUNT, "trunclap", P, seed)
+
+    @pytest.mark.parametrize("seed", [1.5, -0.5, 1.0, True, False, b"1", [1]])
+    def test_only_ints_and_strings_are_seeds(self, seed):
+        # int() truncated 1.5 to 1 and True to 1: another seed's stream
+        with pytest.raises(DomainError, match="seed must be"):
+            make_rng(seed)
+        with pytest.raises(DomainError, match="seed must be"):
+            QuerySpec("x.csv", "c", AggregateKind.COUNT, "trunclap", P, seed)
+
+    def test_no_seed_draws_fresh_entropy(self):
+        assert not np.array_equal(make_rng(None).random(4), make_rng(None).random(4))
+        spec = QuerySpec("x.csv", "c", AggregateKind.COUNT, "trunclap", P)
+        assert spec.seed is None
 
     def test_integer_and_string_seeds_agree(self):
         a = make_rng(16).random(size=4)
@@ -234,7 +250,7 @@ class TestTornFinalLine:
     def test_unparsed_line_is_cut(self, ledger_path, spend_csv, torn):
         ledger_path.write_text(_LINE + "\n" + torn)
         spec = QuerySpec(
-            str(spend_csv), "spend", AggregateKind.COUNT, "trunclap", P, "median"
+            str(spend_csv), "spend", AggregateKind.COUNT, "trunclap", P, 0
         )
         result = run_query(spec, ledger_path, budget_eps=1.5)
         lines = ledger_path.read_text().splitlines()
@@ -262,9 +278,10 @@ class TestTornFinalLine:
 
 
 class TestRunQuery:
-    def test_count_with_median_seed_is_exact(self, spend_csv, ledger_path):
+    @pytest.mark.usefixtures("zero_noise")
+    def test_count_with_zero_noise_is_exact(self, spend_csv, ledger_path):
         spec = QuerySpec(
-            str(spend_csv), "spend", AggregateKind.COUNT, "trunclap", P, "median"
+            str(spend_csv), "spend", AggregateKind.COUNT, "trunclap", P, 0
         )
         result = run_query(spec, ledger_path)
         assert result["noisy_value"] == 100.0
@@ -279,7 +296,7 @@ class TestRunQuery:
 
     def test_ledger_is_appended(self, spend_csv, ledger_path):
         spec = QuerySpec(
-            str(spend_csv), "spend", AggregateKind.COUNT, "trunclap", P, "median"
+            str(spend_csv), "spend", AggregateKind.COUNT, "trunclap", P, 0
         )
         r1 = run_query(spec, ledger_path)
         r2 = run_query(spec, ledger_path)
@@ -294,33 +311,35 @@ class TestRunQuery:
 
     def test_laplace_spends_zero_delta(self, spend_csv, ledger_path):
         spec = QuerySpec(
-            str(spend_csv), "spend", AggregateKind.COUNT, "laplace", P, "median"
+            str(spend_csv), "spend", AggregateKind.COUNT, "laplace", P, 0
         )
         result = run_query(spec, ledger_path)
         assert result["delta_spent"] == 0.0
         assert BudgetLedger(ledger_path).totals() == (0.5, 0.0)
 
-    def test_sum_with_median_seed(self, spend_csv, ledger_path):
+    @pytest.mark.usefixtures("zero_noise")
+    def test_sum_with_zero_noise(self, spend_csv, ledger_path):
         spec = QuerySpec(
             str(spend_csv),
             "spend",
             AggregateKind.SUM,
             "trunclap",
             P,
-            "median",
+            0,
             clip=(0.0, 20.0),
         )
         result = run_query(spec, ledger_path)
         assert result["noisy_value"] == clipped_spend_sum(spend_csv, 0.0, 20.0)
 
-    def test_mean_with_median_seed(self, spend_csv, ledger_path):
+    @pytest.mark.usefixtures("zero_noise")
+    def test_mean_with_zero_noise(self, spend_csv, ledger_path):
         spec = QuerySpec(
             str(spend_csv),
             "spend",
             AggregateKind.MEAN,
             "gaussian-analytic",
             P,
-            "median",
+            0,
             clip=(0.0, 25.0),
         )
         result = run_query(spec, ledger_path)
@@ -329,6 +348,7 @@ class TestRunQuery:
         # the ledger charges the full pair, not the per-draw halves
         assert result["epsilon_spent"] == 0.5
 
+    @pytest.mark.usefixtures("zero_noise")
     def test_mean_of_empty_table_is_nan(self, tmp_path, ledger_path):
         path = tmp_path / "empty.csv"
         path.write_text("id,spend\n")
@@ -338,7 +358,7 @@ class TestRunQuery:
             AggregateKind.MEAN,
             "trunclap",
             P,
-            "median",
+            0,
             clip=(0.0, 1.0),
         )
         assert math.isnan(run_query(spec, ledger_path)["noisy_value"])
@@ -413,12 +433,13 @@ class TestRunQuery:
         with pytest.raises(DomainError, match=r"bad\.csv:3"):
             run_query(spec, ledger_path)
 
+    @pytest.mark.usefixtures("zero_noise")
     def test_count_ignores_bad_cells(self, tmp_path, ledger_path):
         # count never parses the column, so junk cells cannot block it
         path = tmp_path / "bad.csv"
         path.write_text("id,spend\n1,3.5\n2,oops\n")
         spec = QuerySpec(
-            str(path), "spend", AggregateKind.COUNT, "trunclap", P, "median"
+            str(path), "spend", AggregateKind.COUNT, "trunclap", P, 0
         )
         assert run_query(spec, ledger_path)["noisy_value"] == 2.0
 
@@ -487,6 +508,7 @@ class TestRunQuery:
             run_query(_spec(path), ledger_path)
         assert ledger_path.read_bytes() == before
 
+    @pytest.mark.usefixtures("zero_noise")
     def test_infinite_cells_are_clipped(self, tmp_path, ledger_path):
         path = tmp_path / "inf.csv"
         path.write_text("id,spend\n1,inf\n2,-inf\n3,0.25\n")
@@ -496,7 +518,7 @@ class TestRunQuery:
             AggregateKind.SUM,
             "trunclap",
             P,
-            "median",
+            0,
             clip=(0.0, 1.0),
         )
         assert run_query(spec, ledger_path)["noisy_value"] == 1.25
@@ -510,7 +532,7 @@ class TestBudgets:
             AggregateKind.COUNT,
             "trunclap",
             PrivacyParams(eps, 1e-5),
-            "median",
+            0,
         )
 
     def test_budget_respected_then_exceeded(self, spend_csv, ledger_path):
@@ -548,7 +570,7 @@ class TestBudgets:
             AggregateKind.COUNT,
             "trunclap",
             P,
-            "median",
+            0,
         )
         with pytest.raises(DomainError, match=f"{cap} must be a number"):
             run_query(spec, ledger_path, **{cap: math.nan})
@@ -566,7 +588,7 @@ class TestBudgets:
             AggregateKind.COUNT,
             "trunclap",
             P,
-            "median",
+            0,
         )
         with pytest.raises(DomainError, match=f"{cap} must be a number >= 0"):
             run_query(spec, ledger_path, **{cap: -1.0})
@@ -583,7 +605,7 @@ class TestBudgets:
 
     def test_delta_budget(self, spend_csv, ledger_path):
         lap = QuerySpec(
-            str(spend_csv), "spend", AggregateKind.COUNT, "laplace", P, "median"
+            str(spend_csv), "spend", AggregateKind.COUNT, "laplace", P, 0
         )
         run_query(lap, ledger_path, budget_delta=0.0)  # laplace spends none
         tl = self._count_spec(spend_csv)
@@ -606,7 +628,7 @@ query._read_column = slow_read_column
 csv_path, ledger_path = sys.argv[1:]
 spec = query.QuerySpec(
     csv_path, "spend", query.AggregateKind.COUNT, "trunclap",
-    PrivacyParams(0.5, 1e-5), "median",
+    PrivacyParams(0.5, 1e-5), 0,
 )
 print("ready", flush=True)
 sys.stdin.readline()
