@@ -22,7 +22,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .baselines import Gaussian, _analytic_sigmas
+from .baselines import _analytic_sigmas, _gaussian_cost
 from .bounds import _bound_table, bound_pair
 from .core import (
     CostKind,
@@ -67,8 +67,11 @@ class SweepConfig:
             object.__setattr__(self, name, value)
         if self.eps_min > self.eps_max or self.delta_min > self.delta_max:
             raise DomainError("grid bounds must satisfy min <= max")
-        if self.eps_points < 1 or self.delta_points < 1:
-            raise DomainError("grid must have at least one point per axis")
+        for name in ("eps_points", "delta_points"):
+            # np.geomspace refuses a float count late, and takes True as 1
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
         object.__setattr__(self, "cost", CostKind.parse(self.cost))
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -96,10 +99,12 @@ def run_sweep(config: SweepConfig = SweepConfig()) -> list[SweepRow]:
 
     The upper bound is the calibrated truncated Laplacian's cost, so each
     row's ``q_upper`` and ``tl_cost`` are the same number, kept as two
-    columns for readers of either.  The grid runs through one bounds pass
-    (:func:`dpnoise.bounds._bound_table`, which checks the order of the
-    bounds) and one Gaussian calibration pass; a refused point raises what
-    a point-by-point sweep would raise first.
+    columns for readers of either.  The grid runs epsilon-major through one
+    bounds pass (:func:`dpnoise.bounds._bound_table`, which takes the terms
+    of epsilon alone once per run of equal epsilon and checks the order of
+    the bounds) and one Gaussian calibration pass, whose sigmas give each
+    row's Gaussian cost directly, with no mechanism built per row; a
+    refused point raises what a point-by-point sweep would raise first.
     """
     sens = as_sensitivity(config.sensitivity)
     kind = config.cost
@@ -131,7 +136,7 @@ def run_sweep(config: SweepConfig = SweepConfig()) -> list[SweepRow]:
     for eps, dlt, q_lower, tl_cost, sigma_analytic in zip(
         epsilon, delta, q_lowers, upper, sigmas_analytic
     ):
-        gauss_analytic = Gaussian(sigma_analytic).cost(kind)
+        gauss_analytic = _gaussian_cost(sigma_analytic, kind)
         # positional, in field order: keywords double the cost of a row
         rows.append(
             SweepRow(
@@ -251,10 +256,18 @@ def tightness_curve(
 # Output formats
 
 
-def _float_table(rows: list) -> tuple[list[str], list]:
+# A sweep's rows share their grid coordinates: one float object for every
+# row of an epsilon-run, and the delta axis's objects in every run.
+_AXES = ("epsilon", "delta")
+
+
+def _float_table(rows: list, spec: str) -> tuple[list[str], list[str], list]:
     """The field names of ``rows`` and every row's values of them, row
-    after row, in one flat list.  Every value must be a finite float, as
-    every field of a sweep or tightness row is."""
+    after row, in one flat list, with the %-conversion for each field:
+    ``spec``, but ``%s`` for the grid coordinates, which the list holds
+    already formatted by ``spec``, each distinct float object once.  Every
+    value must be a finite float, as every field of a sweep or tightness
+    row is."""
     names = [f.name for f in dataclasses.fields(rows[0])]
     if len(names) < 2:
         values = [getattr(row, n) for row in rows for n in names]
@@ -262,24 +275,36 @@ def _float_table(rows: list) -> tuple[list[str], list]:
         values = list(chain.from_iterable(map(attrgetter(*names), rows)))
     if set(map(type, values)) - {float} or not all(map(math.isfinite, values)):
         raise DomainError("csv and json rows must hold finite floats only")
-    return names, values
+    specs = [spec] * len(names)
+    for k, name in enumerate(names):
+        if name in _AXES:
+            # keyed by identity: a key by value would take 0.0 and -0.0 as one
+            column = values[k :: len(names)]
+            ids = list(map(id, column))
+            text = {i: spec % v for i, v in dict(zip(ids, column)).items()}
+            values[k :: len(names)] = map(text.__getitem__, ids)
+            specs[k] = "%s"
+    return names, specs, values
 
 
-# Each emitter below fills one %-template for the whole table.
+# Each emitter below fills one %-template for the whole table, with the
+# grid coordinates formatted once per distinct object by _float_table.
 
 
 def _rows_to_csv(rows: list) -> bytes:
-    names, values = _float_table(rows)
-    line = ",".join(["%.17g"] * len(names)) + "\n"  # format(value, ".17g")
+    names, specs, values = _float_table(rows, "%.17g")  # format(value, ".17g")
+    line = ",".join(specs) + "\n"
     body = (line * len(rows)) % tuple(values)
     return (",".join(names) + "\n" + body).encode("utf-8")
 
 
 def _rows_to_json(rows: list) -> bytes:
-    names, values = _float_table(rows)
     # json.dumps(payload, indent=2)'s layout, with its key escaping and its
     # text for a finite float, float.__repr__ (which %r gives)
-    row = "  {\n" + ",\n".join(f"    {json.dumps(n)}: %r" for n in names) + "\n  }"
+    names, specs, values = _float_table(rows, "%r")
+    row = "  {\n" + ",\n".join(
+        f"    {json.dumps(n)}: {c}" for n, c in zip(names, specs)
+    ) + "\n  }"
     body = ",\n".join([row] * len(rows)) % tuple(values)
     return ("[\n" + body + "\n]\n").encode("utf-8")
 

@@ -53,18 +53,31 @@ __all__ = ["BoundPair", "bound_pair"]
 _EPS_MIN = math.sqrt(sys.float_info.min)
 
 
-def _slicing(eps: float, delta: float) -> tuple[float, float, float, float]:
-    """``radius_scale_ratio(eps, delta)`` and the slicing pieces built on
-    it: (x_ratio, mass_coeff, decay_ratio, steps_fractional)."""
+def _eps_terms(eps: float) -> tuple[float, float, float, float, float, float]:
+    """The terms that depend on epsilon alone, for a run of points that
+    share it: (eps, b = e^-eps, expm1(-eps)/2, w = 1 - b, w^2, 1 - b^2).
+
+    Its check is the first one at a point, so a run refuses it at its
+    first point, as that point would on its own."""
     if eps < _EPS_MIN:
         raise DomainError(
             f"epsilon={eps!r} is too small for the closed-form lower "
             f"bounds: (1 - e^-epsilon)^2 leaves double range"
         )
+    em1 = math.expm1(-eps)
+    w = -em1
+    return eps, math.exp(-eps), 0.5 * em1, w, w * w, -math.expm1(-2.0 * eps)
+
+
+def _slicing(terms: tuple, delta: float) -> tuple[float, float, float]:
+    """``radius_scale_ratio(eps, delta)`` and the slicing pieces built on
+    it, from eps's :func:`_eps_terms`: (x_ratio, mass_coeff,
+    steps_fractional); the decay ratio is ``terms[1]``."""
+    eps, b, half_em1, _, _, _ = terms
     # a = (delta + (e^eps - 1)/2)/e^eps, grouped to stay accurate for tiny eps
-    mass_coeff = delta * math.exp(-eps) - 0.5 * math.expm1(-eps)
+    mass_coeff = delta * b - half_em1
     x_ratio = radius_scale_ratio(eps, delta)
-    return x_ratio, mass_coeff, math.exp(-eps), x_ratio / eps
+    return x_ratio, mass_coeff, x_ratio / eps
 
 
 def _check_steps(steps: float) -> float:
@@ -75,35 +88,30 @@ def _check_steps(steps: float) -> float:
 
 
 # The two closed forms on plain floats, evaluated by the grid kernel
-# :func:`_bound_table`: eps, b = e^-eps, the mass coefficient a, the
-# sensitivity and a checked step count.
+# :func:`_bound_table`: eps's :func:`_eps_terms`, the mass coefficient a,
+# the sensitivity and a checked step count.
 
 
-def _amplitude_lower(
-    eps: float, b: float, a: float, sens: float, steps: float
-) -> float:
-    w = -math.expm1(-eps)  # 1 - b
+def _amplitude_lower(terms: tuple, a: float, sens: float, steps: float) -> float:
+    eps, b, _, w, ww, _ = terms
     en = eps * steps
     bn = math.exp(-en)
     if bn == 0.0:
-        bracket = b / (w * w)
+        bracket = b / ww
     else:
         # b - b^n, factored so it keeps its relative accuracy once b is
         # below the rounding error of 1 (1-b^n and 1-b would then cancel)
         head = b * -math.expm1(-eps * (steps - 1.0))
-        bracket = head / (w * w) - (steps - 1.0) * bn / w
+        bracket = head / ww - (steps - 1.0) * bn / w
     return 2.0 * a * bracket * sens
 
 
-def _power_lower(
-    eps: float, b: float, a: float, sens: float, steps: float
-) -> float:
-    w = -math.expm1(-eps)
-    w2 = -math.expm1(-2.0 * eps)  # 1 - b^2
+def _power_lower(terms: tuple, a: float, sens: float, steps: float) -> float:
+    eps, b, _, w, ww, w2 = terms
     en = eps * steps
     bn = math.exp(-en)
     if bn == 0.0:
-        bracket = -b + 2.0 * b / (w * w) - (b * b) / w
+        bracket = -b + 2.0 * b / ww - (b * b) / w
     else:
         qn = -math.expm1(-en)
         if steps > 1e100:
@@ -114,7 +122,7 @@ def _power_lower(
             last = (steps - 1.0) ** 2 * bn
         bracket = (
             -b
-            + 2.0 * ((qn - w) / (w * w) - (steps - 1.0) * bn / w)
+            + 2.0 * ((qn - w) / ww - (steps - 1.0) * bn / w)
             - (qn - w2) / w
             - last
         )
@@ -167,7 +175,7 @@ def bound_pair(
     )
     if refusal is not None:
         raise refusal
-    # the table's slice count, ``_slicing(...)[3]``, without a second pass
+    # the table's slice count, ``_slicing(...)[2]``, without a second pass
     steps = radius_scale_ratio(params.epsilon, params.delta) / params.epsilon
     return BoundPair(
         lower=lower[0],
@@ -188,8 +196,15 @@ def _bound_table(
     ``lower_floor`` and ``upper`` up to the first point that is refused,
     and that point's error (None if no point is), so a caller can finish
     the work of the points before it before raising.  No mechanism or
-    parameter object is built per point; the arithmetic is
-    :func:`bound_pair`'s, in its order.
+    parameter object is built per point.
+
+    The points are taken in runs of equal epsilon (a sweep passes them
+    epsilon-major; :func:`bound_pair` is a run of length 1): the terms of
+    epsilon alone (:func:`_eps_terms`, with its check, and the scale
+    sens/epsilon) are computed once per run, and everything else, every
+    other check included, at each point.  Each value is the same
+    arithmetic, in the same order, as a point taken on its own, so every
+    bit and every refusal is too.
     """
     if cost is CostKind.AMPLITUDE:
         lower_fn, upper_fn = _amplitude_lower, _amplitude
@@ -198,14 +213,20 @@ def _bound_table(
     lower: list[float] = []
     lower_floor: list[float] = []
     upper: list[float] = []
+    run_eps = None
     try:
         for eps, dlt in zip(epsilon, delta):
-            x_ratio, a, b, steps = _slicing(eps, dlt)
-            low_floor = lower_fn(eps, b, a, sens, _check_steps(math.floor(steps)))
-            low = lower_fn(eps, b, a, sens, steps)
+            # Equal epsilons have equal terms; the only equal pair that
+            # differs in sign, 0 and -0, is refused at a run's first point,
+            # before sens/eps can divide by it.
+            if eps != run_eps:
+                run_eps, terms, run_scale = eps, _eps_terms(eps), sens / eps
+            x_ratio, a, steps = _slicing(terms, dlt)
+            low_floor = lower_fn(terms, a, sens, _check_steps(math.floor(steps)))
+            low = lower_fn(terms, a, sens, steps)
             # the upper bound is the calibrated mechanism's own cost, from
             # its checked scale and radius
-            scale, radius, _ = _checked_shape(*_calibrated_shape(sens, eps, x_ratio))
+            scale, radius, _ = _checked_shape(*_calibrated_shape(run_scale, x_ratio))
             up = upper_fn(scale, radius)
             for value in (low_floor, low):
                 # The slack below 0 admits the rounding of powers that are

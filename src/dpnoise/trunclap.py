@@ -73,8 +73,7 @@ class TruncatedLaplace(NoiseMechanism):
         is what the privacy argument consumes.
         """
         return cls(*_calibrated_shape(
-            as_sensitivity(sens).value,
-            params.epsilon,
+            as_sensitivity(sens).value / params.epsilon,
             radius_scale_ratio(params.epsilon, params.delta),
         ))
 
@@ -178,13 +177,11 @@ class TruncatedLaplace(NoiseMechanism):
 # :func:`dpnoise.bounds._bound_table`, which builds no mechanism per point.
 
 
-def _calibrated_shape(
-    sens_value: float, epsilon: float, x_ratio: float
-) -> tuple[float, float, float]:
+def _calibrated_shape(scale: float, x_ratio: float) -> tuple[float, float, float]:
     """(scale, radius, height) for :meth:`TruncatedLaplace.from_privacy`,
-    with ``x_ratio = radius_scale_ratio(epsilon, delta)``; unchecked (a
-    scale that underflows to 0 gives an infinite height)."""
-    scale = sens_value / epsilon
+    with ``scale = sensitivity / epsilon`` and ``x_ratio =
+    radius_scale_ratio(epsilon, delta)``; unchecked (a scale that
+    underflows to 0 gives an infinite height)."""
     denom = 2.0 * scale * (-math.expm1(-x_ratio))
     return scale, scale * x_ratio, 1.0 / denom if denom else math.inf
 

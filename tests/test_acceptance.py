@@ -19,6 +19,7 @@ from dpnoise.baselines import Gaussian, analytic_gaussian_sigma
 from dpnoise.bounds import (
     _amplitude_lower,
     _check_steps,
+    _eps_terms,
     _power_lower,
     _slicing,
     bound_pair,
@@ -301,14 +302,16 @@ def test_10_series_oracle():
         n_lo = max(2, math.ceil(1.0 / eps))
         n = int(rng.integers(n_lo, int(20.0 / eps)))
         delta = math.expm1(eps) / (2.0 * math.expm1(eps * n))
-        _, a, b, steps = _slicing(eps, delta)
+        terms = _eps_terms(eps)
+        _, a, steps = _slicing(terms, delta)
+        b = terms[1]
         assert abs(steps - n) < 1e-6 * n
         amp_terms = sorted((k * b**k for k in range(n)), key=abs)
         pow_terms = sorted((k * k * b**k for k in range(n)), key=abs)
         amp_series = 2.0 * a * kahan_sum(amp_terms)
         pow_series = 2.0 * a * kahan_sum(pow_terms)
-        amp_closed = _amplitude_lower(eps, b, a, 1.0, _check_steps(n))
-        pow_closed = _power_lower(eps, b, a, 1.0, _check_steps(n))
+        amp_closed = _amplitude_lower(terms, a, 1.0, _check_steps(n))
+        pow_closed = _power_lower(terms, a, 1.0, _check_steps(n))
         worst = max(
             worst,
             abs(amp_closed - amp_series) / amp_series,

@@ -54,6 +54,16 @@ class TestSweepConfig:
         with pytest.raises(DomainError):
             SweepConfig(delta_min=math.nan)
 
+    @pytest.mark.parametrize("axis", ["eps_points", "delta_points"])
+    @pytest.mark.parametrize(
+        "count", [2.5, 3.0, True, False, 0, -1, "3", None, np.int64(3)]
+    )
+    def test_point_counts_are_ints(self, axis, count):
+        # 2.5 passed construction and ended in np.geomspace's TypeError;
+        # True made a 1-point axis
+        with pytest.raises(DomainError, match=rf"^{axis} must be an integer >= 1"):
+            SweepConfig(**{axis: count})
+
     @pytest.mark.parametrize("cost", list(CostKind))
     def test_string_cost_is_the_enum(self, cost):
         # a string cost took the power branch of the bounds pass, while the
@@ -300,6 +310,7 @@ class TestSweepBuildsNoPerPointObjects:
     COUNTED = [
         (PrivacyParams, "__init__"),
         (TruncatedLaplace, "__init__"),
+        (Gaussian, "__init__"),
         (BoundPair, "__init__"),
         (bounds, "bound_pair"),
         (analysis, "bound_pair"),
@@ -326,9 +337,10 @@ class TestSweepBuildsNoPerPointObjects:
         counts.clear()
         analysis.bound_pair(PrivacyParams(1.0, 1e-5), 1.0)
         TruncatedLaplace.from_privacy(PrivacyParams(1.0, 1e-5), 1.0)
+        Gaussian(1.0)
         assert set(counts) == {
             "PrivacyParams.__init__", "TruncatedLaplace.__init__",
-            "BoundPair.__init__",
+            "Gaussian.__init__", "BoundPair.__init__",
             "dpnoise.analysis.bound_pair",
         }
 
@@ -526,6 +538,30 @@ class TestEmittersMatchTheReference:
             assert outcome(lambda r: emit(r, fmt), [row]) == outcome(
                 BRUTE_EMITTERS[fmt], [row]
             )
+
+    @pytest.mark.parametrize("row_type", [SweepRow, TightnessRow])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_shared_and_distinct_axis_objects(self, fmt, row_type):
+        # the emitters format each grid coordinate object once: rows that
+        # share a float object and rows that hold an equal but distinct one,
+        # with 0.0 and -0.0 (equal as values, not as text) among them
+        def fresh(x):
+            return float.fromhex(x.hex())
+
+        zero, neg_zero, half = 0.0, -0.0, fresh(0.5)
+        eps = [zero, zero, neg_zero, neg_zero, fresh(0.0), fresh(-0.0),
+               half, half, fresh(0.5), zero]
+        delta = [neg_zero, fresh(1e-5), zero, fresh(-0.0), neg_zero, zero,
+                 fresh(1e-5), neg_zero, zero, fresh(0.0)]
+        assert eps[0] is eps[1] and eps[6] is eps[7]
+        assert eps[0] == eps[2] and eps[0] is not eps[4] and eps[6] is not eps[8]
+        fields = len(dataclasses.fields(row_type)) - 2
+        rows = [
+            row_type(e, d, *[0.25 * (k + 1) - j for j in range(fields)])
+            for k, (e, d) in enumerate(zip(eps, delta))
+        ]
+        assert emit(rows, fmt) == BRUTE_EMITTERS[fmt](rows)
+        assert emit(rows[::-1], fmt) == BRUTE_EMITTERS[fmt](rows[::-1])
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_rows_holding_more_than_floats(self, fmt):

@@ -468,6 +468,34 @@ class TestAnalyticGaussianSigma:
             pytest.approx(textbook_excess, rel=1e-5)
         )
 
+    @staticmethod
+    def exact_excess(eps, delta):
+        """The 60-digit mpmath profile at the calibrated sigma over delta,
+        minus 1."""
+        mpmath = pytest.importorskip("mpmath")
+        sigma = analytic_gaussian_sigma(PrivacyParams(eps, delta), 1.0)
+        with mpmath.workdps(60):
+            s, e = mpmath.mpf(sigma), mpmath.mpf(eps)
+            exact = mpmath.ncdf(1 / (2 * s) - e * s) - mpmath.exp(e) * mpmath.ncdf(
+                -1 / (2 * s) - e * s
+            )
+            return float(exact / mpmath.mpf(delta) - 1)
+
+    @pytest.mark.parametrize("delta", [1e-300, 1e-5, 0.49])
+    @pytest.mark.parametrize("eps", [0.3, 1.0, 30.0])
+    def test_meets_the_exact_target_to_rounding(self, eps, delta):
+        # the promise holds where the double-precision profile is accurate
+        assert self.exact_excess(eps, delta) <= 1e-9
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the bisection trusts the double-precision profile, which cancels at tiny eps",
+    )
+    @pytest.mark.parametrize("eps, delta", [(1e-9, 1e-300), (1e-20, 1e-20)])
+    def test_meets_the_exact_target_at_tiny_eps(self, eps, delta):
+        # the exact profile is 1.18 and 1,536 times delta here
+        assert self.exact_excess(eps, delta) <= 0.0
+
     @pytest.mark.parametrize("name", ["classic_gaussian_sigma", "RangeWarning"])
     def test_textbook_names_are_gone(self, name):
         import dpnoise

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from dpnoise import bounds
+from dpnoise._stable import radius_scale_ratio
 from dpnoise.bounds import (
     BoundPair,
     _amplitude_lower,
     _check_steps,
+    _eps_terms,
     _power_lower,
     _slicing,
     bound_pair,
@@ -18,6 +20,7 @@ from dpnoise.core import (
     DomainError,
     InvariantError,
     PrivacyParams,
+    _cost_in_range,
     as_sensitivity,
 )
 from dpnoise.trunclap import TruncatedLaplace
@@ -25,13 +28,72 @@ from dpnoise.trunclap import TruncatedLaplace
 P_REF = PrivacyParams(1.0, 1e-5)
 
 
+def slicing(eps, delta):
+    """The slicing pieces at one point: (x_ratio, mass_coeff, decay_ratio,
+    steps_fractional)."""
+    terms = _eps_terms(eps)
+    x_ratio, a, steps = _slicing(terms, delta)
+    return x_ratio, a, terms[1], steps
+
+
 def lower_bound(kernel, params, sens=1.0, steps=None):
     """A lower-bound kernel at ``steps`` slices (default: the fractional
     root), with the slicing pieces it takes."""
-    eps = params.epsilon
-    _, a, b, root = _slicing(eps, params.delta)
+    terms = _eps_terms(params.epsilon)
+    _, a, root = _slicing(terms, params.delta)
     steps = root if steps is None else _check_steps(steps)
-    return kernel(eps, b, a, sens, steps)
+    return kernel(terms, a, sens, steps)
+
+
+# The slicing and the two closed forms as they were before the grid kernel
+# took epsilon's terms once per run, kept (but for their names and
+# comments) as the bit-for-bit reference.
+
+
+def brute_slicing(eps, delta):
+    if eps < bounds._EPS_MIN:
+        raise DomainError(
+            f"epsilon={eps!r} is too small for the closed-form lower "
+            f"bounds: (1 - e^-epsilon)^2 leaves double range"
+        )
+    mass_coeff = delta * math.exp(-eps) - 0.5 * math.expm1(-eps)
+    x_ratio = radius_scale_ratio(eps, delta)
+    return x_ratio, mass_coeff, math.exp(-eps), x_ratio / eps
+
+
+def brute_amplitude_lower(eps, b, a, sens, steps):
+    w = -math.expm1(-eps)  # 1 - b
+    en = eps * steps
+    bn = math.exp(-en)
+    if bn == 0.0:
+        bracket = b / (w * w)
+    else:
+        head = b * -math.expm1(-eps * (steps - 1.0))
+        bracket = head / (w * w) - (steps - 1.0) * bn / w
+    return 2.0 * a * bracket * sens
+
+
+def brute_power_lower(eps, b, a, sens, steps):
+    w = -math.expm1(-eps)
+    w2 = -math.expm1(-2.0 * eps)  # 1 - b^2
+    en = eps * steps
+    bn = math.exp(-en)
+    if bn == 0.0:
+        bracket = -b + 2.0 * b / (w * w) - (b * b) / w
+    else:
+        qn = -math.expm1(-en)
+        if steps > 1e100:
+            last = math.exp(2.0 * math.log(steps - 1.0) - en)
+        else:
+            last = (steps - 1.0) ** 2 * bn
+        bracket = (
+            -b
+            + 2.0 * ((qn - w) / (w * w) - (steps - 1.0) * bn / w)
+            - (qn - w2) / w
+            - last
+        )
+    sens_sq = _cost_in_range(sens * sens, 2, sens)
+    return 2.0 * a * sens_sq * bracket / w
 
 
 def brute_bound_pair(params, sens, cost):
@@ -40,10 +102,13 @@ def brute_bound_pair(params, sens, cost):
     reference."""
     cost = CostKind.parse(cost)
     sens = as_sensitivity(sens).value
-    kernel = _amplitude_lower if cost is CostKind.AMPLITUDE else _power_lower
-    steps = _slicing(params.epsilon, params.delta)[3]
-    lower_floor = lower_bound(kernel, params, sens, math.floor(steps))
-    lower = lower_bound(kernel, params, sens)
+    kernel = (
+        brute_amplitude_lower if cost is CostKind.AMPLITUDE else brute_power_lower
+    )
+    eps = params.epsilon
+    _, a, b, steps = brute_slicing(eps, params.delta)
+    lower_floor = kernel(eps, b, a, sens, _check_steps(math.floor(steps)))
+    lower = kernel(eps, b, a, sens, steps)
     upper = TruncatedLaplace.from_privacy(params, sens).cost(cost)
     for value in (lower_floor, lower):
         # The slack below 0 admits the rounding of powers that are exactly 0.
@@ -108,7 +173,7 @@ class TestLowerBoundParams:
     """The slicing pieces both lower bounds are built from."""
 
     def test_reference_values(self):
-        _, mass_coeff, decay_ratio, steps = _slicing(1.0, 1e-5)
+        _, mass_coeff, decay_ratio, steps = slicing(1.0, 1e-5)
         assert mass_coeff == pytest.approx(0.31606395820869054, rel=1e-15)
         assert decay_ratio == pytest.approx(math.exp(-1.0), rel=1e-15)
         assert steps == pytest.approx(11.361114778489599, rel=1e-15)
@@ -118,14 +183,14 @@ class TestLowerBoundParams:
 
     def test_mass_coeff_closed_form(self):
         for eps, delta in [(0.1, 1e-3), (2.0, 1e-8), (1e-3, 1e-4)]:
-            mass_coeff = _slicing(eps, delta)[1]
+            mass_coeff = slicing(eps, delta)[1]
             direct = delta * math.exp(-eps) - 0.5 * math.expm1(-eps)
             assert mass_coeff == pytest.approx(direct, rel=1e-14)
 
     def test_steps_floor_consistent(self):
         for eps, delta in [(0.37, 2e-4), (5.0, 1e-9), (0.01, 1e-2)]:
             pair = bound_pair(PrivacyParams(eps, delta), 1.0)
-            assert pair.steps_fractional == _slicing(eps, delta)[3]
+            assert pair.steps_fractional == slicing(eps, delta)[3]
             assert pair.steps_floor == math.floor(pair.steps_fractional)
             assert pair.steps_floor >= 1
 
@@ -139,24 +204,28 @@ class TestClosedFormsAgainstSeries:
         "eps,n", [(0.3, 7), (1.0, 11), (0.05, 40), (2.0, 4), (0.01, 300)]
     )
     def test_amplitude(self, eps, n):
-        _, a, b, _ = _slicing(eps, 1e-6)
+        _, a, b, _ = slicing(eps, 1e-6)
         ref = 2.0 * a * math.fsum(k * b**k for k in range(n))
-        assert _amplitude_lower(eps, b, a, 1.0, n) == pytest.approx(ref, rel=5e-14)
+        assert _amplitude_lower(_eps_terms(eps), a, 1.0, n) == pytest.approx(
+            ref, rel=5e-14
+        )
 
     @pytest.mark.parametrize(
         "eps,n", [(0.3, 7), (1.0, 11), (0.05, 40), (2.0, 4), (0.01, 300)]
     )
     def test_power(self, eps, n):
-        _, a, b, _ = _slicing(eps, 1e-6)
+        _, a, b, _ = slicing(eps, 1e-6)
         ref = 2.0 * a * math.fsum(k * k * b**k for k in range(n))
-        assert _power_lower(eps, b, a, 1.0, n) == pytest.approx(ref, rel=5e-14)
+        assert _power_lower(_eps_terms(eps), a, 1.0, n) == pytest.approx(
+            ref, rel=5e-14
+        )
 
     def test_one_sided_mass_is_half_at_integer_steps(self):
         # a * sum_{k<n} b^k = 1/2 exactly when delta makes n an integer:
         # that is what pins the staircase as a worst-case density
         eps, n = 0.25, 12
         delta = math.expm1(eps) / (2.0 * math.expm1(eps * n))
-        _, a, b, steps = _slicing(eps, delta)
+        _, a, b, steps = slicing(eps, delta)
         assert steps == pytest.approx(n, abs=1e-9)
         assert a * math.fsum(b**k for k in range(n)) == pytest.approx(
             0.5, rel=1e-13
@@ -217,10 +286,10 @@ class TestExtremeRegimes:
         # both closed forms divide by (1 - e^-eps)^2, which is subnormal or
         # 0 here: a ZeroDivisionError or a bound with few correct digits
         with pytest.raises(DomainError, match=rf"^epsilon={eps!r} is too"):
-            _slicing(eps, 1e-5)
+            _eps_terms(eps)
         with pytest.raises(DomainError, match=rf"^epsilon={eps!r} is too"):
             bound_pair(PrivacyParams(eps, 1e-5), 1.0)
-        _slicing(1e-153, 1e-5)
+        _eps_terms(1e-153)
 
 
 class TestBoundPair:
@@ -243,7 +312,7 @@ class TestBoundPair:
         assert pair.upper == pytest.approx(3.166616726021703, rel=1e-14)
         assert pair.ratio == pytest.approx(0.8447339549543016, rel=1e-13)
         assert pair.lower_floor == pytest.approx(2.556638908351247, rel=1e-14)
-        assert pair.steps_fractional == _slicing(0.1, 0.05)[3]
+        assert pair.steps_fractional == slicing(0.1, 0.05)[3]
         assert pair.steps_floor == 7
 
     def test_lower_never_exceeds_upper(self):
@@ -279,16 +348,41 @@ class TestBoundPair:
         # the step counts come with the bounds, not from a second slicing
         calls = []
 
-        def counted(eps, delta):
-            calls.append((eps, delta))
-            return _slicing(eps, delta)
+        def counted(terms, delta):
+            calls.append((terms[0], delta))
+            return _slicing(terms, delta)
 
         monkeypatch.setattr(bounds, "_slicing", counted)
         for cost in CostKind:
             calls.clear()
             pair = bound_pair(P_REF, 1.0, cost)
             assert calls == [(1.0, 1e-5)]
-            assert pair.steps_fractional == _slicing(1.0, 1e-5)[3]
+            assert pair.steps_fractional == slicing(1.0, 1e-5)[3]
+
+    def test_table_takes_eps_terms_once_per_run(self, monkeypatch):
+        # epsilon's terms once per run of equal epsilon, the slicing once
+        # per point
+        calls = {"terms": [], "slicing": []}
+
+        def counted_terms(eps):
+            calls["terms"].append(eps)
+            return _eps_terms(eps)
+
+        def counted_slicing(terms, delta):
+            calls["slicing"].append((terms[0], delta))
+            return _slicing(terms, delta)
+
+        monkeypatch.setattr(bounds, "_eps_terms", counted_terms)
+        monkeypatch.setattr(bounds, "_slicing", counted_slicing)
+        eps = [0.5, 0.5, 0.5, 2.0, 2.0, 0.5]
+        delta = [1e-6, 1e-4, 1e-2, 1e-6, 1e-4, 1e-6]
+        for cost in CostKind:
+            calls["terms"].clear()
+            calls["slicing"].clear()
+            *_, refusal = bounds._bound_table(eps, delta, 1.0, cost)
+            assert refusal is None
+            assert calls["terms"] == [0.5, 2.0, 0.5]
+            assert calls["slicing"] == list(zip(eps, delta))
 
     def test_matches_mechanism_upper(self):
         p = PrivacyParams(0.7, 1e-6)
@@ -347,7 +441,7 @@ class TestBoundTable:
             assert (pair.lower, pair.lower_floor, pair.upper) == (
                 lower[0], lower_floor[0], upper[0]
             )
-            assert pair.steps_fractional == _slicing(0.3, 1e-7)[3]
+            assert pair.steps_fractional == slicing(0.3, 1e-7)[3]
             assert pair.steps_floor == math.floor(pair.steps_fractional)
 
     def test_one_formula_body(self):
