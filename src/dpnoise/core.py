@@ -170,7 +170,9 @@ class NoiseMechanism(ABC):
     the two closed-form noise costs, and the half-line mass ``_upper_mass``;
     ``pdf`` and ``quantile`` check their input and call the formulas, and
     ``cdf``, ``interval_mass`` and the default ``grid_masses`` follow from
-    the half-line mass by symmetry.  ``sample`` is inverse-transform
+    the half-line mass by symmetry.  A mechanism states the positive half
+    of a verifier grid only (``grid_masses``); the grid's negative half is
+    its mirror image by this symmetry.  ``sample`` is inverse-transform
     sampling on a caller-supplied uniform generator, so a fixed seed fixes
     the output and the generator can be replaced by a stub (e.g. one that
     always yields the median) in tests.
@@ -257,25 +259,21 @@ class NoiseMechanism(ABC):
         ) + self._upper_mass(np.maximum(-hi_b, 0.0), np.maximum(-lo_b, 0.0))
         return _scalar_or_array(mass, lo_scalar and hi_scalar)
 
-    def grid_masses(self, step: float, half_cells: int) -> np.ndarray:
-        """Masses of the ``2*half_cells`` cells of width ``step`` on
-        ``[-half_cells*step, half_cells*step)``.
+    def grid_masses(self, step: float, out: np.ndarray) -> np.ndarray:
+        """Fill ``out``, a float64 array of ``H`` cells, with the positive
+        half of a grid of width ``step``, and return it.
 
-        Any mass beyond the outermost cells is folded into them, so the
-        masses account for the full distribution.  The default takes the
-        positive half from ``_upper_mass`` on the edges ``step*k``, with the
-        outer edge at +inf so the outermost cell holds its whole tail, and
-        mirrors it; subclasses override it where the density's structure
+        Cell ``k`` covers ``[k*step, (k+1)*step)`` and the outermost one,
+        ``k = H-1``, holds the whole tail beyond its left edge, so the
+        masses account for the full half line.  The negative half is the
+        mirror image, which the verifier lays out.  The default takes the
+        masses from ``_upper_mass`` on the edges ``step*k``, with the outer
+        edge at +inf; subclasses override it where the density's structure
         gives the masses in closed form.
         """
-        H = int(half_cells)
-        edges = step * np.arange(H + 1, dtype=float)
+        edges = step * np.arange(out.size + 1, dtype=float)
         edges[-1] = math.inf
-        pos = np.maximum(self._upper_mass(edges[:-1], edges[1:]), 0.0)
-        masses = np.empty(2 * H)
-        masses[H:] = pos
-        masses[:H] = pos[::-1]
-        return masses
+        return np.maximum(self._upper_mass(edges[:-1], edges[1:]), 0.0, out=out)
 
     def grid_mass_error(self, step: float, half_cells: int) -> float:
         """Relative error bound of each of :meth:`grid_masses`' masses.

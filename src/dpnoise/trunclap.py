@@ -109,22 +109,19 @@ class TruncatedLaplace(NoiseMechanism):
         b = np.minimum(b, self.radius)
         return self._area * np.exp(-a / self.scale) * -np.expm1(-(b - a) / self.scale)
 
-    def grid_masses(self, step: float, half_cells: int) -> np.ndarray:
-        """Closed-form cell masses, laid out as
+    def grid_masses(self, step: float, out: np.ndarray) -> np.ndarray:
+        """Closed-form masses of the positive half, laid out as
         :meth:`NoiseMechanism.grid_masses` lays them out.
 
-        Positive-side cell k covers ``[k*step, (k+1)*step)`` and holds
+        Cell k covers ``[k*step, (k+1)*step)`` and holds
         ``height*scale * e^(-k t) * (1 - e^(-t))`` with ``t = step/scale``
         while it lies inside the support; the outermost cell takes everything
-        beyond its left edge, cells entirely past the radius hold 0, and the
-        negative side is the mirror image.  ``e^(-k t)`` is the outer product
-        of two short ``exp`` vectors, so every mass is within a few roundings
-        of exact and costs one multiply.
+        beyond its left edge and cells entirely past the radius hold 0.
+        ``e^(-k t)`` is the outer product of two short ``exp`` vectors, so
+        every mass is within a few roundings of exact and costs one multiply.
         """
-        H = int(half_cells)
+        H = out.size
         t = step / self.scale
-        masses = np.empty(2 * H)
-        pos = masses[H:]
         # Cells 0..full-1 are whole cells inside the support.  Cell full is
         # the outermost one with mass: it takes everything from its left
         # edge to the support's, and any cells past it hold 0.
@@ -142,12 +139,11 @@ class TruncatedLaplace(NoiseMechanism):
         head = self._area * -math.expm1(-t)
         for lo in range(0, full, _EXP_BLOCK):
             hi = min(lo + _EXP_BLOCK, full)
-            np.multiply(head * math.exp(-t * lo), inner[: hi - lo], out=pos[lo:hi])
+            np.multiply(head * math.exp(-t * lo), inner[: hi - lo], out=out[lo:hi])
         k = np.arange(full, H)
         spans = np.where(k == full, span, 0.0)
-        pos[full:] = self._area * np.exp(-k * t) * -np.expm1(-spans)
-        masses[:H] = pos[::-1]
-        return masses
+        out[full:] = self._area * np.exp(-k * t) * -np.expm1(-spans)
+        return out
 
     def grid_mass_error(self, step: float, half_cells: int) -> float:
         """A few ulp times ``1 + half_cells*step/scale``: every factor of a

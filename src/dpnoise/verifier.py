@@ -38,23 +38,30 @@ finds, so the fast path takes its tolerance from O(shift_cells + log K)
 cells and M.  Every other grid falls back to the direct scan of both
 directions and a full scan of the same tolerance formula.
 
-Cell masses come from the mechanism (``NoiseMechanism.grid_masses``): the
-exponential mechanisms give them in closed form, the others take the
-positive half from their half-line mass and mirror it.  The grid's gates
-(finite and non-negative, the support run, the mirror and log-concavity)
-and M are one blocked pass, which on a mirrored grid checks log-concavity
-over one half.  The fast path then sums only the tail it reads (for a
-truncated Laplacian, about one sensitivity at the support edge), so after
-``grid_masses`` a fast-path grid is read once end to end plus that tail.  A
-grid caches its result per e^eps, so a second check at the same epsilon
-only compares it with its delta.  Apart from the masses and that tail, no
+Cell masses come from the mechanism (``NoiseMechanism.grid_masses``), which
+states the positive half: the exponential mechanisms in closed form, the
+others from their half-line mass.  ``discretize`` lets it fill the right
+half of the grid, and the noise is symmetric, so the left half is the
+mirror image.  The grid's gates (finite and non-negative, the support run
+and log-concavity) and M are one blocked pass, which on a mirrored grid
+reads the left half and the centre only.  On a grid from ``discretize`` the
+pass writes each left-half block as the mirror of the right half just
+before it reads it; a grid built by hand is compared with its mirror
+instead, and one that is not mirrored is gated over both halves.  The fast
+path then sums only the tail it reads (for a truncated Laplacian, about
+one sensitivity at the support edge), so after ``grid_masses`` a fast-path
+grid from ``discretize`` has its right half read once, by the mirror copy,
+each left-half block gated while it is in cache, and that tail.  A grid
+caches its result per e^eps, so a second check at the same epsilon only
+compares it with its delta.  Apart from the masses and that tail, no
 temporary outgrows a byte per cell.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -88,7 +95,10 @@ def _gamma(n: int) -> float:
     return n * _ULP / (1.0 - n * _ULP)
 
 
-@dataclass
+_set = object.__setattr__  # sets a field of a frozen grid while it is built
+
+
+@dataclass(frozen=True)
 class DiscretizedDist:
     """Cell masses of a noise distribution on a regular grid.
 
@@ -100,8 +110,9 @@ class DiscretizedDist:
     mechanism.
 
     A grid is frozen: the facts the checks derive from the masses are
-    cached on it, so ``masses`` is a read-only view.  The array passed in
-    stays writable and must not be changed while the grid is in use.
+    cached on it, so its fields cannot be set and ``masses`` is a read-only
+    view.  The array passed in stays writable and must not be changed while
+    the grid is in use.
     """
 
     origin: float
@@ -110,6 +121,9 @@ class DiscretizedDist:
     shift_cells: int
     mass_error: float = 0.0
     fold: float = 0.0
+    # discretize's grids state the right half only; the gate pass writes
+    # the left half as its mirror
+    _mirror_right_half: InitVar[bool] = False
 
     # derived, filled in __post_init__ and by the checks
     _run: tuple[int, int] = field(init=False, repr=False)
@@ -118,46 +132,64 @@ class DiscretizedDist:
     _mass: float = field(init=False, repr=False)  # M, summed by the gate pass
     _by_c: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self.step = _require_finite_positive(self.step, "step")
-        if int(self.shift_cells) < 1:
-            raise DomainError("shift_cells must be a positive integer")
-        self.shift_cells = int(self.shift_cells)
-        self.mass_error = float(self.mass_error)
-        if not 0.0 <= self.mass_error < 0.25:
-            raise DomainError(f"mass_error must lie in [0, 0.25), got {self.mass_error!r}")
-        self.fold = float(self.fold)
-        if not 0.0 <= self.fold < math.inf:
-            raise DomainError(f"fold must be finite and >= 0, got {self.fold!r}")
-        self.masses = np.asarray(self.masses, dtype=float).view()
-        self.masses.flags.writeable = False
-        if self.masses.ndim != 1 or self.masses.size == 0:
+    def __post_init__(self, _mirror_right_half: bool) -> None:
+        origin = float(self.origin)
+        if not math.isfinite(origin):
+            raise DomainError(f"origin must be finite, got {origin!r}")
+        _set(self, "origin", origin)
+        _set(self, "step", _require_finite_positive(self.step, "step"))
+        n = self.shift_cells
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise DomainError(f"shift_cells must be an integer >= 1, got {n!r}")
+        _set(self, "shift_cells", int(n))
+        mass_error = float(self.mass_error)
+        if not 0.0 <= mass_error < 0.25:
+            raise DomainError(f"mass_error must lie in [0, 0.25), got {mass_error!r}")
+        _set(self, "mass_error", mass_error)
+        fold = float(self.fold)
+        if not 0.0 <= fold < math.inf:
+            raise DomainError(f"fold must be finite and >= 0, got {fold!r}")
+        _set(self, "fold", fold)
+        masses = np.asarray(self.masses, dtype=float)
+        view = masses.view()
+        view.flags.writeable = False
+        _set(self, "masses", view)
+        if masses.ndim != 1 or masses.size == 0:
             raise DomainError("masses must be a non-empty 1-d array")
-        s = _first_positive(self.masses)
+        # The gates read only what the caller stated: with a mirrored right
+        # half, the first positive cell mirrors the right half's last one.
+        if _mirror_right_half:
+            stated = masses[masses.size // 2 :]
+            s = _first_positive(stated[::-1])
+        else:
+            stated = masses
+            s = _first_positive(masses)
         if s < 0:
             # min/max reject negatives, NaN (min is NaN) and infinities
             # without a grid-sized temporary.
-            if not (self.masses.min() >= 0.0 and self.masses.max() < math.inf):
+            if not (stated.min() >= 0.0 and stated.max() < math.inf):
                 raise DomainError("masses must be finite and non-negative")
             raise DomainError("masses must carry some probability")
-        e = self.masses.size - 1 - _first_positive(self.masses[::-1])
-        self._run = (s, e)
-        self._gate_pass(s, e)
+        last = s if _mirror_right_half else _first_positive(masses[::-1])
+        e = masses.size - 1 - last
+        _set(self, "_run", (s, e))
+        self._gate_pass(masses, s, e, _mirror_right_half)
 
-    def _gate_pass(self, s: int, e: int) -> None:
-        """The gates and M in one blocked pass over the grid.
+    def _gate_pass(self, m: np.ndarray, s: int, e: int, fill: bool) -> None:
+        """The gates and M in one blocked pass over the grid ``m``.
 
         Edge cells may hold folded tail mass, so only the interior run is
         required to be log-concave; the fast path treats edges explicitly.
         The slack absorbs grid geometry (see _width_jitter); a density
         whose log-concavity defect sits below that scale is numerically
         indistinguishable from a log-concave one on this grid.  On a
-        mirrored grid the right half is read only by the mirror comparison:
-        its masses are the left half's, and the log-concavity triple around
-        cell i has its mirror's factors in the other order, so one half and
-        the centre decide.
+        mirrored grid the right half is read only to mirror it: its masses
+        are the left half's, and the log-concavity triple around cell i has
+        its mirror's factors in the other order, so one half and the centre
+        decide.  With ``fill`` the pass writes each left-half block, and the
+        cell its last triple reads, as the mirror of the right half just
+        before reading it; otherwise it compares the block with its mirror.
         """
-        m = self.masses
         K = m.size
         half = K // 2
         # centres of the interior triples; a mirrored grid needs those up to
@@ -168,7 +200,10 @@ class DiscretizedDist:
         mirrored = True
         for lo in range(0, half, _BLOCK):
             hi = min(lo + _BLOCK, half)
-            if mirrored:
+            if fill:
+                top = min(hi + 1, half)
+                m[lo:top] = m[K - top : K - lo][::-1]
+            elif mirrored:
                 mirrored = np.array_equal(m[lo:hi], m[K - hi : K - lo][::-1])
             state.block(m, lo, hi, s, e, lo_c, hi_c)
         if mirrored:
@@ -182,9 +217,9 @@ class DiscretizedDist:
             for lo in range(half, K, _BLOCK):
                 state.block(m, lo, min(lo + _BLOCK, K), s, e, lo_c, hi_c)
             last_c = hi_c
-        self._mirrored = mirrored
-        self._mass = state.total
-        self._fast_ok = state.contiguous and state.log_concave(m, lo_c, last_c)
+        _set(self, "_mirrored", mirrored)
+        _set(self, "_mass", state.total)
+        _set(self, "_fast_ok", state.contiguous and state.log_concave(m, lo_c, last_c))
 
 
 def _first_positive(masses: np.ndarray) -> int:
@@ -291,7 +326,8 @@ def discretize(
             "or decrease radius"
         )
     origin = -half_cells * step
-    masses = mech.grid_masses(step, half_cells)
+    masses = np.empty(2 * half_cells)
+    mech.grid_masses(step, masses[half_cells:])
     return DiscretizedDist(
         origin=origin,
         step=step,
@@ -299,6 +335,7 @@ def discretize(
         shift_cells=shift_cells,
         mass_error=mech.grid_mass_error(step, half_cells),
         fold=2.0 * float(mech.cdf(-half_cells * step)),
+        _mirror_right_half=True,
     )
 
 

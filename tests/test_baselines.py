@@ -14,6 +14,7 @@ from dpnoise.baselines import (
     gaussian_privacy_profile,
 )
 from dpnoise.core import ConvergenceError, DomainError, NoiseMechanism, PrivacyParams
+from dpnoise.verifier import discretize
 
 
 def brute_profiles(sigmas, epsilons, sens):
@@ -152,8 +153,8 @@ class TestLaplace:
         # height * scale, which is an ulp off at scale 49
         lap = Laplace(scale)
         step, half = scale / 700.0, 5000  # crosses a 4096-cell block edge
-        assert _bits(lap.grid_masses(step, half)) == _bits(
-            _frozen_laplace_grid_masses(scale, step, half)
+        assert _bits(lap.grid_masses(step, np.empty(half))) == _bits(
+            _frozen_laplace_grid_masses(scale, step, half)[half:]
         )
         u = np.array([2.0**-53, 1e-9, 0.25, 0.5 - 1e-12, 0.5,
                       0.5 + 1e-12, 0.75, 1.0 - 1e-9, 1.0 - 2.0**-53])
@@ -227,21 +228,23 @@ class TestLaplace:
         lap, step = Laplace(1.3), 1e-3
         radius = float(lap.quantile(1.0 - 5e-13))  # discretize's default
         half = math.ceil(radius / step - 1e-12)
-        fast = lap.grid_masses(step, half)
-        ref = NoiseMechanism.grid_masses(lap, step, half)
-        assert fast.shape == ref.shape == (2 * half,)
-        np.testing.assert_allclose(fast[1:-1], ref[1:-1], rtol=1e-10, atol=0.0)
-        # Each outermost cell holds its whole unbounded tail.  The default
-        # path folds the right tail in as 1 - cdf, which rounds at ulp(1).
+        fast = lap.grid_masses(step, np.empty(half))
+        ref = NoiseMechanism.grid_masses(lap, step, np.empty(half))
+        assert fast.shape == ref.shape == (half,)
+        np.testing.assert_allclose(fast[:-1], ref[:-1], rtol=1e-10, atol=0.0)
+        # The outermost cell holds its whole unbounded tail.  The default
+        # path folds the tail in as 1 - cdf, which rounds at ulp(1).
         tail = 0.5 * math.exp(-(half - 1) * step / 1.3)
         assert fast[-1] == pytest.approx(tail, rel=1e-14, abs=0)
         assert abs(fast[-1] - ref[-1]) <= 2.0**-52
-        assert fast[0] == pytest.approx(ref[0], rel=1e-10)
-        assert np.array_equal(fast, fast[::-1])
-        assert abs(float(fast.sum()) - 1.0) <= 1e-14
-        pos = fast[half:]
+        # discretize lays the negative half out as the mirror image
+        grid = discretize(lap, 1.0, step=step, radius=radius).masses
+        assert _bits(grid[half:]) == _bits(fast)
+        assert grid[0] == pytest.approx(ref[-1], rel=1e-10)
+        assert np.array_equal(grid, grid[::-1])
+        assert abs(float(grid.sum()) - 1.0) <= 1e-14
         np.testing.assert_allclose(
-            pos[1:-1] / pos[:-2], math.exp(-step / 1.3), rtol=1e-14, atol=0.0
+            fast[1:-1] / fast[:-2], math.exp(-step / 1.3), rtol=1e-14, atol=0.0
         )
 
     def test_gaussian_and_uniform_keep_the_default_grid_masses(self):

@@ -10,6 +10,7 @@ from test_core import _Triangle
 from dpnoise.baselines import BoundedUniform, Gaussian, Laplace
 from dpnoise.core import DomainError, NoiseMechanism, PrivacyParams, Sensitivity
 from dpnoise.trunclap import TruncatedLaplace
+from dpnoise.verifier import discretize
 
 P_REF = PrivacyParams(1.0, 1e-5)
 SENS = Sensitivity(1.0)
@@ -179,7 +180,8 @@ class TestDistributionSurface:
 
 
 class TestGridMasses:
-    """The closed-form cell masses against the default interval_mass path."""
+    """The closed-form positive half against the default _upper_mass path,
+    and the full grid that discretize mirrors from it."""
 
     STEP = 1e-3
 
@@ -193,9 +195,9 @@ class TestGridMasses:
     def test_matches_default_path(self, eps, delta):
         mech = TruncatedLaplace.from_privacy(PrivacyParams(eps, delta), 1.0)
         half = self._half_cells(mech.radius, self.STEP)
-        fast = mech.grid_masses(self.STEP, half)
-        ref = NoiseMechanism.grid_masses(mech, self.STEP, half)
-        assert fast.shape == ref.shape == (2 * half,)
+        fast = mech.grid_masses(self.STEP, np.empty(half))
+        ref = NoiseMechanism.grid_masses(mech, self.STEP, np.empty(half))
+        assert fast.shape == ref.shape == (half,)
         np.testing.assert_allclose(fast, ref, rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize(
@@ -204,7 +206,8 @@ class TestGridMasses:
     def test_symmetry_total_and_geometric_ratio(self, eps, delta):
         mech = TruncatedLaplace.from_privacy(PrivacyParams(eps, delta), 1.0)
         half = self._half_cells(mech.radius, self.STEP)
-        m = mech.grid_masses(self.STEP, half)
+        m = discretize(mech, 1.0, step=self.STEP).masses
+        assert m.size == 2 * half
         assert np.array_equal(m, m[::-1])
         assert abs(float(m.sum()) - 1.0) <= 1e-14
         # equal-width interior cells: each holds e^(-h/scale) of the previous
@@ -224,7 +227,8 @@ class TestGridMasses:
         mpmath = pytest.importorskip("mpmath")
         mech = TruncatedLaplace.from_privacy(PrivacyParams(eps, delta), 1.0)
         half = self._half_cells(mech.radius, self.STEP)
-        masses = mech.grid_masses(self.STEP, half)
+        masses = discretize(mech, 1.0, step=self.STEP).masses
+        assert masses.size == 2 * half
         assert masses[0] == masses[-1]
         with mpmath.workdps(40):
             scale, radius = mpmath.mpf(mech.scale), mpmath.mpf(mech.radius)
@@ -240,22 +244,27 @@ class TestGridMasses:
     def test_radius_below_support_folds_the_rest(self):
         mech = TruncatedLaplace.from_privacy(P_REF, 1.0)
         half = self._half_cells(0.5 * mech.radius, self.STEP)
-        fast = mech.grid_masses(self.STEP, half)
-        ref = NoiseMechanism.grid_masses(mech, self.STEP, half)
+        fast = mech.grid_masses(self.STEP, np.empty(half))
+        ref = NoiseMechanism.grid_masses(mech, self.STEP, np.empty(half))
         np.testing.assert_allclose(fast, ref, rtol=1e-10, atol=0.0)
-        assert abs(float(fast.sum()) - 1.0) <= 1e-14
+        assert abs(float(fast.sum()) - 0.5) <= 0.5e-14
 
     def test_radius_above_support_leaves_zero_cells(self):
         mech = TruncatedLaplace.from_privacy(P_REF, 1.0)
-        half = self._half_cells(1.5 * mech.radius, self.STEP)
-        fast = mech.grid_masses(self.STEP, half)
-        ref = NoiseMechanism.grid_masses(mech, self.STEP, half)
+        radius = 1.5 * mech.radius
+        half = self._half_cells(radius, self.STEP)
+        fast = mech.grid_masses(self.STEP, np.empty(half))
+        ref = NoiseMechanism.grid_masses(mech, self.STEP, np.empty(half))
         np.testing.assert_allclose(fast, ref, rtol=1e-10, atol=0.0)
         outside = half - math.ceil(mech.radius / self.STEP)
         assert outside > 1000
-        assert np.all(fast[:outside] == 0.0)
         assert np.all(fast[-outside:] == 0.0)
-        assert fast[outside] > 0.0
+        assert fast[-outside - 1] > 0.0
+        grid = discretize(mech, 1.0, step=self.STEP, radius=radius).masses
+        assert grid.size == 2 * half
+        assert np.all(grid[:outside] == 0.0)
+        assert np.all(grid[-outside:] == 0.0)
+        assert grid[outside] > 0.0
 
 
 class TestPrivacyStructure:

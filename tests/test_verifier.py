@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -147,6 +149,39 @@ def brute_fast_forward_violations(masses, suffix, s, e, c, max_shift):
     return viol_interior + dip_term + past + left_term
 
 
+def brute_grid_masses(mech, step, half_cells):
+    """The full grid as the mechanisms built it when each wrote all 2H
+    cells and mirrored them itself, kept verbatim as the reference: the
+    truncated Laplacian's closed form, and the default from the half-line
+    mass for the others."""
+    H = int(half_cells)
+    masses = np.empty(2 * H)
+    pos = masses[H:]
+    if isinstance(mech, TruncatedLaplace):
+        t = step / mech.scale
+        if math.isinf(mech.radius):
+            full, span = H - 1, math.inf
+        else:
+            radius, h = Fraction(mech.radius), Fraction(step)
+            full = min(H - 1, math.floor(radius / h))
+            span = float(radius - full * h) / mech.scale
+        full = max(0, full)
+        inner = np.exp(-t * np.arange(4096))
+        head = mech._area * -math.expm1(-t)
+        for lo in range(0, full, 4096):
+            hi = min(lo + 4096, full)
+            np.multiply(head * math.exp(-t * lo), inner[: hi - lo], out=pos[lo:hi])
+        k = np.arange(full, H)
+        spans = np.where(k == full, span, 0.0)
+        pos[full:] = mech._area * np.exp(-k * t) * -np.expm1(-spans)
+    else:
+        edges = step * np.arange(H + 1, dtype=float)
+        edges[-1] = math.inf
+        pos[:] = np.maximum(mech._upper_mass(edges[:-1], edges[1:]), 0.0)
+    masses[:H] = pos[::-1]
+    return masses
+
+
 def brute_dp_check(masses, shift_cells, params):
     """The search of dp_check with whole-grid gates and suffix sums and
     nothing cached, kept verbatim from before the tail-only sums, as the
@@ -242,6 +277,37 @@ class TestDiscretizedDist:
 
     def test_fast_flag_interior_zero(self):
         assert make_dist([0.3, 0.0, 0.3, 0.4])._fast_ok is False
+
+    @pytest.mark.parametrize(
+        "bad", [True, False, 2.5, 1.9999, 2.0, 0, -3, np.int64(0), "2", None]
+    )
+    def test_shift_cells_must_be_an_integer_of_at_least_one(self, bad):
+        # a float or a bool was truncated, so the grid checked a shift other
+        # than the sensitivity the caller stated
+        with pytest.raises(DomainError, match=r"^shift_cells must be an integer >= 1"):
+            make_dist([0.25, 0.5, 0.25], shift_cells=bad)
+        d = make_dist([0.25, 0.5, 0.25], shift_cells=np.int64(3))
+        assert d.shift_cells == 3 and type(d.shift_cells) is int
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_origin_must_be_finite(self, bad):
+        with pytest.raises(DomainError, match=r"^origin must be finite"):
+            DiscretizedDist(origin=bad, step=0.1, masses=[0.5, 0.5], shift_cells=1)
+
+    def test_fields_are_frozen(self):
+        # the checks cache their results per epsilon from these fields, so a
+        # field set after a check would mix old results with new fields
+        p = PrivacyParams(1.0, 1e-4)
+        d = discretize(TruncatedLaplace.from_privacy(p, 1.0), 1.0, step=0.05)
+        before = dp_check(d, p)
+        for name, value in [
+            ("origin", 0.0), ("step", 0.01), ("masses", np.ones(4)),
+            ("shift_cells", 50), ("mass_error", 0.2), ("fold", 0.1), ("_run", (0, 1)),
+        ]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(d, name, value)
+        assert d.shift_cells == 20 and d.fold == 0.0
+        assert dp_check(d, p) == before
 
     def test_masses_are_frozen(self):
         # the gates, the suffix sums and the per-epsilon results are cached
@@ -654,6 +720,137 @@ class TestBlockedKernels:
             assert d._mass == pytest.approx(masses.sum(), rel=1e-14)
             flags.append(d._fast_ok)
         assert flags[:2] == [True, True] and not any(flags[2:])
+
+
+def _outcome(dist, params):
+    """dp_check's report, or the message of the DomainError it raises."""
+    try:
+        return dp_check(dist, params)
+    except DomainError as exc:
+        return str(exc)
+
+
+class _StatedHalf(Laplace):
+    """Laplace noise whose stated positive half has cells overwritten."""
+
+    def __init__(self, edits):
+        super().__init__(1.0)
+        self.edits = edits
+
+    def grid_masses(self, step, out):
+        super().grid_masses(step, out)
+        for key, value in self.edits:
+            out[key] = value
+        return out
+
+
+# (eps, delta, step); the uniform grid has 1/(delta*step) cells, so it skips
+# the last point, whose trunclap grid spans a dozen gate blocks
+_MIRROR_POINTS = [(1.0, 1e-3, 1e-2), (0.5, 1e-2, 1e-3), (2.0, 0.05, 0.05), (0.05, 1e-6, 1e-3)]
+
+
+class TestMirrorFromTheRightHalf:
+    """discretize's grids, whose left half the gate pass writes as the
+    mirror of the positive half the mechanism states, against the full
+    grid the mechanisms used to build and a hand-built grid of it: masses,
+    gate facts and reports bit for bit."""
+
+    @staticmethod
+    def _check_against_reference(mech, eps, delta, step, radius=None):
+        d = discretize(mech, 1.0, step=step, radius=radius)
+        ref = brute_grid_masses(mech, step, d.masses.size // 2)
+        assert d.masses.tobytes() == ref.tobytes()
+        hand = DiscretizedDist(
+            origin=d.origin, step=d.step, masses=ref, shift_cells=d.shift_cells,
+            mass_error=d.mass_error, fold=d.fold,
+        )
+        assert hand._mirrored and d._mirrored
+        assert d._run == hand._run
+        assert d._fast_ok == hand._fast_ok == brute_fast_ok(ref)
+        assert np.float64(d._mass).tobytes() == np.float64(hand._mass).tobytes()
+        for params in (PrivacyParams(eps, delta), PrivacyParams(eps, delta / 2.0)):
+            assert _outcome(d, params) == _outcome(hand, params)
+        assert d._by_c == hand._by_c
+        return d
+
+    @pytest.mark.parametrize(
+        "name, eps, delta, step",
+        [
+            (name, *point)
+            for name in MECHANISM_NAMES
+            for point in _MIRROR_POINTS
+            if name != "uniform" or point[1] * point[2] >= 1e-6
+        ],
+    )
+    def test_every_mechanism(self, name, eps, delta, step):
+        p = PrivacyParams(eps, delta)
+        d = self._check_against_reference(make_mechanism(name, p, 1.0), eps, delta, step)
+        # the unbounded grids end in a cell that holds the folded tail
+        assert (d.fold > 0.0) == name.startswith(("gaussian", "laplace"))
+
+    @pytest.mark.parametrize("cut", [0.5, 0.9, 1.5])
+    def test_trunclap_radius_cut(self, cut):
+        # inside the support the outer cells fold the rest in; beyond it the
+        # outer cells are 0 and the run ends inside the grid
+        p = PrivacyParams(1.0, 1e-5)
+        mech = TruncatedLaplace.from_privacy(p, 1.0)
+        d = self._check_against_reference(mech, 1.0, 1e-5, 1e-3, cut * mech.radius)
+        assert (d.fold > 0.0) == (cut < 1.0)
+        assert (d._run[1] < d.masses.size - 1) == (cut > 1.0)
+
+    def test_half_a_whole_number_of_blocks(self):
+        # 2 * _BLOCK cells a side, and Laplace masses that underflow to 0
+        # long before the edge
+        d = self._check_against_reference(Laplace(1.3), 1.0, 1e-3, 1 / 64, _BLOCK / 32)
+        assert d.masses.size == 4 * _BLOCK and d._run[1] < d.masses.size - 1
+
+    def test_discretize_never_compares_the_mirror(self, monkeypatch):
+        calls = []
+        array_equal = np.array_equal
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return array_equal(*args, **kwargs)
+
+        monkeypatch.setattr(np, "array_equal", counted)
+        p = PrivacyParams(0.5, 1e-2)
+        for name in MECHANISM_NAMES:
+            d = discretize(make_mechanism(name, p, 1.0), 1.0, step=1e-3)
+            assert d._mirrored and dp_check(d, p).path == "fast"
+        assert calls == []
+        hand = make_dist([0.1, 0.2, 0.4, 0.2, 0.1])
+        assert len(calls) == 1 and hand._mirrored
+        # log-concave but not mirrored: compared, and scanned in both directions
+        x = np.linspace(-4.0, 4.0, 400)
+        q = np.exp(-0.5 * np.where(x < 0.0, x, 2.0 * x) ** 2)
+        skew = make_dist(q / q.sum(), step=0.02, shift_cells=50)
+        assert len(calls) == 2 and skew._fast_ok and not skew._mirrored
+        assert dp_check(skew, PrivacyParams(0.5, 1e-3)).path == "direct"
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            [(0, math.nan)],
+            [(17, -0.25)],
+            [(-1, -1e-300)],
+            [(-1, math.inf)],
+            [(slice(None), 0.0)],
+            [(slice(None), 0.0), (-1, math.nan)],
+            [(slice(None), 0.0), (3, -1.0)],
+        ],
+    )
+    def test_a_bad_stated_half_keeps_its_message(self, edits):
+        mech = _StatedHalf(edits)
+        half = mech.grid_masses(0.1, np.empty(30))
+        with pytest.raises(DomainError) as by_hand:
+            make_dist(np.concatenate([half[::-1], half]), step=0.1, shift_cells=10)
+        with pytest.raises(DomainError) as stated:
+            discretize(mech, 1.0, step=0.1, radius=3.0)
+        assert str(stated.value) == str(by_hand.value)
+        assert str(stated.value) in (
+            "masses must be finite and non-negative",
+            "masses must carry some probability",
+        )
 
 
 @st.composite
