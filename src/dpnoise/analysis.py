@@ -47,6 +47,13 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
+def _require_count(value, least: int, message: str) -> None:
+    """DomainError(message) unless ``value`` is an int of at least ``least``:
+    np.geomspace refuses a float count late, and takes True as 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise DomainError(f"{message}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid and cost conventions for a bounds-vs-baselines sweep."""
@@ -68,10 +75,7 @@ class SweepConfig:
         if self.eps_min > self.eps_max or self.delta_min > self.delta_max:
             raise DomainError("grid bounds must satisfy min <= max")
         for name in ("eps_points", "delta_points"):
-            # np.geomspace refuses a float count late, and takes True as 1
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+            _require_count(getattr(self, name), 1, f"{name} must be an integer >= 1")
         object.__setattr__(self, "cost", CostKind.parse(self.cost))
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -209,8 +213,7 @@ def tightness_curve(
     """
     sens = as_sensitivity(sensitivity)
     cost = CostKind.parse(cost)
-    if points < 2:
-        raise DomainError("a tightness curve needs at least 2 points")
+    _require_count(points, 2, "a tightness curve needs at least 2 points")
     if regime is LimitRegime.EPS_TO_ZERO:
         anchor = 1e-3 if anchor is None else float(anchor)
         swept = np.geomspace(0.1, 1e-7, points) if values is None else values
@@ -269,10 +272,7 @@ def _float_table(rows: list, spec: str) -> tuple[list[str], list[str], list]:
     value must be a finite float, as every field of a sweep or tightness
     row is."""
     names = [f.name for f in dataclasses.fields(rows[0])]
-    if len(names) < 2:
-        values = [getattr(row, n) for row in rows for n in names]
-    else:
-        values = list(chain.from_iterable(map(attrgetter(*names), rows)))
+    values = list(chain.from_iterable(map(attrgetter(*names), rows)))
     if set(map(type, values)) - {float} or not all(map(math.isfinite, values)):
         raise DomainError("csv and json rows must hold finite floats only")
     specs = [spec] * len(names)

@@ -8,7 +8,9 @@ samples); diagnostics go to stderr as one ``error: ...`` line each.
 
 Every flag can also come from a flat ``key = value`` config file passed as
 ``--config`` (keys mirror the flag names without the leading dashes, and a
-key that names no flag is an error); explicit flags win over the file.
+key that names no flag is an error; a ``#`` at the start of a line or after
+whitespace begins a comment, so ``ledger = runs#2.jsonl`` names that file);
+explicit flags win over the file.
 ``DPNL_SEED`` supplies a default seed: a 64-bit unsigned secret that, with
 the ledger's query ids, reproduces every release.  Without a seed, `query`
 and `sample` draw fresh OS entropy, which nothing recorded can reproduce.
@@ -20,6 +22,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from enum import Enum
 
@@ -86,7 +89,8 @@ def _load_config(path: str) -> dict[str, str]:
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
+                # a '#' inside a value, as in a path, is part of it
+                line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
                 if not line:
                     continue
                 if "=" not in line:

@@ -26,42 +26,40 @@ hide.  It has four parts, reported separately and summed:
 A check that would pass with a tolerance above half its delta cannot tell
 delta from delta/2, and ``dp_check`` refuses it with a DomainError.
 
-For efficiency, grids whose cell masses are log-concave and exactly
-mirrored (those of every mechanism this package ships) use an exact fast
-path.  There shift -j mirrors +j, so only positive shifts are checked; the
-optimal cell set for each is a run of cells ending at the support edge,
-found by binary search on the monotone mass-ratio sequence and summed via
-suffix sums.  Edge cells — which carry folded-in tail mass and may break
+For efficiency, grids whose cell masses are log-concave (those of every
+mechanism this package ships) use an exact fast path.  The optimal cell set
+for each shift is a run of cells ending at the support edge, found by
+binary search on the monotone mass-ratio sequence and summed via suffix
+sums.  Edge cells — which carry folded-in tail mass and may break
 log-concavity — are accounted for separately and exactly.  On such a grid
 d changes sign once outside the flat band, at the crossing the search
 finds, so the fast path takes its tolerance from O(shift_cells + log K)
-cells and M.  Every other grid falls back to the direct scan of both
-directions and a full scan of the same tolerance formula.
+cells and M.  Every other grid falls back to the direct scan and a full
+scan of the same tolerance formula.
 
-Cell masses come from the mechanism (``NoiseMechanism.grid_masses``), which
-states the positive half: the exponential mechanisms in closed form, the
-others from their half-line mass.  ``discretize`` lets it fill the right
-half of the grid, and the noise is symmetric, so the left half is the
-mirror image.  The grid's gates (finite and non-negative, the support run
-and log-concavity) and M are one blocked pass, which on a mirrored grid
-reads the left half and the centre only.  On a grid from ``discretize`` the
-pass writes each left-half block as the mirror of the right half just
-before it reads it; a grid built by hand is compared with its mirror
-instead, and one that is not mirrored is gated over both halves.  The fast
-path then sums only the tail it reads (for a truncated Laplacian, about
-one sensitivity at the support edge), so after ``grid_masses`` a fast-path
-grid from ``discretize`` has its right half read once, by the mirror copy,
-each left-half block gated while it is in cache, and that tail.  A grid
-caches its result per e^eps, so a second check at the same epsilon only
-compares it with its delta.  Apart from the masses and that tail, no
-temporary outgrows a byte per cell.
+Every grid is symmetric about 0, as the noise of every mechanism here is
+(and symmetrizing a mechanism keeps both its privacy and its cost).  Its
+right half is the positive half the mechanism states
+(``NoiseMechanism.grid_masses``: the exponential mechanisms in closed form,
+the others from their half-line mass) and its left half is the mirror
+image.  Shift -j then gives the terms of +j in reverse order, so both paths
+check the shifts 1..shift_cells only.  The grid's gates (finite and
+non-negative, the support run and log-concavity) and M are one blocked
+pass over the left half, which writes each left-half block as the mirror
+of the right half just before it reads it.  The fast path then sums only
+the tail it reads (for a truncated Laplacian, about one sensitivity at the
+support edge), so after ``grid_masses`` a fast-path grid has its right
+half read once, by the mirror copy, each left-half block gated while it is
+in cache, and that tail.  A grid caches its result per e^eps, so a second
+check at the same epsilon only compares it with its delta.  Apart from the
+masses and that tail, no temporary outgrows a byte per cell.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,45 +96,42 @@ def _gamma(n: int) -> float:
 _set = object.__setattr__  # sets a field of a frozen grid while it is built
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscretizedDist:
-    """Cell masses of a noise distribution on a regular grid.
+    """Cell masses of a noise distribution on a regular grid, symmetric
+    about 0.
 
-    Cell ``i`` covers ``[origin + i*step, origin + (i+1)*step)``; a shift of
-    the underlying variable by one sensitivity moves mass by exactly
-    ``shift_cells`` cells.  ``mass_error`` bounds the relative error of each
-    mass (0: the masses are exact as given) and ``fold`` is the tail mass
-    folded into the two edge cells; ``discretize`` takes both from the
-    mechanism.
+    ``masses`` holds an even number 2H of cells, and cell ``i`` covers
+    ``[(i - H)*step, (i - H + 1)*step)``.  Only the right half
+    ``masses[H:]`` is read: the positive half, as
+    ``NoiseMechanism.grid_masses`` states it.  The left half is
+    overwritten with its mirror image while the grid is gated (a
+    read-only array is copied first).  A shift of the underlying variable
+    by one sensitivity moves mass by exactly ``shift_cells`` cells.
+    ``mass_error`` bounds the relative error of each mass (0: the masses
+    are exact as given) and ``fold`` is the tail mass folded into the two
+    edge cells; ``discretize`` takes both from the mechanism.
 
     A grid is frozen: the facts the checks derive from the masses are
     cached on it, so its fields cannot be set and ``masses`` is a read-only
     view.  The array passed in stays writable and must not be changed while
-    the grid is in use.
+    the grid is in use.  Two grids are equal only if they are the same
+    object.
     """
 
-    origin: float
     step: float
     masses: np.ndarray
     shift_cells: int
     mass_error: float = 0.0
     fold: float = 0.0
-    # discretize's grids state the right half only; the gate pass writes
-    # the left half as its mirror
-    _mirror_right_half: InitVar[bool] = False
 
     # derived, filled in __post_init__ and by the checks
     _run: tuple[int, int] = field(init=False, repr=False)
     _fast_ok: bool = field(init=False, repr=False)
-    _mirrored: bool = field(init=False, repr=False)
     _mass: float = field(init=False, repr=False)  # M, summed by the gate pass
     _by_c: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __post_init__(self, _mirror_right_half: bool) -> None:
-        origin = float(self.origin)
-        if not math.isfinite(origin):
-            raise DomainError(f"origin must be finite, got {origin!r}")
-        _set(self, "origin", origin)
+    def __post_init__(self) -> None:
         _set(self, "step", _require_finite_positive(self.step, "step"))
         n = self.shift_cells
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
@@ -151,75 +146,56 @@ class DiscretizedDist:
             raise DomainError(f"fold must be finite and >= 0, got {fold!r}")
         _set(self, "fold", fold)
         masses = np.asarray(self.masses, dtype=float)
+        if masses.ndim != 1 or masses.size == 0 or masses.size % 2:
+            raise DomainError(
+                "masses must be a 1-d array of an even, non-zero number of "
+                f"cells, got shape {masses.shape}"
+            )
+        if not masses.flags.writeable:
+            masses = masses.copy()
         view = masses.view()
         view.flags.writeable = False
         _set(self, "masses", view)
-        if masses.ndim != 1 or masses.size == 0:
-            raise DomainError("masses must be a non-empty 1-d array")
-        # The gates read only what the caller stated: with a mirrored right
-        # half, the first positive cell mirrors the right half's last one.
-        if _mirror_right_half:
-            stated = masses[masses.size // 2 :]
-            s = _first_positive(stated[::-1])
-        else:
-            stated = masses
-            s = _first_positive(masses)
+        # The gates read only the stated right half: the first positive
+        # cell mirrors the right half's last one.
+        stated = masses[masses.size // 2 :]
+        s = _first_positive(stated[::-1])
         if s < 0:
             # min/max reject negatives, NaN (min is NaN) and infinities
             # without a grid-sized temporary.
             if not (stated.min() >= 0.0 and stated.max() < math.inf):
                 raise DomainError("masses must be finite and non-negative")
             raise DomainError("masses must carry some probability")
-        last = s if _mirror_right_half else _first_positive(masses[::-1])
-        e = masses.size - 1 - last
+        e = masses.size - 1 - s
         _set(self, "_run", (s, e))
-        self._gate_pass(masses, s, e, _mirror_right_half)
+        self._gate_pass(masses, s, e)
 
-    def _gate_pass(self, m: np.ndarray, s: int, e: int, fill: bool) -> None:
-        """The gates and M in one blocked pass over the grid ``m``.
+    def _gate_pass(self, m: np.ndarray, s: int, e: int) -> None:
+        """The gates and M in one blocked pass over the left half of ``m``.
 
         Edge cells may hold folded tail mass, so only the interior run is
         required to be log-concave; the fast path treats edges explicitly.
         The slack absorbs grid geometry (see _width_jitter); a density
         whose log-concavity defect sits below that scale is numerically
-        indistinguishable from a log-concave one on this grid.  On a
-        mirrored grid the right half is read only to mirror it: its masses
-        are the left half's, and the log-concavity triple around cell i has
-        its mirror's factors in the other order, so one half and the centre
-        decide.  With ``fill`` the pass writes each left-half block, and the
-        cell its last triple reads, as the mirror of the right half just
-        before reading it; otherwise it compares the block with its mirror.
+        indistinguishable from a log-concave one on this grid.  The pass
+        writes each left-half block, and the cell its last triple reads,
+        as the mirror of the right half just before reading it.  The right
+        half is then read only by that copy: its masses are the left
+        half's, and the log-concavity triple around cell i has its
+        mirror's factors in the other order, so the left half decides.
         """
         K = m.size
         half = K // 2
-        # centres of the interior triples; a mirrored grid needs those up to
-        # the middle only
-        lo_c, hi_c = s + 2, e - 1
-        mid_c = min(hi_c, (K - 1) // 2 + 1)
+        # centres of the interior triples in the left half
+        lo_c, hi_c = s + 2, min(e - 1, half)
         state = _GateState(max(1e-10, 8.0 * _width_jitter(K)))
-        mirrored = True
         for lo in range(0, half, _BLOCK):
             hi = min(lo + _BLOCK, half)
-            if fill:
-                top = min(hi + 1, half)
-                m[lo:top] = m[K - top : K - lo][::-1]
-            elif mirrored:
-                mirrored = np.array_equal(m[lo:hi], m[K - hi : K - lo][::-1])
+            top = min(hi + 1, half)
+            m[lo:top] = m[K - top : K - lo][::-1]
             state.block(m, lo, hi, s, e, lo_c, hi_c)
-        if mirrored:
-            # twice the left half, and the middle cell of an odd grid with
-            # the triple around it
-            left, state.total = state.total, 0.0
-            state.block(m, half, K - half, s, e, lo_c, mid_c)
-            state.total += 2.0 * left
-            last_c = mid_c
-        else:
-            for lo in range(half, K, _BLOCK):
-                state.block(m, lo, min(lo + _BLOCK, K), s, e, lo_c, hi_c)
-            last_c = hi_c
-        _set(self, "_mirrored", mirrored)
-        _set(self, "_mass", state.total)
-        _set(self, "_fast_ok", state.contiguous and state.log_concave(m, lo_c, last_c))
+        _set(self, "_mass", 2.0 * state.total)
+        _set(self, "_fast_ok", state.contiguous and state.log_concave(m, lo_c, hi_c))
 
 
 def _first_positive(masses: np.ndarray) -> int:
@@ -325,17 +301,14 @@ def discretize(
             f"grid of {2 * half_cells} cells is too large; increase step "
             "or decrease radius"
         )
-    origin = -half_cells * step
     masses = np.empty(2 * half_cells)
     mech.grid_masses(step, masses[half_cells:])
     return DiscretizedDist(
-        origin=origin,
         step=step,
         masses=masses,
         shift_cells=shift_cells,
         mass_error=mech.grid_mass_error(step, half_cells),
         fold=2.0 * float(mech.cdf(-half_cells * step)),
-        _mirror_right_half=True,
     )
 
 
@@ -344,20 +317,13 @@ def discretize(
 
 
 def _direct_violation(masses: np.ndarray, c: float, j: int) -> float:
-    """sum_i max(0, p_i - c * p_{i+j}) by full scan; shifted-out cells are 0."""
+    """sum_i max(0, p_i - c * p_{i+j}) for a shift j >= 1 by full scan;
+    shifted-out cells are 0."""
     K = masses.size
-    jj = abs(j)
-    if jj == 0:
-        return 0.0  # c = e^eps >= 1
-    if jj >= K:
+    if j >= K:
         return float(masses.sum())
-    if j > 0:
-        overlap = np.maximum(masses[: K - jj] - c * masses[jj:], 0.0).sum()
-        spill = masses[K - jj :].sum()
-    else:
-        overlap = np.maximum(masses[jj:] - c * masses[: K - jj], 0.0).sum()
-        spill = masses[:jj].sum()
-    return float(overlap + spill)
+    overlap = np.maximum(masses[: K - j] - c * masses[j:], 0.0).sum()
+    return float(overlap + masses[K - j :].sum())
 
 
 def _fast_forward_violations(
@@ -462,7 +428,7 @@ class ViolationReport:
     """Outcome of a full privacy check of a discretized mechanism."""
 
     max_violation: float
-    worst_shift: float  # in noise units (the worst cell shift times step)
+    worst_shift: float  # in noise units (the worst cell shift, >= 1, times step)
     passed: bool
     step: float
     tolerance: float
@@ -611,19 +577,16 @@ def _fast_result(dist: DiscretizedDist, c: float):
     worst = float(violations[worst_j - 1])
     eta = _flat_band(dist)
     flat = eta * dist._mass / (1.0 - eta)
-    if worst <= 0.0:
-        return 0.0, 0, (flat, 0.0, 0.0, _fold_part(dist, c))
     straddle = _fast_straddle(dist, c, worst_j, eta, int(lead[worst_j - 1]))
     rounding = (_gamma(n + 4) + dist.mass_error) * float(reads[worst_j - 1])
     return worst, worst_j, (flat, straddle, rounding, _fold_part(dist, c))
 
 
 def _direct_result(dist: DiscretizedDist, c: float):
-    worst, worst_j = 0.0, 0
-    for j in range(-dist.shift_cells, dist.shift_cells + 1):
-        v = _direct_violation(dist.masses, c, j)
-        if v > worst:
-            worst, worst_j = v, j
+    shifts = range(1, dist.shift_cells + 1)
+    violations = [_direct_violation(dist.masses, c, j) for j in shifts]
+    worst = max(violations)
+    worst_j = violations.index(worst) + 1
     flat, straddle, read = _scan_tolerance(dist.masses, c, worst_j, _flat_band(dist))
     rounding = (_gamma(dist.masses.size + 2) + dist.mass_error) * read
     return worst, worst_j, (flat, straddle, rounding, _fold_part(dist, c))
@@ -637,10 +600,11 @@ def _fold_part(dist: DiscretizedDist, c: float) -> float:
 def dp_check(dist: DiscretizedDist, params: PrivacyParams) -> ViolationReport:
     """Check a discretized mechanism against a privacy target.
 
-    Scans every cell-multiple shift ``j`` in [-shift_cells, shift_cells]
-    (on the fast path only ``j > 0``, which mirror ``j < 0``), reports the
-    worst violation, and passes iff it is at most ``delta + tolerance``
-    where the tolerance covers what the grid cannot resolve.  Worst shifts
+    Scans every cell-multiple shift ``j`` in 1..shift_cells (on the
+    symmetric grid shift -j gives the terms of +j in reverse order),
+    reports the worst violation, and passes iff it is at most ``delta +
+    tolerance`` where the tolerance covers what the grid cannot resolve.
+    The fast path runs iff the grid is log-concave.  Worst shifts
     of the mechanisms in scope occur at the full sensitivity, which is
     exactly representable on the grid.  Raises DomainError where the check
     would pass with a tolerance above delta/2: such a grid cannot tell delta
@@ -648,7 +612,7 @@ def dp_check(dist: DiscretizedDist, params: PrivacyParams) -> ViolationReport:
     tolerance.
     """
     c = _exp_epsilon(params.epsilon)
-    fast = dist._fast_ok and dist._mirrored
+    fast = dist._fast_ok
     # The worst violation, its shift and the tolerance depend on the grid
     # and c alone, so a check at another delta only compares.
     if c not in dist._by_c:

@@ -224,9 +224,13 @@ class TestTightnessCurve:
         rows = tightness_curve(LimitRegime.EPS_TO_ZERO, values=vals)
         assert [r.epsilon for r in rows] == pytest.approx(list(vals))
 
-    def test_needs_two_points(self):
-        with pytest.raises(DomainError):
-            tightness_curve(LimitRegime.DIAGONAL, points=1)
+    @pytest.mark.parametrize("points", [1, 0, 2.5, 3.0, True, "3", None, np.int64(3)])
+    def test_needs_two_points(self, points):
+        # 2.5 ended in np.geomspace's TypeError; the count check is
+        # SweepConfig's
+        message = r"^a tightness curve needs at least 2 points"
+        with pytest.raises(DomainError, match=message):
+            tightness_curve(LimitRegime.DIAGONAL, points=points)
 
 
 @pytest.fixture(scope="module")

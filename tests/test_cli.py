@@ -822,6 +822,40 @@ class TestConfigFile:
             2.674948670796755, rel=1e-14
         )
 
+    def test_hash_inside_a_value_is_kept(self, capsys, tmp_path, spend_csv):
+        # every line was cut at its first '#', so this charged, and created,
+        # a ledger named 'runs'
+        ledger = tmp_path / "runs#2.jsonl"
+        conf = tmp_path / "dp.conf"
+        conf.write_text(
+            "# the ledger of the second run\n"
+            f"ledger = {ledger}  # a comment after whitespace\n"
+            "eps = 1\t# and after a tab\n"
+            "delta = 1e-5\n"
+        )
+        code, out, err = run(
+            capsys, "query", "--input", str(spend_csv), "--column", "spend",
+            "--seed", "7", "--config", str(conf),
+        )
+        assert code == 0, err
+        assert json.loads(out)["epsilon_spent"] == 1.0
+        (line,) = ledger.read_text().splitlines()
+        assert json.loads(line)["epsilon"] == 1.0
+        assert not (tmp_path / "runs").exists()
+
+    def test_full_line_comment_may_hold_anything(self, capsys, tmp_path):
+        conf = tmp_path / "dp.conf"
+        conf.write_text(
+            "#eps = 7\n"
+            "  # delta = 0.3 # no key = value here\n"
+            "eps = 0.1\n"
+            "delta = 0.05\n"
+        )
+        code, out, err = run(capsys, "bounds", "--config", str(conf))
+        assert code == 0, err
+        payload = json.loads(out)
+        assert (payload["epsilon"], payload["delta"]) == (0.1, 0.05)
+
     def test_explicit_flag_wins(self, capsys, tmp_path):
         conf = tmp_path / "dp.conf"
         conf.write_text("eps = 0.1\ndelta = 0.05\n")

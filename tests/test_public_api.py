@@ -80,13 +80,14 @@ def test_removed_names_are_gone(name):
     "owner,name",
     [
         (DiscretizedDist, "total_mass"),
+        (DiscretizedDist, "origin"),
         (AggregateKind, "parse"),
     ],
     ids=lambda value: getattr(value, "__name__", value),
 )
 def test_removed_attributes_are_gone(owner, name):
-    # a grid's total mass is its masses' sum; the CLI parses aggregates
-    # with its own option reader
+    # a grid's total mass is its masses' sum, and it starts at -H * step;
+    # the CLI parses aggregates with its own option reader
     assert not hasattr(owner, name)
 
 

@@ -33,10 +33,11 @@ def brute_violation(p, c, j):
     p = np.asarray(p, dtype=float)
     K = p.size
     shifted = np.zeros(K)
+    jj = min(abs(j), K)  # a shift past the grid moves every cell out
     if j > 0:
-        shifted[: K - j] = p[j:]
+        shifted[: K - jj] = p[jj:]
     elif j < 0:
-        shifted[-j:] = p[: K + j]
+        shifted[jj:] = p[: K - jj]
     else:
         shifted = p
     return float(np.maximum(p - c * shifted, 0.0).sum())
@@ -184,30 +185,22 @@ def brute_grid_masses(mech, step, half_cells):
 
 def brute_dp_check(masses, shift_cells, params):
     """The search of dp_check with whole-grid gates and suffix sums and
-    nothing cached, kept verbatim from before the tail-only sums, as the
-    reference: (worst violation, worst shift in cells, fast path?)."""
+    nothing cached, as the reference: on the fast path kept verbatim from
+    before the tail-only sums, otherwise the plain scan of both directions.
+    Returns (worst violation, worst shift in cells or None where both
+    directions were scanned, fast path?)."""
     masses = np.asarray(masses, dtype=float)
     c = _exp_epsilon(params.epsilon)
     m = shift_cells
     positive = np.flatnonzero(masses > 0.0)
     s, e = int(positive[0]), int(positive[-1])
-    fast = brute_fast_ok(masses) and np.array_equal(masses, masses[::-1])
-
-    if fast:
+    if brute_fast_ok(masses):
         violations = brute_fast_forward_violations(
             masses, brute_suffix(masses), s, e, c, m
         )
         worst_j = int(np.argmax(violations)) + 1
-        worst = float(violations[worst_j - 1])
-        if worst <= 0.0:
-            worst, worst_j = 0.0, 0
-    else:
-        worst, worst_j = 0.0, 0
-        for j in range(-m, m + 1):
-            v = _direct_violation(masses, c, j)
-            if v > worst:
-                worst, worst_j = v, j
-    return worst, worst_j, fast
+        return float(violations[worst_j - 1]), worst_j, True
+    return max(brute_violation(masses, c, j) for j in range(-m, m + 1)), None, False
 
 
 def check_tolerance_parts(dist, c, worst_j, parts, fast):
@@ -223,31 +216,33 @@ def check_tolerance_parts(dist, c, worst_j, parts, fast):
         assert parts[:3] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-def make_dist(masses, step=0.1, shift_cells=2, **grid):
-    masses = np.asarray(masses, dtype=float)
+def mirror(half):
+    """The symmetric grid whose right half is ``half``."""
+    half = np.asarray(half, dtype=float)
+    return np.concatenate([half[::-1], half])
+
+
+def make_dist(half, step=0.1, shift_cells=2, **grid):
+    """A grid built by hand from its right half."""
     return DiscretizedDist(
-        origin=-0.5 * step * masses.size,
-        step=step,
-        masses=masses,
-        shift_cells=shift_cells,
-        **grid,
+        step=step, masses=mirror(half), shift_cells=shift_cells, **grid
     )
 
 
 def bimodal_dist():
-    """Two far-apart humps: not log-concave, so dp_check scans directly."""
-    x = np.linspace(-6, 6, 241)[:-1]
+    """Two far-apart humps at -3 and 3 on [-6, 6): not log-concave, so
+    dp_check scans directly."""
+    x = 0.025 + 0.05 * np.arange(120)
     p = np.exp(-((x - 3.0) ** 2) / 0.5) + np.exp(-((x + 3.0) ** 2) / 0.5)
-    p /= p.sum()
-    return DiscretizedDist(origin=-6.0, step=0.05, masses=p, shift_cells=20)
+    return make_dist(p / (2.0 * p.sum()), step=0.05, shift_cells=20)
 
 
 class TestDiscretizedDist:
     def test_validation(self):
         with pytest.raises(DomainError):
-            make_dist([0.5, 0.5], step=0.0)
+            make_dist([0.5], step=0.0)
         with pytest.raises(DomainError):
-            make_dist([0.5, 0.5], shift_cells=0)
+            make_dist([0.5], shift_cells=0)
         with pytest.raises(DomainError):
             make_dist([])
         with pytest.raises(DomainError):
@@ -259,24 +254,61 @@ class TestDiscretizedDist:
         with pytest.raises(DomainError):
             make_dist([0.0, 0.0])
 
+    @pytest.mark.parametrize("size", [1, 3, 241])
+    def test_odd_sizes_are_refused(self, size):
+        # a grid is a stated right half and its mirror
+        with pytest.raises(DomainError, match=r"^masses must be a 1-d array of an even"):
+            DiscretizedDist(step=0.1, masses=np.full(size, 1.0 / size), shift_cells=1)
+
+    def test_left_half_is_the_mirror_of_the_right(self):
+        # only the stated right half is read: NaN, a negative or an infinity
+        # in the left half is overwritten, in the caller's array too
+        right = np.array([0.3, 0.15, 0.05])
+        for junk in (math.nan, -1.0, math.inf):
+            p = np.concatenate([np.full(3, junk), right])
+            d = DiscretizedDist(step=0.1, masses=p, shift_cells=1)
+            assert d.masses.tobytes() == p.tobytes() == mirror(right).tobytes()
+            assert d._run == (0, 5) and d._fast_ok and d._mass == 1.0
+        # a read-only array is copied, not written
+        p = np.concatenate([np.full(3, math.nan), right])
+        p.flags.writeable = False
+        d = DiscretizedDist(step=0.1, masses=p, shift_cells=1)
+        assert np.isnan(p[:3]).all()
+        assert d.masses.tobytes() == mirror(right).tobytes()
+
+    def test_a_grid_has_no_origin(self):
+        # the origin was always -H * step, and nothing read it
+        assert not hasattr(make_dist([0.5]), "origin")
+        with pytest.raises(TypeError):
+            DiscretizedDist(origin=-0.1, step=0.1, masses=[0.5, 0.5], shift_cells=1)
+
+    def test_equality_and_hash_are_identity(self):
+        # the generated __eq__ compared the masses arrays inside a tuple,
+        # so a == b raised ValueError and hash(a) raised TypeError
+        a = make_dist([0.25, 0.25])
+        b = make_dist([0.25, 0.25])
+        assert a == a and a != b and not (a == b)
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2 and {a: 1}[a] == 1
+
     def test_total_mass(self):
         # M, the total the gate pass sums, and the masses' own sum
-        d = make_dist([0.25, 0.5, 0.25])
+        d = make_dist([0.25, 0.125, 0.125])
         assert d._mass == 1.0
         assert d.masses.sum() == 1.0
 
     def test_fast_flag_log_concave(self):
-        x = np.linspace(-3, 3, 101)
+        x = (np.arange(50) + 0.5) * 0.06
         p = np.exp(-x * x)
-        assert make_dist(p / p.sum())._fast_ok is True
+        assert make_dist(p / (2.0 * p.sum()))._fast_ok is True
 
     def test_fast_flag_bimodal(self):
-        x = np.linspace(-6, 6, 201)
+        x = (np.arange(100) + 0.5) * 0.06
         p = np.exp(-((x - 3.0) ** 2)) + np.exp(-((x + 3.0) ** 2))
-        assert make_dist(p / p.sum())._fast_ok is False
+        assert make_dist(p / (2.0 * p.sum()))._fast_ok is False
 
     def test_fast_flag_interior_zero(self):
-        assert make_dist([0.3, 0.0, 0.3, 0.4])._fast_ok is False
+        assert make_dist([0.3, 0.0, 0.2])._fast_ok is False
 
     @pytest.mark.parametrize(
         "bad", [True, False, 2.5, 1.9999, 2.0, 0, -3, np.int64(0), "2", None]
@@ -285,14 +317,9 @@ class TestDiscretizedDist:
         # a float or a bool was truncated, so the grid checked a shift other
         # than the sensitivity the caller stated
         with pytest.raises(DomainError, match=r"^shift_cells must be an integer >= 1"):
-            make_dist([0.25, 0.5, 0.25], shift_cells=bad)
-        d = make_dist([0.25, 0.5, 0.25], shift_cells=np.int64(3))
+            make_dist([0.25, 0.25], shift_cells=bad)
+        d = make_dist([0.25, 0.25], shift_cells=np.int64(3))
         assert d.shift_cells == 3 and type(d.shift_cells) is int
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_origin_must_be_finite(self, bad):
-        with pytest.raises(DomainError, match=r"^origin must be finite"):
-            DiscretizedDist(origin=bad, step=0.1, masses=[0.5, 0.5], shift_cells=1)
 
     def test_fields_are_frozen(self):
         # the checks cache their results per epsilon from these fields, so a
@@ -301,8 +328,8 @@ class TestDiscretizedDist:
         d = discretize(TruncatedLaplace.from_privacy(p, 1.0), 1.0, step=0.05)
         before = dp_check(d, p)
         for name, value in [
-            ("origin", 0.0), ("step", 0.01), ("masses", np.ones(4)),
-            ("shift_cells", 50), ("mass_error", 0.2), ("fold", 0.1), ("_run", (0, 1)),
+            ("step", 0.01), ("masses", np.ones(4)), ("shift_cells", 50),
+            ("mass_error", 0.2), ("fold", 0.1), ("_run", (0, 1)),
         ]:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(d, name, value)
@@ -312,8 +339,8 @@ class TestDiscretizedDist:
     def test_masses_are_frozen(self):
         # the gates, the suffix sums and the per-epsilon results are cached
         # from the masses, so a grid's masses cannot be written
-        p = np.array([0.25, 0.5, 0.25])
-        d = make_dist(p)
+        p = np.array([0.25, 0.25, 0.25, 0.25])
+        d = DiscretizedDist(step=0.1, masses=p, shift_cells=2)
         with pytest.raises(ValueError):
             d.masses[0] = 1.0
         p[0] = 0.3  # the caller's own array stays writable
@@ -325,28 +352,23 @@ class TestMaxViolation:
 
     def test_matches_reference_scan(self):
         rng = np.random.default_rng(11)
-        p = rng.random(37)
-        p /= p.sum()
-        d = make_dist(p, shift_cells=5)
+        d = make_dist(rng.random(19), shift_cells=5)
         for eps in (0.0, 0.2, 1.0):
             c = math.exp(eps)
-            for j in range(-5, 6):
-                assert _direct_violation(d.masses, c, j) == pytest.approx(
-                    brute_violation(p, c, j), rel=1e-13, abs=1e-300
-                )
+            for j in range(1, 6):
+                v = _direct_violation(d.masses, c, j)
+                # on the symmetric grid, shift -j sums the terms of +j in
+                # reverse order
+                for shift in (j, -j):
+                    assert v == pytest.approx(
+                        brute_violation(d.masses, c, shift), rel=1e-13, abs=1e-300
+                    )
 
-    def test_zero_shift_is_zero(self):
-        d = make_dist([0.2, 0.3, 0.5], shift_cells=1)
-        assert _direct_violation(d.masses, math.exp(0.7), 0) == 0.0
-
-    def test_symmetric_masses_symmetric_shifts(self):
-        p = np.array([0.05, 0.2, 0.5, 0.2, 0.05])
-        d = make_dist(p, shift_cells=2)
-        c = math.exp(0.4)
-        for j in (1, 2):
-            assert _direct_violation(d.masses, c, j) == _direct_violation(
-                d.masses, c, -j
-            )
+    def test_shift_past_the_grid_moves_out_everything(self):
+        d = make_dist([0.25, 0.125, 0.125], shift_cells=1)
+        assert brute_violation(d.masses, math.exp(0.7), 6) == 1.0
+        for j in (6, 7):
+            assert _direct_violation(d.masses, math.exp(0.7), j) == 1.0
 
 
 class TestDiscretize:
@@ -366,20 +388,18 @@ class TestDiscretize:
     def test_grid_geometry(self):
         d = discretize(Gaussian(1.0), 1.0, step=0.01, radius=3.0)
         assert d.shift_cells == 100
-        assert d.masses.size == 600
-        assert d.origin == pytest.approx(-3.0, rel=1e-15)
+        assert d.masses.size == 600  # cells -300 .. 299 of width 0.01
 
     def test_bounded_support_sets_radius(self):
         mech = TruncatedLaplace.from_privacy(PrivacyParams(1.0, 1e-5), 1.0)
         d = discretize(mech, 1.0, step=0.01)
         half = math.ceil(mech.radius / 0.01 - 1e-12)
         assert d.masses.size == 2 * half
-        assert d.origin == pytest.approx(-half * 0.01, rel=1e-15)
 
     def test_unbounded_radius_from_quantiles(self):
         d = discretize(Gaussian(1.0), 1.0, step=0.01)
         # two-sided 1e-12 tail of a unit Gaussian sits near 7.03
-        assert 6.5 < -d.origin < 7.6
+        assert 6.5 < d.masses.size // 2 * d.step < 7.6
 
     def test_default_outer_cell_holds_its_exact_tail(self):
         # The default masses come from the upper half line, so the right
@@ -439,10 +459,10 @@ class TestDiscretize:
     def test_rejects_bad_mass_error_and_fold(self):
         for bad in (-1e-16, 0.25, math.nan):
             with pytest.raises(DomainError):
-                make_dist([0.5, 0.5], mass_error=bad)
+                make_dist([0.5], mass_error=bad)
         for bad in (-1e-16, math.inf, math.nan):
             with pytest.raises(DomainError):
-                make_dist([0.5, 0.5], fold=bad)
+                make_dist([0.5], fold=bad)
 
 
 class TestDpCheck:
@@ -483,7 +503,7 @@ class TestDpCheck:
         assert report.passed
         # the calibration is tight: the measured violation is delta itself
         assert report.max_violation == pytest.approx(1e-4, rel=1e-6)
-        assert abs(report.worst_shift) == pytest.approx(1.0, rel=1e-12)
+        assert report.worst_shift == pytest.approx(1.0, rel=1e-12)
 
     def test_trunclap_fails_a_halved_delta(self):
         p = PrivacyParams(1.0, 1e-4)
@@ -581,7 +601,7 @@ class TestDpCheck:
         assert report.path == path
         c = math.exp(eps)
         j = round(report.worst_shift / d.step)
-        assert j != 0
+        assert 1 <= j <= d.shift_cells
         assert brute_violation(d.masses, c, j) == pytest.approx(
             report.max_violation, rel=1e-9
         )
@@ -603,31 +623,6 @@ class TestDpCheck:
         d = discretize(make_mechanism(name, p, 1.0), 1.0, step=step)
         assert np.array_equal(d.masses, d.masses[::-1])
         assert dp_check(d, p).path == "fast"
-
-    def test_asymmetric_log_concave_grid_scans_both_directions(self):
-        # Half-Gaussians of different widths meet at their common mode, so
-        # the masses are log-concave but not mirrored; the reversed grid
-        # moves the worst shift to the other side.
-        x = np.linspace(-4.0, 4.0, 400)
-        p = np.exp(-0.5 * np.where(x < 0.0, x, 2.0 * x) ** 2)
-        p /= p.sum()
-        signs = set()
-        for masses in (p, p[::-1].copy()):
-            d = make_dist(masses, step=0.02, shift_cells=50)
-            assert d._fast_ok
-            for eps, delta in [(0.5, 1e-3), (1.0, 1e-4)]:
-                report = dp_check(d, PrivacyParams(eps, delta))
-                assert report.path == "direct"
-                c = math.exp(eps)
-                shifts = range(-d.shift_cells, d.shift_cells + 1)
-                brute = [brute_violation(masses, c, j) for j in shifts]
-                assert report.max_violation == pytest.approx(max(brute), rel=1e-12)
-                worst_j = round(report.worst_shift / d.step)
-                assert brute[worst_j + d.shift_cells] == pytest.approx(
-                    max(brute), rel=1e-12
-                )
-                signs.add(np.sign(worst_j))
-        assert signs == {-1, 1}
 
     def test_tolerance_scales_with_grid(self):
         p = PrivacyParams(1.0, 1e-5)
@@ -689,37 +684,85 @@ class TestBlockedKernels:
         assert _scan_tolerance(masses, 1.0, 1, 8.0 * 2.0**-53)[1] >= flip
 
     def test_fast_flag_matches_reference(self):
-        x = np.linspace(-4.0, 4.0, 3 * _BLOCK + 333)
+        # right halves whose mirror, the left half the gate pass reads,
+        # spans more than two blocks
+        H = 2 * _BLOCK + 333
+        x = (np.arange(H) + 0.5) * (4.0 / H)
         bell = np.exp(-x * x)
         deep = np.exp(-((5.5 * x) ** 2))  # tails far below 1e-150: log test
         assert deep.min() < 1e-150
         cases = [bell, deep]
         for base in (bell, deep):
-            # a dip breaks log-concavity at the last middle cell of the first
-            # block, at the first middle cell of the second, or mid-block
-            for cell in (_BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK - 5):
+            # a dip in left-half cell `cell` breaks log-concavity at the last
+            # middle cell of the first block, at the first middle cell of the
+            # second, mid-block, or at the centre pair, whose triple reads
+            # the stated right half
+            for cell in (_BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK - 5, H - 1):
                 dipped = base.copy()
-                dipped[cell] *= 0.99
-                # times its mirror image, the grid is exactly mirrored, so
-                # only its left half and centre are checked
-                cases += [dipped, dipped * dipped[::-1]]
-        for base in (bell, deep, bell[1:]):
-            # mirrored, with a dip only at the centre cell (odd sizes) or
-            # the centre pair (even sizes)
-            centre = base * base[::-1]
-            centre[(base.size - 1) // 2 : base.size // 2 + 1] *= 0.99
-            cases.append(centre)
+                dipped[H - 1 - cell] *= 0.99
+                cases.append(dipped)
         holed = bell.copy()
-        holed[2 * _BLOCK] = 0.0
+        holed[H - 1 - 2 * _BLOCK] = 0.0
         cases.append(holed)
         flags = []
-        for masses in cases:
-            d = make_dist(masses, shift_cells=10)
-            assert d._fast_ok == brute_fast_ok(masses)
-            assert d._mirrored == np.array_equal(masses, masses[::-1])
-            assert d._mass == pytest.approx(masses.sum(), rel=1e-14)
+        for half in cases:
+            d = make_dist(half, shift_cells=10)
+            assert d.masses.tobytes() == mirror(half).tobytes()
+            assert d._fast_ok == brute_fast_ok(d.masses)
+            assert d._mass == pytest.approx(d.masses.sum(), rel=1e-14)
             flags.append(d._fast_ok)
         assert flags[:2] == [True, True] and not any(flags[2:])
+
+
+class TestDirectPath:
+    """dp_check's direct path, on symmetric grids that are not log-concave,
+    against the plain scan of both directions and the full-array tolerance:
+    it scans the shifts 1..shift_cells only."""
+
+    @staticmethod
+    def _random():
+        return make_dist(np.random.default_rng(8).random(_BLOCK + 77), shift_cells=7)
+
+    @staticmethod
+    def _peaked():
+        # its left half rises up to cell _BLOCK and falls after, so for
+        # shift +1 the sign of d flips exactly at a block boundary
+        half = TestBlockedKernels._peaked_at_boundary(np.random.default_rng(6))[::-1]
+        return make_dist(half, step=0.01, shift_cells=1)
+
+    @pytest.mark.parametrize(
+        "make, eps, delta",
+        [(bimodal_dist, 0.5, 1e-3), (_random, 0.3, 0.1), (_peaked, 1e-9, 0.1)],
+        ids=["bimodal", "random", "flip_at_block"],
+    )
+    def test_matches_both_direction_references(self, make, eps, delta):
+        d = make()
+        assert not d._fast_ok
+        report = dp_check(d, PrivacyParams(eps, delta))
+        assert report.path == "direct"
+        c = math.exp(eps)
+        m = d.shift_cells
+        both = [brute_violation(d.masses, c, j) for j in range(-m, m + 1)]
+        assert report.max_violation == pytest.approx(max(both), rel=1e-12)
+        j = round(report.worst_shift / d.step)
+        assert 1 <= j <= m
+        assert both[m + j] == pytest.approx(max(both), rel=1e-12)
+        assert both[m - j] == pytest.approx(max(both), rel=1e-12)
+        parts = d._by_c[c][2]
+        check_tolerance_parts(d, c, j, parts, fast=False)
+        # shift -j has the terms of +j in reverse order, so the same tolerance
+        flat, straddle, _ = brute_tolerance(d.masses, c, -j, _flat_band(d))
+        assert parts[:2] == pytest.approx((flat, straddle), rel=1e-12, abs=0.0)
+
+    def test_flip_at_block_boundary_is_counted(self):
+        d = self._peaked()
+        c = math.exp(1e-9)
+        dp_check(d, PrivacyParams(1e-9, 0.1))
+        diff = d.masses[:-1] - c * d.masses[1:]
+        assert np.all(diff[:_BLOCK] < 0.0) and diff[_BLOCK] > 0.0
+        flip = min(-diff[_BLOCK - 1], diff[_BLOCK])
+        assert flip > 1e-7
+        assert d._by_c[c][2][1] >= flip
 
 
 def _outcome(dist, params):
@@ -752,22 +795,26 @@ _MIRROR_POINTS = [(1.0, 1e-3, 1e-2), (0.5, 1e-2, 1e-3), (2.0, 0.05, 0.05), (0.05
 class TestMirrorFromTheRightHalf:
     """discretize's grids, whose left half the gate pass writes as the
     mirror of the positive half the mechanism states, against the full
-    grid the mechanisms used to build and a hand-built grid of it: masses,
-    gate facts and reports bit for bit."""
+    grid the mechanisms used to build and a hand-built grid of its right
+    half: masses, gate facts and reports bit for bit."""
 
     @staticmethod
     def _check_against_reference(mech, eps, delta, step, radius=None):
         d = discretize(mech, 1.0, step=step, radius=radius)
         ref = brute_grid_masses(mech, step, d.masses.size // 2)
         assert d.masses.tobytes() == ref.tobytes()
+        stated = ref.copy()
+        stated[: ref.size // 2] = math.nan  # overwritten by the mirror
         hand = DiscretizedDist(
-            origin=d.origin, step=d.step, masses=ref, shift_cells=d.shift_cells,
+            step=d.step, masses=stated, shift_cells=d.shift_cells,
             mass_error=d.mass_error, fold=d.fold,
         )
-        assert hand._mirrored and d._mirrored
-        assert d._run == hand._run
+        assert hand.masses.tobytes() == ref.tobytes()
+        positive = np.flatnonzero(ref > 0.0)
+        assert d._run == hand._run == (positive[0], positive[-1])
         assert d._fast_ok == hand._fast_ok == brute_fast_ok(ref)
         assert np.float64(d._mass).tobytes() == np.float64(hand._mass).tobytes()
+        assert d._mass == pytest.approx(ref.sum(), rel=1e-13)
         for params in (PrivacyParams(eps, delta), PrivacyParams(eps, delta / 2.0)):
             assert _outcome(d, params) == _outcome(hand, params)
         assert d._by_c == hand._by_c
@@ -804,7 +851,7 @@ class TestMirrorFromTheRightHalf:
         d = self._check_against_reference(Laplace(1.3), 1.0, 1e-3, 1 / 64, _BLOCK / 32)
         assert d.masses.size == 4 * _BLOCK and d._run[1] < d.masses.size - 1
 
-    def test_discretize_never_compares_the_mirror(self, monkeypatch):
+    def test_no_grid_is_compared_with_its_mirror(self, monkeypatch):
         calls = []
         array_equal = np.array_equal
 
@@ -816,16 +863,10 @@ class TestMirrorFromTheRightHalf:
         p = PrivacyParams(0.5, 1e-2)
         for name in MECHANISM_NAMES:
             d = discretize(make_mechanism(name, p, 1.0), 1.0, step=1e-3)
-            assert d._mirrored and dp_check(d, p).path == "fast"
+            assert dp_check(d, p).path == "fast"
+        assert make_dist([0.4, 0.2, 0.1])._fast_ok
+        assert dp_check(bimodal_dist(), p).path == "direct"
         assert calls == []
-        hand = make_dist([0.1, 0.2, 0.4, 0.2, 0.1])
-        assert len(calls) == 1 and hand._mirrored
-        # log-concave but not mirrored: compared, and scanned in both directions
-        x = np.linspace(-4.0, 4.0, 400)
-        q = np.exp(-0.5 * np.where(x < 0.0, x, 2.0 * x) ** 2)
-        skew = make_dist(q / q.sum(), step=0.02, shift_cells=50)
-        assert len(calls) == 2 and skew._fast_ok and not skew._mirrored
-        assert dp_check(skew, PrivacyParams(0.5, 1e-3)).path == "direct"
 
     @pytest.mark.parametrize(
         "edits",
@@ -843,7 +884,7 @@ class TestMirrorFromTheRightHalf:
         mech = _StatedHalf(edits)
         half = mech.grid_masses(0.1, np.empty(30))
         with pytest.raises(DomainError) as by_hand:
-            make_dist(np.concatenate([half[::-1], half]), step=0.1, shift_cells=10)
+            make_dist(half, step=0.1, shift_cells=10)
         with pytest.raises(DomainError) as stated:
             discretize(mech, 1.0, step=0.1, radius=3.0)
         assert str(stated.value) == str(by_hand.value)
@@ -854,38 +895,22 @@ class TestMirrorFromTheRightHalf:
 
 
 @st.composite
-def log_concave(draw, mirrored):
-    """Masses rising log-concavely to a peak and, mirrored, falling back, or
-    falling with another slope profile; edge cells may carry folded tail
-    mass, and the support may sit inside zero cells."""
+def log_concave(draw):
+    """A symmetric grid whose masses rise log-concavely to the centre pair
+    and fall back; the edge cells may carry folded tail mass, and the
+    support may sit inside zero cells."""
     n = draw(st.integers(1, 40))
     rises = sorted(draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n)))
-    left = np.exp(np.cumsum(rises[::-1]))
-    if mirrored:
-        right = left[::-1] if draw(st.booleans()) else left[-2::-1]
-    else:
-        k = draw(st.integers(1, 40))
-        falls = sorted(draw(st.lists(st.floats(0.0, 3.0), min_size=k, max_size=k)))
-        right = left[-1] * np.exp(-np.cumsum(falls))
-    masses = np.concatenate([left, right])
-    fold = draw(st.floats(1.0, 5.0))
-    masses[0] *= fold
-    if mirrored:
-        masses[-1] *= fold
-    pad = np.zeros(draw(st.integers(0, 3)))
-    masses = np.concatenate([pad, masses, pad])
+    half = np.exp(np.cumsum(rises[::-1]))[::-1]
+    half[-1] *= draw(st.floats(1.0, 5.0))
+    masses = mirror(np.concatenate([half, np.zeros(draw(st.integers(0, 3)))]))
     return masses / masses.sum()
 
 
-ANY_MASSES = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=80).filter(
+# the symmetric grid of any right half
+SYMMETRIC_MASSES = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40).filter(
     lambda p: max(p) > 0.0
-).map(np.array)
-# mirrored about a cell boundary or about a centre cell
-MIRRORED_MASSES = ANY_MASSES.flatmap(
-    lambda p: st.sampled_from(
-        [np.concatenate([p, p[::-1]]), np.concatenate([p, p[-2::-1]])]
-    )
-)
+).map(mirror)
 
 
 class TestFastPathReference:
@@ -894,11 +919,9 @@ class TestFastPathReference:
 
     @staticmethod
     def _check_against_reference(masses, step, shift_cells, eps, delta, **grid):
-        d = DiscretizedDist(
-            origin=0.0, step=step, masses=masses, shift_cells=shift_cells, **grid
-        )
+        d = DiscretizedDist(step=step, masses=masses, shift_cells=shift_cells, **grid)
+        assert d.masses.tobytes() == masses.tobytes()
         assert d._fast_ok == brute_fast_ok(masses)
-        assert d._mirrored == np.array_equal(masses, masses[::-1])
         assert d._mass == pytest.approx(masses.sum(), rel=1e-13)
         paths = set()
         for params in (
@@ -914,17 +937,26 @@ class TestFastPathReference:
             except DomainError as exc:
                 assert "cannot tell delta from delta/2" in str(exc)
                 report = None
-            assert d._by_c[c][:2] == (worst, worst_j)
-            parts = d._by_c[c][2]
-            check_tolerance_parts(d, c, worst_j, parts, fast)
+            got, got_j, parts = d._by_c[c]
+            assert 1 <= got_j <= shift_cells
+            if fast:
+                assert (got, got_j) == (worst, worst_j)
+            else:
+                # the plain scan of both directions sums in another order
+                assert got == pytest.approx(worst, rel=1e-12)
+                assert brute_violation(masses, c, got_j) == pytest.approx(
+                    worst, rel=1e-12
+                )
+                worst = got
+            check_tolerance_parts(d, c, got_j, parts, fast)
             tolerance = sum(parts)
             passed = worst <= params.delta + tolerance
             if report is None:
                 assert passed and tolerance > params.delta / 2.0
-                paths.add("fast" if d._fast_ok and d._mirrored else "direct")
+                paths.add("fast" if d._fast_ok else "direct")
                 continue
             assert report.max_violation == worst
-            assert report.worst_shift == worst_j * step
+            assert report.worst_shift == got_j * step
             assert report.path == ("fast" if fast else "direct")
             assert report.tolerance == tolerance
             assert report.passed == passed
@@ -934,36 +966,31 @@ class TestFastPathReference:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        masses=log_concave(mirrored=True),
+        masses=log_concave(),
         shift=st.integers(1, 50),
         eps=st.floats(0.01, 3.0),
         delta=st.floats(1e-9, 0.49),
     )
-    @example(masses=np.array([0.3, 0.4, 0.3]), shift=1, eps=0.5, delta=0.1)
-    @example(masses=np.array([0.0, 0.2, 0.6, 0.2, 0.0]), shift=4, eps=1.0, delta=0.01)
-    @example(masses=np.array([1.0]), shift=2, eps=1.0, delta=0.01)
+    @example(masses=mirror([0.3, 0.2]), shift=1, eps=0.5, delta=0.1)
+    @example(masses=mirror([0.3, 0.2, 0.0]), shift=4, eps=1.0, delta=0.01)
+    @example(masses=mirror([0.5]), shift=2, eps=1.0, delta=0.01)
     def test_mirrored_log_concave_grids(self, masses, shift, eps, delta):
         paths = self._check_against_reference(masses, 0.1, shift, eps, delta)
         assert paths == {"fast"}
 
     @settings(max_examples=200, deadline=None)
     @given(
-        masses=st.one_of(log_concave(mirrored=False), ANY_MASSES, MIRRORED_MASSES),
+        masses=st.one_of(log_concave(), SYMMETRIC_MASSES),
         shift=st.integers(1, 50),
         eps=st.floats(0.01, 3.0),
         delta=st.floats(1e-9, 0.49),
     )
-    # mirrored grids whose only log-concavity breach is at the centre
-    @example(masses=np.array([0.1, 0.3, 0.1, 0.3, 0.1]), shift=2, eps=0.5, delta=0.1)
-    @example(
-        masses=np.array([0.1, 0.2, 0.3, 0.25, 0.25, 0.3, 0.2, 0.1]),
-        shift=2, eps=0.5, delta=0.1,
-    )
+    # grids whose only log-concavity breach is at the centre pair
+    @example(masses=mirror([0.1, 0.3, 0.1]), shift=2, eps=0.5, delta=0.1)
+    @example(masses=mirror([0.25, 0.3, 0.2, 0.1]), shift=2, eps=0.5, delta=0.1)
     def test_other_grids(self, masses, shift, eps, delta):
         paths = self._check_against_reference(masses, 0.1, shift, eps, delta)
-        mirrored = np.array_equal(masses, masses[::-1])
-        fast = mirrored and brute_fast_ok(masses)
-        assert paths == {"fast" if fast else "direct"}
+        assert paths == {"fast" if brute_fast_ok(masses) else "direct"}
 
     @pytest.mark.parametrize("name", MECHANISM_NAMES)
     @settings(max_examples=12, deadline=None)
