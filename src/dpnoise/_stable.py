@@ -21,6 +21,8 @@ __all__ = [
     "exp_remainder_order3",
     "truncation_amplitude_factor",
     "truncation_power_factor",
+    "x_over_expm1",
+    "coth_half_excess",
 ]
 
 # Above this, (e^eps - 1)/(2 delta) may be inaccurate or overflow and the
@@ -107,3 +109,20 @@ def truncation_power_factor(x: float) -> float:
     if x > 700.0:
         return 1.0  # 1 - (x + x^2/2) e^-x, which rounds to 1 here
     return exp_remainder_order3(x) / math.expm1(x)
+
+
+def x_over_expm1(x: float) -> float:
+    """x/(e^x - 1) = 1 - truncation_amplitude_factor(x), without its
+    cancellation at large x and running down to 0 where e^x overflows."""
+    return x * math.exp(-x) / -math.expm1(-x)
+
+
+def coth_half_excess(x: float) -> float:
+    """x coth(x/2) - 2 for x > 0: x^2/6 below 1e-8, where the next term is
+    below rounding and x^3 may underflow, and below 2 a form whose
+    numerator keeps its relative accuracy."""
+    if x < 1e-8:
+        return x * x / 6.0
+    if x < 2.0:
+        return (0.5 * x**3 - (2.0 - x) * exp_remainder_order3(x)) / math.expm1(x)
+    return x / math.tanh(0.5 * x) - 2.0

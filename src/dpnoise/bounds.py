@@ -4,28 +4,31 @@ The upper bound is the calibrated truncated Laplacian's own cost
 (``TruncatedLaplace.from_privacy(params, sens).cost(cost)``): an explicit
 mechanism is a witness that the minimum is no larger.
 
-The lower bounds come from a slicing argument: any valid noise density,
-cut into sensitivity-wide slices away from the origin, must give slice k a
-mass of at least ``mass_coeff * decay_ratio^k`` while all slices up to a
-(fractional) count ``steps`` cover half the total probability.  Pushing the
-mass as close to the origin as that allows yields closed-form minima for
-E|X| and E[X^2]:
+The lower bounds slice any valid density into sensitivity-wide slices on
+each side of 0.  Slice k holds at least a e^(-eps k), and the first n =
+x/eps slices, x = ``radius_scale_ratio(eps, delta)``, hold half the mass,
+so a = (1 - e^-eps)/(2 (1 - e^-x)).  Pushing each slice's mass to its
+inner edge gives E|X| >= 2 a sens sum_{k<n} k e^(-eps k), and E[X^2]
+likewise with k^2 sens^2.  With a put in, the sums are differences of
+the truncation factors F1 and F2 that the upper bound uses and of
+g(t) = t/(e^t - 1) = 1 - F1(t), all in :mod:`dpnoise._stable`.  With
+lam = sens/eps and k(eps) = eps coth(eps/2) - 2:
 
-    mass_coeff  a = (delta + (e^eps - 1)/2) / e^eps
-    decay_ratio b = e^-eps
-    steps       n = log(1 + (e^eps - 1)/(2 delta)) / eps     (so a(1-b^n)/(1-b) = 1/2)
+    E|X|   >= lam [F1(x) - F1(eps)]                              (x <= 1)
+            = lam [g(eps) - g(x)]                                (x > 1)
+            = sens (1 - 2 delta n) / (e^eps - 1)
+    E[X^2] >= lam^2 [2 F2(x) - 2 F1(eps) F1(x) + g(eps) k(eps)]  (x <= 1)
+            = lam^2 [g(eps) (k(eps) + 2 F1(x)) - x g(x)]         (x > 1)
+            = sens^2 [e^eps + 1 - 2 delta n (n (e^eps - 1) + 2)] / (e^eps - 1)^2
 
-    E|X|  >= 2 a sens   * [ (b - b^n)/(1-b)^2 - (n-1) b^n/(1-b) ]
-    E[X^2]>= 2 a sens^2/(1-b) * [ -b + 2((b - b^n)/(1-b)^2 - (n-1) b^n/(1-b))
-                                  - (b^2 - b^n)/(1-b) - (n-1)^2 b^n ]
-
-The slicing argument is rigorous at integer step counts; evaluating the
-closed forms at the fractional root ``n`` above gives the tighter curve
-reported by default, with the rounded-down variant available as the fully
-conservative choice.  :func:`bound_pair` is the one public entry point: it
-returns both, with their step counts, next to the upper bound.  It is the
-grid kernel :func:`_bound_table` at one point, which is the one place that
-checks their order.
+The amplitude bound is the truncated Laplacian's E|X| less that of the
+same exponential cut at one sensitivity.  The forms labelled by x are
+the ones evaluated: they subtract nearly equal terms only where the bound
+nears 0, as delta nears 1/2.  The argument is rigorous at whole step
+counts: at N = floor(n) and y = eps N the bound is the form at y times
+(1 - e^-y)/(1 - e^-x), and 0 for N <= 1.  :func:`bound_pair` returns
+both next to the upper bound: it is :func:`_bound_table`, the one place
+that checks their order, at one point.
 """
 
 from __future__ import annotations
@@ -34,112 +37,63 @@ import math
 import sys
 from dataclasses import dataclass
 
-from ._stable import radius_scale_ratio
+from ._stable import (
+    coth_half_excess,
+    radius_scale_ratio,
+    truncation_amplitude_factor,
+    truncation_power_factor,
+    x_over_expm1,
+)
 from .core import (
     CostKind,
     DomainError,
     InvariantError,
     PrivacyParams,
     Sensitivity,
-    _cost_in_range,
     as_sensitivity,
 )
 from .trunclap import _amplitude, _calibrated_shape, _checked_shape, _power
 
 __all__ = ["BoundPair", "bound_pair"]
 
-# Both closed forms divide by (1 - e^-eps)^2, which is eps^2 to the last bit
-# down here and leaves the normal double range below this eps.
+# F1(eps) squares eps, which leaves the normal double range below this.
 _EPS_MIN = math.sqrt(sys.float_info.min)
 
 
-def _eps_terms(eps: float) -> tuple[float, float, float, float, float, float]:
-    """The terms that depend on epsilon alone, for a run of points that
-    share it: (eps, b = e^-eps, expm1(-eps)/2, w = 1 - b, w^2, 1 - b^2).
-
-    Its check is the first one at a point, so a run refuses it at its
-    first point, as that point would on its own."""
+def _eps_terms(eps: float) -> tuple[float, float, float]:
+    """(F1(eps), g(eps), g(eps) k(eps)) for a run of points that share eps;
+    its check is a point's first, so a run refuses at its first point."""
     if eps < _EPS_MIN:
         raise DomainError(
             f"epsilon={eps!r} is too small for the closed-form lower "
             f"bounds: (1 - e^-epsilon)^2 leaves double range"
         )
-    em1 = math.expm1(-eps)
-    w = -em1
-    return eps, math.exp(-eps), 0.5 * em1, w, w * w, -math.expm1(-2.0 * eps)
+    g_eps = x_over_expm1(eps)
+    return truncation_amplitude_factor(eps), g_eps, g_eps * coth_half_excess(eps)
 
 
-def _slicing(terms: tuple, delta: float) -> tuple[float, float, float]:
-    """``radius_scale_ratio(eps, delta)`` and the slicing pieces built on
-    it, from eps's :func:`_eps_terms`: (x_ratio, mass_coeff,
-    steps_fractional); the decay ratio is ``terms[1]``."""
-    eps, b, half_em1, _, _, _ = terms
-    # a = (delta + (e^eps - 1)/2)/e^eps, grouped to stay accurate for tiny eps
-    mass_coeff = delta * b - half_em1
-    x_ratio = radius_scale_ratio(eps, delta)
-    return x_ratio, mass_coeff, x_ratio / eps
+# The lower bounds at x = eps * steps from eps's terms and lam = sens/eps:
+def _amplitude_lower(terms: tuple, scale: float, x: float) -> float:
+    f1_eps, g_eps, _ = terms
+    if x <= 1.0:
+        return scale * (truncation_amplitude_factor(x) - f1_eps)
+    return scale * (g_eps - x_over_expm1(x))
 
 
-def _check_steps(steps: float) -> float:
-    steps = float(steps)
-    if not steps >= 1.0:
-        raise DomainError(f"steps must be >= 1, got {steps!r}")
-    return steps
-
-
-# The two closed forms on plain floats, evaluated by the grid kernel
-# :func:`_bound_table`: eps's :func:`_eps_terms`, the mass coefficient a,
-# the sensitivity and a checked step count.
-
-
-def _amplitude_lower(terms: tuple, a: float, sens: float, steps: float) -> float:
-    eps, b, _, w, ww, _ = terms
-    en = eps * steps
-    bn = math.exp(-en)
-    if bn == 0.0:
-        bracket = b / ww
+def _power_lower(terms: tuple, scale: float, x: float) -> float:
+    f1_eps, g_eps, gk_eps = terms
+    f1_x = truncation_amplitude_factor(x)
+    if x <= 1.0:
+        bracket = 2.0 * truncation_power_factor(x) - 2.0 * f1_eps * f1_x + gk_eps
     else:
-        # b - b^n, factored so it keeps its relative accuracy once b is
-        # below the rounding error of 1 (1-b^n and 1-b would then cancel)
-        head = b * -math.expm1(-eps * (steps - 1.0))
-        bracket = head / ww - (steps - 1.0) * bn / w
-    return 2.0 * a * bracket * sens
-
-
-def _power_lower(terms: tuple, a: float, sens: float, steps: float) -> float:
-    eps, b, _, w, ww, w2 = terms
-    en = eps * steps
-    bn = math.exp(-en)
-    if bn == 0.0:
-        bracket = -b + 2.0 * b / ww - (b * b) / w
-    else:
-        qn = -math.expm1(-en)
-        if steps > 1e100:
-            # (steps-1)^2 would overflow as an intermediate even though the
-            # product with bn is finite; take the product in log space.
-            last = math.exp(2.0 * math.log(steps - 1.0) - en)
-        else:
-            last = (steps - 1.0) ** 2 * bn
-        bracket = (
-            -b
-            + 2.0 * ((qn - w) / ww - (steps - 1.0) * bn / w)
-            - (qn - w2) / w
-            - last
-        )
-    # sensitivity^2 leaving the normal range is a DomainError, as the upper
-    # bound's scale^2 is, not an OverflowError or a bound without digits
-    sens_sq = _cost_in_range(sens * sens, 2, sens)
-    return 2.0 * a * sens_sq * bracket / w
+        bracket = gk_eps + 2.0 * g_eps * f1_x - x * x_over_expm1(x)
+    return scale * scale * bracket
 
 
 @dataclass(frozen=True)
 class BoundPair:
-    """A matched (lower, upper) pair for one cost kind.
-
-    ``lower`` is the fractional-step lower bound and ``lower_floor`` the
-    whole-step one, evaluated at ``steps_fractional`` and ``steps_floor``
-    slices.
-    """
+    """A matched (lower, upper) pair for one cost kind: ``lower`` at
+    ``steps_fractional`` slices and ``lower_floor`` at ``steps_floor``."""
 
     lower: float
     lower_floor: float
@@ -158,15 +112,11 @@ def bound_pair(
     sens: "Sensitivity | float",
     cost: "CostKind | str" = CostKind.AMPLITUDE,
 ) -> BoundPair:
-    """Compute both sides for one cost kind and sanity-check their order:
-    :func:`_bound_table` at one point.
+    """Both sides for one cost kind: :func:`_bound_table` at one point.
 
-    The upper bound is the calibrated truncated Laplacian's cost.
-
-    Either lower bound (whole-step or fractional-step) falling outside
-    ``[0, upper]`` (beyond float slack), or being NaN, can only be an
-    implementation bug, so that raises :class:`InvariantError` rather than
-    returning silently wrong numbers.
+    Either lower bound falling outside ``[0, upper]`` (beyond float slack),
+    or being NaN, can only be an implementation bug, so that raises
+    :class:`InvariantError` rather than returning wrong numbers.
     """
     cost = CostKind.parse(cost)
     sens = as_sensitivity(sens)
@@ -175,7 +125,7 @@ def bound_pair(
     )
     if refusal is not None:
         raise refusal
-    # the table's slice count, ``_slicing(...)[2]``, without a second pass
+    # the slice count x/eps that the table took its whole steps from
     steps = radius_scale_ratio(params.epsilon, params.delta) / params.epsilon
     return BoundPair(
         lower=lower[0],
@@ -199,12 +149,10 @@ def _bound_table(
     parameter object is built per point.
 
     The points are taken in runs of equal epsilon (a sweep passes them
-    epsilon-major; :func:`bound_pair` is a run of length 1): the terms of
-    epsilon alone (:func:`_eps_terms`, with its check, and the scale
-    sens/epsilon) are computed once per run, and everything else, every
-    other check included, at each point.  Each value is the same
-    arithmetic, in the same order, as a point taken on its own, so every
-    bit and every refusal is too.
+    epsilon-major): the terms of epsilon alone (:func:`_eps_terms`, with
+    its check, and the scale sens/epsilon) once per run, everything else,
+    every other check included, at each point, the upper bound's first.
+    So every bit and every refusal is that of the point on its own.
     """
     if cost is CostKind.AMPLITUDE:
         lower_fn, upper_fn = _amplitude_lower, _amplitude
@@ -216,26 +164,27 @@ def _bound_table(
     run_eps = None
     try:
         for eps, dlt in zip(epsilon, delta):
-            # Equal epsilons have equal terms; the only equal pair that
-            # differs in sign, 0 and -0, is refused at a run's first point,
-            # before sens/eps can divide by it.
+            # equal epsilons share terms; 0 and -0, the one such pair that
+            # differs in sign, are refused before sens/eps can divide by 0
             if eps != run_eps:
                 run_eps, terms, run_scale = eps, _eps_terms(eps), sens / eps
-            x_ratio, a, steps = _slicing(terms, dlt)
-            low_floor = lower_fn(terms, a, sens, _check_steps(math.floor(steps)))
-            low = lower_fn(terms, a, sens, steps)
-            # the upper bound is the calibrated mechanism's own cost, from
-            # its checked scale and radius
+            x_ratio = radius_scale_ratio(eps, dlt)
+            # the upper bound, the calibrated mechanism's own cost, first
             scale, radius, _ = _checked_shape(*_calibrated_shape(run_scale, x_ratio))
             up = upper_fn(scale, radius)
+            low = lower_fn(terms, scale, x_ratio)
+            whole = math.floor(x_ratio / eps)
+            low_floor = 0.0  # below two steps the slice sum is empty
+            if whole > 1:
+                y = eps * whole
+                shrink = math.expm1(-y) / math.expm1(-x_ratio)
+                low_floor = shrink * lower_fn(terms, scale, y)
             for value in (low_floor, low):
-                # The slack below 0 admits the rounding of powers that are
-                # exactly 0.
+                # slack for the rounding of a bound that is 0 in exact math
                 if not (-1e-12 * up <= value <= up * (1.0 + 1e-12)):
                     raise InvariantError(
-                        f"lower bound {value!r} is negative, NaN or exceeds "
-                        f"upper bound {up!r} at epsilon={eps!r}, "
-                        f"delta={dlt!r}"
+                        f"lower bound {value!r} is negative, NaN or exceeds upper "
+                        f"bound {up!r} at epsilon={eps!r}, delta={dlt!r}"
                     )
             lower.append(low)
             lower_floor.append(low_floor)

@@ -15,15 +15,9 @@ import pytest
 from scipy.integrate import quad
 
 from dpnoise.analysis import SweepConfig, emit, run_sweep
+from dpnoise._stable import radius_scale_ratio
 from dpnoise.baselines import Gaussian, analytic_gaussian_sigma
-from dpnoise.bounds import (
-    _amplitude_lower,
-    _check_steps,
-    _eps_terms,
-    _power_lower,
-    _slicing,
-    bound_pair,
-)
+from dpnoise.bounds import _amplitude_lower, _eps_terms, _power_lower, bound_pair
 from dpnoise.cli import main
 from dpnoise.core import CostKind, PrivacyParams
 from dpnoise.trunclap import TruncatedLaplace
@@ -225,6 +219,24 @@ def test_07_cheaper_than_gaussian_everywhere():
     assert elapsed < 30.0
 
 
+@pytest.mark.parametrize(
+    "cost, trunclap, gaussian",
+    [
+        (CostKind.AMPLITUDE, 0.3939034015564937, 0.383509185469021),
+        (CostKind.POWER, 0.23738568396988313, 0.2310316168662588),
+    ],
+)
+def test_07_stops_short_of_half_delta(cost, trunclap, gaussian):
+    # criterion 7 holds on its grid, delta <= 0.1, and not everywhere: at
+    # (1.5, 0.45) the analytic Gaussian costs less, for both costs
+    params = PrivacyParams(1.5, 0.45)
+    tl_cost = TruncatedLaplace.from_privacy(params, 1.0).cost(cost)
+    gauss_cost = Gaussian(analytic_gaussian_sigma(params, 1.0)).cost(cost)
+    assert tl_cost == pytest.approx(trunclap, rel=1e-12)
+    assert gauss_cost == pytest.approx(gaussian, rel=1e-9)
+    assert tl_cost > 1.02 * gauss_cost
+
+
 def test_08_gaussian_calibration_sharpness():
     wrong_accept = wrong_reject = order_fail = 0
     for eps in GAUSS_EPS:
@@ -293,8 +305,9 @@ def kahan_sum(terms) -> float:
 
 
 def test_10_series_oracle():
-    # the staircase behind the lower bounds puts mass a*b^k at +-k, so at an
-    # integer step count the closed forms must equal bare power-series sums
+    # the staircase behind the lower bounds puts mass a*b^k at +-k, so at
+    # an integer step count n, with a calibrated for x = eps * n, the
+    # closed forms must equal bare power-series sums
     rng = np.random.default_rng(20260819)
     worst = 0.0
     for _ in range(50):
@@ -302,16 +315,16 @@ def test_10_series_oracle():
         n_lo = max(2, math.ceil(1.0 / eps))
         n = int(rng.integers(n_lo, int(20.0 / eps)))
         delta = math.expm1(eps) / (2.0 * math.expm1(eps * n))
+        assert abs(radius_scale_ratio(eps, delta) / eps - n) < 1e-6 * n
+        a = math.expm1(-eps) / (2.0 * math.expm1(-eps * n))
+        b = math.exp(-eps)
         terms = _eps_terms(eps)
-        _, a, steps = _slicing(terms, delta)
-        b = terms[1]
-        assert abs(steps - n) < 1e-6 * n
         amp_terms = sorted((k * b**k for k in range(n)), key=abs)
         pow_terms = sorted((k * k * b**k for k in range(n)), key=abs)
         amp_series = 2.0 * a * kahan_sum(amp_terms)
         pow_series = 2.0 * a * kahan_sum(pow_terms)
-        amp_closed = _amplitude_lower(terms, a, 1.0, _check_steps(n))
-        pow_closed = _power_lower(terms, a, 1.0, _check_steps(n))
+        amp_closed = _amplitude_lower(terms, 1.0 / eps, eps * n)
+        pow_closed = _power_lower(terms, 1.0 / eps, eps * n)
         worst = max(
             worst,
             abs(amp_closed - amp_series) / amp_series,

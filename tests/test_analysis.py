@@ -194,6 +194,20 @@ class TestTightnessCurve:
         assert gaps[0] > 100.0 * gaps[-1]
         assert all(r.ratio <= 1.0 + 1e-12 for r in rows)
 
+    def test_drift_past_float_precision_is_logged(self, caplog):
+        # swept the wrong way, towards eps = 0.1, the ratio leaves its
+        # eps -> 0 limit over the last points
+        with caplog.at_level(logging.WARNING, logger="dpnoise"):
+            rows = tightness_curve(
+                LimitRegime.EPS_TO_ZERO, values=np.geomspace(1e-7, 0.1, 12)
+            )
+        assert len(rows) == 12
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert caplog.records[0].getMessage() == (
+            "tightness ratio drifts away from its eps-to-zero limit over the "
+            "last points; the swept variable may be past float precision"
+        )
+
     def test_eps_to_zero_prediction(self):
         rows = tightness_curve(LimitRegime.EPS_TO_ZERO, anchor=1e-3)
         assert rows[0].limit_prediction == pytest.approx(0.998, rel=1e-15)

@@ -1,18 +1,19 @@
+import functools
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpnoise import bounds
 from dpnoise._stable import radius_scale_ratio
 from dpnoise.bounds import (
     BoundPair,
     _amplitude_lower,
-    _check_steps,
     _eps_terms,
     _power_lower,
-    _slicing,
     bound_pair,
 )
 from dpnoise.core import (
@@ -20,7 +21,6 @@ from dpnoise.core import (
     DomainError,
     InvariantError,
     PrivacyParams,
-    _cost_in_range,
     as_sensitivity,
 )
 from dpnoise.trunclap import TruncatedLaplace
@@ -30,106 +30,103 @@ P_REF = PrivacyParams(1.0, 1e-5)
 
 def slicing(eps, delta):
     """The slicing pieces at one point: (x_ratio, mass_coeff, decay_ratio,
-    steps_fractional)."""
-    terms = _eps_terms(eps)
-    x_ratio, a, steps = _slicing(terms, delta)
-    return x_ratio, a, terms[1], steps
+    steps_fractional), with the mass coefficient a fixed by the calibration,
+    a (1 - e^-x)/(1 - e^-eps) = 1/2."""
+    x_ratio = radius_scale_ratio(eps, delta)
+    mass_coeff = math.expm1(-eps) / (2.0 * math.expm1(-x_ratio))
+    return x_ratio, mass_coeff, math.exp(-eps), x_ratio / eps
 
 
 def lower_bound(kernel, params, sens=1.0, steps=None):
     """A lower-bound kernel at ``steps`` slices (default: the fractional
-    root), with the slicing pieces it takes."""
-    terms = _eps_terms(params.epsilon)
-    _, a, root = _slicing(terms, params.delta)
-    steps = root if steps is None else _check_steps(steps)
-    return kernel(terms, a, sens, steps)
-
-
-# The slicing and the two closed forms as they were before the grid kernel
-# took epsilon's terms once per run, kept (but for their names and
-# comments) as the bit-for-bit reference.
-
-
-def brute_slicing(eps, delta):
-    if eps < bounds._EPS_MIN:
-        raise DomainError(
-            f"epsilon={eps!r} is too small for the closed-form lower "
-            f"bounds: (1 - e^-epsilon)^2 leaves double range"
-        )
-    mass_coeff = delta * math.exp(-eps) - 0.5 * math.expm1(-eps)
-    x_ratio = radius_scale_ratio(eps, delta)
-    return x_ratio, mass_coeff, math.exp(-eps), x_ratio / eps
-
-
-def brute_amplitude_lower(eps, b, a, sens, steps):
-    w = -math.expm1(-eps)  # 1 - b
-    en = eps * steps
-    bn = math.exp(-en)
-    if bn == 0.0:
-        bracket = b / (w * w)
-    else:
-        head = b * -math.expm1(-eps * (steps - 1.0))
-        bracket = head / (w * w) - (steps - 1.0) * bn / w
-    return 2.0 * a * bracket * sens
-
-
-def brute_power_lower(eps, b, a, sens, steps):
-    w = -math.expm1(-eps)
-    w2 = -math.expm1(-2.0 * eps)  # 1 - b^2
-    en = eps * steps
-    bn = math.exp(-en)
-    if bn == 0.0:
-        bracket = -b + 2.0 * b / (w * w) - (b * b) / w
-    else:
-        qn = -math.expm1(-en)
-        if steps > 1e100:
-            last = math.exp(2.0 * math.log(steps - 1.0) - en)
-        else:
-            last = (steps - 1.0) ** 2 * bn
-        bracket = (
-            -b
-            + 2.0 * ((qn - w) / (w * w) - (steps - 1.0) * bn / w)
-            - (qn - w2) / w
-            - last
-        )
-    sens_sq = _cost_in_range(sens * sens, 2, sens)
-    return 2.0 * a * sens_sq * bracket / w
-
-
-def brute_bound_pair(params, sens, cost):
-    """bound_pair's per-point body from before the grid kernel, on the
-    closed-form kernels it called (but for returning a tuple), as the
-    reference."""
-    cost = CostKind.parse(cost)
-    sens = as_sensitivity(sens).value
-    kernel = (
-        brute_amplitude_lower if cost is CostKind.AMPLITUDE else brute_power_lower
-    )
+    root), with the mass coefficient of the calibrated point, as the
+    whole-step bound takes it."""
     eps = params.epsilon
-    _, a, b, steps = brute_slicing(eps, params.delta)
-    lower_floor = kernel(eps, b, a, sens, _check_steps(math.floor(steps)))
-    lower = kernel(eps, b, a, sens, steps)
-    upper = TruncatedLaplace.from_privacy(params, sens).cost(cost)
-    for value in (lower_floor, lower):
-        # The slack below 0 admits the rounding of powers that are exactly 0.
-        if not (-1e-12 * upper <= value <= upper * (1.0 + 1e-12)):
-            raise InvariantError(
-                f"lower bound {value!r} is negative, NaN or exceeds upper "
-                f"bound {upper!r} at epsilon={params.epsilon!r}, "
-                f"delta={params.delta!r}"
-            )
-    return lower, lower_floor, upper
+    terms = _eps_terms(eps)
+    x_ratio = radius_scale_ratio(eps, params.delta)
+    if steps is None:
+        return kernel(terms, sens / eps, x_ratio)
+    y = eps * steps
+    return math.expm1(-y) / math.expm1(-x_ratio) * kernel(terms, sens / eps, y)
+
+
+@functools.cache
+def mpmath_bounds(eps, delta, whole):
+    """The lower bounds at sensitivity 1 from 60-digit mpmath of their
+    sensitivity forms, with eps and delta taken exactly and ``whole`` the
+    whole step count: ((amplitude, whole-step amplitude), (power,
+    whole-step power)), as mpmath numbers."""
+    mp = pytest.importorskip("mpmath")
+    # the forms cancel in about 2 log10(1/eps) + log10(1/(1 - 2 delta))
+    # digits, which the working precision adds to its 60
+    extra = 2.0 * max(0.0, -math.log10(eps)) - math.log10(1.0 - 2.0 * delta)
+    with mp.workdps(60 + int(extra)):
+        e = mp.mpf(eps)
+        em1 = mp.expm1(e)
+        two_delta = 2 * mp.mpf(delta)
+        ratio = em1 / two_delta  # e^x - 1
+
+        def forms(two_delta, steps):
+            # two_delta = (e^eps - 1)/(e^t - 1) at t = eps * steps
+            dn = two_delta * steps
+            return (1 - dn) / em1, (em1 + 2 - dn * (steps * em1 + 2)) / em1**2
+
+        lows = forms(two_delta, mp.log1p(ratio) / e)
+        if whole <= 1:
+            return tuple((low, mp.mpf(0)) for low in lows)
+        ratio_y = mp.expm1(e * whole)
+        shrink = ratio_y * (ratio + 1) / ((ratio_y + 1) * ratio)
+        floors = forms(em1 / ratio_y, whole)
+        return tuple((+low, +(shrink * floor)) for low, floor in zip(lows, floors))
+
+
+def lower_tolerance(delta):
+    """Relative error allowed against mpmath: 1e-14, growing as the bound
+    nears 0 with delta near 1/2, where one rounding of x moves it by about
+    1e-16 / (1 - 2 delta)."""
+    return 1e-14 if delta <= 0.25 else 1e-14 / (1.0 - 2.0 * delta)
+
+
+def check_lower_bounds(eps, delta, sens, cost, lower, lower_floor, upper):
+    """lower and lower_floor at one point against mpmath.  A bound below
+    the normal double range keeps no relative digits, hence the absolute
+    slack of the smallest normal double times ``upper``."""
+    x_ratio = radius_scale_ratio(eps, delta)
+    whole = math.floor(x_ratio / eps)
+    refs = mpmath_bounds(eps, delta, whole)[cost is CostKind.POWER]
+    rel = lower_tolerance(delta)
+    slack = sys.float_info.min * upper
+    if cost is CostKind.POWER and x_ratio**3 < sys.float_info.min:
+        # F2(x), the upper bound's own factor, starts from x^3/6, which
+        # keeps only a subnormal's digits here; both bounds carry its
+        # absolute error through the 2 lam^2 F2(x) = upper they share
+        slack = upper * 2.0**-1070 / x_ratio**3
+    for got, ref in zip((lower, lower_floor), refs):
+        # scaled in mpmath, where sens^2 cannot underflow
+        ref = float(ref * sens * (sens if cost is CostKind.POWER else 1.0))
+        assert abs(got - ref) <= rel * ref + slack, (
+            eps, delta, sens, cost, got, ref
+        )
+    if whole <= 1:
+        assert lower_floor == 0.0
 
 
 def _hex(values):
     return tuple(float.hex(v) for v in values)
 
 
-def brute_outcome(eps, delta, sens, cost):
-    """The reference bounds as exact hex, or the type and message of what
-    the reference raised."""
+def reference_upper(eps, delta, sens, cost):
+    """The upper bound as exact hex from the calibrated mechanism, or the
+    type and message of what the table must raise: the closed forms' floor
+    on epsilon first, then the mechanism's own refusals."""
     try:
-        return _hex(brute_bound_pair(PrivacyParams(eps, delta), sens, cost))
+        if eps < bounds._EPS_MIN:
+            raise DomainError(
+                f"epsilon={eps!r} is too small for the closed-form lower "
+                f"bounds: (1 - e^-epsilon)^2 leaves double range"
+            )
+        params = PrivacyParams(eps, delta)
+        return _hex([TruncatedLaplace.from_privacy(params, sens).cost(cost)])
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -138,16 +135,25 @@ TABLE_GRIDS = {
     "default": (np.geomspace(1e-4, 10.0, 20), np.geomspace(1e-6, 0.1, 20)),
     "100x100": (np.geomspace(1e-4, 10.0, 100), np.geomspace(1e-6, 0.1, 100)),
     "wide": (np.geomspace(1e-9, 30.0, 60), np.geomspace(1e-300, 0.49, 60)),
-    # epsilon below the closed forms' floor, cancelling lower bounds and
-    # steps that round to the edges
+    # the scan the lower bounds are held to: delta up to 1/4, then 12
+    # points up to 0.4999
+    "scan": (
+        np.geomspace(1e-9, 100.0, 60),
+        np.concatenate(
+            [np.geomspace(1e-300, 0.25, 60), np.linspace(0.26, 0.4999, 12)]
+        ),
+    ),
+    # epsilon below the closed forms' floor, bounds below the normal range
+    # and steps that round to the edges
     "refusals": (np.geomspace(1e-170, 1e3, 30), np.geomspace(1e-300, 0.4999999, 30)),
 }
 
 
 def check_table_against_reference(eps_axis, delta_axis, sens, cost):
-    """_bound_table over the grid equals the reference at every point; after
-    a refusal, which must match the reference's, the table restarts at the
-    next point, so every point is checked."""
+    """_bound_table over the grid: upper and every refusal equal the
+    reference's, and the lower bounds mpmath's; after a refusal the table
+    restarts at the next point, so every point is checked.  Returns the
+    number of refusals."""
     eps = np.repeat(eps_axis, delta_axis.size).tolist()
     delta = np.tile(delta_axis, eps_axis.size).tolist()
     start = refused = 0
@@ -156,13 +162,14 @@ def check_table_against_reference(eps_axis, delta_axis, sens, cost):
             eps[start:], delta[start:], sens, cost
         )
         for i, point in enumerate(zip(lower, lower_floor, upper), start):
-            assert _hex(point) == brute_outcome(eps[i], delta[i], sens, cost)
+            assert _hex(point[2:]) == reference_upper(eps[i], delta[i], sens, cost)
+            check_lower_bounds(eps[i], delta[i], sens, cost, *point)
         stop = start + len(upper)
         if refusal is None:
             assert stop == len(eps)
             break
         refused += 1
-        assert (type(refusal), str(refusal)) == brute_outcome(
+        assert (type(refusal), str(refusal)) == reference_upper(
             eps[stop], delta[stop], sens, cost
         )
         start = stop + 1
@@ -182,6 +189,8 @@ class TestLowerBoundParams:
         assert pair.steps_floor == 11
 
     def test_mass_coeff_closed_form(self):
+        # the calibration's a is the slicing argument's
+        # (delta + (e^eps - 1)/2) / e^eps
         for eps, delta in [(0.1, 1e-3), (2.0, 1e-8), (1e-3, 1e-4)]:
             mass_coeff = slicing(eps, delta)[1]
             direct = delta * math.exp(-eps) - 0.5 * math.expm1(-eps)
@@ -197,28 +206,32 @@ class TestLowerBoundParams:
 
 class TestClosedFormsAgainstSeries:
     """The staircase construction concentrates mass a*b^k at +-k*sens, so at
-    an integer step count both costs reduce to bare power sums; math.fsum
-    gives an exactly rounded reference."""
+    an integer step count n, with a calibrated for x = eps * n, both costs
+    reduce to bare power sums; math.fsum gives an exactly rounded
+    reference."""
+
+    @staticmethod
+    def staircase(eps, n):
+        a = math.expm1(-eps) / (2.0 * math.expm1(-eps * n))
+        return a, math.exp(-eps)
 
     @pytest.mark.parametrize(
         "eps,n", [(0.3, 7), (1.0, 11), (0.05, 40), (2.0, 4), (0.01, 300)]
     )
     def test_amplitude(self, eps, n):
-        _, a, b, _ = slicing(eps, 1e-6)
+        a, b = self.staircase(eps, n)
         ref = 2.0 * a * math.fsum(k * b**k for k in range(n))
-        assert _amplitude_lower(_eps_terms(eps), a, 1.0, n) == pytest.approx(
-            ref, rel=5e-14
-        )
+        got = _amplitude_lower(_eps_terms(eps), 1.0 / eps, eps * n)
+        assert got == pytest.approx(ref, rel=5e-14)
 
     @pytest.mark.parametrize(
         "eps,n", [(0.3, 7), (1.0, 11), (0.05, 40), (2.0, 4), (0.01, 300)]
     )
     def test_power(self, eps, n):
-        _, a, b, _ = slicing(eps, 1e-6)
+        a, b = self.staircase(eps, n)
         ref = 2.0 * a * math.fsum(k * k * b**k for k in range(n))
-        assert _power_lower(_eps_terms(eps), a, 1.0, n) == pytest.approx(
-            ref, rel=5e-14
-        )
+        got = _power_lower(_eps_terms(eps), 1.0 / eps, eps * n)
+        assert got == pytest.approx(ref, rel=5e-14)
 
     def test_one_sided_mass_is_half_at_integer_steps(self):
         # a * sum_{k<n} b^k = 1/2 exactly when delta makes n an integer:
@@ -258,15 +271,15 @@ class TestFrozenBounds:
 
 class TestExtremeRegimes:
     def test_vanishing_tail_weight(self):
-        # eps*steps so large that b**steps underflows to zero: the closed
-        # form must switch to its tail-free branch instead of dividing 0/0
+        # eps*steps so large that e^-x underflows to zero: the x g(x) term
+        # runs down to 0 instead of dividing inf by inf
         p = PrivacyParams(500.0, 1e-300)
         amp = lower_bound(_amplitude_lower, p)
         pwr = lower_bound(_power_lower, p)
         assert math.isfinite(amp) and amp > 0.0
         assert math.isfinite(pwr) and pwr > 0.0
         # large eps: b = e^-eps is below the rounding error of 1, where
-        # b - b^n must not come out as the cancelled (1-b^n) - (1-b).
+        # g(eps) - g(x) must not cancel as 1 - b^n and 1 - b would.
         # steps_floor is 1 at these points, so the whole-step bound is 0.
         for eps, delta in [(40.0, 1e-12), (100.0, 1e-5), (500.0, 0.2), (60.0, 0.3)]:
             pair = bound_pair(PrivacyParams(eps, delta), 1.0, cost="amplitude")
@@ -283,13 +296,79 @@ class TestExtremeRegimes:
 
     @pytest.mark.parametrize("eps", [5e-324, 1e-200, 1e-155])
     def test_epsilon_whose_square_leaves_double_range(self, eps):
-        # both closed forms divide by (1 - e^-eps)^2, which is subnormal or
-        # 0 here: a ZeroDivisionError or a bound with few correct digits
+        # F1(eps) squares eps, which is subnormal or 0 here: a bound with
+        # few correct digits
         with pytest.raises(DomainError, match=rf"^epsilon={eps!r} is too"):
             _eps_terms(eps)
         with pytest.raises(DomainError, match=rf"^epsilon={eps!r} is too"):
             bound_pair(PrivacyParams(eps, 1e-5), 1.0)
         _eps_terms(1e-153)
+
+    @pytest.mark.parametrize(
+        "eps,delta,cost",
+        [
+            # each was refused with exit 4, or printed a bound without
+            # digits, by the former closed forms
+            (1e-6, 0.49, "power"),  # lower came out as -3.26e-10
+            (1e-9, 0.01, "power"),  # 578.5, below its whole-step 755.6
+            (45.0, 1e-5, "power"),  # -2.86e-20
+            (1e-150, 1e-5, "amplitude"),  # whole-step -1.19e+134
+            (1e-20, 0.49, "power"),  # -4.5e+23
+            (1e-17, 0.1, "amplitude"),  # whole-step -12.8
+            (42.4, 1e-300, "power"),
+            (1e-103, 0.1, "power"),  # whole-step -4e+103
+            # eps^3 is subnormal and x^3 is not: k(eps) is eps^2/6 there
+            (1e-107, 5e-6, "power"),
+        ],
+    )
+    def test_former_cancellations_match_mpmath(self, eps, delta, cost):
+        pair = bound_pair(PrivacyParams(eps, delta), 1.0, cost)
+        check_lower_bounds(
+            eps, delta, 1.0, pair.cost, pair.lower, pair.lower_floor, pair.upper
+        )
+        assert 0.0 <= pair.lower_floor <= pair.lower <= pair.upper
+
+    @pytest.mark.parametrize("cost", list(CostKind))
+    @pytest.mark.parametrize("eps,delta", [(1.0, 0.3), (1e-9, 0.4999), (30.0, 1e-5)])
+    def test_whole_step_bound_is_zero_below_two_steps(self, eps, delta, cost):
+        pair = bound_pair(PrivacyParams(eps, delta), 1.0, cost)
+        assert pair.steps_floor == 1
+        assert pair.lower_floor == 0.0
+        assert pair.lower > 0.0
+
+
+# Ordered pairs of points: log epsilon in [1e-9, 100], log delta in
+# [1e-300, 1/4].
+LOG_EPS = st.floats(min_value=math.log(1e-9), max_value=math.log(100.0))
+LOG_DELTA = st.floats(min_value=math.log(1e-300), max_value=math.log(0.25))
+
+
+class TestMonotone:
+    """The fractional-step lower bound does not rise as epsilon or delta
+    grows, for either cost, up to 1e-13 relative.  (The whole-step bound
+    jumps where floor(n) does, and is not monotone.)"""
+
+    @staticmethod
+    def lower(eps, delta, cost):
+        return bound_pair(PrivacyParams(eps, delta), 1.0, cost).lower
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(list(CostKind)), LOG_EPS, LOG_EPS, LOG_DELTA)
+    def test_falls_as_epsilon_grows(self, cost, log_a, log_b, log_delta):
+        small, large = sorted((math.exp(log_a), math.exp(log_b)))
+        delta = min(math.exp(log_delta), 0.25)
+        assert self.lower(large, delta, cost) <= self.lower(
+            small, delta, cost
+        ) * (1.0 + 1e-13)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(list(CostKind)), LOG_EPS, LOG_DELTA, LOG_DELTA)
+    def test_falls_as_delta_grows(self, cost, log_eps, log_a, log_b):
+        eps = math.exp(log_eps)
+        small, large = sorted(min(math.exp(v), 0.25) for v in (log_a, log_b))
+        assert self.lower(eps, large, cost) <= self.lower(
+            eps, small, cost
+        ) * (1.0 + 1e-13)
 
 
 class TestBoundPair:
@@ -332,57 +411,76 @@ class TestBoundPair:
         with pytest.raises(InvariantError, match="exceeds upper bound"):
             bound_pair(p, 1.0, cost="amplitude")
 
-    def test_negative_whole_step_lower_raises(self):
-        # the amplitude lower bound cancels here: lower_floor came out as -12.8
-        # against upper = 2.5
-        with pytest.raises(InvariantError, match="lower bound -"):
-            bound_pair(PrivacyParams(1e-17, 0.1), 1.0, cost="amplitude")
+    @staticmethod
+    def negative_at(monkeypatch, name, which):
+        """Make the lower-bound kernel ``name`` return -1 at the whole-step
+        or the fractional x, and the true bound at the other."""
+        kernel = getattr(bounds, name)
+        x_ratio = radius_scale_ratio(0.7, 1e-6)
 
-    def test_negative_fractional_lower_raises(self):
-        # the power lower bound cancels here: lower came out as -4.5e+23 against
-        # upper = 0.347, while lower_floor stayed in range
-        with pytest.raises(InvariantError, match=r"lower bound -4\.5\d*e\+23 "):
-            bound_pair(PrivacyParams(1e-20, 0.49), 1.0, cost="power")
+        def broken(terms, scale, x):
+            if (x == x_ratio) == (which == "fractional"):
+                return -1.0
+            return kernel(terms, scale, x)
+
+        monkeypatch.setattr(bounds, name, broken)
+
+    def test_negative_whole_step_lower_raises(self, monkeypatch):
+        self.negative_at(monkeypatch, "_amplitude_lower", "whole")
+        with pytest.raises(InvariantError, match=r"^lower bound -\d"):
+            bound_pair(PrivacyParams(0.7, 1e-6), 1.0, cost="amplitude")
+
+    def test_negative_fractional_lower_raises(self, monkeypatch):
+        self.negative_at(monkeypatch, "_power_lower", "fractional")
+        with pytest.raises(InvariantError, match=r"^lower bound -\d"):
+            bound_pair(PrivacyParams(0.7, 1e-6), 1.0, cost="power")
 
     def test_slices_once(self, monkeypatch):
-        # the step counts come with the bounds, not from a second slicing
+        # the table takes x = radius/scale once per point for both lower
+        # bounds and the upper; bound_pair's step count is that x/eps
         calls = []
 
-        def counted(terms, delta):
-            calls.append((terms[0], delta))
-            return _slicing(terms, delta)
+        def counted(eps, delta):
+            calls.append((eps, delta))
+            return radius_scale_ratio(eps, delta)
 
-        monkeypatch.setattr(bounds, "_slicing", counted)
+        monkeypatch.setattr(bounds, "radius_scale_ratio", counted)
         for cost in CostKind:
             calls.clear()
-            pair = bound_pair(P_REF, 1.0, cost)
+            lower, lower_floor, upper, refusal = bounds._bound_table(
+                [1.0], [1e-5], 1.0, cost
+            )
+            assert refusal is None
             assert calls == [(1.0, 1e-5)]
+            pair = bound_pair(P_REF, 1.0, cost)
             assert pair.steps_fractional == slicing(1.0, 1e-5)[3]
+            assert (pair.lower, pair.lower_floor, pair.upper) == (
+                lower[0], lower_floor[0], upper[0]
+            )
 
     def test_table_takes_eps_terms_once_per_run(self, monkeypatch):
-        # epsilon's terms once per run of equal epsilon, the slicing once
-        # per point
-        calls = {"terms": [], "slicing": []}
+        # epsilon's terms once per run of equal epsilon, x once per point
+        calls = {"terms": [], "x": []}
 
         def counted_terms(eps):
             calls["terms"].append(eps)
             return _eps_terms(eps)
 
-        def counted_slicing(terms, delta):
-            calls["slicing"].append((terms[0], delta))
-            return _slicing(terms, delta)
+        def counted_x(eps, delta):
+            calls["x"].append((eps, delta))
+            return radius_scale_ratio(eps, delta)
 
         monkeypatch.setattr(bounds, "_eps_terms", counted_terms)
-        monkeypatch.setattr(bounds, "_slicing", counted_slicing)
+        monkeypatch.setattr(bounds, "radius_scale_ratio", counted_x)
         eps = [0.5, 0.5, 0.5, 2.0, 2.0, 0.5]
         delta = [1e-6, 1e-4, 1e-2, 1e-6, 1e-4, 1e-6]
         for cost in CostKind:
             calls["terms"].clear()
-            calls["slicing"].clear()
+            calls["x"].clear()
             *_, refusal = bounds._bound_table(eps, delta, 1.0, cost)
             assert refusal is None
             assert calls["terms"] == [0.5, 2.0, 0.5]
-            assert calls["slicing"] == list(zip(eps, delta))
+            assert calls["x"] == list(zip(eps, delta))
 
     def test_matches_mechanism_upper(self):
         p = PrivacyParams(0.7, 1e-6)
@@ -416,13 +514,17 @@ class TestBoundPair:
 
 
 class TestBoundTable:
-    """The grid kernel against the per-point reference, bit for bit."""
+    """The grid kernel: upper bounds and refusals bit for bit against the
+    calibrated mechanism, lower bounds against mpmath."""
 
     @pytest.mark.parametrize("sens", [1.0, 3.0])
     @pytest.mark.parametrize("cost", list(CostKind))
     @pytest.mark.parametrize("grid", sorted(TABLE_GRIDS))
     def test_matches_the_per_point_reference(self, grid, cost, sens):
-        check_table_against_reference(*TABLE_GRIDS[grid], sens, cost)
+        refused = check_table_against_reference(*TABLE_GRIDS[grid], sens, cost)
+        if grid != "refusals":
+            # no valid point is refused: the upper bound refuses none here
+            assert refused == 0
 
     @pytest.mark.parametrize("sens", [1e-300, 1e300, 5e-324])
     @pytest.mark.parametrize("cost", list(CostKind))
@@ -445,7 +547,10 @@ class TestBoundTable:
             assert pair.steps_floor == math.floor(pair.steps_fractional)
 
     def test_one_formula_body(self):
-        # each closed form is written once, in the function the kernel
-        # evaluates
+        # each lower bound is written once, in the function the kernel
+        # evaluates, for the fractional and the whole step count alike
         source = Path(bounds.__file__).read_text(encoding="utf-8")
-        assert source.count("expm1(-eps * (steps - 1.0))") == 1
+        assert source.count("truncation_power_factor(x)") == 1
+        assert source.count("g_eps - x_over_expm1(x)") == 1
+        for name in ("_slicing", "_check_steps", "mass_coeff", "1e100"):
+            assert name not in source

@@ -330,44 +330,58 @@ class TestBounds:
         assert err.startswith("error: expected power leaves double range")
         assert err.count("\n") == 1
 
-    def test_negative_whole_step_lower_bound_is_exit_4(self, capsys):
-        # the amplitude lower bound cancels at this eps; this printed
-        # "lower": -1.19e+134 with exit 0
+    def test_tiny_epsilon_whole_step_bound_is_exit_0(self, capsys):
+        # the former amplitude closed form cancelled at this eps: it printed
+        # "lower": -1.19e+134, then exited 4; values from 60-digit mpmath
         code, out, err = run(
             capsys,
             "bounds", "--eps", "1e-150", "--delta", "1e-5", "--n-mode", "floor",
         )
-        assert code == 4
-        assert out == ""
-        assert err.startswith("error: internal check failed: lower bound -")
-        assert err.count("\n") == 1
+        assert code == 0
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["steps_floor"] == 49999
+        assert payload["lower"] == payload["lower_floor"]
+        assert payload["lower"] == pytest.approx(24998.500020000002, rel=1e-14)
+        assert payload["lower_fractional"] == pytest.approx(
+            24999.499999999998, rel=1e-14
+        )
+        assert payload["upper"] == 24999.999999999996
 
-    def test_negative_fractional_lower_bound_is_exit_4(self, capsys):
-        # the power lower bound cancels at this eps; this printed
-        # "lower": -4.5e+23 against "upper": 0.347 with exit 0
+    @pytest.mark.parametrize("eps", ["1e-20", "1e-6"])
+    def test_power_bound_near_half_delta_is_exit_0(self, capsys, eps):
+        # the former power closed form cancelled here: it printed "lower":
+        # -4.5e+23 (eps 1e-20) and then exited 4, as it did with -3.26e-10
+        # (eps 1e-6); values from 60-digit mpmath, whose 1 - 2 delta = 0.02
+        # costs two digits
         code, out, err = run(
             capsys,
-            "bounds", "--eps", "1e-20", "--delta", "0.49", "--cost", "power",
+            "bounds", "--eps", eps, "--delta", "0.49", "--cost", "power",
         )
-        assert code == 4
-        assert out == ""
-        assert err.startswith("error: internal check failed: lower bound -4.5")
-        assert err.count("\n") == 1
+        assert code == 0
+        assert err == ""
+        payload = json.loads(out)
+        expected = {"1e-20": 0.0035401915868388205, "1e-6": 0.003540189639663036}
+        assert payload["lower"] == pytest.approx(expected[eps], rel=5e-13)
+        assert payload["lower_floor"] == 0.0
+        assert payload["steps_floor"] == 1
 
-    def test_negative_fractional_lower_bound_is_refused_in_floor_mode(
-        self, capsys
-    ):
-        # floor mode reports the whole-step bound, which is sound here; the
-        # fractional one beside it is still checked
+    def test_power_bound_near_half_delta_in_floor_mode_is_exit_0(self, capsys):
+        # floor mode reports the whole-step bound, which has one step and is
+        # 0 here; the fractional one beside it is checked too
         code, out, err = run(
             capsys,
             "bounds", "--eps", "1e-20", "--delta", "0.49", "--cost", "power",
             "--n-mode", "floor",
         )
-        assert code == 4
-        assert out == ""
-        assert err.startswith("error: internal check failed: lower bound -4.5")
-        assert err.count("\n") == 1
+        assert code == 0
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["lower"] == payload["lower_floor"] == 0.0
+        assert payload["ratio"] == 0.0
+        assert payload["lower_fractional"] == pytest.approx(
+            0.0035401915868388205, rel=5e-13
+        )
 
     def test_unknown_cost(self, capsys):
         code, _, err = run(
@@ -443,17 +457,26 @@ class TestVerify:
                 ],
                 "709.0",
             ),
+            (["--eps", "1", "--delta", "1e-5", "--target-eps", "709.5"], "709.5"),
         ],
     )
     def test_epsilon_beyond_double_range_is_exit_2(self, capsys, args, eps):
         # e^eps overflows a double above eps ~ 709.78; this was an
         # OverflowError traceback with exit 1, the "check failed" code.
-        # Just below that, 4(1 + e^eps) in the tolerance overflows, which
-        # printed "tolerance": Infinity (not JSON) with exit 0.
+        # Just below that, at 709.5, the tolerance's parts overflow, which
+        # printed "tolerance": Infinity (not JSON) with exit 0.  At 709 the
+        # tolerance is finite but above delta/2.
+        reasons = {
+            "800.0": "e^epsilon overflows",
+            "750.0": "e^epsilon overflows",
+            "709.0": "cannot tell delta from delta/2",
+            "709.5": "the tolerance overflows",
+        }
         code, out, err = run(capsys, "verify", *args)
         assert code == 2
         assert out == ""
         assert err.startswith("error: epsilon = " + eps)
+        assert reasons[eps] in err
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
@@ -609,6 +632,21 @@ class TestSweep:
         assert out == ""
         assert err.startswith("error: epsilon=1e-320 is too small")
         assert err.count("\n") == 1
+
+    def test_power_sweep_up_to_half_delta_is_exit_0(self, capsys):
+        # the former power closed form exited 4 at (1e-6, 0.49), a corner
+        # of this grid
+        code, out, err = run(
+            capsys,
+            "sweep", "--eps-min", "1e-6", "--delta-max", "0.49",
+            "--cost", "power",
+        )
+        assert code == 0
+        assert err == ""
+        rows = list(csv.DictReader(out.splitlines()))
+        assert len(rows) == 400
+        for row in rows:
+            assert 0.0 < float(row["q_lower"]) <= float(row["q_upper"])
 
     def test_bad_grid(self, capsys):
         code, _, err = run(

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dpnoise._stable import (
+    coth_half_excess,
     exp_minus_one_minus_x,
     exp_remainder_order3,
     radius_scale_ratio,
     truncation_amplitude_factor,
     truncation_power_factor,
+    x_over_expm1,
 )
 
 
@@ -128,3 +130,26 @@ class TestTruncationFactors:
         pwr = truncation_power_factor(x)
         assert 0.0 < pwr < amp < 1.0
         assert truncation_amplitude_factor(x * 1.1) > amp
+
+
+class TestLowerBoundKernels:
+    """x/(e^x - 1) and x coth(x/2) - 2, which the lower bounds take from
+    here, against 60-digit mpmath from tiny x to past e^x's overflow."""
+
+    POINTS = [1e-300, 1e-150, 1e-103, 1e-20, 9.9e-9, 1e-8, 1.01e-8, 1e-5, 0.01,
+              0.3, 1.0, 1.99, 2.0, 2.01, 5.0, 40.0, 100.0, 700.0, 709.0]
+
+    @pytest.mark.parametrize("x", POINTS)
+    def test_against_mpmath(self, x):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(400):  # x coth(x/2) - 2 cancels 2 log10(1/x) digits
+            X = mpmath.mpf(x)
+            g = float(X / mpmath.expm1(X))
+            k = float(X * mpmath.coth(X / 2) - 2)
+        assert x_over_expm1(x) == pytest.approx(g, rel=4e-16, abs=0.0)
+        assert coth_half_excess(x) == pytest.approx(k, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("x", [750.0, 1e200])
+    def test_x_over_expm1_runs_down_to_zero(self, x):
+        # e^x overflows here; x e^-x / (1 - e^-x) does not
+        assert x_over_expm1(x) == 0.0

@@ -385,6 +385,17 @@ class TestDiscretize:
         with pytest.raises(DomainError):
             discretize(Laplace(1.0), 1.0, step=0.1, radius=-2.0)
 
+    def test_cell_cap_refuses_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated or filled a refused grid")
+
+        monkeypatch.setattr(verifier.np, "empty", refuse)
+        monkeypatch.setattr(Laplace, "grid_masses", refuse)
+        with pytest.raises(
+            DomainError, match=r"^grid of 600000000 cells is too large"
+        ):
+            discretize(Laplace(1.0), 1.0, step=1e-3, radius=3e5)
+
     def test_grid_geometry(self):
         d = discretize(Gaussian(1.0), 1.0, step=0.01, radius=3.0)
         assert d.shift_cells == 100
@@ -623,6 +634,24 @@ class TestDpCheck:
         d = discretize(make_mechanism(name, p, 1.0), 1.0, step=step)
         assert np.array_equal(d.masses, d.masses[::-1])
         assert dp_check(d, p).path == "fast"
+
+    def test_tie_gap_is_covered_by_the_straddle(self):
+        # A geometric grid whose cell-to-cell ratio is a hair steeper than
+        # e^-eps per sensitivity: at the full shift every interior cell
+        # violates by ~1e-10 relative, but the suffix search counts them as
+        # ties, so the fast path's max_violation is ~3.6e-18 against a
+        # whole-cell violation of ~2.5e-10.  Only the gap term of the
+        # straddle covers the difference.
+        H = 4000
+        ratio = (math.e * (1.0 + 5e-10)) ** (-1.0 / 100)
+        masses = mirror(ratio ** np.arange(H))
+        masses /= masses.sum()
+        dist = DiscretizedDist(step=0.01, masses=masses, shift_cells=100)
+        report = dp_check(dist, PrivacyParams(1.0, 1e-6))
+        brute = max(brute_violation(masses, math.e, j) for j in range(1, 101))
+        assert report.path == "fast"
+        assert report.max_violation < 1e-15 < 1e-10 < brute
+        assert report.max_violation <= brute <= report.max_violation + report.tolerance
 
     def test_tolerance_scales_with_grid(self):
         p = PrivacyParams(1.0, 1e-5)
