@@ -175,7 +175,10 @@ class QuerySpec:
             )
 
     def sensitivity(self) -> Sensitivity:
-        """Worst-case change of the aggregate when one row changes."""
+        """Worst-case change of the aggregate when one row is added to or
+        removed from the table (add/remove neighbours): 1 for a count and
+        max(|lo|, |hi|) for a clipped sum.  Under replace-one neighbours a
+        sum's would be hi - lo."""
         if self.aggregate is AggregateKind.COUNT:
             return Sensitivity(1.0)
         lo, hi = self.clip  # validated above
@@ -279,11 +282,14 @@ class BudgetLedger:
         return [LedgerEntry(*record) for record in self._records()]
 
     def totals(self) -> tuple[float, float]:
+        """The spent epsilon and delta, each the correctly rounded sum of
+        the entries: a plain running sum drifts with the ledger's length,
+        and the cap check allows only a relative 1e-12."""
         epsilons, deltas = [], []
         for _, epsilon, delta, _ in self._records():
             epsilons.append(epsilon)
             deltas.append(delta)
-        return float(sum(epsilons)), float(sum(deltas))
+        return math.fsum(epsilons), math.fsum(deltas)
 
     def append(self, entry: LedgerEntry) -> None:
         """Append and fsync one line, under the lock (taken here if the

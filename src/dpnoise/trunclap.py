@@ -135,11 +135,16 @@ class TruncatedLaplace(NoiseMechanism):
             # radius/scale - full*t would cancel; radius - full*step is exact
             span = float(radius - full * h) / self.scale
         full = max(0, full)
-        inner = np.exp(-t * np.arange(_EXP_BLOCK))
+        B = _EXP_BLOCK
+        inner = np.exp(-t * np.arange(B))
         head = self._area * -math.expm1(-t)
-        for lo in range(0, full, _EXP_BLOCK):
-            hi = min(lo + _EXP_BLOCK, full)
-            np.multiply(head * math.exp(-t * lo), inner[: hi - lo], out=out[lo:hi])
+        # Row r of the whole rows holds cells r*B..(r+1)*B-1, then the
+        # partial last row; splitting one axis keeps ``out``'s view.
+        rows = full // B
+        lead = np.array([head * math.exp(-t * lo) for lo in range(0, rows * B, B)])
+        np.multiply.outer(lead, inner, out=out[: rows * B].reshape(rows, B))
+        lo = rows * B
+        np.multiply(head * math.exp(-t * lo), inner[: full - lo], out=out[lo:full])
         k = np.arange(full, H)
         spans = np.where(k == full, span, 0.0)
         out[full:] = self._area * np.exp(-k * t) * -np.expm1(-spans)

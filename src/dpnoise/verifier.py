@@ -30,9 +30,15 @@ For efficiency, grids whose cell masses are log-concave (those of every
 mechanism this package ships) use an exact fast path.  The optimal cell set
 for each shift is a run of cells ending at the support edge, found by
 binary search on the monotone mass-ratio sequence and summed via suffix
-sums.  Edge cells — which carry folded-in tail mass and may break
-log-concavity — are accounted for separately and exactly.  On such a grid
-d changes sign once outside the flat band, at the crossing the search
+sums.  Each shift's search range is first probed at its top cell: the
+searched predicate rises once along the range, so where it fails at the
+top it fails throughout and the search would end at the range's end, which
+the probe sets directly; every boundary is the search's own.  On a
+truncated Laplacian or Laplace grid the mass ratio across a shift stays
+within e^eps inside the support, so the probe settles every shift and the
+search does not run.  Edge cells — which carry folded-in tail mass and may
+break log-concavity — are accounted for separately and exactly.  On such a
+grid d changes sign once outside the flat band, at the crossing the search
 finds, so the fast path takes its tolerance from O(shift_cells + log K)
 cells and M.  Every other grid falls back to the direct scan and a full
 scan of the same tolerance formula.
@@ -188,7 +194,7 @@ class DiscretizedDist:
         half = K // 2
         # centres of the interior triples in the left half
         lo_c, hi_c = s + 2, min(e - 1, half)
-        state = _GateState(max(1e-10, 8.0 * _width_jitter(K)))
+        state = _GateState(max(1e-10, 8.0 * _width_jitter(K)), min(_BLOCK, half))
         for lo in range(0, half, _BLOCK):
             hi = min(lo + _BLOCK, half)
             top = min(hi + 1, half)
@@ -210,12 +216,17 @@ def _first_positive(masses: np.ndarray) -> int:
 class _GateState:
     """What the gate pass has found so far, block by block."""
 
-    def __init__(self, slack: float):
+    def __init__(self, slack: float, cells: int):
         self.slack = slack
         self.total = 0.0
         self.contiguous = True
         self.products_ok = True  # the log-concavity test on products
         self.smallest = math.inf  # smallest cell any triple read
+        # the product test's operands, reused by every block of up to
+        # ``cells`` cells
+        self._squares = np.empty(cells)
+        self._products = np.empty(cells)
+        self._ok = np.empty(cells, dtype=bool)
 
     def block(self, m, lo, hi, s, e, lo_c, hi_c) -> None:
         """Cells [lo, hi): finite and non-negative, positive inside the
@@ -235,13 +246,23 @@ class _GateState:
             self.contiguous = self.contiguous and bool(inside > 0.0)
         a, z = max(lo, lo_c), min(hi, hi_c)
         if a < z:
-            x = m[a - 1 : z + 1]
-            self.smallest = min(self.smallest, float(x.min()))
+            # the triples read cells a-1..z: a whole block and its two
+            # neighbours, or part of one
+            if (a, z) == (lo, hi):
+                read = min(float(low), float(m[a - 1]), float(m[z]))
+            else:
+                read = float(m[a - 1 : z + 1].min())
+            self.smallest = min(self.smallest, read)
             if self.products_ok:
-                mid = x[1:-1]
-                self.products_ok = bool(
-                    np.all(mid * mid >= x[:-2] * x[2:] * (1.0 - self.slack))
+                n = z - a
+                mid = m[a:z]
+                squares = np.multiply(mid, mid, out=self._squares[:n])
+                products = np.multiply(
+                    m[a - 1 : z - 1], m[a + 1 : z + 1], out=self._products[:n]
                 )
+                products *= 1.0 - self.slack
+                ok = np.greater_equal(squares, products, out=self._ok[:n])
+                self.products_ok = bool(ok.all())
 
     def log_concave(self, m, lo_c, hi_c) -> bool:
         if self.smallest >= 1e-150:
@@ -334,7 +355,11 @@ def _fast_forward_violations(
     The optimal positive cell set decomposes as:
       * a suffix of the interior found by binary search on the monotone
         ratio p_i / p_{i+j} (strictly thresholded so float-level ties fall
-        out of the set, where they contribute nothing anyway),
+        out of the set, where they contribute nothing anyway); each
+        shift's range is probed at its top cell first, and a range whose
+        top fails the predicate fails it throughout, so its suffix is
+        empty, as the search would find, and only the other shifts are
+        searched,
       * the one interior cell whose shifted target is the (possibly
         fold-inflated) right edge cell, taken explicitly,
       * all cells shifted past the support (they contribute their own mass),
@@ -355,14 +380,21 @@ def _fast_forward_violations(
     dip = e - j  # the index whose target is the right edge cell
     dom_hi = np.maximum(dip, s + 1)  # past-the-end sentinel of the search
 
+    def searched(i):  # the predicate at candidate i of each shift
+        return masses[i] > c * masses[np.minimum(i + j, K - 1)] * strict
+
     lo = np.full(j.shape, s + 1, dtype=np.int64)
     hi = dom_hi.copy()
+    # Probe each range's last candidate: where the predicate fails there it
+    # fails on the whole range, and the search would end at hi.
+    settled = ~searched(hi - 1)
+    lo[settled] = hi[settled]
     while True:
         active = lo < hi
         if not active.any():
             break
         mid = (lo + hi) // 2
-        pred = masses[mid] > c * masses[np.minimum(mid + j, K - 1)] * strict
+        pred = searched(mid)
         take = active & pred
         skip = active & ~pred
         hi[take] = mid[take]

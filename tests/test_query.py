@@ -208,15 +208,35 @@ class TestBudgetLedger:
         with pytest.raises(DomainError, match="malformed ledger line 2"):
             BudgetLedger(ledger_path).entries()
 
-    def test_totals_add_the_entries_in_line_order(self, ledger_path):
+    def test_totals_are_the_correctly_rounded_sums(self, ledger_path):
         ledger = BudgetLedger(ledger_path)
         for i, eps in enumerate([1e16, 1.0, 1.0, 0.1, 1e-17, 0.3]):
             ledger.append(LedgerEntry(f"q{i}", eps, eps / 7, "t"))
         entries = ledger.entries()
+        epsilons = [e.epsilon for e in entries]
         assert ledger.totals() == (
-            float(sum(e.epsilon for e in entries)),
-            float(sum(e.delta for e in entries)),
+            math.fsum(epsilons),
+            math.fsum(e.delta for e in entries),
         )
+        # a running sum loses each 1.0 against 1e16
+        assert ledger.totals()[0] == 1e16 + 2.0 != sum(epsilons)
+
+    def test_long_ledger_total_does_not_drift_under_the_cap(
+        self, spend_csv, ledger_path
+    ):
+        # 1.0 + 1.1e-16 rounds back to 1.0, so a running sum of these
+        # entries stays at 1.0 while the exact total is 1 + 2.2e-12, beyond
+        # the cap's slack: the query must be refused
+        first = LedgerEntry("q0", 1.0, 0.0, "t").to_json()
+        tiny = LedgerEntry("q", 1.1e-16, 0.0, "t").to_json()
+        ledger_path.write_text("\n".join([first] + [tiny] * 20_000) + "\n")
+        spec = QuerySpec(
+            str(spend_csv), "spend", AggregateKind.COUNT, "trunclap",
+            PrivacyParams(1e-16, 1e-5), 0,
+        )
+        with pytest.raises(BudgetError, match="epsilon budget"):
+            run_query(spec, ledger_path, budget_eps=1.0 + 1e-12)
+        assert len(ledger_path.read_text().splitlines()) == 20_001
 
     def test_append_is_fsynced(self, ledger_path, monkeypatch):
         synced = []

@@ -1056,6 +1056,93 @@ class TestFastPathReference:
             )
 
 
+def probe_outcome(dist, c):
+    """For each shift 1..shift_cells of a fast-path grid: whether the
+    searched predicate fails at the top of its range (so the probe settles
+    it), and the first cell of its range where the predicate holds, found
+    by a plain scan (the range's end if none)."""
+    m = dist.masses
+    K = m.size
+    s, e = dist._run
+    strict = 1.0 + max(1e-9, 4.0 * _width_jitter(K))
+    settled, boundary = [], []
+    for j in range(1, dist.shift_cells + 1):
+        i = np.arange(s + 1, max(e - j, s + 1))
+        pred = m[i] > c * m[np.minimum(i + j, K - 1)] * strict
+        settled.append(not (pred.size and pred[-1]))
+        boundary.append(int(i[np.argmax(pred)]) if pred.any() else s + 1 + i.size)
+    return np.array(settled), np.array(boundary)
+
+
+class TestFastPathProbe:
+    """The fast path probes each shift's search range at its top before the
+    binary search.  Against the reference search, bit for bit, on grids
+    where the probe settles every shift and on grids where it leaves most
+    to the search."""
+
+    @staticmethod
+    def _check_against_reference(d, eps):
+        c = _exp_epsilon(eps)
+        s, e = d._run
+        violations, _, lead, _ = verifier._fast_forward_violations(d, c)
+        ref = brute_fast_forward_violations(
+            d.masses, brute_suffix(d.masses), s, e, c, d.shift_cells
+        )
+        assert violations.tobytes() == ref.tobytes()
+        settled, boundary = probe_outcome(d, c)
+        j = np.arange(1, d.shift_cells + 1)
+        dom_hi = np.maximum(e - j, s + 1)
+        assert np.array_equal(lead, np.clip(boundary - 2, s + 1, dom_hi))
+        return settled, boundary, dom_hi
+
+    @pytest.mark.parametrize("name", ["trunclap", "laplace"])
+    @pytest.mark.parametrize("eps", [0.1, 1.0, 5.0])
+    def test_geometric_grids_are_settled_by_the_probe(self, name, eps):
+        p = PrivacyParams(eps, 1e-5)
+        d = discretize(make_mechanism(name, p, 1.0), 1.0, step=1e-2)
+        settled, _, _ = self._check_against_reference(d, eps)
+        assert settled.all()
+
+    @pytest.mark.parametrize("eps", [0.1, 1.0, 5.0])
+    def test_gaussian_grids_leave_shifts_to_the_search(self, eps):
+        p = PrivacyParams(eps, 1e-5)
+        d = discretize(make_mechanism("gaussian-analytic", p, 1.0), 1.0, step=1e-2)
+        settled, _, _ = self._check_against_reference(d, eps)
+        assert not settled.all()
+
+    def test_interior_crossing(self):
+        # a bell with no folded tail: for most shifts the ratio crosses e^eps
+        # strictly inside the searched range
+        x = 0.025 + 0.05 * np.arange(200)
+        half = np.exp(-0.5 * x * x)
+        d = make_dist(half / (2.0 * half.sum()), step=0.05, shift_cells=20)
+        assert d._fast_ok
+        settled, boundary, dom_hi = self._check_against_reference(d, 1.0)
+        inside = (boundary > d._run[0] + 1) & (boundary < dom_hi)
+        assert settled.sum() < 5 and inside.sum() > 15
+
+    @pytest.mark.parametrize(
+        "mech",
+        [
+            TruncatedLaplace.from_privacy(PrivacyParams(0.01, 1e-6), 1.0),
+            TruncatedLaplace.from_privacy(PrivacyParams(1.0, 1e-3), 1.0),
+            Laplace(0.7),
+        ],
+        ids=["wide", "cut", "laplace"],
+    )
+    @pytest.mark.parametrize("half", [10, 4096, 3 * 4096 + 17])
+    def test_grid_masses_into_strided_and_reversed_out(self, mech, half):
+        # the whole rows of the fill are a reshaped view of ``out``; a
+        # strided or reversed ``out`` must receive the same bits
+        contiguous = mech.grid_masses(1e-3, np.empty(half))
+        strided = np.full(2 * half, math.nan)[::2]
+        reversed_ = np.full(half, math.nan)[::-1]
+        assert mech.grid_masses(1e-3, strided) is strided
+        assert mech.grid_masses(1e-3, reversed_) is reversed_
+        assert strided.tobytes() == contiguous.tobytes()
+        assert reversed_.tobytes() == contiguous.tobytes()
+
+
 class TestDiscrimination:
     """The tolerance tells delta from delta/2 at tiny delta, or the check
     refuses; the calibration identity (the truncated Laplacian's exact
