@@ -6,15 +6,7 @@ discretized brute-force privacy verifier, parameter sweeps, and a small
 private CSV query pipeline.
 """
 
-from .analysis import (
-    LimitRegime,
-    SweepConfig,
-    SweepRow,
-    TightnessRow,
-    emit,
-    run_sweep,
-    tightness_curve,
-)
+from .analysis import SweepConfig, SweepRow, emit, run_sweep
 from .baselines import (
     BoundedUniform,
     Gaussian,
@@ -67,14 +59,12 @@ __all__ = [
     "InvariantError",
     "Laplace",
     "LedgerEntry",
-    "LimitRegime",
     "NoiseMechanism",
     "PrivacyParams",
     "QuerySpec",
     "Sensitivity",
     "SweepConfig",
     "SweepRow",
-    "TightnessRow",
     "TruncatedLaplace",
     "ViolationReport",
     "analytic_gaussian_sigma",
@@ -88,6 +78,5 @@ __all__ = [
     "make_rng",
     "run_query",
     "run_sweep",
-    "tightness_curve",
     "__version__",
 ]

@@ -1,34 +1,28 @@
-"""Parameter sweeps and asymptotic-tightness curves.
+"""Parameter sweeps and their output formats.
 
 `run_sweep` tabulates, over an (epsilon, delta) grid, the universal lower
 bound on noise cost, the truncated-Laplace upper bound, and the analytic
 Gaussian baseline, so the gap between what is achievable and what is
-achieved can be plotted directly.  `tightness_curve` follows the three
-regimes in which the bound gap has a known limit and tabulates the ratio
-against its predicted limit.  `emit` renders row lists as CSV, JSON, or a
-standalone SVG heatmap.
+achieved can be plotted directly.  `emit` renders row lists as CSV, JSON,
+or a standalone SVG heatmap.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import logging
 import math
 from dataclasses import dataclass
-from enum import Enum
 from itertools import chain
 from operator import attrgetter
 
 import numpy as np
 
 from .baselines import _analytic_sigmas, _gaussian_cost
-from .bounds import _bound_table, bound_pair
+from .bounds import _bound_table
 from .core import (
     CostKind,
     DomainError,
-    PrivacyParams,
-    Sensitivity,
     _check_delta,
     _require_finite_positive,
     as_sensitivity,
@@ -38,20 +32,8 @@ __all__ = [
     "SweepConfig",
     "SweepRow",
     "run_sweep",
-    "LimitRegime",
-    "TightnessRow",
-    "tightness_curve",
     "emit",
 ]
-
-log = logging.getLogger(__name__)
-
-
-def _require_count(value, least: int, message: str) -> None:
-    """DomainError(message) unless ``value`` is an int of at least ``least``:
-    np.geomspace refuses a float count late, and takes True as 1."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise DomainError(f"{message}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -75,8 +57,17 @@ class SweepConfig:
         if self.eps_min > self.eps_max or self.delta_min > self.delta_max:
             raise DomainError("grid bounds must satisfy min <= max")
         for name in ("eps_points", "delta_points"):
-            _require_count(getattr(self, name), 1, f"{name} must be an integer >= 1")
+            # np.geomspace refuses a float count late, and takes True as 1
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
         object.__setattr__(self, "cost", CostKind.parse(self.cost))
+        if not isinstance(self.fractional_steps, bool):
+            # a truthy string such as "floor" would pass for the fractional
+            # bound
+            raise DomainError(
+                f"fractional_steps must be a bool, got {self.fractional_steps!r}"
+            )
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         eps = np.geomspace(self.eps_min, self.eps_max, self.eps_points)
@@ -157,104 +148,6 @@ def run_sweep(config: SweepConfig = SweepConfig()) -> list[SweepRow]:
     return rows
 
 
-class LimitRegime(Enum):
-    """Asymptotic regime followed by a tightness curve."""
-
-    EPS_TO_ZERO = "eps-to-zero"
-    DELTA_TO_ZERO = "delta-to-zero"
-    DIAGONAL = "diagonal"
-
-
-@dataclass(frozen=True)
-class TightnessRow:
-    epsilon: float
-    delta: float
-    q_lower: float
-    q_upper: float
-    ratio: float
-    limit_prediction: float
-
-
-def _ratio_limit(regime: LimitRegime, kind: CostKind, anchor: float) -> float:
-    """Known limit of q_lower / q_upper in each regime."""
-    if regime is LimitRegime.EPS_TO_ZERO:
-        delta = anchor
-        if kind is CostKind.AMPLITUDE:
-            return 1.0 - 2.0 * delta
-        return (1.0 - delta) * (1.0 - 2.0 * delta)
-    if regime is LimitRegime.DELTA_TO_ZERO:
-        eps = anchor
-        if kind is CostKind.AMPLITUDE:
-            return eps / math.expm1(eps)
-        return eps * eps * (1.0 + math.exp(eps)) / (2.0 * math.expm1(eps) ** 2)
-    return 1.0
-
-
-def tightness_curve(
-    regime: LimitRegime,
-    cost: "CostKind | str" = CostKind.AMPLITUDE,
-    anchor: "float | None" = None,
-    points: int = 12,
-    sensitivity: "Sensitivity | float" = 1.0,
-    values: "np.ndarray | None" = None,
-) -> list[TightnessRow]:
-    """Follow one asymptotic regime and tabulate the bound ratio.
-
-    ``anchor`` is the quantity held fixed: the delta for EPS_TO_ZERO
-    (default 1e-3), the epsilon for DELTA_TO_ZERO (default 1.0), and for
-    DIAGONAL the proportionality constant kappa in delta = kappa*(e^eps - 1)
-    (default 1.0).  ``values`` overrides the default geometric schedule of
-    the swept variable (epsilon, delta, and epsilon respectively).
-
-    Uses the fractional-step lower bound; the ratio should close in on the
-    prediction as the sweep advances, and a drift away from it over the
-    last few points is logged as a warning rather than raised, since it
-    signals accumulated roundoff rather than a wrong bound.
-    """
-    sens = as_sensitivity(sensitivity)
-    cost = CostKind.parse(cost)
-    _require_count(points, 2, "a tightness curve needs at least 2 points")
-    if regime is LimitRegime.EPS_TO_ZERO:
-        anchor = 1e-3 if anchor is None else float(anchor)
-        swept = np.geomspace(0.1, 1e-7, points) if values is None else values
-        pairs = [(float(v), anchor) for v in swept]
-    elif regime is LimitRegime.DELTA_TO_ZERO:
-        anchor = 1.0 if anchor is None else float(anchor)
-        swept = np.geomspace(1e-2, 1e-12, points) if values is None else values
-        pairs = [(anchor, float(v)) for v in swept]
-    elif regime is LimitRegime.DIAGONAL:
-        anchor = 1.0 if anchor is None else float(anchor)
-        swept = np.geomspace(0.1, 1e-8, points) if values is None else values
-        pairs = [(float(v), anchor * math.expm1(float(v))) for v in swept]
-    else:  # pragma: no cover - exhaustive over the enum
-        raise DomainError(f"unknown regime {regime!r}")
-
-    prediction = _ratio_limit(regime, cost, anchor)
-    rows: list[TightnessRow] = []
-    for eps, delta in pairs:
-        pair = bound_pair(PrivacyParams(eps, delta), sens, cost)
-        rows.append(
-            TightnessRow(
-                epsilon=eps,
-                delta=delta,
-                q_lower=pair.lower,
-                q_upper=pair.upper,
-                ratio=pair.ratio,
-                limit_prediction=prediction,
-            )
-        )
-
-    gaps = [abs(r.ratio - prediction) for r in rows]
-    tail = gaps[len(gaps) // 2 :]
-    if any(b > a * (1.0 + 1e-9) + 1e-15 for a, b in zip(tail, tail[1:])):
-        log.warning(
-            "tightness ratio drifts away from its %s limit over the last "
-            "points; the swept variable may be past float precision",
-            regime.value,
-        )
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # Output formats
 
@@ -269,8 +162,7 @@ def _float_table(rows: list, spec: str) -> tuple[list[str], list[str], list]:
     after row, in one flat list, with the %-conversion for each field:
     ``spec``, but ``%s`` for the grid coordinates, which the list holds
     already formatted by ``spec``, each distinct float object once.  Every
-    value must be a finite float, as every field of a sweep or tightness
-    row is."""
+    value must be a finite float, as every field of a sweep row is."""
     names = [f.name for f in dataclasses.fields(rows[0])]
     values = list(chain.from_iterable(map(attrgetter(*names), rows)))
     if set(map(type, values)) - {float} or not all(map(math.isfinite, values)):
@@ -426,11 +318,12 @@ def _rows_to_svg(rows: list[SweepRow]) -> bytes:
 
 
 def emit(rows: list, fmt: str = "csv") -> bytes:
-    """Render sweep or tightness rows as csv, json, or svg bytes; csv and
-    json refuse a value that is not a finite float with DomainError."""
+    """Render sweep rows as csv, json, or svg bytes; csv and json take any
+    dataclass rows and refuse a value that is not a finite float with
+    DomainError."""
     if not rows:
         raise DomainError("no rows to emit")
-    fmt = fmt.lower()
+    fmt = fmt.lower() if isinstance(fmt, str) else fmt
     if fmt == "csv":
         return _rows_to_csv(rows)
     if fmt == "json":

@@ -312,7 +312,10 @@ def _read_column(spec: QuerySpec) -> tuple[int, np.ndarray]:
     """
     path = Path(spec.input_path)
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        # utf-8-sig drops a leading byte-order mark, which would otherwise
+        # be part of the first column's name; the C reader skips the header
+        # line by count, mark and all
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from None
     with fh:

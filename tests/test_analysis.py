@@ -10,16 +10,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dpnoise.analysis import (
-    LimitRegime,
-    SweepConfig,
-    SweepRow,
-    TightnessRow,
-    emit,
-    run_sweep,
-    tightness_curve,
-)
-from dpnoise import analysis, bounds
+from dpnoise.analysis import SweepConfig, SweepRow, emit, run_sweep
+from dpnoise import bounds
 from dpnoise.baselines import Gaussian, analytic_gaussian_sigma
 from dpnoise.bounds import BoundPair
 from dpnoise.core import ConvergenceError, CostKind, DomainError, PrivacyParams
@@ -53,6 +45,8 @@ class TestSweepConfig:
             SweepConfig(delta_points=0)
         with pytest.raises(DomainError):
             SweepConfig(delta_min=math.nan)
+        with pytest.raises(DomainError, match="fractional_steps must be a bool"):
+            SweepConfig(fractional_steps="floor")  # took the fractional bound
 
     @pytest.mark.parametrize("axis", ["eps_points", "delta_points"])
     @pytest.mark.parametrize(
@@ -181,72 +175,6 @@ class TestRunSweep:
         assert caplog.records == []
 
 
-class TestTightnessCurve:
-    @pytest.mark.parametrize("cost", [CostKind.AMPLITUDE, CostKind.POWER])
-    @pytest.mark.parametrize(
-        "regime",
-        [LimitRegime.EPS_TO_ZERO, LimitRegime.DELTA_TO_ZERO, LimitRegime.DIAGONAL],
-    )
-    def test_ratio_converges_to_prediction(self, regime, cost):
-        rows = tightness_curve(regime, cost=cost)
-        gaps = [abs(r.ratio - r.limit_prediction) for r in rows]
-        assert gaps[-1] < 1e-6
-        assert gaps[0] > 100.0 * gaps[-1]
-        assert all(r.ratio <= 1.0 + 1e-12 for r in rows)
-
-    def test_drift_past_float_precision_is_logged(self, caplog):
-        # swept the wrong way, towards eps = 0.1, the ratio leaves its
-        # eps -> 0 limit over the last points
-        with caplog.at_level(logging.WARNING, logger="dpnoise"):
-            rows = tightness_curve(
-                LimitRegime.EPS_TO_ZERO, values=np.geomspace(1e-7, 0.1, 12)
-            )
-        assert len(rows) == 12
-        assert [r.levelname for r in caplog.records] == ["WARNING"]
-        assert caplog.records[0].getMessage() == (
-            "tightness ratio drifts away from its eps-to-zero limit over the "
-            "last points; the swept variable may be past float precision"
-        )
-
-    def test_eps_to_zero_prediction(self):
-        rows = tightness_curve(LimitRegime.EPS_TO_ZERO, anchor=1e-3)
-        assert rows[0].limit_prediction == pytest.approx(0.998, rel=1e-15)
-        pw = tightness_curve(
-            LimitRegime.EPS_TO_ZERO, cost=CostKind.POWER, anchor=1e-3
-        )
-        assert pw[0].limit_prediction == pytest.approx(
-            0.999 * 0.998, rel=1e-12
-        )
-
-    def test_delta_to_zero_prediction(self):
-        rows = tightness_curve(LimitRegime.DELTA_TO_ZERO, anchor=1.0)
-        assert rows[0].limit_prediction == pytest.approx(
-            1.0 / math.expm1(1.0), rel=1e-15
-        )
-        assert rows[-1].ratio == pytest.approx(1.0 / math.expm1(1.0), abs=1e-9)
-
-    def test_diagonal_prediction_is_one(self):
-        rows = tightness_curve(LimitRegime.DIAGONAL, anchor=1.0)
-        assert rows[0].limit_prediction == 1.0
-        assert rows[-1].ratio == pytest.approx(1.0, abs=1e-6)
-        # the swept epsilon fixes delta through the diagonal coupling
-        for r in rows:
-            assert r.delta == pytest.approx(math.expm1(r.epsilon), rel=1e-15)
-
-    def test_values_override(self):
-        vals = np.array([0.05, 0.01, 0.002])
-        rows = tightness_curve(LimitRegime.EPS_TO_ZERO, values=vals)
-        assert [r.epsilon for r in rows] == pytest.approx(list(vals))
-
-    @pytest.mark.parametrize("points", [1, 0, 2.5, 3.0, True, "3", None, np.int64(3)])
-    def test_needs_two_points(self, points):
-        # 2.5 ended in np.geomspace's TypeError; the count check is
-        # SweepConfig's
-        message = r"^a tightness curve needs at least 2 points"
-        with pytest.raises(DomainError, match=message):
-            tightness_curve(LimitRegime.DIAGONAL, points=points)
-
-
 @pytest.fixture(scope="module")
 def rows():
     return run_sweep(SMALL)
@@ -304,21 +232,27 @@ class TestEmit:
         assert emit(rows, "svg") == emit(rows, "svg")
 
     def test_svg_only_for_sweeps(self):
-        tight = tightness_curve(LimitRegime.DIAGONAL, points=3)
-        with pytest.raises(DomainError):
-            emit(tight, "svg")
+        @dataclasses.dataclass(frozen=True)
+        class Point:
+            epsilon: float
+            delta: float
+            ratio: float
 
-    def test_tightness_rows_emit_csv(self):
-        tight = tightness_curve(LimitRegime.DIAGONAL, points=3)
-        blob = emit(tight, "csv")
-        header = blob.decode("utf-8").splitlines()[0]
-        assert header == "epsilon,delta,q_lower,q_upper,ratio,limit_prediction"
+        points = [Point(0.1, 1e-5, 0.5), Point(0.2, 1e-5, 0.75)]
+        # csv and json take any dataclass rows of floats
+        for fmt in ("csv", "json"):
+            assert emit(points, fmt) == BRUTE_EMITTERS[fmt](points)
+        assert emit(points, "csv").startswith(b"epsilon,delta,ratio\n")
+        with pytest.raises(DomainError):
+            emit(points, "svg")
 
     def test_rejects_empty_and_unknown(self, rows):
         with pytest.raises(DomainError):
             emit([], "csv")
         with pytest.raises(DomainError):
             emit(rows, "pdf")
+        with pytest.raises(DomainError, match="unknown output format None"):
+            emit(rows, None)  # was an AttributeError from None.lower()
 
 
 class TestSweepBuildsNoPerPointObjects:
@@ -331,7 +265,6 @@ class TestSweepBuildsNoPerPointObjects:
         (Gaussian, "__init__"),
         (BoundPair, "__init__"),
         (bounds, "bound_pair"),
-        (analysis, "bound_pair"),
     ]
 
     def test_counts_do_not_grow_with_the_grid(self, monkeypatch):
@@ -353,13 +286,13 @@ class TestSweepBuildsNoPerPointObjects:
         assert by_size[10] == by_size[30]
         # the counters see these objects where they are built
         counts.clear()
-        analysis.bound_pair(PrivacyParams(1.0, 1e-5), 1.0)
+        bounds.bound_pair(PrivacyParams(1.0, 1e-5), 1.0)
         TruncatedLaplace.from_privacy(PrivacyParams(1.0, 1e-5), 1.0)
         Gaussian(1.0)
         assert set(counts) == {
             "PrivacyParams.__init__", "TruncatedLaplace.__init__",
             "Gaussian.__init__", "BoundPair.__init__",
-            "dpnoise.analysis.bound_pair",
+            "dpnoise.bounds.bound_pair",
         }
 
 
@@ -538,12 +471,6 @@ class TestEmittersMatchTheReference:
         )
         assert emit(rows, fmt) == BRUTE_EMITTERS[fmt](rows)
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("regime", list(LimitRegime))
-    def test_tightness_rows(self, regime, fmt):
-        rows = tightness_curve(regime, cost=CostKind.POWER)
-        assert emit(rows, fmt) == BRUTE_EMITTERS[fmt](rows)
-
     @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
     @pytest.mark.parametrize("ratios_finite", [True, False])
     def test_special_values(self, ratios_finite, fmt):
@@ -557,9 +484,8 @@ class TestEmittersMatchTheReference:
                 BRUTE_EMITTERS[fmt], [row]
             )
 
-    @pytest.mark.parametrize("row_type", [SweepRow, TightnessRow])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_shared_and_distinct_axis_objects(self, fmt, row_type):
+    def test_shared_and_distinct_axis_objects(self, fmt):
         # the emitters format each grid coordinate object once: rows that
         # share a float object and rows that hold an equal but distinct one,
         # with 0.0 and -0.0 (equal as values, not as text) among them
@@ -573,9 +499,8 @@ class TestEmittersMatchTheReference:
                  fresh(1e-5), neg_zero, zero, fresh(0.0)]
         assert eps[0] is eps[1] and eps[6] is eps[7]
         assert eps[0] == eps[2] and eps[0] is not eps[4] and eps[6] is not eps[8]
-        fields = len(dataclasses.fields(row_type)) - 2
         rows = [
-            row_type(e, d, *[0.25 * (k + 1) - j for j in range(fields)])
+            SweepRow(e, d, *[0.25 * (k + 1) - j for j in range(6)])
             for k, (e, d) in enumerate(zip(eps, delta))
         ]
         assert emit(rows, fmt) == BRUTE_EMITTERS[fmt](rows)
@@ -588,12 +513,12 @@ class TestEmittersMatchTheReference:
         # that strict parsers reject
         bad = [3, True, "a,b", None, np.float64(0.1), math.nan, math.inf, -math.inf]
         for value in bad:
-            for field in range(6):
-                values = [0.5] * 6
+            for field in range(8):
+                values = [0.5] * 8
                 values[field] = value
                 rows = [
-                    TightnessRow(0.1, 1e-5, 1.0, 2.0, 0.5, 0.5),
-                    TightnessRow(*values),
+                    SweepRow(0.1, 1e-5, 1.0, 2.0, 2.0, 4.0, 0.5, 0.5),
+                    SweepRow(*values),
                 ]
                 with pytest.raises(DomainError, match="finite floats"):
                     emit(rows, fmt)
@@ -606,13 +531,6 @@ def refuse_constant(name):
 ROW_SOURCES = {
     "sweep-amplitude": lambda: run_sweep(SweepConfig()),
     "sweep-power": lambda: run_sweep(SweepConfig(cost=CostKind.POWER)),
-    **{
-        f"tightness-{regime.value}-{cost.value}": (
-            lambda regime=regime, cost=cost: tightness_curve(regime, cost=cost)
-        )
-        for regime in LimitRegime
-        for cost in CostKind
-    },
 }
 
 

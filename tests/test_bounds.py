@@ -512,6 +512,37 @@ class TestBoundPair:
         assert pair.ratio == pytest.approx(0.99973556187464, rel=1e-10)
         assert pair.ratio < 1.0
 
+    # The paper's three high-privacy regimes: 12 (epsilon, delta) points
+    # along each, and the limit of lower / upper as the path goes on.
+    REGIME_PATHS = {
+        "eps-to-zero": [(e, 1e-3) for e in np.geomspace(0.1, 1e-7, 12).tolist()],
+        "delta-to-zero": [(1.0, d) for d in np.geomspace(1e-2, 1e-12, 12).tolist()],
+        "diagonal": [(e, math.expm1(e)) for e in np.geomspace(0.1, 1e-8, 12).tolist()],
+    }
+    REGIME_LIMITS = {
+        ("eps-to-zero", CostKind.AMPLITUDE): 1.0 - 2.0 * 1e-3,
+        ("eps-to-zero", CostKind.POWER): (1.0 - 1e-3) * (1.0 - 2.0 * 1e-3),
+        ("delta-to-zero", CostKind.AMPLITUDE): 1.0 / math.expm1(1.0),
+        ("delta-to-zero", CostKind.POWER): (
+            (1.0 + math.e) / (2.0 * math.expm1(1.0) ** 2)
+        ),
+        ("diagonal", CostKind.AMPLITUDE): 1.0,
+        ("diagonal", CostKind.POWER): 1.0,
+    }
+    # delta -> 0 closes fastest: its last gaps are 1.3e-11 and 1.6e-10
+    LAST_GAP = {"eps-to-zero": 1e-6, "delta-to-zero": 1e-9, "diagonal": 1e-6}
+
+    @pytest.mark.parametrize("cost", list(CostKind))
+    @pytest.mark.parametrize("regime", list(REGIME_PATHS))
+    def test_ratio_converges_to_the_regime_limit(self, regime, cost):
+        limit = self.REGIME_LIMITS[regime, cost]
+        gaps = [
+            abs(bound_pair(PrivacyParams(eps, delta), 1.0, cost).ratio - limit)
+            for eps, delta in self.REGIME_PATHS[regime]
+        ]
+        assert gaps[-1] < self.LAST_GAP[regime]
+        assert gaps[0] > 100.0 * gaps[-1]
+
 
 class TestBoundTable:
     """The grid kernel: upper bounds and refusals bit for bit against the

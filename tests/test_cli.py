@@ -987,10 +987,13 @@ class TestImports:
         # A fresh interpreter: no command, for any mechanism, loads scipy.
         # The probe looks after each mechanism's calls and after a sweep,
         # and last after importing scipy itself, to show it can see a load.
+        # Neither the import nor any call loads logging (numpy does not).
         script = f"""
 import sys
 import dpnoise, dpnoise.cli
 from dpnoise.cli import main
+
+logging_loaded = ["logging" in sys.modules]
 
 loaded = []
 def probe():
@@ -1008,9 +1011,13 @@ for mech in ("trunclap", "laplace", "gaussian-analytic"):
     probe()
 assert main(["sweep", "--eps-points", "5", "--delta-points", "5"]) == 0
 probe()
+logging_loaded.append("logging" in sys.modules)
 import scipy.special
 probe()
+import logging
+logging_loaded.append("logging" in sys.modules)
 print("scipy loaded:", loaded, file=sys.stderr)
+print("logging loaded:", logging_loaded, file=sys.stderr)
 """
         src = str(Path(dpnoise.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -1021,3 +1028,4 @@ print("scipy loaded:", loaded, file=sys.stderr)
             env=env, timeout=120, check=True,
         )
         assert "scipy loaded: [False, False, False, False, True]" in proc.stderr
+        assert "logging loaded: [False, False, True]" in proc.stderr

@@ -67,6 +67,10 @@ def test_interval_mass_and_cdf_are_defined_once():
         "max_violation",
         # a zero-noise generator has no place in the package
         "_MedianDraws",
+        # the regime limits are checked on bound_pair; nothing called these
+        "LimitRegime",
+        "TightnessRow",
+        "tightness_curve",
     ],
 )
 def test_removed_names_are_gone(name):

@@ -918,6 +918,33 @@ class TestReadPaths:
         )
         assert _read_column(_spec(cr, agg))[0] == 2
 
+    @pytest.mark.parametrize("agg", list(AggregateKind))
+    @pytest.mark.parametrize("column", ["a", "b"])
+    @pytest.mark.parametrize(
+        "text, streamed",
+        [("a,b\n1,2\n3.5,4\n", False), ("a,b\n1,2\n1_000,4\n", True),
+         ("a,b\n1,2\noops,4\n", True)],
+        ids=["clean", "underscore", "junk"],
+    )
+    def test_byte_order_mark_reads_like_none(
+        self, tmp_path, csv_reader_rows, agg, column, text, streamed
+    ):
+        # a file saved with a BOM (Excel's "CSV UTF-8") hid its first column
+        # behind the name '\\ufeffa'; one path for both files, so that the
+        # errors name the same file
+        path = tmp_path / "rows.csv"
+        path.write_bytes(text.encode())
+        spec = _spec(path, agg, column=column, clip=(0.0, 1e6))
+        plain = _outcome(_read_column, spec)
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        csv_reader_rows.clear()
+        assert _outcome(_read_column, spec) == plain
+        numeric = agg is not AggregateKind.COUNT and column == "a"
+        if numeric:
+            # the underscore and the junk cell take the streaming reader
+            assert (len(csv_reader_rows) > 1) is streamed
+        assert plain[0] == (DomainError if numeric and "oops" in text else 2)
+
     def test_quoted_newline_in_header(self, tmp_path):
         path = tmp_path / "header.csv"
         path.write_text('id,"a\nb",spend\n1,2,3\n4,5,6\n')
