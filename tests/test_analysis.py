@@ -16,6 +16,7 @@ from dpnoise.baselines import Gaussian, analytic_gaussian_sigma
 from dpnoise.bounds import BoundPair
 from dpnoise.core import ConvergenceError, CostKind, DomainError, PrivacyParams
 from dpnoise.trunclap import TruncatedLaplace
+from test_bounds import REGIME_PATHS
 
 SMALL = SweepConfig(
     eps_min=0.1,
@@ -454,6 +455,28 @@ def special_sweep_rows(ratios_finite, finite=False):
     return rows
 
 
+@dataclasses.dataclass(frozen=True)
+class PathRow:
+    """A row of six floats beside SweepRow's eight: ``bound_pair`` at one
+    point of a high-privacy regime's path."""
+
+    epsilon: float
+    delta: float
+    lower: float
+    lower_floor: float
+    upper: float
+    ratio: float
+
+
+def path_rows(regime, cost):
+    rows = []
+    for eps, delta in REGIME_PATHS[regime]:
+        pair = bounds.bound_pair(PrivacyParams(eps, delta), 1.0, cost)
+        rows.append(PathRow(eps, delta, pair.lower, pair.lower_floor,
+                            pair.upper, pair.ratio))
+    return rows
+
+
 def outcome(emitter, rows):
     try:
         return emitter(rows)
@@ -471,6 +494,13 @@ class TestEmittersMatchTheReference:
         )
         assert emit(rows, fmt) == BRUTE_EMITTERS[fmt](rows)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("regime", list(REGIME_PATHS))
+    def test_regime_path_rows(self, regime, fmt):
+        # values from 1e-12 to 1 on another row shape
+        rows = path_rows(regime, CostKind.POWER)
+        assert emit(rows, fmt) == BRUTE_EMITTERS[fmt](rows)
+
     @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
     @pytest.mark.parametrize("ratios_finite", [True, False])
     def test_special_values(self, ratios_finite, fmt):
@@ -484,8 +514,9 @@ class TestEmittersMatchTheReference:
                 BRUTE_EMITTERS[fmt], [row]
             )
 
+    @pytest.mark.parametrize("row_type", [SweepRow, PathRow])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_shared_and_distinct_axis_objects(self, fmt):
+    def test_shared_and_distinct_axis_objects(self, fmt, row_type):
         # the emitters format each grid coordinate object once: rows that
         # share a float object and rows that hold an equal but distinct one,
         # with 0.0 and -0.0 (equal as values, not as text) among them
@@ -499,8 +530,9 @@ class TestEmittersMatchTheReference:
                  fresh(1e-5), neg_zero, zero, fresh(0.0)]
         assert eps[0] is eps[1] and eps[6] is eps[7]
         assert eps[0] == eps[2] and eps[0] is not eps[4] and eps[6] is not eps[8]
+        fields = len(dataclasses.fields(row_type)) - 2
         rows = [
-            SweepRow(e, d, *[0.25 * (k + 1) - j for j in range(6)])
+            row_type(e, d, *[0.25 * (k + 1) - j for j in range(fields)])
             for k, (e, d) in enumerate(zip(eps, delta))
         ]
         assert emit(rows, fmt) == BRUTE_EMITTERS[fmt](rows)
@@ -531,11 +563,19 @@ def refuse_constant(name):
 ROW_SOURCES = {
     "sweep-amplitude": lambda: run_sweep(SweepConfig()),
     "sweep-power": lambda: run_sweep(SweepConfig(cost=CostKind.POWER)),
+    **{
+        f"path-{regime}-{cost.value}": (
+            lambda regime=regime, cost=cost: path_rows(regime, cost)
+        )
+        for regime in REGIME_PATHS
+        for cost in CostKind
+    },
 }
 
 
 class TestEmittedTextParses:
-    """What emit writes for the package's own rows is strict csv and json."""
+    """What emit writes for sweep rows and for rows of ``bound_pair``
+    values is strict csv and json."""
 
     @pytest.mark.parametrize("source", ROW_SOURCES)
     def test_csv(self, source):

@@ -371,6 +371,15 @@ class TestMonotone:
         ) * (1.0 + 1e-13)
 
 
+# The paper's three high-privacy regimes: 12 (epsilon, delta) points along
+# each, in the order the path goes on.
+REGIME_PATHS = {
+    "eps-to-zero": [(e, 1e-3) for e in np.geomspace(0.1, 1e-7, 12).tolist()],
+    "delta-to-zero": [(1.0, d) for d in np.geomspace(1e-2, 1e-12, 12).tolist()],
+    "diagonal": [(e, math.expm1(e)) for e in np.geomspace(0.1, 1e-8, 12).tolist()],
+}
+
+
 class TestBoundPair:
     def test_ratio(self):
         pair = BoundPair(
@@ -512,13 +521,7 @@ class TestBoundPair:
         assert pair.ratio == pytest.approx(0.99973556187464, rel=1e-10)
         assert pair.ratio < 1.0
 
-    # The paper's three high-privacy regimes: 12 (epsilon, delta) points
-    # along each, and the limit of lower / upper as the path goes on.
-    REGIME_PATHS = {
-        "eps-to-zero": [(e, 1e-3) for e in np.geomspace(0.1, 1e-7, 12).tolist()],
-        "delta-to-zero": [(1.0, d) for d in np.geomspace(1e-2, 1e-12, 12).tolist()],
-        "diagonal": [(e, math.expm1(e)) for e in np.geomspace(0.1, 1e-8, 12).tolist()],
-    }
+    # the limit of lower / upper as each regime's path goes on
     REGIME_LIMITS = {
         ("eps-to-zero", CostKind.AMPLITUDE): 1.0 - 2.0 * 1e-3,
         ("eps-to-zero", CostKind.POWER): (1.0 - 1e-3) * (1.0 - 2.0 * 1e-3),
@@ -538,7 +541,7 @@ class TestBoundPair:
         limit = self.REGIME_LIMITS[regime, cost]
         gaps = [
             abs(bound_pair(PrivacyParams(eps, delta), 1.0, cost).ratio - limit)
-            for eps, delta in self.REGIME_PATHS[regime]
+            for eps, delta in REGIME_PATHS[regime]
         ]
         assert gaps[-1] < self.LAST_GAP[regime]
         assert gaps[0] > 100.0 * gaps[-1]
