@@ -1,10 +1,13 @@
 """Parameter sweeps and their output formats.
 
-`run_sweep` tabulates, over an (epsilon, delta) grid, the universal lower
+A sweep tabulates, over an (epsilon, delta) grid, the universal lower
 bound on noise cost, the truncated-Laplace upper bound, and the analytic
 Gaussian baseline, so the gap between what is achievable and what is
-achieved can be plotted directly.  `emit` renders row lists as CSV, JSON,
-or a standalone SVG heatmap.
+achieved can be plotted directly.  The table is held as columns, one list
+per :class:`SweepRow` field; `run_sweep` makes rows of it for library
+callers, and ``dpnoise sweep`` writes it as it is.  One emitter renders a
+table of columns as CSV, JSON, or a standalone SVG heatmap; `emit` splits
+a list of dataclass rows into columns and renders those.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 from operator import attrgetter
 
 import numpy as np
@@ -61,6 +63,9 @@ class SweepConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+        object.__setattr__(
+            self, "sensitivity", as_sensitivity(self.sensitivity).value
+        )
         object.__setattr__(self, "cost", CostKind.parse(self.cost))
         if not isinstance(self.fractional_steps, bool):
             # a truthy string such as "floor" would pass for the fractional
@@ -89,17 +94,16 @@ class SweepRow:
     ratio_tl_gauss: float
 
 
-def run_sweep(config: SweepConfig = SweepConfig()) -> list[SweepRow]:
-    """Tabulate bounds and the analytic Gaussian baseline over the grid.
+def _sweep_table(config: SweepConfig) -> list[list[float]]:
+    """The sweep as one list per :class:`SweepRow` field, in field order.
 
-    The upper bound is the calibrated truncated Laplacian's cost, so each
-    row's ``q_upper`` and ``tl_cost`` are the same number, kept as two
-    columns for readers of either.  The grid runs epsilon-major through one
-    bounds pass (:func:`dpnoise.bounds._bound_table`, which takes the terms
-    of epsilon alone once per run of equal epsilon and checks the order of
-    the bounds) and one Gaussian calibration pass, whose sigmas give each
-    row's Gaussian cost directly, with no mechanism built per row; a
-    refused point raises what a point-by-point sweep would raise first.
+    The upper bound is the calibrated truncated Laplacian's cost, so
+    ``q_upper`` and ``tl_cost`` are one list object.  The grid runs
+    epsilon-major through one bounds pass (:func:`dpnoise.bounds._bound_table`)
+    and one Gaussian calibration pass, with no mechanism built per point;
+    the costs and ratios after them are array arithmetic, each value the
+    one float operation a point on its own would do.  A refused point
+    raises what a point-by-point sweep would raise first.
     """
     sens = as_sensitivity(config.sensitivity)
     kind = config.cost
@@ -122,86 +126,75 @@ def run_sweep(config: SweepConfig = SweepConfig()) -> list[SweepRow]:
     # Calibrate every point the bounds got through, even when they stopped
     # on an error: point by point, a failed calibration at an earlier point
     # would have been raised first.
-    done = len(upper)
-    sigmas_analytic = _analytic_sigmas(epsilon[:done], delta[:done], sens).tolist()
+    sigmas = _analytic_sigmas(epsilon[: len(upper)], delta[: len(upper)], sens)
     if error is not None:
         raise error
-    rows: list[SweepRow] = []
-    q_lowers = lower if config.fractional_steps else lower_floor
-    for eps, dlt, q_lower, tl_cost, sigma_analytic in zip(
-        epsilon, delta, q_lowers, upper, sigmas_analytic
-    ):
-        gauss_analytic = _gaussian_cost(sigma_analytic, kind)
-        # positional, in field order: keywords double the cost of a row
-        rows.append(
-            SweepRow(
-                eps,
-                dlt,
-                q_lower,
-                tl_cost,  # q_upper
-                tl_cost,
-                gauss_analytic,
-                q_lower / tl_cost,
-                tl_cost / gauss_analytic,
-            )
-        )
-    return rows
+    q_lower = lower if config.fractional_steps else lower_floor
+    gauss = _gaussian_cost(sigmas, kind)
+    tl_cost = np.array(upper)
+    return [
+        epsilon, delta, q_lower, upper, upper,  # q_upper and tl_cost: one list
+        gauss.tolist(),
+        (np.array(q_lower) / tl_cost).tolist(),
+        (tl_cost / gauss).tolist(),
+    ]
+
+
+def run_sweep(config: SweepConfig = SweepConfig()) -> list[SweepRow]:
+    """Tabulate bounds and the analytic Gaussian baseline over the grid,
+    one :class:`SweepRow` per point, epsilon-major; each row's ``q_upper``
+    and ``tl_cost`` are the same number, kept as two columns for readers of
+    either."""
+    return list(map(SweepRow, *_sweep_table(config)))
 
 
 # ---------------------------------------------------------------------------
 # Output formats
 
 
+_SWEEP_FIELDS = tuple(f.name for f in dataclasses.fields(SweepRow))
+
 # A sweep's rows share their grid coordinates: one float object for every
 # row of an epsilon-run, and the delta axis's objects in every run.
 _AXES = ("epsilon", "delta")
 
 
-def _float_table(rows: list, spec: str) -> tuple[list[str], list[str], list]:
-    """The field names of ``rows`` and every row's values of them, row
-    after row, in one flat list, with the %-conversion for each field:
-    ``spec``, but ``%s`` for the grid coordinates, which the list holds
-    already formatted by ``spec``, each distinct float object once.  Every
-    value must be a finite float, as every field of a sweep row is."""
-    names = [f.name for f in dataclasses.fields(rows[0])]
-    values = list(chain.from_iterable(map(attrgetter(*names), rows)))
-    if set(map(type, values)) - {float} or not all(map(math.isfinite, values)):
-        raise DomainError("csv and json rows must hold finite floats only")
-    specs = [spec] * len(names)
-    for k, name in enumerate(names):
+def _texts(names: list[str], columns: list, spec: str) -> list[list[str]]:
+    """Every column's values formatted by ``spec``, each distinct column
+    object once (a sweep's ``q_upper`` and ``tl_cost`` are one), and in a
+    grid coordinate column each distinct float object once.  Every value
+    must be a finite float, as every value of a sweep is."""
+    texts: dict[int, list[str]] = {}
+    for name, column in zip(names, columns):
+        if id(column) in texts:
+            continue
+        if set(map(type, column)) - {float} or not all(map(math.isfinite, column)):
+            raise DomainError("csv and json rows must hold finite floats only")
         if name in _AXES:
             # keyed by identity: a key by value would take 0.0 and -0.0 as one
-            column = values[k :: len(names)]
             ids = list(map(id, column))
             text = {i: spec % v for i, v in dict(zip(ids, column)).items()}
-            values[k :: len(names)] = map(text.__getitem__, ids)
-            specs[k] = "%s"
-    return names, specs, values
+            texts[id(column)] = list(map(text.__getitem__, ids))
+        else:
+            texts[id(column)] = list(map(spec.__mod__, column))
+    return [texts[id(column)] for column in columns]
 
 
-# Each emitter below fills one %-template for the whole table, with the
-# grid coordinates formatted once per distinct object by _float_table.
+def _csv(names: list[str], columns: list) -> bytes:
+    # "%.17g" is format(value, ".17g")
+    rows = map(",".join, zip(*_texts(names, columns, "%.17g")))
+    return ("\n".join([",".join(names), *rows]) + "\n").encode("utf-8")
 
 
-def _rows_to_csv(rows: list) -> bytes:
-    names, specs, values = _float_table(rows, "%.17g")  # format(value, ".17g")
-    line = ",".join(specs) + "\n"
-    body = (line * len(rows)) % tuple(values)
-    return (",".join(names) + "\n" + body).encode("utf-8")
-
-
-def _rows_to_json(rows: list) -> bytes:
+def _json(names: list[str], columns: list) -> bytes:
     # json.dumps(payload, indent=2)'s layout, with its key escaping and its
     # text for a finite float, float.__repr__ (which %r gives)
-    names, specs, values = _float_table(rows, "%r")
-    row = "  {\n" + ",\n".join(
-        f"    {json.dumps(n)}: {c}" for n, c in zip(names, specs)
-    ) + "\n  }"
-    body = ",\n".join([row] * len(rows)) % tuple(values)
-    return ("[\n" + body + "\n]\n").encode("utf-8")
+    row = "  {\n" + ",\n".join(f"    {json.dumps(n)}: %s" for n in names) + "\n  }"
+    rows = map(row.__mod__, zip(*_texts(names, columns, "%r")))
+    return ("[\n" + ",\n".join(rows) + "\n]\n").encode("utf-8")
 
 
-_VIRIDIS = [
+_VIRIDIS = np.array([
     (0.267, 0.005, 0.329),
     (0.283, 0.141, 0.458),
     (0.254, 0.265, 0.530),
@@ -213,28 +206,29 @@ _VIRIDIS = [
     (0.478, 0.821, 0.318),
     (0.741, 0.873, 0.150),
     (0.993, 0.906, 0.144),
-]
+])
 
 
-def _color(v: float) -> str:
-    v = min(max(v, 0.0), 1.0)
+def _colors(v: np.ndarray) -> list[str]:
+    """The ``#rrggbb`` viridis colour of each value, clamped to [0, 1]:
+    the two nearest stops mixed linearly, each channel rounded half to
+    even."""
+    v = np.minimum(np.maximum(v, 0.0), 1.0)
+    if np.isnan(v).any():
+        # a NaN has no stop: the error int() raises for its position
+        raise ValueError("cannot convert float NaN to integer")
     pos = v * (len(_VIRIDIS) - 1)
-    i = min(int(pos), len(_VIRIDIS) - 2)
-    t = pos - i
-    s = 1 - t
-    (r0, g0, b0), (r1, g1, b1) = _VIRIDIS[i], _VIRIDIS[i + 1]
-    return "#%02x%02x%02x" % (
-        round(255 * (s * r0 + t * r1)),
-        round(255 * (s * g0 + t * g1)),
-        round(255 * (s * b0 + t * b1)),
-    )
+    i = np.minimum(pos.astype(np.intp), len(_VIRIDIS) - 2)
+    t = (pos - i)[:, None]
+    rgb = np.rint(255 * ((1 - t) * _VIRIDIS[i] + t * _VIRIDIS[i + 1])).astype(np.intp)
+    return list(map("#%06x".__mod__, (rgb @ [65536, 256, 1]).tolist()))
 
 
-def _rows_to_svg(rows: list[SweepRow]) -> bytes:
+def _svg(epsilon: list, delta: list, ratio: list) -> bytes:
     """Standalone SVG heatmap of the lower/upper bound ratio."""
-    eps_values = sorted({r.epsilon for r in rows})
-    delta_values = sorted({r.delta for r in rows})
-    cell = {(r.epsilon, r.delta): r.ratio_bounds for r in rows}
+    eps_values = sorted(set(epsilon))
+    delta_values = sorted(set(delta))
+    cell = dict(zip(zip(epsilon, delta), ratio))
     vmin = min(cell.values())
     vmax = max(cell.values())
     span = (vmax - vmin) or 1.0
@@ -260,32 +254,35 @@ def _rows_to_svg(rows: list[SweepRow]) -> bytes:
         (delta, f"{top + height - (iy + 1) * ch:.2f}", f"{delta:.6g}")
         for iy, delta in enumerate(delta_values)
     ]
-    cell_w, cell_h = f"{cw + 0.3:.2f}", f"{ch + 0.3:.2f}"
-    for eps, x, eps_text in columns:
-        for delta, y, delta_text in rows_y:
-            ratio = cell.get((eps, delta))
-            if ratio is None:
-                continue
-            parts.append(
-                f'<rect x="{x}" y="{y}" width="{cell_w}" '
-                f'height="{cell_h}" fill="{_color((ratio - vmin) / span)}">'
-                f"<title>eps={eps_text}, delta={delta_text}, "
-                f"ratio={ratio:.6g}</title></rect>"
-            )
+    cells = [
+        (x, y, eps_text, delta_text, cell.get((eps, delta)))
+        for eps, x, eps_text in columns
+        for delta, y, delta_text in rows_y
+    ]
+    cells = [c for c in cells if c[-1] is not None]
+    # every cell's colour and the colorbar's, in one pass
+    bar_x, bar_w, steps = left + width + 30, 18, 32
+    with np.errstate(over="ignore", invalid="ignore"):
+        shades = (np.array([c[-1] for c in cells], dtype=float) - vmin) / span
+    fills = _colors(np.concatenate([shades, np.arange(steps) / (steps - 1)]))
+    rect = (
+        f'<rect x="%s" y="%s" width="{cw + 0.3:.2f}" height="{ch + 0.3:.2f}" '
+        'fill="%s"><title>eps=%s, delta=%s, ratio=%.6g</title></rect>'
+    )
+    parts += [
+        rect % (x, y, fill, eps_text, delta_text, r)
+        for (x, y, eps_text, delta_text, r), fill in zip(cells, fills)
+    ]
     # axes
-    every_x = max(1, len(eps_values) // 8)
-    for ix, eps in enumerate(eps_values):
-        if ix % every_x:
-            continue
+    for ix in range(0, len(eps_values), max(1, len(eps_values) // 8)):
+        eps = eps_values[ix]
         x = left + (ix + 0.5) * cw
         parts.append(
             f'<text x="{x:.2f}" y="{top + height + 18}" text-anchor="middle">'
             f"{eps:.1e}</text>"
         )
-    every_y = max(1, len(delta_values) // 8)
-    for iy, delta in enumerate(delta_values):
-        if iy % every_y:
-            continue
+    for iy in range(0, len(delta_values), max(1, len(delta_values) // 8)):
+        delta = delta_values[iy]
         y = top + height - (iy + 0.5) * ch
         parts.append(
             f'<text x="{left - 8}" y="{y + 4:.2f}" text-anchor="end">'
@@ -300,13 +297,11 @@ def _rows_to_svg(rows: list[SweepRow]) -> bytes:
         f'transform="rotate(-90 20 {top + height / 2})">delta</text>'
     )
     # colorbar
-    bar_x, bar_w, steps = left + width + 30, 18, 32
-    for k in range(steps):
-        frac = k / (steps - 1)
+    for k, fill in enumerate(fills[len(cells):]):
         y = top + height * (1 - (k + 1) / steps)
         parts.append(
             f'<rect x="{bar_x}" y="{y:.2f}" width="{bar_w}" '
-            f'height="{height / steps + 0.3:.2f}" fill="{_color(frac)}"/>'
+            f'height="{height / steps + 0.3:.2f}" fill="{fill}"/>'
         )
     for frac, value in ((0.0, vmin), (0.5, vmin + span / 2), (1.0, vmax)):
         y = top + height * (1 - frac)
@@ -317,19 +312,29 @@ def _rows_to_svg(rows: list[SweepRow]) -> bytes:
     return "\n".join(parts).encode("utf-8")
 
 
+def _emit_table(columns: list, fmt: str, names=_SWEEP_FIELDS) -> bytes:
+    """Render a table of columns, by default a sweep's, as "csv", "json"
+    or "svg" bytes."""
+    if fmt == "svg":
+        by_name = dict(zip(names, columns))
+        return _svg(by_name["epsilon"], by_name["delta"], by_name["ratio_bounds"])
+    return (_csv if fmt == "csv" else _json)(names, columns)
+
+
 def emit(rows: list, fmt: str = "csv") -> bytes:
-    """Render sweep rows as csv, json, or svg bytes; csv and json take any
-    dataclass rows and refuse a value that is not a finite float with
-    DomainError."""
+    """Render rows, instances of one dataclass, as csv, json, or svg bytes
+    (svg for sweep rows only); csv and json refuse a value that is not a
+    finite float with DomainError."""
     if not rows:
         raise DomainError("no rows to emit")
     fmt = fmt.lower() if isinstance(fmt, str) else fmt
-    if fmt == "csv":
-        return _rows_to_csv(rows)
-    if fmt == "json":
-        return _rows_to_json(rows)
-    if fmt == "svg":
-        if not isinstance(rows[0], SweepRow):
-            raise DomainError("svg output is only defined for sweep rows")
-        return _rows_to_svg(rows)
-    raise DomainError(f"unknown output format {fmt!r}")
+    if fmt not in ("csv", "json", "svg"):
+        raise DomainError(f"unknown output format {fmt!r}")
+    row_type = type(rows[0])
+    fields = dataclasses.fields(row_type) if dataclasses.is_dataclass(row_type) else ()
+    if not fields or set(map(type, rows)) != {row_type}:
+        raise DomainError("rows must be instances of one dataclass with fields")
+    if fmt == "svg" and not issubclass(row_type, SweepRow):
+        raise DomainError("svg output is only defined for sweep rows")
+    names = [f.name for f in fields]
+    return _emit_table([list(map(attrgetter(n), rows)) for n in names], fmt, names)

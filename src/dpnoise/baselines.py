@@ -289,14 +289,22 @@ class Gaussian(NoiseMechanism):
         return _gaussian_cost(self.sigma, CostKind.POWER)
 
 
-def _gaussian_cost(sigma: float, kind: CostKind) -> float:
+def _gaussian_cost(sigma, kind: CostKind):
     """E|X| or E[X^2] of zero-mean Gaussian noise of this sigma, which
-    must be finite and > 0: the one formula for :class:`Gaussian` and for
-    the sweep, which takes its costs from an array of sigmas."""
-    sigma = _require_finite_positive(sigma, "sigma")
-    if kind is CostKind.AMPLITUDE:
-        return sigma * _SQRT_2_OVER_PI
-    return _cost_in_range(sigma * sigma, 2, sigma)
+    must be finite and > 0: the one formula for :class:`Gaussian` (a float)
+    and for the sweep (a float array, one cost per sigma).  For the first
+    sigma whose cost is refused, raises the error that sigma alone raises."""
+    power = kind is CostKind.POWER
+    with np.errstate(over="ignore"):
+        cost = sigma * (sigma if power else _SQRT_2_OVER_PI)
+    ok = (0.0 < sigma) & (sigma < math.inf)
+    if power:
+        ok = ok & (_NORMAL_MIN <= cost) & (cost < math.inf)
+    if not np.all(ok):
+        first = sigma if np.ndim(sigma) == 0 else sigma[np.argmin(ok)].item()
+        first = _require_finite_positive(first, "sigma")
+        _cost_in_range(first * first, 2, first)
+    return cost
 
 
 def gaussian_privacy_profile(

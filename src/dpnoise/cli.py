@@ -26,7 +26,7 @@ import re
 import sys
 from enum import Enum
 
-from .analysis import SweepConfig, emit, run_sweep
+from .analysis import SweepConfig, _emit_table, _sweep_table
 from .bounds import bound_pair
 from .core import (
     ConvergenceError,
@@ -275,7 +275,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         == "frac",
     )
     fmt = opt.choice("format", ("csv", "json", "svg"), default="csv")
-    data = emit(run_sweep(config), fmt)
+    data = _emit_table(_sweep_table(config), fmt)  # builds no SweepRow
     out_path = opt.raw("out")
     if out_path:
         with open(out_path, "wb") as fh:

@@ -9,6 +9,7 @@ you hold a ``PrivacyParams`` it is a usable one.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -40,8 +41,17 @@ class ConvergenceError(RuntimeError):
     """An iterative routine failed to bracket or converge."""
 
 
+def _as_real(value: float, name: str) -> float:
+    """``value`` as a float, if it is a real number: ``float()`` alone would
+    also take a bool (an int) or a numeric string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _require_finite_positive(value: float, name: str) -> float:
-    value = float(value)
+    if type(value) is not float:  # the common case skips the ABC check
+        value = _as_real(value, name)
     if not math.isfinite(value) or value <= 0.0:
         raise DomainError(f"{name} must be finite and > 0, got {value!r}")
     return value
@@ -67,7 +77,8 @@ class PrivacyParams:
 
 
 def _check_delta(delta: float) -> float:
-    delta = float(delta)
+    if type(delta) is not float:
+        delta = _as_real(delta, "delta")
     if not math.isfinite(delta) or not 0.0 < delta < 0.5:
         raise DomainError(f"delta must lie strictly inside (0, 0.5), got {delta!r}")
     return delta
@@ -92,7 +103,7 @@ def as_sensitivity(sens: "Sensitivity | float") -> Sensitivity:
     """Coerce a bare float into a validated :class:`Sensitivity`."""
     if isinstance(sens, Sensitivity):
         return sens
-    return Sensitivity(float(sens))
+    return Sensitivity(sens)
 
 
 class CostKind(Enum):

@@ -14,6 +14,7 @@ from dpnoise.analysis import SweepConfig, SweepRow, emit, run_sweep
 from dpnoise import bounds
 from dpnoise.baselines import Gaussian, analytic_gaussian_sigma
 from dpnoise.bounds import BoundPair
+from dpnoise.cli import main
 from dpnoise.core import ConvergenceError, CostKind, DomainError, PrivacyParams
 from dpnoise.trunclap import TruncatedLaplace
 from test_bounds import REGIME_PATHS
@@ -48,6 +49,13 @@ class TestSweepConfig:
             SweepConfig(delta_min=math.nan)
         with pytest.raises(DomainError, match="fractional_steps must be a bool"):
             SweepConfig(fractional_steps="floor")  # took the fractional bound
+
+    @pytest.mark.parametrize("bad", [True, "1", None, 0.0, math.inf])
+    def test_sensitivity_is_checked_at_construction(self, bad):
+        # True swept at sensitivity 1.0, and "1" failed only in run_sweep
+        with pytest.raises(DomainError, match="^sensitivity must be"):
+            SweepConfig(sensitivity=bad)
+        assert type(SweepConfig(sensitivity=2).sensitivity) is float
 
     @pytest.mark.parametrize("axis", ["eps_points", "delta_points"])
     @pytest.mark.parametrize(
@@ -247,6 +255,20 @@ class TestEmit:
         with pytest.raises(DomainError):
             emit(points, "svg")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+    def test_rows_must_be_one_dataclass(self, rows, fmt):
+        # a float row was a TypeError from dataclasses.fields, and a mixed
+        # list an AttributeError
+        @dataclasses.dataclass
+        class Empty:
+            pass
+
+        path_row = PathRow(0.1, 1e-5, 0.25, 0.25, 0.5, 0.5)
+        for bad in ([1.0], [rows[0], 1.0], [rows[0], path_row], [SweepRow],
+                    [(0.1, 1e-5)], [Empty(), Empty()]):
+            with pytest.raises(DomainError, match="one dataclass"):
+                emit(bad, fmt)
+
     def test_rejects_empty_and_unknown(self, rows):
         with pytest.raises(DomainError):
             emit([], "csv")
@@ -268,17 +290,22 @@ class TestSweepBuildsNoPerPointObjects:
         (bounds, "bound_pair"),
     ]
 
-    def test_counts_do_not_grow_with_the_grid(self, monkeypatch):
+    @staticmethod
+    def counter(monkeypatch, counted):
         counts = Counter()
-        for owner, name in self.COUNTED:
+        for owner, name in counted:
             original = getattr(owner, name)
             key = getattr(owner, "__name__", "") + "." + name
 
-            def counted(*args, _original=original, _key=key, **kwargs):
+            def counting(*args, _original=original, _key=key, **kwargs):
                 counts[_key] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(owner, name, counted)
+            monkeypatch.setattr(owner, name, counting)
+        return counts
+
+    def test_counts_do_not_grow_with_the_grid(self, monkeypatch):
+        counts = self.counter(monkeypatch, self.COUNTED)
         by_size = {}
         for points in (10, 30):
             counts.clear()
@@ -295,6 +322,23 @@ class TestSweepBuildsNoPerPointObjects:
             "Gaussian.__init__", "BoundPair.__init__",
             "dpnoise.bounds.bound_pair",
         }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+    def test_cli_sweep_builds_no_rows(self, monkeypatch, tmp_path, fmt):
+        # the command writes from the sweep's columns: no SweepRow at all
+        counts = self.counter(monkeypatch, [*self.COUNTED, (SweepRow, "__init__")])
+        by_size = {}
+        for points in (10, 30):
+            counts.clear()
+            assert main(["sweep", "--eps-points", str(points), "--delta-points",
+                         str(points), "--format", fmt,
+                         "--out", str(tmp_path / "sweep")]) == 0
+            by_size[points] = dict(counts)
+        assert by_size[10] == by_size[30]
+        assert "SweepRow.__init__" not in by_size[10]
+        # the counter sees the rows run_sweep builds for library callers
+        run_sweep(SweepConfig(eps_points=2, delta_points=3))
+        assert counts["SweepRow.__init__"] == 6
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +598,51 @@ class TestEmittersMatchTheReference:
                 ]
                 with pytest.raises(DomainError, match="finite floats"):
                     emit(rows, fmt)
+
+
+class TestCliSweepMatchesTheReference:
+    """``dpnoise sweep`` writes its table without building rows; its bytes
+    are the reference emitters' over :func:`run_sweep`'s rows."""
+
+    CASES = {
+        **{
+            f"3x3-{cost.value}-{fmt}": (
+                dataclasses.replace(SMALL, cost=cost), fmt
+            )
+            for cost in CostKind
+            for fmt in BRUTE_EMITTERS
+        },
+        **{
+            f"100x100-power-{fmt}": (
+                SweepConfig(eps_points=100, delta_points=100,
+                            cost=CostKind.POWER),
+                fmt,
+            )
+            for fmt in BRUTE_EMITTERS
+        },
+        **{
+            f"floor-sens-2.5-{fmt}": (
+                dataclasses.replace(SMALL, fractional_steps=False,
+                                    sensitivity=2.5),
+                fmt,
+            )
+            for fmt in BRUTE_EMITTERS
+        },
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bytes(self, tmp_path, case):
+        config, fmt = self.CASES[case]
+        out = tmp_path / f"sweep.{fmt}"
+        argv = ["sweep", "--format", fmt, "--out", str(out),
+                "--cost", config.cost.value,
+                "--n-mode", "frac" if config.fractional_steps else "floor"]
+        for name in ("eps_min", "eps_max", "eps_points", "delta_min",
+                     "delta_max", "delta_points", "sensitivity"):
+            flag = "--sens" if name == "sensitivity" else "--" + name.replace("_", "-")
+            argv += [flag, repr(getattr(config, name))]
+        assert main(argv) == 0
+        assert out.read_bytes() == BRUTE_EMITTERS[fmt](run_sweep(config))
 
 
 def refuse_constant(name):

@@ -13,7 +13,13 @@ from dpnoise.baselines import (
     analytic_gaussian_sigma,
     gaussian_privacy_profile,
 )
-from dpnoise.core import ConvergenceError, DomainError, NoiseMechanism, PrivacyParams
+from dpnoise.core import (
+    ConvergenceError,
+    CostKind,
+    DomainError,
+    NoiseMechanism,
+    PrivacyParams,
+)
 from dpnoise.verifier import discretize
 
 
@@ -370,6 +376,32 @@ class TestGaussian:
             match=r"^expected power leaves double range at noise scale 1e\+200$",
         ):
             Gaussian(1e200).expected_power  # sigma * sigma overflowed
+
+    @pytest.mark.parametrize("kind", list(CostKind))
+    def test_cost_of_an_array_is_the_cost_of_each_sigma(self, kind):
+        # the sweep's Gaussian column: each value and the first refusal are
+        # those of the sigma on its own
+        sigmas = np.array([1e-160, 0.3, 1.0 / 3.0, 2.0, 1e150, 1e200, 5e-324])
+        expected = []
+        for sigma in sigmas.tolist():
+            try:
+                expected.append(baselines._gaussian_cost(sigma, kind))
+            except DomainError as exc:
+                expected.append((type(exc), str(exc)))
+        costs = [c for c in expected if isinstance(c, float)]
+        refused = [c for c in expected if not isinstance(c, float)]
+        good = np.array([not isinstance(c, tuple) for c in expected])
+        got = baselines._gaussian_cost(sigmas[good], kind)
+        assert isinstance(got, np.ndarray)
+        assert got.tolist() == costs
+        for k in np.flatnonzero(~good):
+            with pytest.raises(DomainError) as info:
+                baselines._gaussian_cost(sigmas[k:], kind)
+            assert (info.type, str(info.value)) == expected[k]
+        assert len(refused) == (3 if kind is CostKind.POWER else 0)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="^sigma must be finite and > 0"):
+                baselines._gaussian_cost(np.array([1.0, bad, 1e200]), kind)
 
     def test_quantile_round_trip(self):
         g = Gaussian(1.3)

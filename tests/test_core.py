@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,6 +41,25 @@ class TestPrivacyParams:
         with pytest.raises(DomainError, match="delta"):
             PrivacyParams(1.0, delta)
 
+    # float() took True as 1.0 and "0.5" as 0.5, and refused 1j with TypeError
+    NOT_REAL = [True, False, np.bool_(True), "0.5", b"0.5", None, 1j, [0.5]]
+
+    @pytest.mark.parametrize("bad", NOT_REAL)
+    def test_refuses_what_is_not_a_real_number(self, bad):
+        with pytest.raises(DomainError, match="^epsilon must be a real number"):
+            PrivacyParams(bad, 1e-5)
+        with pytest.raises(DomainError, match="^delta must be a real number"):
+            PrivacyParams(0.5, bad)
+
+    @pytest.mark.parametrize(
+        "value", [Fraction(1, 4), np.float64(0.25), np.float32(0.25)]
+    )
+    def test_takes_any_real_number(self, value):
+        p = PrivacyParams(value, value)
+        assert type(p.epsilon) is float and type(p.delta) is float
+        assert p.epsilon == p.delta == 0.25
+        assert type(PrivacyParams(np.int64(2), 1e-5).epsilon) is float
+
     def test_delta_range_is_open(self):
         # values arbitrarily close to the edges are fine
         PrivacyParams(1.0, 1e-300)
@@ -66,6 +86,14 @@ class TestSensitivity:
         s = Sensitivity(1.0)
         assert as_sensitivity(s) is s
         assert as_sensitivity(3).value == 3.0
+        assert as_sensitivity(np.int64(3)).value == 3.0
+
+    @pytest.mark.parametrize("bad", TestPrivacyParams.NOT_REAL)
+    def test_refuses_what_is_not_a_real_number(self, bad):
+        with pytest.raises(DomainError, match="^sensitivity must be a real number"):
+            Sensitivity(bad)
+        with pytest.raises(DomainError, match="^sensitivity must be a real number"):
+            as_sensitivity(bad)  # float() ran before the check
 
 
 class TestCostKind:
