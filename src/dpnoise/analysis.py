@@ -214,9 +214,6 @@ def _colors(v: np.ndarray) -> list[str]:
     the two nearest stops mixed linearly, each channel rounded half to
     even."""
     v = np.minimum(np.maximum(v, 0.0), 1.0)
-    if np.isnan(v).any():
-        # a NaN has no stop: the error int() raises for its position
-        raise ValueError("cannot convert float NaN to integer")
     pos = v * (len(_VIRIDIS) - 1)
     i = np.minimum(pos.astype(np.intp), len(_VIRIDIS) - 2)
     t = (pos - i)[:, None]
@@ -225,13 +222,20 @@ def _colors(v: np.ndarray) -> list[str]:
 
 
 def _svg(epsilon: list, delta: list, ratio: list) -> bytes:
-    """Standalone SVG heatmap of the lower/upper bound ratio."""
+    """Standalone SVG heatmap of the lower/upper bound ratio.  A value that
+    is not finite, or ratios whose span overflows a float, would have no
+    place or shade, and are refused."""
     eps_values = sorted(set(epsilon))
     delta_values = sorted(set(delta))
     cell = dict(zip(zip(epsilon, delta), ratio))
     vmin = min(cell.values())
     vmax = max(cell.values())
     span = (vmax - vmin) or 1.0
+    if not all(map(math.isfinite, [*eps_values, *delta_values, *ratio, span])):
+        raise DomainError(
+            "svg rows must hold finite epsilon, delta and ratio_bounds, "
+            "with ratios that span less than the float range"
+        )
 
     left, top, width, height = 90, 50, 560, 400
     cw = width / len(eps_values)
@@ -262,8 +266,7 @@ def _svg(epsilon: list, delta: list, ratio: list) -> bytes:
     cells = [c for c in cells if c[-1] is not None]
     # every cell's colour and the colorbar's, in one pass
     bar_x, bar_w, steps = left + width + 30, 18, 32
-    with np.errstate(over="ignore", invalid="ignore"):
-        shades = (np.array([c[-1] for c in cells], dtype=float) - vmin) / span
+    shades = (np.array([c[-1] for c in cells], dtype=float) - vmin) / span
     fills = _colors(np.concatenate([shades, np.arange(steps) / (steps - 1)]))
     rect = (
         f'<rect x="%s" y="%s" width="{cw + 0.3:.2f}" height="{ch + 0.3:.2f}" '
@@ -324,7 +327,8 @@ def _emit_table(columns: list, fmt: str, names=_SWEEP_FIELDS) -> bytes:
 def emit(rows: list, fmt: str = "csv") -> bytes:
     """Render rows, instances of one dataclass, as csv, json, or svg bytes
     (svg for sweep rows only); csv and json refuse a value that is not a
-    finite float with DomainError."""
+    finite float, and svg an epsilon, delta or ratio_bounds that is not
+    finite, with DomainError."""
     if not rows:
         raise DomainError("no rows to emit")
     fmt = fmt.lower() if isinstance(fmt, str) else fmt

@@ -7,10 +7,11 @@ bug, not a privacy verdict).  Stdout carries data only (JSON, CSV, SVG, or
 samples); diagnostics go to stderr as one ``error: ...`` line each.
 
 Every flag can also come from a flat ``key = value`` config file passed as
-``--config`` (keys mirror the flag names without the leading dashes, and a
-key that names no flag is an error; a ``#`` at the start of a line or after
-whitespace begins a comment, so ``ledger = runs#2.jsonl`` names that file);
-explicit flags win over the file.
+``--config``: its keys are the names of the flag table, ``_FLAGS`` (the
+flag names without the leading dashes), and a key that names no flag is an
+error; a ``#`` at the start of a line or after whitespace begins a comment,
+so ``ledger = runs#2.jsonl`` names that file.  Explicit flags win over the
+file.
 ``DPNL_SEED`` supplies a default seed: a 64-bit unsigned secret that, with
 the ledger's query ids, reproduces every release.  Without a seed, `query`
 and `sample` draw fresh OS entropy, which nothing recorded can reproduce.
@@ -50,37 +51,41 @@ from .verifier import discretize, dp_check
 __all__ = ["main"]
 
 
-# Every flag of every subcommand, with its help text.  A config file key
-# must name one of them; it may belong to another subcommand, so one file
-# can serve several.
+# Every flag of every subcommand: (reader, default, help).  The reader is
+# float, int (any base prefix), str, a tuple of the accepted texts or an
+# Enum whose values they are.  A default of None leaves the value to the
+# library (SweepConfig's grid, discretize's step) or to the handler.  A
+# config file key must name a flag; it may belong to another subcommand,
+# so one file can serve several.
 _FLAGS = {
-    "eps": dict(help="privacy parameter epsilon"),
-    "delta": dict(help="privacy parameter delta, in (0, 1/2)"),
-    "sens": dict(help="query sensitivity (default 1)"),
-    "mech": dict(help=f"mechanism: one of {', '.join(MECHANISM_NAMES)}"),
-    "cost": dict(help="cost kind: amplitude or power"),
-    "n": dict(help="number of samples"),
-    "seed": dict(help="64-bit unsigned secret seed (default: fresh OS entropy)"),
-    "grid-step": dict(help="verifier cell width h; must divide sens"),
-    "out": dict(help="output file (default stdout)"),
-    "format": dict(help="output format: csv, json, or svg"),
-    "config": dict(help="flat key = value config file; flags override"),
-    "n-mode": dict(help="lower-bound step count: frac or floor"),
-    "target-eps": dict(help="epsilon target to verify against"),
-    "target-delta": dict(help="delta target to verify against"),
-    "eps-min": {}, "eps-max": {}, "eps-points": {},
-    "delta-min": {}, "delta-max": {}, "delta-points": {},
-    "input": dict(help="input CSV path (header row required)"),
-    "column": dict(help="target column name"),
-    "aggregate": dict(help="count, sum, or mean"),
-    "clip-lo": dict(
-        help="lower clip bound; write a negative one in exponent form "
-        "as --clip-lo=-1e3"
-    ),
-    "clip-hi": dict(help="upper clip bound"),
-    "ledger": dict(help="budget ledger path (JSON lines)"),
-    "budget-eps": dict(help="cap on total epsilon spend"),
-    "budget-delta": dict(help="cap on total delta spend"),
+    "eps": (float, None, "privacy parameter epsilon"),
+    "delta": (float, None, "privacy parameter delta, in (0, 1/2)"),
+    "sens": (float, None, "query sensitivity (default 1)"),
+    "mech": (MECHANISM_NAMES, "trunclap",
+             f"mechanism: one of {', '.join(MECHANISM_NAMES)}"),
+    "cost": (CostKind, CostKind.AMPLITUDE, "cost kind: amplitude or power"),
+    "n": (int, 1, "number of samples"),
+    "seed": (str, None, "64-bit unsigned secret seed (default: fresh OS entropy)"),
+    "grid-step": (float, None, "verifier cell width h; must divide sens"),
+    "out": (str, None, "output file (default stdout)"),
+    "format": (("csv", "json", "svg"), "csv", "output format: csv, json, or svg"),
+    "config": (str, None, "flat key = value config file; flags override"),
+    "n-mode": (("frac", "floor"), "frac", "lower-bound step count: frac or floor"),
+    "target-eps": (float, None, "epsilon target to verify against"),
+    "target-delta": (float, None, "delta target to verify against"),
+    "eps-min": (float, None, None), "eps-max": (float, None, None),
+    "eps-points": (int, None, None),
+    "delta-min": (float, None, None), "delta-max": (float, None, None),
+    "delta-points": (int, None, None),
+    "input": (str, None, "input CSV path (header row required)"),
+    "column": (str, None, "target column name"),
+    "aggregate": (AggregateKind, AggregateKind.COUNT, "count, sum, or mean"),
+    "clip-lo": (float, None, "lower clip bound; write a negative one in exponent "
+                "form as --clip-lo=-1e3"),
+    "clip-hi": (float, None, "upper clip bound"),
+    "ledger": (str, "dpnoise-ledger.jsonl", "budget ledger path (JSON lines)"),
+    "budget-eps": (float, None, "cap on total epsilon spend"),
+    "budget-delta": (float, None, "cap on total delta spend"),
 }
 
 
@@ -113,60 +118,51 @@ class _Options:
 
     def __init__(self, args: argparse.Namespace) -> None:
         self._args = args
-        config = getattr(args, "config", None)
-        self._cfg = _load_config(config) if config else {}
+        self._cfg = _load_config(args.config) if args.config else {}
 
-    def raw(self, name: str, default=None):
+    def get(self, name: str, required: bool = False):
+        """``--name`` read by its reader; its default if it is not given.
+        A seed not given comes from ``DPNL_SEED``; None means fresh
+        entropy."""
+        reader, default, _ = _FLAGS[name]
         value = getattr(self._args, name.replace("-", "_"), None)
-        if value is not None:
-            return value
-        return self._cfg.get(name, default)
-
-    def number(self, name: str, default=None, required: bool = False):
-        value = self.raw(name, default)
         if value is None:
-            if required:
-                raise DomainError(f"missing required option --{name}")
-            return None
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            raise DomainError(f"--{name} expects a number, got {value!r}") from None
-
-    def integer(self, name: str, default=None, required: bool = False):
-        value = self.raw(name, default)
-        if value is None:
-            if required:
-                raise DomainError(f"missing required option --{name}")
-            return None
-        try:
-            return int(str(value), 0)
-        except ValueError:
-            raise DomainError(f"--{name} expects an integer, got {value!r}") from None
-
-    def choice(self, name: str, choices, default=None):
-        value = self.raw(name, default)
-        if value not in choices:
-            raise DomainError(
-                f"--{name} must be one of {list(choices)}, got {value!r}"
-            )
-        return value
-
-    def member(self, name: str, kind: "type[Enum]", default: Enum):
-        """The member of ``kind`` whose value the option names."""
-        return kind(self.choice(name, [k.value for k in kind], default.value))
-
-    def seed(self):
-        value = self.raw("seed")
-        if value is None:
+            value = self._cfg.get(name)
+        if value is None and name == "seed":
             value = os.environ.get("DPNL_SEED")
-        return value  # None means fresh entropy
+        if value is None:
+            if required:
+                raise DomainError(f"missing required option --{name}")
+            return default
+        if isinstance(reader, tuple) or issubclass(reader, Enum):
+            choices = reader if isinstance(reader, tuple) else [k.value for k in reader]
+            if value not in choices:
+                raise DomainError(
+                    f"--{name} must be one of {list(choices)}, got {value!r}"
+                )
+            return value if isinstance(reader, tuple) else reader(value)
+        try:
+            return int(value, 0) if reader is int else reader(value)
+        except ValueError:
+            kind = "an integer" if reader is int else "a number"
+            raise DomainError(f"--{name} expects {kind}, got {value!r}") from None
 
 
 def _params(opt: _Options) -> PrivacyParams:
-    return PrivacyParams(
-        opt.number("eps", required=True), opt.number("delta", required=True)
-    )
+    eps = opt.get("eps", required=True)
+    return PrivacyParams(eps, opt.get("delta", required=True))
+
+
+def _sens(opt: _Options):
+    # 1 when not given; a sweep leaves it to SweepConfig
+    sens = opt.get("sens")
+    return as_sensitivity(1.0 if sens is None else sens)
+
+
+def _mechanism(opt: _Options) -> tuple:
+    """(name, params, sensitivity) of the mechanism to build, read from
+    --mech, --eps, --delta and --sens in that order."""
+    return opt.get("mech"), _params(opt), _sens(opt)
 
 
 def _print_json(payload) -> None:
@@ -174,14 +170,12 @@ def _print_json(payload) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: the order in which each reads its flags decides which error
+# a command line with several is refused for.
 
 
-def cmd_calibrate(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    name = opt.choice("mech", MECHANISM_NAMES, default="trunclap")
-    params = _params(opt)
-    sens = as_sensitivity(opt.number("sens", default=1.0))
+def cmd_calibrate(opt: _Options) -> int:
+    name, params, sens = _mechanism(opt)
     mech = make_mechanism(name, params, sens)
     _print_json(
         {
@@ -197,28 +191,23 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sample(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    name = opt.choice("mech", MECHANISM_NAMES, default="trunclap")
-    params = _params(opt)
-    sens = as_sensitivity(opt.number("sens", default=1.0))
-    n = opt.integer("n", default=1)
+def cmd_sample(opt: _Options) -> int:
+    name, params, sens = _mechanism(opt)
+    n = opt.get("n")
     if n < 1:
         raise DomainError(f"--n must be at least 1, got {n}")
     mech = make_mechanism(name, params, sens)
-    values = mech.sample(make_rng(opt.seed()), n)
+    values = mech.sample(make_rng(opt.get("seed")), n)
     out = sys.stdout
     for v in values:
         out.write(format(float(v), ".17g") + "\n")
     return 0
 
 
-def cmd_bounds(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    params = _params(opt)
-    sens = as_sensitivity(opt.number("sens", default=1.0))
-    cost = opt.member("cost", CostKind, CostKind.AMPLITUDE)
-    n_mode = opt.choice("n-mode", ("frac", "floor"), default="frac")
+def cmd_bounds(opt: _Options) -> int:
+    params, sens = _params(opt), _sens(opt)
+    cost = opt.get("cost")
+    n_mode = opt.get("n-mode")
     pair = bound_pair(params, sens, cost)
     lower = pair.lower if n_mode == "frac" else pair.lower_floor
     _print_json(
@@ -239,15 +228,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    name = opt.choice("mech", MECHANISM_NAMES, default="trunclap")
-    params = _params(opt)
-    sens = as_sensitivity(opt.number("sens", default=1.0))
-    step = opt.number("grid-step")  # None: discretize's default
+def cmd_verify(opt: _Options) -> int:
+    name, params, sens = _mechanism(opt)
+    step = opt.get("grid-step")  # None: discretize's default
+    target_eps, target_delta = opt.get("target-eps"), opt.get("target-delta")
     target = PrivacyParams(
-        opt.number("target-eps", default=params.epsilon),
-        opt.number("target-delta", default=params.delta),
+        params.epsilon if target_eps is None else target_eps,
+        params.delta if target_delta is None else target_delta,
     )
     mech = make_mechanism(name, params, sens)
     dist = discretize(mech, sens, step=step)
@@ -256,27 +243,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    grid = {
-        "eps_min": opt.number("eps-min"),
-        "eps_max": opt.number("eps-max"),
-        "eps_points": opt.integer("eps-points"),
-        "delta_min": opt.number("delta-min"),
-        "delta_max": opt.number("delta-max"),
-        "delta_points": opt.integer("delta-points"),
-        "sensitivity": opt.number("sens"),
-    }
+def cmd_sweep(opt: _Options) -> int:
+    grid = {name.replace("-", "_"): opt.get(name) for name in (
+        "eps-min", "eps-max", "eps-points", "delta-min", "delta-max", "delta-points")}
+    grid["sensitivity"] = opt.get("sens")
     config = SweepConfig(
         # only the flags given: SweepConfig holds the defaults
         **{name: value for name, value in grid.items() if value is not None},
-        cost=opt.member("cost", CostKind, CostKind.AMPLITUDE),
-        fractional_steps=opt.choice("n-mode", ("frac", "floor"), default="frac")
-        == "frac",
+        cost=opt.get("cost"),
+        fractional_steps=opt.get("n-mode") == "frac",
     )
-    fmt = opt.choice("format", ("csv", "json", "svg"), default="csv")
+    fmt = opt.get("format")
     data = _emit_table(_sweep_table(config), fmt)  # builds no SweepRow
-    out_path = opt.raw("out")
+    out_path = opt.get("out")
     if out_path:
         with open(out_path, "wb") as fh:
             fh.write(data)
@@ -286,33 +265,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_query(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    clip_lo = opt.number("clip-lo")
-    clip_hi = opt.number("clip-hi")
+def cmd_query(opt: _Options) -> int:
+    clip_lo = opt.get("clip-lo")
+    clip_hi = opt.get("clip-hi")
     if (clip_lo is None) != (clip_hi is None):
         raise DomainError("--clip-lo and --clip-hi must be given together")
-    clip = None if clip_lo is None else (clip_lo, clip_hi)
-    input_path = opt.raw("input")
-    column = opt.raw("column")
-    if input_path is None:
-        raise DomainError("missing required option --input")
-    if column is None:
-        raise DomainError("missing required option --column")
     spec = QuerySpec(
-        input_path=input_path,
-        column=column,
-        aggregate=opt.member("aggregate", AggregateKind, AggregateKind.COUNT),
-        mechanism=opt.choice("mech", MECHANISM_NAMES, default="trunclap"),
+        input_path=opt.get("input", required=True),
+        column=opt.get("column", required=True),
+        aggregate=opt.get("aggregate"),
+        mechanism=opt.get("mech"),
         params=_params(opt),
-        seed=opt.seed(),
-        clip=clip,
+        seed=opt.get("seed"),
+        clip=None if clip_lo is None else (clip_lo, clip_hi),
     )
     result = run_query(
         spec,
-        ledger_path=opt.raw("ledger", default="dpnoise-ledger.jsonl"),
-        budget_eps=opt.number("budget-eps"),
-        budget_delta=opt.number("budget-delta"),
+        ledger_path=opt.get("ledger"),
+        budget_eps=opt.get("budget-eps"),
+        budget_delta=opt.get("budget-delta"),
     )
     if math.isnan(result["noisy_value"]):
         result["noisy_value"] = None  # NaN is not JSON
@@ -321,12 +292,39 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Parser and exit codes
 
 
-def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
-    for name in names:
-        p.add_argument(f"--{name}", default=None, **_FLAGS[name])
+# Every subcommand: (handler, help, flags in --help order); each also takes
+# --config.
+_COMMANDS = {
+    "calibrate": (
+        cmd_calibrate, "calibrate a mechanism, print parameters and costs",
+        ("eps", "delta", "sens", "mech"),
+    ),
+    "sample": (
+        cmd_sample, "print n noise samples, one per line",
+        ("eps", "delta", "sens", "mech", "n", "seed"),
+    ),
+    "bounds": (
+        cmd_bounds, "print lower/upper cost bounds and their ratio",
+        ("eps", "delta", "sens", "cost", "n-mode"),
+    ),
+    "verify": (
+        cmd_verify, "discretized privacy check; exit 1 on failure",
+        ("eps", "delta", "sens", "mech", "grid-step", "target-eps", "target-delta"),
+    ),
+    "sweep": (
+        cmd_sweep, "bounds-vs-baselines table as csv/json/svg",
+        ("eps-min", "eps-max", "eps-points", "delta-min", "delta-max",
+         "delta-points", "sens", "cost", "n-mode", "format", "out"),
+    ),
+    "query": (
+        cmd_query, "differentially private CSV aggregate",
+        ("input", "column", "aggregate", "clip-lo", "clip-hi", "mech", "eps",
+         "delta", "seed", "ledger", "budget-eps", "budget-delta"),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,63 +334,33 @@ def build_parser() -> argparse.ArgumentParser:
         "bounds, verification, sweeps, and private CSV aggregates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("calibrate", help="calibrate a mechanism, print parameters and costs")
-    _add_common(p, "eps", "delta", "sens", "mech", "config")
-    p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("sample", help="print n noise samples, one per line")
-    _add_common(p, "eps", "delta", "sens", "mech", "n", "seed", "config")
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("bounds", help="print lower/upper cost bounds and their ratio")
-    _add_common(p, "eps", "delta", "sens", "cost", "n-mode", "config")
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("verify", help="discretized privacy check; exit 1 on failure")
-    _add_common(
-        p, "eps", "delta", "sens", "mech", "grid-step",
-        "target-eps", "target-delta", "config",
-    )
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("sweep", help="bounds-vs-baselines table as csv/json/svg")
-    _add_common(
-        p, "eps-min", "eps-max", "eps-points", "delta-min", "delta-max",
-        "delta-points", "sens", "cost", "n-mode", "format", "out", "config",
-    )
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("query", help="differentially private CSV aggregate")
-    _add_common(
-        p, "input", "column", "aggregate", "clip-lo", "clip-hi", "mech",
-        "eps", "delta", "seed", "ledger", "budget-eps", "budget-delta",
-        "config",
-    )
-    p.set_defaults(func=cmd_query)
-
+    for command, (handler, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in (*flags, "config"):
+            # default None: a flag not given falls back to the config file
+            p.add_argument(f"--{name}", default=None, help=_FLAGS[name][2])
+        p.set_defaults(func=handler)
     return parser
+
+
+# Each refusal: (exit code, text before its message).  A MemoryError may
+# come without a message.
+_EXITS = {
+    BudgetError: (3, ""),
+    DomainError: (2, ""), ConvergenceError: (2, ""), OSError: (2, ""),
+    MemoryError: (2, ""),
+    InvariantError: (4, "internal check failed: "),
+}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (DomainError, ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 2
-    except InvariantError as exc:
-        print(f"error: internal check failed: {exc}", file=sys.stderr)
-        return 4
+        return args.func(_Options(args))
+    except tuple(_EXITS) as exc:
+        code, prefix = next(v for kind, v in _EXITS.items() if isinstance(exc, kind))
+        print(f"error: {prefix}{str(exc) or 'out of memory'}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -42,11 +42,16 @@ class ConvergenceError(RuntimeError):
 
 
 def _as_real(value: float, name: str) -> float:
-    """``value`` as a float, if it is a real number: ``float()`` alone would
-    also take a bool (an int) or a numeric string."""
+    """``value`` as a float, if it is a real number a float can hold:
+    ``float()`` alone would also take a bool (an int) or a numeric string,
+    and raise OverflowError for an int beyond the float range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise DomainError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # its repr may be too long to print
+        raise DomainError(f"{name} must be a real number within the float "
+                          f"range; this {type(value).__name__} is beyond it") from None
 
 
 def _require_finite_positive(value: float, name: str) -> float:

@@ -44,7 +44,6 @@ import json
 import math
 import os
 import stat
-import uuid
 import warnings
 from array import array
 from contextlib import contextmanager
@@ -61,6 +60,7 @@ from .core import (
     NoiseMechanism,
     PrivacyParams,
     Sensitivity,
+    _as_real,
     as_sensitivity,
 )
 from .trunclap import TruncatedLaplace
@@ -164,11 +164,18 @@ class QuerySpec:
             raise DomainError("aggregate must be an AggregateKind")
         _parse_seed(self.seed)  # refused before the ledger is opened
         if self.clip is not None:
-            lo, hi = self.clip
+            try:
+                lo, hi = self.clip
+            except (TypeError, ValueError):
+                raise DomainError(
+                    f"clip must be a (lo, hi) pair, got {self.clip!r}"
+                ) from None
+            lo, hi = _as_real(lo, "clip bound"), _as_real(hi, "clip bound")
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise DomainError(
                     f"clip bounds must be finite with lo < hi, got {self.clip!r}"
                 )
+            object.__setattr__(self, "clip", (lo, hi))
         elif self.aggregate is not AggregateKind.COUNT:
             raise DomainError(
                 f"{self.aggregate.value} queries require clip bounds"
@@ -464,7 +471,7 @@ def _release(spec: QuerySpec, count: int, values: np.ndarray) -> tuple[str, floa
     # one seed reused across releases would give neighbouring datasets the
     # same noise, so their difference would reveal the row.  The ledger's
     # query_id and the seed, if one was given, reproduce the release.
-    query_id = uuid.uuid4().hex[:12]
+    query_id = os.urandom(6).hex()  # 48 random bits, 12 hex digits
     rng = make_rng(spec.seed, int(query_id, 16))
     if spec.aggregate is AggregateKind.COUNT:
         mech = make_mechanism(spec.mechanism, spec.params, Sensitivity(1.0))
@@ -498,7 +505,7 @@ def run_query(
     for name, cap in (("budget_eps", budget_eps), ("budget_delta", budget_delta)):
         # a NaN cap would compare False against every spend, and a negative
         # one is no budget but a mistyped input
-        if cap is not None and not cap >= 0.0:
+        if cap is not None and not _as_real(cap, name) >= 0.0:
             raise DomainError(f"{name} must be a number >= 0, got {cap!r}")
     ledger = BudgetLedger(ledger_path)
     eps_spent, delta_spent = _spent(spec)

@@ -75,6 +75,7 @@ from .core import (
     PrivacyParams,
     Sensitivity,
     _ULP,
+    _as_real,
     _require_finite_positive,
     _width_jitter,
     as_sensitivity,
@@ -143,11 +144,11 @@ class DiscretizedDist:
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise DomainError(f"shift_cells must be an integer >= 1, got {n!r}")
         _set(self, "shift_cells", int(n))
-        mass_error = float(self.mass_error)
+        mass_error = _as_real(self.mass_error, "mass_error")
         if not 0.0 <= mass_error < 0.25:
             raise DomainError(f"mass_error must lie in [0, 0.25), got {mass_error!r}")
         _set(self, "mass_error", mass_error)
-        fold = float(self.fold)
+        fold = _as_real(self.fold, "fold")
         if not 0.0 <= fold < math.inf:
             raise DomainError(f"fold must be finite and >= 0, got {fold!r}")
         _set(self, "fold", fold)

@@ -18,6 +18,7 @@ from dpnoise.cli import main
 from dpnoise.core import ConvergenceError, CostKind, DomainError, PrivacyParams
 from dpnoise.trunclap import TruncatedLaplace
 from test_bounds import REGIME_PATHS
+from test_core import NOT_REAL
 
 SMALL = SweepConfig(
     eps_min=0.1,
@@ -56,6 +57,15 @@ class TestSweepConfig:
         with pytest.raises(DomainError, match="^sensitivity must be"):
             SweepConfig(sensitivity=bad)
         assert type(SweepConfig(sensitivity=2).sensitivity) is float
+
+    @pytest.mark.parametrize("bad", NOT_REAL)
+    @pytest.mark.parametrize(
+        "name", ["eps_min", "eps_max", "delta_min", "delta_max", "sensitivity"]
+    )
+    def test_refuses_what_is_not_a_real_number(self, name, bad):
+        # 10**400 raised OverflowError
+        with pytest.raises(DomainError, match=f"^{name} must be a real number"):
+            SweepConfig(**{name: bad})
 
     @pytest.mark.parametrize("axis", ["eps_points", "delta_points"])
     @pytest.mark.parametrize(
@@ -239,6 +249,21 @@ class TestEmit:
 
     def test_svg_deterministic(self, rows):
         assert emit(rows, "svg") == emit(rows, "svg")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["epsilon", "delta", "ratio_bounds"])
+    def test_svg_refuses_what_has_no_place_or_shade(self, field, value):
+        # a NaN or infinite ratio ended in int(NaN)'s bare ValueError, and
+        # an epsilon or delta that is not finite was drawn as "nan" or "inf"
+        good = SweepRow(0.1, 1e-5, 1.0, 2.0, 2.0, 4.0, 0.5, 0.5)
+        bad = dataclasses.replace(good, **{"epsilon": 0.2, field: value})
+        with pytest.raises(DomainError, match="^svg rows must hold finite"):
+            emit([good, bad], "svg")
+        # ratios a float holds, but whose span it does not
+        far = [dataclasses.replace(good, ratio_bounds=1e308),
+               dataclasses.replace(good, epsilon=0.2, ratio_bounds=-1e308)]
+        with pytest.raises(DomainError, match="span less than the float range"):
+            emit(far, "svg")
 
     def test_svg_only_for_sweeps(self):
         @dataclasses.dataclass(frozen=True)
@@ -548,15 +573,16 @@ class TestEmittersMatchTheReference:
     @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
     @pytest.mark.parametrize("ratios_finite", [True, False])
     def test_special_values(self, ratios_finite, fmt):
-        # csv and json refuse non-finite values (see the test below)
+        # csv and json refuse non-finite values (see the test below); svg
+        # refuses a non-finite ratio with DomainError, where the reference
+        # ends in int(NaN)'s ValueError
         rows = special_sweep_rows(ratios_finite, finite=fmt != "svg")
-        assert outcome(lambda r: emit(r, fmt), rows) == outcome(
-            BRUTE_EMITTERS[fmt], rows
-        )
-        for row in rows:  # one row at a time, too
-            assert outcome(lambda r: emit(r, fmt), [row]) == outcome(
-                BRUTE_EMITTERS[fmt], [row]
-            )
+        for chunk in [rows, *([row] for row in rows)]:  # one row at a time, too
+            got = outcome(lambda r: emit(r, fmt), chunk)
+            if fmt == "svg" and not all(math.isfinite(r.ratio_bounds) for r in chunk):
+                assert got[0] is DomainError
+            else:
+                assert got == outcome(BRUTE_EMITTERS[fmt], chunk)
 
     @pytest.mark.parametrize("row_type", [SweepRow, PathRow])
     @pytest.mark.parametrize("fmt", ["csv", "json"])

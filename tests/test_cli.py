@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -987,13 +988,15 @@ class TestImports:
         # A fresh interpreter: no command, for any mechanism, loads scipy.
         # The probe looks after each mechanism's calls and after a sweep,
         # and last after importing scipy itself, to show it can see a load.
-        # Neither the import nor any call loads logging (numpy does not).
+        # Neither the import nor any call loads logging (numpy does not) or
+        # uuid (a query id is 48 bits of os.urandom).
         script = f"""
 import sys
 import dpnoise, dpnoise.cli
 from dpnoise.cli import main
 
 logging_loaded = ["logging" in sys.modules]
+uuid_loaded = ["uuid" in sys.modules]
 
 loaded = []
 def probe():
@@ -1012,12 +1015,14 @@ for mech in ("trunclap", "laplace", "gaussian-analytic"):
 assert main(["sweep", "--eps-points", "5", "--delta-points", "5"]) == 0
 probe()
 logging_loaded.append("logging" in sys.modules)
+uuid_loaded.append("uuid" in sys.modules)
 import scipy.special
 probe()
 import logging
 logging_loaded.append("logging" in sys.modules)
 print("scipy loaded:", loaded, file=sys.stderr)
 print("logging loaded:", logging_loaded, file=sys.stderr)
+print("uuid loaded:", uuid_loaded, file=sys.stderr)
 """
         src = str(Path(dpnoise.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -1029,3 +1034,53 @@ print("logging loaded:", logging_loaded, file=sys.stderr)
         )
         assert "scipy loaded: [False, False, False, False, True]" in proc.stderr
         assert "logging loaded: [False, False, True]" in proc.stderr
+        assert "uuid loaded: [False, False]" in proc.stderr
+
+
+class TestHelp:
+    """The flag and subcommand tables against what ``--help`` shows."""
+
+    FLAGS = {
+        "calibrate": {"--eps", "--delta", "--sens", "--mech"},
+        "sample": {"--eps", "--delta", "--sens", "--mech", "--n", "--seed"},
+        "bounds": {"--eps", "--delta", "--sens", "--cost", "--n-mode"},
+        "verify": {
+            "--eps", "--delta", "--sens", "--mech", "--grid-step",
+            "--target-eps", "--target-delta",
+        },
+        "sweep": {
+            "--eps-min", "--eps-max", "--eps-points", "--delta-min",
+            "--delta-max", "--delta-points", "--sens", "--cost", "--n-mode",
+            "--format", "--out",
+        },
+        "query": {
+            "--input", "--column", "--aggregate", "--clip-lo", "--clip-hi",
+            "--mech", "--eps", "--delta", "--seed", "--ledger", "--budget-eps",
+            "--budget-delta",
+        },
+    }
+
+    @staticmethod
+    def help_text(capsys, *argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--help"])
+        assert exit_info.value.code == 0
+        return capsys.readouterr().out
+
+    def listed_flags(self, capsys, command):
+        text = self.help_text(capsys, command)
+        return set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text)) - {"--help"}
+
+    def test_top_level_lists_every_subcommand(self, capsys):
+        text = self.help_text(capsys)
+        assert "{" + ",".join(self.FLAGS) + "}" in text
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_subcommand_lists_its_flags_and_config(self, capsys, command):
+        assert self.listed_flags(capsys, command) == self.FLAGS[command] | {"--config"}
+
+    def test_every_config_key_belongs_to_a_subcommand(self, capsys):
+        # a key of no subcommand would be accepted in a config file and
+        # read by nothing
+        listed = set().union(*(self.listed_flags(capsys, c) for c in self.FLAGS))
+        assert listed == {f"--{name}" for name in cli._FLAGS}

@@ -20,6 +20,14 @@ from dpnoise.query import MECHANISM_NAMES, make_mechanism
 from dpnoise.trunclap import TruncatedLaplace
 
 
+# float() took True as 1.0 and "0.5" as 0.5, refused 1j with TypeError, and
+# raised OverflowError for a real number too large for a float
+NOT_REAL = [
+    True, False, np.bool_(True), "0.5", b"0.5", None, 1j, [0.5],
+    10**400, -(10**400), Fraction(10**400, 3),
+]
+
+
 class TestPrivacyParams:
     def test_accepts_interior_values(self):
         p = PrivacyParams(1.0, 1e-5)
@@ -40,9 +48,6 @@ class TestPrivacyParams:
     def test_rejects_bad_delta(self, delta):
         with pytest.raises(DomainError, match="delta"):
             PrivacyParams(1.0, delta)
-
-    # float() took True as 1.0 and "0.5" as 0.5, and refused 1j with TypeError
-    NOT_REAL = [True, False, np.bool_(True), "0.5", b"0.5", None, 1j, [0.5]]
 
     @pytest.mark.parametrize("bad", NOT_REAL)
     def test_refuses_what_is_not_a_real_number(self, bad):
@@ -88,7 +93,7 @@ class TestSensitivity:
         assert as_sensitivity(3).value == 3.0
         assert as_sensitivity(np.int64(3)).value == 3.0
 
-    @pytest.mark.parametrize("bad", TestPrivacyParams.NOT_REAL)
+    @pytest.mark.parametrize("bad", NOT_REAL)
     def test_refuses_what_is_not_a_real_number(self, bad):
         with pytest.raises(DomainError, match="^sensitivity must be a real number"):
             Sensitivity(bad)

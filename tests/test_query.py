@@ -137,6 +137,29 @@ class TestQuerySpec:
                 clip=(1.0, math.inf),
             )
 
+    @pytest.mark.parametrize(
+        "clip", [("a", 1), (None, 1), (0, 1, 2), (1,), 5, "ab", (0, 10**400)]
+    )
+    def test_clip_must_be_a_pair_of_real_numbers(self, clip, spend_csv, ledger_path):
+        # ("a", 1) and (None, 1) raised TypeError, (0, 1, 2) a bare
+        # ValueError from unpacking
+        BudgetLedger(ledger_path).append(LedgerEntry("q0", 0.5, 0.0, "t"))
+        before = ledger_path.read_bytes()
+        with pytest.raises(DomainError, match="^clip"):
+            run_query(
+                QuerySpec(str(spend_csv), "spend", AggregateKind.SUM, "trunclap",
+                          P, 0, clip=clip),
+                ledger_path,
+            )
+        assert ledger_path.read_bytes() == before
+
+    def test_clip_is_held_as_floats(self):
+        spec = QuerySpec(
+            "x.csv", "c", AggregateKind.SUM, "trunclap", P, 0, clip=[np.int64(-3), 2]
+        )
+        assert spec.clip == (-3.0, 2.0)
+        assert all(type(bound) is float for bound in spec.clip)
+
     def test_sensitivity_is_worst_clip_edge(self):
         spec = QuerySpec(
             "x.csv", "c", AggregateKind.SUM, "trunclap", P, 0, clip=(-30.0, 10.0)
@@ -613,6 +636,17 @@ class TestBudgets:
         with pytest.raises(DomainError, match=f"{cap} must be a number >= 0"):
             run_query(spec, ledger_path, **{cap: -1.0})
         assert ledger_path.read_text() == "not json\n"
+
+    @pytest.mark.parametrize("bad", ["1", b"1", True, 10**400])
+    @pytest.mark.parametrize("cap", ["budget_eps", "budget_delta"])
+    def test_cap_must_be_a_real_number(self, spend_csv, ledger_path, cap, bad):
+        # "1" raised TypeError from the comparison, True capped at 1, and
+        # 10**400 passed the check and overflowed against the spend
+        BudgetLedger(ledger_path).append(LedgerEntry("q0", 0.5, 0.0, "t"))
+        before = ledger_path.read_bytes()
+        with pytest.raises(DomainError, match=f"^{cap} must be a real number"):
+            run_query(self._count_spec(spend_csv), ledger_path, **{cap: bad})
+        assert ledger_path.read_bytes() == before
 
     def test_nan_ledger_line_cannot_lift_the_cap(self, spend_csv, ledger_path):
         ledger_path.write_text(

@@ -26,6 +26,7 @@ from dpnoise.verifier import (
     discretize,
     dp_check,
 )
+from test_core import NOT_REAL
 
 
 def brute_violation(p, c, j):
@@ -474,6 +475,14 @@ class TestDiscretize:
         for bad in (-1e-16, math.inf, math.nan):
             with pytest.raises(DomainError):
                 make_dist([0.5], fold=bad)
+
+
+@pytest.mark.parametrize("bad", NOT_REAL)
+@pytest.mark.parametrize("name", ["mass_error", "fold"])
+def test_mass_error_and_fold_must_be_real_numbers(name, bad):
+    # float() took "0.1" and True, and raised OverflowError for 10**400
+    with pytest.raises(DomainError, match=f"^{name} must be a real number"):
+        make_dist([0.5], **{name: bad})
 
 
 class TestDpCheck:
