@@ -6,13 +6,12 @@ discretized brute-force privacy verifier, parameter sweeps, and a small
 private CSV query pipeline.
 """
 
-from .analysis import SweepConfig, SweepRow, emit, run_sweep
+from .analysis import SweepConfig, emit, run_sweep
 from .baselines import (
     BoundedUniform,
     Gaussian,
     Laplace,
     analytic_gaussian_sigma,
-    gaussian_privacy_profile,
 )
 from .bounds import BoundPair, bound_pair
 from .core import (
@@ -32,7 +31,6 @@ from .query import (
     LedgerEntry,
     QuerySpec,
     make_mechanism,
-    make_rng,
     run_query,
 )
 from .trunclap import TruncatedLaplace
@@ -64,7 +62,6 @@ __all__ = [
     "QuerySpec",
     "Sensitivity",
     "SweepConfig",
-    "SweepRow",
     "TruncatedLaplace",
     "ViolationReport",
     "analytic_gaussian_sigma",
@@ -73,9 +70,7 @@ __all__ = [
     "discretize",
     "dp_check",
     "emit",
-    "gaussian_privacy_profile",
     "make_mechanism",
-    "make_rng",
     "run_query",
     "run_sweep",
     "__version__",

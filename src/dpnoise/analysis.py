@@ -3,20 +3,16 @@
 A sweep tabulates, over an (epsilon, delta) grid, the universal lower
 bound on noise cost, the truncated-Laplace upper bound, and the analytic
 Gaussian baseline, so the gap between what is achievable and what is
-achieved can be plotted directly.  The table is held as columns, one list
-per :class:`SweepRow` field; `run_sweep` makes rows of it for library
-callers, and ``dpnoise sweep`` writes it as it is.  One emitter renders a
-table of columns as CSV, JSON, or a standalone SVG heatmap; `emit` splits
-a list of dataclass rows into columns and renders those.
+achieved can be plotted directly.  `run_sweep` returns the table as
+named columns, one list of floats per column, and `emit` renders it as
+CSV, JSON, or a standalone SVG heatmap of the bound ratio.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -25,6 +21,7 @@ from .bounds import _bound_table
 from .core import (
     CostKind,
     DomainError,
+    _as_count,
     _check_delta,
     _require_finite_positive,
     as_sensitivity,
@@ -32,7 +29,6 @@ from .core import (
 
 __all__ = [
     "SweepConfig",
-    "SweepRow",
     "run_sweep",
     "emit",
 ]
@@ -59,10 +55,9 @@ class SweepConfig:
         if self.eps_min > self.eps_max or self.delta_min > self.delta_max:
             raise DomainError("grid bounds must satisfy min <= max")
         for name in ("eps_points", "delta_points"):
-            # np.geomspace refuses a float count late, and takes True as 1
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+            # np.geomspace refuses a float count late, and takes True as 1;
+            # the config keeps the count it is given, so a Python int
+            _as_count(getattr(self, name), name, kind=int)
         object.__setattr__(
             self, "sensitivity", as_sensitivity(self.sensitivity).value
         )
@@ -80,30 +75,26 @@ class SweepConfig:
         return eps, deltas
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point of a sweep; costs follow the sweep's cost kind."""
-
-    epsilon: float
-    delta: float
-    q_lower: float
-    q_upper: float
-    tl_cost: float
-    gauss_analytic: float
-    ratio_bounds: float
-    ratio_tl_gauss: float
+# The sweep's columns, in order.
+_COLUMNS = (
+    "epsilon", "delta", "q_lower", "q_upper", "tl_cost", "gauss_analytic",
+    "ratio_bounds", "ratio_tl_gauss",
+)
 
 
-def _sweep_table(config: SweepConfig) -> list[list[float]]:
-    """The sweep as one list per :class:`SweepRow` field, in field order.
+def run_sweep(config: SweepConfig = SweepConfig()) -> dict[str, list[float]]:
+    """Tabulate the bounds and the analytic Gaussian baseline over the grid:
+    one list of floats per column, keyed by the column names in order,
+    epsilon-major and delta-minor.  Costs follow the config's cost kind.
 
     The upper bound is the calibrated truncated Laplacian's cost, so
-    ``q_upper`` and ``tl_cost`` are one list object.  The grid runs
-    epsilon-major through one bounds pass (:func:`dpnoise.bounds._bound_table`)
-    and one Gaussian calibration pass, with no mechanism built per point;
-    the costs and ratios after them are array arithmetic, each value the
-    one float operation a point on its own would do.  A refused point
-    raises what a point-by-point sweep would raise first.
+    ``q_upper`` and ``tl_cost`` are one list object, kept as two columns
+    for readers of either.  The grid runs through one bounds pass
+    (:func:`dpnoise.bounds._bound_table`) and one Gaussian calibration
+    pass, with no mechanism built per point; the costs and ratios after
+    them are array arithmetic, each value the one float operation a point
+    on its own would do.  A refused point raises what a point-by-point
+    sweep would raise first.
     """
     sens = as_sensitivity(config.sensitivity)
     kind = config.cost
@@ -132,46 +123,30 @@ def _sweep_table(config: SweepConfig) -> list[list[float]]:
     q_lower = lower if config.fractional_steps else lower_floor
     gauss = _gaussian_cost(sigmas, kind)
     tl_cost = np.array(upper)
-    return [
+    return dict(zip(_COLUMNS, [
         epsilon, delta, q_lower, upper, upper,  # q_upper and tl_cost: one list
         gauss.tolist(),
         (np.array(q_lower) / tl_cost).tolist(),
         (tl_cost / gauss).tolist(),
-    ]
-
-
-def run_sweep(config: SweepConfig = SweepConfig()) -> list[SweepRow]:
-    """Tabulate bounds and the analytic Gaussian baseline over the grid,
-    one :class:`SweepRow` per point, epsilon-major; each row's ``q_upper``
-    and ``tl_cost`` are the same number, kept as two columns for readers of
-    either."""
-    return list(map(SweepRow, *_sweep_table(config)))
+    ]))
 
 
 # ---------------------------------------------------------------------------
 # Output formats
 
 
-_SWEEP_FIELDS = tuple(f.name for f in dataclasses.fields(SweepRow))
-
-# A sweep's rows share their grid coordinates: one float object for every
-# row of an epsilon-run, and the delta axis's objects in every run.
-_AXES = ("epsilon", "delta")
-
-
-def _texts(names: list[str], columns: list, spec: str) -> list[list[str]]:
+def _texts(columns: list, spec: str) -> list[list[str]]:
     """Every column's values formatted by ``spec``, each distinct column
-    object once (a sweep's ``q_upper`` and ``tl_cost`` are one), and in a
-    grid coordinate column each distinct float object once.  Every value
-    must be a finite float, as every value of a sweep is."""
+    object once (a sweep's ``q_upper`` and ``tl_cost`` are one).  A sweep's
+    points share their grid coordinates, one float object for every point
+    of an epsilon-run and the delta axis's objects in every run, so the
+    epsilon and delta columns format each distinct float object once."""
     texts: dict[int, list[str]] = {}
-    for name, column in zip(names, columns):
+    for k, column in enumerate(columns):
         if id(column) in texts:
             continue
-        if set(map(type, column)) - {float} or not all(map(math.isfinite, column)):
-            raise DomainError("csv and json rows must hold finite floats only")
-        if name in _AXES:
-            # keyed by identity: a key by value would take 0.0 and -0.0 as one
+        if k < 2:  # epsilon and delta, keyed by identity: a key by value
+            # would take 0.0 and -0.0 as one
             ids = list(map(id, column))
             text = {i: spec % v for i, v in dict(zip(ids, column)).items()}
             texts[id(column)] = list(map(text.__getitem__, ids))
@@ -180,17 +155,21 @@ def _texts(names: list[str], columns: list, spec: str) -> list[list[str]]:
     return [texts[id(column)] for column in columns]
 
 
-def _csv(names: list[str], columns: list) -> bytes:
+def _csv(columns: list) -> bytes:
     # "%.17g" is format(value, ".17g")
-    rows = map(",".join, zip(*_texts(names, columns, "%.17g")))
-    return ("\n".join([",".join(names), *rows]) + "\n").encode("utf-8")
+    rows = map(",".join, zip(*_texts(columns, "%.17g")))
+    return ("\n".join([",".join(_COLUMNS), *rows]) + "\n").encode("utf-8")
 
 
-def _json(names: list[str], columns: list) -> bytes:
-    # json.dumps(payload, indent=2)'s layout, with its key escaping and its
-    # text for a finite float, float.__repr__ (which %r gives)
-    row = "  {\n" + ",\n".join(f"    {json.dumps(n)}: %s" for n in names) + "\n  }"
-    rows = map(row.__mod__, zip(*_texts(names, columns, "%r")))
+# json.dumps(payload, indent=2)'s layout for one point, with its key
+# escaping and its text for a finite float, float.__repr__ (which %r gives)
+_JSON_ROW = (
+    "  {\n" + ",\n".join(f"    {json.dumps(n)}: %s" for n in _COLUMNS) + "\n  }"
+)
+
+
+def _json(columns: list) -> bytes:
+    rows = map(_JSON_ROW.__mod__, zip(*_texts(columns, "%r")))
     return ("[\n" + ",\n".join(rows) + "\n]\n").encode("utf-8")
 
 
@@ -222,20 +201,16 @@ def _colors(v: np.ndarray) -> list[str]:
 
 
 def _svg(epsilon: list, delta: list, ratio: list) -> bytes:
-    """Standalone SVG heatmap of the lower/upper bound ratio.  A value that
-    is not finite, or ratios whose span overflows a float, would have no
-    place or shade, and are refused."""
+    """Standalone SVG heatmap of the lower/upper bound ratio.  Ratios whose
+    span overflows a float would have no shade, and are refused."""
     eps_values = sorted(set(epsilon))
     delta_values = sorted(set(delta))
     cell = dict(zip(zip(epsilon, delta), ratio))
     vmin = min(cell.values())
     vmax = max(cell.values())
     span = (vmax - vmin) or 1.0
-    if not all(map(math.isfinite, [*eps_values, *delta_values, *ratio, span])):
-        raise DomainError(
-            "svg rows must hold finite epsilon, delta and ratio_bounds, "
-            "with ratios that span less than the float range"
-        )
+    if not math.isfinite(span):
+        raise DomainError("svg ratios must span less than the float range")
 
     left, top, width, height = 90, 50, 560, 400
     cw = width / len(eps_values)
@@ -315,30 +290,31 @@ def _svg(epsilon: list, delta: list, ratio: list) -> bytes:
     return "\n".join(parts).encode("utf-8")
 
 
-def _emit_table(columns: list, fmt: str, names=_SWEEP_FIELDS) -> bytes:
-    """Render a table of columns, by default a sweep's, as "csv", "json"
-    or "svg" bytes."""
-    if fmt == "svg":
-        by_name = dict(zip(names, columns))
-        return _svg(by_name["epsilon"], by_name["delta"], by_name["ratio_bounds"])
-    return (_csv if fmt == "csv" else _json)(names, columns)
+def emit(table: dict, fmt: str = "csv") -> bytes:
+    """Render a sweep's table, as :func:`run_sweep` returns it, as "csv",
+    "json" or "svg" bytes.
 
-
-def emit(rows: list, fmt: str = "csv") -> bytes:
-    """Render rows, instances of one dataclass, as csv, json, or svg bytes
-    (svg for sweep rows only); csv and json refuse a value that is not a
-    finite float, and svg an epsilon, delta or ratio_bounds that is not
-    finite, with DomainError."""
-    if not rows:
+    Refuses with DomainError an unknown format, a table that is not a
+    sweep's columns (a dict of equal-length lists, named and ordered as
+    :func:`run_sweep` names them), an empty one, and a value that is not a
+    finite float.
+    """
+    columns = list(table.values()) if isinstance(table, dict) else None
+    if columns is None or tuple(table) != _COLUMNS or not all(
+        type(column) is list and len(column) == len(columns[0]) for column in columns
+    ):
+        raise DomainError(
+            "a table to emit must be a sweep's columns: equal-length lists "
+            f"named {', '.join(_COLUMNS)}"
+        )
+    if not columns[0]:
         raise DomainError("no rows to emit")
     fmt = fmt.lower() if isinstance(fmt, str) else fmt
     if fmt not in ("csv", "json", "svg"):
         raise DomainError(f"unknown output format {fmt!r}")
-    row_type = type(rows[0])
-    fields = dataclasses.fields(row_type) if dataclasses.is_dataclass(row_type) else ()
-    if not fields or set(map(type, rows)) != {row_type}:
-        raise DomainError("rows must be instances of one dataclass with fields")
-    if fmt == "svg" and not issubclass(row_type, SweepRow):
-        raise DomainError("svg output is only defined for sweep rows")
-    names = [f.name for f in fields]
-    return _emit_table([list(map(attrgetter(n), rows)) for n in names], fmt, names)
+    for column in columns:
+        if set(map(type, column)) - {float} or not all(map(math.isfinite, column)):
+            raise DomainError(f"{fmt} rows must hold finite floats only")
+    if fmt == "svg":
+        return _svg(table["epsilon"], table["delta"], table["ratio_bounds"])
+    return (_csv if fmt == "csv" else _json)(columns)

@@ -35,7 +35,6 @@ __all__ = [
     "Gaussian",
     "BoundedUniform",
     "analytic_gaussian_sigma",
-    "gaussian_privacy_profile",
 ]
 
 
@@ -307,29 +306,17 @@ def _gaussian_cost(sigma, kind: CostKind):
     return cost
 
 
-def gaussian_privacy_profile(
-    sigma: float, params: PrivacyParams, sens: "Sensitivity | float"
-) -> float:
-    """The smallest delta for which Gaussian noise of this sigma is
-    (epsilon, delta)-private on queries of the given sensitivity:
-
-        Phi(sens/(2 sigma) - eps sigma/sens)
-            - e^eps * Phi(-sens/(2 sigma) - eps sigma/sens)
-
-    Evaluated in log space so the e^eps factor cannot overflow and the
-    difference keeps relative accuracy deep into the tails.
-    """
-    sigma = _require_finite_positive(sigma, "sigma")
-    sens_value = as_sensitivity(sens).value
-    with np.errstate(all="ignore"):
-        return _exact_profile(
-            *_log_terms(np.float64(sigma), params.epsilon, sens_value)
-        )[0]
-
-
 def _log_terms(sigma, epsilon, sens_value: float, work=None):
     """log Phi(sens/(2 sigma) - eps sigma/sens) and
-    eps + log Phi(-sens/(2 sigma) - eps sigma/sens), elementwise.
+    eps + log Phi(-sens/(2 sigma) - eps sigma/sens), elementwise: the two
+    terms of the Gaussian privacy profile, the smallest delta for which
+    noise of this sigma is (eps, delta)-private at this sensitivity,
+
+        Phi(sens/(2 sigma) - eps sigma/sens)
+            - e^eps * Phi(-sens/(2 sigma) - eps sigma/sens),
+
+    taken in log space so that the e^eps factor cannot overflow and the
+    difference keeps relative accuracy deep into the tails.
 
     ``work``, a buffer of 4 rows and at least 2 n columns for n sigmas,
     holds both arguments and the kernel's temporaries; the two results are
@@ -350,6 +337,8 @@ def _log_terms(sigma, epsilon, sens_value: float, work=None):
 
 
 def _exact_profile(log_hi, log_lo) -> list:
+    """The privacy profile from its two log terms, :func:`_log_terms`, in
+    double precision."""
     # math's exp and expm1, not numpy's: numpy's SIMD versions can round
     # differently, and the bisection compares this value against delta.
     return [
@@ -364,8 +353,8 @@ _GUARD = 1e-12
 
 
 def _excess(sigma, epsilon, delta, sens_value: float, work=None) -> np.ndarray:
-    """:func:`gaussian_privacy_profile` minus delta, elementwise and up to
-    rounding, with the sign of every element exactly as that function's;
+    """The privacy profile minus delta, elementwise and up to rounding,
+    with the sign of every element exactly as :func:`_exact_profile`'s;
     the sign is all the bisection reads.
 
     The profile is taken in numpy and taken again with math's functions
@@ -398,7 +387,7 @@ def analytic_gaussian_sigma(
     doubled until it satisfies the target (at most 200 doublings, then
     :class:`ConvergenceError`).  Bisection runs to 1e-12 relative width and
     returns the feasible endpoint: feasible as the double-precision profile
-    (:func:`gaussian_privacy_profile`) decides it.
+    (:func:`_exact_profile`) decides it.
 
     The exact profile at the result exceeds delta by that profile's error,
     which grows as eps shrinks.  Against 60-digit mpmath, over delta from

@@ -27,7 +27,7 @@ import re
 import sys
 from enum import Enum
 
-from .analysis import SweepConfig, _emit_table, _sweep_table
+from .analysis import SweepConfig, emit, run_sweep
 from .bounds import bound_pair
 from .core import (
     ConvergenceError,
@@ -254,7 +254,7 @@ def cmd_sweep(opt: _Options) -> int:
         fractional_steps=opt.get("n-mode") == "frac",
     )
     fmt = opt.get("format")
-    data = _emit_table(_sweep_table(config), fmt)  # builds no SweepRow
+    data = emit(run_sweep(config), fmt)
     out_path = opt.get("out")
     if out_path:
         with open(out_path, "wb") as fh:

@@ -54,6 +54,15 @@ def _as_real(value: float, name: str) -> float:
                           f"range; this {type(value).__name__} is beyond it") from None
 
 
+def _as_count(value, name: str, least: int = 1, kind: type = numbers.Integral) -> int:
+    """``value`` as an int, if it is an integer of at least ``least`` (an
+    instance of ``kind`` and not a bool): ``int()`` would cut 2.7 to 2
+    and take True as 1."""
+    if isinstance(value, bool) or not isinstance(value, kind) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _require_finite_positive(value: float, name: str) -> float:
     if type(value) is not float:  # the common case skips the ABC check
         value = _as_real(value, name)
@@ -185,13 +194,13 @@ class NoiseMechanism(ABC):
     Implementations state the array formulas ``_pdf`` and ``_quantile``,
     the two closed-form noise costs, and the half-line mass ``_upper_mass``;
     ``pdf`` and ``quantile`` check their input and call the formulas, and
-    ``cdf``, ``interval_mass`` and the default ``grid_masses`` follow from
-    the half-line mass by symmetry.  A mechanism states the positive half
-    of a verifier grid only (``grid_masses``); the grid's negative half is
-    its mirror image by this symmetry.  ``sample`` is inverse-transform
-    sampling on a caller-supplied uniform generator, so a fixed seed fixes
-    the output and the generator can be replaced by a stub (e.g. one that
-    always yields the median) in tests.
+    ``cdf`` and the default ``grid_masses`` follow from the half-line mass
+    by symmetry.  A mechanism states the positive half of a verifier grid
+    only (``grid_masses``); the grid's negative half is its mirror image by
+    this symmetry.  ``sample`` is inverse-transform sampling on a
+    caller-supplied uniform generator, so a fixed seed fixes the output and
+    the generator can be replaced by a stub (e.g. one that always yields
+    the median) in tests.
     """
 
     @abstractmethod
@@ -262,19 +271,6 @@ class NoiseMechanism(ABC):
         values = np.where(arr < 0.0, tail, 1.0 - tail)
         return _scalar_or_array(values, scalar)
 
-    def interval_mass(self, lo, hi):
-        """P(lo < X <= hi), as the sum of its parts on either half line, so
-        no slice cancels against the cdf's 1."""
-        lo_arr, lo_scalar = _as_checked_array(lo, "lo")
-        hi_arr, hi_scalar = _as_checked_array(hi, "hi")
-        lo_b, hi_b = np.broadcast_arrays(lo_arr, hi_arr)
-        if np.any(lo_b > hi_b):
-            raise DomainError("interval_mass requires lo <= hi")
-        mass = self._upper_mass(
-            np.maximum(lo_b, 0.0), np.maximum(hi_b, 0.0)
-        ) + self._upper_mass(np.maximum(-hi_b, 0.0), np.maximum(-lo_b, 0.0))
-        return _scalar_or_array(mass, lo_scalar and hi_scalar)
-
     def grid_masses(self, step: float, out: np.ndarray) -> np.ndarray:
         """Fill ``out``, a float64 array of ``H`` cells, with the positive
         half of a grid of width ``step``, and return it.
@@ -300,12 +296,13 @@ class NoiseMechanism(ABC):
         return 2.0 * _width_jitter(2 * int(half_cells))
 
     def sample(self, rng, n: "int | None" = None):
-        """Draw ``n`` samples (or a single scalar when ``n`` is None).
+        """Draw ``n`` samples (or a single scalar when ``n`` is None); ``n``
+        must be an integer >= 0.
 
         ``rng`` only needs a ``random(size)`` method returning uniforms in
         [0, 1); ``numpy.random.Generator`` qualifies.
         """
-        size = () if n is None else int(n)
+        size = () if n is None else _as_count(n, "n", least=0)
         u = np.asarray(rng.random(size), dtype=float)
         # random() may return exactly 0.0; nudge it onto the open interval
         # so mechanisms with unbounded support keep finite quantiles.  2^-53

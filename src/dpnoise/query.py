@@ -74,7 +74,6 @@ __all__ = [
     "QUERY_MECHANISMS",
     "QuerySpec",
     "make_mechanism",
-    "make_rng",
     "run_query",
 ]
 

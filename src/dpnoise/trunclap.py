@@ -39,6 +39,7 @@ from .core import (
     PrivacyParams,
     Sensitivity,
     _ULP,
+    _as_real,
     _cost_in_range,
     _require_finite_positive,
     as_sensitivity,
@@ -192,8 +193,9 @@ def _checked_shape(
 ) -> tuple[float, float, float]:
     """The shape as floats, or the DomainError that refuses it."""
     scale = _require_finite_positive(scale, "scale")
-    radius = float(radius)
-    if not radius > 0.0:  # NaN too
+    if type(radius) is not float:  # the common case skips the ABC check
+        radius = _as_real(radius, "radius")
+    if not radius > 0.0:  # NaN too; +inf is Laplace's
         raise DomainError(f"radius must be > 0, got {radius!r}")
     return scale, radius, _require_finite_positive(height, "height")
 

@@ -64,7 +64,6 @@ masses and that tail, no temporary outgrows a byte per cell.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +74,7 @@ from .core import (
     PrivacyParams,
     Sensitivity,
     _ULP,
+    _as_count,
     _as_real,
     _require_finite_positive,
     _width_jitter,
@@ -140,10 +140,7 @@ class DiscretizedDist:
 
     def __post_init__(self) -> None:
         _set(self, "step", _require_finite_positive(self.step, "step"))
-        n = self.shift_cells
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise DomainError(f"shift_cells must be an integer >= 1, got {n!r}")
-        _set(self, "shift_cells", int(n))
+        _set(self, "shift_cells", _as_count(self.shift_cells, "shift_cells"))
         mass_error = _as_real(self.mass_error, "mass_error")
         if not 0.0 <= mass_error < 0.25:
             raise DomainError(f"mass_error must lie in [0, 0.25), got {mass_error!r}")
@@ -302,11 +299,14 @@ def discretize(
     if step is None:
         step = sens_value / 1000.0
     step = _require_finite_positive(step, "step")
-    shift_cells = round(sens_value / step)
+    cells = sens_value / step
+    # a tiny step overflows the quotient, which round() cannot take; 0 is
+    # refused below
+    shift_cells = round(cells) if cells < math.inf else 0
     if shift_cells < 10 or abs(shift_cells * step - sens_value) > 1e-9 * sens_value:
         raise DomainError(
             "step must divide the sensitivity into an integer number of "
-            f"cells, at least 10 (got sensitivity/step = {sens_value / step!r})"
+            f"cells, at least 10 (got sensitivity/step = {cells!r})"
         )
     if radius is None:
         lo, hi = mech.support

@@ -107,7 +107,7 @@ def test_03_structural_identities():
                 PrivacyParams(float(eps), float(delta)), 1.0
             )
             radius = mech.radius
-            tail = float(mech.interval_mass(radius - 1.0, radius))
+            tail = float(mech._upper_mass(radius - 1.0, radius))
             worst_tail = max(worst_tail, abs(tail - delta) / delta)
             xs = np.linspace(0.0, radius - 1.0, 7)
             ratio = np.asarray(mech.pdf(xs)) / np.asarray(mech.pdf(xs + 1.0))
@@ -200,11 +200,11 @@ def test_06_matched_regime_constants():
 
 def test_07_cheaper_than_gaussian_everywhere():
     start = time.perf_counter()
-    amp_rows = run_sweep(SweepConfig())
-    pow_rows = run_sweep(SweepConfig(cost=CostKind.POWER))
-    amp_bad = sum(r.ratio_tl_gauss >= 1.0 for r in amp_rows)
-    pow_bad = sum(r.ratio_tl_gauss >= 1.0 for r in pow_rows)
-    identical = emit(amp_rows, "csv") == emit(run_sweep(SweepConfig()), "csv")
+    amp_table = run_sweep(SweepConfig())
+    pow_table = run_sweep(SweepConfig(cost=CostKind.POWER))
+    amp_bad = sum(r >= 1.0 for r in amp_table["ratio_tl_gauss"])
+    pow_bad = sum(r >= 1.0 for r in pow_table["ratio_tl_gauss"])
+    identical = emit(amp_table, "csv") == emit(run_sweep(SweepConfig()), "csv")
     elapsed = time.perf_counter() - start
     ok = amp_bad == 0 and pow_bad == 0 and identical and elapsed < 30.0
     report(

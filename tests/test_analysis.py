@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dpnoise.analysis import SweepConfig, SweepRow, emit, run_sweep
+from dpnoise.analysis import SweepConfig, emit, run_sweep
 from dpnoise import bounds
 from dpnoise.baselines import Gaussian, analytic_gaussian_sigma
 from dpnoise.bounds import BoundPair
@@ -19,6 +19,30 @@ from dpnoise.core import ConvergenceError, CostKind, DomainError, PrivacyParams
 from dpnoise.trunclap import TruncatedLaplace
 from test_bounds import REGIME_PATHS
 from test_core import NOT_REAL
+
+COLUMNS = [
+    "epsilon",
+    "delta",
+    "q_lower",
+    "q_upper",
+    "tl_cost",
+    "gauss_analytic",
+    "ratio_bounds",
+    "ratio_tl_gauss",
+]
+
+# The reference emitters below read rows: one per point, a field per column.
+Row = dataclasses.make_dataclass("Row", COLUMNS, frozen=True)
+
+
+def rows_of(table):
+    return list(map(Row, *table.values()))
+
+
+def table_of(*points):
+    """A sweep's table from its points, each a value per column."""
+    return dict(zip(COLUMNS, map(list, zip(*points))))
+
 
 SMALL = SweepConfig(
     eps_min=0.1,
@@ -96,7 +120,12 @@ class TestSweepConfig:
 
 class TestRunSweep:
     def test_grid_shape_and_order(self):
-        rows = run_sweep(SMALL)
+        table = run_sweep(SMALL)
+        assert list(table) == COLUMNS
+        assert all(type(column) is list for column in table.values())
+        # the upper bound is the truncated Laplacian's cost: one list
+        assert table["q_upper"] is table["tl_cost"]
+        rows = rows_of(table)
         assert len(rows) == 9
         # epsilon-major, delta-minor ordering
         assert rows[0].epsilon == rows[1].epsilon == rows[2].epsilon
@@ -104,7 +133,7 @@ class TestRunSweep:
         assert rows[0].epsilon < rows[3].epsilon
 
     def test_row_invariants(self):
-        for row in run_sweep(SMALL):
+        for row in rows_of(run_sweep(SMALL)):
             assert 0.0 < row.q_lower <= row.q_upper
             assert row.ratio_bounds == pytest.approx(
                 row.q_lower / row.q_upper, rel=1e-15
@@ -116,27 +145,29 @@ class TestRunSweep:
             )
 
     def test_truncated_laplace_beats_gaussian(self):
-        assert all(r.ratio_tl_gauss < 1.0 for r in run_sweep(SMALL))
+        assert all(r < 1.0 for r in run_sweep(SMALL)["ratio_tl_gauss"])
 
     def test_analytic_gaussian_beats_classic_in_proof_range(self):
         # The textbook sigma = sens * sqrt(2 ln(1.25/delta)) / eps is proven
         # for eps in (0, 1) only.
-        for row in run_sweep(SMALL):
+        for row in rows_of(run_sweep(SMALL)):
             if row.epsilon < 1.0:
                 textbook = math.sqrt(2.0 * math.log(1.25 / row.delta)) / row.epsilon
                 assert row.gauss_analytic <= Gaussian(textbook).cost(SMALL.cost)
 
     def test_floor_steps_variant_is_weaker(self):
-        frac = run_sweep(SMALL)
-        floor = run_sweep(
+        frac = rows_of(run_sweep(SMALL))
+        floor = rows_of(run_sweep(
             SweepConfig(**{**SMALL.__dict__, "fractional_steps": False})
-        )
+        ))
         for a, b in zip(floor, frac):
             assert a.q_lower <= b.q_lower
             assert a.q_upper == b.q_upper
 
     def test_power_cost_kind(self):
-        rows = run_sweep(SweepConfig(**{**SMALL.__dict__, "cost": CostKind.POWER}))
+        rows = rows_of(
+            run_sweep(SweepConfig(**{**SMALL.__dict__, "cost": CostKind.POWER}))
+        )
         for row in rows:
             # power costs are sigma^2 for the Gaussian entries
             assert row.gauss_analytic > 0.0
@@ -186,7 +217,7 @@ class TestRunSweep:
             eps_points=15, delta_points=15, sensitivity=sens, cost=cost
         )
         with caplog.at_level(logging.DEBUG, logger="dpnoise"):
-            rows = run_sweep(config)
+            rows = rows_of(run_sweep(config))
         for row in rows:
             sigma = analytic_gaussian_sigma(PrivacyParams(row.epsilon, row.delta), sens)
             assert row.gauss_analytic == Gaussian(sigma).cost(cost)
@@ -195,112 +226,89 @@ class TestRunSweep:
 
 
 @pytest.fixture(scope="module")
-def rows():
+def table():
     return run_sweep(SMALL)
 
 
 class TestEmit:
-    def test_csv_round_trip(self, rows):
-        blob = emit(rows, "csv")
+    def test_csv_round_trip(self, table):
+        blob = emit(table, "csv")
         reader = csv.DictReader(io.StringIO(blob.decode("utf-8")))
         parsed = list(reader)
+        rows = rows_of(table)
         assert len(parsed) == len(rows)
-        assert reader.fieldnames == [
-            "epsilon",
-            "delta",
-            "q_lower",
-            "q_upper",
-            "tl_cost",
-            "gauss_analytic",
-            "ratio_bounds",
-            "ratio_tl_gauss",
-        ]
+        assert reader.fieldnames == COLUMNS
         # %.17g serialization round-trips float64 exactly
         for rec, row in zip(parsed, rows):
             assert float(rec["q_lower"]) == row.q_lower
             assert float(rec["ratio_bounds"]) == row.ratio_bounds
 
-    def test_csv_deterministic(self, rows):
-        assert emit(rows, "csv") == emit(rows, "csv")
+    def test_csv_deterministic(self, table):
+        assert emit(table, "csv") == emit(table, "csv")
 
-    def test_json(self, rows):
-        payload = json.loads(emit(rows, "json"))
-        assert len(payload) == len(rows)
-        assert payload[0]["epsilon"] == rows[0].epsilon
-        assert set(payload[0]) == {
-            "epsilon",
-            "delta",
-            "q_lower",
-            "q_upper",
-            "tl_cost",
-            "gauss_analytic",
-            "ratio_bounds",
-            "ratio_tl_gauss",
-        }
+    def test_json(self, table):
+        payload = json.loads(emit(table, "json"))
+        assert len(payload) == len(table["epsilon"])
+        assert payload[0]["epsilon"] == table["epsilon"][0]
+        assert list(payload[0]) == COLUMNS
 
-    def test_svg_well_formed(self, rows):
-        blob = emit(rows, "svg")
+    def test_svg_well_formed(self, table):
+        blob = emit(table, "svg")
         root = ET.fromstring(blob)
         assert root.tag.endswith("svg")
         rects = root.findall(".//{http://www.w3.org/2000/svg}rect")
-        assert len(rects) >= len(rows)
+        assert len(rects) >= len(table["epsilon"])
         text = blob.decode("utf-8")
         assert "epsilon" in text and "delta" in text
 
-    def test_svg_deterministic(self, rows):
-        assert emit(rows, "svg") == emit(rows, "svg")
+    def test_svg_deterministic(self, table):
+        assert emit(table, "svg") == emit(table, "svg")
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["epsilon", "delta", "ratio_bounds"])
     def test_svg_refuses_what_has_no_place_or_shade(self, field, value):
         # a NaN or infinite ratio ended in int(NaN)'s bare ValueError, and
         # an epsilon or delta that is not finite was drawn as "nan" or "inf"
-        good = SweepRow(0.1, 1e-5, 1.0, 2.0, 2.0, 4.0, 0.5, 0.5)
-        bad = dataclasses.replace(good, **{"epsilon": 0.2, field: value})
+        good = dict(zip(COLUMNS, [0.1, 1e-5, 1.0, 2.0, 2.0, 4.0, 0.5, 0.5]))
+        bad = {**good, "epsilon": 0.2, field: value}
         with pytest.raises(DomainError, match="^svg rows must hold finite"):
-            emit([good, bad], "svg")
+            emit(table_of(good.values(), bad.values()), "svg")
         # ratios a float holds, but whose span it does not
-        far = [dataclasses.replace(good, ratio_bounds=1e308),
-               dataclasses.replace(good, epsilon=0.2, ratio_bounds=-1e308)]
+        far = table_of({**good, "ratio_bounds": 1e308}.values(),
+                       {**good, "epsilon": 0.2, "ratio_bounds": -1e308}.values())
         with pytest.raises(DomainError, match="span less than the float range"):
             emit(far, "svg")
 
     def test_svg_only_for_sweeps(self):
-        @dataclasses.dataclass(frozen=True)
-        class Point:
-            epsilon: float
-            delta: float
-            ratio: float
-
-        points = [Point(0.1, 1e-5, 0.5), Point(0.2, 1e-5, 0.75)]
-        # csv and json take any dataclass rows of floats
-        for fmt in ("csv", "json"):
-            assert emit(points, fmt) == BRUTE_EMITTERS[fmt](points)
-        assert emit(points, "csv").startswith(b"epsilon,delta,ratio\n")
-        with pytest.raises(DomainError):
-            emit(points, "svg")
+        # a table of other columns has no place in any format: csv and json
+        # took rows of any dataclass, svg only a sweep's
+        points = {"epsilon": [0.1, 0.2], "delta": [1e-5, 1e-5], "ratio": [0.5, 0.75]}
+        for fmt in ("csv", "json", "svg"):
+            with pytest.raises(DomainError, match="sweep's columns"):
+                emit(points, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
-    def test_rows_must_be_one_dataclass(self, rows, fmt):
-        # a float row was a TypeError from dataclasses.fields, and a mixed
-        # list an AttributeError
-        @dataclasses.dataclass
-        class Empty:
-            pass
-
-        path_row = PathRow(0.1, 1e-5, 0.25, 0.25, 0.5, 0.5)
-        for bad in ([1.0], [rows[0], 1.0], [rows[0], path_row], [SweepRow],
-                    [(0.1, 1e-5)], [Empty(), Empty()]):
-            with pytest.raises(DomainError, match="one dataclass"):
+    def test_table_must_be_a_sweeps_columns(self, table, fmt):
+        # the eight columns by name and in order, as equal-length lists
+        reordered = dict(zip(COLUMNS[::-1], table.values()))
+        for bad in (rows_of(table), [1.0], {}, None, tuple(table.values()),
+                    {n: table[n] for n in COLUMNS[:-1]},
+                    {**table, "ratio": table["ratio_bounds"]}, reordered,
+                    {**table, "delta": table["delta"][:-1]},
+                    {**table, "q_lower": tuple(table["q_lower"])},
+                    {**table, "gauss_analytic": np.array(table["gauss_analytic"])}):
+            with pytest.raises(DomainError, match="sweep's columns"):
                 emit(bad, fmt)
 
-    def test_rejects_empty_and_unknown(self, rows):
+    def test_rejects_empty_and_unknown(self, table):
+        with pytest.raises(DomainError, match="^no rows to emit$"):
+            emit({name: [] for name in COLUMNS}, "csv")
         with pytest.raises(DomainError):
             emit([], "csv")
         with pytest.raises(DomainError):
-            emit(rows, "pdf")
+            emit(table, "pdf")
         with pytest.raises(DomainError, match="unknown output format None"):
-            emit(rows, None)  # was an AttributeError from None.lower()
+            emit(table, None)  # was an AttributeError from None.lower()
 
 
 class TestSweepBuildsNoPerPointObjects:
@@ -350,8 +358,9 @@ class TestSweepBuildsNoPerPointObjects:
 
     @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
     def test_cli_sweep_builds_no_rows(self, monkeypatch, tmp_path, fmt):
-        # the command writes from the sweep's columns: no SweepRow at all
-        counts = self.counter(monkeypatch, [*self.COUNTED, (SweepRow, "__init__")])
+        # the command writes from the sweep's columns, and builds no
+        # per-point object on the way
+        counts = self.counter(monkeypatch, self.COUNTED)
         by_size = {}
         for points in (10, 30):
             counts.clear()
@@ -360,10 +369,6 @@ class TestSweepBuildsNoPerPointObjects:
                          "--out", str(tmp_path / "sweep")]) == 0
             by_size[points] = dict(counts)
         assert by_size[10] == by_size[30]
-        assert "SweepRow.__init__" not in by_size[10]
-        # the counter sees the rows run_sweep builds for library callers
-        run_sweep(SweepConfig(eps_points=2, delta_points=3))
-        assert counts["SweepRow.__init__"] == 6
 
 
 # ---------------------------------------------------------------------------
@@ -510,47 +515,41 @@ SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, -1e308,
 FINITE_SPECIAL = [v for v in SPECIAL if math.isfinite(v)]
 
 
-def special_sweep_rows(ratios_finite, finite=False):
-    """A 4 x 3 grid of sweep rows holding every special value (with
+def special_sweep_points(ratios_finite, finite=False):
+    """A 4 x 3 grid of sweep points holding every special value (with
     ``finite``, every finite one) in every column; with ``ratios_finite``
     the heatmap's ratios stay finite."""
     special = FINITE_SPECIAL if finite else SPECIAL
-    rows = []
+    points = []
     for k in range(12):
         values = [special[(k + j) % len(special)] for j in range(8)]
         if ratios_finite:
             values[6] = [0.25, -0.0, 5e-324, 0.75, 1e308, 0.5][k % 6]
-        rows.append(SweepRow(0.5 * (k // 3 + 1), 1e-3 * (k % 3 + 1), *values[2:]))
-    return rows
+        points.append((0.5 * (k // 3 + 1), 1e-3 * (k % 3 + 1), *values[2:]))
+    return points
 
 
-@dataclasses.dataclass(frozen=True)
-class PathRow:
-    """A row of six floats beside SweepRow's eight: ``bound_pair`` at one
-    point of a high-privacy regime's path."""
-
-    epsilon: float
-    delta: float
-    lower: float
-    lower_floor: float
-    upper: float
-    ratio: float
-
-
-def path_rows(regime, cost):
-    rows = []
-    for eps, delta in REGIME_PATHS[regime]:
-        pair = bounds.bound_pair(PrivacyParams(eps, delta), 1.0, cost)
-        rows.append(PathRow(eps, delta, pair.lower, pair.lower_floor,
-                            pair.upper, pair.ratio))
-    return rows
+def path_table(regime, cost):
+    """The sweep's columns along a high-privacy regime's path, one
+    one-point sweep per point: values from 1e-12 to 1."""
+    points = [
+        run_sweep(SweepConfig(eps_min=eps, eps_max=eps, eps_points=1,
+                              delta_min=delta, delta_max=delta, delta_points=1,
+                              cost=cost))
+        for eps, delta in REGIME_PATHS[regime]
+    ]
+    return {name: [v for point in points for v in point[name]] for name in COLUMNS}
 
 
-def outcome(emitter, rows):
+def outcome(emitter, table):
     try:
-        return emitter(rows)
+        return emitter(table)
     except Exception as exc:
         return type(exc), str(exc)
+
+
+def reference(fmt):
+    return lambda table: BRUTE_EMITTERS[fmt](rows_of(table))
 
 
 class TestEmittersMatchTheReference:
@@ -558,38 +557,38 @@ class TestEmittersMatchTheReference:
     @pytest.mark.parametrize("cost", [CostKind.AMPLITUDE, CostKind.POWER])
     @pytest.mark.parametrize("points", [3, 20, 100])
     def test_sweep_rows(self, points, cost, fmt):
-        rows = run_sweep(
+        table = run_sweep(
             SweepConfig(eps_points=points, delta_points=points, cost=cost)
         )
-        assert emit(rows, fmt) == BRUTE_EMITTERS[fmt](rows)
+        assert emit(table, fmt) == reference(fmt)(table)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("regime", list(REGIME_PATHS))
     def test_regime_path_rows(self, regime, fmt):
-        # values from 1e-12 to 1 on another row shape
-        rows = path_rows(regime, CostKind.POWER)
-        assert emit(rows, fmt) == BRUTE_EMITTERS[fmt](rows)
+        # values from 1e-12 to 1, off any geometric grid
+        table = path_table(regime, CostKind.POWER)
+        assert emit(table, fmt) == reference(fmt)(table)
 
     @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
     @pytest.mark.parametrize("ratios_finite", [True, False])
     def test_special_values(self, ratios_finite, fmt):
-        # csv and json refuse non-finite values (see the test below); svg
-        # refuses a non-finite ratio with DomainError, where the reference
-        # ends in int(NaN)'s ValueError
-        rows = special_sweep_rows(ratios_finite, finite=fmt != "svg")
-        for chunk in [rows, *([row] for row in rows)]:  # one row at a time, too
-            got = outcome(lambda r: emit(r, fmt), chunk)
-            if fmt == "svg" and not all(math.isfinite(r.ratio_bounds) for r in chunk):
-                assert got[0] is DomainError
+        # csv and json get finite values only (refusals: see the test
+        # below); svg refuses with DomainError a chunk holding a value that
+        # is not finite, where the reference draws one outside the ratios
+        # and ends in int(NaN)'s ValueError on a ratio
+        points = special_sweep_points(ratios_finite, finite=fmt != "svg")
+        for chunk in [points, *([p] for p in points)]:  # one point at a time, too
+            got = outcome(lambda t: emit(t, fmt), table_of(*chunk))
+            if all(map(math.isfinite, np.ravel(chunk))):
+                assert got == outcome(reference(fmt), table_of(*chunk))
             else:
-                assert got == outcome(BRUTE_EMITTERS[fmt], chunk)
+                assert fmt == "svg" and got[0] is DomainError
 
-    @pytest.mark.parametrize("row_type", [SweepRow, PathRow])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_shared_and_distinct_axis_objects(self, fmt, row_type):
-        # the emitters format each grid coordinate object once: rows that
-        # share a float object and rows that hold an equal but distinct one,
-        # with 0.0 and -0.0 (equal as values, not as text) among them
+    def test_shared_and_distinct_axis_objects(self, fmt):
+        # the emitters format each grid coordinate object once: points that
+        # share a float object and points that hold an equal but distinct
+        # one, with 0.0 and -0.0 (equal as values, not as text) among them
         def fresh(x):
             return float.fromhex(x.hex())
 
@@ -600,35 +599,33 @@ class TestEmittersMatchTheReference:
                  fresh(1e-5), neg_zero, zero, fresh(0.0)]
         assert eps[0] is eps[1] and eps[6] is eps[7]
         assert eps[0] == eps[2] and eps[0] is not eps[4] and eps[6] is not eps[8]
-        fields = len(dataclasses.fields(row_type)) - 2
-        rows = [
-            row_type(e, d, *[0.25 * (k + 1) - j for j in range(fields)])
+        points = [
+            (e, d, *[0.25 * (k + 1) - j for j in range(6)])
             for k, (e, d) in enumerate(zip(eps, delta))
         ]
-        assert emit(rows, fmt) == BRUTE_EMITTERS[fmt](rows)
-        assert emit(rows[::-1], fmt) == BRUTE_EMITTERS[fmt](rows[::-1])
+        for table in (table_of(*points), table_of(*points[::-1])):
+            assert emit(table, fmt) == reference(fmt)(table)
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
     def test_rows_holding_more_than_floats(self, fmt):
-        # csv and json write finite floats and refuse anything else: the
+        # every format writes finite floats and refuses anything else: the
         # reference writes the str "a,b" as two csv fields and NaN as json
-        # that strict parsers reject
+        # that strict parsers reject, and svg's str epsilon was a TypeError
+        # from math.isfinite
         bad = [3, True, "a,b", None, np.float64(0.1), math.nan, math.inf, -math.inf]
         for value in bad:
             for field in range(8):
                 values = [0.5] * 8
                 values[field] = value
-                rows = [
-                    SweepRow(0.1, 1e-5, 1.0, 2.0, 2.0, 4.0, 0.5, 0.5),
-                    SweepRow(*values),
-                ]
+                table = table_of((0.1, 1e-5, 1.0, 2.0, 2.0, 4.0, 0.5, 0.5), values)
                 with pytest.raises(DomainError, match="finite floats"):
-                    emit(rows, fmt)
+                    emit(table, fmt)
 
 
 class TestCliSweepMatchesTheReference:
     """``dpnoise sweep`` writes its table without building rows; its bytes
-    are the reference emitters' over :func:`run_sweep`'s rows."""
+    are the reference emitters' over the rows of :func:`run_sweep`'s
+    table."""
 
     CASES = {
         **{
@@ -668,19 +665,19 @@ class TestCliSweepMatchesTheReference:
             flag = "--sens" if name == "sensitivity" else "--" + name.replace("_", "-")
             argv += [flag, repr(getattr(config, name))]
         assert main(argv) == 0
-        assert out.read_bytes() == BRUTE_EMITTERS[fmt](run_sweep(config))
+        assert out.read_bytes() == reference(fmt)(run_sweep(config))
 
 
 def refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-ROW_SOURCES = {
+TABLE_SOURCES = {
     "sweep-amplitude": lambda: run_sweep(SweepConfig()),
     "sweep-power": lambda: run_sweep(SweepConfig(cost=CostKind.POWER)),
     **{
         f"path-{regime}-{cost.value}": (
-            lambda regime=regime, cost=cost: path_rows(regime, cost)
+            lambda regime=regime, cost=cost: path_table(regime, cost)
         )
         for regime in REGIME_PATHS
         for cost in CostKind
@@ -689,23 +686,23 @@ ROW_SOURCES = {
 
 
 class TestEmittedTextParses:
-    """What emit writes for sweep rows and for rows of ``bound_pair``
-    values is strict csv and json."""
+    """What emit writes for sweep tables, on their grids and along the
+    regime paths, is strict csv and json."""
 
-    @pytest.mark.parametrize("source", ROW_SOURCES)
+    @pytest.mark.parametrize("source", TABLE_SOURCES)
     def test_csv(self, source):
-        rows = ROW_SOURCES[source]()
-        text = emit(rows, "csv").decode("utf-8")
+        table = TABLE_SOURCES[source]()
+        text = emit(table, "csv").decode("utf-8")
         header, *records = csv.reader(io.StringIO(text))
-        assert header == [f.name for f in dataclasses.fields(rows[0])]
-        assert len(records) == len(rows)
+        assert header == COLUMNS
+        assert len(records) == len(table["epsilon"])
         assert all(len(record) == len(header) for record in records)
         assert [list(map(float, record)) for record in records] == [
-            list(dataclasses.astuple(row)) for row in rows
+            list(point) for point in zip(*table.values())
         ]
 
-    @pytest.mark.parametrize("source", ROW_SOURCES)
+    @pytest.mark.parametrize("source", TABLE_SOURCES)
     def test_json(self, source):
-        rows = ROW_SOURCES[source]()
-        payload = json.loads(emit(rows, "json"), parse_constant=refuse_constant)
-        assert payload == [dataclasses.asdict(row) for row in rows]
+        table = TABLE_SOURCES[source]()
+        payload = json.loads(emit(table, "json"), parse_constant=refuse_constant)
+        assert payload == [dict(zip(COLUMNS, point)) for point in zip(*table.values())]

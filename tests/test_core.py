@@ -167,23 +167,37 @@ class TestNoiseMechanismContract:
         assert _Triangle().parameters == {}
 
     def test_default_interval_mass_is_cdf_difference(self):
-        # cdf and interval_mass both come from the half-line mass alone
+        # the cdf comes from the half-line mass alone, by symmetry
         mech = _Triangle()
         x = np.array([-1.5, -1.0, -0.5, 0.0, 0.25, 1.0, 2.0])
         xc = np.clip(x, -1.0, 1.0)
         exact = np.where(xc < 0.0, 0.5 * (1.0 + xc) ** 2, 1.0 - 0.5 * (1.0 - xc) ** 2)
         np.testing.assert_allclose(mech.cdf(x), exact, rtol=1e-15, atol=0.0)
-        lo = np.array([-0.5, 0.0, 0.25, -2.0])
-        hi = np.array([0.0, 0.5, 0.75, 2.0])
+        lo = np.array([0.0, 0.25, 0.5, 0.0])
+        hi = np.array([0.5, 0.75, 2.0, 2.0])
         expected = mech.cdf(hi) - mech.cdf(lo)
-        np.testing.assert_allclose(mech.interval_mass(lo, hi), expected, rtol=1e-15)
+        np.testing.assert_allclose(mech._upper_mass(lo, hi), expected, rtol=1e-15)
         # scalar in, scalar out
-        assert isinstance(mech.interval_mass(-0.25, 0.25), float)
         assert isinstance(mech.cdf(0.25), float)
 
-    def test_interval_mass_rejects_nonfinite(self):
+    def test_cdf_rejects_nonfinite(self):
         with pytest.raises(DomainError):
-            _Triangle().interval_mass(math.nan, 0.5)
+            _Triangle().cdf(math.nan)
+        with pytest.raises(DomainError):
+            _Triangle().cdf(np.array([0.5, math.inf]))
+
+    @pytest.mark.parametrize(
+        "n", [2.7, 3.0, -1.0, -1, math.nan, math.inf, -math.inf, True, "3",
+              np.float64(2.0), 1j]
+    )
+    def test_sample_count_is_an_integer(self, n):
+        # 2.7 drew 2 samples; -1.0, NaN and "3" escaped as numpy's
+        # ValueError or TypeError, and an infinite n as OverflowError
+        rng = np.random.default_rng(0)
+        with pytest.raises(DomainError, match=r"^n must be an integer >= 0, got "):
+            _Triangle().sample(rng, n)
+        assert _Triangle().sample(rng, np.int64(3)).shape == (3,)
+        assert _Triangle().sample(rng, 0).shape == (0,)
 
     def test_sample_is_deterministic_under_seed(self):
         mech = _Triangle()

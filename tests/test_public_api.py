@@ -5,6 +5,7 @@ import pkgutil
 from pathlib import Path
 
 import pytest
+from test_readme import python_blocks
 
 import dpnoise
 from dpnoise.core import NoiseMechanism
@@ -34,9 +35,9 @@ def test_package_exports_resolve():
 
 
 def test_interval_mass_and_cdf_are_defined_once():
-    # every shipped mechanism states its half-line mass; cdf and interval
-    # masses follow from it in NoiseMechanism, which also checks the input
-    # of pdf and quantile and samples by the quantile
+    # every shipped mechanism states its half-line mass; the cdf follows
+    # from it in NoiseMechanism, which also checks the input of pdf and
+    # quantile and samples by the quantile
     shipped = {
         obj
         for module in _submodules()
@@ -45,7 +46,7 @@ def test_interval_mass_and_cdf_are_defined_once():
     }
     assert len(shipped) > 1
     for cls in shipped:
-        for name in ("interval_mass", "cdf", "pdf", "quantile", "sample"):
+        for name in ("cdf", "pdf", "quantile", "sample"):
             assert getattr(cls, name) is getattr(NoiseMechanism, name), (
                 cls.__name__, name
             )
@@ -71,6 +72,10 @@ def test_interval_mass_and_cdf_are_defined_once():
         "LimitRegime",
         "TightnessRow",
         "tightness_curve",
+        # a sweep is a table of columns; nothing in the package called the
+        # public profile
+        "SweepRow",
+        "gaussian_privacy_profile",
     ],
 )
 def test_removed_names_are_gone(name):
@@ -87,16 +92,62 @@ def test_removed_names_are_gone(name):
         (DiscretizedDist, "total_mass"),
         (DiscretizedDist, "origin"),
         (AggregateKind, "parse"),
+        (NoiseMechanism, "interval_mass"),
     ],
     ids=lambda value: getattr(value, "__name__", value),
 )
 def test_removed_attributes_are_gone(owner, name):
     # a grid's total mass is its masses' sum, and it starts at -H * step;
-    # the CLI parses aggregates with its own option reader.  A dataclass
+    # the CLI parses aggregates with its own option reader; nothing in the
+    # package asked a mechanism for an interval's mass.  A dataclass
     # field without a default is on every instance but not on the class.
     assert not hasattr(owner, name)
     if dataclasses.is_dataclass(owner):
         assert name not in {field.name for field in dataclasses.fields(owner)}
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names a module reads, as a name or an attribute, outside its imports,
+    its ``__all__`` and the def or class of the name itself."""
+    found = set()
+    for top in tree.body:
+        if isinstance(top, (ast.Import, ast.ImportFrom)) or (
+            isinstance(top, ast.Assign)
+            and any(getattr(target, "id", None) == "__all__" for target in top.targets)
+        ):
+            continue
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(getattr(node, "ctx", None), ast.Load):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name is not None and name != own:
+                    found.add(name)
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    # a caller in the package (the CLI included), or a README example
+    src = Path(dpnoise.__file__).parent
+    called = set().union(*(
+        _references(ast.parse(path.read_text(encoding="utf-8")))
+        for path in src.glob("*.py")
+    ))
+    for block in python_blocks():
+        tree = ast.parse(block)
+        called |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        called |= {
+            alias.name
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+    assert sorted(set(dpnoise.__all__) - called - {"__version__"}) == []
+
+
+def test_helpers_with_callers_inside_are_not_exported():
+    # cli and query seed their generators with make_rng
+    assert "make_rng" not in dpnoise.__all__
+    assert not hasattr(dpnoise, "make_rng")
+    assert "make_rng" not in dpnoise.query.__all__
 
 
 def _annotations(tree: ast.Module):

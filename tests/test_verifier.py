@@ -382,6 +382,12 @@ class TestDiscretize:
         with pytest.raises(DomainError):
             discretize(mech, 1.0, step=-0.01)
 
+    @pytest.mark.parametrize("sens, step", [(1.0, 1e-320), (1e300, 1e-10), (1.0, 5e-324)])
+    def test_rejects_a_step_whose_cell_count_overflows(self, sens, step):
+        # sens/step is infinite: round() raised OverflowError
+        with pytest.raises(DomainError, match=r"sensitivity/step = inf\)$"):
+            discretize(Laplace(1.0), sens, step=step)
+
     def test_rejects_bad_radius(self):
         with pytest.raises(DomainError):
             discretize(Laplace(1.0), 1.0, step=0.1, radius=-2.0)
@@ -1170,7 +1176,7 @@ class TestDiscrimination:
         assert accept.path == "fast"
         assert accept.tolerance < 0.5 * delta
         assert accept.passed and not reject.passed
-        exact = float(mech.interval_mass(mech.radius - 1.0, mech.radius))
+        exact = float(mech._upper_mass(mech.radius - 1.0, mech.radius))
         assert exact == pytest.approx(delta, rel=1e-12)
         assert abs(accept.max_violation - exact) <= accept.tolerance
 
@@ -1217,10 +1223,16 @@ class TestFastPathCost:
         ids=["trunclap", "laplace"],
     )
     def test_discretize_never_calls_interval_mass(self, mech, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("interval_mass called")
+        # the cells' masses are in closed form: the half-line mass is read
+        # for the folded tail beyond the grid, never for a cell
+        upper_mass = type(mech)._upper_mass
 
-        monkeypatch.setattr(type(mech), "interval_mass", refuse)
+        def tail_only(self, a, b):
+            if np.any(np.asarray(b) < math.inf):
+                raise AssertionError("interval mass called")
+            return upper_mass(self, a, b)
+
+        monkeypatch.setattr(type(mech), "_upper_mass", tail_only)
         d = discretize(mech, 1.0, step=1e-3)
         assert d.masses.sum() == pytest.approx(1.0, abs=1e-14)
         assert d._fast_ok
