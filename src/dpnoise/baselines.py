@@ -430,40 +430,29 @@ def _analytic_sigmas(epsilon, delta, sens: "Sensitivity | float") -> np.ndarray:
             idx = idx[~bad]
         return idx, _excess(sigma[idx], epsilon[idx], delta[idx], sens_value, work)
 
+    def bracket(end: np.ndarray, moves, factor: float, side: str) -> None:
+        # Scale ``end`` by ``factor`` at the points where moves(excess, 0)
+        # holds, up to 201 times; hi takes each end it leaves (a no-op when
+        # ``end`` is hi).
+        idx = np.flatnonzero(~failed)
+        for _ in range(201):
+            idx, over = excess(end, idx)
+            idx = idx[moves(over, 0.0)]
+            if not idx.size:
+                return
+            hi[idx] = end[idx]
+            end[idx] *= factor
+        fail(idx, ConvergenceError(
+            f"could not bracket the Gaussian calibration from {side}"
+        ))
+
     with np.errstate(all="ignore"):
         lo = sens_value * 1e-6 / epsilon
         hi = sens_value / epsilon
-        idx = np.arange(epsilon.size)
-        doublings = 0
-        while True:
-            idx, over = excess(hi, idx)
-            idx = idx[over > 0.0]
-            if not idx.size:
-                break
-            hi[idx] *= 2.0
-            doublings += 1
-            if doublings > 200:
-                fail(idx, ConvergenceError(
-                    "could not bracket the Gaussian calibration from above"
-                ))
-                break
+        bracket(hi, np.greater, 2.0, "above")
         # The profile tends to 1 as sigma -> 0, so a violating lower end
         # always exists; shrink towards it where the default is feasible.
-        idx = np.flatnonzero(~failed)
-        shrinks = 0
-        while True:
-            idx, over = excess(lo, idx)
-            idx = idx[over <= 0.0]
-            if not idx.size:
-                break
-            hi[idx] = lo[idx]
-            lo[idx] *= 0.5
-            shrinks += 1
-            if shrinks > 200:
-                fail(idx, ConvergenceError(
-                    "could not bracket the Gaussian calibration from below"
-                ))
-                break
+        bracket(lo, np.less_equal, 0.5, "below")
         idx = np.flatnonzero(~failed)
         eps, dlt, low, high = epsilon[idx], delta[idx], lo[idx], hi[idx]
         while idx.size:

@@ -142,8 +142,15 @@ class CostKind(Enum):
 
 
 def _as_checked_array(x, name: str = "x") -> tuple[np.ndarray, bool]:
-    """Coerce scalar-or-array input to ndarray, rejecting NaN and infinities."""
-    arr = np.asarray(x, dtype=float)
+    """``x`` as a float ndarray, and whether it is a scalar.  A scalar must
+    be a real number (see _as_real), an array must hold real numbers (not
+    bool, str, bytes, complex or object), and every value must be finite."""
+    if not isinstance(x, np.ndarray) and np.ndim(x) == 0:
+        x = _as_real(x, name)
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} must be finite, got {x!r}")
     return arr, arr.ndim == 0
@@ -155,6 +162,7 @@ def _scalar_or_array(values: np.ndarray, scalar: bool):
 
 _NORMAL_MIN = sys.float_info.min  # the smallest double with full precision
 _ULP = 2.0**-53  # unit roundoff of a double
+_MAX_DRAWS = sys.maxsize // 8  # float64 elements whose byte count fits an intp
 
 
 def _width_jitter(n_cells: int) -> float:
@@ -194,10 +202,12 @@ class NoiseMechanism(ABC):
     Implementations state the array formulas ``_pdf`` and ``_quantile``,
     the two closed-form noise costs, and the half-line mass ``_upper_mass``;
     ``pdf`` and ``quantile`` check their input and call the formulas, and
-    ``cdf`` and the default ``grid_masses`` follow from the half-line mass
-    by symmetry.  A mechanism states the positive half of a verifier grid
-    only (``grid_masses``); the grid's negative half is its mirror image by
-    this symmetry.  ``sample`` is inverse-transform sampling on a
+    ``cdf`` and the default ``_grid_masses`` follow from the half-line mass
+    by symmetry.  The public surface is the distribution and its costs.
+    ``_grid_masses`` and ``_grid_mass_error``, which only
+    :func:`dpnoise.verifier.discretize` calls, state the positive half of a
+    verifier grid; its negative half is the mirror image by this symmetry.
+    ``sample`` is inverse-transform sampling on a
     caller-supplied uniform generator, so a fixed seed fixes the output and
     the generator can be replaced by a stub (e.g. one that always yields
     the median) in tests.
@@ -271,7 +281,7 @@ class NoiseMechanism(ABC):
         values = np.where(arr < 0.0, tail, 1.0 - tail)
         return _scalar_or_array(values, scalar)
 
-    def grid_masses(self, step: float, out: np.ndarray) -> np.ndarray:
+    def _grid_masses(self, step: float, out: np.ndarray) -> np.ndarray:
         """Fill ``out``, a float64 array of ``H`` cells, with the positive
         half of a grid of width ``step``, and return it.
 
@@ -287,8 +297,8 @@ class NoiseMechanism(ABC):
         edges[-1] = math.inf
         return np.maximum(self._upper_mass(edges[:-1], edges[1:]), 0.0, out=out)
 
-    def grid_mass_error(self, step: float, half_cells: int) -> float:
-        """Relative error bound of each of :meth:`grid_masses`' masses.
+    def _grid_mass_error(self, step: float, half_cells: int) -> float:
+        """Relative error bound of each of :meth:`_grid_masses`' masses.
 
         The default masses are differences of the half-line mass at the
         rounded edges ``step*k``, so they carry the grid's width jitter.
@@ -297,12 +307,15 @@ class NoiseMechanism(ABC):
 
     def sample(self, rng, n: "int | None" = None):
         """Draw ``n`` samples (or a single scalar when ``n`` is None); ``n``
-        must be an integer >= 0.
+        must be an integer >= 0 and at most ``_MAX_DRAWS``, the largest
+        float64 array numpy can size.
 
         ``rng`` only needs a ``random(size)`` method returning uniforms in
         [0, 1); ``numpy.random.Generator`` qualifies.
         """
         size = () if n is None else _as_count(n, "n", least=0)
+        if n is not None and size > _MAX_DRAWS:  # numpy would refuse the size
+            raise DomainError(f"n must be at most {_MAX_DRAWS} draws")
         u = np.asarray(rng.random(size), dtype=float)
         # random() may return exactly 0.0; nudge it onto the open interval
         # so mechanisms with unbounded support keep finite quantiles.  2^-53

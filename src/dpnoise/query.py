@@ -106,10 +106,12 @@ def make_mechanism(
 ) -> NoiseMechanism:
     """Build a calibrated noise mechanism by CLI name."""
     sens = as_sensitivity(sens)
-    if name not in _FACTORIES:
+    if not isinstance(name, str) or name not in _FACTORIES:  # a list is unhashable
         raise DomainError(
             f"unknown mechanism {name!r}; expected one of {list(MECHANISM_NAMES)}"
         )
+    if not isinstance(params, PrivacyParams):
+        raise DomainError(f"params must be a PrivacyParams, got {type(params).__name__}")
     return _FACTORIES[name].from_privacy(params, sens)
 
 

@@ -56,7 +56,9 @@ class TruncatedLaplace(NoiseMechanism):
 
     def __init__(self, scale: float, radius: float, height: float):
         self.scale, self.radius, self.height = _checked_shape(scale, radius, height)
-        # The mass of each half line, height * scale (1/2 up to rounding).
+        # height * scale: the untruncated density's half-line mass, 1/(2(1 -
+        # e^(-radius/scale))) as calibrated (0.500006 at (1, 1e-5), 1.4508 at
+        # (0.1, 0.1)); exactly 1/2 only for Laplace.
         self._area = self.height * self.scale
 
     @classmethod
@@ -110,9 +112,9 @@ class TruncatedLaplace(NoiseMechanism):
         b = np.minimum(b, self.radius)
         return self._area * np.exp(-a / self.scale) * -np.expm1(-(b - a) / self.scale)
 
-    def grid_masses(self, step: float, out: np.ndarray) -> np.ndarray:
+    def _grid_masses(self, step: float, out: np.ndarray) -> np.ndarray:
         """Closed-form masses of the positive half, laid out as
-        :meth:`NoiseMechanism.grid_masses` lays them out.
+        :meth:`NoiseMechanism._grid_masses` lays them out.
 
         Cell k covers ``[k*step, (k+1)*step)`` and holds
         ``height*scale * e^(-k t) * (1 - e^(-t))`` with ``t = step/scale``
@@ -151,7 +153,7 @@ class TruncatedLaplace(NoiseMechanism):
         out[full:] = self._area * np.exp(-k * t) * -np.expm1(-spans)
         return out
 
-    def grid_mass_error(self, step: float, half_cells: int) -> float:
+    def _grid_mass_error(self, step: float, half_cells: int) -> float:
         """A few ulp times ``1 + half_cells*step/scale``: every factor of a
         closed-form mass is within a few roundings, but ``e^(-k t)`` inherits
         the rounding of ``t`` times ``k t``, which grows to the grid's edge

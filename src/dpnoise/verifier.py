@@ -41,12 +41,12 @@ break log-concavity — are accounted for separately and exactly.  On such a
 grid d changes sign once outside the flat band, at the crossing the search
 finds, so the fast path takes its tolerance from O(shift_cells + log K)
 cells and M.  Every other grid falls back to the direct scan and a full
-scan of the same tolerance formula.
+scan of the same tolerance formula, over whole arrays.
 
 Every grid is symmetric about 0, as the noise of every mechanism here is
 (and symmetrizing a mechanism keeps both its privacy and its cost).  Its
 right half is the positive half the mechanism states
-(``NoiseMechanism.grid_masses``: the exponential mechanisms in closed form,
+(``NoiseMechanism._grid_masses``: the exponential mechanisms in closed form,
 the others from their half-line mass) and its left half is the mirror
 image.  Shift -j then gives the terms of +j in reverse order, so both paths
 check the shifts 1..shift_cells only.  The grid's gates (finite and
@@ -54,11 +54,12 @@ non-negative, the support run and log-concavity) and M are one blocked
 pass over the left half, which writes each left-half block as the mirror
 of the right half just before it reads it.  The fast path then sums only
 the tail it reads (for a truncated Laplacian, about one sensitivity at the
-support edge), so after ``grid_masses`` a fast-path grid has its right
+support edge), so after ``_grid_masses`` a fast-path grid has its right
 half read once, by the mirror copy, each left-half block gated while it is
 in cache, and that tail.  A grid caches its result per e^eps, so a second
-check at the same epsilon only compares it with its delta.  Apart from the
-masses and that tail, no temporary outgrows a byte per cell.
+check at the same epsilon only compares it with its delta.  On the fast
+path, apart from the masses and that tail, no temporary outgrows a byte per
+cell.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ class DiscretizedDist:
     ``masses`` holds an even number 2H of cells, and cell ``i`` covers
     ``[(i - H)*step, (i - H + 1)*step)``.  Only the right half
     ``masses[H:]`` is read: the positive half, as
-    ``NoiseMechanism.grid_masses`` states it.  The left half is
+    ``NoiseMechanism._grid_masses`` states it.  The left half is
     overwritten with its mirror image while the grid is gated (a
     read-only array is copied first).  A shift of the underlying variable
     by one sensitivity moves mass by exactly ``shift_cells`` cells.
@@ -277,16 +278,17 @@ def discretize(
     mech: NoiseMechanism,
     sens: "Sensitivity | float",
     step: "float | None" = None,
-    radius: "float | None" = None,
 ) -> DiscretizedDist:
     """Cut a mechanism's density into cells of width ``step``.
 
     ``step`` must divide the sensitivity into at least 10 cells (default:
-    1/1000th of it).  ``radius`` defaults to the support edge for bounded
-    mechanisms and otherwise to a third of a sensitivity beyond the
-    two-sided 1 - 1e-12 quantile range.  Any mass beyond the outermost cells is folded
+    1/1000th of it).  The grid reaches the support edge of a bounded
+    mechanism, and otherwise a third of a sensitivity beyond the two-sided
+    1 - 1e-12 quantile range.  Any mass beyond the outermost cells is folded
     into them, so the cell masses always account for the full distribution,
-    and the grid records that mass as its ``fold``.
+    and the grid records that mass as its ``fold``.  The masses and their
+    relative error are the mechanism's ``_grid_masses`` and
+    ``_grid_mass_error``.
 
     The margin is for noise narrower than the sensitivity, which is checked
     at a large epsilon: cells that a shift moves past the grid's edge are
@@ -308,28 +310,26 @@ def discretize(
             "step must divide the sensitivity into an integer number of "
             f"cells, at least 10 (got sensitivity/step = {cells!r})"
         )
-    if radius is None:
-        lo, hi = mech.support
-        if math.isfinite(lo) and math.isfinite(hi):
-            radius = max(abs(lo), abs(hi))
-        else:
-            radius = sens_value / 3.0 + float(
-                max(mech.quantile(1.0 - 5e-13), -mech.quantile(5e-13))
-            )
+    lo, hi = mech.support
+    if math.isfinite(lo) and math.isfinite(hi):
+        radius = max(abs(lo), abs(hi))
+    else:
+        radius = sens_value / 3.0 + float(
+            max(mech.quantile(1.0 - 5e-13), -mech.quantile(5e-13))
+        )
     radius = _require_finite_positive(radius, "radius")
     half_cells = int(math.ceil(radius / step - 1e-12))
     if 2 * half_cells > _MAX_CELLS:
         raise DomainError(
-            f"grid of {2 * half_cells} cells is too large; increase step "
-            "or decrease radius"
+            f"grid of {2 * half_cells} cells is too large; increase step"
         )
     masses = np.empty(2 * half_cells)
-    mech.grid_masses(step, masses[half_cells:])
+    mech._grid_masses(step, masses[half_cells:])
     return DiscretizedDist(
         step=step,
         masses=masses,
         shift_cells=shift_cells,
-        mass_error=mech.grid_mass_error(step, half_cells),
+        mass_error=mech._grid_mass_error(step, half_cells),
         fold=2.0 * float(mech.cdf(-half_cells * step)),
     )
 
@@ -499,7 +499,7 @@ def _flat_band(dist: DiscretizedDist) -> float:
 def _scan_tolerance(
     masses: np.ndarray, c: float, j: int, eta: float
 ) -> tuple[float, float, float]:
-    """(flat, straddle, read) for shift j by a full scan, block by block.
+    """(flat, straddle, read) for shift j by a full scan.
 
     flat sums eta * max(p_i, c p_{i+j}) over the flat cells, |d_i| below it;
     straddle sums the smaller |d| of the two non-flat cells at each sign
@@ -507,38 +507,23 @@ def _scan_tolerance(
     d_i > 0, the terms of the violation sum.
     """
     K = masses.size
-    flat = straddle = read = 0.0
-    # (d > 0, |d|) of the last non-flat cell so far, so that flips across a
-    # block boundary are counted too.
-    last = None
-    for lo in range(0, K, _BLOCK):
-        hi = min(lo + _BLOCK, K)
-        # scaled[i] = c * masses[i + j], 0 where i + j falls off the grid
-        src_lo, src_hi = max(lo + j, 0), min(hi + j, K)
-        scaled = np.zeros(hi - lo)
-        if src_lo < src_hi:
-            dst = src_lo - lo - j
-            np.multiply(
-                masses[src_lo:src_hi], c, out=scaled[dst : dst + src_hi - src_lo]
-            )
-        m = masses[lo:hi]
-        d = m - scaled
-        up = d > 0.0
-        read += float(m[up].sum() + scaled[up].sum())
-        band = np.maximum(m, scaled, out=scaled)
-        band *= eta
-        is_flat = np.abs(d) <= band
-        flat += float(band[is_flat].sum())
-        dn = d[~is_flat]
-        if dn.size == 0:
-            continue
-        up = dn > 0.0
-        mag = np.abs(dn)
-        flips = np.flatnonzero(up[:-1] != up[1:])
-        straddle += float(np.minimum(mag[flips], mag[flips + 1]).sum())
-        if last is not None and last[0] != up[0]:
-            straddle += min(last[1], float(mag[0]))
-        last = (bool(up[-1]), float(mag[-1]))
+    # scaled[i] = c * masses[i + j], 0 where i + j falls off the grid
+    scaled = np.zeros(K)
+    if abs(j) < K:
+        np.multiply(masses[max(j, 0) : K + min(j, 0)], c,
+                    out=scaled[max(-j, 0) : K - max(j, 0)])
+    d = masses - scaled
+    up = d > 0.0
+    read = float(masses[up].sum() + scaled[up].sum())
+    band = np.maximum(masses, scaled, out=scaled)
+    band *= eta
+    is_flat = np.abs(d) <= band
+    flat = float(band[is_flat].sum())
+    dn = d[~is_flat]
+    up = dn > 0.0
+    mag = np.abs(dn)
+    flips = np.flatnonzero(up[:-1] != up[1:])
+    straddle = float(np.minimum(mag[flips], mag[flips + 1]).sum())
     return flat, straddle, read
 
 
@@ -644,6 +629,11 @@ def dp_check(dist: DiscretizedDist, params: PrivacyParams) -> ViolationReport:
     from delta/2.  A violation beyond delta + tolerance fails whatever the
     tolerance.
     """
+    if not (isinstance(dist, DiscretizedDist) and isinstance(params, PrivacyParams)):
+        raise DomainError(
+            "dp_check takes a DiscretizedDist and a PrivacyParams, got "
+            f"{type(dist).__name__} and {type(params).__name__}"
+        )
     c = _exp_epsilon(params.epsilon)
     fast = dist._fast_ok
     # The worst violation, its shift and the tolerance depend on the grid

@@ -167,7 +167,7 @@ class TestLaplace:
         # height * scale, which is an ulp off at scale 49
         lap = Laplace(scale)
         step, half = scale / 700.0, 5000  # crosses a 4096-cell block edge
-        assert _bits(lap.grid_masses(step, np.empty(half))) == _bits(
+        assert _bits(lap._grid_masses(step, np.empty(half))) == _bits(
             _frozen_laplace_grid_masses(scale, step, half)[half:]
         )
         u = np.array([2.0**-53, 1e-9, 0.25, 0.5 - 1e-12, 0.5,
@@ -241,10 +241,11 @@ class TestLaplace:
 
     def test_grid_masses_closed_form(self):
         lap, step = Laplace(1.3), 1e-3
-        radius = float(lap.quantile(1.0 - 5e-13))  # discretize's default
-        half = math.ceil(radius / step - 1e-12)
-        fast = lap.grid_masses(step, np.empty(half))
-        ref = NoiseMechanism.grid_masses(lap, step, np.empty(half))
+        # discretize lays the negative half out as the mirror image
+        grid = discretize(lap, 1.0, step=step).masses
+        half = grid.size // 2
+        fast = lap._grid_masses(step, np.empty(half))
+        ref = NoiseMechanism._grid_masses(lap, step, np.empty(half))
         assert fast.shape == ref.shape == (half,)
         np.testing.assert_allclose(fast[:-1], ref[:-1], rtol=1e-10, atol=0.0)
         # The outermost cell holds its whole unbounded tail.  The default
@@ -252,8 +253,6 @@ class TestLaplace:
         tail = 0.5 * math.exp(-(half - 1) * step / 1.3)
         assert fast[-1] == pytest.approx(tail, rel=1e-14, abs=0)
         assert abs(fast[-1] - ref[-1]) <= 2.0**-52
-        # discretize lays the negative half out as the mirror image
-        grid = discretize(lap, 1.0, step=step, radius=radius).masses
         assert _bits(grid[half:]) == _bits(fast)
         assert grid[0] == pytest.approx(ref[-1], rel=1e-10)
         assert np.array_equal(grid, grid[::-1])
@@ -264,7 +263,7 @@ class TestLaplace:
 
     def test_gaussian_and_uniform_keep_the_default_grid_masses(self):
         for cls in (Gaussian, BoundedUniform):
-            assert cls.grid_masses is NoiseMechanism.grid_masses
+            assert cls._grid_masses is NoiseMechanism._grid_masses
 
     def test_factory(self):
         mech = Laplace.from_privacy(PrivacyParams(0.5, 1e-5), 2.0)

@@ -199,6 +199,16 @@ class TestNoiseMechanismContract:
         assert _Triangle().sample(rng, np.int64(3)).shape == (3,)
         assert _Triangle().sample(rng, 0).shape == (0,)
 
+    @pytest.mark.parametrize("n", [10**400, 2**62, 2**60])
+    def test_sample_count_beyond_numpy_is_refused(self, n):
+        # numpy refused these with its own ValueError; nothing is drawn
+        class Refuse:
+            def random(self, size=()):
+                raise AssertionError("drew for a refused count")
+
+        with pytest.raises(DomainError, match=r"^n must be at most 1152921504606846975 draws$"):
+            _Triangle().sample(Refuse(), n)
+
     def test_sample_is_deterministic_under_seed(self):
         mech = _Triangle()
         a = mech.sample(np.random.default_rng(11), 64)
@@ -268,3 +278,32 @@ def test_quantile_domain_follows_the_support(make):
             mech.quantile(np.array([0.5, u]))
     with pytest.raises(DomainError, match="u must be finite"):
         mech.quantile(math.nan)
+
+
+_MECH = TruncatedLaplace.from_privacy(PrivacyParams(1.0, 1e-5), 1.0)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [bad for bad in NOT_REAL if not isinstance(bad, list)]
+    + [np.array(["0.5"]), np.array([1j]), np.array([True]), np.array([0.5], dtype=object)],
+)
+@pytest.mark.parametrize("method", ["pdf", "cdf", "quantile"])
+def test_distribution_input_must_be_real_numbers(method, bad):
+    # pdf("1") was a density; 10**400 escaped as OverflowError and 1j as
+    # TypeError
+    name = "u" if method == "quantile" else "x"
+    with pytest.raises(DomainError, match=f"^{name} must (be a real number|hold real numbers)"):
+        getattr(_MECH, method)(bad)
+
+
+@pytest.mark.parametrize("method", ["pdf", "cdf", "quantile"])
+def test_distribution_input_takes_real_arrays_and_scalars(method):
+    f = getattr(_MECH, method)
+    expected = f(np.array([0.25, 0.5]))
+    for same in ([0.25, 0.5], (0.25, 0.5), np.array([0.25, 0.5], dtype=np.float32)):
+        assert f(same).tobytes() == expected.tobytes()
+    for scalar in (0.5, np.float64(0.5), np.float32(0.5), Fraction(1, 2), np.array(0.5)):
+        value = f(scalar)
+        assert type(value) is float and value == expected[1]
+    assert f(np.array([1, 0])).tobytes() == f(np.array([1.0, 0.0])).tobytes()

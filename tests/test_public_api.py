@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -8,15 +9,24 @@ import pytest
 from test_readme import python_blocks
 
 import dpnoise
-from dpnoise.core import NoiseMechanism
+from dpnoise.core import NoiseMechanism, PrivacyParams
 from dpnoise.query import AggregateKind
-from dpnoise.verifier import DiscretizedDist
+from dpnoise.verifier import DiscretizedDist, discretize
 
 
 def _submodules():
     for info in pkgutil.iter_modules(dpnoise.__path__):
         if not info.name.startswith("_"):
             yield importlib.import_module(f"dpnoise.{info.name}")
+
+
+def _shipped_mechanisms() -> set[type]:
+    return {
+        obj
+        for module in _submodules()
+        for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, NoiseMechanism)
+    }
 
 
 def test_each_public_name_has_one_home():
@@ -38,12 +48,7 @@ def test_interval_mass_and_cdf_are_defined_once():
     # every shipped mechanism states its half-line mass; the cdf follows
     # from it in NoiseMechanism, which also checks the input of pdf and
     # quantile and samples by the quantile
-    shipped = {
-        obj
-        for module in _submodules()
-        for obj in vars(module).values()
-        if isinstance(obj, type) and issubclass(obj, NoiseMechanism)
-    }
+    shipped = _shipped_mechanisms()
     assert len(shipped) > 1
     for cls in shipped:
         for name in ("cdf", "pdf", "quantile", "sample"):
@@ -93,13 +98,16 @@ def test_removed_names_are_gone(name):
         (DiscretizedDist, "origin"),
         (AggregateKind, "parse"),
         (NoiseMechanism, "interval_mass"),
+        (NoiseMechanism, "grid_masses"),
+        (NoiseMechanism, "grid_mass_error"),
     ],
     ids=lambda value: getattr(value, "__name__", value),
 )
 def test_removed_attributes_are_gone(owner, name):
     # a grid's total mass is its masses' sum, and it starts at -H * step;
     # the CLI parses aggregates with its own option reader; nothing in the
-    # package asked a mechanism for an interval's mass.  A dataclass
+    # package asked a mechanism for an interval's mass, and only discretize
+    # asks it for grid masses, through the private hooks.  A dataclass
     # field without a default is on every instance but not on the class.
     assert not hasattr(owner, name)
     if dataclasses.is_dataclass(owner):
@@ -194,3 +202,32 @@ def test_no_module_imports_a_name_it_never_uses(path):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported |= {a.asname or a.name for a in node.names}
     assert sorted(imported - _names_used(tree)) == []
+
+
+# a mechanism's public surface is its distribution and its costs, plus the
+# numbers of its shape
+_DISTRIBUTION_AND_COSTS = {
+    "pdf", "cdf", "quantile", "sample", "cost", "from_privacy", "parameters",
+    "support", "expected_amplitude", "expected_power",
+}
+_SHAPE_FIELDS = {
+    "TruncatedLaplace": {"scale", "radius", "height"},
+    "Laplace": {"scale", "radius", "height"},
+    "Gaussian": {"sigma"},
+    "BoundedUniform": {"half_width"},
+}
+
+
+def test_mechanisms_expose_only_their_distribution_costs_and_shape():
+    shipped = _shipped_mechanisms() - {NoiseMechanism}
+    assert {cls.__name__ for cls in shipped} == set(_SHAPE_FIELDS)
+    params = PrivacyParams(1.0, 1e-5)
+    for cls in shipped:
+        mech = cls.from_privacy(params, 1.0)
+        public = {name for name in dir(mech) if not name.startswith("_")}
+        assert public == _DISTRIBUTION_AND_COSTS | _SHAPE_FIELDS[cls.__name__], cls
+
+
+def test_discretize_takes_a_mechanism_a_sensitivity_and_a_step():
+    # the grid always reaches the support edge, or the 1 - 1e-12 range
+    assert list(inspect.signature(discretize).parameters) == ["mech", "sens", "step"]

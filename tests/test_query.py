@@ -65,6 +65,14 @@ class TestMakeMechanism:
         assert set(QUERY_MECHANISMS) <= set(MECHANISM_NAMES)
         assert "uniform" not in QUERY_MECHANISMS
 
+    def test_refuses_wrong_argument_types(self):
+        # a list name escaped as TypeError (unhashable), and a tuple of
+        # params as AttributeError from from_privacy
+        with pytest.raises(DomainError, match=r"^unknown mechanism \[1\.0\]"):
+            make_mechanism([1.0], P, 1.0)
+        with pytest.raises(DomainError, match="^params must be a PrivacyParams, got tuple$"):
+            make_mechanism("trunclap", (1, 1e-5), 1.0)
+
     def test_laplace_ignores_delta(self):
         a = make_mechanism("laplace", PrivacyParams(0.5, 1e-3), 1.0)
         b = make_mechanism("laplace", PrivacyParams(0.5, 1e-9), 1.0)

@@ -388,23 +388,20 @@ class TestDiscretize:
         with pytest.raises(DomainError, match=r"sensitivity/step = inf\)$"):
             discretize(Laplace(1.0), sens, step=step)
 
-    def test_rejects_bad_radius(self):
-        with pytest.raises(DomainError):
-            discretize(Laplace(1.0), 1.0, step=0.1, radius=-2.0)
-
     def test_cell_cap_refuses_before_allocating(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("allocated or filled a refused grid")
 
         monkeypatch.setattr(verifier.np, "empty", refuse)
-        monkeypatch.setattr(Laplace, "grid_masses", refuse)
+        monkeypatch.setattr(Laplace, "_grid_masses", refuse)
+        # a third of a sensitivity beyond the 1 - 1e-12 range is 27.96 a side
         with pytest.raises(
-            DomainError, match=r"^grid of 600000000 cells is too large"
+            DomainError, match=r"^grid of 559287532 cells is too large; increase step$"
         ):
-            discretize(Laplace(1.0), 1.0, step=1e-3, radius=3e5)
+            discretize(Laplace(1.0), 1.0, step=1e-7)
 
     def test_grid_geometry(self):
-        d = discretize(Gaussian(1.0), 1.0, step=0.01, radius=3.0)
+        d = discretize(BoundedUniform(3.0), 1.0, step=0.01)
         assert d.shift_cells == 100
         assert d.masses.size == 600  # cells -300 .. 299 of width 0.01
 
@@ -431,10 +428,6 @@ class TestDiscretize:
         u = discretize(BoundedUniform.from_privacy(PrivacyParams(1.0, 1e-3), 1.0), 1.0, step=1e-2)
         assert np.array_equal(u.masses, u.masses[::-1])
 
-    def test_radius_below_one_cell_is_a_domain_error(self):
-        with pytest.raises(DomainError):
-            discretize(Gaussian(1.0), 1.0, step=0.1, radius=1e-14)
-
     def test_mass_is_conserved(self):
         for mech in (
             Gaussian(0.8),
@@ -445,23 +438,21 @@ class TestDiscretize:
             assert d.masses.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_tail_folding_lands_in_edge_cells(self):
-        d = discretize(Gaussian(1.0), 1.0, step=0.1, radius=2.0)
-        # each edge cell holds its own slice plus the entire folded tail
         g = Gaussian(1.0)
-        expected = float(g.cdf(-1.9))
+        d = discretize(g, 1.0, step=0.1)
+        edge = d.masses.size // 2 * 0.1
+        # each edge cell holds its own slice plus the entire folded tail
+        expected = float(g.cdf(0.1 - edge))
         assert d.masses[0] == pytest.approx(expected, rel=1e-12)
         assert d.masses[-1] == pytest.approx(expected, rel=1e-12)
         # and the grid records the folded tails
-        assert d.fold == pytest.approx(2.0 * float(g.cdf(-2.0)), rel=1e-12)
+        assert d.fold == pytest.approx(2.0 * float(g.cdf(-edge)), rel=1e-12)
 
     def test_bounded_support_folds_nothing(self):
         p = PrivacyParams(1.0, 1e-5)
         trunclap = discretize(TruncatedLaplace.from_privacy(p, 1.0), 1.0, step=0.01)
         uniform = discretize(BoundedUniform.from_privacy(p, 1.0), 1.0, step=0.1)
         assert trunclap.fold == uniform.fold == 0.0
-        # cut inside the support, the tail beyond the grid is folded
-        cut = discretize(TruncatedLaplace.from_privacy(p, 1.0), 1.0, step=0.01, radius=5.0)
-        assert cut.fold > 0.0
 
     def test_stated_mass_error(self):
         # the closed form states a few ulp per unit of the grid's reach over
@@ -481,6 +472,16 @@ class TestDiscretize:
         for bad in (-1e-16, math.inf, math.nan):
             with pytest.raises(DomainError):
                 make_dist([0.5], fold=bad)
+
+
+def test_dp_check_refuses_wrong_argument_types():
+    # these escaped as AttributeError (_fast_ok, then epsilon)
+    grid, params = make_dist([0.4, 0.2, 0.1]), PrivacyParams(1.0, 1e-5)
+    message = "^dp_check takes a DiscretizedDist and a PrivacyParams, got "
+    with pytest.raises(DomainError, match=message + "str and PrivacyParams$"):
+        dp_check("x", params)
+    with pytest.raises(DomainError, match=message + "DiscretizedDist and tuple$"):
+        dp_check(grid, (1, 1e-5))
 
 
 @pytest.mark.parametrize("bad", NOT_REAL)
@@ -824,8 +825,8 @@ class _StatedHalf(Laplace):
         super().__init__(1.0)
         self.edits = edits
 
-    def grid_masses(self, step, out):
-        super().grid_masses(step, out)
+    def _grid_masses(self, step, out):
+        super()._grid_masses(step, out)
         for key, value in self.edits:
             out[key] = value
         return out
@@ -836,16 +837,23 @@ class _StatedHalf(Laplace):
 _MIRROR_POINTS = [(1.0, 1e-3, 1e-2), (0.5, 1e-2, 1e-3), (2.0, 0.05, 0.05), (0.05, 1e-6, 1e-3)]
 
 
+def stated_dist(mech, step, half_cells):
+    """A grid of ``half_cells`` a side built by hand from the positive half
+    the mechanism states, at sensitivity 1."""
+    half = mech._grid_masses(step, np.empty(half_cells))
+    return make_dist(half, step=step, shift_cells=round(1.0 / step))
+
+
 class TestMirrorFromTheRightHalf:
-    """discretize's grids, whose left half the gate pass writes as the
-    mirror of the positive half the mechanism states, against the full
-    grid the mechanisms used to build and a hand-built grid of its right
-    half: masses, gate facts and reports bit for bit."""
+    """discretize's grids, and hand-built grids of a mechanism's stated
+    positive half at other extents, whose left half the gate pass writes as
+    the mirror of that half, against the full grid the mechanisms used to
+    build and a hand-built grid of its right half: masses, gate facts and
+    reports bit for bit."""
 
     @staticmethod
-    def _check_against_reference(mech, eps, delta, step, radius=None):
-        d = discretize(mech, 1.0, step=step, radius=radius)
-        ref = brute_grid_masses(mech, step, d.masses.size // 2)
+    def _check_against_reference(d, mech, eps, delta):
+        ref = brute_grid_masses(mech, d.step, d.masses.size // 2)
         assert d.masses.tobytes() == ref.tobytes()
         stated = ref.copy()
         stated[: ref.size // 2] = math.nan  # overwritten by the mirror
@@ -874,25 +882,25 @@ class TestMirrorFromTheRightHalf:
         ],
     )
     def test_every_mechanism(self, name, eps, delta, step):
-        p = PrivacyParams(eps, delta)
-        d = self._check_against_reference(make_mechanism(name, p, 1.0), eps, delta, step)
+        mech = make_mechanism(name, PrivacyParams(eps, delta), 1.0)
+        d = self._check_against_reference(discretize(mech, 1.0, step=step), mech, eps, delta)
         # the unbounded grids end in a cell that holds the folded tail
         assert (d.fold > 0.0) == name.startswith(("gaussian", "laplace"))
 
     @pytest.mark.parametrize("cut", [0.5, 0.9, 1.5])
     def test_trunclap_radius_cut(self, cut):
-        # inside the support the outer cells fold the rest in; beyond it the
+        # inside the support the outer cell holds the rest; beyond it the
         # outer cells are 0 and the run ends inside the grid
-        p = PrivacyParams(1.0, 1e-5)
-        mech = TruncatedLaplace.from_privacy(p, 1.0)
-        d = self._check_against_reference(mech, 1.0, 1e-5, 1e-3, cut * mech.radius)
-        assert (d.fold > 0.0) == (cut < 1.0)
+        mech = TruncatedLaplace.from_privacy(PrivacyParams(1.0, 1e-5), 1.0)
+        half_cells = math.ceil(cut * mech.radius / 1e-3 - 1e-12)
+        d = self._check_against_reference(stated_dist(mech, 1e-3, half_cells), mech, 1.0, 1e-5)
         assert (d._run[1] < d.masses.size - 1) == (cut > 1.0)
 
     def test_half_a_whole_number_of_blocks(self):
         # 2 * _BLOCK cells a side, and Laplace masses that underflow to 0
         # long before the edge
-        d = self._check_against_reference(Laplace(1.3), 1.0, 1e-3, 1 / 64, _BLOCK / 32)
+        mech = Laplace(1.3)
+        d = self._check_against_reference(stated_dist(mech, 1 / 64, 2 * _BLOCK), mech, 1.0, 1e-3)
         assert d.masses.size == 4 * _BLOCK and d._run[1] < d.masses.size - 1
 
     def test_no_grid_is_compared_with_its_mirror(self, monkeypatch):
@@ -926,11 +934,12 @@ class TestMirrorFromTheRightHalf:
     )
     def test_a_bad_stated_half_keeps_its_message(self, edits):
         mech = _StatedHalf(edits)
-        half = mech.grid_masses(0.1, np.empty(30))
+        half_cells = discretize(Laplace(1.0), 1.0, step=0.1).masses.size // 2
+        half = mech._grid_masses(0.1, np.empty(half_cells))
         with pytest.raises(DomainError) as by_hand:
             make_dist(half, step=0.1, shift_cells=10)
         with pytest.raises(DomainError) as stated:
-            discretize(mech, 1.0, step=0.1, radius=3.0)
+            discretize(mech, 1.0, step=0.1)
         assert str(stated.value) == str(by_hand.value)
         assert str(stated.value) in (
             "masses must be finite and non-negative",
@@ -1149,11 +1158,11 @@ class TestFastPathProbe:
     def test_grid_masses_into_strided_and_reversed_out(self, mech, half):
         # the whole rows of the fill are a reshaped view of ``out``; a
         # strided or reversed ``out`` must receive the same bits
-        contiguous = mech.grid_masses(1e-3, np.empty(half))
+        contiguous = mech._grid_masses(1e-3, np.empty(half))
         strided = np.full(2 * half, math.nan)[::2]
         reversed_ = np.full(half, math.nan)[::-1]
-        assert mech.grid_masses(1e-3, strided) is strided
-        assert mech.grid_masses(1e-3, reversed_) is reversed_
+        assert mech._grid_masses(1e-3, strided) is strided
+        assert mech._grid_masses(1e-3, reversed_) is reversed_
         assert strided.tobytes() == contiguous.tobytes()
         assert reversed_.tobytes() == contiguous.tobytes()
 
