@@ -206,7 +206,8 @@ class NoiseMechanism(ABC):
     by symmetry.  The public surface is the distribution and its costs.
     ``_grid_masses`` and ``_grid_mass_error``, which only
     :func:`dpnoise.verifier.discretize` calls, state the positive half of a
-    verifier grid; its negative half is the mirror image by this symmetry.
+    verifier grid cell by cell; its negative half is the mirror image by
+    this symmetry.
     ``sample`` is inverse-transform sampling on a
     caller-supplied uniform generator, so a fixed seed fixes the output and
     the generator can be replaced by a stub (e.g. one that always yields
@@ -281,21 +282,30 @@ class NoiseMechanism(ABC):
         values = np.where(arr < 0.0, tail, 1.0 - tail)
         return _scalar_or_array(values, scalar)
 
-    def _grid_masses(self, step: float, out: np.ndarray) -> np.ndarray:
-        """Fill ``out``, a float64 array of ``H`` cells, with the positive
-        half of a grid of width ``step``, and return it.
+    def _grid_masses(self, step: float, half_cells: int):
+        """The positive half of a grid of width ``step`` and ``half_cells``
+        cells, as a function ``cells(k, out)`` that fills ``out`` and
+        returns it: with the cells ``k, k+1, ...`` for an int ``k``, or with
+        the cells at the indices of an int array ``k`` of ``out``'s shape.
 
         Cell ``k`` covers ``[k*step, (k+1)*step)`` and the outermost one,
-        ``k = H-1``, holds the whole tail beyond its left edge, so the
-        masses account for the full half line.  The negative half is the
-        mirror image, which the verifier lays out.  The default takes the
-        masses from ``_upper_mass`` on the edges ``step*k``, with the outer
-        edge at +inf; subclasses override it where the density's structure
-        gives the masses in closed form.
+        ``k = half_cells - 1``, holds the whole tail beyond its left edge,
+        so the masses account for the full half line.  The negative half is
+        the mirror image, which the verifier reads through.  A cell's
+        bits do not depend on which run or indices it is read with.  The
+        default takes the masses from ``_upper_mass`` on the edges
+        ``step*k``, with the outer edge at +inf; subclasses override it
+        where the density's structure gives the masses in closed form.
         """
-        edges = step * np.arange(out.size + 1, dtype=float)
-        edges[-1] = math.inf
-        return np.maximum(self._upper_mass(edges[:-1], edges[1:]), 0.0, out=out)
+        last = int(half_cells) - 1
+
+        def cells(k, out: np.ndarray) -> np.ndarray:
+            if not isinstance(k, np.ndarray):
+                k = np.arange(k, k + out.size)
+            upper = np.where(k < last, step * (k + 1), math.inf)
+            return np.maximum(self._upper_mass(step * k, upper), 0.0, out=out)
+
+        return cells
 
     def _grid_mass_error(self, step: float, half_cells: int) -> float:
         """Relative error bound of each of :meth:`_grid_masses`' masses.

@@ -112,18 +112,20 @@ class TruncatedLaplace(NoiseMechanism):
         b = np.minimum(b, self.radius)
         return self._area * np.exp(-a / self.scale) * -np.expm1(-(b - a) / self.scale)
 
-    def _grid_masses(self, step: float, out: np.ndarray) -> np.ndarray:
-        """Closed-form masses of the positive half, laid out as
-        :meth:`NoiseMechanism._grid_masses` lays them out.
+    def _grid_masses(self, step: float, half_cells: int):
+        """Closed-form masses of the positive half, read as
+        :meth:`NoiseMechanism._grid_masses` reads them.
 
         Cell k covers ``[k*step, (k+1)*step)`` and holds
         ``height*scale * e^(-k t) * (1 - e^(-t))`` with ``t = step/scale``
         while it lies inside the support; the outermost cell takes everything
         beyond its left edge and cells entirely past the radius hold 0.
-        ``e^(-k t)`` is the outer product of two short ``exp`` vectors, so
-        every mass is within a few roundings of exact and costs one multiply.
+        ``e^(-k t)`` is the outer product of two short ``exp`` vectors, one
+        factor per row of ``_EXP_BLOCK`` cells from cell 0 and one per cell
+        of a row, so every mass is within a few roundings of exact and costs
+        one multiply.  The factors are made once per grid.
         """
-        H = out.size
+        H = int(half_cells)
         t = step / self.scale
         # Cells 0..full-1 are whole cells inside the support.  Cell full is
         # the outermost one with mass: it takes everything from its left
@@ -141,17 +143,39 @@ class TruncatedLaplace(NoiseMechanism):
         B = _EXP_BLOCK
         inner = np.exp(-t * np.arange(B))
         head = self._area * -math.expm1(-t)
-        # Row r of the whole rows holds cells r*B..(r+1)*B-1, then the
-        # partial last row; splitting one axis keeps ``out``'s view.
-        rows = full // B
-        lead = np.array([head * math.exp(-t * lo) for lo in range(0, rows * B, B)])
-        np.multiply.outer(lead, inner, out=out[: rows * B].reshape(rows, B))
-        lo = rows * B
-        np.multiply(head * math.exp(-t * lo), inner[: full - lo], out=out[lo:full])
-        k = np.arange(full, H)
-        spans = np.where(k == full, span, 0.0)
-        out[full:] = self._area * np.exp(-k * t) * -np.expm1(-spans)
-        return out
+        # lead[r] is the factor of row r, cells r*B..(r+1)*B-1, up to the
+        # row of cell full
+        lead = np.array([head * math.exp(-t * lo) for lo in range(0, full + 1, B)])
+        # the mass of cell full, from its left edge to the support's
+        edge = (self._area * np.exp(-np.arange(full, full + 1) * t)
+                * -np.expm1(-np.array([span])))[0]
+
+        def cells(k, out: np.ndarray) -> np.ndarray:
+            if isinstance(k, np.ndarray):
+                mass = lead[np.minimum(k, full) // B] * inner[k % B]
+                out[...] = np.where(k < full, mass, np.where(k == full, edge, 0.0))
+                return out
+            # the run k..stop-1: the rest of k's row, whole rows, then the
+            # start of the last row, all inside the support; then the rest
+            stop = k + out.size
+            inside = max(k, min(stop, full))
+            whole = min(inside, -(-k // B) * B)  # the end of k's row
+            rows = (inside - whole) // B
+            for lo, hi in ((k, whole), (whole + rows * B, inside)):
+                if lo < hi:
+                    np.multiply(lead[lo // B], inner[lo % B : lo % B + hi - lo],
+                                out=out[lo - k : hi - k])
+            if rows > 0:
+                r = whole // B
+                np.multiply.outer(lead[r : r + rows], inner,
+                                  out=out[whole - k : whole - k + rows * B].reshape(rows, B))
+            if stop > full:
+                out[max(full, k) - k :] = 0.0
+                if k <= full:
+                    out[full - k] = edge
+            return out
+
+        return cells
 
     def _grid_mass_error(self, step: float, half_cells: int) -> float:
         """A few ulp times ``1 + half_cells*step/scale``: every factor of a

@@ -49,17 +49,20 @@ right half is the positive half the mechanism states
 (``NoiseMechanism._grid_masses``: the exponential mechanisms in closed form,
 the others from their half-line mass) and its left half is the mirror
 image.  Shift -j then gives the terms of +j in reverse order, so both paths
-check the shifts 1..shift_cells only.  The grid's gates (finite and
-non-negative, the support run and log-concavity) and M are one blocked
-pass over the left half, which writes each left-half block as the mirror
-of the right half just before it reads it.  The fast path then sums only
-the tail it reads (for a truncated Laplacian, about one sensitivity at the
-support edge), so after ``_grid_masses`` a fast-path grid has its right
-half read once, by the mirror copy, each left-half block gated while it is
-in cache, and that tail.  A grid caches its result per e^eps, so a second
-check at the same epsilon only compares it with its delta.  On the fast
-path, apart from the masses and that tail, no temporary outgrows a byte per
-cell.
+check the shifts 1..shift_cells only.  A grid that ``discretize`` cuts is
+never laid out whole: its cells are read from the mechanism a run or a
+gather at a time, and a cell reads the same bits however it is read.  The
+grid's gates (finite and non-negative, the support run and log-concavity)
+and M are one blocked pass over the left half, each block read into one
+block-sized buffer.  The fast path then reads the cells its probes and
+searches ask for, and sums only the tail it reads (for a truncated
+Laplacian, about one sensitivity at the support edge), filling it a block
+at a time: besides that tail, and a run of tied cells the straddle may
+read, it holds O(_BLOCK + shift_cells) cells, whatever the grid's size.
+The direct path lays the whole grid out as one array, which
+``discretize``'s cell cap keeps within reach; a grid built from an array
+keeps a copy of its right half.  A grid caches its result per e^eps, so a
+second check at the same epsilon only compares it with its delta.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ __all__ = [
     "ViolationReport",
 ]
 
-_MAX_CELLS = 400_000_000  # refuse grids that cannot fit in memory
+_MAX_CELLS = 400_000_000  # refuse grids whose direct path could not lay them out
 _BLOCK = 1 << 15  # cells per block of the grid-wide kernels (L2-sized temporaries)
 _PROBE = 3  # cells read on either side of each searched sign change
 _PARTS = ("flat", "straddle", "rounding", "fold")
@@ -104,31 +107,90 @@ def _gamma(n: int) -> float:
 _set = object.__setattr__  # sets a field of a frozen grid while it is built
 
 
+class _Cells:
+    """The cell masses of a grid, read through its positive half.
+
+    ``size`` is the cell count K = 2H; cell ``H + k`` and its mirror
+    ``H - 1 - k`` both hold cell ``k`` of the positive half, which
+    ``cells(k, out)`` states (see ``NoiseMechanism._grid_masses``).  It is
+    read a run or a gather at a time and never held whole, except by
+    ``np.asarray``, which lays out all K cells.  Read-only.
+    """
+
+    __slots__ = ("size", "_cells")
+
+    def __init__(self, size: int, cells):
+        self.size = size
+        self._cells = cells
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __setitem__(self, key, value):
+        raise ValueError("a grid's masses are read-only")
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("a grid's masses are laid out anew on each read")
+        H = self.size // 2
+        full = np.empty(self.size)
+        self._cells(0, full[H:])
+        full[:H] = full[H:][::-1]
+        return full if dtype is None else full.astype(dtype, copy=False)
+
+    def run(self, lo: int, hi: int, out: "np.ndarray | None" = None) -> np.ndarray:
+        """Cells lo..hi-1, into ``out`` if given."""
+        H = self.size // 2
+        out = np.empty(hi - lo) if out is None else out
+        left = max(0, min(hi, H) - lo)  # how many lie in the negative half
+        if left:
+            self._cells(H - lo - left, out[left - 1 :: -1])
+        if left < out.size:
+            self._cells(max(lo, H) - H, out[left:])
+        return out
+
+    def take(self, i: np.ndarray) -> np.ndarray:
+        """The cells at the indices of the int array ``i``."""
+        H = self.size // 2
+        return self._cells(np.where(i < H, H - 1 - i, i - H), np.empty(i.shape))
+
+
+def _array_cells(half: np.ndarray):
+    """``cells(k, out)`` of a positive half given as an array."""
+
+    def cells(k, out: np.ndarray) -> np.ndarray:
+        out[...] = half[k] if isinstance(k, np.ndarray) else half[k : k + out.size]
+        return out
+
+    return cells
+
+
 @dataclass(frozen=True, eq=False)
 class DiscretizedDist:
     """Cell masses of a noise distribution on a regular grid, symmetric
     about 0.
 
-    ``masses`` holds an even number 2H of cells, and cell ``i`` covers
-    ``[(i - H)*step, (i - H + 1)*step)``.  Only the right half
-    ``masses[H:]`` is read: the positive half, as
-    ``NoiseMechanism._grid_masses`` states it.  The left half is
-    overwritten with its mirror image while the grid is gated (a
-    read-only array is copied first).  A shift of the underlying variable
-    by one sensitivity moves mass by exactly ``shift_cells`` cells.
-    ``mass_error`` bounds the relative error of each mass (0: the masses
-    are exact as given) and ``fold`` is the tail mass folded into the two
-    edge cells; ``discretize`` takes both from the mechanism.
+    The grid has an even number K = 2H of cells, and cell ``i`` covers
+    ``[(i - H)*step, (i - H + 1)*step)``.  Its right half is the positive
+    half the mechanism states (``NoiseMechanism._grid_masses``) and its
+    left half the mirror image.  ``masses`` may be given as an array of all
+    K cells, of which only the right half ``masses[H:]`` is read and
+    copied; ``discretize`` gives the mechanism's cells instead, which are
+    read from the mechanism as they are needed and never stored.  Either
+    way ``masses`` becomes a read-only object with ``size`` K whose
+    ``np.asarray`` is the whole mirrored grid.  A shift of the underlying
+    variable by one sensitivity moves mass by exactly ``shift_cells``
+    cells.  ``mass_error`` bounds the relative error of each mass (0: the
+    masses are exact as given) and ``fold`` is the tail mass folded into
+    the two edge cells; ``discretize`` takes both from the mechanism.
 
     A grid is frozen: the facts the checks derive from the masses are
-    cached on it, so its fields cannot be set and ``masses`` is a read-only
-    view.  The array passed in stays writable and must not be changed while
-    the grid is in use.  Two grids are equal only if they are the same
-    object.
+    cached on it, so its fields cannot be set.  Two grids are equal only
+    if they are the same object.
     """
 
     step: float
-    masses: np.ndarray
+    masses: _Cells
     shift_cells: int
     mass_error: float = 0.0
     fold: float = 0.0
@@ -150,66 +212,62 @@ class DiscretizedDist:
         if not 0.0 <= fold < math.inf:
             raise DomainError(f"fold must be finite and >= 0, got {fold!r}")
         _set(self, "fold", fold)
-        masses = np.asarray(self.masses, dtype=float)
-        if masses.ndim != 1 or masses.size == 0 or masses.size % 2:
-            raise DomainError(
-                "masses must be a 1-d array of an even, non-zero number of "
-                f"cells, got shape {masses.shape}"
-            )
-        if not masses.flags.writeable:
-            masses = masses.copy()
-        view = masses.view()
-        view.flags.writeable = False
-        _set(self, "masses", view)
-        # The gates read only the stated right half: the first positive
-        # cell mirrors the right half's last one.
-        stated = masses[masses.size // 2 :]
-        s = _first_positive(stated[::-1])
-        if s < 0:
-            # min/max reject negatives, NaN (min is NaN) and infinities
-            # without a grid-sized temporary.
-            if not (stated.min() >= 0.0 and stated.max() < math.inf):
-                raise DomainError("masses must be finite and non-negative")
-            raise DomainError("masses must carry some probability")
-        e = masses.size - 1 - s
+        cells = self.masses
+        if not isinstance(cells, _Cells):
+            masses = np.asarray(cells, dtype=float)
+            if masses.ndim != 1 or masses.size == 0 or masses.size % 2:
+                raise DomainError(
+                    "masses must be a 1-d array of an even, non-zero number of "
+                    f"cells, got shape {masses.shape}"
+                )
+            cells = _Cells(masses.size, _array_cells(masses[masses.size // 2 :].copy()))
+            _set(self, "masses", cells)
+        s = _first_positive(cells)
+        e = cells.size - 1 - s
         _set(self, "_run", (s, e))
-        self._gate_pass(masses, s, e)
+        self._gate_pass(cells, s, e)
 
-    def _gate_pass(self, m: np.ndarray, s: int, e: int) -> None:
-        """The gates and M in one blocked pass over the left half of ``m``.
+    def _gate_pass(self, cells: _Cells, s: int, e: int) -> None:
+        """The gates and M in one blocked pass over the left half.
 
         Edge cells may hold folded tail mass, so only the interior run is
         required to be log-concave; the fast path treats edges explicitly.
         The slack absorbs grid geometry (see _width_jitter); a density
         whose log-concavity defect sits below that scale is numerically
-        indistinguishable from a log-concave one on this grid.  The pass
-        writes each left-half block, and the cell its last triple reads,
-        as the mirror of the right half just before reading it.  The right
-        half is then read only by that copy: its masses are the left
-        half's, and the log-concavity triple around cell i has its
-        mirror's factors in the other order, so the left half decides.
+        indistinguishable from a log-concave one on this grid.  Each block
+        is read with the cell on either side that its triples read, into
+        one buffer.  The log-concavity triple around a right-half cell has
+        its mirror's factors in the other order, so the left half decides.
         """
-        K = m.size
-        half = K // 2
+        half = cells.size // 2
         # centres of the interior triples in the left half
         lo_c, hi_c = s + 2, min(e - 1, half)
-        state = _GateState(max(1e-10, 8.0 * _width_jitter(K)), min(_BLOCK, half))
+        state = _GateState(max(1e-10, 8.0 * _width_jitter(cells.size)), min(_BLOCK, half))
+        window = np.empty(min(_BLOCK, half) + 2)
         for lo in range(0, half, _BLOCK):
             hi = min(lo + _BLOCK, half)
-            top = min(hi + 1, half)
-            m[lo:top] = m[K - top : K - lo][::-1]
-            state.block(m, lo, hi, s, e, lo_c, hi_c)
+            # cells a..z-1: the block and its neighbours, cell `half` the
+            # first of the right half
+            a, z = max(lo - 1, 0), hi + 1
+            w = cells.run(a, z, window[: z - a])
+            state.block(w, lo - a, hi - a, s - a, e - a, lo_c - a, hi_c - a)
         _set(self, "_mass", 2.0 * state.total)
-        _set(self, "_fast_ok", state.contiguous and state.log_concave(m, lo_c, hi_c))
+        _set(self, "_fast_ok", state.contiguous and state.log_concave(cells, lo_c, hi_c))
 
 
-def _first_positive(masses: np.ndarray) -> int:
-    """Index of the first positive cell, read block by block; -1 if none."""
-    for lo in range(0, masses.size, _BLOCK):
-        positive = masses[lo : lo + _BLOCK] > 0.0
+def _first_positive(cells: _Cells) -> int:
+    """Index of the first positive cell, read block by block over the left
+    half; DomainError if a cell before it is negative or NaN, or if none
+    is positive."""
+    half = cells.size // 2
+    for lo in range(0, half, _BLOCK):
+        block = cells.run(lo, min(lo + _BLOCK, half))
+        positive = block > 0.0
         if positive.any():
             return lo + int(np.argmax(positive))
-    return -1
+        if not block.min() >= 0.0:  # NaN fails too
+            raise DomainError("masses must be finite and non-negative")
+    raise DomainError("masses must carry some probability")
 
 
 class _GateState:
@@ -228,8 +286,9 @@ class _GateState:
         self._ok = np.empty(cells, dtype=bool)
 
     def block(self, m, lo, hi, s, e, lo_c, hi_c) -> None:
-        """Cells [lo, hi): finite and non-negative, positive inside the
-        support run, their mass, and the triples centred among them."""
+        """Cells [lo, hi) of ``m``, which also holds the cell on either
+        side: finite and non-negative, positive inside the support run,
+        their mass, and the triples centred among them."""
         if lo >= hi:
             return
         b = m[lo:hi]
@@ -263,12 +322,12 @@ class _GateState:
                 ok = np.greater_equal(squares, products, out=self._ok[:n])
                 self.products_ok = bool(ok.all())
 
-    def log_concave(self, m, lo_c, hi_c) -> bool:
+    def log_concave(self, cells: _Cells, lo_c: int, hi_c: int) -> bool:
         if self.smallest >= 1e-150:
             return self.products_ok
         # products could underflow; stay honest and compare logs instead
         for lo in range(lo_c, hi_c, _BLOCK):
-            logs = np.log(m[lo - 1 : min(lo + _BLOCK, hi_c) + 1])
+            logs = np.log(cells.run(lo - 1, min(lo + _BLOCK, hi_c) + 1))
             if not np.all(2.0 * logs[1:-1] >= logs[:-2] + logs[2:] - self.slack):
                 return False
         return True
@@ -314,20 +373,23 @@ def discretize(
     if math.isfinite(lo) and math.isfinite(hi):
         radius = max(abs(lo), abs(hi))
     else:
-        radius = sens_value / 3.0 + float(
-            max(mech.quantile(1.0 - 5e-13), -mech.quantile(5e-13))
+        with np.errstate(over="ignore"):  # refused below
+            radius = sens_value / 3.0 + float(
+                max(mech.quantile(1.0 - 5e-13), -mech.quantile(5e-13))
+            )
+    if not radius / step < math.inf:
+        raise DomainError(
+            "the noise is too wide to discretize: a grid of step "
+            f"{step!r} would reach {radius!r}"
         )
-    radius = _require_finite_positive(radius, "radius")
     half_cells = int(math.ceil(radius / step - 1e-12))
     if 2 * half_cells > _MAX_CELLS:
         raise DomainError(
             f"grid of {2 * half_cells} cells is too large; increase step"
         )
-    masses = np.empty(2 * half_cells)
-    mech._grid_masses(step, masses[half_cells:])
     return DiscretizedDist(
         step=step,
-        masses=masses,
+        masses=_Cells(2 * half_cells, mech._grid_masses(step, half_cells)),
         shift_cells=shift_cells,
         mass_error=mech._grid_mass_error(step, half_cells),
         fold=2.0 * float(mech.cdf(-half_cells * step)),
@@ -370,8 +432,8 @@ def _fast_forward_violations(
     read and the sum of the magnitudes its sums read, with the number of
     cells summed into the suffix tail.
     """
-    masses = dist.masses
-    K = masses.size
+    cells = dist.masses
+    K = cells.size
     s, e = dist._run
     # Strictness keeps float-level ties (ratio exactly e^eps up to grid
     # jitter) out of the suffix: they contribute nothing to the true sum,
@@ -382,7 +444,8 @@ def _fast_forward_violations(
     dom_hi = np.maximum(dip, s + 1)  # past-the-end sentinel of the search
 
     def searched(i):  # the predicate at candidate i of each shift
-        return masses[i] > c * masses[np.minimum(i + j, K - 1)] * strict
+        p = cells.take(np.concatenate([i, np.minimum(i + j, K - 1)]))
+        return p[: j.size] > c * p[j.size :] * strict
 
     lo = np.full(j.shape, s + 1, dtype=np.int64)
     hi = dom_hi.copy()
@@ -408,8 +471,7 @@ def _fast_forward_violations(
     # violation sums are read off and equals the whole-grid suffix sum.
     lead = np.clip(boundary - 2, s + 1, dom_hi)
     first = int(lead.min())
-    tail = np.zeros(K + 1 - first)
-    np.cumsum(masses[first:][::-1], out=tail[:-1][::-1])
+    tail = _tail_sums(cells, first)
 
     def suffix(t):
         return tail[t - first]
@@ -423,15 +485,20 @@ def _fast_forward_violations(
         viol_interior = np.maximum(viol_interior, src - c * tgt)
     viol_interior = np.maximum(viol_interior, 0.0)
 
+    # the cells read one by one: the dip cell and the left edge's target
+    # for each shift, then the two edge cells
+    p = cells.take(
+        np.concatenate([np.clip(dip, 0, K - 1), np.minimum(s + j, K - 1), [e, s]])
+    )
+    p_dip, p_target, (p_e, p_s) = p[: j.size], p[j.size : -2], p[-2:]
     dip_valid = dip >= s + 1
-    p_dip = masses[np.clip(dip, 0, K - 1)]
-    d_dip = p_dip - c * masses[e]
+    d_dip = p_dip - c * p_e
     dip_term = np.where(dip_valid, np.maximum(d_dip, 0.0), 0.0)
 
     past = suffix(np.clip(dip + 1, s + 1, e + 1)) - suffix(e + 1)
 
-    left_target = np.where(s + j <= e, masses[np.minimum(s + j, K - 1)], 0.0)
-    d_left = masses[s] - c * left_target
+    left_target = np.where(s + j <= e, p_target, 0.0)
+    d_left = p_s - c * left_target
     left_term = np.maximum(d_left, 0.0)
 
     # Every suffix read is at most suffix(lead), and every target suffix at
@@ -440,11 +507,26 @@ def _fast_forward_violations(
     reads = (
         4.0 * suffix(lead)
         + 2.0 * c * suffix(np.minimum(lead + j, K))
-        + np.where(dip_valid, p_dip + c * masses[e], 0.0)
-        + masses[s]
+        + np.where(dip_valid, p_dip + c * p_e, 0.0)
+        + p_s
         + c * left_target
     )
     return viol_interior + dip_term + past + left_term, reads, lead, K - first
+
+
+def _tail_sums(cells: _Cells, first: int) -> np.ndarray:
+    """The masses of cells t..K-1 for t = first..K, summed from the right
+    edge a block at a time, each block's sum carried into the next: bit
+    for bit one running sum of the tail."""
+    K = cells.size
+    tail = np.zeros(K + 1 - first)
+    for hi in range(K, first, -_BLOCK):
+        lo = max(first, hi - _BLOCK)
+        block = cells.run(lo, hi, tail[lo - first : hi - first])[::-1]
+        if hi < K:
+            block[0] += tail[hi - first]
+        np.cumsum(block, out=block)
+    return tail
 
 
 def _exp_epsilon(epsilon: float) -> float:
@@ -543,24 +625,15 @@ def _fast_straddle(
     positive interior cells left of ``lead`` that the violation's suffix
     search leaves out as ties.
     """
-    m = dist.masses
-    K = m.size
+    cells = dist.masses
+    K = cells.size
     s, e = dist._run
 
-    def cell(i: int) -> float:  # d_i, or 0.0 where cell i is flat
-        p = float(m[i])
-        scaled = c * float(m[i + j]) if i + j < K else 0.0
+    def d_at(i):  # d at each cell of the int array i, 0.0 where it is flat
+        p = cells.take(np.concatenate([i, np.minimum(i + j, K - 1)]))
+        p, scaled = p[: i.size], np.where(i + j < K, c * p[i.size :], 0.0)
         d = p - scaled
-        return 0.0 if abs(d) <= eta * max(p, scaled) else d
-
-    def search(lo: int, hi: int, pred) -> int:  # first i in [lo, hi) with pred
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if pred(cell(mid)):
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        return np.where(np.abs(d) <= eta * np.maximum(p, scaled), 0.0, d)
 
     probes = set()
     left = min(s - 1, e - j)  # the last cell left of the support with a target in it
@@ -569,24 +642,48 @@ def _fast_straddle(
     gap = 0.0
     g_hi = e - j  # cells s..g_hi have their target inside the support
     if g_hi >= s:
-        neg_end = search(s + 1, g_hi, lambda d: d >= 0.0)
-        pos_start = search(neg_end, g_hi, lambda d: d > 0.0)
+        # where the suffix search ended, and the centre, where the ratio of
+        # a grid with geometric halves reaches e^eps
+        neg_end = _bisect(s + 1, g_hi, lambda i: d_at(i) >= 0.0, (lead + 2, K // 2))
+        pos_start = _bisect(neg_end, g_hi, lambda i: d_at(i) > 0.0, (lead + 2,))
         for i in (s + _PROBE, neg_end, pos_start, g_hi - _PROBE):
             probes.update(range(max(s, i - _PROBE), min(g_hi, i + _PROBE) + 1))
         if pos_start < lead:
-            d = m[pos_start:lead] - c * m[pos_start + j : lead + j]
+            d = cells.run(pos_start, lead) - c * cells.run(pos_start + j, lead + j)
             gap = float(np.maximum(d, 0.0).sum())
     if max(s, g_hi + 1) <= e:
         probes.add(max(s, g_hi + 1))  # the first cell shifted past the support
     straddle, prev = 0.0, 0.0
-    for i in sorted(probes):
-        d = cell(i)
+    for d in d_at(np.array(sorted(probes), dtype=np.int64)).tolist():
         if d == 0.0:
             continue
         if (d > 0.0) != (prev > 0.0) and prev != 0.0:
             straddle += min(abs(prev), abs(d))
         prev = d
     return straddle + gap
+
+
+def _bisect(lo: int, hi: int, holds, guesses: tuple = ()) -> int:
+    """The first i in [lo, hi) where ``holds`` does, as the binary search
+    with midpoints (lo + hi) // 2 finds it.  ``holds`` tests an int array
+    of cells at once.  Each call asks for the midpoints of the whole path
+    the search takes if the first i is lo, hi or one of ``guesses``, so
+    that a search that ends where one of them says takes one call, and
+    one that strays takes another from where it strayed."""
+    while lo < hi:
+        mids = set()
+        for x in (lo, hi, *guesses):
+            a, b = lo, hi
+            while a < b:
+                mid = (a + b) // 2
+                mids.add(mid)
+                a, b = (a, mid) if mid >= x else (mid + 1, b)
+        index = np.fromiter(mids, dtype=np.int64, count=len(mids))
+        found = dict(zip(index.tolist(), holds(index).tolist()))
+        while lo < hi and (lo + hi) // 2 in found:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if found[mid] else (mid + 1, hi)
+    return lo
 
 
 def _fast_result(dist: DiscretizedDist, c: float):
@@ -601,12 +698,13 @@ def _fast_result(dist: DiscretizedDist, c: float):
 
 
 def _direct_result(dist: DiscretizedDist, c: float):
+    masses = np.asarray(dist.masses)  # the whole grid, K <= _MAX_CELLS
     shifts = range(1, dist.shift_cells + 1)
-    violations = [_direct_violation(dist.masses, c, j) for j in shifts]
+    violations = [_direct_violation(masses, c, j) for j in shifts]
     worst = max(violations)
     worst_j = violations.index(worst) + 1
-    flat, straddle, read = _scan_tolerance(dist.masses, c, worst_j, _flat_band(dist))
-    rounding = (_gamma(dist.masses.size + 2) + dist.mass_error) * read
+    flat, straddle, read = _scan_tolerance(masses, c, worst_j, _flat_band(dist))
+    rounding = (_gamma(masses.size + 2) + dist.mass_error) * read
     return worst, worst_j, (flat, straddle, rounding, _fold_part(dist, c))
 
 

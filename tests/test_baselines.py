@@ -167,7 +167,7 @@ class TestLaplace:
         # height * scale, which is an ulp off at scale 49
         lap = Laplace(scale)
         step, half = scale / 700.0, 5000  # crosses a 4096-cell block edge
-        assert _bits(lap._grid_masses(step, np.empty(half))) == _bits(
+        assert _bits(lap._grid_masses(step, half)(0, np.empty(half))) == _bits(
             _frozen_laplace_grid_masses(scale, step, half)[half:]
         )
         u = np.array([2.0**-53, 1e-9, 0.25, 0.5 - 1e-12, 0.5,
@@ -242,10 +242,10 @@ class TestLaplace:
     def test_grid_masses_closed_form(self):
         lap, step = Laplace(1.3), 1e-3
         # discretize lays the negative half out as the mirror image
-        grid = discretize(lap, 1.0, step=step).masses
+        grid = np.asarray(discretize(lap, 1.0, step=step).masses)
         half = grid.size // 2
-        fast = lap._grid_masses(step, np.empty(half))
-        ref = NoiseMechanism._grid_masses(lap, step, np.empty(half))
+        fast = lap._grid_masses(step, half)(0, np.empty(half))
+        ref = NoiseMechanism._grid_masses(lap, step, half)(0, np.empty(half))
         assert fast.shape == ref.shape == (half,)
         np.testing.assert_allclose(fast[:-1], ref[:-1], rtol=1e-10, atol=0.0)
         # The outermost cell holds its whole unbounded tail.  The default

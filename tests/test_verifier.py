@@ -207,12 +207,13 @@ def brute_dp_check(masses, shift_cells, params):
 def check_tolerance_parts(dist, c, worst_j, parts, fast):
     """A check's tolerance parts against the full-scan reference: at least
     it on the fast path, equal to it (summed in another order) otherwise."""
-    flat, straddle, read = brute_tolerance(dist.masses, c, worst_j, _flat_band(dist))
+    masses = np.asarray(dist.masses)
+    flat, straddle, read = brute_tolerance(masses, c, worst_j, _flat_band(dist))
     assert parts[3] == 0.5 * (1.0 + c) * dist.fold
     if fast:
         assert parts[0] >= flat and parts[1] >= straddle
     else:
-        rounding = (_gamma(dist.masses.size + 2) + dist.mass_error) * read
+        rounding = (_gamma(masses.size + 2) + dist.mass_error) * read
         expected = (flat, straddle, rounding)
         assert parts[:3] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
@@ -263,19 +264,19 @@ class TestDiscretizedDist:
 
     def test_left_half_is_the_mirror_of_the_right(self):
         # only the stated right half is read: NaN, a negative or an infinity
-        # in the left half is overwritten, in the caller's array too
+        # in the left half is neither read nor written, and the right half
+        # is copied, so the caller's array stays as it was
         right = np.array([0.3, 0.15, 0.05])
         for junk in (math.nan, -1.0, math.inf):
             p = np.concatenate([np.full(3, junk), right])
+            before = p.tobytes()
             d = DiscretizedDist(step=0.1, masses=p, shift_cells=1)
-            assert d.masses.tobytes() == p.tobytes() == mirror(right).tobytes()
+            assert np.asarray(d.masses).tobytes() == mirror(right).tobytes()
             assert d._run == (0, 5) and d._fast_ok and d._mass == 1.0
-        # a read-only array is copied, not written
-        p = np.concatenate([np.full(3, math.nan), right])
-        p.flags.writeable = False
-        d = DiscretizedDist(step=0.1, masses=p, shift_cells=1)
-        assert np.isnan(p[:3]).all()
-        assert d.masses.tobytes() == mirror(right).tobytes()
+            p[3:] = 0.0
+            assert np.asarray(d.masses).tobytes() == mirror(right).tobytes()
+            p[3:] = right
+            assert p.tobytes() == before
 
     def test_a_grid_has_no_origin(self):
         # the origin was always -H * step, and nothing read it
@@ -296,7 +297,7 @@ class TestDiscretizedDist:
         # M, the total the gate pass sums, and the masses' own sum
         d = make_dist([0.25, 0.125, 0.125])
         assert d._mass == 1.0
-        assert d.masses.sum() == 1.0
+        assert np.asarray(d.masses).sum() == 1.0
 
     def test_fast_flag_log_concave(self):
         x = (np.arange(50) + 0.5) * 0.06
@@ -353,23 +354,23 @@ class TestMaxViolation:
 
     def test_matches_reference_scan(self):
         rng = np.random.default_rng(11)
-        d = make_dist(rng.random(19), shift_cells=5)
+        masses = np.asarray(make_dist(rng.random(19), shift_cells=5).masses)
         for eps in (0.0, 0.2, 1.0):
             c = math.exp(eps)
             for j in range(1, 6):
-                v = _direct_violation(d.masses, c, j)
+                v = _direct_violation(masses, c, j)
                 # on the symmetric grid, shift -j sums the terms of +j in
                 # reverse order
                 for shift in (j, -j):
                     assert v == pytest.approx(
-                        brute_violation(d.masses, c, shift), rel=1e-13, abs=1e-300
+                        brute_violation(masses, c, shift), rel=1e-13, abs=1e-300
                     )
 
     def test_shift_past_the_grid_moves_out_everything(self):
-        d = make_dist([0.25, 0.125, 0.125], shift_cells=1)
-        assert brute_violation(d.masses, math.exp(0.7), 6) == 1.0
+        masses = np.asarray(make_dist([0.25, 0.125, 0.125], shift_cells=1).masses)
+        assert brute_violation(masses, math.exp(0.7), 6) == 1.0
         for j in (6, 7):
-            assert _direct_violation(d.masses, math.exp(0.7), j) == 1.0
+            assert _direct_violation(masses, math.exp(0.7), j) == 1.0
 
 
 class TestDiscretize:
@@ -420,13 +421,13 @@ class TestDiscretize:
         # The default masses come from the upper half line, so the right
         # outermost cell is one small ndtr, not a 1 - cdf that cancels.
         sigma = analytic_gaussian_sigma(PrivacyParams(1.0, 1e-4), 1.0)
-        d = discretize(Gaussian(sigma), 1.0, step=1e-3)
-        half = d.masses.size // 2
+        d = np.asarray(discretize(Gaussian(sigma), 1.0, step=1e-3).masses)
+        half = d.size // 2
         tail = float(ndtr(-(half - 1) * 1e-3 / sigma))
-        assert d.masses[-1] == pytest.approx(tail, rel=1e-13)
-        assert np.array_equal(d.masses, d.masses[::-1])
+        assert d[-1] == pytest.approx(tail, rel=1e-13)
+        assert np.array_equal(d, d[::-1])
         u = discretize(BoundedUniform.from_privacy(PrivacyParams(1.0, 1e-3), 1.0), 1.0, step=1e-2)
-        assert np.array_equal(u.masses, u.masses[::-1])
+        assert np.array_equal(np.asarray(u.masses), np.asarray(u.masses)[::-1])
 
     def test_mass_is_conserved(self):
         for mech in (
@@ -435,7 +436,7 @@ class TestDiscretize:
             TruncatedLaplace.from_privacy(PrivacyParams(0.5, 1e-4), 1.0),
         ):
             d = discretize(mech, 1.0, step=0.05)
-            assert d.masses.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.asarray(d.masses).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_tail_folding_lands_in_edge_cells(self):
         g = Gaussian(1.0)
@@ -443,8 +444,9 @@ class TestDiscretize:
         edge = d.masses.size // 2 * 0.1
         # each edge cell holds its own slice plus the entire folded tail
         expected = float(g.cdf(0.1 - edge))
-        assert d.masses[0] == pytest.approx(expected, rel=1e-12)
-        assert d.masses[-1] == pytest.approx(expected, rel=1e-12)
+        masses = np.asarray(d.masses)
+        assert masses[0] == pytest.approx(expected, rel=1e-12)
+        assert masses[-1] == pytest.approx(expected, rel=1e-12)
         # and the grid records the folded tails
         assert d.fold == pytest.approx(2.0 * float(g.cdf(-edge)), rel=1e-12)
 
@@ -648,7 +650,8 @@ class TestDpCheck:
     ):
         p = PrivacyParams(eps, delta)
         d = discretize(make_mechanism(name, p, 1.0), 1.0, step=step)
-        assert np.array_equal(d.masses, d.masses[::-1])
+        masses = np.asarray(d.masses)
+        assert np.array_equal(masses, masses[::-1])
         assert dp_check(d, p).path == "fast"
 
     def test_tie_gap_is_covered_by_the_straddle(self):
@@ -694,9 +697,9 @@ class TestBlockedKernels:
 
     def test_tolerance_matches_reference(self):
         rng = np.random.default_rng(5)
-        trunclap = discretize(
+        trunclap = np.asarray(discretize(
             TruncatedLaplace.from_privacy(PrivacyParams(0.01, 1e-4), 1.0), 1.0, step=1e-3
-        ).masses
+        ).masses)
         assert trunclap.size > 3 * _BLOCK
         noisy = rng.random(3 * _BLOCK + 1001)
         holes = rng.random(4 * _BLOCK + 3)
@@ -752,9 +755,10 @@ class TestBlockedKernels:
         flags = []
         for half in cases:
             d = make_dist(half, shift_cells=10)
-            assert d.masses.tobytes() == mirror(half).tobytes()
-            assert d._fast_ok == brute_fast_ok(d.masses)
-            assert d._mass == pytest.approx(d.masses.sum(), rel=1e-14)
+            masses = np.asarray(d.masses)
+            assert masses.tobytes() == mirror(half).tobytes()
+            assert d._fast_ok == brute_fast_ok(masses)
+            assert d._mass == pytest.approx(masses.sum(), rel=1e-14)
             flags.append(d._fast_ok)
         assert flags[:2] == [True, True] and not any(flags[2:])
 
@@ -796,14 +800,15 @@ class TestDirectPath:
         parts = d._by_c[c][2]
         check_tolerance_parts(d, c, j, parts, fast=False)
         # shift -j has the terms of +j in reverse order, so the same tolerance
-        flat, straddle, _ = brute_tolerance(d.masses, c, -j, _flat_band(d))
+        flat, straddle, _ = brute_tolerance(np.asarray(d.masses), c, -j, _flat_band(d))
         assert parts[:2] == pytest.approx((flat, straddle), rel=1e-12, abs=0.0)
 
     def test_flip_at_block_boundary_is_counted(self):
         d = self._peaked()
         c = math.exp(1e-9)
         dp_check(d, PrivacyParams(1e-9, 0.1))
-        diff = d.masses[:-1] - c * d.masses[1:]
+        masses = np.asarray(d.masses)
+        diff = masses[:-1] - c * masses[1:]
         assert np.all(diff[:_BLOCK] < 0.0) and diff[_BLOCK] > 0.0
         flip = min(-diff[_BLOCK - 1], diff[_BLOCK])
         assert flip > 1e-7
@@ -825,11 +830,11 @@ class _StatedHalf(Laplace):
         super().__init__(1.0)
         self.edits = edits
 
-    def _grid_masses(self, step, out):
-        super()._grid_masses(step, out)
+    def _grid_masses(self, step, half_cells):
+        half = super()._grid_masses(step, half_cells)(0, np.empty(half_cells))
         for key, value in self.edits:
-            out[key] = value
-        return out
+            half[key] = value
+        return verifier._array_cells(half)
 
 
 # (eps, delta, step); the uniform grid has 1/(delta*step) cells, so it skips
@@ -840,7 +845,7 @@ _MIRROR_POINTS = [(1.0, 1e-3, 1e-2), (0.5, 1e-2, 1e-3), (2.0, 0.05, 0.05), (0.05
 def stated_dist(mech, step, half_cells):
     """A grid of ``half_cells`` a side built by hand from the positive half
     the mechanism states, at sensitivity 1."""
-    half = mech._grid_masses(step, np.empty(half_cells))
+    half = mech._grid_masses(step, half_cells)(0, np.empty(half_cells))
     return make_dist(half, step=step, shift_cells=round(1.0 / step))
 
 
@@ -854,14 +859,14 @@ class TestMirrorFromTheRightHalf:
     @staticmethod
     def _check_against_reference(d, mech, eps, delta):
         ref = brute_grid_masses(mech, d.step, d.masses.size // 2)
-        assert d.masses.tobytes() == ref.tobytes()
+        assert np.asarray(d.masses).tobytes() == ref.tobytes()
         stated = ref.copy()
         stated[: ref.size // 2] = math.nan  # overwritten by the mirror
         hand = DiscretizedDist(
             step=d.step, masses=stated, shift_cells=d.shift_cells,
             mass_error=d.mass_error, fold=d.fold,
         )
-        assert hand.masses.tobytes() == ref.tobytes()
+        assert np.asarray(hand.masses).tobytes() == ref.tobytes()
         positive = np.flatnonzero(ref > 0.0)
         assert d._run == hand._run == (positive[0], positive[-1])
         assert d._fast_ok == hand._fast_ok == brute_fast_ok(ref)
@@ -935,7 +940,7 @@ class TestMirrorFromTheRightHalf:
     def test_a_bad_stated_half_keeps_its_message(self, edits):
         mech = _StatedHalf(edits)
         half_cells = discretize(Laplace(1.0), 1.0, step=0.1).masses.size // 2
-        half = mech._grid_masses(0.1, np.empty(half_cells))
+        half = mech._grid_masses(0.1, half_cells)(0, np.empty(half_cells))
         with pytest.raises(DomainError) as by_hand:
             make_dist(half, step=0.1, shift_cells=10)
         with pytest.raises(DomainError) as stated:
@@ -973,7 +978,7 @@ class TestFastPathReference:
     @staticmethod
     def _check_against_reference(masses, step, shift_cells, eps, delta, **grid):
         d = DiscretizedDist(step=step, masses=masses, shift_cells=shift_cells, **grid)
-        assert d.masses.tobytes() == masses.tobytes()
+        assert np.asarray(d.masses).tobytes() == masses.tobytes()
         assert d._fast_ok == brute_fast_ok(masses)
         assert d._mass == pytest.approx(masses.sum(), rel=1e-13)
         paths = set()
@@ -1056,7 +1061,7 @@ class TestFastPathReference:
         p = PrivacyParams(eps, delta)
         d = discretize(make_mechanism(name, p, 1.0), 1.0, step=step)
         paths = self._check_against_reference(
-            d.masses, d.step, d.shift_cells, eps, delta,
+            np.asarray(d.masses), d.step, d.shift_cells, eps, delta,
             mass_error=d.mass_error, fold=d.fold,
         )
         assert paths == {"fast"}
@@ -1085,7 +1090,7 @@ def probe_outcome(dist, c):
     searched predicate fails at the top of its range (so the probe settles
     it), and the first cell of its range where the predicate holds, found
     by a plain scan (the range's end if none)."""
-    m = dist.masses
+    m = np.asarray(dist.masses)
     K = m.size
     s, e = dist._run
     strict = 1.0 + max(1e-9, 4.0 * _width_jitter(K))
@@ -1109,8 +1114,9 @@ class TestFastPathProbe:
         c = _exp_epsilon(eps)
         s, e = d._run
         violations, _, lead, _ = verifier._fast_forward_violations(d, c)
+        masses = np.asarray(d.masses)
         ref = brute_fast_forward_violations(
-            d.masses, brute_suffix(d.masses), s, e, c, d.shift_cells
+            masses, brute_suffix(masses), s, e, c, d.shift_cells
         )
         assert violations.tobytes() == ref.tobytes()
         settled, boundary = probe_outcome(d, c)
@@ -1158,11 +1164,12 @@ class TestFastPathProbe:
     def test_grid_masses_into_strided_and_reversed_out(self, mech, half):
         # the whole rows of the fill are a reshaped view of ``out``; a
         # strided or reversed ``out`` must receive the same bits
-        contiguous = mech._grid_masses(1e-3, np.empty(half))
+        cells = mech._grid_masses(1e-3, half)
+        contiguous = cells(0, np.empty(half))
         strided = np.full(2 * half, math.nan)[::2]
         reversed_ = np.full(half, math.nan)[::-1]
-        assert mech._grid_masses(1e-3, strided) is strided
-        assert mech._grid_masses(1e-3, reversed_) is reversed_
+        assert cells(0, strided) is strided
+        assert cells(0, reversed_) is reversed_
         assert strided.tobytes() == contiguous.tobytes()
         assert reversed_.tobytes() == contiguous.tobytes()
 
@@ -1243,25 +1250,121 @@ class TestFastPathCost:
 
         monkeypatch.setattr(type(mech), "_upper_mass", tail_only)
         d = discretize(mech, 1.0, step=1e-3)
-        assert d.masses.sum() == pytest.approx(1.0, abs=1e-14)
+        assert np.asarray(d.masses).sum() == pytest.approx(1.0, abs=1e-14)
         assert d._fast_ok
 
     def test_traced_peak_per_cell(self):
-        # Suffix sums cover only the tail the fast path reads and every
-        # other kernel works in blocks or on half the grid, so an
-        # accept/reject pair adds little to the masses themselves.
-        p = PrivacyParams(0.01, 1e-5)
-        mech = TruncatedLaplace.from_privacy(p, 1.0)
+        # The grid's cells are read from the mechanism a block at a time and
+        # never stored whole, and the fast path sums only the tail it reads,
+        # so discretize and an accept/reject pair peak at the same few MB
+        # on 1.2M cells as on 78.6M (629 MB as one float array).
+        for eps, delta, cells in [(0.01, 1e-5, 1_244_322), (1e-4, 1e-6, 78_637_494)]:
+            p = PrivacyParams(eps, delta)
+            mech = TruncatedLaplace.from_privacy(p, 1.0)
+            tracemalloc.start()
+            try:
+                d = discretize(mech, 1.0, step=1e-3)
+                accept = dp_check(d, p)
+                reject = dp_check(d, PrivacyParams(eps, delta / 2.0))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert d.masses.size == cells
+            assert accept.passed and not reject.passed
+            assert accept.path == "fast" and accept.cells == cells
+            assert peak <= 3e6
+
+
+class TestStreamedGrid:
+    """A grid cut by discretize holds its mechanism's cells, not an array of
+    them: what ``masses`` still offers, and where its reads could drift."""
+
+    @staticmethod
+    def _grid():
+        mech = TruncatedLaplace.from_privacy(PrivacyParams(0.01, 1e-5), 1.0)
+        return discretize(mech, 1.0, step=1e-3), mech
+
+    def test_size_and_len_allocate_nothing(self):
+        d, _ = self._grid()
         tracemalloc.start()
         try:
-            d = discretize(mech, 1.0, step=1e-3)
-            accept = dp_check(d, p)
-            reject = dp_check(d, PrivacyParams(0.01, 5e-6))
+            size, n = d.masses.size, len(d.masses)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        cells = d.masses.size
-        assert cells > 1_000_000
-        assert accept.passed and not reject.passed
-        assert accept.path == "fast" and accept.cells == cells
-        assert peak <= 1.5 * d.masses.nbytes
+        assert size == n == 1_244_322
+        assert peak < 1024  # an int object at most, not a cell
+
+    def test_asarray_is_the_mirrored_grid(self):
+        d, mech = self._grid()
+        full = np.asarray(d.masses)
+        ref = brute_grid_masses(mech, d.step, d.masses.size // 2)
+        assert full.tobytes() == ref.tobytes()
+        assert np.array_equal(full, full[::-1])
+        assert np.asarray(d.masses, dtype=float).tobytes() == ref.tobytes()
+        with pytest.raises(ValueError):
+            np.asarray(d.masses, copy=False)
+
+    def test_masses_cannot_be_written(self):
+        d, _ = self._grid()
+        with pytest.raises(ValueError):
+            d.masses[0] = 1.0
+        full = np.asarray(d.masses)
+        full[:] = 0.0  # a copy: the grid reads its mechanism
+        assert np.asarray(d.masses).sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_a_dented_mechanism_takes_the_direct_path(self):
+        # a stated half with a dip is not log-concave: the direct path lays
+        # the grid out whole and reports what its hand-built twin reports
+        mech = _StatedHalf([(17, 1e-3)])
+        d = discretize(mech, 1.0, step=0.1)
+        half_cells = d.masses.size // 2
+        half = mech._grid_masses(0.1, half_cells)(0, np.empty(half_cells))
+        hand = make_dist(half, step=0.1, shift_cells=10, mass_error=d.mass_error, fold=d.fold)
+        assert not d._fast_ok and not hand._fast_ok
+        assert d._run == hand._run
+        assert np.float64(d._mass).tobytes() == np.float64(hand._mass).tobytes()
+        for params in (PrivacyParams(1.0, 1e-3), PrivacyParams(0.3, 0.1)):
+            report = _outcome(d, params)
+            assert report == _outcome(hand, params) and report.path == "direct"
+        assert d._by_c == hand._by_c
+
+    @pytest.mark.parametrize(
+        "mech, step, eps, delta",
+        [
+            # its binary search reads cells in 46 of the 67 blocks of its
+            # positive half
+            (Gaussian(analytic_gaussian_sigma(PrivacyParams(0.01, 1e-6), 1.0)), 1e-3, 0.01, 1e-6),
+            # 108,703 cells a side: neither whole rows of the closed form
+            # nor whole gate blocks
+            (TruncatedLaplace.from_privacy(PrivacyParams(0.1, 1e-6), 1.0), 1e-3, 0.1, 1e-6),
+            # cells fall below 1e-150 inside the run: the log-concavity test
+            # compares logs, over two gate blocks
+            (Laplace(1e-3), 1e-5, 5.0, 1e-3),
+        ],
+        ids=["gaussian", "trunclap", "log_fallback"],
+    )
+    def test_reads_match_the_whole_grid(self, mech, step, eps, delta):
+        d = discretize(mech, 1.0, step=step)
+        H = d.masses.size // 2
+        s, e = d._run
+        if isinstance(mech, Gaussian):
+            assert H > 60 * _BLOCK
+        elif isinstance(mech, Laplace):
+            assert H > _BLOCK and float(np.asarray(d.masses)[s + 1 : e].min()) < 1e-150
+        else:
+            assert H % 4096 and H % _BLOCK and H > 3 * _BLOCK
+        assert d._fast_ok
+        TestMirrorFromTheRightHalf._check_against_reference(d, mech, eps, delta)
+
+
+class TestTooWideToDiscretize:
+    @pytest.mark.parametrize("mech", [Laplace(1e307), Gaussian(1e308)], ids=["laplace", "gaussian"])
+    def test_refused_naming_the_reach(self, mech):
+        # the 1 - 1e-12 quantile overflowed with a numpy RuntimeWarning, and
+        # the refusal named a radius parameter discretize does not take
+        with pytest.raises(
+            DomainError,
+            match=r"^the noise is too wide to discretize: a grid of step 0\.1 would reach inf$",
+        ):
+            discretize(mech, 1.0, step=0.1)
