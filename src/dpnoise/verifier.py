@@ -50,8 +50,9 @@ right half is the positive half the mechanism states
 the others from their half-line mass) and its left half is the mirror
 image.  Shift -j then gives the terms of +j in reverse order, so both paths
 check the shifts 1..shift_cells only.  A grid that ``discretize`` cuts is
-never laid out whole: its cells are read from the mechanism a run or a
-gather at a time, and a cell reads the same bits however it is read.  The
+never laid out whole: its cells are read from a copy of the mechanism made
+when the grid is cut, a run or a gather at a time, and a cell reads the
+same bits however it is read.  The
 grid's gates (finite and non-negative, the support run and log-concavity)
 and M are one blocked pass over the left half, each block read into one
 block-sized buffer.  The fast path then reads the cells its probes and
@@ -176,7 +177,9 @@ class DiscretizedDist:
     left half the mirror image.  ``masses`` may be given as an array of all
     K cells, of which only the right half ``masses[H:]`` is read and
     copied; ``discretize`` gives the mechanism's cells instead, which are
-    read from the mechanism as they are needed and never stored.  Either
+    read as they are needed, and never stored, from a copy of the
+    mechanism made when the grid is cut: a later change to the
+    mechanism's parameters leaves the grid as it was.  Either
     way ``masses`` becomes a read-only object with ``size`` K whose
     ``np.asarray`` is the whole mirrored grid.  A shift of the underlying
     variable by one sensitivity moves mass by exactly ``shift_cells``
@@ -387,9 +390,14 @@ def discretize(
         raise DomainError(
             f"grid of {2 * half_cells} cells is too large; increase step"
         )
+    import copy  # loaded with dataclasses; only this line needs it
+
+    # The grid reads its cells from a copy of the mechanism, so a later
+    # change to the mechanism's parameters does not reach a grid whose gates
+    # and checks were computed on the old ones.
     return DiscretizedDist(
         step=step,
-        masses=_Cells(2 * half_cells, mech._grid_masses(step, half_cells)),
+        masses=_Cells(2 * half_cells, copy.copy(mech)._grid_masses(step, half_cells)),
         shift_cells=shift_cells,
         mass_error=mech._grid_mass_error(step, half_cells),
         fold=2.0 * float(mech.cdf(-half_cells * step)),

@@ -277,6 +277,12 @@ class TestDiscretizedDist:
             assert np.asarray(d.masses).tobytes() == mirror(right).tobytes()
             p[3:] = right
             assert p.tobytes() == before
+        # a read-only array is accepted, left unwritten, and mirrored too
+        p = np.concatenate([np.full(3, math.nan), right])
+        p.flags.writeable = False
+        d = DiscretizedDist(step=0.1, masses=p, shift_cells=1)
+        assert np.isnan(p[:3]).all()
+        assert np.asarray(d.masses).tobytes() == mirror(right).tobytes()
 
     def test_a_grid_has_no_origin(self):
         # the origin was always -H * step, and nothing read it
@@ -1173,6 +1179,33 @@ class TestFastPathProbe:
         assert strided.tobytes() == contiguous.tobytes()
         assert reversed_.tobytes() == contiguous.tobytes()
 
+    @given(
+        lo=st.integers(0, 50),
+        width=st.integers(0, 5000),
+        at=st.integers(-5, 5010),
+        guesses=st.lists(st.integers(-10, 5100), max_size=3),
+        guessed=st.booleans(),
+    )
+    def test_straddle_search_is_the_plain_binary_search(self, lo, width, at, guesses, guessed):
+        # the straddle's search reads several candidate paths per gather,
+        # but ends where the one-cell-at-a-time binary search ends, and in
+        # one gather when that is lo, hi or a guess
+        hi = lo + width
+        guesses = tuple(guesses) + ((lo + at,) if guessed else ())
+        gathers = []
+
+        def holds(i):
+            gathers.append(i.size)
+            return i >= lo + at
+
+        a, b = lo, hi
+        while a < b:
+            mid = (a + b) // 2
+            a, b = (a, mid) if mid >= lo + at else (mid + 1, b)
+        assert verifier._bisect(lo, hi, holds, guesses) == a
+        if a in (lo, hi, *guesses):
+            assert len(gathers) <= 1
+
 
 class TestDiscrimination:
     """The tolerance tells delta from delta/2 at tiny delta, or the check
@@ -1312,6 +1345,26 @@ class TestStreamedGrid:
         full = np.asarray(d.masses)
         full[:] = 0.0  # a copy: the grid reads its mechanism
         assert np.asarray(d.masses).sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "name, attr", [("gaussian-analytic", "sigma"), ("uniform", "half_width")]
+    )
+    def test_the_mechanism_is_read_as_it_was_cut(self, name, attr):
+        # the default hook reads the mechanism's parameters: a grid reads
+        # them as they were when it was cut, whatever is set on it later
+        p = PrivacyParams(1.0, 1e-3)
+        mech, twin = make_mechanism(name, p, 1.0), make_mechanism(name, p, 1.0)
+        d = discretize(mech, 1.0, step=1e-2)
+        before = np.asarray(d.masses).tobytes()
+        first = dp_check(d, p)
+        setattr(mech, attr, 5.0 * getattr(mech, attr))
+        assert np.asarray(d.masses).tobytes() == before
+        ref = discretize(twin, 1.0, step=1e-2)
+        assert dp_check(d, p) == first == dp_check(ref, p)
+        # a new epsilon runs the fast path again, on the cells as cut
+        later = PrivacyParams(0.9, 1e-3)
+        assert _outcome(d, later) == _outcome(ref, later)
+        assert d._by_c == ref._by_c
 
     def test_a_dented_mechanism_takes_the_direct_path(self):
         # a stated half with a dip is not log-concave: the direct path lays
