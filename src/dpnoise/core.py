@@ -203,7 +203,9 @@ class NoiseMechanism(ABC):
     the two closed-form noise costs, and the half-line mass ``_upper_mass``;
     ``pdf`` and ``quantile`` check their input and call the formulas, and
     ``cdf`` and the default ``_grid_masses`` follow from the half-line mass
-    by symmetry.  The public surface is the distribution and its costs.
+    by symmetry.  ``pdf``, ``cdf`` and ``quantile`` refuse a result beyond
+    the double range with a DomainError that names the noise.  The public
+    surface is the distribution and its costs.
     ``_grid_masses`` and ``_grid_mass_error``, which only
     :func:`dpnoise.verifier.discretize` calls, state the positive half of a
     verifier grid cell by cell; its negative half is the mirror image by
@@ -255,10 +257,23 @@ class NoiseMechanism(ABC):
             return self.expected_amplitude
         return self.expected_power
 
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={value!r}" for name, value in self.parameters.items())
+        return f"{type(self).__name__}({args})"
+
+    def _evaluated(self, what: str, formula, arr: np.ndarray, scalar: bool):
+        """``formula(arr)``, as _scalar_or_array returns it, evaluated without
+        numpy's overflow and divide warnings; DomainError, naming the noise,
+        where a value is beyond the double range."""
+        with np.errstate(over="ignore", divide="ignore"):
+            values = formula(arr)
+        if not np.all(np.isfinite(values)):
+            raise DomainError(f"the {what} leaves the double range for {self!r}")
+        return _scalar_or_array(values, scalar)
+
     def pdf(self, x):
         """Density at ``x`` (scalar or array)."""
-        arr, scalar = _as_checked_array(x)
-        return _scalar_or_array(self._pdf(arr), scalar)
+        return self._evaluated("density", self._pdf, *_as_checked_array(x))
 
     def quantile(self, u):
         """Inverse cdf on the mechanism's support (scalar or array).
@@ -272,15 +287,17 @@ class NoiseMechanism(ABC):
                 raise DomainError("quantile argument must lie in [0, 1]")
         elif np.any(arr <= 0.0) or np.any(arr >= 1.0):
             raise DomainError("quantile argument must lie in (0, 1)")
-        return _scalar_or_array(self._quantile(arr), scalar)
+        return self._evaluated("quantile", self._quantile, arr, scalar)
 
     def cdf(self, x):
         """P(X <= x) (scalar or array), from the mass beyond ``|x|``: that
         mass itself for x < 0, one minus it otherwise."""
-        arr, scalar = _as_checked_array(x)
-        tail = self._upper_mass(np.abs(arr), math.inf)
-        values = np.where(arr < 0.0, tail, 1.0 - tail)
-        return _scalar_or_array(values, scalar)
+
+        def formula(arr):
+            tail = self._upper_mass(np.abs(arr), math.inf)
+            return np.where(arr < 0.0, tail, 1.0 - tail)
+
+        return self._evaluated("cdf", formula, *_as_checked_array(x))
 
     def _grid_masses(self, step: float, half_cells: int):
         """The positive half of a grid of width ``step`` and ``half_cells``

@@ -52,14 +52,16 @@ image.  Shift -j then gives the terms of +j in reverse order, so both paths
 check the shifts 1..shift_cells only.  A grid that ``discretize`` cuts is
 never laid out whole: its cells are read from a copy of the mechanism made
 when the grid is cut, a run or a gather at a time, and a cell reads the
-same bits however it is read.  The
-grid's gates (finite and non-negative, the support run and log-concavity)
-and M are one blocked pass over the left half, each block read into one
-block-sized buffer.  The fast path then reads the cells its probes and
-searches ask for, and sums only the tail it reads (for a truncated
-Laplacian, about one sensitivity at the support edge), filling it a block
-at a time: besides that tail, and a run of tied cells the straddle may
-read, it holds O(_BLOCK + shift_cells) cells, whatever the grid's size.
+same bits however it is read.  A grid is built in one blocked pass over
+its left half, each block read once into one block-sized buffer: the
+gates (finite and non-negative, the support run and log-concavity) and M,
+with a log re-read of the interior only where a cell its log-concavity
+test reads is below 1e-150.  The fast path then reads the cells its
+probes and searches ask for, and sums only the tail it reads (for a
+truncated Laplacian, about one sensitivity at the support edge), filling
+it a block at a time: besides that tail, and a run of tied cells the
+straddle may read, it holds O(_BLOCK + shift_cells) cells, whatever the
+grid's size.
 The direct path lays the whole grid out as one array, which
 ``discretize``'s cell cap keeps within reach; a grid built from an array
 keeps a copy of its right half.  A grid caches its result per e^eps, so a
@@ -179,11 +181,12 @@ class DiscretizedDist:
     copied; ``discretize`` gives the mechanism's cells instead, which are
     read as they are needed, and never stored, from a copy of the
     mechanism made when the grid is cut: a later change to the
-    mechanism's parameters leaves the grid as it was.  Either
-    way ``masses`` becomes a read-only object with ``size`` K whose
-    ``np.asarray`` is the whole mirrored grid.  A shift of the underlying
-    variable by one sensitivity moves mass by exactly ``shift_cells``
-    cells.  ``mass_error`` bounds the relative error of each mass (0: the
+    mechanism's parameters leaves the grid as it was.  Either way
+    ``masses`` becomes a read-only object with ``size`` K whose
+    ``np.asarray`` is the whole mirrored grid, and the grid is built in one
+    blocked pass over its left half (``_gate_pass``), with a log re-read
+    only below 1e-150.  A shift of the underlying variable by one
+    sensitivity moves mass by exactly ``shift_cells`` cells.  ``mass_error`` bounds the relative error of each mass (0: the
     masses are exact as given) and ``fold`` is the tail mass folded into
     the two edge cells; ``discretize`` takes both from the mechanism.
 
@@ -225,115 +228,72 @@ class DiscretizedDist:
                 )
             cells = _Cells(masses.size, _array_cells(masses[masses.size // 2 :].copy()))
             _set(self, "masses", cells)
-        s = _first_positive(cells)
-        e = cells.size - 1 - s
-        _set(self, "_run", (s, e))
-        self._gate_pass(cells, s, e)
+        self._gate_pass(cells)
 
-    def _gate_pass(self, cells: _Cells, s: int, e: int) -> None:
-        """The gates and M in one blocked pass over the left half.
+    def _gate_pass(self, cells: _Cells) -> None:
+        """The gates, the support run and M in one blocked pass over the
+        left half.
 
-        Edge cells may hold folded tail mass, so only the interior run is
-        required to be log-concave; the fast path treats edges explicitly.
-        The slack absorbs grid geometry (see _width_jitter); a density
-        whose log-concavity defect sits below that scale is numerically
-        indistinguishable from a log-concave one on this grid.  Each block
-        is read with the cell on either side that its triples read, into
-        one buffer.  The log-concavity triple around a right-half cell has
-        its mirror's factors in the other order, so the left half decides.
+        Each block is read once, with the cell on either side that its
+        triples read, into one buffer.  Every cell must be finite and
+        non-negative, and some cell positive; the support run starts at the
+        first positive cell s and, the grid being symmetric, ends at its
+        mirror.  The fast path needs the run contiguous and its interior
+        log-concave: edge cells may hold folded tail mass, so the triples
+        are centred from s + 2.  The slack absorbs grid geometry (see
+        _width_jitter); a density whose log-concavity defect sits below that
+        scale is numerically indistinguishable from a log-concave one on
+        this grid.  The triple around a right-half cell has its mirror's
+        factors in the other order, so the left half decides.  Where a cell
+        the triples read is below 1e-150, their products could underflow,
+        and the interior is read again to compare logs instead.
         """
         half = cells.size // 2
-        # centres of the interior triples in the left half
-        lo_c, hi_c = s + 2, min(e - 1, half)
-        state = _GateState(max(1e-10, 8.0 * _width_jitter(cells.size)), min(_BLOCK, half))
-        window = np.empty(min(_BLOCK, half) + 2)
+        slack = max(1e-10, 8.0 * _width_jitter(cells.size))
+        n = min(_BLOCK, half)
+        window, squares, products = np.empty(n + 2), np.empty(n), np.empty(n)
+        ok = np.empty(n, dtype=bool)
+        # s < 0 until a positive cell is found; smallest is the least cell
+        # after s: the cells the triples read (cell `half` mirrors `half - 1`)
+        s, total, smallest, products_ok = -1, 0.0, math.inf, True
         for lo in range(0, half, _BLOCK):
             hi = min(lo + _BLOCK, half)
-            # cells a..z-1: the block and its neighbours, cell `half` the
-            # first of the right half
-            a, z = max(lo - 1, 0), hi + 1
-            w = cells.run(a, z, window[: z - a])
-            state.block(w, lo - a, hi - a, s - a, e - a, lo_c - a, hi_c - a)
-        _set(self, "_mass", 2.0 * state.total)
-        _set(self, "_fast_ok", state.contiguous and state.log_concave(cells, lo_c, hi_c))
-
-
-def _first_positive(cells: _Cells) -> int:
-    """Index of the first positive cell, read block by block over the left
-    half; DomainError if a cell before it is negative or NaN, or if none
-    is positive."""
-    half = cells.size // 2
-    for lo in range(0, half, _BLOCK):
-        block = cells.run(lo, min(lo + _BLOCK, half))
-        positive = block > 0.0
-        if positive.any():
-            return lo + int(np.argmax(positive))
-        if not block.min() >= 0.0:  # NaN fails too
-            raise DomainError("masses must be finite and non-negative")
-    raise DomainError("masses must carry some probability")
-
-
-class _GateState:
-    """What the gate pass has found so far, block by block."""
-
-    def __init__(self, slack: float, cells: int):
-        self.slack = slack
-        self.total = 0.0
-        self.contiguous = True
-        self.products_ok = True  # the log-concavity test on products
-        self.smallest = math.inf  # smallest cell any triple read
-        # the product test's operands, reused by every block of up to
-        # ``cells`` cells
-        self._squares = np.empty(cells)
-        self._products = np.empty(cells)
-        self._ok = np.empty(cells, dtype=bool)
-
-    def block(self, m, lo, hi, s, e, lo_c, hi_c) -> None:
-        """Cells [lo, hi) of ``m``, which also holds the cell on either
-        side: finite and non-negative, positive inside the support run,
-        their mass, and the triples centred among them."""
-        if lo >= hi:
-            return
-        b = m[lo:hi]
-        low, mass = b.min(), b.sum()
-        # a NaN fails the min; an infinity makes the sum non-finite (as may
-        # an overflowing sum of finite masses, which the max then clears)
-        if not (low >= 0.0 and (math.isfinite(mass) or b.max() < math.inf)):
-            raise DomainError("masses must be finite and non-negative")
-        self.total += float(mass)
-        a, z = max(lo, s), min(hi, e + 1)
-        if a < z:
-            inside = low if (a, z) == (lo, hi) else m[a:z].min()
-            self.contiguous = self.contiguous and bool(inside > 0.0)
-        a, z = max(lo, lo_c), min(hi, hi_c)
-        if a < z:
-            # the triples read cells a-1..z: a whole block and its two
-            # neighbours, or part of one
-            if (a, z) == (lo, hi):
-                read = min(float(low), float(m[a - 1]), float(m[z]))
-            else:
-                read = float(m[a - 1 : z + 1].min())
-            self.smallest = min(self.smallest, read)
-            if self.products_ok:
-                n = z - a
-                mid = m[a:z]
-                squares = np.multiply(mid, mid, out=self._squares[:n])
-                products = np.multiply(
-                    m[a - 1 : z - 1], m[a + 1 : z + 1], out=self._products[:n]
-                )
-                products *= 1.0 - self.slack
-                ok = np.greater_equal(squares, products, out=self._ok[:n])
-                self.products_ok = bool(ok.all())
-
-    def log_concave(self, cells: _Cells, lo_c: int, hi_c: int) -> bool:
-        if self.smallest >= 1e-150:
-            return self.products_ok
-        # products could underflow; stay honest and compare logs instead
-        for lo in range(lo_c, hi_c, _BLOCK):
-            logs = np.log(cells.run(lo - 1, min(lo + _BLOCK, hi_c) + 1))
-            if not np.all(2.0 * logs[1:-1] >= logs[:-2] + logs[2:] - self.slack):
-                return False
-        return True
+            a = max(lo - 1, 0)  # the window holds cells a..hi
+            m = cells.run(a, hi + 1, window[: hi + 1 - a])
+            b = m[lo - a : hi - a]
+            low, mass = b.min(), b.sum()
+            # a NaN fails the min; an infinity makes the sum non-finite (as may
+            # an overflowing sum of finite masses, which the max then clears)
+            if not (low >= 0.0 and (math.isfinite(mass) or b.max() < math.inf)):
+                raise DomainError("masses must be finite and non-negative")
+            total += float(mass)
+            if s < 0:
+                if mass == 0.0:  # non-negative cells summing to 0 are all 0
+                    continue
+                s = lo + int(np.argmax(b > 0.0))
+            after = low if s < lo else b[s + 1 - lo :].min(initial=math.inf)
+            smallest = min(smallest, after)
+            t = max(lo, s + 2) - a  # the block's first triple centre, in m
+            k = hi - a - t
+            if products_ok and k > 0:
+                np.multiply(m[t : t + k], m[t : t + k], out=squares[:k])
+                np.multiply(m[t - 1 : t + k - 1], m[t + 1 : t + k + 1],
+                            out=products[:k])
+                products[:k] *= 1.0 - slack
+                np.greater_equal(squares[:k], products[:k], out=ok[:k])
+                products_ok = bool(ok[:k].all())
+        if s < 0:
+            raise DomainError("masses must carry some probability")
+        _set(self, "_run", (s, cells.size - 1 - s))
+        _set(self, "_mass", 2.0 * total)
+        fast = smallest > 0.0 and products_ok  # a 0 after s breaks the run
+        if 0.0 < smallest < 1e-150:
+            fast = all(
+                np.all(2.0 * logs[1:-1] >= logs[:-2] + logs[2:] - slack)
+                for logs in (np.log(cells.run(c - 1, min(c + _BLOCK, half) + 1))
+                             for c in range(s + 2, half, _BLOCK))
+            )
+        _set(self, "_fast_ok", bool(fast))
 
 
 def discretize(
@@ -346,11 +306,12 @@ def discretize(
     ``step`` must divide the sensitivity into at least 10 cells (default:
     1/1000th of it).  The grid reaches the support edge of a bounded
     mechanism, and otherwise a third of a sensitivity beyond the two-sided
-    1 - 1e-12 quantile range.  Any mass beyond the outermost cells is folded
-    into them, so the cell masses always account for the full distribution,
-    and the grid records that mass as its ``fold``.  The masses and their
-    relative error are the mechanism's ``_grid_masses`` and
-    ``_grid_mass_error``.
+    1 - 1e-12 quantile range, and has at least one cell a side.  Any mass
+    beyond the outermost cells is folded into them, so the cell masses
+    always account for the full distribution, and the grid records that
+    mass as its ``fold``.  The masses and their relative error are the
+    mechanism's ``_grid_masses`` and ``_grid_mass_error``; noise so narrow
+    against the grid's reach that this error is 1/4 or more is refused.
 
     The margin is for noise narrower than the sensitivity, which is checked
     at a large epsilon: cells that a shift moves past the grid's edge are
@@ -376,19 +337,27 @@ def discretize(
     if math.isfinite(lo) and math.isfinite(hi):
         radius = max(abs(lo), abs(hi))
     else:
-        with np.errstate(over="ignore"):  # refused below
-            radius = sens_value / 3.0 + float(
-                max(mech.quantile(1.0 - 5e-13), -mech.quantile(5e-13))
-            )
+        # the unchecked formula, whose overflow to inf is refused below
+        with np.errstate(over="ignore", divide="ignore"):
+            reach = max(mech._quantile(np.array(1.0 - 5e-13)),
+                        -mech._quantile(np.array(5e-13)))
+        radius = sens_value / 3.0 + float(reach)
     if not radius / step < math.inf:
         raise DomainError(
             "the noise is too wide to discretize: a grid of step "
             f"{step!r} would reach {radius!r}"
         )
-    half_cells = int(math.ceil(radius / step - 1e-12))
+    half_cells = max(1, int(math.ceil(radius / step - 1e-12)))
     if 2 * half_cells > _MAX_CELLS:
         raise DomainError(
             f"grid of {2 * half_cells} cells is too large; increase step"
+        )
+    mass_error = mech._grid_mass_error(step, half_cells)
+    if not mass_error < 0.25:  # NaN too
+        raise DomainError(
+            f"the noise is too narrow to discretize: {mech!r} at step {step!r} "
+            f"states cell masses within a relative error of {mass_error:.3g}, "
+            "not below 0.25"
         )
     import copy  # loaded with dataclasses; only this line needs it
 
@@ -399,7 +368,7 @@ def discretize(
         step=step,
         masses=_Cells(2 * half_cells, copy.copy(mech)._grid_masses(step, half_cells)),
         shift_cells=shift_cells,
-        mass_error=mech._grid_mass_error(step, half_cells),
+        mass_error=mass_error,
         fold=2.0 * float(mech.cdf(-half_cells * step)),
     )
 

@@ -307,3 +307,60 @@ def test_distribution_input_takes_real_arrays_and_scalars(method):
         value = f(scalar)
         assert type(value) is float and value == expected[1]
     assert f(np.array([1, 0])).tobytes() == f(np.array([1.0, 0.0])).tobytes()
+
+
+class TestBeyondTheDoubleRange:
+    """pdf, cdf and quantile emit no numpy warning: a value beyond the
+    double range is refused naming the noise, and one that overflows only
+    on the way to a finite result is returned."""
+
+    def test_trunclap_quantile_at_a_capped_tail_is_the_support_edge(self):
+        # the half-line area rounds to 1/2, so the capped tail is exactly 1
+        # and log1p(-1) divided by zero
+        mech = TruncatedLaplace.from_privacy(PrivacyParams(1.0, 1e-20), 1.0)
+        assert mech._area == 0.5
+        assert mech.quantile(1.0) == mech.radius
+        assert mech.quantile(0.0) == -mech.radius
+
+    @pytest.mark.parametrize(
+        "mech, u, name",
+        [(Laplace(1e307), 1.0 - 5e-13, r"Laplace\(scale=1e\+307\)"),
+         (Gaussian(1e308), 0.999, r"Gaussian\(sigma=1e\+308\)")],
+        ids=["laplace", "gaussian"],
+    )
+    def test_quantile_overflow_is_refused(self, mech, u, name):
+        # it overflowed with a RuntimeWarning and returned inf
+        with pytest.raises(DomainError, match=f"^the quantile leaves the double range for {name}$"):
+            mech.quantile(u)
+        with pytest.raises(DomainError, match=name):
+            mech.quantile(np.array([0.5, u]))
+
+    def test_gaussian_density_overflow_is_refused(self):
+        with pytest.raises(
+            DomainError, match=r"^the density leaves the double range for Gaussian\(sigma=1e-310\)$"
+        ):
+            Gaussian(1e-310).pdf(0.0)
+
+    def test_bounded_uniform_density_overflow_is_refused(self):
+        # its height 1/(2 half_width) was inf, returned with no warning
+        mech = BoundedUniform(1e-320)
+        with pytest.raises(
+            DomainError,
+            match=r"^the density leaves the double range for BoundedUniform\(half_width=1e-320\)$",
+        ):
+            mech.pdf(0.0)
+        assert mech.pdf(1.0) == 0.0  # off the support the density is 0
+
+    @pytest.mark.parametrize(
+        "mech, x, expected",
+        [(Laplace(1e-300), -1e10, 0.0), (Gaussian(1e-310), 1.0, 1.0)],
+        ids=["laplace", "gaussian"],
+    )
+    def test_cdf_whose_argument_overflows_is_exact(self, mech, x, expected):
+        # x / scale overflowed with a RuntimeWarning on the way to the cdf
+        assert mech.cdf(x) == expected
+        assert mech.cdf(np.array([x, -x])).tolist() == [expected, 1.0 - expected]
+
+    def test_repr_names_the_parameters(self):
+        assert repr(Laplace(2.0)) == "Laplace(scale=2.0)"
+        assert repr(_Triangle()) == "_Triangle()"

@@ -94,6 +94,16 @@ def brute_fast_ok(masses):
     )
 
 
+def block_order_mass(masses):
+    """M as the gate pass sums it: twice the running float sum of the
+    left half's block sums, from cell 0 in blocks of _BLOCK."""
+    half = masses[: masses.size // 2]
+    total = 0.0
+    for lo in range(0, half.size, _BLOCK):
+        total += float(half[lo : lo + _BLOCK].sum())
+    return 2.0 * total
+
+
 def brute_suffix(masses):
     """Whole-grid suffix sums, accumulated from the right edge."""
     K = masses.size
@@ -473,6 +483,34 @@ class TestDiscretize:
         g = discretize(Gaussian(1.0), 1.0, step=0.01)
         assert g.mass_error == 2.0 * _width_jitter(g.masses.size)
 
+    @pytest.mark.parametrize(
+        "mech", [BoundedUniform(1e-20), TruncatedLaplace(1.0, 1e-16, 0.5e16)],
+        ids=["uniform", "trunclap"],
+    )
+    def test_support_inside_one_cell_gets_one_cell_a_side(self, mech):
+        # ceil(radius/step - 1e-12) was 0 cells a side, which the gates
+        # refused as carrying no probability
+        d = discretize(mech, 1.0, step=1e-3)
+        assert np.asarray(d.masses).tolist() == [0.5, 0.5]
+        assert d._run == (0, 1) and d._fast_ok and d._mass == 1.0 and d.fold == 0.0
+        hand = make_dist([0.5], step=1e-3, shift_cells=1000, mass_error=d.mass_error)
+        for params in (PrivacyParams(1.0, 1e-3), PrivacyParams(0.1, 0.4)):
+            report = dp_check(d, params)
+            # every shift of two or more cells moves all the mass off the grid
+            assert report.max_violation == 1.0 and not report.passed
+            assert report.cells == 2 and report.path == "fast"
+            assert report == dp_check(hand, params)
+
+    def test_noise_too_narrow_is_refused_naming_it(self):
+        # the refusal named mass_error, a field the caller never set
+        with pytest.raises(
+            DomainError,
+            match=r"^the noise is too narrow to discretize: Laplace\(scale=1e-300\) at "
+            r"step 0\.001 states cell masses within a relative error of 1\.48e\+284, "
+            r"not below 0\.25$",
+        ):
+            discretize(Laplace(1e-300), 1.0)
+
     def test_rejects_bad_mass_error_and_fold(self):
         for bad in (-1e-16, 0.25, math.nan):
             with pytest.raises(DomainError):
@@ -764,9 +802,66 @@ class TestBlockedKernels:
             masses = np.asarray(d.masses)
             assert masses.tobytes() == mirror(half).tobytes()
             assert d._fast_ok == brute_fast_ok(masses)
-            assert d._mass == pytest.approx(masses.sum(), rel=1e-14)
+            assert np.float64(d._mass).tobytes() == np.float64(block_order_mass(masses)).tobytes()
             flags.append(d._fast_ok)
         assert flags[:2] == [True, True] and not any(flags[2:])
+
+    @staticmethod
+    def _zero_led(s, edit=None, deep=False):
+        """The right half of a bell whose left half starts with s zero cells,
+        with the change ``edit`` makes in left-half cell s + 2, s + 1 or s."""
+        x = (np.arange(_BLOCK + 45) + 0.5) * (4.0 / (_BLOCK + 45))
+        bell = np.exp(-((5.5 * x) ** 2 if deep else x * x))
+        half = np.concatenate([bell, np.zeros(s)])
+        H = half.size
+        if edit == "dip":  # breaks the first triple, centred on s + 2
+            half[H - 1 - (s + 2)] *= 0.99
+        elif edit == "hole":  # the cell after s, which the first triple reads
+            half[H - 1 - (s + 1)] = 0.0
+        elif edit == "fold":  # folded tail mass in edge cell s, no triple's centre
+            half[H - 1 - s] *= 5.0
+        return half
+
+    @pytest.mark.parametrize(
+        "s",
+        [0, 1, _BLOCK - 3, _BLOCK - 2, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK + 7,
+         3 * _BLOCK - 1, 3 * _BLOCK],
+    )
+    @pytest.mark.parametrize("edit", [None, "fold", "dip", "hole"])
+    @pytest.mark.parametrize("deep", [False, True], ids=["products", "logs"])
+    def test_leading_zeros_match_reference(self, s, edit, deep):
+        # zeros fill 0 to 3 whole blocks before the run starts at s; at
+        # s = _BLOCK - 2 and _BLOCK - 1 the first triple centre s + 2 lies
+        # in the block after s's, and `deep` takes the log test
+        d = make_dist(self._zero_led(s, edit, deep), shift_cells=10)
+        masses = np.asarray(d.masses)
+        assert (masses.min(initial=1.0, where=masses > 0.0) < 1e-150) == deep
+        assert d._run == (s, masses.size - 1 - s)
+        assert d._fast_ok == brute_fast_ok(masses) == (edit in (None, "fold"))
+        assert np.float64(d._mass).tobytes() == np.float64(block_order_mass(masses)).tobytes()
+
+    @pytest.mark.parametrize(
+        "run, left, message",
+        [
+            (True, {3: math.nan}, "be finite and non-negative"),  # in a block of zeros
+            (True, {_BLOCK + 9: -1.0}, "be finite and non-negative"),  # s's block, before s
+            (True, {_BLOCK + 12: math.inf}, "be finite and non-negative"),  # at s
+            (True, {_BLOCK + 100: math.nan}, "be finite and non-negative"),  # after s
+            (False, {}, "carry some probability"),
+            (False, {2 * _BLOCK + 2: -1.0}, "be finite and non-negative"),
+        ],
+    )
+    def test_refusal_text_around_the_first_positive_cell(self, run, left, message):
+        # a left half of 2 * _BLOCK + 3 cells, whose run starts at s =
+        # _BLOCK + 12 or which is all 0
+        H = 2 * _BLOCK + 3
+        mirrored = np.zeros(2 * H)
+        if run:
+            mirrored[_BLOCK + 12 : 2 * H - _BLOCK - 12] = 1.0 / (2 * H - 2 * _BLOCK - 24)
+        for cell, value in left.items():
+            mirrored[cell] = mirrored[2 * H - 1 - cell] = value
+        with pytest.raises(DomainError, match=f"^masses must {message}$"):
+            DiscretizedDist(step=0.1, masses=mirrored, shift_cells=2)
 
 
 class TestDirectPath:
