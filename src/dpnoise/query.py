@@ -5,25 +5,30 @@ calibrated to the aggregate's sensitivity, and appends what was spent to an
 append-only JSON-lines budget ledger (plain sequential composition: budgets
 add up).  The un-noised aggregate is never returned, printed, or logged.
 
-The header is read with `csv.reader`; the rest of the file goes to numpy's
-C reader (`np.loadtxt`, which follows the same quoting rules and rounds
-floats as `float()` does) into one float64 array, clipped in place.  Count
-reads one character of each row's first cell, so it parses no number.
-The C reader is given the path, which it reads in large chunks, and skips
-the header's physical lines (`csv.reader.line_num`); it never touches the
-open handle.  It takes the path only when that names the file already
-open: a regular file (not a FIFO, which a second open would split), with
-no suffix numpy decompresses, and still the same file (device, inode,
-size, mtime) after the read.  Anything else, and a file the C reader
-rejects or with a NaN cell, is read on from just past the header, once,
-by the streaming `csv.reader` loop, so a pipe works too.  That loop names
-the bad line and accepts the rest of `float()`'s grammar (underscores,
-non-ASCII digits); on input both accept it gives the same release, more
-slowly.  A line that is not UTF-8, a cell that does not parse or parses
-to NaN, or a field `csv.reader` refuses as too long, is an error naming its
-line (a line that is not UTF-8 is found by reading the file again, so a
-pipe's is not named), raised before the ledger is touched; infinite cells
-are clipped to the bounds.
+The header is read with `csv.reader`.  A count of a plain file is then
+read from its bytes: the open descriptor is read in 64 KiB blocks, and
+each non-empty line after the header is a row, which is what `csv.reader`
+counts when the file holds no '"', CR or NUL and is UTF-8.  A file with
+any of those, or whose size or mtime changed while it was counted, takes
+the route of a sum or a mean: the rest of the file goes to numpy's C
+reader (`np.loadtxt`, which follows the same quoting rules and rounds
+floats as `float()` does) into one float64 array, clipped in place (a
+count keeps one character of each row's first cell, so it parses no
+number).  The C reader is given the path, which it reads in large chunks,
+and skips the header's physical lines (`csv.reader.line_num`); it never
+touches the open handle.  It takes the path only when that names the file
+already open, still the same file (device, inode, size, mtime) after the
+read.  Both take only a regular file (not a FIFO, which a second open
+would split) with no suffix numpy decompresses.  Anything else, and a
+file the C reader rejects or with a NaN cell, is read on from just past
+the header, once, by the streaming `csv.reader` loop, so a pipe works
+too.  That loop names the bad line and accepts the rest of `float()`'s
+grammar (underscores, non-ASCII digits); on input both accept it gives the
+same release, more slowly.  A line that is not UTF-8, a cell that does not
+parse or parses to NaN, or a field `csv.reader` refuses as too long, is an
+error naming its line (a line that is not UTF-8 is found by reading the
+file again, so a pipe's is not named), raised before the ledger is
+touched; infinite cells are clipped to the bounds.
 
 A query holds an exclusive `flock` on the ledger from reading its totals to
 appending its line, which is fsynced, so two queries cannot both pass a cap
@@ -321,8 +326,8 @@ def _read_column(spec: QuerySpec) -> tuple[int, np.ndarray]:
     path = Path(spec.input_path)
     try:
         # utf-8-sig drops a leading byte-order mark, which would otherwise
-        # be part of the first column's name; the C reader skips the header
-        # line by count, mark and all
+        # be part of the first column's name; the byte count and the C
+        # reader skip the header line by count, mark and all
         fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from None
@@ -342,9 +347,14 @@ def _read_column(spec: QuerySpec) -> tuple[int, np.ndarray]:
             )
         index = len(header) - 1 - header[::-1].index(spec.column)
         counting = spec.aggregate is AggregateKind.COUNT
-        column = _c_read(
-            path, os.fstat(fh.fileno()), reader.line_num, counting, index
-        )
+        opened = os.fstat(fh.fileno())
+        column = None
+        if _plain_file(path, opened):
+            if counting:
+                rows = _count_rows(fh.fileno(), opened, reader.line_num)
+                if rows is not None:
+                    return rows, np.empty(0)
+            column = _c_read(path, opened, reader.line_num, counting, index)
         if column is not None and (counting or not np.isnan(column).any()):
             if counting:
                 return column.size, np.empty(0)
@@ -361,27 +371,78 @@ def _read_column(spec: QuerySpec) -> tuple[int, np.ndarray]:
             raise _not_utf8(path, fh) from None
 
 
+def _plain_file(path: Path, opened: os.stat_result) -> bool:
+    """Whether the open file with stat ``opened`` is a regular file whose
+    name numpy would not decompress."""
+    # `Path` folds "scheme://" to "scheme:/", so numpy never takes the name
+    # for a URL; it would decompress these suffixes, though.
+    return stat.S_ISREG(opened.st_mode) and os.path.splitext(path)[1] not in (
+        ".gz", ".bz2", ".xz", ".lzma"
+    )
+
+
+_COUNT_BLOCK = 1 << 16  # bytes a read; a count's memory peak grows with it
+
+
+def _count_rows(
+    fd: int, opened: os.stat_result, header_lines: int
+) -> "int | None":
+    """The rows after the first ``header_lines`` lines of the regular file
+    open as ``fd``, with stat ``opened``, counted from its bytes: each
+    non-empty line, ended by LF or by the end of the file, is a row, as
+    `csv.reader` reads it when no '"', CR or NUL is anywhere in the file.
+    None when one is, when the file is not UTF-8, or when its size or mtime
+    changed while it was read."""
+    import codecs
+
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    rows = offset = 0
+    skip = header_lines
+    ended = True  # the last byte read after the header ends a line
+    try:
+        while block := os.pread(fd, _COUNT_BLOCK, offset):
+            offset += len(block)
+            if b'"' in block or b"\r" in block or b"\0" in block:
+                return None
+            # a character split across blocks leaves the decoder pending
+            if not block.isascii() or decoder.getstate()[0]:
+                decoder.decode(block)
+            start = 0  # just past the header's lines, once they are all read
+            while skip and (start := block.find(b"\n", start) + 1):
+                skip -= 1
+            if skip:
+                continue
+            newline = np.frombuffer(block, np.uint8)[start:] == ord("\n")
+            if newline.size:
+                # a row ends at each "\n" whose byte before is not one
+                rows += int(newline[0] and not ended)
+                rows += int(np.count_nonzero(newline[1:] > newline[:-1]))
+                ended = bool(newline[-1])
+        decoder.decode(b"", final=True)
+        now = os.fstat(fd)
+    except (OSError, ValueError):  # unreadable, or not UTF-8
+        return None
+    if (now.st_size, now.st_mtime_ns) != (opened.st_size, opened.st_mtime_ns):
+        return None
+    return rows + (not ended)
+
+
 def _c_read(
     path: Path, opened: os.stat_result, header_lines: int, counting: bool, index: int
 ):
-    """The rows after the header through `np.loadtxt` on the path, or None
-    when the path may not name the open file with stat ``opened`` (see the
-    module docstring), or the C reader rejects a row."""
-    # `Path` folds "scheme://" to "scheme:/", so numpy never takes the name
-    # for a URL; it would decompress these suffixes, though.
+    """The rows after the header through `np.loadtxt` on the path of the
+    `_plain_file` open with stat ``opened``; None when the path no longer
+    names that file after the read, or the C reader rejects a row.  A
+    count, which comes here when `_count_rows` declined the file, reads one
+    character of each row's first cell, so it parses no number and its cost
+    does not depend on cells."""
     name = os.fspath(path)
-    if not stat.S_ISREG(opened.st_mode) or os.path.splitext(name)[1] in (
-        ".gz", ".bz2", ".xz", ".lzma"
-    ):
-        return None
     try:
         with warnings.catch_warnings():
             # A header-only file is an empty column, not a warning.
             warnings.filterwarnings(
                 "ignore", "loadtxt: input contained no data", UserWarning
             )
-            # Count reads one character of the first cell, so it parses no
-            # number and its cost does not depend on cells.
             column = np.loadtxt(
                 name,
                 dtype="U1" if counting else float,

@@ -895,6 +895,20 @@ class TestReadColumn:
         assert values.size == 0
         assert peak / rows < 16.0
 
+    @pytest.mark.parametrize("rows", [100_000, 400_000])
+    def test_count_traced_peak_does_not_grow_with_rows(self, tmp_path, rows):
+        # a count holds a few blocks of the file, not a cell a row
+        path = tmp_path / "big.csv"
+        path.write_text(_rows_csv(rows))
+        tracemalloc.start()
+        try:
+            count = _read_column(_spec(path, AggregateKind.COUNT))[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == rows
+        assert peak < 16 * 100_000  # the bound above, at 100k rows
+
 
 class TestReadPaths:
     """Well-formed files take numpy's C reader; the streaming reader takes
@@ -1057,7 +1071,9 @@ class TestCReaderSource:
         path = tmp_path / "rows.csv"
         path.write_text(_rows_csv(1000))
         read = _outcome(_read_column, _spec(path, agg))
-        assert loadtxt_sources == [str(path)]
+        # a count of a plain file is read from its bytes, with no C reader
+        counting = agg is AggregateKind.COUNT
+        assert loadtxt_sources == ([] if counting else [str(path)])
         assert read == _outcome(brute_read_column, _spec(path, agg))
 
     @pytest.mark.parametrize("agg", list(AggregateKind))
@@ -1110,19 +1126,44 @@ class TestCReaderSource:
         other = tmp_path / "other.csv"
         other.write_text(_rows_csv(10))
         sources = []
-        real = np.loadtxt
 
-        def rename_first(source, *args, **kwargs):
-            # between the header read and the C read
-            if not sources:
-                os.replace(other, path)
-            sources.append(source if isinstance(source, str) else "handle")
-            return real(source, *args, **kwargs)
+        def rename_first(real):
+            def read(source, *args, **kwargs):
+                # between the header read and the first read of the rows
+                if not sources:
+                    os.replace(other, path)
+                sources.append(source)
+                return real(source, *args, **kwargs)
+            return read
 
-        monkeypatch.setattr(query.np, "loadtxt", rename_first)
+        monkeypatch.setattr(query.np, "loadtxt", rename_first(np.loadtxt))
+        if agg is AggregateKind.COUNT:
+            # the byte count reads the open descriptor, and no C reader runs
+            monkeypatch.setattr(query.os, "pread", rename_first(os.pread))
         assert _outcome(_read_column, _spec(path, agg)) == expected
-        assert sources == [str(path)]
+        assert expected[0] == 1000
+        if agg is AggregateKind.COUNT:
+            assert sources and all(isinstance(s, int) for s in sources)
+        else:
+            assert sources == [str(path)]
         assert path.read_text() == _rows_csv(10)
+
+    def test_file_that_grows_while_counted_is_not_counted(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "rows.csv"
+        path.write_text(_rows_csv(1000))
+        real = os.pread
+
+        def append_first(fd, size, offset):
+            if offset == 0:
+                with open(path, "a") as fh:
+                    fh.write("1000,1\n")
+            return real(fd, size, offset)
+
+        monkeypatch.setattr(query.os, "pread", append_first)
+        with open(path, "rb") as fh:
+            assert query._count_rows(fh.fileno(), os.fstat(fh.fileno()), 1) is None
 
     @pytest.mark.parametrize("agg", list(AggregateKind))
     @pytest.mark.parametrize("suffix", [".csv.gz", ".bz2", ".xz", ".lzma"])
@@ -1189,3 +1230,72 @@ def test_read_column_matches_streaming_reference(
     path.write_bytes(data.draw(_hostile_csv(position)).encode("utf-8"))
     spec = _spec(path, agg)
     assert _outcome(_read_column, spec) == _outcome(brute_read_column, spec)
+
+
+# Lines with no '"' or CR, which the byte count reads: rows, whitespace,
+# form feeds, runs of blank lines and multi-byte UTF-8 (two, three and four
+# bytes, and a mid-file BOM).
+_PIECES = st.sampled_from(
+    [b"1", b"22", b",", b",3.5", b" ", b"\t", b"\x0c", b"x", b"\n", b"\n",
+     b"\n\n\n", "\u00e9".encode(), "\u20ac".encode(), "\U0001d7d9".encode(),
+     "\ufeff".encode()]
+)
+# Bytes that are not UTF-8 (stray, cut short, cut by a space, an encoded
+# surrogate) and NUL.
+_UNREAD = st.sampled_from(
+    [b"\xff", b"\xc3", b"\xf0\x9f", b"\xc3 \xa9", b"\xed\xa0\x80", b"\x00"]
+)
+
+
+@st.composite
+def _quote_free_csv(draw):
+    """A header 'id,spend', perhaps after a BOM, then pieces of lines with
+    no '"' or CR, perhaps no final "\\n", and perhaps one run of bytes that
+    are not UTF-8 or a NUL."""
+    pieces = draw(st.lists(_PIECES, max_size=40))
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(pieces)))
+        pieces.insert(at, draw(_UNREAD))
+    head = draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + b"id,spend"
+    return head + (b"\n" + b"".join(pieces) if pieces or draw(st.booleans()) else b"")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_quote_free_csv(), block=st.sampled_from([1, 2, 3, 5, 8]))
+def test_count_from_bytes_matches_streaming_reference(tmp_path_factory, data, block):
+    path = tmp_path_factory.getbasetemp() / "bytes.csv"
+    path.write_bytes(data)
+    spec = _spec(path, AggregateKind.COUNT)
+    fallbacks = []
+    real = query._c_read
+
+    def c_read(*args):
+        fallbacks.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        # blocks of a few bytes, so that lines and characters cross edges
+        mp.setattr(query, "_COUNT_BLOCK", block)
+        mp.setattr(query, "_c_read", c_read)
+        read = _outcome(_read_column, spec)
+        # The header read decodes the first 8 KiB, so in a file this small
+        # bytes that are not UTF-8 fail there; the counter is asked alone.
+        with open(path, "rb") as fh:
+            counted = query._count_rows(fh.fileno(), os.fstat(fh.fileno()), 1)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        assert counted is None
+        # `brute_read_column` lets the decoder's error out; the route
+        # without the byte count names the line
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(query, "_count_rows", lambda *args: None)
+            assert read == _outcome(_read_column, spec)
+        assert read[0] is DomainError and read[1].endswith("not UTF-8")
+        return
+    assert read == _outcome(brute_read_column, spec)
+    # the byte count, not a fallback, answers every clean file
+    clean = b"\0" not in data
+    assert counted == (read[0] if clean else None)
+    assert type(read[0]) is int
+    assert bool(fallbacks) is not clean
