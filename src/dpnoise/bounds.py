@@ -173,7 +173,14 @@ def _bound_table(
             scale, radius, _ = _checked_shape(*_calibrated_shape(run_scale, x_ratio))
             up = upper_fn(scale, radius)
             low = lower_fn(terms, scale, x_ratio)
-            whole = math.floor(x_ratio / eps)
+            steps = x_ratio / eps
+            if steps == math.inf:
+                # (e^eps - 1)/(2 delta) overflows at a subnormal delta
+                raise DomainError(
+                    f"delta={dlt!r} is too small for the closed-form lower "
+                    f"bounds: the step count x/epsilon leaves double range"
+                )
+            whole = math.floor(steps)
             low_floor = 0.0  # below two steps the slice sum is empty
             if whole > 1:
                 y = eps * whole

@@ -24,11 +24,16 @@ file the C reader rejects or with a NaN cell, is read on from just past
 the header, once, by the streaming `csv.reader` loop, so a pipe works
 too.  That loop names the bad line and accepts the rest of `float()`'s
 grammar (underscores, non-ASCII digits); on input both accept it gives the
-same release, more slowly.  A line that is not UTF-8, a cell that does not
-parse or parses to NaN, or a field `csv.reader` refuses as too long, is an
-error naming its line (a line that is not UTF-8 is found by reading the
-file again, so a pipe's is not named), raised before the ledger is
-touched; infinite cells are clipped to the bounds.
+same release, more slowly.  A line that is not UTF-8, or a cell that does
+not parse or parses to NaN, is an error naming its line (a line that is not
+UTF-8 is found by reading the file again, so a pipe's is not named), raised
+before the ledger is touched; infinite cells are clipped to the bounds.
+
+One field-size rule holds on every route: a header field longer than
+`csv.field_size_limit()` is an error naming its line, and a row's cell has
+no limit.  The byte count and the C reader have none, so the streaming loop
+lifts `csv.field_size_limit()` while it reads the rows, and a cell too long
+for `csv.reader` reads the same from a regular file and from a pipe.
 
 A query holds an exclusive `flock` on the ledger from reading its totals to
 appending its line, which is fsynced, so two queries cannot both pass a cap
@@ -49,6 +54,7 @@ import json
 import math
 import os
 import stat
+import sys
 import warnings
 from array import array
 from contextlib import contextmanager
@@ -216,13 +222,19 @@ class LedgerEntry:
         )
 
 
-_MALFORMED = (json.JSONDecodeError, KeyError, TypeError, ValueError)
+# OverflowError: float() of a JSON integer beyond the double range
+_MALFORMED = (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError)
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def _parse_ledger_line(line: str) -> tuple[str, float, float, str]:
     """(query_id, epsilon, delta, timestamp) of one stripped ledger line;
     one of `_MALFORMED` if it is not one."""
-    raw = json.loads(line)
+    # json.loads(line) without its wrapper: the line is stripped, so it is
+    # one JSON document exactly when the document ends where the line does
+    raw, end = _raw_decode(line)
+    if end != len(line):
+        raise ValueError
     query_id, timestamp = str(raw["query_id"]), str(raw["timestamp"])
     epsilon, delta = float(raw["epsilon"]), float(raw["delta"])
     # json.loads accepts NaN and Infinity; a NaN spend would make every
@@ -364,7 +376,8 @@ def _read_column(spec: QuerySpec) -> tuple[int, np.ndarray]:
         # names the bad line and accepts the rest of float()'s grammar
         # (underscores, non-ASCII digits).
         try:
-            return _stream_column(reader, spec, path, index)
+            with _no_field_limit():
+                return _stream_column(reader, spec, path, index)
         except csv.Error as exc:
             raise _csv_error(path, reader, exc) from None
         except UnicodeDecodeError:
@@ -485,8 +498,18 @@ def _not_utf8(path: Path, fh) -> DomainError:
     return DomainError(f"cannot read {path}: not UTF-8")
 
 
+@contextmanager
+def _no_field_limit():
+    """`csv.field_size_limit()` lifted for the block, and then restored."""
+    limit = csv.field_size_limit(sys.maxsize)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(limit)
+
+
 def _csv_error(path: Path, reader, exc: csv.Error) -> DomainError:
-    # e.g. a field longer than csv.field_size_limit()
+    # e.g. a header field longer than csv.field_size_limit()
     return DomainError(f"cannot read {path}:{reader.line_num}: {exc}")
 
 

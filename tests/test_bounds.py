@@ -304,6 +304,28 @@ class TestExtremeRegimes:
             bound_pair(PrivacyParams(eps, 1e-5), 1.0)
         _eps_terms(1e-153)
 
+    @pytest.mark.parametrize("cost", list(CostKind))
+    @pytest.mark.parametrize("delta", [1e-310, 1e-320, 5e-324])
+    def test_delta_whose_step_count_leaves_double_range(self, delta, cost):
+        # (e^eps - 1)/(2 delta) overflows, so x is inf: refused, where
+        # math.floor of the step count raised OverflowError
+        with pytest.raises(DomainError, match=rf"^delta={delta!r} is too small"):
+            bound_pair(PrivacyParams(1.0, delta), 1.0, cost)
+
+    @pytest.mark.parametrize(
+        "cost,bits",
+        [
+            ("amplitude", ("0x1.29f8d9d61337ep-1", "0x1.0000000000000p+0")),
+            ("power", ("0x1.42661a97c9f8bp+0", "0x1.0000000000000p+1")),
+        ],
+    )
+    def test_smallest_normal_deltas_keep_their_bits(self, cost, bits):
+        pair = bound_pair(PrivacyParams(1.0, 2e-308), 1.0, cost)
+        assert (pair.lower.hex(), pair.upper.hex()) == bits
+        assert pair.lower_floor == pair.lower and pair.steps_floor == 708
+        # a subnormal delta with a tiny epsilon has a finite step count
+        assert bound_pair(PrivacyParams(1e-15, 1e-320), 1.0, cost).upper > 0.0
+
     @pytest.mark.parametrize(
         "eps,delta,cost",
         [

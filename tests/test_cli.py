@@ -406,6 +406,23 @@ class TestBounds:
             "error: internal check failed: lower bound above upper bound\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--eps", "1", "--delta", "1e-310"],
+            ["sweep", "--delta-min", "1e-320", "--eps-points", "2",
+             "--delta-points", "2"],
+        ],
+        ids=["bounds", "sweep"],
+    )
+    def test_delta_too_small_for_the_step_count_is_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(
+            r"error: delta=\S+ is too small for the closed-form lower bounds: "
+            r"the step count x/epsilon leaves double range\n", err
+        )
+
 
 class TestVerify:
     ARGS = ["--eps", "1.0", "--delta", "1e-4", "--grid-step", "0.01"]
@@ -688,6 +705,17 @@ class TestQuery:
         )
         assert code == 2
         assert "clip" in err
+
+    def test_spend_beyond_the_double_range_is_a_malformed_line(
+        self, capsys, spend_csv, ledger_path
+    ):
+        line = '{"query_id": "%s", "epsilon": %s, "delta": 0, "timestamp": "t"}\n'
+        ledger_path.write_text(line % ("a", "0.5") + line % ("b", "1" + "0" * 400))
+        before = ledger_path.read_bytes()
+        code, out, err = run(capsys, *self.base(spend_csv, ledger_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed ledger line 2 in {ledger_path}\n"
+        assert ledger_path.read_bytes() == before
 
     def test_half_clip_pair_rejected(self, capsys, spend_csv, ledger_path):
         code, _, err = run(

@@ -26,6 +26,7 @@ from dpnoise.query import (
     MECHANISM_NAMES,
     QUERY_MECHANISMS,
     QuerySpec,
+    _parse_ledger_line,
     _read_column,
     make_mechanism,
     make_rng,
@@ -227,6 +228,9 @@ class TestBudgetLedger:
             '"epsilon": Infinity, "delta": 0.0',
             '"epsilon": -1.0, "delta": 0.0',
             '"epsilon": 1.0, "delta": -1e-5',
+            # float() of an integer beyond the double range overflows
+            '"epsilon": 1' + "0" * 400 + ', "delta": 0.0',
+            '"epsilon": 1.0, "delta": 1' + "0" * 400,
         ],
     )
     def test_non_finite_or_negative_spend_is_malformed(self, ledger_path, spend):
@@ -295,8 +299,9 @@ class TestTornFinalLine:
 
     @pytest.mark.parametrize(
         "torn",
-        [_LINE[:30], _LINE[:-1], " ", '{"query_id": "b"}'],
-        ids=["mid-value", "no-brace", "blank", "missing-keys"],
+        [_LINE[:30], _LINE[:-1], " ", '{"query_id": "b"}',
+         _LINE.replace("1.0", "1" + "0" * 400)],
+        ids=["mid-value", "no-brace", "blank", "missing-keys", "overflowing-spend"],
     )
     def test_unparsed_line_is_cut(self, ledger_path, spend_csv, torn):
         ledger_path.write_text(_LINE + "\n" + torn)
@@ -326,6 +331,106 @@ class TestTornFinalLine:
             with ledger.locked():
                 ledger.totals()
         assert ledger_path.read_text() == text + ("" if text.endswith("\n") else "\n")
+
+
+def json_loads_ledger_line(line):
+    """`_parse_ledger_line` as it was, on `json.loads`: the reference."""
+    raw = json.loads(line)
+    query_id, timestamp = str(raw["query_id"]), str(raw["timestamp"])
+    epsilon, delta = float(raw["epsilon"]), float(raw["delta"])
+    if not (0.0 <= epsilon < math.inf and 0.0 <= delta < math.inf):
+        raise ValueError
+    return query_id, epsilon, delta, timestamp
+
+
+def _parsed(parse, line):
+    """The record of a ledger line, stripped as the ledger strips it, or
+    "refused"."""
+    try:
+        return parse(line.strip())
+    except (ValueError, KeyError, TypeError, OverflowError):
+        return "refused"
+
+
+def _entry(**fields):
+    return json.dumps({"query_id": "a", "epsilon": 0.5, "delta": 1e-6,
+                       "timestamp": "t", **fields})
+
+
+_HOSTILE_LINES = [
+    _LINE,
+    _LINE + " x",  # trailing data
+    _LINE + "}",
+    _LINE + _LINE,  # two objects on one line
+    _LINE + " " + _LINE,
+    _LINE[:-1],
+    "[1]", "null", "1", '"a"', "", "{}",
+    _entry(epsilon=math.nan), _entry(delta=math.inf), _entry(epsilon=-math.inf),
+    _entry(epsilon=-0.5), _entry(delta=-1e-300), _entry(epsilon=-0.0),
+    _LINE.replace("1.0", "1" + "0" * 400),  # an integer beyond the double range
+    _LINE.replace("1.0", "1" + "0" * 5000),  # and beyond int()'s digit limit
+    _LINE.replace("1.0", "1e400"),  # a float literal that overflows to inf
+    "\xa0" + _LINE + "\xa0",  # str.strip() padding that json does not strip
+    "\ufeff" + _LINE,  # a byte-order mark
+    "\u2028" + _LINE,
+    _entry(query_id=7), _entry(query_id=None), _entry(query_id=[1, {}]),
+    _entry(timestamp=1.5), _entry(epsilon=True), _entry(epsilon="0.25"),
+    _entry(epsilon=[1.0]), _entry(delta=None),
+    '{"query_id": "a", "query_id": "b", "epsilon": 1, "delta": 0, "timestamp": "t"}',
+    '{"query_id": "\\ud800", "epsilon": 1, "delta": 0, "timestamp": "t"}',
+    ' { "query_id" : "a" , "epsilon" : 1 , "delta" : 0 , "timestamp" : "t" } ',
+]
+
+
+class TestLedgerLineParse:
+    """The ledger parses a line with `JSONDecoder.raw_decode`; it accepts
+    and refuses what `json.loads` does, with the same values."""
+
+    @pytest.mark.parametrize("line", _HOSTILE_LINES)
+    def test_hostile_line_parses_as_json_loads_does(self, line):
+        assert _parsed(_parse_ledger_line, line) == _parsed(
+            json_loads_ledger_line, line
+        )
+
+    def test_totals_and_refusals_match_json_loads(self, ledger_path):
+        accepted = [
+            line for line in _HOSTILE_LINES
+            if _parsed(json_loads_ledger_line, line) != "refused"
+        ]
+        refused = [line for line in _HOSTILE_LINES if line not in accepted]
+        assert len(accepted) >= 10 and len(refused) >= 20
+        ledger_path.write_text("".join(line + "\n" for line in accepted))
+        records = [json_loads_ledger_line(line.strip()) for line in accepted]
+        totals = BudgetLedger(ledger_path).totals()
+        assert totals == (
+            math.fsum(r[1] for r in records), math.fsum(r[2] for r in records)
+        )
+        for line in refused:
+            if not line.strip():
+                continue  # a blank line is skipped, not refused
+            ledger_path.write_text(_LINE + "\n" + line + "\n")
+            with pytest.raises(DomainError, match="malformed ledger line 2"):
+                BudgetLedger(ledger_path).totals()
+
+    @settings(max_examples=1000, derandomize=True, deadline=None)
+    @given(
+        line=st.one_of(
+            st.text(max_size=12),
+            st.lists(
+                st.sampled_from(
+                    ['{', '}', '[', ']', ',', ':', ' ', '"query_id"', '"epsilon"',
+                     '"delta"', '"timestamp"', '"t"', '1', '-0', '0.5', '1e400',
+                     '1' + '0' * 400, 'NaN', 'Infinity', 'null', 'true', '\xa0',
+                     '\ufeff', _LINE]
+                ),
+                max_size=12,
+            ).map("".join),
+        )
+    )
+    def test_short_strings_parse_as_json_loads_does(self, line):
+        assert _parsed(_parse_ledger_line, line) == _parsed(
+            json_loads_ledger_line, line
+        )
 
 
 class TestRunQuery:
@@ -538,12 +643,8 @@ class TestRunQuery:
 
     @pytest.mark.parametrize(
         "text, line",
-        [
-            # the NaN cell sends the file to the streaming reader
-            ("id,spend\n1,{big}\n2,nan\n", 2),
-            ("id,spend,{big}\n1,2,3\n", 1),
-        ],
-        ids=["cell-on-streaming-path", "header"],
+        [("id,spend,{big}\n1,2,3\n", 1)],
+        ids=["header"],
     )
     def test_field_over_csv_limit_names_file_line(
         self, tmp_path, ledger_path, text, line
@@ -1093,6 +1194,32 @@ class TestCReaderSource:
         assert from_fifo == _outcome(_read_column, _spec(regular, agg))
         assert from_fifo[0] == 20_000
 
+    @pytest.mark.parametrize("agg", list(AggregateKind))
+    def test_cell_over_csv_limit_reads_alike_on_every_route(self, tmp_path, agg):
+        # One rule: a row's cell has no size limit.  The byte count and the
+        # C reader have none, so the streaming reader lifts csv's for rows.
+        limit = csv.field_size_limit()
+        text = "id,spend\n1," + "0" * 200_000 + "1\n2,3\n"  # 1.0, then 3.0
+        regular = tmp_path / "wide.csv"
+        regular.write_text(text)
+        fifo = tmp_path / "wide.fifo"
+        from_fifo = _through_fifo(
+            fifo, text.encode(), lambda: _outcome(_read_column, _spec(fifo, agg))
+        )
+        assert from_fifo == _outcome(_read_column, _spec(regular, agg))
+        assert from_fifo[0] == 2
+        if agg is AggregateKind.SUM:
+            assert np.frombuffer(from_fifo[2]).tolist() == [1.0, 3.0]
+        # a NaN cell sends a sum or a mean of the regular file to the
+        # streaming reader, which reads past the long cell to the NaN
+        regular.write_text(text + "3,nan\n")
+        if agg is AggregateKind.COUNT:
+            assert _read_column(_spec(regular, agg))[0] == 3
+        else:
+            with pytest.raises(DomainError, match=r"'nan' .* at \S*wide\.csv:4$"):
+                _read_column(_spec(regular, agg))
+        assert csv.field_size_limit() == limit
+
     @pytest.mark.parametrize("cell", ["nan", "x"])
     def test_fifo_bad_cell_names_its_line(self, tmp_path, loadtxt_sources, cell):
         # A pipe cannot be rewound, so the bad cell is found in one pass.
@@ -1227,9 +1354,23 @@ def test_read_column_matches_streaming_reference(
     tmp_path_factory, agg, position, data
 ):
     path = tmp_path_factory.getbasetemp() / f"hostile-{agg.value}-{position}.csv"
-    path.write_bytes(data.draw(_hostile_csv(position)).encode("utf-8"))
+    text = data.draw(_hostile_csv(position)).encode("utf-8")
+    path.write_bytes(text)
     spec = _spec(path, agg)
-    assert _outcome(_read_column, spec) == _outcome(brute_read_column, spec)
+    expected = _outcome(brute_read_column, spec)
+    assert _outcome(_read_column, spec) == expected
+    # the same bytes through a pipe take the streaming route, with the same
+    # outcome but for the name in a message
+    fifo = path.with_suffix(".fifo")
+    try:
+        from_fifo = _through_fifo(
+            fifo, text, lambda: _outcome(_read_column, _spec(fifo, agg))
+        )
+    finally:
+        fifo.unlink()
+    if isinstance(from_fifo[1], str):
+        from_fifo = (from_fifo[0], from_fifo[1].replace(str(fifo), str(path)))
+    assert from_fifo == expected
 
 
 # Lines with no '"' or CR, which the byte count reads: rows, whitespace,
