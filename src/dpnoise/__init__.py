@@ -32,12 +32,10 @@ _HOMES = {
     "NoiseMechanism": "core",
     "PrivacyParams": "core",
     "QuerySpec": "query",
-    "Sensitivity": "core",
     "SweepConfig": "analysis",
     "TruncatedLaplace": "trunclap",
     "ViolationReport": "verifier",
     "analytic_gaussian_sigma": "baselines",
-    "as_sensitivity": "core",
     "bound_pair": "bounds",
     "discretize": "verifier",
     "dp_check": "verifier",
@@ -64,12 +62,10 @@ __all__ = [
     "NoiseMechanism",
     "PrivacyParams",
     "QuerySpec",
-    "Sensitivity",
     "SweepConfig",
     "TruncatedLaplace",
     "ViolationReport",
     "analytic_gaussian_sigma",
-    "as_sensitivity",
     "bound_pair",
     "discretize",
     "dp_check",

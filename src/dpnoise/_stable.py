@@ -7,8 +7,8 @@ Everything here is written against two hostile regimes:
 * epsilon far below delta (naive ``1 - small/small`` differences lose all
   relative accuracy).
 
-The public functions keep full double relative accuracy down to
-delta ~ 1e-300 and epsilon ~ 1e-12.
+The public functions keep full double relative accuracy down to the
+smallest subnormal delta, 5e-324, and epsilon ~ 1e-12.
 """
 
 from __future__ import annotations
@@ -44,10 +44,13 @@ def radius_scale_ratio(epsilon: float, delta: float) -> float:
     # Factor e^eps out of the logarithm:
     #   log(1 + (e^eps - 1)/(2 delta))
     #     = eps + log((1 - e^-eps)/(2 delta) + e^-eps)
-    # Every intermediate stays finite for delta >= ~1e-300.
-    return epsilon + math.log(
-        -math.expm1(-epsilon) / (2.0 * delta) + math.exp(-epsilon)
-    )
+    shrink = -math.expm1(-epsilon)
+    inner = shrink / (2.0 * delta) + math.exp(-epsilon)
+    if inner < math.inf:
+        return epsilon + math.log(inner)
+    # The quotient overflows at a subnormal delta; e^-eps <= 1 is then far
+    # below its rounding, and the logarithm splits over the quotient.
+    return epsilon + math.log(shrink) - math.log(2.0 * delta)
 
 
 def _exp_tail_series(x: float, first_order: int) -> float:

@@ -24,7 +24,6 @@ from .core import (
     _as_count,
     _check_delta,
     _require_finite_positive,
-    as_sensitivity,
 )
 
 __all__ = [
@@ -58,9 +57,8 @@ class SweepConfig:
             # np.geomspace refuses a float count late, and takes True as 1;
             # the config keeps the count it is given, so a Python int
             _as_count(getattr(self, name), name, kind=int)
-        object.__setattr__(
-            self, "sensitivity", as_sensitivity(self.sensitivity).value
-        )
+        sens = _require_finite_positive(self.sensitivity, "sensitivity")
+        object.__setattr__(self, "sensitivity", sens)
         object.__setattr__(self, "cost", CostKind.parse(self.cost))
         if not isinstance(self.fractional_steps, bool):
             # a truthy string such as "floor" would pass for the fractional
@@ -96,7 +94,7 @@ def run_sweep(config: SweepConfig = SweepConfig()) -> dict[str, list[float]]:
     on its own would do.  A refused point raises what a point-by-point
     sweep would raise first.
     """
-    sens = as_sensitivity(config.sensitivity)
+    sens = config.sensitivity
     kind = config.cost
     eps_axis, delta_axis = (axis.tolist() for axis in config.axes())
     # The epsilons lie between SweepConfig's finite, positive bounds, but a
@@ -111,7 +109,7 @@ def run_sweep(config: SweepConfig = SweepConfig()) -> dict[str, list[float]]:
             break
     epsilon = [eps for eps in eps_axis for _ in delta_axis][:stop]
     delta = (delta_axis * len(eps_axis))[:stop]
-    lower, lower_floor, upper, error = _bound_table(epsilon, delta, sens.value, kind)
+    lower, lower_floor, upper, error = _bound_table(epsilon, delta, sens, kind)
     if error is None:
         error = refusal
     # Calibrate every point the bounds got through, even when they stopped

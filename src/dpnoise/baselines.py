@@ -22,11 +22,9 @@ from .core import (
     DomainError,
     NoiseMechanism,
     PrivacyParams,
-    Sensitivity,
     _NORMAL_MIN,
     _cost_in_range,
     _require_finite_positive,
-    as_sensitivity,
 )
 from .trunclap import TruncatedLaplace
 
@@ -58,11 +56,9 @@ class Laplace(TruncatedLaplace):
         self._area = 0.5
 
     @classmethod
-    def from_privacy(
-        cls, params: PrivacyParams, sens: "Sensitivity | float"
-    ) -> "Laplace":
+    def from_privacy(cls, params: PrivacyParams, sens: float) -> "Laplace":
         """Scale sensitivity / epsilon: pure epsilon-privacy, delta unused."""
-        return cls(as_sensitivity(sens).value / params.epsilon)
+        return cls(_require_finite_positive(sens, "sensitivity") / params.epsilon)
 
     @property
     def parameters(self) -> dict[str, float]:
@@ -253,9 +249,7 @@ class Gaussian(NoiseMechanism):
         self.sigma = _require_finite_positive(sigma, "sigma")
 
     @classmethod
-    def from_privacy(
-        cls, params: PrivacyParams, sens: "Sensitivity | float"
-    ) -> "Gaussian":
+    def from_privacy(cls, params: PrivacyParams, sens: float) -> "Gaussian":
         """The exact sigma, :func:`analytic_gaussian_sigma`."""
         return cls(analytic_gaussian_sigma(params, sens))
 
@@ -306,7 +300,7 @@ def _gaussian_cost(sigma, kind: CostKind):
     return cost
 
 
-def _log_terms(sigma, epsilon, sens_value: float, work=None):
+def _log_terms(sigma, epsilon, sens: float, work=None):
     """log Phi(sens/(2 sigma) - eps sigma/sens) and
     eps + log Phi(-sens/(2 sigma) - eps sigma/sens), elementwise: the two
     terms of the Gaussian privacy profile, the smallest delta for which
@@ -323,14 +317,14 @@ def _log_terms(sigma, epsilon, sens_value: float, work=None):
     views into it, good until it is lent again."""
     # -(s / (2 sigma)) is exactly (-s) / (2 sigma), so both arguments share
     # both quotients, and one kernel call takes them side by side
-    half = sens_value / (2.0 * sigma)
+    half = sens / (2.0 * sigma)
     m = 2 * np.size(half)
     if work is None:
         work = np.empty((4, m))
     args = np.multiply.outer(
         (1.0, -1.0), half, out=work[0, :m].reshape((2,) + np.shape(half))
     )
-    args -= epsilon * sigma / sens_value
+    args -= epsilon * sigma / sens
     log_hi, log_lo = _log_ndtr(args, work[1:, :m])
     log_lo += epsilon
     return log_hi, log_lo
@@ -352,7 +346,7 @@ def _exact_profile(log_hi, log_lo) -> list:
 _GUARD = 1e-12
 
 
-def _excess(sigma, epsilon, delta, sens_value: float, work=None) -> np.ndarray:
+def _excess(sigma, epsilon, delta, sens: float, work=None) -> np.ndarray:
     """The privacy profile minus delta, elementwise and up to rounding,
     with the sign of every element exactly as :func:`_exact_profile`'s;
     the sign is all the bisection reads.
@@ -363,7 +357,7 @@ def _excess(sigma, epsilon, delta, sens_value: float, work=None) -> np.ndarray:
     relative error bounds fail.  The caller sets the error state, and may
     lend :func:`_log_terms` its buffer.
     """
-    log_hi, log_lo = _log_terms(sigma, epsilon, sens_value, work)
+    log_hi, log_lo = _log_terms(sigma, epsilon, sens, work)
     # -e^hi expm1(lo - hi), and 0 where lo >= hi, in place in one array
     profile = np.subtract(log_lo, log_hi)
     np.expm1(profile, out=profile)
@@ -378,9 +372,7 @@ def _excess(sigma, epsilon, delta, sens_value: float, work=None) -> np.ndarray:
     return profile - delta
 
 
-def analytic_gaussian_sigma(
-    params: PrivacyParams, sens: "Sensitivity | float"
-) -> float:
+def analytic_gaussian_sigma(params: PrivacyParams, sens: float) -> float:
     """Minimal sigma whose privacy profile meets the target, by bisection.
 
     Bracketing starts at [sens * 1e-6 / eps, sens / eps]; the upper end is
@@ -398,7 +390,7 @@ def analytic_gaussian_sigma(
     return float(_analytic_sigmas([params.epsilon], [params.delta], sens)[0])
 
 
-def _analytic_sigmas(epsilon, delta, sens: "Sensitivity | float") -> np.ndarray:
+def _analytic_sigmas(epsilon, delta, sens: float) -> np.ndarray:
     """:func:`analytic_gaussian_sigma` at every (epsilon[i], delta[i]).
 
     The bracketing and the bisection run in lockstep over the points still
@@ -407,7 +399,7 @@ def _analytic_sigmas(epsilon, delta, sens: "Sensitivity | float") -> np.ndarray:
     float.  A failing point is set aside, and once all points are done the
     error of the first failing one is raised, as point-by-point order would.
     """
-    sens_value = as_sensitivity(sens).value
+    sens = _require_finite_positive(sens, "sensitivity")
     epsilon = np.asarray(epsilon, dtype=float)
     delta = np.asarray(delta, dtype=float)
     failed = np.zeros(epsilon.shape, dtype=bool)
@@ -428,7 +420,7 @@ def _analytic_sigmas(epsilon, delta, sens: "Sensitivity | float") -> np.ndarray:
                 f"sigma must be finite and > 0, got {first!r}"
             ))
             idx = idx[~bad]
-        return idx, _excess(sigma[idx], epsilon[idx], delta[idx], sens_value, work)
+        return idx, _excess(sigma[idx], epsilon[idx], delta[idx], sens, work)
 
     def bracket(end: np.ndarray, moves, factor: float, side: str) -> None:
         # Scale ``end`` by ``factor`` at the points where moves(excess, 0)
@@ -447,8 +439,8 @@ def _analytic_sigmas(epsilon, delta, sens: "Sensitivity | float") -> np.ndarray:
         ))
 
     with np.errstate(all="ignore"):
-        lo = sens_value * 1e-6 / epsilon
-        hi = sens_value / epsilon
+        lo = sens * 1e-6 / epsilon
+        hi = sens / epsilon
         bracket(hi, np.greater, 2.0, "above")
         # The profile tends to 1 as sigma -> 0, so a violating lower end
         # always exists; shrink towards it where the default is feasible.
@@ -464,7 +456,7 @@ def _analytic_sigmas(epsilon, delta, sens: "Sensitivity | float") -> np.ndarray:
                 hi[idx[~go]] = high[~go]
                 idx, eps, dlt = idx[go], eps[go], dlt[go]
                 low, high, mid = low[go], high[go], mid[go]
-            up = _excess(mid, eps, dlt, sens_value, work) > 0.0
+            up = _excess(mid, eps, dlt, sens, work) > 0.0
             low = np.where(up, mid, low)
             high = np.where(up, high, mid)
     if errors:
@@ -488,12 +480,10 @@ class BoundedUniform(NoiseMechanism):
         self.half_width = _require_finite_positive(half_width, "half_width")
 
     @classmethod
-    def from_privacy(
-        cls, params: PrivacyParams, sens: "Sensitivity | float"
-    ) -> "BoundedUniform":
+    def from_privacy(cls, params: PrivacyParams, sens: float) -> "BoundedUniform":
         """Half-width sensitivity / (2 delta), the epsilon -> 0 limit;
         epsilon unused."""
-        return cls(as_sensitivity(sens).value / (2.0 * params.delta))
+        return cls(_require_finite_positive(sens, "sensitivity") / (2.0 * params.delta))
 
     @property
     def parameters(self) -> dict[str, float]:

@@ -49,8 +49,7 @@ from .core import (
     DomainError,
     InvariantError,
     PrivacyParams,
-    Sensitivity,
-    as_sensitivity,
+    _require_finite_positive,
 )
 from .trunclap import _amplitude, _calibrated_shape, _checked_shape, _power
 
@@ -109,7 +108,7 @@ class BoundPair:
 
 def bound_pair(
     params: PrivacyParams,
-    sens: "Sensitivity | float",
+    sens: float,
     cost: "CostKind | str" = CostKind.AMPLITUDE,
 ) -> BoundPair:
     """Both sides for one cost kind: :func:`_bound_table` at one point.
@@ -119,9 +118,9 @@ def bound_pair(
     :class:`InvariantError` rather than returning wrong numbers.
     """
     cost = CostKind.parse(cost)
-    sens = as_sensitivity(sens)
+    sens = _require_finite_positive(sens, "sensitivity")
     lower, lower_floor, upper, refusal = _bound_table(
-        [params.epsilon], [params.delta], sens.value, cost
+        [params.epsilon], [params.delta], sens, cost
     )
     if refusal is not None:
         raise refusal
@@ -173,14 +172,7 @@ def _bound_table(
             scale, radius, _ = _checked_shape(*_calibrated_shape(run_scale, x_ratio))
             up = upper_fn(scale, radius)
             low = lower_fn(terms, scale, x_ratio)
-            steps = x_ratio / eps
-            if steps == math.inf:
-                # (e^eps - 1)/(2 delta) overflows at a subnormal delta
-                raise DomainError(
-                    f"delta={dlt!r} is too small for the closed-form lower "
-                    f"bounds: the step count x/epsilon leaves double range"
-                )
-            whole = math.floor(steps)
+            whole = math.floor(x_ratio / eps)
             low_floor = 0.0  # below two steps the slice sum is empty
             if whole > 1:
                 y = eps * whole

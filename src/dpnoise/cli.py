@@ -41,7 +41,7 @@ from .core import (
     DomainError,
     InvariantError,
     PrivacyParams,
-    as_sensitivity,
+    _require_finite_positive,
 )
 from .query import (
     AggregateKind,
@@ -185,7 +185,7 @@ def _params(opt: _Options) -> PrivacyParams:
 def _sens(opt: _Options):
     # 1 when not given; a sweep leaves it to SweepConfig
     sens = opt.get("sens")
-    return as_sensitivity(1.0 if sens is None else sens)
+    return 1.0 if sens is None else _require_finite_positive(sens, "sensitivity")
 
 
 def _mechanism(opt: _Options) -> tuple:
@@ -211,7 +211,7 @@ def cmd_calibrate(opt: _Options) -> int:
             "mechanism": name,
             "epsilon": params.epsilon,
             "delta": params.delta,
-            "sensitivity": sens.value,
+            "sensitivity": sens,
             "parameters": mech.parameters,
             "expected_amplitude": mech.expected_amplitude,
             "expected_power": mech.expected_power,
@@ -244,7 +244,7 @@ def cmd_bounds(opt: _Options) -> int:
         {
             "epsilon": params.epsilon,
             "delta": params.delta,
-            "sensitivity": sens.value,
+            "sensitivity": sens,
             "cost": pair.cost.value,
             "lower": lower,
             "upper": pair.upper,

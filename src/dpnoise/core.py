@@ -1,9 +1,10 @@
 """Shared domain types and the abstract additive-noise-mechanism contract.
 
 Every mechanism class calibrates itself, ``cls.from_privacy(params, sens)``,
-from a validated ``(PrivacyParams, Sensitivity)`` pair.  Validation happens
-at construction time, so downstream code never has to re-check ranges: if
-you hold a ``PrivacyParams`` it is a usable one.
+from a validated ``PrivacyParams`` and a sensitivity, a float > 0 that each
+entry point checks where it takes it.  Validation happens at construction
+time, so downstream code never has to re-check ranges: if you hold a
+``PrivacyParams`` it is a usable one.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ __all__ = [
     "InvariantError",
     "ConvergenceError",
     "PrivacyParams",
-    "Sensitivity",
     "CostKind",
     "NoiseMechanism",
-    "as_sensitivity",
 ]
 
 
@@ -96,28 +95,6 @@ def _check_delta(delta: float) -> float:
     if not math.isfinite(delta) or not 0.0 < delta < 0.5:
         raise DomainError(f"delta must lie strictly inside (0, 0.5), got {delta!r}")
     return delta
-
-
-@dataclass(frozen=True)
-class Sensitivity:
-    """The worst-case absolute change of the query output, > 0."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "value", _require_finite_positive(self.value, "sensitivity")
-        )
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def as_sensitivity(sens: "Sensitivity | float") -> Sensitivity:
-    """Coerce a bare float into a validated :class:`Sensitivity`."""
-    if isinstance(sens, Sensitivity):
-        return sens
-    return Sensitivity(sens)
 
 
 class CostKind(Enum):

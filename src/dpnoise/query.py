@@ -70,9 +70,8 @@ from .core import (
     DomainError,
     NoiseMechanism,
     PrivacyParams,
-    Sensitivity,
     _as_real,
-    as_sensitivity,
+    _require_finite_positive,
 )
 from .trunclap import TruncatedLaplace
 
@@ -112,11 +111,9 @@ MECHANISM_NAMES = tuple(_FACTORIES)
 QUERY_MECHANISMS = tuple(name for name in MECHANISM_NAMES if name != "uniform")
 
 
-def make_mechanism(
-    name: str, params: PrivacyParams, sens: "Sensitivity | float"
-) -> NoiseMechanism:
+def make_mechanism(name: str, params: PrivacyParams, sens: float) -> NoiseMechanism:
     """Build a calibrated noise mechanism by CLI name."""
-    sens = as_sensitivity(sens)
+    sens = _require_finite_positive(sens, "sensitivity")
     if not isinstance(name, str) or name not in _FACTORIES:  # a list is unhashable
         raise DomainError(
             f"unknown mechanism {name!r}; expected one of {list(MECHANISM_NAMES)}"
@@ -193,15 +190,15 @@ class QuerySpec:
                 f"{self.aggregate.value} queries require clip bounds"
             )
 
-    def sensitivity(self) -> Sensitivity:
+    def sensitivity(self) -> float:
         """Worst-case change of the aggregate when one row is added to or
         removed from the table (add/remove neighbours): 1 for a count and
         max(|lo|, |hi|) for a clipped sum.  Under replace-one neighbours a
         sum's would be hi - lo."""
         if self.aggregate is AggregateKind.COUNT:
-            return Sensitivity(1.0)
+            return 1.0
         lo, hi = self.clip  # validated above
-        return Sensitivity(max(abs(lo), abs(hi)))
+        return max(abs(lo), abs(hi))
 
 
 @dataclass(frozen=True)
@@ -559,7 +556,7 @@ def _release(spec: QuerySpec, count: int, values: np.ndarray) -> tuple[str, floa
     query_id = os.urandom(6).hex()  # 48 random bits, 12 hex digits
     rng = make_rng(spec.seed, int(query_id, 16))
     if spec.aggregate is AggregateKind.COUNT:
-        mech = make_mechanism(spec.mechanism, spec.params, Sensitivity(1.0))
+        mech = make_mechanism(spec.mechanism, spec.params, 1.0)
         return query_id, count + float(mech.sample(rng))
     if spec.aggregate is AggregateKind.SUM:
         mech = make_mechanism(spec.mechanism, spec.params, spec.sensitivity())
@@ -567,7 +564,7 @@ def _release(spec: QuerySpec, count: int, values: np.ndarray) -> tuple[str, floa
     # MEAN: noisy sum over noisy count, half the budget each
     half = PrivacyParams(spec.params.epsilon / 2.0, spec.params.delta / 2.0)
     sum_mech = make_mechanism(spec.mechanism, half, spec.sensitivity())
-    count_mech = make_mechanism(spec.mechanism, half, Sensitivity(1.0))
+    count_mech = make_mechanism(spec.mechanism, half, 1.0)
     noisy_sum = float(values.sum()) + float(sum_mech.sample(rng))
     noisy_count = count + float(count_mech.sample(rng))
     noisy = noisy_sum / noisy_count if noisy_count > 0.0 else float("nan")

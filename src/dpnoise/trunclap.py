@@ -37,12 +37,10 @@ from .core import (
     DomainError,
     NoiseMechanism,
     PrivacyParams,
-    Sensitivity,
     _ULP,
     _as_real,
     _cost_in_range,
     _require_finite_positive,
-    as_sensitivity,
 )
 
 __all__ = ["TruncatedLaplace"]
@@ -62,9 +60,7 @@ class TruncatedLaplace(NoiseMechanism):
         self._area = self.height * self.scale
 
     @classmethod
-    def from_privacy(
-        cls, params: PrivacyParams, sens: "Sensitivity | float"
-    ) -> "TruncatedLaplace":
+    def from_privacy(cls, params: PrivacyParams, sens: float) -> "TruncatedLaplace":
         """Calibrate the density shape for a privacy target.
 
         scale  = sensitivity / epsilon
@@ -76,7 +72,7 @@ class TruncatedLaplace(NoiseMechanism):
         is what the privacy argument consumes.
         """
         return cls(*_calibrated_shape(
-            as_sensitivity(sens).value / params.epsilon,
+            _require_finite_positive(sens, "sensitivity") / params.epsilon,
             radius_scale_ratio(params.epsilon, params.delta),
         ))
 

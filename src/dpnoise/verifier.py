@@ -79,13 +79,11 @@ from .core import (
     DomainError,
     NoiseMechanism,
     PrivacyParams,
-    Sensitivity,
     _ULP,
     _as_count,
     _as_real,
     _require_finite_positive,
     _width_jitter,
-    as_sensitivity,
 )
 
 __all__ = [
@@ -298,7 +296,7 @@ class DiscretizedDist:
 
 def discretize(
     mech: NoiseMechanism,
-    sens: "Sensitivity | float",
+    sens: float,
     step: "float | None" = None,
 ) -> DiscretizedDist:
     """Cut a mechanism's density into cells of width ``step``.
@@ -320,15 +318,15 @@ def discretize(
     epsilon 20 (sigma about 0.29 sensitivities) the margin is 1.15 sigma,
     and the tail falls from 5e-13 to below 1e-16 a side.
     """
-    sens_value = as_sensitivity(sens).value
+    sens = _require_finite_positive(sens, "sensitivity")
     if step is None:
-        step = sens_value / 1000.0
+        step = sens / 1000.0
     step = _require_finite_positive(step, "step")
-    cells = sens_value / step
+    cells = sens / step
     # a tiny step overflows the quotient, which round() cannot take; 0 is
     # refused below
     shift_cells = round(cells) if cells < math.inf else 0
-    if shift_cells < 10 or abs(shift_cells * step - sens_value) > 1e-9 * sens_value:
+    if shift_cells < 10 or abs(shift_cells * step - sens) > 1e-9 * sens:
         raise DomainError(
             "step must divide the sensitivity into an integer number of "
             f"cells, at least 10 (got sensitivity/step = {cells!r})"
@@ -341,7 +339,7 @@ def discretize(
         with np.errstate(over="ignore", divide="ignore"):
             reach = max(mech._quantile(np.array(1.0 - 5e-13)),
                         -mech._quantile(np.array(5e-13)))
-        radius = sens_value / 3.0 + float(reach)
+        radius = sens / 3.0 + float(reach)
     if not radius / step < math.inf:
         raise DomainError(
             "the noise is too wide to discretize: a grid of step "

@@ -21,7 +21,6 @@ from dpnoise.core import (
     DomainError,
     InvariantError,
     PrivacyParams,
-    as_sensitivity,
 )
 from dpnoise.trunclap import TruncatedLaplace
 
@@ -109,6 +108,19 @@ def check_lower_bounds(eps, delta, sens, cost, lower, lower_floor, upper):
         )
     if whole <= 1:
         assert lower_floor == 0.0
+
+
+def mpmath_upper(eps, delta, sens, cost):
+    """The calibrated truncated Laplacian's cost from 50-digit mpmath of
+    its closed form: lam F1(x) for the amplitude and 2 lam^2 F2(x) for the
+    power, at lam = sens/eps and x = log(1 + (e^eps - 1)/(2 delta))."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        lam = mp.mpf(sens) / mp.mpf(eps)
+        x = mp.log1p(mp.expm1(mp.mpf(eps)) / (2 * mp.mpf(delta)))
+        if cost is CostKind.AMPLITUDE:
+            return float(lam * (mp.expm1(x) - x) / mp.expm1(x))
+        return float(2 * lam**2 * (mp.expm1(x) - x - x**2 / 2) / mp.expm1(x))
 
 
 def _hex(values):
@@ -306,11 +318,17 @@ class TestExtremeRegimes:
 
     @pytest.mark.parametrize("cost", list(CostKind))
     @pytest.mark.parametrize("delta", [1e-310, 1e-320, 5e-324])
-    def test_delta_whose_step_count_leaves_double_range(self, delta, cost):
-        # (e^eps - 1)/(2 delta) overflows, so x is inf: refused, where
-        # math.floor of the step count raised OverflowError
-        with pytest.raises(DomainError, match=rf"^delta={delta!r} is too small"):
-            bound_pair(PrivacyParams(1.0, delta), 1.0, cost)
+    def test_subnormal_delta_matches_mpmath(self, delta, cost):
+        # (1 - e^-eps)/(2 delta) overflows a double here, but x and the step
+        # count x/eps stay finite
+        pair = bound_pair(PrivacyParams(1.0, delta), 1.0, cost)
+        check_lower_bounds(
+            1.0, delta, 1.0, pair.cost, pair.lower, pair.lower_floor, pair.upper
+        )
+        assert pair.upper == pytest.approx(
+            mpmath_upper(1.0, delta, 1.0, pair.cost), rel=1e-14
+        )
+        assert 0.0 < pair.lower_floor <= pair.lower <= pair.upper
 
     @pytest.mark.parametrize(
         "cost,bits",

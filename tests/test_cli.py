@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -12,8 +13,11 @@ import pytest
 import dpnoise
 from dpnoise import cli
 from dpnoise.cli import main
-from dpnoise.core import InvariantError, NoiseMechanism, PrivacyParams
+from dpnoise._stable import radius_scale_ratio
+from dpnoise.bounds import _EPS_MIN
+from dpnoise.core import CostKind, InvariantError, NoiseMechanism, PrivacyParams
 from dpnoise.query import MECHANISM_NAMES, QUERY_MECHANISMS, make_mechanism
+from test_bounds import check_lower_bounds, mpmath_bounds, mpmath_upper
 
 # what a ledger line holds: never the aggregate, the noise or the seed
 LEDGER_KEYS = {"query_id", "epsilon", "delta", "timestamp"}
@@ -406,22 +410,38 @@ class TestBounds:
             "error: internal check failed: lower bound above upper bound\n"
         )
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["bounds", "--eps", "1", "--delta", "1e-310"],
-            ["sweep", "--delta-min", "1e-320", "--eps-points", "2",
-             "--delta-points", "2"],
-        ],
-        ids=["bounds", "sweep"],
-    )
-    def test_delta_too_small_for_the_step_count_is_exit_2(self, capsys, argv):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert re.fullmatch(
-            r"error: delta=\S+ is too small for the closed-form lower bounds: "
-            r"the step count x/epsilon leaves double range\n", err
+    # A subnormal delta, where (1 - e^-eps)/(2 delta) overflows a double,
+    # gets the bounds mpmath gives.
+    def test_subnormal_delta_bounds_match_mpmath(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--eps", "1", "--delta", "1e-310")
+        assert code == 0
+        payload = strict_json(out)
+        lower, lower_floor, upper = (
+            payload[key] for key in ("lower", "lower_floor", "upper")
         )
+        check_lower_bounds(
+            1.0, 1e-310, 1.0, CostKind.AMPLITUDE, lower, lower_floor, upper
+        )
+        assert upper == pytest.approx(
+            mpmath_upper(1.0, 1e-310, 1.0, CostKind.AMPLITUDE), rel=1e-14
+        )
+
+    def test_sweep_to_a_subnormal_delta_matches_mpmath(self, capsys):
+        code, out, _ = run(
+            capsys, "sweep", "--delta-min", "1e-320", "--eps-points", "2",
+            "--delta-points", "2",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert float(rows[0]["delta"]) < 1e-319 and len(rows) == 4
+        for row in rows:
+            eps, delta = float(row["epsilon"]), float(row["delta"])
+            whole = math.floor(radius_scale_ratio(eps, delta) / eps)
+            (lower, _), _ = mpmath_bounds(eps, delta, whole)
+            assert float(row["q_lower"]) == pytest.approx(float(lower), rel=1e-14)
+            assert float(row["q_upper"]) == pytest.approx(
+                mpmath_upper(eps, delta, 1.0, CostKind.AMPLITUDE), rel=1e-14
+            )
 
 
 class TestVerify:
@@ -594,6 +614,28 @@ class TestStrictJson:
         )
         assert code == 0
         assert strict_json(out)["noisy_value"] is None
+
+
+@pytest.mark.parametrize("delta", ["1e-300", "1e-310", "1e-320", "5e-324", "0.49"])
+@pytest.mark.parametrize("eps", ["1e-300", "1e-3", "1", "40", "800"])
+@pytest.mark.parametrize(
+    "argv",
+    [["calibrate", "--mech", mech] for mech in MECHANISM_NAMES]
+    + [["bounds", "--cost", cost] for cost in ("amplitude", "power")],
+    ids=lambda argv: f"{argv[0]}-{argv[2]}",
+)
+def test_extreme_inputs_print_strict_json_or_one_error(capsys, argv, eps, delta):
+    # a subnormal delta printed "radius": Infinity, and its bounds were
+    # refused; the closed forms hold for every epsilon above their floor
+    code, out, err = run(capsys, *argv, "--eps", eps, "--delta", delta)
+    if argv[0] == "bounds" and float(eps) >= _EPS_MIN:
+        assert code == 0, err
+    if code == 0:
+        strict_json(out)
+        assert err == ""
+    else:
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: [^\n]+\n", err)
 
 
 SWEEP_ARGS = [

@@ -13,11 +13,13 @@ from dpnoise.core import (
     InvariantError,
     NoiseMechanism,
     PrivacyParams,
-    Sensitivity,
-    as_sensitivity,
 )
+from dpnoise.analysis import SweepConfig
+from dpnoise.baselines import analytic_gaussian_sigma
+from dpnoise.bounds import bound_pair
 from dpnoise.query import MECHANISM_NAMES, make_mechanism
 from dpnoise.trunclap import TruncatedLaplace
+from dpnoise.verifier import discretize
 
 
 # float() took True as 1.0 and "0.5" as 0.5, refused 1j with TypeError, and
@@ -76,29 +78,49 @@ class TestPrivacyParams:
             p.epsilon = 2.0
 
 
-class TestSensitivity:
-    def test_value_and_float(self):
-        s = Sensitivity(2.5)
-        assert s.value == 2.5
-        assert float(s) == 2.5
+_P = PrivacyParams(1.0, 1e-3)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
-    def test_rejects_nonpositive(self, bad):
-        with pytest.raises(DomainError):
-            Sensitivity(bad)
+# Every public function that takes a sensitivity, as a call on it alone,
+# and what it returns as a value whose equality means equal bits: float
+# reprs round-trip, and a grid's cells are compared as bytes.
+SENSITIVITY_ENTRIES = {
+    "Laplace.from_privacy": lambda s: repr(Laplace.from_privacy(_P, s)),
+    "Gaussian.from_privacy": lambda s: repr(Gaussian.from_privacy(_P, s)),
+    "TruncatedLaplace.from_privacy": (
+        lambda s: repr(TruncatedLaplace.from_privacy(_P, s))
+    ),
+    "BoundedUniform.from_privacy": (
+        lambda s: repr(BoundedUniform.from_privacy(_P, s))
+    ),
+    "analytic_gaussian_sigma": lambda s: analytic_gaussian_sigma(_P, s).hex(),
+    "bound_pair": lambda s: repr(bound_pair(_P, s)),
+    "discretize": lambda s: _grid_bits(
+        discretize(TruncatedLaplace.from_privacy(_P, 1.0), s)
+    ),
+    "make_mechanism": lambda s: repr(make_mechanism("gaussian-analytic", _P, s)),
+    "SweepConfig": lambda s: repr(SweepConfig(sensitivity=s)),
+}
 
-    def test_as_sensitivity_passthrough_and_coercion(self):
-        s = Sensitivity(1.0)
-        assert as_sensitivity(s) is s
-        assert as_sensitivity(3).value == 3.0
-        assert as_sensitivity(np.int64(3)).value == 3.0
 
-    @pytest.mark.parametrize("bad", NOT_REAL)
-    def test_refuses_what_is_not_a_real_number(self, bad):
-        with pytest.raises(DomainError, match="^sensitivity must be a real number"):
-            Sensitivity(bad)
-        with pytest.raises(DomainError, match="^sensitivity must be a real number"):
-            as_sensitivity(bad)  # float() ran before the check
+def _grid_bits(dist) -> tuple:
+    return (dist.step.hex(), dist.shift_cells, dist.mass_error.hex(),
+            dist.fold.hex(), np.asarray(dist.masses).tobytes())
+
+
+@pytest.mark.parametrize("bad", NOT_REAL + [0.0, -1.0, math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("entry", SENSITIVITY_ENTRIES)
+def test_sensitivity_entry_refuses(entry, bad):
+    with pytest.raises(DomainError, match="^sensitivity must be"):
+        SENSITIVITY_ENTRIES[entry](bad)
+
+
+@pytest.mark.parametrize(
+    "value,equal", [(3, 3.0), (np.int64(3), 3.0), (Fraction(1, 2), 0.5)]
+)
+@pytest.mark.parametrize("entry", SENSITIVITY_ENTRIES)
+def test_sensitivity_entry_takes_any_real_number(entry, value, equal):
+    call = SENSITIVITY_ENTRIES[entry]
+    assert call(value) == call(equal)
 
 
 class TestCostKind:

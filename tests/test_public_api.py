@@ -81,6 +81,9 @@ def test_interval_mass_and_cdf_are_defined_once():
         # public profile
         "SweepRow",
         "gaussian_privacy_profile",
+        # a sensitivity is a float, checked where a function takes it
+        "Sensitivity",
+        "as_sensitivity",
     ],
 )
 def test_removed_names_are_gone(name):

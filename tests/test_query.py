@@ -123,7 +123,7 @@ class TestMakeRng:
 class TestQuerySpec:
     def test_count_needs_no_clip(self):
         spec = QuerySpec("x.csv", "c", AggregateKind.COUNT, "trunclap", P, 0)
-        assert spec.sensitivity().value == 1.0
+        assert spec.sensitivity() == 1.0
 
     @pytest.mark.parametrize("agg", [AggregateKind.SUM, AggregateKind.MEAN])
     def test_sum_and_mean_require_clip(self, agg):
@@ -173,7 +173,7 @@ class TestQuerySpec:
         spec = QuerySpec(
             "x.csv", "c", AggregateKind.SUM, "trunclap", P, 0, clip=(-30.0, 10.0)
         )
-        assert spec.sensitivity().value == 30.0
+        assert spec.sensitivity() == 30.0
 
     def test_uniform_not_allowed_for_queries(self):
         with pytest.raises(DomainError):

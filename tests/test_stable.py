@@ -40,6 +40,18 @@ class TestRadiusScaleRatio:
         # eps + log(1/(2 delta)) dominates up to a vanishing correction
         assert value == pytest.approx(800.0 + math.log(0.5e300), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "eps,delta", [(1.0, 1e-320), (1e-3, 5e-324), (40.0, 1e-320), (50.0, 5e-324)]
+    )
+    def test_subnormal_delta_matches_mpmath(self, eps, delta):
+        # (1 - e^-eps)/(2 delta) overflows a double here; the result was inf
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            exact = mpmath.log1p(
+                mpmath.expm1(mpmath.mpf(eps)) / (2 * mpmath.mpf(delta))
+            )
+        assert radius_scale_ratio(eps, delta) == pytest.approx(float(exact), rel=1e-14)
+
     def test_branches_agree_at_the_switch(self):
         # pick delta so the easy-regime ratio sits just on either side of 1e15
         eps = 1.0

@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from test_core import NOT_REAL
 
-from dpnoise.core import DomainError, NoiseMechanism, PrivacyParams, Sensitivity
+from dpnoise.core import DomainError, NoiseMechanism, PrivacyParams
 from dpnoise.trunclap import TruncatedLaplace
 from dpnoise.verifier import discretize
 
 P_REF = PrivacyParams(1.0, 1e-5)
-SENS = Sensitivity(1.0)
+SENS = 1.0
 
 
 class TestCalibrate:
