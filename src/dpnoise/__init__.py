@@ -16,10 +16,10 @@ __version__ = "0.1.0"
 
 # The submodule each name of `__all__` lives in.
 _HOMES = {
-    "AggregateKind": "query",
+    "AggregateKind": "core",
     "BoundPair": "bounds",
     "BoundedUniform": "baselines",
-    "BudgetError": "query",
+    "BudgetError": "core",
     "BudgetLedger": "query",
     "ConvergenceError": "core",
     "CostKind": "core",
@@ -40,7 +40,7 @@ _HOMES = {
     "discretize": "verifier",
     "dp_check": "verifier",
     "emit": "analysis",
-    "make_mechanism": "query",
+    "make_mechanism": "core",
     "run_query": "query",
     "run_sweep": "analysis",
 }

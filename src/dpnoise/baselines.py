@@ -483,7 +483,13 @@ class BoundedUniform(NoiseMechanism):
     def from_privacy(cls, params: PrivacyParams, sens: float) -> "BoundedUniform":
         """Half-width sensitivity / (2 delta), the epsilon -> 0 limit;
         epsilon unused."""
-        return cls(_require_finite_positive(sens, "sensitivity") / (2.0 * params.delta))
+        half_width = _require_finite_positive(sens, "sensitivity") / (2.0 * params.delta)
+        if half_width == math.inf:  # a subnormal delta, or a huge sensitivity
+            raise DomainError(
+                "half-width sensitivity/(2 delta) overflows: delta is too small "
+                "for this sensitivity"
+            )
+        return cls(half_width)
 
     @property
     def parameters(self) -> dict[str, float]:

@@ -16,13 +16,16 @@ file.
 the ledger's query ids, reproduces every release.  Without a seed, `query`
 and `sample` draw fresh OS entropy, which nothing recorded can reproduce.
 
-A call imports this module's flag tables, the mechanisms and the query
-pipeline (numpy with them), and then only what its subcommand uses: the
-bounds, the verifier and the sweep are imported by the handler that first
-needs them (`_DEFERRED`).  With ``PYTHONDONTWRITEBYTECODE=1``, so that
-the package is compiled in every call, a call in a fresh process takes
-145–180 ms, 3–30 ms less than when every module was imported up front;
-numpy is 80–100 ms of it (the README has the table).
+A call imports this module's flag tables and `core` (the errors, the
+enums and the mechanism registry), neither of which imports numpy, and
+then only what its subcommand uses: the module of the mechanism it builds,
+numpy where an array is built, and the bounds, the verifier, the sweep and
+the query pipeline in the handler that first needs them (`_DEFERRED`).
+So `calibrate` of a truncated Laplacian and `bounds` load no numpy.  With
+``PYTHONDONTWRITEBYTECODE=1``, so that the package is compiled in every
+call, those two take about 100 ms in a fresh process and the calls that
+load numpy 200–230 ms, of which numpy is about 120 ms (the README has the
+table).
 """
 
 from __future__ import annotations
@@ -36,32 +39,29 @@ import sys
 from enum import Enum
 
 from .core import (
+    MECHANISM_NAMES,
+    AggregateKind,
+    BudgetError,
     ConvergenceError,
     CostKind,
     DomainError,
     InvariantError,
     PrivacyParams,
     _require_finite_positive,
-)
-from .query import (
-    AggregateKind,
-    BudgetError,
-    MECHANISM_NAMES,
-    QuerySpec,
     make_mechanism,
     make_rng,
-    run_query,
 )
 
 __all__ = ["main"]
 
 
-# The names of the bounds, the verifier and the sweep, each imported (by
-# the package, from its module) when a handler first needs it and kept in
-# this module's globals, where the handler looks it up: a call compiles
-# only the modules its subcommand uses, and a name set here (a test's
-# stand-in, say) is the one called.
-_DEFERRED = ("bound_pair", "discretize", "dp_check", "SweepConfig", "run_sweep", "emit")
+# The names of the bounds, the verifier, the sweep and the query pipeline,
+# each imported (by the package, from its module) when a handler first
+# needs it and kept in this module's globals, where the handler looks it
+# up: a call compiles only the modules its subcommand uses, and a name set
+# here (a test's stand-in, say) is the one called.
+_DEFERRED = ("bound_pair", "discretize", "dp_check", "SweepConfig", "run_sweep", "emit",
+             "QuerySpec", "run_query")
 
 
 def __getattr__(name: str):
@@ -302,6 +302,7 @@ def cmd_query(opt: _Options) -> int:
     clip_hi = opt.get("clip-hi")
     if (clip_lo is None) != (clip_hi is None):
         raise DomainError("--clip-lo and --clip-hi must be given together")
+    _load("QuerySpec", "run_query")
     spec = QuerySpec(
         input_path=opt.get("input", required=True),
         column=opt.get("column", required=True),

@@ -4,7 +4,14 @@ Every mechanism class calibrates itself, ``cls.from_privacy(params, sens)``,
 from a validated ``PrivacyParams`` and a sensitivity, a float > 0 that each
 entry point checks where it takes it.  Validation happens at construction
 time, so downstream code never has to re-check ranges: if you hold a
-``PrivacyParams`` it is a usable one.
+``PrivacyParams`` it is a usable one.  ``make_mechanism`` builds a
+mechanism by its CLI name, and ``make_rng`` the generator its samples are
+drawn from.
+
+This module imports no numpy at module level, and neither do the modules
+a closed-form call loads (``trunclap``, ``bounds``, ``_stable``, ``cli``):
+a function that builds an array imports numpy in its own body, so
+calibrating a truncated Laplacian or bounding its cost never loads it.
 """
 
 from __future__ import annotations
@@ -16,15 +23,17 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 __all__ = [
     "DomainError",
     "InvariantError",
     "ConvergenceError",
+    "BudgetError",
     "PrivacyParams",
     "CostKind",
+    "AggregateKind",
     "NoiseMechanism",
+    "MECHANISM_NAMES",
+    "make_mechanism",
 ]
 
 
@@ -38,6 +47,10 @@ class InvariantError(AssertionError):
 
 class ConvergenceError(RuntimeError):
     """An iterative routine failed to bracket or converge."""
+
+
+class BudgetError(RuntimeError):
+    """A configured privacy-budget cap would be exceeded."""
 
 
 def _as_real(value: float, name: str) -> float:
@@ -118,10 +131,20 @@ class CostKind(Enum):
         )
 
 
+class AggregateKind(Enum):
+    """Which aggregate a private query releases."""
+
+    COUNT = "count"
+    SUM = "sum"
+    MEAN = "mean"
+
+
 def _as_checked_array(x, name: str = "x") -> tuple[np.ndarray, bool]:
     """``x`` as a float ndarray, and whether it is a scalar.  A scalar must
     be a real number (see _as_real), an array must hold real numbers (not
     bool, str, bytes, complex or object), and every value must be finite."""
+    import numpy as np
+
     if not isinstance(x, np.ndarray) and np.ndim(x) == 0:
         x = _as_real(x, name)
     arr = np.asarray(x)
@@ -242,6 +265,8 @@ class NoiseMechanism(ABC):
         """``formula(arr)``, as _scalar_or_array returns it, evaluated without
         numpy's overflow and divide warnings; DomainError, naming the noise,
         where a value is beyond the double range."""
+        import numpy as np
+
         with np.errstate(over="ignore", divide="ignore"):
             values = formula(arr)
         if not np.all(np.isfinite(values)):
@@ -260,15 +285,16 @@ class NoiseMechanism(ABC):
         """
         arr, scalar = _as_checked_array(u, "u")
         if all(map(math.isfinite, self.support)):
-            if np.any(arr < 0.0) or np.any(arr > 1.0):
+            if (arr < 0.0).any() or (arr > 1.0).any():
                 raise DomainError("quantile argument must lie in [0, 1]")
-        elif np.any(arr <= 0.0) or np.any(arr >= 1.0):
+        elif (arr <= 0.0).any() or (arr >= 1.0).any():
             raise DomainError("quantile argument must lie in (0, 1)")
         return self._evaluated("quantile", self._quantile, arr, scalar)
 
     def cdf(self, x):
         """P(X <= x) (scalar or array), from the mass beyond ``|x|``: that
         mass itself for x < 0, one minus it otherwise."""
+        import numpy as np
 
         def formula(arr):
             tail = self._upper_mass(np.abs(arr), math.inf)
@@ -291,6 +317,8 @@ class NoiseMechanism(ABC):
         ``step*k``, with the outer edge at +inf; subclasses override it
         where the density's structure gives the masses in closed form.
         """
+        import numpy as np
+
         last = int(half_cells) - 1
 
         def cells(k, out: np.ndarray) -> np.ndarray:
@@ -317,6 +345,8 @@ class NoiseMechanism(ABC):
         ``rng`` only needs a ``random(size)`` method returning uniforms in
         [0, 1); ``numpy.random.Generator`` qualifies.
         """
+        import numpy as np
+
         size = () if n is None else _as_count(n, "n", least=0)
         if n is not None and size > _MAX_DRAWS:  # numpy would refuse the size
             raise DomainError(f"n must be at most {_MAX_DRAWS} draws")
@@ -328,3 +358,59 @@ class NoiseMechanism(ABC):
         u = np.maximum(u, 2.0**-53)
         values = self.quantile(u)
         return values
+
+
+# The mechanism each CLI name builds, by the name of its class: the class is
+# looked up on the package, which imports its module (``_HOMES``) when it is
+# first asked for, so building a truncated Laplacian never loads the
+# baselines.
+_MECHANISMS = {
+    "trunclap": "TruncatedLaplace",
+    "laplace": "Laplace",
+    "gaussian-analytic": "Gaussian",
+    "uniform": "BoundedUniform",
+}
+MECHANISM_NAMES = tuple(_MECHANISMS)
+
+
+def make_mechanism(name: str, params: PrivacyParams, sens: float) -> NoiseMechanism:
+    """Build a calibrated noise mechanism by CLI name."""
+    sens = _require_finite_positive(sens, "sensitivity")
+    if not isinstance(name, str) or name not in _MECHANISMS:  # a list is unhashable
+        raise DomainError(
+            f"unknown mechanism {name!r}; expected one of {list(MECHANISM_NAMES)}"
+        )
+    if not isinstance(params, PrivacyParams):
+        raise DomainError(f"params must be a PrivacyParams, got {type(params).__name__}")
+    cls = getattr(sys.modules[__package__], _MECHANISMS[name])
+    return cls.from_privacy(params, sens)
+
+
+def _parse_seed(seed: "int | str | None") -> "int | None":
+    """A u64 seed, given as an int or a string in any base prefix, as an
+    int; None stays None."""
+    if seed is None:
+        return None
+    if isinstance(seed, str):
+        try:
+            seed = int(seed, 0)
+        except ValueError:
+            pass  # refused below
+    # int() would truncate a float or a bool to another seed's stream
+    is_int = isinstance(seed, int) and not isinstance(seed, bool)
+    if not (is_int and 0 <= seed < 2**64):
+        raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    return int(seed)
+
+
+def make_rng(seed: "int | str | None", *key: int) -> "numpy.random.Generator":
+    """A generator for `NoiseMechanism.sample`, keyed by ``(seed, *key)``.
+
+    The seed is a 64-bit unsigned secret: with it, a release can be drawn
+    again.  None draws fresh OS entropy, which nothing recorded can
+    reproduce.
+    """
+    seed = _parse_seed(seed)
+    from numpy.random import default_rng
+
+    return default_rng(None if seed is None else [seed, *key])

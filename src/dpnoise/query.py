@@ -60,95 +60,34 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .baselines import BoundedUniform, Gaussian, Laplace
 from .core import (
+    MECHANISM_NAMES,
+    AggregateKind,
+    BudgetError,
     DomainError,
-    NoiseMechanism,
     PrivacyParams,
     _as_real,
-    _require_finite_positive,
+    _parse_seed,
+    make_mechanism,
+    make_rng,
 )
-from .trunclap import TruncatedLaplace
 
 __all__ = [
-    "AggregateKind",
-    "BudgetError",
     "BudgetLedger",
     "LedgerEntry",
-    "MECHANISM_NAMES",
     "QUERY_MECHANISMS",
     "QuerySpec",
-    "make_mechanism",
     "run_query",
 ]
 
-
-class BudgetError(RuntimeError):
-    """A configured privacy-budget cap would be exceeded."""
-
-
-class AggregateKind(Enum):
-    COUNT = "count"
-    SUM = "sum"
-    MEAN = "mean"
-
-
-_FACTORIES = {
-    "trunclap": TruncatedLaplace,
-    "laplace": Laplace,
-    "gaussian-analytic": Gaussian,
-    "uniform": BoundedUniform,
-}
-MECHANISM_NAMES = tuple(_FACTORIES)
 # The query pipeline sticks to mechanisms whose privacy guarantee is the
 # requested (epsilon, delta); the uniform distribution is a limit object for
 # analysis, not a practical mechanism.
 QUERY_MECHANISMS = tuple(name for name in MECHANISM_NAMES if name != "uniform")
-
-
-def make_mechanism(name: str, params: PrivacyParams, sens: float) -> NoiseMechanism:
-    """Build a calibrated noise mechanism by CLI name."""
-    sens = _require_finite_positive(sens, "sensitivity")
-    if not isinstance(name, str) or name not in _FACTORIES:  # a list is unhashable
-        raise DomainError(
-            f"unknown mechanism {name!r}; expected one of {list(MECHANISM_NAMES)}"
-        )
-    if not isinstance(params, PrivacyParams):
-        raise DomainError(f"params must be a PrivacyParams, got {type(params).__name__}")
-    return _FACTORIES[name].from_privacy(params, sens)
-
-
-def _parse_seed(seed: "int | str | None") -> "int | None":
-    """A u64 seed, given as an int or a string in any base prefix, as an
-    int; None stays None."""
-    if seed is None:
-        return None
-    if isinstance(seed, str):
-        try:
-            seed = int(seed, 0)
-        except ValueError:
-            pass  # refused below
-    # int() would truncate a float or a bool to another seed's stream
-    is_int = isinstance(seed, int) and not isinstance(seed, bool)
-    if not (is_int and 0 <= seed < 2**64):
-        raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    return int(seed)
-
-
-def make_rng(seed: "int | str | None", *key: int) -> np.random.Generator:
-    """A generator for `NoiseMechanism.sample`, keyed by ``(seed, *key)``.
-
-    The seed is a 64-bit unsigned secret: with it, a release can be drawn
-    again.  None draws fresh OS entropy, which nothing recorded can
-    reproduce.
-    """
-    seed = _parse_seed(seed)
-    return np.random.default_rng(None if seed is None else [seed, *key])
 
 
 @dataclass(frozen=True)
@@ -287,12 +226,16 @@ class BudgetLedger:
     def _records(self):
         if not self.path.exists():
             return
-        with open(self.path, encoding="utf-8") as fh:
+        # A byte that is not UTF-8 comes in as a lone surrogate, which does
+        # not encode back, so such a line is malformed where it stands.
+        with open(self.path, encoding="utf-8", errors="surrogateescape") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
+                    if not line.isascii():
+                        line.encode("utf-8")
                     record = _parse_ledger_line(line)
                 except _MALFORMED:
                     raise DomainError(

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ._stable import (
     radius_scale_ratio,
     truncation_amplitude_factor,
@@ -87,10 +85,14 @@ class TruncatedLaplace(NoiseMechanism):
         return (-self.radius, self.radius)
 
     def _pdf(self, x):
+        import numpy as np
+
         inside = np.abs(x) <= self.radius
         return np.where(inside, self.height * np.exp(-np.abs(x) / self.scale), 0.0)
 
     def _quantile(self, u):
+        import numpy as np
+
         tail = np.abs(u - 0.5) / self._area
         # |x| = -scale * log(1 - |u - 1/2| / (height*scale)); where the
         # support is bounded, u = 0 and u = 1 land on its edges up to
@@ -99,6 +101,8 @@ class TruncatedLaplace(NoiseMechanism):
         return np.sign(u - 0.5) * np.minimum(magnitude, self.radius)
 
     def _upper_mass(self, a, b):
+        import numpy as np
+
         # Anchored at the nearer endpoint a, so slices of mass ~delta near
         # the truncation edge, which the privacy accounting consumes, keep
         # full relative accuracy:
@@ -121,6 +125,8 @@ class TruncatedLaplace(NoiseMechanism):
         of a row, so every mass is within a few roundings of exact and costs
         one multiply.  The factors are made once per grid.
         """
+        import numpy as np  # once per grid: `cells` reads it from here
+
         H = int(half_cells)
         t = step / self.scale
         # Cells 0..full-1 are whole cells inside the support.  Cell full is

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import dpnoise.cli
+import dpnoise.core
 import dpnoise.query
 
 
@@ -20,7 +21,7 @@ class MedianDraws:
 def zero_noise(monkeypatch):
     """Releases and `dpnoise sample` add zero noise, so a test can pin the
     exact plumbing around the noise; a bad seed is still refused."""
-    make_rng = dpnoise.query.make_rng
+    make_rng = dpnoise.core.make_rng
 
     def median_rng(seed, *key):
         make_rng(seed, *key)

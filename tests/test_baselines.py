@@ -588,6 +588,16 @@ class TestBoundedUniform:
             with pytest.raises(DomainError, match="delta must lie"):
                 BoundedUniform.from_privacy(PrivacyParams(1.0, delta), 1.0)
 
+    @pytest.mark.parametrize("delta", [1e-310, 1e-320, 5e-324])
+    def test_limit_factory_names_delta_where_the_half_width_overflows(self, delta):
+        # refused as "half_width must be finite and > 0, got inf"
+        with pytest.raises(DomainError) as info:
+            BoundedUniform.from_privacy(PrivacyParams(1.0, delta), 1.0)
+        assert str(info.value) == (
+            "half-width sensitivity/(2 delta) overflows: delta is too small "
+            "for this sensitivity"
+        )
+
     def test_limit_sampling_support(self):
         mech = BoundedUniform.from_privacy(PrivacyParams(1.0, 0.1), 1.0)
         x = mech.sample(np.random.default_rng(0), 5000)

@@ -15,8 +15,15 @@ from dpnoise import cli
 from dpnoise.cli import main
 from dpnoise._stable import radius_scale_ratio
 from dpnoise.bounds import _EPS_MIN
-from dpnoise.core import CostKind, InvariantError, NoiseMechanism, PrivacyParams
-from dpnoise.query import MECHANISM_NAMES, QUERY_MECHANISMS, make_mechanism
+from dpnoise.core import (
+    MECHANISM_NAMES,
+    CostKind,
+    InvariantError,
+    NoiseMechanism,
+    PrivacyParams,
+    make_mechanism,
+)
+from dpnoise.query import QUERY_MECHANISMS
 from test_bounds import check_lower_bounds, mpmath_bounds, mpmath_upper
 
 # what a ledger line holds: never the aggregate, the noise or the seed
@@ -638,6 +645,57 @@ def test_extreme_inputs_print_strict_json_or_one_error(capsys, argv, eps, delta)
         assert re.fullmatch(r"error: [^\n]+\n", err)
 
 
+# Every flag's small valid value: the refusal contract is tried one flag at
+# a time, with the others at these.
+_VALID = {
+    "eps": "1", "delta": "1e-4", "sens": "1", "mech": "trunclap",
+    "cost": "amplitude", "n": "2", "seed": "1", "grid-step": "0.01",
+    "out": "out.txt", "format": "csv", "n-mode": "frac", "target-eps": "1",
+    "target-delta": "1e-4", "eps-min": "0.5", "eps-max": "1", "eps-points": "2",
+    "delta-min": "1e-5", "delta-max": "1e-4", "delta-points": "2",
+    "input": "rows.csv", "column": "spend", "aggregate": "sum", "clip-lo": "0",
+    "clip-hi": "10", "ledger": "ledger.jsonl", "budget-eps": "100",
+    "budget-delta": "1",
+}
+_HOSTILE = ("nan", "inf", "1e400", "1e-320", "0x", "-0", "1_0", "\u0663", "")
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, (_, _, flags) in cli._COMMANDS.items()
+     for flag in (*flags, "config")],
+    ids=lambda value: value,
+)
+def test_a_hostile_flag_value_exits_0_to_4_with_one_error_line(
+    capsys, monkeypatch, tmp_path, command, flag
+):
+    # every subcommand, given any one flag any of these strings with the
+    # others valid, exits 0-4 with no traceback; a refusal writes one
+    # "error:" line (or argparse's usage), and nothing else, to stderr
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rows.csv").write_text("id,spend\n1,2\n2,3\n")
+    flags = cli._COMMANDS[command][2]
+    for value in _HOSTILE:
+        for leftover in ("ledger.jsonl", "out.txt"):
+            (tmp_path / leftover).unlink(missing_ok=True)
+        argv = [command, f"--{flag}={value}"] + [
+            f"--{other}={_VALID[other]}" for other in flags if other != flag
+        ]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused the command line
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3, 4), (argv, code)
+        if code in (0, 1):
+            assert err == "", argv
+        else:
+            assert re.fullmatch(r"error: [^\n]+\n", err) or err.startswith("usage:"), (
+                argv, err
+            )
+            assert out == "", argv
+
+
 SWEEP_ARGS = [
     "sweep",
     "--eps-min", "0.1", "--eps-max", "1.0", "--eps-points", "2",
@@ -754,6 +812,18 @@ class TestQuery:
         line = '{"query_id": "%s", "epsilon": %s, "delta": 0, "timestamp": "t"}\n'
         ledger_path.write_text(line % ("a", "0.5") + line % ("b", "1" + "0" * 400))
         before = ledger_path.read_bytes()
+        code, out, err = run(capsys, *self.base(spend_csv, ledger_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed ledger line 2 in {ledger_path}\n"
+        assert ledger_path.read_bytes() == before
+
+    def test_a_ledger_line_that_is_not_utf8_is_malformed(
+        self, capsys, spend_csv, ledger_path
+    ):
+        # exited 1 with a UnicodeDecodeError traceback
+        before = (b'{"query_id": "aa", "epsilon": 0.1, "delta": 0.0, "timestamp": "t"}\n'
+                  b"\xff\xfe\n")
+        ledger_path.write_bytes(before)
         code, out, err = run(capsys, *self.base(spend_csv, ledger_path))
         assert (code, out) == (2, "")
         assert err == f"error: malformed ledger line 2 in {ledger_path}\n"

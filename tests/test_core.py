@@ -7,17 +7,18 @@ import pytest
 
 from dpnoise.baselines import BoundedUniform, Gaussian, Laplace
 from dpnoise.core import (
+    MECHANISM_NAMES,
     ConvergenceError,
     CostKind,
     DomainError,
     InvariantError,
     NoiseMechanism,
     PrivacyParams,
+    make_mechanism,
 )
 from dpnoise.analysis import SweepConfig
 from dpnoise.baselines import analytic_gaussian_sigma
 from dpnoise.bounds import bound_pair
-from dpnoise.query import MECHANISM_NAMES, make_mechanism
 from dpnoise.trunclap import TruncatedLaplace
 from dpnoise.verifier import discretize
 

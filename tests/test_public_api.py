@@ -10,7 +10,7 @@ from test_readme import python_blocks
 
 import dpnoise
 from dpnoise.core import NoiseMechanism, PrivacyParams
-from dpnoise.query import AggregateKind
+from dpnoise.core import AggregateKind
 from dpnoise.verifier import DiscretizedDist, discretize
 
 
@@ -158,7 +158,7 @@ def test_helpers_with_callers_inside_are_not_exported():
     # cli and query seed their generators with make_rng
     assert "make_rng" not in dpnoise.__all__
     assert not hasattr(dpnoise, "make_rng")
-    assert "make_rng" not in dpnoise.query.__all__
+    assert "make_rng" not in dpnoise.core.__all__
 
 
 def _annotations(tree: ast.Module):

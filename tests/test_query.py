@@ -15,21 +15,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dpnoise
 from dpnoise.baselines import Gaussian, Laplace
-from dpnoise.core import DomainError, PrivacyParams
-from dpnoise import query
-from dpnoise.query import (
+from dpnoise import core, query
+from dpnoise.core import (
+    MECHANISM_NAMES,
     AggregateKind,
     BudgetError,
+    DomainError,
+    PrivacyParams,
+    make_mechanism,
+    make_rng,
+)
+from dpnoise.query import (
     BudgetLedger,
     LedgerEntry,
-    MECHANISM_NAMES,
     QUERY_MECHANISMS,
     QuerySpec,
     _parse_ledger_line,
     _read_column,
-    make_mechanism,
-    make_rng,
     run_query,
 )
 from dpnoise.trunclap import TruncatedLaplace
@@ -57,7 +61,7 @@ class TestMakeMechanism:
 
     @pytest.mark.parametrize("name", MECHANISM_NAMES)
     def test_builds_the_registered_class(self, name):
-        cls = query._FACTORIES[name]
+        cls = getattr(dpnoise, core._MECHANISMS[name])
         mech = make_mechanism(name, P, 2.0)
         assert type(mech) is cls
         assert mech.parameters == cls.from_privacy(P, 2.0).parameters
@@ -242,6 +246,18 @@ class TestBudgetLedger:
         )
         with pytest.raises(DomainError, match="malformed ledger line 2"):
             BudgetLedger(ledger_path).entries()
+
+    @pytest.mark.parametrize("line", [b"\xff\xfe", b'{"query_id": "\xff"}'],
+                             ids=["bare", "in-a-string"])
+    @pytest.mark.parametrize("read", ["totals", "entries"])
+    def test_a_line_that_is_not_utf8_is_malformed(self, ledger_path, line, read):
+        # escaped as UnicodeDecodeError from reading the file
+        text = (b'{"query_id": "aa", "epsilon": 0.1, "delta": 0.0, "timestamp": "t"}\n'
+                + line + b"\n")
+        ledger_path.write_bytes(text)
+        with pytest.raises(DomainError, match="^malformed ledger line 2 in "):
+            getattr(BudgetLedger(ledger_path), read)()
+        assert ledger_path.read_bytes() == text
 
     def test_totals_are_the_correctly_rounded_sums(self, ledger_path):
         ledger = BudgetLedger(ledger_path)

@@ -63,5 +63,5 @@ def test_python_examples_print_what_they_state():
     assert checked["report.passed"] is True
     assert checked['len(table["epsilon"])'] == 400
     # every stated value of the two examples was checked
-    assert len(checked) == 13
+    assert len(checked) == 16
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -9,16 +10,17 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import ndtr
 
 from dpnoise.baselines import BoundedUniform, Gaussian, Laplace, analytic_gaussian_sigma
-from dpnoise.core import DomainError, PrivacyParams
-from dpnoise.query import MECHANISM_NAMES, make_mechanism
+from dpnoise.core import MECHANISM_NAMES, DomainError, PrivacyParams, make_mechanism
 from dpnoise.trunclap import TruncatedLaplace
 from dpnoise import verifier
 from dpnoise.verifier import (
     _BLOCK,
     DiscretizedDist,
     ViolationReport,
+    _direct_result,
     _direct_violation,
     _exp_epsilon,
+    _fast_result,
     _flat_band,
     _gamma,
     _scan_tolerance,
@@ -1516,3 +1518,80 @@ class TestTooWideToDiscretize:
             match=r"^the noise is too wide to discretize: a grid of step 0\.1 would reach inf$",
         ):
             discretize(mech, 1.0, step=0.1)
+
+
+# ---------------------------------------------------------------------------
+# Verifier power: a violation of known size, planted in a calibrated grid,
+# is found at that size by both paths.
+
+
+def exp_bracket(eps: float) -> tuple[Fraction, Fraction]:
+    """Two rationals around e^eps, one 40-digit unit on either side of
+    decimal's correctly rounded value."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        e = Decimal(eps).exp()
+        unit = Decimal(1).scaleb(e.adjusted() - 39)
+        return Fraction(e - unit), Fraction(e + unit)
+
+
+def exact_max_violation(masses, shifts: int, c: Fraction) -> Fraction:
+    """max over j = 1..shifts of sum_i max(0, p_i - c p_{i+j}), shifted-out
+    cells 0, exactly: every float cell as a Fraction over one common
+    denominator, and each term an integer."""
+    cells = [Fraction(p) for p in masses.tolist()]
+    den = math.lcm(*(f.denominator for f in cells))
+    ints = [f.numerator * (den // f.denominator) for f in cells]
+    K = len(ints)
+    lhs = [c.denominator * n for n in ints]
+    rhs = [c.numerator * n for n in ints]
+    worst = max(
+        sum(d for d in map(int.__sub__, lhs[: K - j], rhs[j:]) if d > 0) + sum(lhs[K - j :])
+        for j in range(1, shifts + 1)
+    )
+    return Fraction(worst, c.denominator * den)
+
+
+class TestPlantedViolation:
+    """Mass x*delta moved from the central cell to the edge cell (on both
+    halves, the grid being symmetric) of a calibrated truncated Laplacian's
+    grid of at most 2,000 cells.  Each grid is narrow enough against delta
+    that the dip stays log-concave, so the fast path is the one dp_check
+    runs, and the direct path is checked on the same grid."""
+
+    @pytest.mark.parametrize("x", [0.0, 0.1, 0.5, 1.0, 4.0])
+    @pytest.mark.parametrize(
+        "eps, delta, step", [(1.0, 1e-5, 0.02), (0.5, 1e-6, 0.05), (2.0, 1e-5, 0.01)]
+    )
+    def test_both_paths_find_the_planted_excess(self, eps, delta, step, x):
+        grid = discretize(TruncatedLaplace.from_privacy(PrivacyParams(eps, delta), 1.0),
+                          1.0, step=step)
+        half = np.asarray(grid.masses)[grid.masses.size // 2 :]
+        edge = grid._run[1] - grid.masses.size // 2
+        half[0] -= x * delta
+        half[edge] += x * delta
+        masses = np.concatenate([half[::-1], half])
+        dist = DiscretizedDist(grid.step, masses, grid.shift_cells,
+                               grid.mass_error, grid.fold)
+        assert masses.size <= 2000 and dist._fast_ok
+        c_lo, c_hi = exp_bracket(eps)
+        # the violation falls as e^eps grows, so the bracket of e^eps
+        # brackets the exact one
+        low = exact_max_violation(masses, dist.shift_cells, c_hi)
+        high = exact_max_violation(masses, dist.shift_cells, c_lo)
+        assert low <= high
+        c = math.exp(eps)
+        for result in (_fast_result(dist, c), _direct_result(dist, c)):
+            worst, _, parts = result
+            tolerance = sum(parts)
+            assert low - Fraction(tolerance) <= Fraction(worst) <= high + Fraction(tolerance)
+            for target in (0.5 * delta, delta, 1.5 * delta, 3.0 * delta, 12.0 * delta):
+                passed = worst <= target + tolerance
+                if low > Fraction(target + tolerance):
+                    assert not passed, (target, worst, tolerance)
+                elif high < Fraction(target - tolerance):
+                    assert passed, (target, worst, tolerance)
+        report = dp_check(dist, PrivacyParams(eps, delta))
+        assert report.path == "fast"
+        if x > 0.0:  # the excess is far beyond the tolerance
+            assert not report.passed
